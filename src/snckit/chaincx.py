@@ -2,8 +2,9 @@
 
 A complex stores one free rank per degree on a contiguous range, plus the
 boundary matrices between adjacent degrees.  Homology and cohomology come
-out in canonical form; cohomology is, by a single global convention, the
-homology of the degreewise transposed complex with degrees negated.
+out in canonical form.  Both are read off the Smith diagonals of the
+boundaries, which each complex computes at most once and keeps; cohomology
+follows from them by universal coefficients, with no transposed complex.
 
 Spectral pages are finite: a dictionary of nonzero entries together with an
 explicit support region.  Only two page-passage facts are implemented (the
@@ -47,6 +48,10 @@ class ChainComplex:
     lowest_degree: int
     ranks: tuple[int, ...]
     boundaries: tuple[IntMatrix, ...]
+    # Smith diagonals by boundary index, filled on first use; not part of
+    # the value, so equality, hashing and construction ignore it.
+    _diagonals: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self) -> None:
         expected = max(len(self.ranks) - 1, 0)
@@ -81,6 +86,19 @@ class ChainComplex:
             return self.boundaries[k]
         return IntMatrix.zero(self.rank(d - 1), self.rank(d))
 
+    def diagonal(self, d: int) -> tuple[int, ...]:
+        """Smith diagonal of the boundary out of degree d, computed once.
+
+        Outside the range the boundary is zero and its diagonal is empty.
+        """
+        k = d - self.lowest_degree - 1
+        if not 0 <= k < len(self.boundaries):
+            return ()
+        diag = self._diagonals.get(k)
+        if diag is None:
+            diag = self._diagonals[k] = smith_diagonal(self.boundaries[k])
+        return diag
+
 
 def validate_complex(c: ChainComplex) -> None:
     """Raise NonComplexError at the first degree whose composite is nonzero.
@@ -93,35 +111,38 @@ def validate_complex(c: ChainComplex) -> None:
             raise NonComplexError(d)
 
 
+def _group(c: ChainComplex, i: int, torsion_from: int) -> FgAbGroup:
+    """Free rank rank_i - r_i - r_{i+1}; torsion from one boundary's diagonal."""
+    free = c.rank(i) - sum(1 for d in (i, i + 1) for x in c.diagonal(d) if x != 0)
+    return FgAbGroup(free, tuple(x for x in c.diagonal(torsion_from) if x > 1))
+
+
 def homology(c: ChainComplex, i: int) -> FgAbGroup:
     """H_i = ker(boundary out of i) / im(boundary into i), canonical form.
 
-    For a free complex the answer reads off two Smith forms: the free rank
-    is rank_i minus the two boundary ranks, and the torsion is the list of
-    invariant factors of the incoming boundary that exceed 1.
+    For a free complex the answer reads off two Smith diagonals: the free
+    rank is rank_i minus the two boundary ranks, and the torsion is the list
+    of invariant factors of the incoming boundary that exceed 1.
     """
-    out_rank = sum(1 for x in smith_diagonal(c.boundary(i)) if x != 0)
-    incoming = smith_diagonal(c.boundary(i + 1))
-    free = c.rank(i) - out_rank - sum(1 for x in incoming if x != 0)
-    return FgAbGroup(free, tuple(x for x in incoming if x > 1))
-
-
-def dualize(c: ChainComplex) -> ChainComplex:
-    """The transposed complex, reindexed so that H^i(c) = H_{-i}(dualize(c))."""
-    ranks = tuple(reversed(c.ranks))
-    boundaries = tuple(b.transpose() for b in reversed(c.boundaries))
-    top = c.lowest_degree + len(c.ranks) - 1
-    return ChainComplex(-top, ranks, boundaries)
+    return _group(c, i, i + 1)
 
 
 def cohomology(c: ChainComplex, i: int) -> FgAbGroup:
     """H^i with integer coefficients, in canonical form.
 
+    Read off the same cached Smith diagonals as homology, by universal
+    coefficients: the free rank is that of H_i, and the torsion is that of
+    H_{i-1}, the invariant factors above 1 of the boundary out of degree i,
+    whose transpose is the coboundary into degree i.
+
     >>> circle = ChainComplex(0, (1, 1), (IntMatrix.zero(1, 1),))
     >>> str(cohomology(circle, 1))
     'Z'
+    >>> rp2 = ChainComplex(0, (1, 1, 1), (IntMatrix.zero(1, 1), IntMatrix([[2]])))
+    >>> [str(cohomology(rp2, i)) for i in range(3)]
+    ['Z', '0', 'Z/2']
     """
-    return homology(dualize(c), -i)
+    return _group(c, i, i)
 
 
 def euler_characteristic(c: ChainComplex) -> int:

@@ -29,7 +29,7 @@ class IntMatrix:
     >>> a @ IntMatrix.identity(2) == a
     True
     >>> a.transpose()[0, 1]
-    2
+    3
     """
 
     __slots__ = ("nrows", "ncols", "_rows")

@@ -412,10 +412,12 @@ def kh_report(d: SncDivisor, pi: PicardInput,
 
     # Finitely generated shadow of the descent page around the top corner:
     # the integral cohomology row, plus the units corner carrying coker(NS)
-    # as its finitely generated part.
+    # as its finitely generated part.  The row stops at the top degree of
+    # the dual complex, above which every group is 0, so the work is
+    # bounded by the divisor and not by n.
     entries: dict[tuple[int, int], FgAbGroup] = {}
     support = {(n - 1, 0)}
-    for p in range(n):
+    for p in range(min(n, cx.degrees.stop)):
         support.add((p, 1))
         g = cohomology(cx, p)
         if not g.is_trivial():

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the code paths they check: invariant
 factors come from minors and cofactor determinants, direct sums from prime
-factorization, and simpliciality from raw vertex sets of the dual complex.
+factorization, simpliciality from raw vertex sets of the dual complex, and
+cohomology from the homology of the explicitly transposed complex.
 """
 from __future__ import annotations
 
@@ -249,6 +250,18 @@ def brute_force_bad(d: SncDivisor) -> tuple[dict[frozenset[str], int], bool]:
             seen[key] = seen.get(key, 0) + 1
     dup = {k: v for k, v in seen.items() if v >= 2}
     return dup, not dup
+
+
+def dualize(c: ChainComplex) -> ChainComplex:
+    """The transposed complex, reindexed so that H^i(c) = H_{-i}(dualize(c)).
+
+    An oracle for cohomology: it builds the cochain complex explicitly,
+    where snckit reads cohomology off the boundary diagonals instead.
+    """
+    ranks = tuple(reversed(c.ranks))
+    boundaries = tuple(b.transpose() for b in reversed(c.boundaries))
+    top = c.lowest_degree + len(c.ranks) - 1
+    return ChainComplex(-top, ranks, boundaries)
 
 
 def one_row_page(cx: ChainComplex) -> SpectralPage:

@@ -1,10 +1,11 @@
 """Free chain complexes, integral (co)homology, and the two-row page logic."""
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
-from helpers import one_row_page
+from helpers import dualize, minors_invariant_factors, one_row_page
 from snckit import (
     ChainComplex,
     FgAbGroup,
@@ -14,16 +15,22 @@ from snckit import (
     SpectralPage,
     SupportViolationError,
     TaggedGroup,
+    build_dual_complex,
+    chaincx,
     cohomology,
     e2_page,
     e3_top_corner,
     euler_characteristic,
     homology,
+    kh_report,
     validate_complex,
 )
 from snckit.abgroup import Z, ZERO_GROUP
-from snckit.chaincx import complex_from_ranks_and_maps, dualize
+from snckit.chaincx import complex_from_ranks_and_maps
+from snckit.cli import parse_input
 from snckit.intmat import kernel_basis
+
+SPHERE4 = Path(__file__).parent / "fixtures" / "sphere4.json"
 
 
 def simplex_boundary_complex(n: int, full: bool = False) -> ChainComplex:
@@ -137,6 +144,90 @@ def test_universal_coefficients_on_random_complexes():
             ci = cohomology(c, i)
             assert ci.free_rank == hi.free_rank
             assert ci.torsion == homology(c, i - 1).torsion
+
+
+def torsion_complex(rng: random.Random) -> ChainComplex:
+    """A random complex at a random lowest degree, often with torsion.
+
+    Scaling one boundary by 2 or 3 keeps every composite zero and puts
+    invariant factors above 1 into that boundary.
+    """
+    c = random_complex(rng, length=rng.randint(1, 4))
+    boundaries = list(c.boundaries)
+    if boundaries and rng.random() < 0.5:
+        k = rng.randrange(len(boundaries))
+        boundaries[k] = boundaries[k].scale(rng.choice((2, 3)))
+    return ChainComplex(rng.randint(-3, 3), c.ranks, tuple(boundaries))
+
+
+def fresh(c: ChainComplex) -> ChainComplex:
+    """An equal complex with nothing cached yet."""
+    return ChainComplex(c.lowest_degree, c.ranks, c.boundaries)
+
+
+def test_cohomology_matches_the_transposed_complex():
+    rng = random.Random(23)
+    complexes = [projective_plane_cw(), ChainComplex(-2, (1, 1, 1), (
+        IntMatrix.zero(1, 1), IntMatrix([[6]])))]
+    complexes += [torsion_complex(rng) for _ in range(150)]
+    seen_torsion = seen_shift = 0
+    for c in complexes:
+        validate_complex(c)
+        dual = dualize(c)
+        seen_shift += c.lowest_degree != 0
+        for i in range(c.lowest_degree - 1, c.degrees.stop + 1):
+            ci = cohomology(c, i)
+            assert ci == homology(dual, -i)
+            minors = minors_invariant_factors(c.boundary(i).transpose())
+            assert ci.torsion == tuple(f for f in minors if f > 1)
+            seen_torsion += bool(ci.torsion)
+    assert seen_torsion >= 20 and seen_shift >= 100
+
+
+def test_degree_order_does_not_change_the_groups():
+    rng = random.Random(24)
+    for _ in range(60):
+        c = torsion_complex(rng)
+        degrees = list(range(c.lowest_degree - 1, c.degrees.stop + 1))
+        in_order = [(homology(fresh(c), i), cohomology(fresh(c), i))
+                    for i in degrees]
+        shuffled = fresh(c)
+        order = degrees[:]
+        rng.shuffle(order)
+        got = {}
+        for i in order:
+            if rng.random() < 0.5:
+                h = homology(shuffled, i)
+                co = cohomology(shuffled, i)
+            else:
+                co = cohomology(shuffled, i)
+                h = homology(shuffled, i)
+            got[i] = (h, co)
+        assert [got[i] for i in degrees] == in_order
+
+
+def test_cached_diagonals_leave_equality_hash_and_repr_alone():
+    c = projective_plane_cw()
+    before = (hash(c), repr(c))
+    assert cohomology(c, 2) == FgAbGroup.cyclic(2)
+    assert c == fresh(c)
+    assert (hash(c), repr(c)) == before
+
+
+def test_kh_report_takes_each_smith_diagonal_once(monkeypatch):
+    doc = parse_input(str(SPHERE4))
+    calls = []
+    real = chaincx.smith_diagonal
+
+    def counting(a):
+        calls.append(id(a))
+        return real(a)
+
+    monkeypatch.setattr(chaincx, "smith_diagonal", counting)
+    kh_report(doc.divisor, doc.picard, doc.field_mode)
+    boundaries = len(build_dual_complex(doc.divisor).chain_complex().boundaries)
+    assert 0 < len(calls) <= boundaries
+    assert len(set(calls)) == len(calls)
 
 
 def test_dualize_is_an_involution():

@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,30 @@ def test_kh_report_text_lines():
     assert "n3 exact: yes" in lines
     assert machine["kh_value"]["total"]["group"]["str"] == "Z^2"
     assert machine["n3_exact"] is True
+
+
+def test_kh_report_work_is_bounded_by_the_divisor_not_by_n(capsys, tmp_path):
+    n = 200000
+    data = {
+        "version": "1",
+        "divisor": {"n": n, "components": ["E1", "E2"], "strata": [
+            {"subset": [0, 1], "components": [{"id": "c12", "parents": {}}]}]},
+        "picard": {
+            "levels": [{"p": n - 4, "ns_rank": 1, "ns_torsion": [], "pic0_dim": 0},
+                       {"p": n - 3, "ns_rank": 2, "ns_torsion": [], "pic0_dim": 0},
+                       {"p": n - 2, "ns_rank": 2, "ns_torsion": [], "pic0_dim": 0}],
+            "ns_maps": [[[0], [0]], [[1, -1], [1, -1]]],
+            "coker_pic0_dim": 0,
+        },
+    }
+    argv = ["--input", write_doc(tmp_path, data), "--command", "kh-report",
+            "--emit", "both"]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 0.5
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"KH_-{n}(X) = H^{n - 1}(D(E),Z) = 0"
+    assert "  value: Z (exact)" in lines
 
 
 def test_k_report_text_and_machine():
