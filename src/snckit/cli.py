@@ -169,6 +169,9 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
                 try:
                     didx = int(key)
                 except ValueError:
+                    didx = None
+                # only canonical decimal keys, as divisor_json writes them
+                if didx is None or key != str(didx):
                     raise SchemaError(f"{cpath}.parents",
                                       f"key {key!r} is not a component index")
                 if not 0 <= didx < len(comps):
@@ -301,8 +304,10 @@ def parse_document(data: Any) -> InputDocument:
 def parse_input(path: str) -> InputDocument:
     """Read, decode, and fully validate an input file."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return parse_document(data)
+        try:
+            return parse_document(json.load(fh))
+        except RecursionError:
+            raise SchemaError("document", "nesting is too deep") from None
 
 
 # --------------------------------------------------------------------------

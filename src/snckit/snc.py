@@ -9,13 +9,22 @@ what the dual complex needs to glue cells.
 Blowing up a stratum component is modeled as stellar subdivision of its
 dual cell, and the resolution loop repeats deepest-first blowups until no
 intersection has two components left.
+
+Every blowup goes through one private, mutable index of the strata: by id
+in divisor order, ids by subset, children by parent id, and the bad
+subsets with a running count of the stratum components on them.  The
+resolution loop builds it once and applies each blowup to it in place, so
+a step touches only the blowup's star and the cells it adds; the public
+single-step blowups build an index, apply one step and return the new
+divisor.  ``find_bad_intersections`` stays the full scan that reports a
+divisor's bad intersections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .chaincx import ChainComplex
 from .intmat import IntMatrix
@@ -226,8 +235,7 @@ class DualComplex:
         return ChainComplex(0, ranks, tuple(boundaries))
 
 
-def _face_cell(d: SncDivisor, by_id: dict[str, Stratum], s: Stratum,
-               keep: Sequence[str]) -> str:
+def _face_cell(by_id: Mapping[str, Stratum], s: Stratum, keep: Sequence[str]) -> str:
     """Id of the face of s spanned by ``keep`` (a vertex id when |keep| = 1)."""
     keep_set = frozenset(keep)
     cur = s
@@ -307,10 +315,6 @@ def find_bad_intersections(d: SncDivisor) -> BadIntersections:
     return BadIntersections(bad, not bad)
 
 
-def _bad_component_count(d: SncDivisor) -> int:
-    return sum(count for _, count in find_bad_intersections(d).bad)
-
-
 @dataclass(frozen=True)
 class BlowupRecord:
     """What one combinatorial blowup did, enough to replay or audit it.
@@ -328,11 +332,156 @@ class BlowupRecord:
     point_blowup: bool = False
 
 
-def _fresh_component_id(existing: set[str]) -> str:
+def _fresh_component_id(existing: Container[str]) -> str:
     k = 1
     while f"exc{k}" in existing:
         k += 1
     return f"exc{k}"
+
+
+class _StrataIndex:
+    """The strata of a divisor, indexed for a run of blowups.
+
+    It keeps the strata by id in divisor order, the ids on each subset, the
+    children of each stratum (the strata naming it as a parent), the bad
+    subsets (those carrying two or more ids) and the running count of
+    stratum components on bad subsets.  ``add`` and ``remove`` keep all of
+    these current, so a blowup costs time in the size of its star and of
+    the cells it adds, not in the size of the divisor.  The divisor must
+    pass ``validate_snc``.
+    """
+
+    def __init__(self, d: SncDivisor):
+        self.n = d.n
+        self.components = list(d.components)
+        self.order = d.component_order()
+        self.by_id: dict[str, Stratum] = {}
+        self.seq: dict[str, int] = {}
+        self.by_subset: dict[tuple[str, ...], set[str]] = {}
+        self.children: dict[str, set[str]] = {}
+        self.bad: set[tuple[str, ...]] = set()
+        self.bad_total = 0
+        self._next_seq = 0
+        for s in d.strata:
+            self.add(s)
+
+    def divisor(self) -> SncDivisor:
+        return SncDivisor(self.n, tuple(self.components), tuple(self.by_id.values()))
+
+    def add(self, s: Stratum) -> None:
+        self.by_id[s.id] = s
+        self.seq[s.id] = self._next_seq
+        self._next_seq += 1
+        ids = self.by_subset.setdefault(s.subset, set())
+        ids.add(s.id)
+        if len(ids) == 2:
+            self.bad.add(s.subset)
+            self.bad_total += 2
+        elif len(ids) > 2:
+            self.bad_total += 1
+        for pid in s.parents.values():
+            self.children.setdefault(pid, set()).add(s.id)
+
+    def remove(self, s: Stratum) -> None:
+        del self.by_id[s.id]
+        del self.seq[s.id]
+        ids = self.by_subset[s.subset]
+        ids.discard(s.id)
+        if len(ids) == 1:
+            self.bad.discard(s.subset)
+            self.bad_total -= 2
+        elif len(ids) > 1:
+            self.bad_total -= 1
+        elif not ids:
+            del self.by_subset[s.subset]
+        for pid in s.parents.values():
+            kids = self.children.get(pid)
+            if kids is not None:  # None once the parent itself is removed
+                kids.discard(s.id)
+        self.children.pop(s.id, None)
+
+    def deepest_bad(self) -> str:
+        """The resolve loop's next center: see ``resolve_to_simplicial``."""
+        order = self.order
+        deepest = max(len(subset) for subset in self.bad)
+        subset = min((s for s in self.bad if len(s) == deepest),
+                     key=lambda s: tuple(order[c] for c in s))
+        return min(self.by_subset[subset])
+
+    def blowup(self, center: str) -> BlowupRecord:
+        """Apply ``blowup_stratum_component`` in place and return its record."""
+        s0 = self.by_id.get(center)
+        if s0 is None:
+            raise UnknownCenterError(f"no stratum component with id {center!r}")
+        i0 = frozenset(s0.subset)
+        order = self.order
+
+        # A stratum whose face on the center's subset is the center has a
+        # parent with that face too (faces do not depend on the order of
+        # the drops, by validate_snc's grandparent check), so the star is
+        # the center's closure under children.
+        star_ids = {center}
+        todo = [center]
+        while todo:
+            for child in self.children.get(todo.pop(), ()):
+                if child not in star_ids:
+                    star_ids.add(child)
+                    todo.append(child)
+        star = [self.by_id[sid] for sid in sorted(star_ids, key=self.seq.__getitem__)]
+
+        entries: list[tuple[Stratum, tuple[str, ...], tuple[str, ...], str]] = []
+        for t in star:
+            l_part = tuple(c for c in t.subset if c not in i0)
+            for r in range(len(s0.subset)):
+                for k_part in combinations(s0.subset, r):
+                    keep = tuple(sorted(k_part + l_part, key=order.__getitem__))
+                    if not keep:
+                        continue
+                    fcid = keep[0] if len(keep) == 1 else _face_cell(self.by_id, t, keep)
+                    entries.append((t, k_part, keep, fcid))
+        entries.sort(key=lambda e: (
+            len(e[2]), tuple(order[c] for c in e[2]), e[3], e[0].id))
+
+        before = self.bad_total
+        for t in star:
+            self.remove(t)
+        new_comp = _fresh_component_id(order)
+        order[new_comp] = len(self.components)
+        self.components.append(new_comp)
+
+        # Ids follow the coned face; parallel cones over the same face get a
+        # deterministic suffix, and ids of the removed star are free again.
+        # Two entries share a face cell only when their star cells are
+        # components of the same intersection.  A cone's parents are cones
+        # over smaller faces, which sort earlier.
+        cone_id: dict[tuple[str, tuple[str, ...]], str] = {}
+        added: list[str] = []
+        for t, k_part, keep, fcid in entries:
+            cid = f"{new_comp}|{fcid}"
+            n = 0
+            while cid in self.by_id or cid in order:
+                cid = f"{new_comp}|{fcid}~{n}"
+                n += 1
+            cone_id[(t.id, k_part)] = cid
+            subset = keep + (new_comp,)
+            parents: dict[str, str] = {}
+            if len(subset) >= 3:
+                parents[new_comp] = fcid
+                for x in keep:
+                    if x in i0:
+                        rest = tuple(c for c in k_part if c != x)
+                        parents[x] = cone_id[(t.id, rest)]
+                    else:
+                        parents[x] = cone_id[(t.parents[x], k_part)]
+            self.add(Stratum(cid, subset, parents))
+            added.append(cid)
+        return BlowupRecord(
+            center=center,
+            new_component=new_comp,
+            removed=tuple(t.id for t in star),
+            added=tuple(added),
+            bad_decrement=before - self.bad_total,
+        )
 
 
 def blowup_stratum_component(d: SncDivisor, center: str,
@@ -348,70 +497,9 @@ def blowup_stratum_component(d: SncDivisor, center: str,
     vertex set) from collapsing onto a shared interior, which would change
     the homotopy type of the dual complex.
     """
-    by_id = {s.id: s for s in d.strata}
-    if center not in by_id:
-        raise UnknownCenterError(f"no stratum component with id {center!r}")
-    s0 = by_id[center]
-    i0 = frozenset(s0.subset)
-    order = d.component_order()
-
-    star = [s for s in d.strata
-            if i0 <= frozenset(s.subset)
-            and _face_cell(d, by_id, s, s0.subset) == center]
-
-    new_comp = _fresh_component_id(set(d.components))
-    entries: list[tuple[Stratum, tuple[str, ...], tuple[str, ...], str]] = []
-    for t in star:
-        l_part = tuple(c for c in t.subset if c not in i0)
-        for r in range(len(s0.subset)):
-            for k_part in combinations(s0.subset, r):
-                keep = tuple(sorted(k_part + l_part, key=order.__getitem__))
-                if not keep:
-                    continue
-                fcid = keep[0] if len(keep) == 1 else _face_cell(d, by_id, t, keep)
-                entries.append((t, k_part, keep, fcid))
-    entries.sort(key=lambda e: (
-        len(e[2]), tuple(order[c] for c in e[2]), e[3], e[0].id))
-
-    removed_ids = {t.id for t in star}
-    kept = [s for s in d.strata if s.id not in removed_ids]
-
-    # Ids follow the coned face; parallel cones over the same face get a
-    # deterministic suffix.  Two entries share a face cell only when their
-    # star cells are components of the same intersection.
-    taken = set(d.components) | {s.id for s in kept}
-    cone_id: dict[tuple[str, tuple[str, ...]], str] = {}
-    for t, k_part, keep, fcid in entries:
-        cid = f"{new_comp}|{fcid}"
-        n = 0
-        while cid in taken:
-            cid = f"{new_comp}|{fcid}~{n}"
-            n += 1
-        taken.add(cid)
-        cone_id[(t.id, k_part)] = cid
-
-    added: list[Stratum] = []
-    for t, k_part, keep, fcid in entries:
-        subset = keep + (new_comp,)
-        parents: dict[str, str] = {}
-        if len(subset) >= 3:
-            parents[new_comp] = fcid
-            for x in keep:
-                if x in i0:
-                    rest = tuple(c for c in k_part if c != x)
-                    parents[x] = cone_id[(t.id, rest)]
-                else:
-                    parents[x] = cone_id[(by_id[t.parents[x]].id, k_part)]
-        added.append(Stratum(cone_id[(t.id, k_part)], subset, parents))
-    result = SncDivisor(d.n, d.components + (new_comp,), tuple(kept) + tuple(added))
-    record = BlowupRecord(
-        center=center,
-        new_component=new_comp,
-        removed=tuple(s.id for s in d.strata if s.id in removed_ids),
-        added=tuple(s.id for s in added),
-        bad_decrement=_bad_component_count(d) - _bad_component_count(result),
-    )
-    return result, record
+    index = _StrataIndex(d)
+    record = index.blowup(center)
+    return index.divisor(), record
 
 
 def blowup_point_on_double_curve(d: SncDivisor, curve: str,
@@ -425,12 +513,12 @@ def blowup_point_on_double_curve(d: SncDivisor, curve: str,
     """
     if d.n != 3:
         raise WrongDimensionError(f"point blowup needs ambient dimension 3, got {d.n}")
-    by_id = {s.id: s for s in d.strata}
-    c = by_id.get(curve)
+    index = _StrataIndex(d)
+    c = index.by_id.get(curve)
     if c is None or c.depth != 2:
         raise UnknownCurveError(f"{curve!r} is not a double-curve stratum component")
     i, j = c.subset
-    new_comp = _fresh_component_id(set(d.components))
+    new_comp = _fresh_component_id(index.order)
     edge_i = Stratum(f"{new_comp}|{i}", (i, new_comp))
     edge_j = Stratum(f"{new_comp}|{j}", (j, new_comp))
     triple = Stratum(f"{new_comp}|{curve}", (i, j, new_comp), {
@@ -439,13 +527,16 @@ def blowup_point_on_double_curve(d: SncDivisor, curve: str,
         j: edge_i.id,
     })
     added = (edge_i, edge_j, triple)
+    before = index.bad_total
+    for s in added:
+        index.add(s)
     result = SncDivisor(d.n, d.components + (new_comp,), d.strata + added)
     record = BlowupRecord(
         center=curve,
         new_component=new_comp,
         removed=(),
         added=tuple(s.id for s in added),
-        bad_decrement=_bad_component_count(d) - _bad_component_count(result),
+        bad_decrement=before - index.bad_total,
         point_blowup=True,
     )
     return result, record
@@ -461,22 +552,18 @@ def resolve_to_simplicial(d: SncDivisor, max_blowups: int = 10000,
     last component untouched.  The cap exists because shallower levels are
     not proven immune to new bad intersections; hitting it raises with the
     partial result attached rather than looping forever.
+
+    The divisor is indexed once (strata by id, ids by subset, children by
+    parent, the bad subsets); each blowup then updates the index in place,
+    touching only its star and the cells it adds, so the loop never
+    rescans the whole divisor.
     """
-    order = d.component_order()
+    index = _StrataIndex(d)
     records: list[BlowupRecord] = []
-    current = d
-    while True:
-        bad, simplicial = find_bad_intersections(current)
-        if simplicial:
-            return current, records
+    while index.bad:
         if len(records) >= max_blowups:
             raise ResolutionLimitError(
-                f"still {len(bad)} bad intersection(s) after {len(records)} blowups",
-                current, records)
-        deepest = max(len(subset) for subset, _ in bad)
-        subset = min((s for s, _ in bad if len(s) == deepest),
-                     key=lambda s: tuple(order[c] for c in s))
-        target = min(s.id for s in current.strata if s.subset == subset)
-        current, rec = blowup_stratum_component(current, target)
-        records.append(rec)
-        order = current.component_order()
+                f"still {len(index.bad)} bad intersection(s) after {len(records)} blowups",
+                index.divisor(), records)
+        records.append(index.blowup(index.deepest_bad()))
+    return index.divisor(), records

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the code paths they check: invariant
 factors come from minors and cofactor determinants, direct sums from prime
-factorization, simpliciality from raw vertex sets of the dual complex, and
-cohomology from the homology of the explicitly transposed complex.
+factorization, simpliciality from raw vertex sets of the dual complex,
+cohomology from the homology of the explicitly transposed complex, and
+blowups and resolution from full rescans of the divisor.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import math
 import random
 
 from snckit import (
+    BlowupRecord,
     ChainComplex,
     FgAbGroup,
     Hom,
@@ -20,11 +22,13 @@ from snckit import (
     PicardLevel,
     SncDivisor,
     SpectralPage,
+    Stratum,
     blowup_point_on_double_curve,
-    blowup_stratum_component,
     build_dual_complex,
+    find_bad_intersections,
     validate_snc,
 )
+from snckit.snc import ResolutionLimitError, UnknownCenterError
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +235,147 @@ def random_divisor(rng: random.Random, max_components: int = 8) -> SncDivisor:
         if d.n == 3 and rng.random() < 0.4:
             d, _ = blowup_point_on_double_curve(d, rng.choice(curves).id)
         else:
-            d, _ = blowup_stratum_component(d, rng.choice([s.id for s in d.strata]))
+            d, _ = scan_blowup(d, rng.choice([s.id for s in d.strata]))
         validate_snc(d)
     return d
+
+
+def parallel_curve_divisor(rng: random.Random, m: int, extra: int) -> SncDivisor:
+    """A threefold whose components meet pairwise in 1 to 4 parallel curves.
+
+    ``extra`` curves go beyond one per pair; a quarter of the triangles
+    carry a triple point (some two), attached to random curve copies, so
+    resolving it takes many blowups that create and clear bad subsets.
+    """
+    comps = [f"E{i}" for i in range(m)]
+    pairs = list(itertools.combinations(comps, 2))
+    counts = dict.fromkeys(pairs, 1)
+    for _ in range(extra):
+        counts[rng.choice([p for p in pairs if counts[p] < 4])] += 1
+    curves = {p: [f"c{p[0]}{p[1]}_{k}" for k in range(counts[p])] for p in pairs}
+    strata = [(cid, p, {}) for p in pairs for cid in curves[p]]
+    triangles = list(itertools.combinations(comps, 3))
+    for tri in rng.sample(triangles, len(triangles) // 4):
+        for t in range(rng.choice((1, 1, 1, 2))):
+            parents = {c: rng.choice(curves[tuple(x for x in tri if x != c)])
+                       for c in tri}
+            strata.append((f"t{''.join(tri)}_{t}", tri, parents))
+    d = SncDivisor.build(3, comps, strata)
+    validate_snc(d)
+    return d
+
+
+# ---------------------------------------------------------------------------
+# blowup and resolution oracles: full rescans of the divisor at every step
+
+
+def _scan_face_cell(by_id: dict[str, Stratum], s: Stratum, keep) -> str:
+    keep_set = frozenset(keep)
+    cur = s
+    while len(cur.subset) > len(keep_set):
+        if len(cur.subset) == 2:
+            (v,) = keep_set
+            return v
+        drop = next(c for c in cur.subset if c not in keep_set)
+        cur = by_id[cur.parents[drop]]
+    return cur.id
+
+
+def _bad_component_count(d: SncDivisor) -> int:
+    return sum(count for _, count in find_bad_intersections(d).bad)
+
+
+def scan_blowup(d: SncDivisor, center: str) -> tuple[SncDivisor, BlowupRecord]:
+    """Stellar subdivision with the star found by scanning every stratum.
+
+    The star is every stratum over the center's subset whose face there is
+    the center, and the bad decrement is a recount before and after.
+    """
+    by_id = {s.id: s for s in d.strata}
+    if center not in by_id:
+        raise UnknownCenterError(f"no stratum component with id {center!r}")
+    s0 = by_id[center]
+    i0 = frozenset(s0.subset)
+    order = d.component_order()
+
+    star = [s for s in d.strata
+            if i0 <= frozenset(s.subset)
+            and _scan_face_cell(by_id, s, s0.subset) == center]
+
+    k = 1
+    while f"exc{k}" in d.components:
+        k += 1
+    new_comp = f"exc{k}"
+    entries = []
+    for t in star:
+        l_part = tuple(c for c in t.subset if c not in i0)
+        for r in range(len(s0.subset)):
+            for k_part in itertools.combinations(s0.subset, r):
+                keep = tuple(sorted(k_part + l_part, key=order.__getitem__))
+                if not keep:
+                    continue
+                fcid = keep[0] if len(keep) == 1 else _scan_face_cell(by_id, t, keep)
+                entries.append((t, k_part, keep, fcid))
+    entries.sort(key=lambda e: (
+        len(e[2]), tuple(order[c] for c in e[2]), e[3], e[0].id))
+
+    removed_ids = {t.id for t in star}
+    kept = [s for s in d.strata if s.id not in removed_ids]
+    taken = set(d.components) | {s.id for s in kept}
+    cone_id = {}
+    for t, k_part, keep, fcid in entries:
+        cid = f"{new_comp}|{fcid}"
+        n = 0
+        while cid in taken:
+            cid = f"{new_comp}|{fcid}~{n}"
+            n += 1
+        taken.add(cid)
+        cone_id[(t.id, k_part)] = cid
+
+    added = []
+    for t, k_part, keep, fcid in entries:
+        subset = keep + (new_comp,)
+        parents = {}
+        if len(subset) >= 3:
+            parents[new_comp] = fcid
+            for x in keep:
+                if x in i0:
+                    rest = tuple(c for c in k_part if c != x)
+                    parents[x] = cone_id[(t.id, rest)]
+                else:
+                    parents[x] = cone_id[(by_id[t.parents[x]].id, k_part)]
+        added.append(Stratum(cone_id[(t.id, k_part)], subset, parents))
+    result = SncDivisor(d.n, d.components + (new_comp,), tuple(kept) + tuple(added))
+    record = BlowupRecord(
+        center=center,
+        new_component=new_comp,
+        removed=tuple(s.id for s in d.strata if s.id in removed_ids),
+        added=tuple(s.id for s in added),
+        bad_decrement=_bad_component_count(d) - _bad_component_count(result),
+    )
+    return result, record
+
+
+def scan_resolve(d: SncDivisor, max_blowups: int = 10000,
+                 ) -> tuple[SncDivisor, list[BlowupRecord]]:
+    """The resolve loop with a full ``find_bad_intersections`` every step."""
+    records: list[BlowupRecord] = []
+    current = d
+    while True:
+        bad, simplicial = find_bad_intersections(current)
+        if simplicial:
+            return current, records
+        if len(records) >= max_blowups:
+            raise ResolutionLimitError(
+                f"still {len(bad)} bad intersection(s) after {len(records)} blowups",
+                current, records)
+        order = current.component_order()
+        deepest = max(len(subset) for subset, _ in bad)
+        subset = min((s for s, _ in bad if len(s) == deepest),
+                      key=lambda s: tuple(order[c] for c in s))
+        target = min(s.id for s in current.strata if s.subset == subset)
+        current, rec = scan_blowup(current, target)
+        records.append(rec)
 
 
 # ---------------------------------------------------------------------------

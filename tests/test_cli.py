@@ -1,21 +1,33 @@
 """JSON document parsing, command output, exit codes, and determinism."""
+import contextlib
+import io
 import json
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import parallel_edges, triangle_cycle
+from helpers import (
+    parallel_curve_divisor,
+    parallel_edges,
+    random_divisor,
+    triangle_cycle,
+)
 from snckit import resolve_to_simplicial
 from snckit.cli import (
+    COMMANDS,
     InputDocument,
     MissingBlockError,
     RunOptions,
     SchemaError,
     UnknownIdError,
     VersionError,
+    divisor_json,
     document_json,
     main,
     parse_document,
@@ -143,6 +155,40 @@ def test_rejects_bad_parent_references():
     with pytest.raises(UnknownIdError) as err:
         parse_document(base)
     assert "unknown parent 'ghost'" in str(err.value)
+
+
+@pytest.mark.parametrize("key", [" 0", "+1", "0_2", "01", "-0", "1 ", "\u0660"])
+def test_rejects_non_canonical_parent_keys(capsys, tmp_path, key):
+    # each key names an index of the triple point's subset once passed
+    # through int(), so only the canonical-form rule rejects it
+    data = load(SPHERE4)
+    group = next(g for g in data["divisor"]["strata"] if g["subset"] == [0, 1, 2])
+    parents = group["components"][0]["parents"]
+    parents[key] = parents.pop(str(int(key)))
+    with pytest.raises(SchemaError) as err:
+        parse_document(data)
+    assert f"key {key!r} is not a component index" in str(err.value)
+    assert main(["--input", write_doc(tmp_path, data), "--command", "validate"]) == 1
+    assert "not a component index" in capsys.readouterr().err
+
+
+def test_fixtures_and_resolved_divisors_parse_back():
+    def same(a, b):
+        return (a.n, a.components) == (b.n, b.components) and (
+            {s.id: s for s in a.strata} == {s.id: s for s in b.strata})
+
+    for path in (TRIANGLE, PARALLEL, SPHERE4):
+        doc = parse_input(str(path))
+        _, machine = run("resolve", doc)
+        resolved, _ = resolve_to_simplicial(doc.divisor)
+        assert same(parse_document(machine["document"]).divisor, resolved)
+    rng = random.Random(40)
+    corpus = [random_divisor(rng) for _ in range(60)]
+    corpus.append(parallel_curve_divisor(rng, 5, 6))
+    for d in corpus:
+        for x in (d, resolve_to_simplicial(d)[0]):
+            reparsed = parse_document({"version": "1", "divisor": divisor_json(x)})
+            assert same(reparsed.divisor, x)
 
 
 def test_rejects_bad_picard_blocks():
@@ -343,6 +389,21 @@ def test_exit_one_when_an_entry_is_missing_inside_a_block(capsys, tmp_path):
     assert "isolated" in capsys.readouterr().err
 
 
+def test_exit_one_on_deeply_nested_json(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["--input", str(deep), "--command", "validate"]) == 1
+    err = capsys.readouterr().err
+    assert "nesting is too deep" in err
+    assert "internal error" not in err
+
+    text = json.dumps({**load(PARALLEL), "version": "@"})
+    deep.write_text(text.replace('"@"', "[" * 100_000 + "]" * 100_000),
+                    encoding="utf-8")
+    assert main(["--input", str(deep), "--command", "validate"]) == 1
+    assert "nesting is too deep" in capsys.readouterr().err
+
+
 def test_exit_one_when_the_blowup_cap_is_hit(capsys):
     assert main(["--input", str(PARALLEL), "--command", "resolve",
                  "--max-blowups", "0"]) == 1
@@ -394,3 +455,84 @@ def test_subprocess_runs_are_byte_identical():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"blowups: 1")
+
+
+# ---------------------------------------------------------------------------
+# exit codes on mutated documents
+
+DEEP = "\u0000deep\u0000"
+WRONG_TYPES = [None, True, -1, 0, 1.5, "x", "", [], {}, [0, "a"], {"x": 1}]
+BAD_KEYS = [" 0", "+1", "0_2", "01", "-1", "99", "x", "", "\u0663", "0", "1", "2"]
+
+
+def _nodes(node, path=()):
+    yield path, node
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _nodes(value, path + (i,))
+
+
+@st.composite
+def mutated_documents(draw, huge):
+    """A committed fixture with one to three schema-level mutations.
+
+    ``huge`` lists the large integers that may replace ``n`` or any value.
+    """
+    data = load(draw(st.sampled_from([TRIANGLE, PARALLEL, SPHERE4])))
+    depth = 0
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "retype", "index_key", "deep", "huge_n"]))
+        nodes = list(_nodes(data))
+        if kind == "huge_n":
+            if isinstance(data.get("divisor"), dict):
+                data["divisor"]["n"] = draw(st.sampled_from(huge))
+        elif kind == "index_key":
+            dicts = [node for _, node in nodes if isinstance(node, dict) and node]
+            if dicts:
+                target = draw(st.sampled_from(dicts))
+                old_key = draw(st.sampled_from(sorted(target)))
+                target[draw(st.sampled_from(BAD_KEYS))] = target.pop(old_key)
+        elif len(nodes) > 1:
+            path = draw(st.sampled_from([p for p, _ in nodes if p]))
+            parent = dict(nodes)[path[:-1]]
+            if kind == "drop":
+                del parent[path[-1]]
+            elif kind == "retype":
+                parent[path[-1]] = draw(st.sampled_from(WRONG_TYPES + huge))
+            else:
+                parent[path[-1]] = DEEP
+                depth = draw(st.sampled_from([50, 990, 5000, 100_000]))
+    text = json.dumps(data, ensure_ascii=False)
+    return text.replace(json.dumps(DEEP), "[" * depth + "]" * depth)
+
+
+def _exit_code(tmp_path_factory, text: str, command: str) -> int:
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(text, encoding="utf-8")
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        return main(["--input", str(path), "--command", command, "--emit", "both"])
+
+
+HUGE = [10 ** 4, 2 ** 63, 10 ** 30]
+FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+@FUZZ
+@given(text=mutated_documents(HUGE),
+       command=st.sampled_from([c for c in COMMANDS if c != "cohomology"]))
+def test_mutated_documents_never_exit_with_an_internal_error(tmp_path_factory,
+                                                             text, command):
+    assert _exit_code(tmp_path_factory, text, command) in (0, 1, 2)
+
+
+@FUZZ
+@given(text=mutated_documents(HUGE[:1]))
+def test_mutated_documents_never_exit_with_an_internal_error_in_cohomology(
+        tmp_path_factory, text):
+    # the cohomology command prints one line per degree below n, so its
+    # run time grows with n (ROADMAP item 5) and n stops at 10^4 here
+    assert _exit_code(tmp_path_factory, text, "cohomology") in (0, 1, 2)

@@ -7,12 +7,16 @@ from helpers import (
     brute_force_bad,
     full_simplex,
     interval_divisor,
+    parallel_curve_divisor,
     parallel_edges,
     random_divisor,
+    scan_blowup,
+    scan_resolve,
     simplex_divisor,
     sphere4,
     triangle_cycle,
 )
+from snckit import snc
 from snckit import (
     IntMatrix,
     SncDivisor,
@@ -448,6 +452,105 @@ def test_resolution_cap_raises_with_partial_state():
         resolve_to_simplicial(parallel_edges(), max_blowups=0)
     assert err.value.records == []
     assert err.value.divisor == parallel_edges()
+
+
+# ---------------------------------------------------------------------------
+# the strata index against the full-rescan oracles
+
+
+def oracle_corpus(seed: int, count: int) -> list[SncDivisor]:
+    rng = random.Random(seed)
+    corpus = [random_divisor(rng) for _ in range(count)]
+    corpus += [parallel_curve_divisor(rng, m, extra)
+               for m, extra in ((4, 3), (5, 6), (6, 10), (7, 16))]
+    return corpus
+
+
+def bad_count(d: SncDivisor) -> int:
+    return sum(count for _, count in find_bad_intersections(d).bad)
+
+
+def test_resolve_matches_the_full_rescan_oracle():
+    multi = 0
+    for d in oracle_corpus(36, 300):
+        resolved, records = resolve_to_simplicial(d)
+        expected, expected_records = scan_resolve(d)
+        # dataclass equality: every field, strata and records in order
+        assert records == expected_records
+        assert resolved == expected
+        multi += len(records) >= 2
+    assert multi > 50
+
+
+def test_blowup_matches_the_scan_oracle_for_every_center():
+    blowups = 0
+    for d in oracle_corpus(37, 150):
+        for s in d.strata:
+            assert blowup_stratum_component(d, s.id) == scan_blowup(d, s.id)
+            blowups += 1
+    assert blowups > 1000
+
+
+def test_blowup_reuses_the_ids_of_removed_cells():
+    # the center's id is exactly the id its cone over "a" would get, and it
+    # is free again once the center is removed
+    d = SncDivisor.build(3, ["a", "b"], [("exc1|a", ("a", "b"), {}),
+                                         ("c", ("a", "b"), {})])
+    after, record = blowup_stratum_component(d, "exc1|a")
+    assert record.removed == ("exc1|a",)
+    assert record.added == ("exc1|a", "exc1|b")
+    assert (after, record) == scan_blowup(d, "exc1|a")
+    assert resolve_to_simplicial(d) == scan_resolve(d)
+    validate_snc(after)
+
+
+def test_bad_decrement_is_the_recount_before_and_after():
+    for d in oracle_corpus(38, 60):
+        for s in d.strata:
+            after, record = blowup_stratum_component(d, s.id)
+            assert record.bad_decrement == bad_count(d) - bad_count(after)
+            if d.n == 3 and s.depth == 2:
+                after, record = blowup_point_on_double_curve(d, s.id)
+                assert record.bad_decrement == bad_count(d) - bad_count(after)
+        # the resolve loop keeps one running total across all its steps
+        current, records = d, resolve_to_simplicial(d)[1]
+        for record in records:
+            after, _ = blowup_stratum_component(current, record.center)
+            assert record.bad_decrement == bad_count(current) - bad_count(after)
+            current = after
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_resolution_cap_matches_the_oracle_partial_state(cap):
+    hit = 0
+    for d in oracle_corpus(39, 120):
+        if len(scan_resolve(d)[1]) <= cap:
+            continue
+        with pytest.raises(ResolutionLimitError) as got:
+            resolve_to_simplicial(d, max_blowups=cap)
+        with pytest.raises(ResolutionLimitError) as want:
+            scan_resolve(d, max_blowups=cap)
+        assert str(got.value) == str(want.value)
+        assert got.value.records == want.value.records
+        assert got.value.divisor == want.value.divisor
+        hit += 1
+    assert hit > 10
+
+
+def test_resolve_scans_for_bad_intersections_at_most_once(monkeypatch):
+    calls = []
+    real = snc.find_bad_intersections
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(snc, "find_bad_intersections", counting)
+    d = parallel_curve_divisor(random.Random(41), 7, 16)
+    resolved, records = resolve_to_simplicial(d)
+    assert len(records) >= 10
+    assert len(calls) <= 1
+    assert real(resolved).is_simplicial
 
 
 # ---------------------------------------------------------------------------
