@@ -443,3 +443,87 @@ def triangle_picard() -> PicardInput:
     restriction = Hom(ns0, ns1, IntMatrix([[1, -1, 0], [1, 0, -1], [0, 1, -1]]))
     return PicardInput(3, (PicardLevel(0, ns0, 0), PicardLevel(1, ns1, 0)),
                        (restriction,), 0)
+
+
+def _unimodular_rows(rng: random.Random, k: int, moves: int) -> tuple[IntMatrix, IntMatrix]:
+    """A random unimodular k×k matrix and its inverse, from row moves."""
+    a = IntMatrix.identity(k).to_lists()
+    inv = IntMatrix.identity(k).to_lists()
+    for _ in range(moves if k >= 2 else 0):
+        i, j = rng.sample(range(k), 2)
+        q = rng.choice((-1, 1))
+        # a <- E a with E = I + q e_ij; inv <- inv E^-1
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        for row in inv:
+            row[j] -= q * row[i]
+    return IntMatrix(a, ncols=k), IntMatrix(inv, ncols=k)
+
+
+def _chain_factors(rng: random.Random, count: int) -> list[int]:
+    out, cur = [], 1
+    for _ in range(count):
+        if rng.random() < 0.2:
+            cur *= rng.choice((2, 3, 5, 7))
+        out.append(cur)
+    return out
+
+
+def dense_picard_document(rng: random.Random, rank: int, moves: int = 3) -> dict:
+    """A kh-report / k-report document on bd(Δ^4) with dense NS maps.
+
+    The middle level has free rank ``rank``.  The main map is P·D·Q over
+    the free part of the top level, with invariant factors that carry
+    torsion; the top level also has torsion generators, whose rows are
+    W·Q with W vanishing modulo the order on the kernel directions.  The
+    lower map is K·B with K the kernel basis of the main map and
+    B = P2·D2·Q2 of smaller rank, so the two maps compose to zero and
+    Gamma is a proper quotient of ker(NS).  Every unimodular factor takes
+    ``moves`` row moves per row, which sets the size of the entries.
+    """
+    n, m = 4, 5
+    kdim = rank // 2
+    k = rank - kdim
+    r2 = k + 2
+    r0 = max(2, (3 * kdim) // 4)
+    top_torsion = rng.choice(([], [2], [3], [2, 4], [2, 6]))
+    p_mat, _ = _unimodular_rows(rng, r2, moves * r2)
+    q_mat, q_inv = _unimodular_rows(rng, rank, moves * rank)
+    main = p_mat @ IntMatrix.diagonal(_chain_factors(rng, k), r2, rank) @ q_mat
+    tors_rows = []
+    for t in top_torsion:
+        w = [rng.randint(-4, 4) if j < k else t * rng.randint(-2, 2)
+             for j in range(rank)]
+        tors_rows.append(list((IntMatrix([w]) @ q_mat).row(0)))
+    main = main.vstack(IntMatrix(tors_rows, ncols=rank))
+
+    p2, _ = _unimodular_rows(rng, kdim, moves * kdim)
+    q2, _ = _unimodular_rows(rng, r0, moves * r0)
+    b = p2 @ IntMatrix.diagonal(_chain_factors(rng, r0 - 1), kdim, r0) @ q2
+    lower = q_inv.take_columns(range(k, rank)) @ b
+
+    ids: dict[tuple[int, ...], str] = {}
+    strata = []
+    for size in range(2, n + 1):
+        for subset in itertools.combinations(range(m), size):
+            ids[subset] = "c" + "".join(map(str, subset))
+            parents = {}
+            if size >= 3:
+                parents = {str(c): ids[tuple(x for x in subset if x != c)]
+                           for c in subset}
+            strata.append({"subset": list(subset),
+                           "components": [{"id": ids[subset], "parents": parents}]})
+    return {
+        "version": "1",
+        "divisor": {"n": n, "components": [f"E{i}" for i in range(m)],
+                    "strata": strata},
+        "picard": {
+            "levels": [{"p": 0, "ns_rank": r0, "ns_torsion": [], "pic0_dim": 0},
+                       {"p": 1, "ns_rank": rank, "ns_torsion": [], "pic0_dim": 0},
+                       {"p": 2, "ns_rank": r2, "ns_torsion": top_torsion,
+                        "pic0_dim": 0}],
+            "ns_maps": [lower.to_lists(), main.to_lists()],
+            "coker_pic0_dim": rng.randint(0, 1),
+        },
+        "dubois": {"entries": [{"p": 0, "q": n - 1, "b": rng.randint(0, 3)}],
+                   "isolated": True},
+    }
