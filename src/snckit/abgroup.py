@@ -18,11 +18,11 @@ from typing import Iterable, NamedTuple
 
 from .intmat import (
     IntMatrix,
-    column_lattice_basis,
+    Lattice,
+    column_lattice,
     kernel_basis,
+    smith_diagonal,
     smith_normal_form,
-    solve_exact,
-    unimodular_inverse,
 )
 
 
@@ -153,8 +153,9 @@ def group_from_presentation(relations: IntMatrix, generators: int) -> FgAbGroup:
     if relations.nrows != generators:
         raise ValueError(
             f"relation matrix has {relations.nrows} rows for {generators} generators")
-    sf = smith_normal_form(relations)
-    return FgAbGroup(generators - sf.rank, sf.torsion_factors())
+    diag = smith_diagonal(relations)
+    return FgAbGroup(generators - sum(1 for x in diag if x != 0),
+                     tuple(x for x in diag if x > 1))
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,11 @@ class Presentation:
 
 
 def presentation(relations: IntMatrix, generators: int) -> Presentation:
-    """Like group_from_presentation, but keeps the change of coordinates."""
+    """Like group_from_presentation, but keeps the change of coordinates.
+
+    ``to_canonical`` is rows of U and ``lift`` columns of U^{-1}, both read
+    off one Smith form of the relations.
+    """
     if relations.nrows != generators:
         raise ValueError(
             f"relation matrix has {relations.nrows} rows for {generators} generators")
@@ -183,7 +188,7 @@ def presentation(relations: IntMatrix, generators: int) -> Presentation:
     order = free_idx + tors_idx
     group = FgAbGroup(len(free_idx), tuple(diag[i] for i in tors_idx))
     to_canonical = sf.u.take_rows(order)
-    lift = unimodular_inverse(sf.u).take_columns(order)
+    lift = sf.u_inv.take_columns(order)
     return Presentation(group, to_canonical, lift)
 
 
@@ -249,21 +254,23 @@ def compose(f: Hom, g: Hom) -> Hom:
     return Hom(g.source, f.target, f.matrix @ g.matrix)
 
 
-def _preimage_of_torsion(matrix: IntMatrix, target: FgAbGroup) -> IntMatrix:
-    """Basis of the lattice {x : matrix·x = 0 in target}, as columns.
+def preimage_lattice(h: Hom) -> Lattice:
+    """The lattice {x : h.matrix·x = 0 in the target}, with its Smith form.
 
-    Solutions are integer vectors x with matrix·x in the relation lattice
-    of the target, computed from the kernel of [matrix | relations].
+    Solutions are integer vectors x with h.matrix·x in the relation lattice
+    of the target, computed from the kernel of [matrix | relations].  The
+    returned form serves every solve against the lattice, and its diagonal
+    presents the source modulo the lattice.
     """
-    m_src = matrix.ncols
-    stacked = matrix.hstack(presentation_matrix(target))
+    stacked = h.matrix.hstack(presentation_matrix(h.target))
     kb = kernel_basis(stacked)
-    return column_lattice_basis(kb.take_rows(range(m_src)))
+    return column_lattice(kb.take_rows(range(h.source.ngens)))
 
 
-def kernel_lattice(h: Hom) -> IntMatrix:
-    """Basis (as columns) of the vectors on source generators killed by h."""
-    return _preimage_of_torsion(h.matrix, h.target)
+def cokernel(h: Hom) -> FgAbGroup:
+    """The target of h modulo the image of h."""
+    return group_from_presentation(
+        h.matrix.hstack(presentation_matrix(h.target)), h.target.ngens)
 
 
 class HomAnalysis(NamedTuple):
@@ -279,30 +286,14 @@ def hom_analyze(h: Hom) -> HomAnalysis:
     >>> [str(g) for g in hom_analyze(doubling)]
     ['0', 'Z', 'Z/2']
     """
-    m_src = h.source.ngens
-    cokernel = group_from_presentation(
-        h.matrix.hstack(presentation_matrix(h.target)), h.target.ngens)
-    lat = _preimage_of_torsion(h.matrix, h.target)
-    rels = solve_exact(lat, presentation_matrix(h.source))
+    lat = preimage_lattice(h)
+    rels = lat.form.solve(presentation_matrix(h.source))
     if rels is None:  # pragma: no cover - validation makes this unreachable
         raise AssertionError("source relations escaped the kernel lattice")
-    kernel = group_from_presentation(rels, lat.ncols)
-    image = group_from_presentation(lat, m_src)
-    return HomAnalysis(kernel, image, cokernel)
-
-
-def kernel_presentation(h: Hom) -> Presentation:
-    """The kernel of h, with coordinates on the preimage-lattice basis.
-
-    The presenting generators are the columns of the lattice basis returned
-    by the same computation as hom_analyze, so two kernels extracted from
-    homs sharing a source can be compared generator-by-generator.
-    """
-    lat = _preimage_of_torsion(h.matrix, h.target)
-    rels = solve_exact(lat, presentation_matrix(h.source))
-    if rels is None:  # pragma: no cover
-        raise AssertionError("source relations escaped the kernel lattice")
-    return presentation(rels, lat.ncols)
+    kernel = group_from_presentation(rels, lat.basis.ncols)
+    # The image is the source modulo the lattice, read off the lattice's form.
+    image = FgAbGroup(h.source.ngens - lat.form.rank, lat.form.torsion_factors())
+    return HomAnalysis(kernel, image, cokernel(h))
 
 
 def subquotient(outgoing: Hom, incoming: Hom) -> FgAbGroup:
@@ -316,13 +307,11 @@ def subquotient(outgoing: Hom, incoming: Hom) -> FgAbGroup:
         raise ValueError(
             f"maps do not meet: incoming lands in {incoming.target}, "
             f"outgoing leaves from {outgoing.source}")
-    mid = outgoing.source
-    lat = _preimage_of_torsion(outgoing.matrix, outgoing.target)
-    rels_in = incoming.matrix.hstack(presentation_matrix(mid))
-    q = solve_exact(lat, rels_in)
+    lat = preimage_lattice(outgoing)
+    q = lat.form.solve(incoming.matrix.hstack(presentation_matrix(outgoing.source)))
     if q is None:
         raise ValueError("incoming image does not lie in the outgoing kernel")
-    return group_from_presentation(q, lat.ncols)
+    return group_from_presentation(q, lat.basis.ncols)
 
 
 def direct_sum(gs: Iterable[FgAbGroup]) -> FgAbGroup:

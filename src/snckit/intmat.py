@@ -7,14 +7,18 @@ every intermediate value is exact.
 
 The central routine is :func:`smith_normal_form`, which diagonalizes an
 integer matrix A as U*A*V = D with U, V unimodular and the diagonal entries
-forming a divisibility chain.  On top of it sit the standard lattice
+forming a divisibility chain.  The elimination also keeps U^{-1} up to date,
+mirroring every row move on U as the inverse column move, so no caller ever
+inverts U with a second Smith form.  On top of it sit the standard lattice
 primitives: integer kernels, exact linear solves, and column-span bases.
+Callers that need only the invariant factors use :func:`smith_diagonal`,
+which builds no transforms at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class IntMatrix:
@@ -217,12 +221,15 @@ class SmithForm:
 
     U and V are unimodular; D is diagonal with nonnegative entries forming
     a divisibility chain (every nonzero entry divides the next one, and
-    zeros come after all nonzero entries).
+    zeros come after all nonzero entries).  ``u_inv`` is the exact inverse
+    of U, tracked move by move during the same elimination, so reading it
+    costs no second Smith form.
     """
 
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
+    u_inv: IntMatrix
 
     def __post_init__(self) -> None:
         diag = self.diagonal
@@ -255,14 +262,39 @@ class SmithForm:
         """Invariant factors greater than 1 (the torsion of the cokernel)."""
         return tuple(x for x in self.diagonal if x > 1)
 
+    def solve(self, b: IntMatrix) -> IntMatrix | None:
+        """An integer solution X of A X = B for the input A, or None.
+
+        Every solve against the same A can share one form this way.
+        """
+        if self.u.ncols != b.nrows:
+            raise ValueError(f"shape mismatch solving {self.d.shape} X = {b.shape}")
+        diag = self.diagonal
+        c = self.u @ b
+        cols: list[list[int]] = []
+        for j in range(b.ncols):
+            y = [0] * self.d.ncols
+            for i in range(self.d.nrows):
+                ci = c[i, j]
+                if i < len(diag) and diag[i] != 0:
+                    if ci % diag[i] != 0:
+                        return None
+                    y[i] = ci // diag[i]
+                elif ci != 0:
+                    return None
+            cols.append(y)
+        return self.v @ IntMatrix.from_columns(cols, nrows=self.d.ncols)
+
     def verify(self, a: IntMatrix) -> None:
-        """Check the defining identity and unimodularity against the input."""
+        """Check the defining identity, unimodularity and the tracked inverse."""
         if self.u @ a @ self.v != self.d:
             raise AssertionError("U*A*V != D")
         if self.u.det() not in (1, -1):
             raise AssertionError("U not unimodular")
         if self.v.det() not in (1, -1):
             raise AssertionError("V not unimodular")
+        if self.u @ self.u_inv != IntMatrix.identity(self.u.nrows):
+            raise AssertionError("U*U_inv != I")
 
 
 def _pick_pivot(m: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:
@@ -287,8 +319,13 @@ def _pick_pivot(m: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int]
 
 
 def _eliminate(m: list[list[int]], nr: int, nc: int,
-               u: list[list[int]] | None, v: list[list[int]] | None) -> None:
-    """Diagonalize ``m`` in place; mirror the moves into u and v when given.
+               u: list[list[int]] | None, v: list[list[int]] | None,
+               u_inv_t: list[list[int]] | None) -> None:
+    """Diagonalize ``m`` in place; mirror the moves into the transforms given.
+
+    ``u_inv_t`` holds the transpose of U^{-1}.  Each row move E on U is
+    mirrored as U^{-1} <- U^{-1} E^{-1}, a column move on U^{-1}, which on
+    the transpose is again a row move.
 
     Pivots are always chosen with minimal absolute value to keep
     intermediate entries small; this is the classical guard against
@@ -299,6 +336,8 @@ def _eliminate(m: list[list[int]], nr: int, nc: int,
         m[i], m[k] = m[k], m[i]
         if u is not None:
             u[i], u[k] = u[k], u[i]
+        if u_inv_t is not None:
+            u_inv_t[i], u_inv_t[k] = u_inv_t[k], u_inv_t[i]
 
     def swap_cols(j: int, k: int) -> None:
         for row in m:
@@ -308,10 +347,12 @@ def _eliminate(m: list[list[int]], nr: int, nc: int,
                 row[j], row[k] = row[k], row[j]
 
     def row_sub(i: int, k: int, q: int) -> None:
-        # row i -= q * row k
+        # row i -= q * row k; its inverse adds q * column i to column k
         m[i] = [x - q * y for x, y in zip(m[i], m[k])]
         if u is not None:
             u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+        if u_inv_t is not None:
+            u_inv_t[k] = [x + q * y for x, y in zip(u_inv_t[k], u_inv_t[i])]
 
     def col_sub(j: int, k: int, q: int) -> None:
         # column j -= q * column k
@@ -372,15 +413,15 @@ def _eliminate(m: list[list[int]], nr: int, nc: int,
                 bad_row = i
                 break
         if bad_row is not None:
-            m[t] = [x + y for x, y in zip(m[t], m[bad_row])]
-            if u is not None:
-                u[t] = [x + y for x, y in zip(u[t], u[bad_row])]
+            row_sub(t, bad_row, -1)
             continue
 
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
             if u is not None:
                 u[t] = [-x for x in u[t]]
+            if u_inv_t is not None:
+                u_inv_t[t] = [-x for x in u_inv_t[t]]
         t += 1
 
 
@@ -396,9 +437,10 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     m = a.to_lists()
     u = IntMatrix.identity(nr).to_lists()
     v = IntMatrix.identity(nc).to_lists()
-    _eliminate(m, nr, nc, u, v)
+    u_inv_t = IntMatrix.identity(nr).to_lists()
+    _eliminate(m, nr, nc, u, v, u_inv_t)
     return SmithForm(IntMatrix(u, ncols=nr), IntMatrix(m, ncols=nc),
-                     IntMatrix(v, ncols=nc))
+                     IntMatrix(v, ncols=nc), IntMatrix(zip(*u_inv_t), ncols=nr))
 
 
 def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
@@ -461,7 +503,7 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     sub_rows = sorted(alive_rows)
     sub_cols = sorted(alive_cols)
     m = [[rows[i].get(j, 0) for j in sub_cols] for i in sub_rows]
-    _eliminate(m, len(sub_rows), len(sub_cols), None, None)
+    _eliminate(m, len(sub_rows), len(sub_cols), None, None, None)
     rest = tuple(m[i][i] for i in range(min(len(sub_rows), len(sub_cols))))
     return (1,) * units + rest
 
@@ -484,42 +526,32 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
 
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """An integer solution X of A X = B, or None when none exists."""
-    if a.nrows != b.nrows:
-        raise ValueError(f"shape mismatch solving {a.shape} X = {b.shape}")
-    sf = smith_normal_form(a)
-    diag = sf.diagonal
-    c = sf.u @ b
-    cols: list[list[int]] = []
-    for j in range(b.ncols):
-        y = [0] * a.ncols
-        for i in range(a.nrows):
-            ci = c[i, j]
-            if i < len(diag) and diag[i] != 0:
-                if ci % diag[i] != 0:
-                    return None
-                y[i] = ci // diag[i]
-            elif ci != 0:
-                return None
-        cols.append(y)
-    return sf.v @ IntMatrix.from_columns(cols, nrows=a.ncols)
+    return smith_normal_form(a).solve(b)
 
 
-def unimodular_inverse(a: IntMatrix) -> IntMatrix:
-    """The exact inverse of a unimodular matrix."""
-    inv = solve_exact(a, IntMatrix.identity(a.nrows))
-    if inv is None:
-        raise ValueError("matrix is not unimodular")
-    return inv
+class Lattice(NamedTuple):
+    """A lattice basis (as columns) together with a Smith form of that basis.
+
+    Every solve against the lattice, and every reading of the quotient of
+    the ambient space by it, can share ``form``.
+    """
+
+    basis: IntMatrix
+    form: SmithForm
 
 
-def column_lattice_basis(a: IntMatrix) -> IntMatrix:
-    """A basis (as columns) of the lattice spanned by the columns of A.
+def column_lattice(a: IntMatrix) -> Lattice:
+    """The lattice spanned by the columns of A, from one Smith form of A.
 
-    Derived from U*A*V = D: the column span of A equals the column span of
-    U^{-1} D, whose nonzero columns are independent.
+    With U*A*V = D of rank r, the column span of A equals the column span
+    of B = U^{-1} D_r, the first r columns of U^{-1} D, which are
+    independent.  Since U*B = D_r, the form (U, D_r, I, U^{-1}) of B comes
+    for free: no elimination of B, whose entries are large, is needed.
     """
     sf = smith_normal_form(a)
-    uinv = unimodular_inverse(sf.u)
-    cols = [[x * d for x in uinv.column(j)]
-            for j, d in enumerate(sf.diagonal) if d != 0]
-    return IntMatrix.from_columns(cols, nrows=a.nrows)
+    factors = sf.invariant_factors()
+    r = len(factors)
+    cols = [[x * d for x in sf.u_inv.column(j)] for j, d in enumerate(factors)]
+    form = SmithForm(sf.u, IntMatrix.diagonal(factors, a.nrows, r),
+                     IntMatrix.identity(r), sf.u_inv)
+    return Lattice(IntMatrix.from_columns(cols, nrows=a.nrows), form)

@@ -20,15 +20,15 @@ from typing import NamedTuple
 from .abgroup import (
     FgAbGroup,
     Hom,
+    cokernel,
     compose,
     direct_sum,
-    hom_analyze,
-    kernel_lattice,
+    preimage_lattice,
     presentation,
     presentation_matrix,
 )
 from .chaincx import SpectralPage, cohomology, e3_top_corner, homology
-from .intmat import IntMatrix, solve_exact
+from .intmat import IntMatrix
 from .snc import SncDivisor, build_dual_complex, validate_snc
 
 ALGEBRAICALLY_CLOSED = "algebraically_closed"
@@ -164,6 +164,7 @@ def _ns_computation(pi: PicardInput) -> _NsComputation:
     Gamma is the cohomology of the NS complex one step before its end.  It
     is computed on the same kernel-lattice basis as ker(NS) so that the
     canonical quotient map between them comes out as an explicit matrix.
+    The lattice is built once, and both solves share its Smith form.
     """
     main = pi.maps[-1]
     if len(pi.maps) >= 2:
@@ -176,18 +177,17 @@ def _ns_computation(pi: PicardInput) -> _NsComputation:
     else:
         incoming = IntMatrix.zero(main.source.ngens, 0)
 
-    analysis = hom_analyze(main)
-    lat = kernel_lattice(main)
+    lat = preimage_lattice(main)
     r_mid = presentation_matrix(main.source)
-    rels_ker = solve_exact(lat, r_mid)
-    rels_gamma = solve_exact(lat, incoming.hstack(r_mid))
+    rels_ker = lat.form.solve(r_mid)
+    rels_gamma = lat.form.solve(incoming.hstack(r_mid))
     if rels_ker is None or rels_gamma is None:  # pragma: no cover
         raise AssertionError("relations escaped the kernel lattice")
-    pres_ker = presentation(rels_ker, lat.ncols)
-    pres_gamma = presentation(rels_gamma, lat.ncols)
+    pres_ker = presentation(rels_ker, lat.basis.ncols)
+    pres_gamma = presentation(rels_gamma, lat.basis.ncols)
     surjection = Hom(pres_ker.group, pres_gamma.group,
                      pres_gamma.to_canonical @ pres_ker.lift)
-    return _NsComputation(analysis.kernel, analysis.cokernel,
+    return _NsComputation(pres_ker.group, cokernel(main),
                           pres_gamma.group, surjection)
 
 

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the code paths they check: invariant
 factors come from minors and cofactor determinants, direct sums from prime
 factorization, simpliciality from raw vertex sets of the dual complex,
-cohomology from the homology of the explicitly transposed complex, and
-blowups and resolution from full rescans of the divisor.
+cohomology from the homology of the explicitly transposed complex,
+blowups and resolution from full rescans of the divisor, and inverses of
+Smith transforms from a second Smith form instead of the tracked inverse.
 """
 from __future__ import annotations
 
@@ -28,6 +29,8 @@ from snckit import (
     find_bad_intersections,
     validate_snc,
 )
+from snckit.abgroup import Presentation, presentation, presentation_matrix
+from snckit.intmat import kernel_basis, smith_normal_form, solve_exact
 from snckit.snc import ResolutionLimitError, UnknownCenterError
 
 
@@ -75,6 +78,52 @@ def random_matrix(rng: random.Random, max_dim: int = 6, span: int = 9) -> IntMat
     nc = rng.randint(0, max_dim)
     return IntMatrix([[rng.randint(-span, span) for _ in range(nc)]
                       for _ in range(nr)], ncols=nc)
+
+
+def unimodular_inverse(a: IntMatrix) -> IntMatrix:
+    """The exact inverse of a unimodular matrix, by solving A X = I.
+
+    This takes a Smith form of A itself, the two-pass route that the
+    tracked ``SmithForm.u_inv`` replaces.
+    """
+    inv = solve_exact(a, IntMatrix.identity(a.nrows))
+    if inv is None:
+        raise ValueError("matrix is not unimodular")
+    return inv
+
+
+def column_lattice_basis(a: IntMatrix) -> IntMatrix:
+    """Nonzero columns of U^{-1} D, with U^{-1} from ``unimodular_inverse``."""
+    sf = smith_normal_form(a)
+    uinv = unimodular_inverse(sf.u)
+    cols = [[x * d for x in uinv.column(j)]
+            for j, d in enumerate(sf.diagonal) if d != 0]
+    return IntMatrix.from_columns(cols, nrows=a.nrows)
+
+
+def presentation_lift(relations: IntMatrix) -> IntMatrix:
+    """The ``lift`` of ``presentation``, with U^{-1} from a second Smith form."""
+    sf = smith_normal_form(relations)
+    diag = sf.diagonal
+    free_idx = [i for i in range(relations.nrows) if i >= len(diag) or diag[i] == 0]
+    tors_idx = [i for i in range(len(diag)) if diag[i] > 1]
+    return unimodular_inverse(sf.u).take_columns(free_idx + tors_idx)
+
+
+def kernel_lattice(h: Hom) -> IntMatrix:
+    """Basis (as columns) of the vectors on source generators killed by h."""
+    stacked = h.matrix.hstack(presentation_matrix(h.target))
+    kb = kernel_basis(stacked)
+    return column_lattice_basis(kb.take_rows(range(h.source.ngens)))
+
+
+def kernel_presentation(h: Hom) -> Presentation:
+    """The kernel of h, with coordinates on the ``kernel_lattice`` basis."""
+    lat = kernel_lattice(h)
+    rels = solve_exact(lat, presentation_matrix(h.source))
+    if rels is None:
+        raise AssertionError("source relations escaped the kernel lattice")
+    return presentation(rels, lat.ncols)
 
 
 def prime_power_chain(orders: list[int]) -> tuple[int, ...]:

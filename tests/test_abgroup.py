@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from helpers import prime_power_chain, random_matrix
+from helpers import (
+    kernel_lattice,
+    kernel_presentation,
+    presentation_lift,
+    prime_power_chain,
+    random_matrix,
+)
 from snckit import (
     FgAbGroup,
     Hom,
@@ -16,7 +22,7 @@ from snckit import (
     presentation_matrix,
     subquotient,
 )
-from snckit.abgroup import Z, ZERO_GROUP, kernel_lattice, kernel_presentation
+from snckit.abgroup import Z, ZERO_GROUP, preimage_lattice
 from snckit.intmat import kernel_basis, smith_normal_form
 
 
@@ -98,6 +104,7 @@ def test_presentation_maps_compose_to_identity():
         pres = presentation(a, a.nrows)
         n = pres.group.ngens
         assert pres.to_canonical @ pres.lift == IntMatrix.identity(n)
+        assert pres.lift == presentation_lift(a)
 
 
 def test_presentation_matrix_roundtrip():
@@ -160,6 +167,7 @@ def test_kernel_lattice_and_presentation_agree():
         lattice = kernel_lattice(h)
         pres = kernel_presentation(h)
         assert pres.group == hom_analyze(h).kernel
+        assert preimage_lattice(h).basis == lattice
         # every lattice vector really dies in the target
         img = h.matrix @ lattice
         for j in range(img.ncols):

@@ -5,15 +5,15 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from helpers import cofactor_det, minors_invariant_factors, random_matrix
-from snckit import IntMatrix, smith_diagonal, smith_normal_form
-from snckit.intmat import (
+from helpers import (
+    cofactor_det,
     column_lattice_basis,
-    kernel_basis,
-    rank,
-    solve_exact,
+    minors_invariant_factors,
+    random_matrix,
     unimodular_inverse,
 )
+from snckit import IntMatrix, SmithForm, smith_diagonal, smith_normal_form
+from snckit.intmat import column_lattice, kernel_basis, rank, solve_exact
 
 
 def test_spec_example_diag_2_4():
@@ -132,11 +132,49 @@ def test_unimodular_inverse():
         unimodular_inverse(IntMatrix([[2]]))
 
 
+def _tracked_inverse_cases():
+    rng = random.Random(11)
+    cases = [IntMatrix([], ncols=0), IntMatrix([], ncols=3),
+             IntMatrix([[], [], []], ncols=0), IntMatrix.zero(3, 4),
+             IntMatrix.zero(4, 2), IntMatrix([[2, 4, 6], [1, 2, 3], [3, 6, 9]])]
+    for _ in range(150):
+        cases.append(random_matrix(rng, span=12))
+    for _ in range(60):
+        # rank-deficient: a product through a narrower middle
+        k, nr, nc = rng.randint(1, 3), rng.randint(2, 6), rng.randint(2, 6)
+        left = IntMatrix([[rng.randint(-5, 5) for _ in range(k)] for _ in range(nr)])
+        right = IntMatrix([[rng.randint(-5, 5) for _ in range(nc)] for _ in range(k)])
+        cases.append(left @ right)
+    for _ in range(60):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        cases.append(IntMatrix([[rng.randint(-2 ** 64, 2 ** 64) for _ in range(nc)]
+                                for _ in range(nr)], ncols=nc))
+    return cases
+
+
+def test_tracked_inverse_matches_the_two_pass_oracle():
+    for a in _tracked_inverse_cases():
+        sf = smith_normal_form(a)
+        sf.verify(a)
+        assert sf.u @ sf.u_inv == IntMatrix.identity(a.nrows)
+        assert sf.u_inv == unimodular_inverse(sf.u)
+
+
+def test_verify_rejects_a_wrong_inverse():
+    a = IntMatrix([[2, 4], [6, 8]])
+    sf = smith_normal_form(a)
+    wrong = SmithForm(sf.u, sf.d, sf.v, sf.u_inv.scale(-1))
+    with pytest.raises(AssertionError, match="U_inv"):
+        wrong.verify(a)
+
+
 def test_column_lattice_basis_spans_same_lattice():
     rng = random.Random(10)
     for _ in range(200):
         a = random_matrix(rng, max_dim=5)
-        basis = column_lattice_basis(a)
+        basis, form = column_lattice(a)
+        assert basis == column_lattice_basis(a)
+        form.verify(basis)
         assert basis.ncols == rank(a)
         # every column of a lies in the lattice of the basis and conversely
         assert solve_exact(basis, a) is not None

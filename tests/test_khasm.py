@@ -4,6 +4,7 @@ import random
 import pytest
 
 from helpers import (
+    dense_picard_document,
     full_simplex,
     sphere4,
     triangle_cycle,
@@ -26,7 +27,9 @@ from snckit import (
     subquotient,
     torus_descriptor,
 )
+from snckit import abgroup, intmat
 from snckit.abgroup import Z, ZERO_GROUP
+from snckit.cli import parse_document
 from snckit.intmat import kernel_basis
 from snckit.khasm import (
     ALGEBRAICALLY_CLOSED,
@@ -386,3 +389,28 @@ def test_kh_report_validates_the_divisor():
     broken = SncDivisor(3, ("A", "B"), (Stratum("s", ("A", "C")),))
     with pytest.raises(SncError):
         kh_report(broken, triangle_picard())
+
+
+def test_kh_report_takes_few_smith_forms_and_none_of_a_transform(monkeypatch):
+    """Each lattice on the Picard path goes through one elimination.
+
+    U^{-1} is tracked inside the elimination, the preimage lattice and its
+    Smith form are built once, and groups are read off diagonals, so a
+    dense-Picard report takes at most 5 Smith forms with transforms, and
+    never one of an earlier form's U or V.
+    """
+    doc = parse_document(dense_picard_document(random.Random(3), 12))
+    inputs, forms = [], []
+    real = intmat.smith_normal_form
+
+    def counting(a):
+        inputs.append(a)
+        forms.append(real(a))
+        return forms[-1]
+
+    monkeypatch.setattr(intmat, "smith_normal_form", counting)
+    monkeypatch.setattr(abgroup, "smith_normal_form", counting)
+    kh_report(doc.divisor, doc.picard, doc.field_mode)
+    assert 0 < len(inputs) <= 5
+    transforms = [f.u for f in forms] + [f.v for f in forms]
+    assert not any(a == t for a in inputs for t in transforms)
