@@ -205,6 +205,30 @@ def simplex_divisor(n: int, comps: list[str], max_depth: int) -> SncDivisor:
     return SncDivisor.build(n, comps, strata)
 
 
+def four_cycle() -> SncDivisor:
+    """Four surfaces in a fourfold whose double loci close up into a loop."""
+    return SncDivisor.build(4, ["E1", "E2", "E3", "E4"], [
+        (f"c{i}{j}", (f"E{i}", f"E{j}"), {})
+        for i, j in ((1, 2), (2, 3), (3, 4), (1, 4))])
+
+
+def rp2_divisor() -> SncDivisor:
+    """Six surfaces whose dual complex is the 6-vertex projective plane.
+
+    H^2 of the dual complex is Z/2 and H_1 is Z/2, so the torus carries a
+    root-of-unity part and the general-field reading is obstructed.
+    """
+    triangles = ((1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+                 (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6))
+    edges = sorted({e for t in triangles for e in itertools.combinations(t, 2)})
+    strata = [(f"c{i}{j}", (f"E{i}", f"E{j}"), {}) for i, j in edges]
+    for t in triangles:
+        strata.append(("t" + "".join(map(str, t)), tuple(f"E{i}" for i in t),
+                       {f"E{c}": "c" + "".join(str(x) for x in t if x != c)
+                        for c in t}))
+    return SncDivisor.build(3, [f"E{i}" for i in range(1, 7)], strata)
+
+
 def sphere4() -> SncDivisor:
     """Five fourfold components whose dual complex is the 3-sphere bd(Delta^4)."""
     return simplex_divisor(4, ["E1", "E2", "E3", "E4", "E5"], 4)

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     dense_picard_document,
+    four_cycle,
     full_simplex,
     sphere4,
     triangle_cycle,
@@ -40,14 +41,6 @@ from snckit.khasm import (
     assemble_extension,
 )
 from snckit.snc import SncError
-
-
-def four_cycle():
-    """Four surfaces in a fourfold whose double loci close up into a loop."""
-    comps = ("E1", "E2", "E3", "E4")
-    strata = tuple(Stratum(f"c{i}{j}", (f"E{i}", f"E{j}"))
-                   for i, j in ((1, 2), (2, 3), (3, 4), (1, 4)))
-    return SncDivisor(4, comps, strata)
 
 
 # ---------------------------------------------------------------------------
