@@ -24,10 +24,8 @@ from .chaincx import (
     NonComplexError,
     SpectralPage,
     SupportViolationError,
-    TaggedGroup,
     cohomology,
     e2_page,
-    e3_top_corner,
     euler_characteristic,
     homology,
     validate_complex,
@@ -41,7 +39,6 @@ from .khasm import (
     kh_report,
     kh_top,
     ns_analysis,
-    one_motive_descriptor,
     torus_descriptor,
 )
 from .nk import DuBoisTable, KReport, k_report, nk_descriptor
@@ -50,7 +47,6 @@ from .snc import (
     DualComplex,
     SncDivisor,
     Stratum,
-    alt_chain_complex,
     blowup_point_on_double_curve,
     blowup_stratum_component,
     build_dual_complex,
@@ -80,9 +76,7 @@ __all__ = [
     "SpectralPage",
     "Stratum",
     "SupportViolationError",
-    "TaggedGroup",
     "TorusDescriptor",
-    "alt_chain_complex",
     "blowup_point_on_double_curve",
     "blowup_stratum_component",
     "build_dual_complex",
@@ -90,7 +84,6 @@ __all__ = [
     "compose",
     "direct_sum",
     "e2_page",
-    "e3_top_corner",
     "euler_characteristic",
     "find_bad_intersections",
     "group_from_presentation",
@@ -101,7 +94,6 @@ __all__ = [
     "kh_top",
     "nk_descriptor",
     "ns_analysis",
-    "one_motive_descriptor",
     "presentation",
     "presentation_matrix",
     "resolve_to_simplicial",

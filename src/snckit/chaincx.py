@@ -7,17 +7,16 @@ boundaries, which each complex computes at most once and keeps; cohomology
 follows from them by universal coefficients, with no transposed complex.
 
 Spectral pages are finite: a dictionary of nonzero entries together with an
-explicit support region.  Only two page-passage facts are implemented (the
-E_1 → E_2 step, and the top-corner E_3 entry of a two-row page) because
-nothing downstream needs more.
+explicit support region.  Only the E_1 → E_2 step is implemented; the one
+E_3 entry that the KH report reads is the direct corner rule in ``khasm``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .abgroup import FgAbGroup, Hom, compose, group_from_presentation, subquotient
+from .abgroup import FgAbGroup, Hom, compose, subquotient
 from .intmat import IntMatrix, smith_diagonal
 
 
@@ -215,74 +214,3 @@ def e2_page(e1: SpectralPage, support: Iterable[tuple[int, int]]) -> SpectralPag
             raise SupportViolationError((p, q))
         entries[(p, q)] = group
     return SpectralPage(2, entries, {}, region)
-
-
-@dataclass(frozen=True)
-class TaggedGroup:
-    """A group known exactly, or an upper bound when a differential is opaque.
-
-    When ``exact`` is false, ``group`` is the bound: the true value is a
-    quotient of it by some image of ``source_bound``, so its free rank lies
-    between ``min_rank`` and the rank of the bound.
-    """
-
-    group: FgAbGroup
-    exact: bool
-    source_bound: FgAbGroup = FgAbGroup.zero()
-    min_rank: int = 0
-
-    def __post_init__(self) -> None:
-        if self.exact and not self.source_bound.is_trivial():
-            raise ValueError("exact value cannot carry a source bound")
-
-    @classmethod
-    def exactly(cls, group: FgAbGroup) -> "TaggedGroup":
-        return cls(group, True, FgAbGroup.zero(), group.free_rank)
-
-    def __str__(self) -> str:
-        if self.exact:
-            return str(self.group)
-        return f"{self.group} (bound; quotient by an image of {self.source_bound})"
-
-
-def e3_top_corner(e2: SpectralPage, n: int, d2_known_zero: bool) -> TaggedGroup:
-    """E_3 at position (n-1, 0) of a two-row page with rows q in {0, 1}.
-
-    The only differential that can touch the corner on page 2 arrives from
-    (n-3, 1).  With the flag set, or with a trivial source, the corner is
-    exact and equal to its E_2 value; otherwise the E_2 value is an upper
-    bound and the rank can drop by at most the rank of the source.
-    """
-    if e2.page_no != 2:
-        raise ValueError(f"expected a page 2, got page {e2.page_no}")
-    for (p, q), g in e2.entries.items():
-        if not g.is_trivial() and q not in (0, 1):
-            raise ValueError(f"two-row page has an entry at q = {q}")
-    corner = e2.entry(n - 1, 0)
-    source = e2.entry(n - 3, 1)
-    if d2_known_zero or source.is_trivial():
-        return TaggedGroup.exactly(corner)
-    min_rank = max(0, corner.free_rank - source.free_rank)
-    return TaggedGroup(corner, False, source, min_rank)
-
-
-def complex_from_ranks_and_maps(
-        lowest_degree: int,
-        data: Mapping[int, int],
-        maps: Mapping[int, IntMatrix]) -> ChainComplex:
-    """Assemble a ChainComplex from per-degree ranks and boundary maps.
-
-    ``maps[d]`` is the boundary out of degree d.  Degrees missing from
-    ``data`` get rank zero; missing maps are zero maps.
-    """
-    if not data:
-        return ChainComplex(lowest_degree, (), ())
-    top = max(data)
-    ranks = tuple(data.get(d, 0) for d in range(lowest_degree, top + 1))
-    boundaries = []
-    for d in range(lowest_degree + 1, top + 1):
-        b = maps.get(d)
-        if b is None:
-            b = IntMatrix.zero(data.get(d - 1, 0), data.get(d, 0))
-        boundaries.append(b)
-    return ChainComplex(lowest_degree, ranks, tuple(boundaries))

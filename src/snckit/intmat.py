@@ -508,10 +508,6 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     return (1,) * units + rest
 
 
-def rank(a: IntMatrix) -> int:
-    return sum(1 for x in smith_diagonal(a) if x != 0)
-
-
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """A basis for the integer kernel {x : A x = 0}, as matrix columns.
 
@@ -522,11 +518,6 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     free = [j for j in range(a.ncols)
             if j >= len(sf.diagonal) or sf.diagonal[j] == 0]
     return sf.v.take_columns(free)
-
-
-def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
-    """An integer solution X of A X = B, or None when none exists."""
-    return smith_normal_form(a).solve(b)
 
 
 class Lattice(NamedTuple):

@@ -15,7 +15,6 @@ generated and in canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .abgroup import (
     FgAbGroup,
@@ -27,7 +26,7 @@ from .abgroup import (
     presentation,
     presentation_matrix,
 )
-from .chaincx import SpectralPage, cohomology, e3_top_corner, homology
+from .chaincx import cohomology, homology
 from .intmat import IntMatrix
 from .snc import SncDivisor, build_dual_complex, validate_snc
 
@@ -145,26 +144,15 @@ class PicardInput:
         return {n - 3, n - 2} if n == 3 else {n - 4, n - 3, n - 2}
 
 
-class NsAnalysis(NamedTuple):
-    ker_ns: FgAbGroup
-    coker_ns: FgAbGroup
-    gamma: FgAbGroup
+def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
+    """ker(NS), coker(NS), the lattice Gamma, and the surjection ker(NS) -> Gamma.
 
-
-class _NsComputation(NamedTuple):
-    ker_ns: FgAbGroup
-    coker_ns: FgAbGroup
-    gamma: FgAbGroup
-    surjection: Hom
-
-
-def _ns_computation(pi: PicardInput) -> _NsComputation:
-    """Kernel/cokernel of the top map plus the lattice quotient Gamma.
-
-    Gamma is the cohomology of the NS complex one step before its end.  It
-    is computed on the same kernel-lattice basis as ker(NS) so that the
-    canonical quotient map between them comes out as an explicit matrix.
-    The lattice is built once, and both solves share its Smith form.
+    NS is the last pullback map.  Gamma is the cohomology of the NS complex
+    one step before its end: it equals ker(NS) when there is no level below
+    n-3 or its map is zero, and a nonzero lower map cuts it down to a proper
+    quotient.  It is computed on the same kernel-lattice basis as ker(NS),
+    so the surjection comes out as an explicit matrix.  The lattice is built
+    once, and both solves share its Smith form.
     """
     main = pi.maps[-1]
     if len(pi.maps) >= 2:
@@ -187,18 +175,7 @@ def _ns_computation(pi: PicardInput) -> _NsComputation:
     pres_gamma = presentation(rels_gamma, lat.basis.ncols)
     surjection = Hom(pres_ker.group, pres_gamma.group,
                      pres_gamma.to_canonical @ pres_ker.lift)
-    return _NsComputation(pres_ker.group, cokernel(main),
-                          pres_gamma.group, surjection)
-
-
-def ns_analysis(pi: PicardInput) -> NsAnalysis:
-    """ker(NS), coker(NS) of the last pullback map, and the lattice Gamma.
-
-    Gamma equals ker(NS) when there is no level below n-3 or its map is
-    zero; a nonzero lower map cuts Gamma down to a proper quotient.
-    """
-    comp = _ns_computation(pi)
-    return NsAnalysis(comp.ker_ns, comp.coker_ns, comp.gamma)
+    return pres_ker.group, cokernel(main), pres_gamma.group, surjection
 
 
 @dataclass(frozen=True)
@@ -217,18 +194,6 @@ class OneMotiveDescriptor:
     torus: TorusDescriptor
     abelian_dim: int
     map_status: str = "opaque"
-
-
-def one_motive_descriptor(pi: PicardInput, td: TorusDescriptor,
-                          ) -> OneMotiveDescriptor:
-    comp = _ns_computation(pi)
-    return OneMotiveDescriptor(
-        lattice_lprime=comp.ker_ns,
-        lattice_l=comp.gamma,
-        surjection=comp.surjection,
-        torus=td,
-        abelian_dim=pi.coker_pic0_dim,
-    )
 
 
 @dataclass(frozen=True)
@@ -369,7 +334,7 @@ def kh_report(d: SncDivisor, pi: PicardInput,
     hn3 = cohomology(cx, n - 3)
     hn2 = cohomology(cx, n - 2)
 
-    comp = _ns_computation(pi)
+    ker_ns, coker_ns, gamma, surjection = ns_analysis(pi)
     td = torus_descriptor(top, homology(cx, n - 2).is_free(), field_mode)
 
     # The divisible piece inside coker(Pic) dies only when its dimension is
@@ -385,55 +350,42 @@ def kh_report(d: SncDivisor, pi: PicardInput,
         ker_beta = GroupValue(FgAbGroup.zero(), True,
                               "coker(Pic^0) has no points")
     else:
-        ker_beta = GroupValue(comp.ker_ns, False,
+        ker_beta = GroupValue(ker_ns, False,
                               "a quotient of ker(NS); divisible part opaque")
 
     coker_pic = GroupValue(
-        comp.coker_ns, divisible_trivial,
+        coker_ns, divisible_trivial,
         "" if divisible_trivial else "finitely generated part only; "
         "extension by an image of the divisible piece")
     units = UnitsCohomology(
         torus=td,
         coker_pic0_dim=pi.coker_pic0_dim,
         ker_beta=ker_beta,
-        coker_ns=comp.coker_ns,
+        coker_ns=coker_ns,
         coker_pic=coker_pic,
     )
 
     one_motive = OneMotiveDescriptor(
-        lattice_lprime=comp.ker_ns,
-        lattice_l=comp.gamma,
-        surjection=comp.surjection,
+        lattice_lprime=ker_ns,
+        lattice_l=gamma,
+        surjection=surjection,
         torus=td,
         abelian_dim=pi.coker_pic0_dim,
     )
 
     d2_known_zero = n == 3 or hn3.is_trivial()
 
-    # Finitely generated shadow of the descent page around the top corner:
-    # the integral cohomology row, plus the units corner carrying coker(NS)
-    # as its finitely generated part.  The row stops at the top degree of
-    # the dual complex, above which every group is 0, so the work is
-    # bounded by the divisor and not by n.
-    entries: dict[tuple[int, int], FgAbGroup] = {}
-    support = {(n - 1, 0)}
-    for p in range(min(n, cx.degrees.stop)):
-        support.add((p, 1))
-        g = cohomology(cx, p)
-        if not g.is_trivial():
-            entries[(p, 1)] = g
-    if not comp.coker_ns.is_trivial():
-        entries[(n - 1, 0)] = comp.coker_ns
-    corner = e3_top_corner(SpectralPage(2, entries, {}, frozenset(support)),
-                           n, d2_known_zero)
-
+    # The sub-group is the E_3 corner (n-1, 0) of the descent spectral
+    # sequence, whose finitely generated part on page 2 is coker(NS).  The
+    # only d_2 that reaches it leaves (n-3, 1) = H^{n-3}, so it is exact
+    # exactly when that differential is known to vanish.
     kh_is_fg = td.is_trivial_group() and divisible_trivial
     sub_note = []
-    if not corner.exact:
+    if not d2_known_zero:
         sub_note.append("modulo the image of the degree-2 differential")
     if not kh_is_fg:
         sub_note.append("finitely generated part only")
-    kh_sub = GroupValue(corner.group, corner.exact and kh_is_fg,
+    kh_sub = GroupValue(coker_ns, d2_known_zero and kh_is_fg,
                         "; ".join(sub_note))
     kh_value = assemble_extension(kh_sub, GroupValue.exactly(hn2))
 
@@ -444,11 +396,11 @@ def kh_report(d: SncDivisor, pi: PicardInput,
         im_d2 = GroupValue(hn3, False, "image of an opaque map out of H^{n-3}")
     ker_alpha = KerAlphaDescriptor(
         ses=assemble_extension(ker_beta, im_d2),
-        ker_ns_bound=comp.ker_ns,
+        ker_ns_bound=ker_ns,
     )
 
     coker_alpha = assemble_extension(
-        GroupValue.exactly(comp.coker_ns), GroupValue.exactly(hn2))
+        GroupValue.exactly(coker_ns), GroupValue.exactly(hn2))
 
     return KhReport(
         n=n,

@@ -269,34 +269,6 @@ def build_dual_complex(d: SncDivisor) -> DualComplex:
     return DualComplex(tuple(tuple(layer) for layer in layers), incidence)
 
 
-def alt_chain_complex(d: SncDivisor) -> ChainComplex:
-    """The alternating-face chain complex read straight off the strata.
-
-    Degree p counts the stratum components of depth p + 1 (degree 0 counts
-    the divisor components); the boundary drops one component at a time
-    with alternating signs.  This must agree entry-for-entry with the
-    chain complex of the dual complex, and tests hold it to that.
-    """
-    if not d.components:
-        return ChainComplex(0, (), ())
-    max_depth = max((s.depth for s in d.strata), default=1)
-    layer_ids: list[list[str]] = [list(d.components)]
-    for depth in range(2, max_depth + 1):
-        layer_ids.append([s.id for s in d.strata if s.depth == depth])
-    ranks = tuple(len(layer) for layer in layer_ids)
-    boundaries = []
-    for p in range(1, len(layer_ids)):
-        pos = {cid: i for i, cid in enumerate(layer_ids[p - 1])}
-        m = [[0] * len(layer_ids[p]) for _ in range(len(layer_ids[p - 1]))]
-        for col, sid in enumerate(layer_ids[p]):
-            s = d.stratum(sid)
-            for k, dropped in enumerate(s.subset):
-                face = s.subset[1 - k] if s.depth == 2 else s.parents[dropped]
-                m[pos[face]][col] += (-1) ** k
-        boundaries.append(IntMatrix(m, ncols=len(layer_ids[p])))
-    return ChainComplex(0, ranks, tuple(boundaries))
-
-
 class BadIntersections(NamedTuple):
     bad: list[tuple[tuple[str, ...], int]]
     is_simplicial: bool

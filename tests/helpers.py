@@ -4,14 +4,17 @@ The oracles here deliberately avoid the code paths they check: invariant
 factors come from minors and cofactor determinants, direct sums from prime
 factorization, simpliciality from raw vertex sets of the dual complex,
 cohomology from the homology of the explicitly transposed complex,
-blowups and resolution from full rescans of the divisor, and inverses of
-Smith transforms from a second Smith form instead of the tracked inverse.
+blowups and resolution from full rescans of the divisor, inverses of
+Smith transforms from a second Smith form instead of the tracked inverse,
+chain complexes straight off the strata, and the E_3 corner of the KH
+report from an assembled two-row descent page.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 from snckit import (
     BlowupRecord,
@@ -26,11 +29,12 @@ from snckit import (
     Stratum,
     blowup_point_on_double_curve,
     build_dual_complex,
+    cohomology,
     find_bad_intersections,
     validate_snc,
 )
 from snckit.abgroup import Presentation, presentation, presentation_matrix
-from snckit.intmat import kernel_basis, smith_normal_form, solve_exact
+from snckit.intmat import kernel_basis, smith_normal_form
 from snckit.snc import ResolutionLimitError, UnknownCenterError
 
 
@@ -78,6 +82,11 @@ def random_matrix(rng: random.Random, max_dim: int = 6, span: int = 9) -> IntMat
     nc = rng.randint(0, max_dim)
     return IntMatrix([[rng.randint(-span, span) for _ in range(nc)]
                       for _ in range(nr)], ncols=nc)
+
+
+def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
+    """An integer solution X of A X = B, or None when none exists."""
+    return smith_normal_form(a).solve(b)
 
 
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:
@@ -467,6 +476,35 @@ def brute_force_bad(d: SncDivisor) -> tuple[dict[frozenset[str], int], bool]:
     return dup, not dup
 
 
+def alt_chain_complex(d: SncDivisor) -> ChainComplex:
+    """The alternating-face chain complex read straight off the strata.
+
+    Degree p counts the stratum components of depth p + 1 (degree 0 counts
+    the divisor components); the boundary drops one component at a time
+    with alternating signs.  It is a second build of
+    ``DualComplex.chain_complex``, with a linear stratum lookup per cell,
+    and must agree with it entry for entry.
+    """
+    if not d.components:
+        return ChainComplex(0, (), ())
+    max_depth = max((s.depth for s in d.strata), default=1)
+    layer_ids: list[list[str]] = [list(d.components)]
+    for depth in range(2, max_depth + 1):
+        layer_ids.append([s.id for s in d.strata if s.depth == depth])
+    ranks = tuple(len(layer) for layer in layer_ids)
+    boundaries = []
+    for p in range(1, len(layer_ids)):
+        pos = {cid: i for i, cid in enumerate(layer_ids[p - 1])}
+        m = [[0] * len(layer_ids[p]) for _ in range(len(layer_ids[p - 1]))]
+        for col, sid in enumerate(layer_ids[p]):
+            s = d.stratum(sid)
+            for k, dropped in enumerate(s.subset):
+                face = s.subset[1 - k] if s.depth == 2 else s.parents[dropped]
+                m[pos[face]][col] += (-1) ** k
+        boundaries.append(IntMatrix(m, ncols=len(layer_ids[p])))
+    return ChainComplex(0, ranks, tuple(boundaries))
+
+
 def dualize(c: ChainComplex) -> ChainComplex:
     """The transposed complex, reindexed so that H^i(c) = H_{-i}(dualize(c)).
 
@@ -493,6 +531,80 @@ def one_row_page(cx: ChainComplex) -> SpectralPage:
                             FgAbGroup.free(ranks[p + 1]), delta)
     support = frozenset((p, 0) for p in range(len(ranks)))
     return SpectralPage(1, entries, diffs, support)
+
+
+# ---------------------------------------------------------------------------
+# the descent-page corner
+
+
+@dataclass(frozen=True)
+class TaggedGroup:
+    """A group known exactly, or an upper bound when a differential is opaque.
+
+    When ``exact`` is false, ``group`` is the bound: the true value is a
+    quotient of it by some image of ``source_bound``, so its free rank lies
+    between ``min_rank`` and the rank of the bound.
+    """
+
+    group: FgAbGroup
+    exact: bool
+    source_bound: FgAbGroup = FgAbGroup.zero()
+    min_rank: int = 0
+
+    def __post_init__(self) -> None:
+        if self.exact and not self.source_bound.is_trivial():
+            raise ValueError("exact value cannot carry a source bound")
+
+    @classmethod
+    def exactly(cls, group: FgAbGroup) -> "TaggedGroup":
+        return cls(group, True, FgAbGroup.zero(), group.free_rank)
+
+    def __str__(self) -> str:
+        if self.exact:
+            return str(self.group)
+        return f"{self.group} (bound; quotient by an image of {self.source_bound})"
+
+
+def e3_top_corner(e2: SpectralPage, n: int, d2_known_zero: bool) -> TaggedGroup:
+    """E_3 at position (n-1, 0) of a two-row page with rows q in {0, 1}.
+
+    The only differential that can touch the corner on page 2 arrives from
+    (n-3, 1).  With the flag set, or with a trivial source, the corner is
+    exact and equal to its E_2 value; otherwise the E_2 value is an upper
+    bound and the rank can drop by at most the rank of the source.
+    """
+    if e2.page_no != 2:
+        raise ValueError(f"expected a page 2, got page {e2.page_no}")
+    for (p, q), g in e2.entries.items():
+        if not g.is_trivial() and q not in (0, 1):
+            raise ValueError(f"two-row page has an entry at q = {q}")
+    corner = e2.entry(n - 1, 0)
+    source = e2.entry(n - 3, 1)
+    if d2_known_zero or source.is_trivial():
+        return TaggedGroup.exactly(corner)
+    min_rank = max(0, corner.free_rank - source.free_rank)
+    return TaggedGroup(corner, False, source, min_rank)
+
+
+def descent_page(cx: ChainComplex, n: int, coker_ns: FgAbGroup) -> SpectralPage:
+    """The finitely generated shadow of the descent page 2 of a KH report.
+
+    Row q = 1 is the integral cohomology of the dual complex in every degree
+    below n, stopping at the top degree of the complex, above which every
+    group is 0; the corner (n-1, 0) carries coker(NS), the finitely
+    generated part of the units cohomology.  ``kh_report`` reads the corner
+    without building this page.
+    """
+    entries: dict[tuple[int, int], FgAbGroup] = {}
+    support = {(n - 1, 0)}
+    for p in range(min(n, cx.degrees.stop)):
+        support.add((p, 1))
+        g = cohomology(cx, p)
+        if not g.is_trivial():
+            entries[(p, 1)] = g
+    if not coker_ns.is_trivial():
+        entries[(n - 1, 0)] = coker_ns
+    return SpectralPage(2, entries, {}, frozenset(support))
 
 
 # ---------------------------------------------------------------------------

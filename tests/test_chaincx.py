@@ -1,11 +1,17 @@
-"""Free chain complexes, integral (co)homology, and the two-row page logic."""
+"""Free chain complexes, integral (co)homology, and spectral pages."""
 import itertools
 import random
 from pathlib import Path
 
 import pytest
 
-from helpers import dualize, minors_invariant_factors, one_row_page
+from helpers import (
+    TaggedGroup,
+    dualize,
+    e3_top_corner,
+    minors_invariant_factors,
+    one_row_page,
+)
 from snckit import (
     ChainComplex,
     FgAbGroup,
@@ -14,19 +20,16 @@ from snckit import (
     NonComplexError,
     SpectralPage,
     SupportViolationError,
-    TaggedGroup,
     build_dual_complex,
     chaincx,
     cohomology,
     e2_page,
-    e3_top_corner,
     euler_characteristic,
     homology,
     kh_report,
     validate_complex,
 )
 from snckit.abgroup import Z, ZERO_GROUP
-from snckit.chaincx import complex_from_ranks_and_maps
 from snckit.cli import parse_input
 from snckit.intmat import kernel_basis
 
@@ -249,13 +252,6 @@ def test_euler_characteristic():
     assert euler_characteristic(simplex_boundary_complex(4)) == 0
     assert euler_characteristic(simplex_boundary_complex(2, full=True)) == 1
     assert euler_characteristic(torus_cw()) == 0
-
-
-def test_complex_from_ranks_and_maps():
-    c = complex_from_ranks_and_maps(0, {0: 1, 1: 1}, {1: IntMatrix.zero(1, 1)})
-    assert c == circle_cw()
-    empty = complex_from_ranks_and_maps(0, {}, {})
-    assert empty.ranks == ()
 
 
 def test_e2_of_one_row_page_is_cohomology():

@@ -4,9 +4,15 @@ import random
 import pytest
 
 from helpers import (
+    alt_chain_complex,
     dense_picard_document,
+    descent_page,
+    e3_top_corner,
     four_cycle,
     full_simplex,
+    random_divisor,
+    rp2_divisor,
+    simplex_divisor,
     sphere4,
     triangle_cycle,
     triangle_picard,
@@ -24,11 +30,10 @@ from snckit import (
     kh_report,
     kh_top,
     ns_analysis,
-    one_motive_descriptor,
     subquotient,
     torus_descriptor,
 )
-from snckit import abgroup, intmat
+from snckit import abgroup, intmat, khasm
 from snckit.abgroup import Z, ZERO_GROUP
 from snckit.cli import parse_document
 from snckit.intmat import kernel_basis
@@ -116,19 +121,19 @@ def test_expected_levels_depend_on_dimension():
 
 
 def test_ns_analysis_triangle():
-    res = ns_analysis(triangle_picard())
-    assert res.ker_ns == Z
-    assert res.coker_ns == Z
+    ker_ns, coker_ns, gamma, _ = ns_analysis(triangle_picard())
+    assert ker_ns == Z
+    assert coker_ns == Z
     # only one map, so nothing cuts the kernel lattice down
-    assert res.gamma == Z
+    assert gamma == Z
 
 
 def test_ns_analysis_zero_maps():
     pi = zero_picard(4, {0: FgAbGroup.free(2), 1: FgAbGroup.free(3), 2: Z})
-    res = ns_analysis(pi)
-    assert res.ker_ns == FgAbGroup.free(3)
-    assert res.coker_ns == Z
-    assert res.gamma == res.ker_ns
+    ker_ns, coker_ns, gamma, _ = ns_analysis(pi)
+    assert ker_ns == FgAbGroup.free(3)
+    assert coker_ns == Z
+    assert gamma == ker_ns
 
 
 def test_ns_analysis_lower_map_cuts_gamma():
@@ -137,11 +142,11 @@ def test_ns_analysis_lower_map_cuts_gamma():
     main = Hom(l1, l2, IntMatrix([[0, 1]]))
     pi = PicardInput(4, (PicardLevel(0, l0, 0), PicardLevel(1, l1, 0),
                          PicardLevel(2, l2, 0)), (below, main), 0)
-    res = ns_analysis(pi)
-    assert res.ker_ns == Z
-    assert res.coker_ns.is_trivial()
-    assert res.gamma == FgAbGroup(0, (2,))
-    assert res.gamma == subquotient(main, below)
+    ker_ns, coker_ns, gamma, _ = ns_analysis(pi)
+    assert ker_ns == Z
+    assert coker_ns.is_trivial()
+    assert gamma == FgAbGroup(0, (2,))
+    assert gamma == subquotient(main, below)
 
 
 def test_ns_analysis_rejects_non_complex():
@@ -169,11 +174,13 @@ def test_ns_analysis_gamma_matches_subquotient_on_random_input():
         below, main = Hom(l0, l1, below_m), Hom(l1, l2, main_m)
         pi = PicardInput(4, (PicardLevel(0, l0, 0), PicardLevel(1, l1, 0),
                              PicardLevel(2, l2, 0)), (below, main), 0)
-        res = ns_analysis(pi)
+        ker_ns, coker_ns, gamma, surjection = ns_analysis(pi)
         got = hom_analyze(main)
-        assert res.ker_ns == got.kernel
-        assert res.coker_ns == got.cokernel
-        assert res.gamma == subquotient(main, below)
+        assert ker_ns == got.kernel
+        assert coker_ns == got.cokernel
+        assert gamma == subquotient(main, below)
+        assert surjection.source == ker_ns and surjection.target == gamma
+        assert hom_analyze(surjection).cokernel.is_trivial()
 
 
 def test_one_motive_surjection_is_onto():
@@ -182,8 +189,7 @@ def test_one_motive_surjection_is_onto():
     main = Hom(l1, l2, IntMatrix([[0, 1]]))
     pi = PicardInput(4, (PicardLevel(0, l0, 0), PicardLevel(1, l1, 0),
                          PicardLevel(2, l2, 0)), (below, main), 1)
-    td = torus_descriptor(ZERO_GROUP, True, ALGEBRAICALLY_CLOSED)
-    om = one_motive_descriptor(pi, td)
+    om = kh_report(four_cycle(), pi).one_motive
     assert om.lattice_lprime == Z
     assert om.lattice_l == FgAbGroup(0, (2,))
     assert om.abelian_dim == 1
@@ -194,9 +200,7 @@ def test_one_motive_surjection_is_onto():
 
 
 def test_one_motive_surjection_identity_when_no_lower_map():
-    om = one_motive_descriptor(
-        triangle_picard(),
-        torus_descriptor(ZERO_GROUP, True, ALGEBRAICALLY_CLOSED))
+    om = kh_report(triangle_cycle(), triangle_picard()).one_motive
     assert om.lattice_lprime == om.lattice_l == Z
     analysis = hom_analyze(om.surjection)
     assert analysis.kernel.is_trivial()
@@ -407,3 +411,49 @@ def test_kh_report_takes_few_smith_forms_and_none_of_a_transform(monkeypatch):
     assert 0 < len(inputs) <= 5
     transforms = [f.u for f in forms] + [f.v for f in forms]
     assert not any(a == t for a in inputs for t in transforms)
+
+
+def test_kh_value_sub_is_the_e3_corner_of_the_descent_page():
+    """The direct corner rule agrees with the corner of the assembled page.
+
+    The oracle builds the two-row page from an independently assembled
+    complex and decides exactness itself: it is told only the structural
+    n = 3 vanishing, and finds a trivial source at (n-3, 1) on its own.
+    """
+    rng = random.Random(97)
+    divisors = ([random_divisor(rng) for _ in range(120)]
+                + [four_cycle(), rp2_divisor()])
+    tops = (ZERO_GROUP, Z, FgAbGroup(0, (2,)), FgAbGroup(1, (3,)))
+    seen = set()
+    for k, d in enumerate(divisors):
+        n = d.n
+        levels = {n - 3, n - 2} if n == 3 else {n - 4, n - 3, n - 2}
+        pi = zero_picard(n, {p: Z for p in levels} | {n - 2: tops[k % len(tops)]})
+        page = descent_page(alt_chain_complex(d), n, pi.levels[-1].ns)
+        corner = e3_top_corner(page, n, d2_known_zero=n == 3)
+        for mode in (ALGEBRAICALLY_CLOSED, GENERAL_FIELD):
+            rep = kh_report(d, pi, mode)
+            sub = rep.kh_value.sub
+            assert corner.group == sub.value
+            assert corner.exact == rep.d2_top_known_zero
+            assert sub.exact == (corner.exact and rep.kh_is_finitely_generated)
+            assert (("modulo the image of the degree-2 differential" in sub.note)
+                    == (not corner.exact))
+            seen.add((corner.exact, corner.group.is_trivial()))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_kh_report_asks_only_for_the_degrees_it_reports(monkeypatch):
+    """No cohomology beyond H^{n-3}, H^{n-2} and H^{n-1} is computed."""
+    n = 5
+    d = simplex_divisor(n, [f"E{i}" for i in range(n + 1)], n)
+    asked = []
+    real = khasm.cohomology
+
+    def counting(cx, i):
+        asked.append(i)
+        return real(cx, i)
+
+    monkeypatch.setattr(khasm, "cohomology", counting)
+    kh_report(d, zero_picard(n, {1: Z, 2: Z, 3: Z}))
+    assert sorted(asked) == [n - 3, n - 2, n - 1]

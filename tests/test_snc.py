@@ -4,6 +4,7 @@ import random
 import pytest
 
 from helpers import (
+    alt_chain_complex,
     brute_force_bad,
     full_simplex,
     interval_divisor,
@@ -18,10 +19,8 @@ from helpers import (
 )
 from snckit import snc
 from snckit import (
-    IntMatrix,
     SncDivisor,
     Stratum,
-    alt_chain_complex,
     blowup_point_on_double_curve,
     blowup_stratum_component,
     build_dual_complex,
