@@ -10,25 +10,20 @@ assembly (``khasm``), the NK correction (``nk``), and a JSON CLI (``cli``).
 from .abgroup import (
     FgAbGroup,
     Hom,
-    HomAnalysis,
     compose,
     direct_sum,
     group_from_presentation,
-    hom_analyze,
     presentation,
     presentation_matrix,
     subquotient,
 )
 from .chaincx import (
     ChainComplex,
-    NonComplexError,
     SpectralPage,
     SupportViolationError,
     cohomology,
     e2_page,
-    euler_characteristic,
     homology,
-    validate_complex,
 )
 from .intmat import IntMatrix, SmithForm, smith_diagonal, smith_normal_form
 from .khasm import (
@@ -37,11 +32,9 @@ from .khasm import (
     PicardLevel,
     TorusDescriptor,
     kh_report,
-    kh_top,
     ns_analysis,
-    torus_descriptor,
 )
-from .nk import DuBoisTable, KReport, k_report, nk_descriptor
+from .nk import DuBoisTable, KReport, k_report
 from .snc import (
     BlowupRecord,
     DualComplex,
@@ -64,11 +57,9 @@ __all__ = [
     "DualComplex",
     "FgAbGroup",
     "Hom",
-    "HomAnalysis",
     "IntMatrix",
     "KReport",
     "KhReport",
-    "NonComplexError",
     "PicardInput",
     "PicardLevel",
     "SmithForm",
@@ -84,15 +75,11 @@ __all__ = [
     "compose",
     "direct_sum",
     "e2_page",
-    "euler_characteristic",
     "find_bad_intersections",
     "group_from_presentation",
-    "hom_analyze",
     "homology",
     "k_report",
     "kh_report",
-    "kh_top",
-    "nk_descriptor",
     "ns_analysis",
     "presentation",
     "presentation_matrix",
@@ -100,7 +87,5 @@ __all__ = [
     "smith_diagonal",
     "smith_normal_form",
     "subquotient",
-    "torus_descriptor",
-    "validate_complex",
     "validate_snc",
 ]

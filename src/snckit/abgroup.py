@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .intmat import (
     IntMatrix,
@@ -271,29 +271,6 @@ def cokernel(h: Hom) -> FgAbGroup:
     """The target of h modulo the image of h."""
     return group_from_presentation(
         h.matrix.hstack(presentation_matrix(h.target)), h.target.ngens)
-
-
-class HomAnalysis(NamedTuple):
-    kernel: FgAbGroup
-    image: FgAbGroup
-    cokernel: FgAbGroup
-
-
-def hom_analyze(h: Hom) -> HomAnalysis:
-    """Kernel, image, and cokernel of a homomorphism, all canonical.
-
-    >>> doubling = Hom(Z, Z, IntMatrix([[2]]))
-    >>> [str(g) for g in hom_analyze(doubling)]
-    ['0', 'Z', 'Z/2']
-    """
-    lat = preimage_lattice(h)
-    rels = lat.form.solve(presentation_matrix(h.source))
-    if rels is None:  # pragma: no cover - validation makes this unreachable
-        raise AssertionError("source relations escaped the kernel lattice")
-    kernel = group_from_presentation(rels, lat.basis.ncols)
-    # The image is the source modulo the lattice, read off the lattice's form.
-    image = FgAbGroup(h.source.ngens - lat.form.rank, lat.form.torsion_factors())
-    return HomAnalysis(kernel, image, cokernel(h))
 
 
 def subquotient(outgoing: Hom, incoming: Hom) -> FgAbGroup:

@@ -20,14 +20,6 @@ from .abgroup import FgAbGroup, Hom, compose, subquotient
 from .intmat import IntMatrix, smith_diagonal
 
 
-class NonComplexError(Exception):
-    """Composite of two consecutive boundaries is nonzero."""
-
-    def __init__(self, degree: int, message: str | None = None):
-        self.degree = degree
-        super().__init__(message or f"boundary composite nonzero at degree {degree}")
-
-
 class SupportViolationError(Exception):
     """A nonzero spectral entry sits outside the declared support region."""
 
@@ -64,11 +56,6 @@ class ChainComplex:
                     f"boundary out of degree {self.lowest_degree + k + 1} has shape "
                     f"{b.shape}, expected {want}")
 
-    @classmethod
-    def from_lists(cls, lowest_degree: int, ranks: Iterable[int],
-                   boundaries: Iterable[IntMatrix]) -> "ChainComplex":
-        return cls(lowest_degree, tuple(ranks), tuple(boundaries))
-
     @property
     def degrees(self) -> range:
         return range(self.lowest_degree, self.lowest_degree + len(self.ranks))
@@ -97,17 +84,6 @@ class ChainComplex:
         if diag is None:
             diag = self._diagonals[k] = smith_diagonal(self.boundaries[k])
         return diag
-
-
-def validate_complex(c: ChainComplex) -> None:
-    """Raise NonComplexError at the first degree whose composite is nonzero.
-
-    The reported degree is the upper one: degree d means the composite
-    boundary(d - 1) @ boundary(d) failed.
-    """
-    for d in c.degrees:
-        if not (c.boundary(d - 1) @ c.boundary(d)).is_zero():
-            raise NonComplexError(d)
 
 
 def _group(c: ChainComplex, i: int, torsion_from: int) -> FgAbGroup:
@@ -142,10 +118,6 @@ def cohomology(c: ChainComplex, i: int) -> FgAbGroup:
     ['Z', '0', 'Z/2']
     """
     return _group(c, i, i)
-
-
-def euler_characteristic(c: ChainComplex) -> int:
-    return sum((-1) ** d * c.rank(d) for d in c.degrees)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Sequence
 
 from .abgroup import FgAbGroup, Hom
@@ -22,14 +22,10 @@ from .khasm import (
     ALGEBRAICALLY_CLOSED,
     GENERAL_FIELD,
     ComplexViolationError,
-    GroupValue,
     KhReport,
     LevelMismatchError,
     PicardInput,
     PicardLevel,
-    SesDescriptor,
-    TorusDescriptor,
-    UnitsCohomology,
     kh_report,
 )
 from .intmat import IntMatrix
@@ -46,6 +42,7 @@ from .snc import (
 from .chaincx import cohomology
 
 SUPPORTED_VERSION = "1"
+MAX_BLOWUPS = 10000
 COMMANDS = ("validate", "dual-complex", "cohomology", "check-simplicial",
             "resolve", "kh-report", "k-report")
 
@@ -81,11 +78,6 @@ class InputDocument:
     picard: PicardInput | None
     dubois: DuBoisTable | None
     field_mode: str
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    max_blowups: int = 10000
 
 
 # --------------------------------------------------------------------------
@@ -209,6 +201,10 @@ def _parse_group(obj: Any, path: str) -> FgAbGroup:
 
 
 def _parse_picard(block: Any, n: int, path: str) -> PicardInput:
+    if n < 3:
+        # The report reads level n-3, which is negative below n = 3, and no
+        # document can give a level p < 0.
+        raise SchemaError(path, f"Picard data needs n >= 3, the divisor has n = {n}")
     obj = _as_dict(block, path)
     _require_keys(obj, {"levels", "ns_maps", "coker_pic0_dim", "ker_beta"},
                   {"levels", "ns_maps", "coker_pic0_dim"}, path)
@@ -318,25 +314,15 @@ def group_json(g: FgAbGroup) -> dict:
     return {"str": str(g), "free_rank": g.free_rank, "torsion": list(g.torsion)}
 
 
-def _value_json(v: GroupValue) -> dict:
-    return {"group": group_json(v.value), "exact": v.exact, "note": v.note}
-
-
-def _ses_json(s: SesDescriptor) -> dict:
-    return {"sub": _value_json(s.sub), "quotient": _value_json(s.quotient),
-            "total": _value_json(s.total), "split": s.split}
-
-
-def _torus_json(t: TorusDescriptor) -> dict:
-    return {"rank": t.rank, "mu_part": group_json(t.mu_part),
-            "field_mode": t.field_mode, "determined": t.determined,
-            "mu_ambiguous": t.mu_ambiguous}
-
-
-def _units_json(u: UnitsCohomology) -> dict:
-    return {"torus": _torus_json(u.torus), "coker_pic0_dim": u.coker_pic0_dim,
-            "ker_beta": _value_json(u.ker_beta), "coker_ns": group_json(u.coker_ns),
-            "coker_pic": _value_json(u.coker_pic)}
+def _report_json(x: Any) -> Any:
+    """A report as JSON: one key per dataclass field, in field order."""
+    if isinstance(x, FgAbGroup):
+        return group_json(x)
+    if isinstance(x, IntMatrix):
+        return x.to_lists()
+    if is_dataclass(x):
+        return {f.name: _report_json(getattr(x, f.name)) for f in fields(x)}
+    return x
 
 
 def divisor_json(d: SncDivisor) -> dict:
@@ -391,7 +377,7 @@ def document_json(doc: InputDocument) -> dict:
 # commands
 
 
-def _cmd_validate(doc: InputDocument, options: RunOptions) -> tuple[str, dict]:
+def _cmd_validate(doc: InputDocument) -> tuple[str, dict]:
     validate_snc(doc.divisor)
     lines = [f"ok: divisor with {len(doc.divisor.components)} component(s) and "
              f"{len(doc.divisor.strata)} stratum component(s) is valid"]
@@ -407,7 +393,7 @@ def _cmd_validate(doc: InputDocument, options: RunOptions) -> tuple[str, dict]:
     return "\n".join(lines), machine
 
 
-def _cmd_dual_complex(doc: InputDocument, options: RunOptions) -> tuple[str, dict]:
+def _cmd_dual_complex(doc: InputDocument) -> tuple[str, dict]:
     dc = build_dual_complex(doc.divisor)
     lines = []
     dims = []
@@ -422,7 +408,7 @@ def _cmd_dual_complex(doc: InputDocument, options: RunOptions) -> tuple[str, dic
     return "\n".join(lines), machine
 
 
-def _cmd_cohomology(doc: InputDocument, options: RunOptions) -> tuple[str, dict]:
+def _cmd_cohomology(doc: InputDocument) -> tuple[str, dict]:
     cx = build_dual_complex(doc.divisor).chain_complex()
     lines = []
     groups = []
@@ -434,7 +420,7 @@ def _cmd_cohomology(doc: InputDocument, options: RunOptions) -> tuple[str, dict]
     return "\n".join(lines), machine
 
 
-def _cmd_check_simplicial(doc: InputDocument, options: RunOptions) -> tuple[str, dict]:
+def _cmd_check_simplicial(doc: InputDocument) -> tuple[str, dict]:
     bad, simplicial = find_bad_intersections(doc.divisor)
     if simplicial:
         text = "simplicial"
@@ -447,9 +433,8 @@ def _cmd_check_simplicial(doc: InputDocument, options: RunOptions) -> tuple[str,
     return text, machine
 
 
-def _cmd_resolve(doc: InputDocument, options: RunOptions) -> tuple[str, dict]:
-    resolved, records = resolve_to_simplicial(doc.divisor,
-                                              max_blowups=options.max_blowups)
+def _cmd_resolve(doc: InputDocument, max_blowups: int) -> tuple[str, dict]:
+    resolved, records = resolve_to_simplicial(doc.divisor, max_blowups=max_blowups)
     lines = [f"blowups: {len(records)}"]
     for rec in records:
         lines.append(f"blow up {rec.center} -> new component {rec.new_component} "
@@ -486,7 +471,7 @@ def _kh_text(r: KhReport) -> list[str]:
         "one-motive:",
         f"  lattice L' = ker(NS): {m.lattice_lprime}",
         f"  lattice L = Gamma: {m.lattice_l}",
-        f"  surjection L' -> L: {m.surjection.matrix.to_lists()}",
+        f"  surjection L' -> L: {m.surjection_matrix.to_lists()}",
         f"  abelian dimension: {m.abelian_dim}",
         f"  map status: {m.map_status}",
         f"KH_{1 - r.n}(X):",
@@ -511,41 +496,15 @@ def _kh_text(r: KhReport) -> list[str]:
     return lines
 
 
-def _kh_json(r: KhReport) -> dict:
-    return {
-        "n": r.n,
-        "field_mode": r.field_mode,
-        "kh_top": group_json(r.kh_top),
-        "h_n_minus_3": group_json(r.h_n_minus_3),
-        "h_n_minus_2": group_json(r.h_n_minus_2),
-        "units_cohomology": _units_json(r.units_cohomology),
-        "one_motive": {
-            "lattice_lprime": group_json(r.one_motive.lattice_lprime),
-            "lattice_l": group_json(r.one_motive.lattice_l),
-            "surjection_matrix": r.one_motive.surjection.matrix.to_lists(),
-            "torus": _torus_json(r.one_motive.torus),
-            "abelian_dim": r.one_motive.abelian_dim,
-            "map_status": r.one_motive.map_status,
-        },
-        "kh_value": _ses_json(r.kh_value),
-        "kh_is_finitely_generated": r.kh_is_finitely_generated,
-        "ker_alpha": {"ses": _ses_json(r.ker_alpha.ses),
-                      "ker_ns_bound": group_json(r.ker_alpha.ker_ns_bound)},
-        "coker_alpha": _ses_json(r.coker_alpha),
-        "n3_exact": r.n3_exact,
-        "d2_top_known_zero": r.d2_top_known_zero,
-    }
-
-
-def _cmd_kh_report(doc: InputDocument, options: RunOptions) -> tuple[str, dict]:
+def _cmd_kh_report(doc: InputDocument) -> tuple[str, dict]:
     if doc.picard is None:
         raise MissingBlockError("picard", "kh-report")
     report = kh_report(doc.divisor, doc.picard, doc.field_mode)
-    machine = {"command": "kh-report", **_kh_json(report)}
+    machine = {"command": "kh-report", **_report_json(report)}
     return "\n".join(_kh_text(report)), machine
 
 
-def _cmd_k_report(doc: InputDocument, options: RunOptions) -> tuple[str, dict]:
+def _cmd_k_report(doc: InputDocument) -> tuple[str, dict]:
     if doc.picard is None:
         raise MissingBlockError("picard", "k-report")
     if doc.dubois is None:
@@ -564,14 +523,7 @@ def _cmd_k_report(doc: InputDocument, options: RunOptions) -> tuple[str, dict]:
         f"  K_{2 - n}(X) -> KH_{2 - n}(X) surjective: "
         + ("yes" if report.surjectivity_note else "no"),
     ])
-    machine = {
-        "command": "k-report",
-        "kh": _kh_json(kh),
-        "v_dim": report.v_dim,
-        "nk_shape": str(report.nk_shape),
-        "surjectivity_note": report.surjectivity_note,
-        "k_equals_kh": report.k_equals_kh,
-    }
+    machine = {"command": "k-report", **_report_json(report)}
     return "\n".join(lines), machine
 
 
@@ -580,20 +532,24 @@ _DISPATCH = {
     "dual-complex": _cmd_dual_complex,
     "cohomology": _cmd_cohomology,
     "check-simplicial": _cmd_check_simplicial,
-    "resolve": _cmd_resolve,
     "kh-report": _cmd_kh_report,
     "k-report": _cmd_k_report,
 }
 
 
 def run(command: str, document: InputDocument,
-        options: RunOptions = RunOptions()) -> tuple[str, dict]:
-    """Execute one command, returning (text report, machine report)."""
+        max_blowups: int = MAX_BLOWUPS) -> tuple[str, dict]:
+    """Execute one command, returning (text report, machine report).
+
+    ``max_blowups`` caps the resolution loop; only ``resolve`` runs it.
+    """
+    if command == "resolve":
+        return _cmd_resolve(document, max_blowups)
     try:
         handler = _DISPATCH[command]
     except KeyError:
         raise ValueError(f"unknown command {command!r}; choose from {COMMANDS}")
-    return handler(document, options)
+    return handler(document)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -604,14 +560,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--input", required=True, help="path to a JSON document")
     parser.add_argument("--command", required=True, choices=COMMANDS)
     parser.add_argument("--emit", choices=("json", "text", "both"), default="text")
-    parser.add_argument("--max-blowups", type=int, default=10000,
+    parser.add_argument("--max-blowups", type=int, default=MAX_BLOWUPS,
                         help="resolution loop iteration cap")
     args = parser.parse_args(argv)
 
     try:
         document = parse_input(args.input)
-        text, machine = run(args.command, document,
-                            RunOptions(max_blowups=args.max_blowups))
+        text, machine = run(args.command, document, args.max_blowups)
     except MissingBlockError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

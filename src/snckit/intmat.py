@@ -99,9 +99,6 @@ class IntMatrix:
     def rows(self) -> tuple[tuple[int, ...], ...]:
         return self._rows
 
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.ncols)]
-
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self._rows]
 

@@ -185,12 +185,12 @@ class OneMotiveDescriptor:
     The lattice map into the semiabelian group is not determined by our
     inputs, so ``map_status`` stays opaque; what is stored exactly is the
     surjection from the primed lattice (ker NS) onto the unprimed one
-    (Gamma), as an explicit matrix on canonical generators.
+    (Gamma), as its matrix on the canonical generators of the two lattices.
     """
 
     lattice_lprime: FgAbGroup
     lattice_l: FgAbGroup
-    surjection: Hom
+    surjection_matrix: IntMatrix
     torus: TorusDescriptor
     abelian_dim: int
     map_status: str = "opaque"
@@ -200,12 +200,12 @@ class OneMotiveDescriptor:
 class GroupValue:
     """A finitely generated group, known exactly or only as a bound.
 
-    When ``exact`` is false the true group is a quotient of ``value`` (or,
+    When ``exact`` is false the true group is a quotient of ``group`` (or,
     for assembled extensions, shares its rank); ``note`` says which opaque
     ingredient is responsible.
     """
 
-    value: FgAbGroup
+    group: FgAbGroup
     exact: bool
     note: str = ""
 
@@ -216,7 +216,7 @@ class GroupValue:
     def __str__(self) -> str:
         tag = "exact" if self.exact else "bound"
         suffix = f"; {self.note}" if self.note else ""
-        return f"{self.value} ({tag}{suffix})"
+        return f"{self.group} ({tag}{suffix})"
 
 
 @dataclass(frozen=True)
@@ -236,13 +236,13 @@ class SesDescriptor:
 
 def assemble_extension(sub: GroupValue, quotient: GroupValue) -> SesDescriptor:
     """Resolve an extension of ``quotient`` by ``sub`` where possible."""
-    bound = direct_sum([sub.value, quotient.value])
+    bound = direct_sum([sub.group, quotient.group])
     if sub.exact and quotient.exact:
-        if quotient.value.is_trivial():
-            return SesDescriptor(sub, quotient, GroupValue(sub.value, True), True)
-        if sub.value.is_trivial():
-            return SesDescriptor(sub, quotient, GroupValue(quotient.value, True), True)
-        if quotient.value.is_free():
+        if quotient.group.is_trivial():
+            return SesDescriptor(sub, quotient, GroupValue(sub.group, True), True)
+        if sub.group.is_trivial():
+            return SesDescriptor(sub, quotient, GroupValue(quotient.group, True), True)
+        if quotient.group.is_free():
             return SesDescriptor(
                 sub, quotient,
                 GroupValue(bound, True, "split: free quotient"), True)
@@ -291,6 +291,9 @@ class KhReport:
     only when ``kh_is_finitely_generated`` is set (trivial torus and no
     divisible Picard part), and exact only when additionally no opaque
     differential intervenes.
+
+    The report dataclasses are also the JSON schema: the CLI's JSON report
+    has one key per field, in field order, all the way down.
     """
 
     n: int
@@ -306,13 +309,6 @@ class KhReport:
     coker_alpha: SesDescriptor
     n3_exact: bool
     d2_top_known_zero: bool
-
-
-def kh_top(d: SncDivisor) -> FgAbGroup:
-    """H^{n-1}(D(E), Z), which is the whole of KH in degree -n."""
-    validate_snc(d)
-    cx = build_dual_complex(d).chain_complex()
-    return cohomology(cx, d.n - 1)
 
 
 def kh_report(d: SncDivisor, pi: PicardInput,
@@ -368,7 +364,7 @@ def kh_report(d: SncDivisor, pi: PicardInput,
     one_motive = OneMotiveDescriptor(
         lattice_lprime=ker_ns,
         lattice_l=gamma,
-        surjection=surjection,
+        surjection_matrix=surjection.matrix,
         torus=td,
         abelian_dim=pi.coker_pic0_dim,
     )

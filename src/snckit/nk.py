@@ -44,62 +44,36 @@ class DuBoisTable:
 
 
 @dataclass(frozen=True)
-class NkDescriptor:
-    """The NK module in degree 1-n: a vector space tensored with tQ[t].
-
-    Countably infinite dimensional over k whenever ``v_dim`` is positive,
-    and zero exactly when ``v_dim`` is zero.
-    """
-
-    v_dim: int
-
-    def is_zero(self) -> bool:
-        return self.v_dim == 0
-
-    def __str__(self) -> str:
-        if self.v_dim == 0:
-            return "0"
-        return f"{self.v_dim}-dim V ⊗ tQ[t]"
-
-
-def nk_descriptor(b: DuBoisTable, n: int) -> NkDescriptor:
-    """NK in degree 1-n from the single invariant b^{0,n-1}.
-
-    >>> str(nk_descriptor(DuBoisTable({(0, 2): 3}), 3))
-    '3-dim V ⊗ tQ[t]'
-    """
-    if not b.isolated:
-        raise NonIsolatedError(
-            "NK in degree 1-n is only computed for isolated singular points")
-    v = b.get(0, n - 1)
-    if v is None:
-        raise MissingEntryError(f"Du Bois table has no entry (0, {n - 1})")
-    return NkDescriptor(v)
-
-
-@dataclass(frozen=True)
 class KReport:
     """K-theory in degree 1-n: an extension of KH by a vector space.
 
-    ``v_dim`` is the dimension of the vector-space kernel of K → KH; when
-    it is zero the two theories agree in this degree.  ``surjectivity_note``
-    records that one degree up, K → KH is onto.
+    ``v_dim`` is b^{0,n-1}, the dimension of the vector-space kernel of
+    K → KH; when it is zero the two theories agree in this degree.  NK in
+    degree 1-n is that space tensored with tQ[t]: countably infinite
+    dimensional over k when ``v_dim`` is positive, and zero exactly when it
+    is zero; ``nk_shape`` spells it out.  ``surjectivity_note`` records
+    that one degree up, K → KH is onto.
     """
 
     kh: KhReport
     v_dim: int
-    nk_shape: NkDescriptor
+    nk_shape: str
     surjectivity_note: bool
     k_equals_kh: bool
 
 
 def k_report(kh: KhReport, b: DuBoisTable) -> KReport:
-    """Attach the NK layer to a finished KH report."""
-    nk = nk_descriptor(b, kh.n)
+    """Attach the NK layer, read off b^{0,n-1} alone, to a finished KH report."""
+    if not b.isolated:
+        raise NonIsolatedError(
+            "NK in degree 1-n is only computed for isolated singular points")
+    v = b.get(0, kh.n - 1)
+    if v is None:
+        raise MissingEntryError(f"Du Bois table has no entry (0, {kh.n - 1})")
     return KReport(
         kh=kh,
-        v_dim=nk.v_dim,
-        nk_shape=nk,
+        v_dim=v,
+        nk_shape=f"{v}-dim V ⊗ tQ[t]" if v else "0",
         surjectivity_note=True,
-        k_equals_kh=nk.is_zero(),
+        k_equals_kh=v == 0,
     )

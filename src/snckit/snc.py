@@ -214,14 +214,6 @@ class DualComplex:
     cells: tuple[tuple[DualCell, ...], ...]
     incidence: dict[str, tuple[tuple[str, int], ...]]
 
-    def dimension(self) -> int:
-        return len(self.cells) - 1
-
-    def cell_count(self, dim: int) -> int:
-        if 0 <= dim < len(self.cells):
-            return len(self.cells[dim])
-        return 0
-
     def chain_complex(self) -> ChainComplex:
         ranks = tuple(len(layer) for layer in self.cells)
         boundaries = []

@@ -7,7 +7,9 @@ cohomology from the homology of the explicitly transposed complex,
 blowups and resolution from full rescans of the divisor, inverses of
 Smith transforms from a second Smith form instead of the tracked inverse,
 chain complexes straight off the strata, and the E_3 corner of the KH
-report from an assembled two-row descent page.
+report from an assembled two-row descent page.  Small conveniences that
+only tests call (``hom_analyze``, ``validate_complex``,
+``euler_characteristic``, ``kh_top``) live here too.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from snckit import (
     BlowupRecord,
@@ -33,7 +36,14 @@ from snckit import (
     find_bad_intersections,
     validate_snc,
 )
-from snckit.abgroup import Presentation, presentation, presentation_matrix
+from snckit.abgroup import (
+    Presentation,
+    cokernel,
+    group_from_presentation,
+    preimage_lattice,
+    presentation,
+    presentation_matrix,
+)
 from snckit.intmat import kernel_basis, smith_normal_form
 from snckit.snc import ResolutionLimitError, UnknownCenterError
 
@@ -133,6 +143,24 @@ def kernel_presentation(h: Hom) -> Presentation:
     if rels is None:
         raise AssertionError("source relations escaped the kernel lattice")
     return presentation(rels, lat.ncols)
+
+
+class HomAnalysis(NamedTuple):
+    kernel: FgAbGroup
+    image: FgAbGroup
+    cokernel: FgAbGroup
+
+
+def hom_analyze(h: Hom) -> HomAnalysis:
+    """Kernel, image, and cokernel of a homomorphism, all canonical."""
+    lat = preimage_lattice(h)
+    rels = lat.form.solve(presentation_matrix(h.source))
+    if rels is None:  # pragma: no cover - validation makes this unreachable
+        raise AssertionError("source relations escaped the kernel lattice")
+    kernel = group_from_presentation(rels, lat.basis.ncols)
+    # The image is the source modulo the lattice, read off the lattice's form.
+    image = FgAbGroup(h.source.ngens - lat.form.rank, lat.form.torsion_factors())
+    return HomAnalysis(kernel, image, cokernel(h))
 
 
 def prime_power_chain(orders: list[int]) -> tuple[int, ...]:
@@ -503,6 +531,35 @@ def alt_chain_complex(d: SncDivisor) -> ChainComplex:
                 m[pos[face]][col] += (-1) ** k
         boundaries.append(IntMatrix(m, ncols=len(layer_ids[p])))
     return ChainComplex(0, ranks, tuple(boundaries))
+
+
+class NonComplexError(Exception):
+    """Composite of two consecutive boundaries is nonzero."""
+
+    def __init__(self, degree: int, message: str | None = None):
+        self.degree = degree
+        super().__init__(message or f"boundary composite nonzero at degree {degree}")
+
+
+def validate_complex(c: ChainComplex) -> None:
+    """Raise NonComplexError at the first degree whose composite is nonzero.
+
+    The reported degree is the upper one: degree d means the composite
+    boundary(d - 1) @ boundary(d) failed.
+    """
+    for d in c.degrees:
+        if not (c.boundary(d - 1) @ c.boundary(d)).is_zero():
+            raise NonComplexError(d)
+
+
+def euler_characteristic(c: ChainComplex) -> int:
+    return sum((-1) ** d * c.rank(d) for d in c.degrees)
+
+
+def kh_top(d: SncDivisor) -> FgAbGroup:
+    """H^{n-1}(D(E), Z), which is the whole of KH in degree -n."""
+    validate_snc(d)
+    return cohomology(build_dual_complex(d).chain_complex(), d.n - 1)
 
 
 def dualize(c: ChainComplex) -> ChainComplex:

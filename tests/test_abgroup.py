@@ -4,6 +4,7 @@ import random
 import pytest
 
 from helpers import (
+    hom_analyze,
     kernel_lattice,
     kernel_presentation,
     presentation_lift,
@@ -17,7 +18,6 @@ from snckit import (
     compose,
     direct_sum,
     group_from_presentation,
-    hom_analyze,
     presentation,
     presentation_matrix,
     subquotient,

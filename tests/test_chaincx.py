@@ -6,28 +6,28 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    NonComplexError,
     TaggedGroup,
     dualize,
     e3_top_corner,
+    euler_characteristic,
     minors_invariant_factors,
     one_row_page,
+    validate_complex,
 )
 from snckit import (
     ChainComplex,
     FgAbGroup,
     Hom,
     IntMatrix,
-    NonComplexError,
     SpectralPage,
     SupportViolationError,
     build_dual_complex,
     chaincx,
     cohomology,
     e2_page,
-    euler_characteristic,
     homology,
     kh_report,
-    validate_complex,
 )
 from snckit.abgroup import Z, ZERO_GROUP
 from snckit.cli import parse_input

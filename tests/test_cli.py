@@ -23,7 +23,6 @@ from snckit.cli import (
     COMMANDS,
     InputDocument,
     MissingBlockError,
-    RunOptions,
     SchemaError,
     UnknownIdError,
     VersionError,
@@ -387,6 +386,19 @@ def test_exit_one_when_an_entry_is_missing_inside_a_block(capsys, tmp_path):
     assert main(["--input", write_doc(tmp_path, data),
                  "--command", "k-report"]) == 1
     assert "isolated" in capsys.readouterr().err
+
+
+def test_exit_one_on_a_picard_block_below_n_3(capsys, tmp_path):
+    # The report needs level n-3 < 0 here, and documents cannot give p < 0.
+    data = {"version": "1",
+            "divisor": {"n": 2, "components": ["A", "B"],
+                        "strata": [{"subset": [0, 1], "components": [{"id": "p"}]}]},
+            "picard": {"levels": [{"p": 0, "ns_rank": 2}, {"p": 1, "ns_rank": 1}],
+                       "ns_maps": [[[1, -1]]], "coker_pic0_dim": 0}}
+    for command in ("kh-report", "validate"):
+        assert main(["--input", write_doc(tmp_path, data), "--command", command]) == 1
+        err = capsys.readouterr().err
+        assert "error: picard: Picard data needs n >= 3, the divisor has n = 2" in err
 
 
 def test_exit_one_on_deeply_nested_json(capsys, tmp_path):

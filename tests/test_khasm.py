@@ -10,6 +10,8 @@ from helpers import (
     e3_top_corner,
     four_cycle,
     full_simplex,
+    hom_analyze,
+    kh_top,
     random_divisor,
     rp2_divisor,
     simplex_divisor,
@@ -26,12 +28,9 @@ from snckit import (
     PicardLevel,
     SncDivisor,
     Stratum,
-    hom_analyze,
     kh_report,
-    kh_top,
     ns_analysis,
     subquotient,
-    torus_descriptor,
 )
 from snckit import abgroup, intmat, khasm
 from snckit.abgroup import Z, ZERO_GROUP
@@ -44,6 +43,7 @@ from snckit.khasm import (
     GroupValue,
     LevelMismatchError,
     assemble_extension,
+    torus_descriptor,
 )
 from snckit.snc import SncError
 
@@ -194,15 +194,15 @@ def test_one_motive_surjection_is_onto():
     assert om.lattice_l == FgAbGroup(0, (2,))
     assert om.abelian_dim == 1
     assert om.map_status == "opaque"
-    assert om.surjection.source == om.lattice_lprime
-    assert om.surjection.target == om.lattice_l
-    assert hom_analyze(om.surjection).cokernel.is_trivial()
+    # Hom validates the matrix's shape and torsion against the two lattices.
+    surjection = Hom(om.lattice_lprime, om.lattice_l, om.surjection_matrix)
+    assert hom_analyze(surjection).cokernel.is_trivial()
 
 
 def test_one_motive_surjection_identity_when_no_lower_map():
     om = kh_report(triangle_cycle(), triangle_picard()).one_motive
     assert om.lattice_lprime == om.lattice_l == Z
-    analysis = hom_analyze(om.surjection)
+    analysis = hom_analyze(Hom(om.lattice_lprime, om.lattice_l, om.surjection_matrix))
     assert analysis.kernel.is_trivial()
     assert analysis.cokernel.is_trivial()
 
@@ -215,9 +215,9 @@ def test_assemble_extension_trivial_ends_split():
     a = GroupValue.exactly(FgAbGroup(1, (2,)))
     zero = GroupValue.exactly(ZERO_GROUP)
     ses = assemble_extension(a, zero)
-    assert ses.split and ses.total.exact and ses.total.value == a.value
+    assert ses.split and ses.total.exact and ses.total.group == a.group
     ses = assemble_extension(zero, a)
-    assert ses.split and ses.total.exact and ses.total.value == a.value
+    assert ses.split and ses.total.exact and ses.total.group == a.group
 
 
 def test_assemble_extension_free_quotient_splits():
@@ -225,7 +225,7 @@ def test_assemble_extension_free_quotient_splits():
                              GroupValue.exactly(Z))
     assert ses.split
     assert ses.total.exact
-    assert ses.total.value == FgAbGroup(1, (2,))
+    assert ses.total.group == FgAbGroup(1, (2,))
     assert ses.total.note == "split: free quotient"
 
 
@@ -234,7 +234,7 @@ def test_assemble_extension_torsion_quotient_stays_bound():
                              GroupValue.exactly(FgAbGroup(0, (2,))))
     assert not ses.split
     assert not ses.total.exact
-    assert ses.total.value == FgAbGroup(1, (2,))
+    assert ses.total.group == FgAbGroup(1, (2,))
     assert ses.total.note == "extension unresolved; rank exact"
 
 
@@ -275,30 +275,30 @@ def test_kh_report_triangle_cycle():
     units = rep.units_cohomology
     assert units.torus.is_trivial_group()
     assert units.coker_ns == Z
-    assert units.ker_beta.exact and units.ker_beta.value.is_trivial()
-    assert units.coker_pic.exact and units.coker_pic.value == Z
+    assert units.ker_beta.exact and units.ker_beta.group.is_trivial()
+    assert units.coker_pic.exact and units.coker_pic.group == Z
 
     # 0 -> coker(NS) -> KH_{1-n} -> H^{n-2} -> 0 with free quotient
-    assert rep.kh_value.sub.exact and rep.kh_value.sub.value == Z
-    assert rep.kh_value.quotient.value == Z
+    assert rep.kh_value.sub.exact and rep.kh_value.sub.group == Z
+    assert rep.kh_value.quotient.group == Z
     assert rep.kh_value.split
     assert rep.kh_value.total.exact
-    assert rep.kh_value.total.value == FgAbGroup.free(2)
+    assert rep.kh_value.total.group == FgAbGroup.free(2)
 
     assert rep.ker_alpha.ses.total.exact
-    assert rep.ker_alpha.ses.total.value.is_trivial()
+    assert rep.ker_alpha.ses.total.group.is_trivial()
     assert rep.ker_alpha.ker_ns_bound == Z
     assert rep.coker_alpha.total.exact
-    assert rep.coker_alpha.total.value == FgAbGroup.free(2)
+    assert rep.coker_alpha.total.group == FgAbGroup.free(2)
 
 
 def test_kh_report_contractible_divisor_is_trivial():
     rep = kh_report(full_simplex(), zero_picard(3, {0: Z, 1: ZERO_GROUP}))
     assert rep.kh_top.is_trivial()
     assert rep.kh_value.total.exact
-    assert rep.kh_value.total.value.is_trivial()
-    assert rep.ker_alpha.ses.total.value.is_trivial()
-    assert rep.coker_alpha.total.value.is_trivial()
+    assert rep.kh_value.total.group.is_trivial()
+    assert rep.ker_alpha.ses.total.group.is_trivial()
+    assert rep.coker_alpha.total.group.is_trivial()
 
 
 def test_kh_report_general_field_downgrades_to_bounds():
@@ -307,7 +307,7 @@ def test_kh_report_general_field_downgrades_to_bounds():
     assert not rep.kh_is_finitely_generated
     units = rep.units_cohomology
     assert not units.ker_beta.exact
-    assert units.ker_beta.value == Z
+    assert units.ker_beta.group == Z
     assert "quotient of ker(NS)" in units.ker_beta.note
     assert not units.coker_pic.exact
     assert "finitely generated part only" in units.coker_pic.note
@@ -325,11 +325,11 @@ def test_kh_report_supplied_kernel_is_taken_exactly():
     rep = kh_report(triangle_cycle(), pi, GENERAL_FIELD)
     units = rep.units_cohomology
     assert units.ker_beta.exact
-    assert units.ker_beta.value == FgAbGroup(0, (2,))
+    assert units.ker_beta.group == FgAbGroup(0, (2,))
     assert units.ker_beta.note == "supplied with input"
     ses = rep.ker_alpha.ses
-    assert ses.sub.value == FgAbGroup(0, (2,))
-    assert ses.total.exact and ses.total.value == FgAbGroup(0, (2,))
+    assert ses.sub.group == FgAbGroup(0, (2,))
+    assert ses.total.exact and ses.total.group == FgAbGroup(0, (2,))
 
 
 def test_kh_report_positive_divisible_dimension_blocks_exactness():
@@ -364,7 +364,7 @@ def test_kh_report_vanishing_h1_restores_exactness_above_three():
     assert rep.d2_top_known_zero
     assert not rep.n3_exact
     ses = rep.ker_alpha.ses
-    assert ses.quotient.exact and ses.quotient.value.is_trivial()
+    assert ses.quotient.exact and ses.quotient.group.is_trivial()
     assert "vanishes" in ses.quotient.note
     # the torus is a whole G_m, so KH_{1-n} itself is not finitely generated
     assert rep.units_cohomology.torus.rank == 1
@@ -434,7 +434,7 @@ def test_kh_value_sub_is_the_e3_corner_of_the_descent_page():
         for mode in (ALGEBRAICALLY_CLOSED, GENERAL_FIELD):
             rep = kh_report(d, pi, mode)
             sub = rep.kh_value.sub
-            assert corner.group == sub.value
+            assert corner.group == sub.group
             assert corner.exact == rep.d2_top_known_zero
             assert sub.exact == (corner.exact and rep.kh_is_finitely_generated)
             assert (("modulo the image of the degree-2 differential" in sub.note)

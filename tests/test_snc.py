@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     alt_chain_complex,
     brute_force_bad,
+    euler_characteristic,
     full_simplex,
     interval_divisor,
     parallel_curve_divisor,
@@ -25,7 +26,6 @@ from snckit import (
     blowup_stratum_component,
     build_dual_complex,
     cohomology,
-    euler_characteristic,
     find_bad_intersections,
     homology,
     resolve_to_simplicial,
