@@ -21,19 +21,16 @@ from .abgroup import FgAbGroup, Hom
 from .khasm import (
     ALGEBRAICALLY_CLOSED,
     GENERAL_FIELD,
-    ComplexViolationError,
     KhReport,
-    LevelMismatchError,
     PicardInput,
     PicardLevel,
     kh_report,
 )
 from .intmat import IntMatrix
-from .nk import DuBoisTable, MissingEntryError, NonIsolatedError, k_report
+from .nk import DuBoisTable, k_report
 from .snc import (
     DimensionBoundError,
     SncDivisor,
-    SncError,
     build_dual_complex,
     find_bad_intersections,
     resolve_to_simplicial,
@@ -47,7 +44,7 @@ COMMANDS = ("validate", "dual-complex", "cohomology", "check-simplicial",
             "resolve", "kh-report", "k-report")
 
 
-class SchemaError(Exception):
+class SchemaError(ValueError):
     """Input document deviates from the schema; carries the field path."""
 
     def __init__(self, path: str, message: str):
@@ -59,7 +56,7 @@ class UnknownIdError(SchemaError):
     pass
 
 
-class VersionError(Exception):
+class VersionError(ValueError):
     pass
 
 
@@ -182,10 +179,7 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
                 raise UnknownIdError(f"{path}.strata", f"stratum {sid!r} names unknown "
                                      f"parent {pid!r} for dropped component {dropped!r}")
 
-    try:
-        return SncDivisor.build(n, comps, strata_spec)
-    except SncError as e:
-        raise SchemaError(path, str(e))
+    return SncDivisor.build(n, comps, strata_spec)
 
 
 def _parse_group(obj: Any, path: str) -> FgAbGroup:
@@ -271,7 +265,12 @@ def _parse_dubois(block: Any, path: str) -> DuBoisTable:
 
 
 def parse_document(data: Any) -> InputDocument:
-    """Validate a decoded JSON document into typed blocks."""
+    """Check a decoded JSON document's shape and turn it into typed blocks.
+
+    Types, keys, ids and the Picard level layout are checked here; the
+    divisor's structure is checked by ``validate_snc`` where a command
+    relies on it.
+    """
     obj = _as_dict(data, "document")
     _require_keys(obj, {"version", "divisor", "picard", "dubois", "field_mode"},
                   {"version", "divisor"}, "document")
@@ -280,7 +279,6 @@ def parse_document(data: Any) -> InputDocument:
         raise VersionError(f"unsupported document version {version!r}; "
                            f"this build reads version {SUPPORTED_VERSION}")
     divisor = _parse_divisor(obj["divisor"], "divisor")
-    validate_snc(divisor)
 
     field_mode = obj.get("field_mode", ALGEBRAICALLY_CLOSED)
     field_mode = _as_str(field_mode, "field_mode").replace("-", "_")
@@ -298,7 +296,7 @@ def parse_document(data: Any) -> InputDocument:
 
 
 def parse_input(path: str) -> InputDocument:
-    """Read, decode, and fully validate an input file."""
+    """Read and decode an input file, then check it with ``parse_document``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return parse_document(json.load(fh))
@@ -421,6 +419,8 @@ def _cmd_cohomology(doc: InputDocument) -> tuple[str, dict]:
 
 
 def _cmd_check_simplicial(doc: InputDocument) -> tuple[str, dict]:
+    # the scan itself needs no valid divisor, but an invalid one exits 1
+    validate_snc(doc.divisor)
     bad, simplicial = find_bad_intersections(doc.divisor)
     if simplicial:
         text = "simplicial"
@@ -570,9 +570,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MissingBlockError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (SchemaError, VersionError, SncError, ComplexViolationError,
-            LevelMismatchError, MissingEntryError, NonIsolatedError,
-            ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # pragma: no cover - nothing should reach this

@@ -28,18 +28,18 @@ from .abgroup import (
 )
 from .chaincx import cohomology, homology
 from .intmat import IntMatrix
-from .snc import SncDivisor, build_dual_complex, validate_snc
+from .snc import SncDivisor, build_dual_complex
 
 ALGEBRAICALLY_CLOSED = "algebraically_closed"
 GENERAL_FIELD = "general"
 _FIELD_MODES = (ALGEBRAICALLY_CLOSED, GENERAL_FIELD)
 
 
-class ComplexViolationError(Exception):
+class ComplexViolationError(ValueError):
     """Consecutive Neron-Severi pullback maps do not compose to zero."""
 
 
-class LevelMismatchError(Exception):
+class LevelMismatchError(ValueError):
     """Picard data levels do not match the ambient dimension."""
 
 
@@ -111,7 +111,8 @@ class PicardLevel:
 class PicardInput:
     """User-supplied Picard-side data of the stratum levels.
 
-    Levels run over p = n-4, n-3, n-2 (the first absent when n = 3), and
+    The levels must be exactly p = n-4, n-3, n-2 in that order (the first
+    absent when n = 3), or construction raises ``LevelMismatchError``;
     ``maps`` holds the pullback map from each level to the next.  The
     cokernel dimension of the induced map on abelian-variety parts is an
     input, not something the combinatorics can know.
@@ -126,22 +127,16 @@ class PicardInput:
     def __post_init__(self) -> None:
         if self.coker_pic0_dim < 0:
             raise ValueError("negative coker(Pic^0) dimension")
-        if len(self.levels) < 2:
-            raise ValueError("need at least the levels n-3 and n-2")
         ps = [lv.p for lv in self.levels]
-        if ps != sorted(ps) or len(set(ps)) != len(ps):
-            raise ValueError(f"levels must be strictly increasing, got {ps}")
-        if ps != list(range(ps[0], ps[0] + len(ps))):
-            raise ValueError(f"levels must be consecutive, got {ps}")
+        want = list(range(self.n - 3 if self.n == 3 else self.n - 4, self.n - 1))
+        if ps != want:
+            raise LevelMismatchError(f"expected levels {want}, got {ps}")
         if len(self.maps) != len(self.levels) - 1:
             raise ValueError(
                 f"{len(self.maps)} maps for {len(self.levels)} levels")
         for k, h in enumerate(self.maps):
             if h.source != self.levels[k].ns or h.target != self.levels[k + 1].ns:
                 raise ValueError(f"map {k} does not join levels {ps[k]} and {ps[k + 1]}")
-
-    def levels_expected_for(self, n: int) -> set[int]:
-        return {n - 3, n - 2} if n == 3 else {n - 4, n - 3, n - 2}
 
 
 def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
@@ -316,16 +311,10 @@ def kh_report(d: SncDivisor, pi: PicardInput,
     """Assemble the full degree 1-n report from divisor plus Picard data."""
     if field_mode not in _FIELD_MODES:
         raise ValueError(f"unknown field mode {field_mode!r}")
-    validate_snc(d)
+    cx = build_dual_complex(d).chain_complex()
     n = d.n
     if pi.n != n:
         raise LevelMismatchError(f"Picard data is for n = {pi.n}, divisor has n = {n}")
-    have = {lv.p for lv in pi.levels}
-    want = pi.levels_expected_for(n)
-    if have != want:
-        raise LevelMismatchError(f"expected levels {sorted(want)}, got {sorted(have)}")
-
-    cx = build_dual_complex(d).chain_complex()
     top = cohomology(cx, n - 1)
     hn3 = cohomology(cx, n - 3)
     hn2 = cohomology(cx, n - 2)

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from .khasm import KhReport
 
 
-class MissingEntryError(Exception):
+class MissingEntryError(ValueError):
     """A required Du Bois entry is absent from the table."""
 
 
-class NonIsolatedError(Exception):
+class NonIsolatedError(ValueError):
     """Du Bois bookkeeping is only defined at isolated singular points."""
 
 

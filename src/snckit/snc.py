@@ -30,7 +30,7 @@ from .chaincx import ChainComplex
 from .intmat import IntMatrix
 
 
-class SncError(Exception):
+class SncError(ValueError):
     """Base class for malformed or inconsistent divisor data."""
 
 
@@ -105,15 +105,11 @@ class SncDivisor:
         """Assemble a divisor, sorting each subset by component order."""
         comps = tuple(components)
         order = {c: i for i, c in enumerate(comps)}
-        if len(order) != len(comps):
-            raise DuplicateIdError("duplicate component id")
         out = []
         for sid, subset, parents in strata:
             for c in subset:
                 if c not in order:
                     raise SncError(f"stratum {sid} references unknown component {c!r}")
-            if len(set(subset)) != len(tuple(subset)):
-                raise SncError(f"stratum {sid} repeats a component in its subset")
             out.append(Stratum(sid, tuple(sorted(subset, key=order.__getitem__)),
                                dict(parents)))
         return cls(n, comps, tuple(out))
@@ -158,6 +154,8 @@ def validate_snc(d: SncDivisor) -> None:
         for c in s.subset:
             if c not in order:
                 raise SncError(f"stratum {s.id} references unknown component {c!r}")
+        if len(set(s.subset)) != len(s.subset):
+            raise SncError(f"stratum {s.id} repeats a component in its subset")
         if list(s.subset) != sorted(s.subset, key=order.__getitem__):
             raise SncError(f"stratum {s.id} subset is not in component order")
 
@@ -241,7 +239,12 @@ def _face_cell(by_id: Mapping[str, Stratum], s: Stratum, keep: Sequence[str]) ->
 
 
 def build_dual_complex(d: SncDivisor) -> DualComplex:
-    """One vertex per component, one (|I|-1)-cell per stratum component."""
+    """One vertex per component, one (|I|-1)-cell per stratum component.
+
+    The divisor is checked with ``validate_snc`` first, so an invalid one
+    raises ``SncError`` rather than giving a wrong complex.
+    """
+    validate_snc(d)
     layers: list[list[DualCell]] = [
         [DualCell(c, 0, (c,)) for c in d.components]]
     max_depth = max((s.depth for s in d.strata), default=1)
@@ -311,11 +314,13 @@ class _StrataIndex:
     subsets (those carrying two or more ids) and the running count of
     stratum components on bad subsets.  ``add`` and ``remove`` keep all of
     these current, so a blowup costs time in the size of its star and of
-    the cells it adds, not in the size of the divisor.  The divisor must
-    pass ``validate_snc``.
+    the cells it adds, not in the size of the divisor.  It runs
+    ``validate_snc`` on the divisor it is built from, so the blowups and the
+    resolution loop raise ``SncError`` on an invalid one.
     """
 
     def __init__(self, d: SncDivisor):
+        validate_snc(d)
         self.n = d.n
         self.components = list(d.components)
         self.order = d.component_order()

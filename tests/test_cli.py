@@ -18,7 +18,7 @@ from helpers import (
     random_divisor,
     triangle_cycle,
 )
-from snckit import resolve_to_simplicial
+from snckit import cli, resolve_to_simplicial, snc
 from snckit.cli import (
     COMMANDS,
     InputDocument,
@@ -33,6 +33,9 @@ from snckit.cli import (
     parse_input,
     run,
 )
+from snckit.khasm import ComplexViolationError, LevelMismatchError
+from snckit.nk import MissingEntryError, NonIsolatedError
+from snckit.snc import SncError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TRIANGLE = FIXTURES / "triangle_cycle.json"
@@ -399,6 +402,67 @@ def test_exit_one_on_a_picard_block_below_n_3(capsys, tmp_path):
         assert main(["--input", write_doc(tmp_path, data), "--command", command]) == 1
         err = capsys.readouterr().err
         assert "error: picard: Picard data needs n >= 3, the divisor has n = 2" in err
+
+
+def test_validate_checks_the_picard_levels_as_the_reports_do(capsys, tmp_path):
+    data = load(SPHERE4)
+    for level in data["picard"]["levels"]:
+        level["p"] += 1
+    for command in ("validate", "kh-report"):
+        assert main(["--input", write_doc(tmp_path, data), "--command", command]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: picard: expected levels [0, 1, 2], got [1, 2, 3]\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_validates_the_divisor_once(monkeypatch, capsys, command):
+    calls = []
+    real = snc.validate_snc
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    # every module that imported the name, not only the one defining it
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "snckit" and getattr(module, "validate_snc", None) is real:
+            monkeypatch.setattr(module, "validate_snc", counting)
+    assert main(["--input", str(SPHERE4), "--command", command]) == 0
+    assert len(calls) == 1
+
+
+def test_a_missing_block_is_reported_before_the_divisor_is_checked(capsys, tmp_path):
+    data = load(SPHERE4)
+    del data["picard"]
+    triple = next(g for g in data["divisor"]["strata"] if len(g["subset"]) == 3)
+    triple["components"][0]["parents"].popitem()
+    path = write_doc(tmp_path, data)
+    for command in COMMANDS:
+        code = 2 if command in ("kh-report", "k-report") else 1
+        assert main(["--input", path, "--command", command]) == code
+        err = capsys.readouterr().err
+        assert ("needs the 'picard' block" if code == 2
+                else "must name one parent per dropped component") in err
+
+
+@pytest.mark.parametrize("error, code", [
+    (SchemaError("divisor", "bad"), 1),
+    (VersionError("bad"), 1),
+    (SncError("bad"), 1),
+    (ComplexViolationError("bad"), 1),
+    (LevelMismatchError("bad"), 1),
+    (MissingEntryError("bad"), 1),
+    (NonIsolatedError("bad"), 1),
+    (MissingBlockError("picard", "kh-report"), 2),
+], ids=lambda x: type(x).__name__ if isinstance(x, Exception) else None)
+def test_input_errors_exit_one_and_a_missing_block_exits_two(
+        monkeypatch, capsys, error, code):
+    def fail(*_):
+        raise error
+
+    monkeypatch.setattr(cli, "run", fail)
+    assert main(["--input", str(TRIANGLE), "--command", "validate"]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_exit_one_on_deeply_nested_json(capsys, tmp_path):

@@ -110,10 +110,13 @@ def test_picard_input_rejects_malformed_levels():
 
 
 def test_expected_levels_depend_on_dimension():
-    pi = triangle_picard()
-    assert pi.levels_expected_for(3) == {0, 1}
-    assert pi.levels_expected_for(4) == {0, 1, 2}
-    assert pi.levels_expected_for(6) == {2, 3, 4}
+    for n, want in ((3, [0, 1]), (4, [0, 1, 2]), (6, [2, 3, 4])):
+        pi = zero_picard(n, dict.fromkeys(want, Z))
+        assert [lv.p for lv in pi.levels] == want
+        shifted = [p + 1 for p in want]
+        with pytest.raises(LevelMismatchError) as err:
+            zero_picard(n, dict.fromkeys(shifted, Z))
+        assert str(err.value) == f"expected levels {want}, got {shifted}"
 
 
 # ---------------------------------------------------------------------------

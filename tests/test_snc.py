@@ -81,7 +81,7 @@ def test_dimension_bounds():
 
 def test_duplicate_ids_rejected():
     with pytest.raises(DuplicateIdError):
-        SncDivisor.build(3, ["1", "1"], [])
+        validate_snc(SncDivisor.build(3, ["1", "1"], []))
     with pytest.raises(DuplicateIdError):
         validate_snc(SncDivisor.build(3, ["1", "2"], [
             ("c", ("1", "2"), {}),
@@ -565,7 +565,15 @@ def test_build_rejects_unknown_and_repeated_components():
     with pytest.raises(SncError):
         SncDivisor.build(3, ["a"], [("c", ("a", "z"), {})])
     with pytest.raises(SncError):
-        SncDivisor.build(3, ["a", "b"], [("c", ("a", "a"), {})])
+        validate_snc(SncDivisor.build(3, ["a", "b"], [("c", ("a", "a"), {})]))
+
+
+def test_a_stratum_repeating_a_component_is_invalid():
+    # Unchecked, the dual complex would get a 1-cell with zero boundary.
+    d = SncDivisor(3, ("A", "B"), (Stratum("s", ("A", "A")),))
+    for check in (validate_snc, build_dual_complex, resolve_to_simplicial):
+        with pytest.raises(SncError, match="repeats a component"):
+            check(d)
 
 
 def test_simplex_divisor_helper_matches_counts():
