@@ -1,7 +1,8 @@
 """Bounded chain complexes of free abelian groups and spectral pages.
 
 A complex stores one free rank per degree on a contiguous range, plus the
-boundary matrices between adjacent degrees.  Homology and cohomology come
+boundary maps between adjacent degrees as sparse signed incidence: one
+column of (face, coefficient) pairs per cell.  Homology and cohomology come
 out in canonical form.  Both are read off the Smith diagonals of the
 boundaries, which each complex computes at most once and keeps; cohomology
 follows from them by universal coefficients, with no transposed complex.
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .abgroup import FgAbGroup, Hom, compose, subquotient
-from .intmat import IntMatrix, smith_diagonal
+from .intmat import sparse_smith_diagonal
 
 
 class SupportViolationError(Exception):
@@ -33,12 +34,15 @@ class ChainComplex:
     """Free chain complex on degrees lowest_degree .. lowest_degree + len - 1.
 
     ``boundaries[k]`` is the boundary map out of degree lowest_degree + k + 1
-    into degree lowest_degree + k, so it has shape ranks[k] × ranks[k + 1].
+    into degree lowest_degree + k: one column per cell of the upper degree,
+    each a tuple of (face, coefficient) pairs with faces strictly increasing
+    and below ranks[k], and coefficients nonzero.  That form is canonical,
+    so equality and hashing mean equality of the maps.
     """
 
     lowest_degree: int
     ranks: tuple[int, ...]
-    boundaries: tuple[IntMatrix, ...]
+    boundaries: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
     # Smith diagonals by boundary index, filled on first use; not part of
     # the value, so equality, hashing and construction ignore it.
     _diagonals: dict[int, tuple[int, ...]] = field(
@@ -49,12 +53,16 @@ class ChainComplex:
         if len(self.boundaries) != expected:
             raise ValueError(
                 f"{len(self.boundaries)} boundary maps for {len(self.ranks)} degrees")
-        for k, b in enumerate(self.boundaries):
-            want = (self.ranks[k], self.ranks[k + 1])
-            if b.shape != want:
+        for k, columns in enumerate(self.boundaries):
+            below = self.ranks[k]
+            if len(columns) != self.ranks[k + 1] or not all(
+                    all(x and -1 < f < below for f, x in col)
+                    and all(a[0] < b[0] for a, b in zip(col, col[1:]))
+                    for col in columns):
                 raise ValueError(
-                    f"boundary out of degree {self.lowest_degree + k + 1} has shape "
-                    f"{b.shape}, expected {want}")
+                    f"boundary out of degree {self.lowest_degree + k + 1} is not "
+                    f"{self.ranks[k + 1]} columns of nonzero entries on faces "
+                    f"increasing below {below}")
 
     @property
     def degrees(self) -> range:
@@ -64,13 +72,6 @@ class ChainComplex:
         if d in self.degrees:
             return self.ranks[d - self.lowest_degree]
         return 0
-
-    def boundary(self, d: int) -> IntMatrix:
-        """The map from degree d to degree d - 1 (zero outside the range)."""
-        k = d - self.lowest_degree - 1
-        if 0 <= k < len(self.boundaries):
-            return self.boundaries[k]
-        return IntMatrix.zero(self.rank(d - 1), self.rank(d))
 
     def diagonal(self, d: int) -> tuple[int, ...]:
         """Smith diagonal of the boundary out of degree d, computed once.
@@ -82,7 +83,10 @@ class ChainComplex:
             return ()
         diag = self._diagonals.get(k)
         if diag is None:
-            diag = self._diagonals[k] = smith_diagonal(self.boundaries[k])
+            # A matrix and its transpose share their invariant factors, so
+            # the columns go in as the rows.
+            diag = self._diagonals[k] = sparse_smith_diagonal(
+                self.boundaries[k], self.ranks[k])
         return diag
 
 
@@ -110,10 +114,10 @@ def cohomology(c: ChainComplex, i: int) -> FgAbGroup:
     H_{i-1}, the invariant factors above 1 of the boundary out of degree i,
     whose transpose is the coboundary into degree i.
 
-    >>> circle = ChainComplex(0, (1, 1), (IntMatrix.zero(1, 1),))
+    >>> circle = ChainComplex(0, (1, 1), (((),),))
     >>> str(cohomology(circle, 1))
     'Z'
-    >>> rp2 = ChainComplex(0, (1, 1, 1), (IntMatrix.zero(1, 1), IntMatrix([[2]])))
+    >>> rp2 = ChainComplex(0, (1, 1, 1), (((),), (((0, 2),),)))
     >>> [str(cohomology(rp2, i)) for i in range(3)]
     ['Z', '0', 'Z/2']
     """

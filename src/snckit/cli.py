@@ -326,9 +326,7 @@ def _report_json(x: Any) -> Any:
 def divisor_json(d: SncDivisor) -> dict:
     """Emit a divisor block that parses back to an equal divisor."""
     index = d.component_order()
-    groups: dict[tuple[str, ...], list] = {}
-    for s in d.strata:
-        groups.setdefault(s.subset, []).append(s)
+    groups = d.by_subset()
     out = []
     for subset in sorted(groups, key=lambda sub: (len(sub), tuple(index[c] for c in sub))):
         members = []

@@ -11,8 +11,8 @@ forming a divisibility chain.  The elimination also keeps U^{-1} up to date,
 mirroring every row move on U as the inverse column move, so no caller ever
 inverts U with a second Smith form.  On top of it sit the standard lattice
 primitives: integer kernels, exact linear solves, and column-span bases.
-Callers that need only the invariant factors use :func:`smith_diagonal`,
-which builds no transforms at all.
+Callers that need only the invariant factors use :func:`sparse_smith_diagonal`,
+which builds no transforms and takes the sparse rows that boundaries come in.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ class IntMatrix:
     """An immutable rectangular matrix of Python integers.
 
     Rows are stored as a tuple of tuples.  The number of columns is kept
-    explicitly so that matrices with zero rows or zero columns (which occur
-    constantly as boundary maps of complexes that start or stop) behave
-    sensibly.
+    explicitly so that matrices with zero rows or zero columns (an empty
+    relation matrix, a Picard map from a zero group) behave sensibly.
 
     >>> a = IntMatrix([[1, 2], [3, 4]])
     >>> a @ IntMatrix.identity(2) == a
@@ -440,31 +439,28 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                      IntMatrix(v, ncols=nc), IntMatrix(zip(*u_inv_t), ncols=nr))
 
 
-def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
-    """The diagonal of the Smith form, without the transforms.
+def sparse_smith_diagonal(rows: Iterable[Iterable[tuple[int, int]]],
+                          ncols: int) -> tuple[int, ...]:
+    """The Smith diagonal of a matrix given as sparse rows, without transforms.
 
-    The result is canonical (invariant factors are unique), which frees
-    this path to run a cheaper elimination than smith_normal_form: unit
-    entries split off a diag(1) summand after one sparse column clearing,
-    and only the leftover block goes through the dense routine.  Incidence
-    matrices, which are almost entirely unit entries, reduce in roughly
-    linear time this way.
+    Row i lists its nonzero entries as (column, entry) pairs, each column
+    below ``ncols`` at most once.  The result is canonical (invariant
+    factors are unique), which frees this path to run a cheaper elimination
+    than smith_normal_form: unit entries split off a diag(1) summand after
+    one sparse column clearing, and only the leftover block goes through
+    the dense routine.  Incidence matrices, which are almost entirely unit
+    entries, reduce in roughly linear time this way.
     """
-    nr, nc = a.shape
-    rows: list[dict[int, int]] = []
-    cols: dict[int, set[int]] = {j: set() for j in range(nc)}
+    work = [dict(row) for row in rows]
+    cols: list[set[int]] = [set() for _ in range(ncols)]
     ones: list[tuple[int, int]] = []
-    for i in range(nr):
-        row = {}
-        for j, x in enumerate(a.row(i)):
-            if x:
-                row[j] = x
-                cols[j].add(i)
-                if x in (1, -1):
-                    ones.append((i, j))
-        rows.append(row)
-    alive_rows = set(range(nr))
-    alive_cols = set(range(nc))
+    for i, row in enumerate(work):
+        for j, x in row.items():
+            cols[j].add(i)
+            if x in (1, -1):
+                ones.append((i, j))
+    alive_rows = set(range(len(work)))
+    alive_cols = set(range(ncols))
     units = 0
     head = 0
     while head < len(ones):
@@ -472,15 +468,15 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
         head += 1
         if i not in alive_rows or j not in alive_cols:
             continue
-        val = rows[i].get(j, 0)
+        val = work[i].get(j, 0)
         if val not in (1, -1):
             continue
-        pivot_row = rows[i]
+        pivot_row = work[i]
         for k in list(cols[j]):
             if k == i or k not in alive_rows:
                 continue
-            q = rows[k][j] * val
-            target = rows[k]
+            q = work[k][j] * val
+            target = work[k]
             for jj, x in pivot_row.items():
                 if jj not in alive_cols:
                     continue
@@ -499,10 +495,16 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
         units += 1
     sub_rows = sorted(alive_rows)
     sub_cols = sorted(alive_cols)
-    m = [[rows[i].get(j, 0) for j in sub_cols] for i in sub_rows]
+    m = [[work[i].get(j, 0) for j in sub_cols] for i in sub_rows]
     _eliminate(m, len(sub_rows), len(sub_cols), None, None, None)
     rest = tuple(m[i][i] for i in range(min(len(sub_rows), len(sub_cols))))
     return (1,) * units + rest
+
+
+def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
+    """The diagonal of the Smith form of a dense matrix, without transforms."""
+    return sparse_smith_diagonal(
+        [[(j, x) for j, x in enumerate(row) if x] for row in a.rows()], a.ncols)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:

@@ -113,7 +113,8 @@ class PicardInput:
 
     The levels must be exactly p = n-4, n-3, n-2 in that order (the first
     absent when n = 3), or construction raises ``LevelMismatchError``;
-    ``maps`` holds the pullback map from each level to the next.  The
+    ``maps`` holds the pullback map from each level to the next, and two
+    maps must compose to zero, or it raises ``ComplexViolationError``.  The
     cokernel dimension of the induced map on abelian-variety parts is an
     input, not something the combinatorics can know.
     """
@@ -137,6 +138,9 @@ class PicardInput:
         for k, h in enumerate(self.maps):
             if h.source != self.levels[k].ns or h.target != self.levels[k + 1].ns:
                 raise ValueError(f"map {k} does not join levels {ps[k]} and {ps[k + 1]}")
+        if len(self.maps) == 2 and not compose(self.maps[1], self.maps[0]).is_zero():
+            raise ComplexViolationError(
+                f"NS maps do not compose to zero between levels {ps[0]} and {ps[2]}")
 
 
 def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
@@ -150,15 +154,8 @@ def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
     once, and both solves share its Smith form.
     """
     main = pi.maps[-1]
-    if len(pi.maps) >= 2:
-        below = pi.maps[-2]
-        if not compose(main, below).is_zero():
-            raise ComplexViolationError(
-                "NS maps do not compose to zero between levels "
-                f"{pi.levels[-3].p} and {pi.levels[-1].p}")
-        incoming = below.matrix
-    else:
-        incoming = IntMatrix.zero(main.source.ngens, 0)
+    incoming = (pi.maps[0].matrix if len(pi.maps) == 2
+                else IntMatrix.zero(main.source.ngens, 0))
 
     lat = preimage_lattice(main)
     r_mid = presentation_matrix(main.source)

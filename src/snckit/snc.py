@@ -27,7 +27,6 @@ from itertools import combinations
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .chaincx import ChainComplex
-from .intmat import IntMatrix
 
 
 class SncError(ValueError):
@@ -197,7 +196,6 @@ def validate_snc(d: SncDivisor) -> None:
 @dataclass(frozen=True)
 class DualCell:
     id: str
-    dimension: int
     vertices: tuple[str, ...]
 
 
@@ -205,24 +203,19 @@ class DualCell:
 class DualComplex:
     """CW model of the divisor: cells per dimension plus signed incidence.
 
-    ``incidence`` maps the id of each cell of dimension >= 1 to the list of
-    (face cell id, sign) pairs obtained by dropping each vertex in turn.
+    ``boundaries[k]`` lists, for each cell of dimension k + 1 in order, its
+    faces as (position in ``cells[k]``, sign) pairs sorted by position: the
+    face opposite the m-th vertex carries the sign (-1)^m.  This is the
+    boundary form ``ChainComplex`` takes, so ``chain_complex`` copies
+    nothing.
     """
 
     cells: tuple[tuple[DualCell, ...], ...]
-    incidence: dict[str, tuple[tuple[str, int], ...]]
+    boundaries: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
     def chain_complex(self) -> ChainComplex:
-        ranks = tuple(len(layer) for layer in self.cells)
-        boundaries = []
-        for dim in range(1, len(self.cells)):
-            pos = {c.id: i for i, c in enumerate(self.cells[dim - 1])}
-            m = [[0] * len(self.cells[dim]) for _ in range(len(self.cells[dim - 1]))]
-            for col, cell in enumerate(self.cells[dim]):
-                for face_id, sign in self.incidence[cell.id]:
-                    m[pos[face_id]][col] += sign
-            boundaries.append(IntMatrix(m, ncols=len(self.cells[dim])))
-        return ChainComplex(0, ranks, tuple(boundaries))
+        return ChainComplex(0, tuple(len(layer) for layer in self.cells),
+                            self.boundaries)
 
 
 def _face_cell(by_id: Mapping[str, Stratum], s: Stratum, keep: Sequence[str]) -> str:
@@ -245,23 +238,18 @@ def build_dual_complex(d: SncDivisor) -> DualComplex:
     raises ``SncError`` rather than giving a wrong complex.
     """
     validate_snc(d)
-    layers: list[list[DualCell]] = [
-        [DualCell(c, 0, (c,)) for c in d.components]]
+    layers = [tuple(DualCell(c, (c,)) for c in d.components)]
+    boundaries = []
     max_depth = max((s.depth for s in d.strata), default=1)
     for depth in range(2, max_depth + 1):
-        layers.append([DualCell(s.id, depth - 1, s.subset)
-                       for s in d.strata if s.depth == depth])
-    incidence: dict[str, tuple[tuple[str, int], ...]] = {}
-    for s in d.strata:
-        faces = []
-        for m, dropped in enumerate(s.subset):
-            if s.depth == 2:
-                face_id = s.subset[1 - m]
-            else:
-                face_id = s.parents[dropped]
-            faces.append((face_id, (-1) ** m))
-        incidence[s.id] = tuple(faces)
-    return DualComplex(tuple(tuple(layer) for layer in layers), incidence)
+        pos = {cell.id: i for i, cell in enumerate(layers[-1])}
+        layer = [s for s in d.strata if s.depth == depth]
+        boundaries.append(tuple(
+            tuple(sorted((pos[s.subset[1 - m] if depth == 2 else s.parents[c]],
+                          (-1) ** m) for m, c in enumerate(s.subset)))
+            for s in layer))
+        layers.append(tuple(DualCell(s.id, s.subset) for s in layer))
+    return DualComplex(tuple(layers), tuple(boundaries))
 
 
 class BadIntersections(NamedTuple):

@@ -9,7 +9,9 @@ Smith transforms from a second Smith form instead of the tracked inverse,
 chain complexes straight off the strata, and the E_3 corner of the KH
 report from an assembled two-row descent page.  Small conveniences that
 only tests call (``hom_analyze``, ``validate_complex``,
-``euler_characteristic``, ``kh_top``) live here too.
+``euler_characteristic``, ``kh_top``) live here too, as does the dense
+view of sparse boundaries: ``complex_from_matrices`` builds a complex from
+dense matrices and ``boundary_matrix`` reads a boundary back as one.
 """
 from __future__ import annotations
 
@@ -504,6 +506,29 @@ def brute_force_bad(d: SncDivisor) -> tuple[dict[frozenset[str], int], bool]:
     return dup, not dup
 
 
+def complex_from_matrices(lowest_degree: int, ranks, matrices) -> ChainComplex:
+    """A ChainComplex whose boundaries are given as dense integer matrices.
+
+    Each matrix becomes the sparse form ``ChainComplex`` takes: one column
+    per cell of the upper degree, listing its nonzero entries by row.
+    """
+    return ChainComplex(lowest_degree, tuple(ranks), tuple(
+        tuple(tuple((i, x) for i, x in enumerate(m.column(j)) if x)
+              for j in range(m.ncols))
+        for m in matrices))
+
+
+def boundary_matrix(c: ChainComplex, d: int) -> IntMatrix:
+    """The boundary out of degree d as a dense matrix (zero outside the range)."""
+    m = [[0] * c.rank(d) for _ in range(c.rank(d - 1))]
+    k = d - c.lowest_degree - 1
+    if 0 <= k < len(c.boundaries):
+        for j, column in enumerate(c.boundaries[k]):
+            for i, x in column:
+                m[i][j] = x
+    return IntMatrix(m, ncols=c.rank(d))
+
+
 def alt_chain_complex(d: SncDivisor) -> ChainComplex:
     """The alternating-face chain complex read straight off the strata.
 
@@ -530,7 +555,7 @@ def alt_chain_complex(d: SncDivisor) -> ChainComplex:
                 face = s.subset[1 - k] if s.depth == 2 else s.parents[dropped]
                 m[pos[face]][col] += (-1) ** k
         boundaries.append(IntMatrix(m, ncols=len(layer_ids[p])))
-    return ChainComplex(0, ranks, tuple(boundaries))
+    return complex_from_matrices(0, ranks, boundaries)
 
 
 class NonComplexError(Exception):
@@ -548,7 +573,7 @@ def validate_complex(c: ChainComplex) -> None:
     boundary(d - 1) @ boundary(d) failed.
     """
     for d in c.degrees:
-        if not (c.boundary(d - 1) @ c.boundary(d)).is_zero():
+        if not (boundary_matrix(c, d - 1) @ boundary_matrix(c, d)).is_zero():
             raise NonComplexError(d)
 
 
@@ -569,9 +594,9 @@ def dualize(c: ChainComplex) -> ChainComplex:
     where snckit reads cohomology off the boundary diagonals instead.
     """
     ranks = tuple(reversed(c.ranks))
-    boundaries = tuple(b.transpose() for b in reversed(c.boundaries))
+    boundaries = [boundary_matrix(c, d).transpose() for d in reversed(c.degrees[1:])]
     top = c.lowest_degree + len(c.ranks) - 1
-    return ChainComplex(-top, ranks, boundaries)
+    return complex_from_matrices(-top, ranks, boundaries)
 
 
 def one_row_page(cx: ChainComplex) -> SpectralPage:
@@ -583,7 +608,7 @@ def one_row_page(cx: ChainComplex) -> SpectralPage:
         if r:
             entries[(p, 0)] = FgAbGroup.free(r)
     for p in range(len(ranks) - 1):
-        delta = cx.boundaries[p].transpose()
+        delta = boundary_matrix(cx, cx.lowest_degree + p + 1).transpose()
         diffs[(p, 0)] = Hom(FgAbGroup.free(ranks[p]),
                             FgAbGroup.free(ranks[p + 1]), delta)
     support = frozenset((p, 0) for p in range(len(ranks)))

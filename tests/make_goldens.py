@@ -55,7 +55,7 @@ def cases() -> list[tuple[str, Path, str]]:
 
 def branch_documents() -> dict[str, dict]:
     """The branch documents by name (see the module docstring)."""
-    from helpers import four_cycle, rp2_divisor, triangle_cycle
+    from helpers import boundary_matrix, four_cycle, rp2_divisor, triangle_cycle
     from snckit import build_dual_complex
     from snckit.cli import divisor_json
 
@@ -73,7 +73,7 @@ def branch_documents() -> dict[str, dict]:
 
     rp2 = rp2_divisor()
     # NS of the components pulled back to the double curves: the coboundary.
-    coboundary = build_dual_complex(rp2).chain_complex().boundaries[0].transpose()
+    coboundary = boundary_matrix(build_dual_complex(rp2).chain_complex(), 1).transpose()
     rp2_levels, rp2_maps = [(0, 6), (1, 15)], [coboundary.to_lists()]
     triangle_levels = [(0, 3), (1, 3)]
     triangle_maps = [[[1, -1, 0], [1, 0, -1], [0, 1, -1]]]
@@ -94,6 +94,19 @@ def branch_documents() -> dict[str, dict]:
     }
 
 
+def input_documents() -> dict[str, str]:
+    """File name and text of every generated input document, as written."""
+    sys.path.insert(0, str(HERE))
+    from helpers import dense_picard_document
+
+    docs = {f"dense-picard-{seed:02d}.json":
+            dense_picard_document(random.Random(seed), rank)
+            for seed, rank in enumerate(DENSE_RANKS)}
+    docs.update((f"{name}.json", doc) for name, doc in branch_documents().items())
+    return {name: json.dumps(doc, separators=(",", ":")) + "\n"
+            for name, doc in docs.items()}
+
+
 def run_case(path: Path, command: str) -> tuple[int, bytes, bytes]:
     """Exit code, stdout and stderr of one in-process CLI run."""
     from snckit.cli import main
@@ -105,17 +118,9 @@ def run_case(path: Path, command: str) -> tuple[int, bytes, bytes]:
 
 
 def main() -> None:
-    sys.path.insert(0, str(HERE))
-    from helpers import dense_picard_document
-
     INPUTS.mkdir(parents=True, exist_ok=True)
-    for seed, rank in enumerate(DENSE_RANKS):
-        doc = dense_picard_document(random.Random(seed), rank)
-        (INPUTS / f"dense-picard-{seed:02d}.json").write_text(
-            json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
-    for name, doc in branch_documents().items():
-        (INPUTS / f"{name}.json").write_text(
-            json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
+    for name, text in input_documents().items():
+        (INPUTS / name).write_text(text, encoding="utf-8")
     codes = {}
     for name, path, command in cases():
         rc, out, err = run_case(path, command)

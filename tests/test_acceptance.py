@@ -14,6 +14,7 @@ import pytest
 
 from helpers import (
     brute_force_bad,
+    complex_from_matrices,
     minors_invariant_factors,
     one_row_page,
     random_divisor,
@@ -99,7 +100,7 @@ def test_criterion_2_cohomology_oracle_suite():
                 for k in range(len(cell)):
                     m[pos[cell[:k] + cell[k + 1:]]][col] += (-1) ** k
             boundaries.append(IntMatrix(m, ncols=len(cells[d])))
-        return ChainComplex(0, tuple(len(c) for c in cells), tuple(boundaries))
+        return complex_from_matrices(0, [len(c) for c in cells], boundaries)
 
     start = time.perf_counter()
     suite = [
@@ -107,9 +108,9 @@ def test_criterion_2_cohomology_oracle_suite():
         (simplex_boundary(2, full=True), (Z, ZERO_GROUP, ZERO_GROUP)),
         (simplex_boundary(3), (Z, ZERO_GROUP, Z)),          # 2-sphere
         (simplex_boundary(4), (Z, ZERO_GROUP, ZERO_GROUP, Z)),
-        (ChainComplex(0, (2, 2), (IntMatrix([[-1, -1], [1, 1]]),)), (Z, Z)),
-        (ChainComplex(0, (1, 2, 1), (IntMatrix.zero(1, 2),
-                                     IntMatrix.zero(2, 1))),
+        (complex_from_matrices(0, (2, 2), [IntMatrix([[-1, -1], [1, 1]])]), (Z, Z)),
+        (complex_from_matrices(0, (1, 2, 1), [IntMatrix.zero(1, 2),
+                                              IntMatrix.zero(2, 1)]),
          (Z, FgAbGroup.free(2), Z)),                        # 2-torus
     ]
     for cx, expected in suite:

@@ -414,6 +414,17 @@ def test_validate_checks_the_picard_levels_as_the_reports_do(capsys, tmp_path):
         assert err == "error: picard: expected levels [0, 1, 2], got [1, 2, 3]\n"
 
 
+def test_validate_checks_that_the_ns_maps_compose_as_the_reports_do(capsys, tmp_path):
+    data = load(SPHERE4)
+    for rows in data["picard"]["ns_maps"]:
+        rows[0][0] = 1
+    for command in ("validate", "kh-report", "k-report"):
+        assert main(["--input", write_doc(tmp_path, data), "--command", command]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: picard: NS maps do not compose to zero between "
+                       "levels 0 and 2\n")
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_every_command_validates_the_divisor_once(monkeypatch, capsys, command):
     calls = []

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from make_goldens import GOLDEN, cases, run_case
+from make_goldens import GOLDEN, INPUTS, cases, input_documents, run_case
 
 CASES = cases()
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
@@ -15,6 +15,13 @@ EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8")
 
 def test_every_case_has_a_golden():
     assert sorted(name for name, _, _ in CASES) == sorted(EXIT_CODES)
+
+
+def test_golden_inputs_regenerate_byte_for_byte():
+    docs = input_documents()
+    assert sorted(docs) == sorted(p.name for p in INPUTS.iterdir())
+    for name, text in docs.items():
+        assert text.encode("utf-8") == (INPUTS / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("name,path,command", CASES, ids=[c[0] for c in CASES])

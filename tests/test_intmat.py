@@ -14,7 +14,7 @@ from helpers import (
     unimodular_inverse,
 )
 from snckit import IntMatrix, SmithForm, smith_diagonal, smith_normal_form
-from snckit.intmat import column_lattice, kernel_basis
+from snckit.intmat import column_lattice, kernel_basis, sparse_smith_diagonal
 
 
 def test_spec_example_diag_2_4():
@@ -73,10 +73,22 @@ def test_snf_matches_sympy():
 
 
 def test_smith_diagonal_agrees_with_full_form():
+    # Chain complexes hand their boundaries to the sweep column by column,
+    # that is as the transpose, so the transpose must give A's diagonal too.
     rng = random.Random(5)
-    for _ in range(800):
-        a = random_matrix(rng, span=12)
-        assert smith_diagonal(a) == smith_normal_form(a).diagonal
+    named = [IntMatrix.zero(0, 0), IntMatrix.zero(0, 3), IntMatrix.zero(3, 0),
+             IntMatrix.zero(2, 4), IntMatrix([[2, 4, 6], [6, 8, 10]]),
+             IntMatrix([[0, 3], [6, 0], [0, 9]]), IntMatrix([[1, 2, 3, 4]])]
+    matrices = named + [random_matrix(rng, span=12) for _ in range(800)]
+    for a in matrices:
+        want = smith_normal_form(a).diagonal
+        assert smith_diagonal(a) == want
+        assert smith_diagonal(a.transpose()) == want
+        columns = [[(i, x) for i, x in enumerate(a.column(j)) if x]
+                   for j in range(a.ncols)]
+        assert sparse_smith_diagonal(columns, a.nrows) == want
+    assert sum(a.nrows != a.ncols for a in matrices) >= 500
+    assert sum(any(x > 1 for x in smith_diagonal(a)) for a in matrices) >= 100
 
 
 def test_det_against_cofactor_expansion():

@@ -195,7 +195,8 @@ def test_parallel_edges_dual_complex():
 
 def test_edge_boundary_orientation():
     dc = build_dual_complex(interval_divisor())
-    assert dc.incidence["c"] == (("2", 1), ("1", -1))
+    # the edge c on vertices 1 < 2 has boundary 2 - 1; vertex 1 sits at 0
+    assert dc.boundaries == ((((0, -1), (1, 1)),),)
 
 
 def test_dual_equals_alternating_complex_everywhere():
