@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, fields, is_dataclass
+from json.encoder import encode_basestring
 from typing import Any, Sequence
 
 from .abgroup import FgAbGroup, Hom
@@ -328,14 +329,13 @@ def divisor_json(d: SncDivisor) -> dict:
     index = d.component_order()
     groups = d.by_subset()
     out = []
-    for subset in sorted(groups, key=lambda sub: (len(sub), tuple(index[c] for c in sub))):
+    for _, idx, subset in sorted((len(sub), [index[c] for c in sub], sub) for sub in groups):
         members = []
         for s in groups[subset]:
-            parents = {str(index[dropped]): pid
-                       for dropped, pid in sorted(s.parents.items(),
-                                                  key=lambda kv: index[kv[0]])}
+            parents = {str(i): pid
+                       for i, pid in sorted((index[c], pid) for c, pid in s.parents.items())}
             members.append({"id": s.id, "parents": parents})
-        out.append({"subset": [index[c] for c in subset], "components": members})
+        out.append({"subset": idx, "components": members})
     return {"n": d.n, "components": list(d.components), "strata": out}
 
 
@@ -357,6 +357,30 @@ def _dubois_json(b: DuBoisTable) -> dict:
     return {"entries": [{"p": p, "q": q, "b": v}
                         for (p, q), v in sorted(b.entries.items())],
             "isolated": b.isolated}
+
+
+def _json_text(x: Any, nl: str = "\n") -> str:
+    """``json.dumps(x, ensure_ascii=False, indent=2)`` for str, int, bool, None,
+    list, tuple and str-keyed dict; any other value or key raises TypeError."""
+    if isinstance(x, str):
+        return encode_basestring(x)
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = nl + "  "
+    if isinstance(x, dict):
+        # encode_basestring raises TypeError on a key that is not a str
+        items = [f"{encode_basestring(k)}: {_json_text(v, inner)}" for k, v in x.items()]
+        bra, ket = "{", "}"
+    elif isinstance(x, (list, tuple)):
+        items = [_json_text(v, inner) for v in x]
+        bra, ket = "[", "]"
+    else:
+        raise TypeError(f"{type(x).__name__} is not a report value")
+    if not items:
+        return bra + ket
+    return f"{bra}{inner}{(',' + inner).join(items)}{nl}{ket}"
 
 
 def document_json(doc: InputDocument) -> dict:
@@ -550,6 +574,13 @@ def run(command: str, document: InputDocument,
     return handler(document)
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of ``--max-blowups``: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="snckit",
@@ -558,27 +589,26 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--input", required=True, help="path to a JSON document")
     parser.add_argument("--command", required=True, choices=COMMANDS)
     parser.add_argument("--emit", choices=("json", "text", "both"), default="text")
-    parser.add_argument("--max-blowups", type=int, default=MAX_BLOWUPS,
+    parser.add_argument("--max-blowups", type=_non_negative_int, default=MAX_BLOWUPS,
                         help="resolution loop iteration cap")
     args = parser.parse_args(argv)
 
     try:
         document = parse_input(args.input)
         text, machine = run(args.command, document, args.max_blowups)
+        out = [text] if args.emit in ("text", "both") else []
+        if args.emit in ("json", "both"):
+            out.append(_json_text(machine))
+        print("\n".join(out))
     except MissingBlockError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except Exception as e:  # pragma: no cover - nothing should reach this
+    except Exception as e:  # nothing should reach this
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-
-    if args.emit in ("text", "both"):
-        print(text)
-    if args.emit in ("json", "both"):
-        print(json.dumps(machine, ensure_ascii=False, indent=2))
     return 0
 
 

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -495,6 +496,49 @@ def test_exit_one_when_the_blowup_cap_is_hit(capsys):
     assert main(["--input", str(PARALLEL), "--command", "resolve",
                  "--max-blowups", "0"]) == 1
     assert "blowup" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--max-blowups", "-1"], "expected a non-negative integer, got '-1'"),
+    (["--max-blowups", "x"], "expected a non-negative integer, got 'x'"),
+    (["--max-blowups", "1.5"], "expected a non-negative integer, got '1.5'"),
+    (["--emit", "yaml"], "invalid choice"),
+    (["--command", "nope"], "invalid choice")])
+def test_usage_errors_exit_two_before_the_document_is_read(capsys, tmp_path, flags,
+                                                           message):
+    argv = ["--input", str(tmp_path / "absent.json"), "--command", "resolve", *flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flags[0]}: {message}" in captured.err
+
+
+@pytest.mark.parametrize("error,code", [(ValueError, 1), (RuntimeError, 3), (TypeError, 3)])
+def test_a_rendering_failure_prints_nothing_and_sets_the_exit_code(
+        monkeypatch, capsys, error, code):
+    def fail(machine):
+        raise error("cannot render")
+
+    monkeypatch.setattr(cli, "_json_text", fail)
+    assert main(["--input", str(PARALLEL), "--command", "resolve", "--emit", "both"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot render" in captured.err
+
+
+def test_an_id_that_stdout_cannot_encode_exits_one_without_a_traceback(tmp_path):
+    # a lone surrogate parses from a JSON escape but has no UTF-8 encoding
+    path = tmp_path / "doc.json"
+    path.write_text('{"version": "1", "divisor": {"n": 2, "components": ["\\ud800"]}}',
+                    encoding="ascii")
+    done = subprocess.run([sys.executable, "-m", "snckit.cli", "--input", str(path),
+                           "--command", "dual-complex", "--emit", "both"],
+                          capture_output=True, env={**os.environ, "PYTHONIOENCODING": "utf-8"})
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert done.stderr.startswith(b"error: ") and b"Traceback" not in done.stderr
 
 
 # ---------------------------------------------------------------------------

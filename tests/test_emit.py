@@ -1,0 +1,103 @@
+"""The CLI's JSON emitter prints exactly what ``json.dumps(indent=2)`` prints.
+
+The standard library is the oracle: on random values of every shape a report
+holds, on the machine report of every golden case and on resolved documents
+larger than any golden, ``cli._json_text(x)`` must equal
+``json.dumps(x, ensure_ascii=False, indent=2)``.
+"""
+import json
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from emit_check import SPECIAL, check
+from helpers import parallel_curve_divisor
+from make_goldens import cases
+from snckit.cli import (
+    ALGEBRAICALLY_CLOSED,
+    InputDocument,
+    MissingBlockError,
+    _json_text,
+    parse_input,
+    run,
+)
+
+
+def stdlib(x) -> str:
+    return json.dumps(x, ensure_ascii=False, indent=2)
+
+
+CHARS = st.one_of(st.characters(), st.characters(categories=["Cs"]),
+                  st.sampled_from(SPECIAL))
+STRINGS = st.text(CHARS, max_size=8)
+INTS = st.one_of(st.integers(), st.integers(min_value=2 ** 64, max_value=2 ** 300),
+                 st.integers(min_value=-(2 ** 300), max_value=-(2 ** 64)))
+VALUES = st.recursive(
+    st.one_of(STRINGS, INTS, st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(STRINGS, inner, max_size=4)),
+    max_leaves=30)
+LINE_SEPARATOR, LONE_SURROGATE = chr(0x2028), chr(0xDC00)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(VALUES)
+@example({"": [], "a": {}, "b": (), "c": [[], {}, ()]})
+@example(['"\\', "\x00\x1f\x7f", LINE_SEPARATOR, LONE_SURROGATE, "é€"])
+@example([-1, 0, 2 ** 64, -(2 ** 64) - 1, True, False, None])
+@example({LINE_SEPARATOR + '"': {LONE_SURROGATE: [(1, "x"), ()]}})
+def test_emitter_prints_as_the_stdlib_does(x):
+    assert _json_text(x) == stdlib(x)
+
+
+def test_plain_script_check_passes():
+    # the check tests/emit_check.py runs under interpreters without pytest
+    check(2000, seed=1)
+
+
+def test_golden_machine_reports_print_as_the_stdlib_does():
+    checked = set()
+    for name, path, command in cases():
+        try:
+            _, machine = run(command, parse_input(str(path)))
+        except (MissingBlockError, ValueError):
+            continue  # a golden whose command exits nonzero
+        assert _json_text(machine) == stdlib(machine), name
+        checked.add(command)
+    assert checked == {"validate", "dual-complex", "cohomology", "check-simplicial",
+                       "resolve", "kh-report", "k-report"}
+
+
+def test_resolve_reports_larger_than_any_golden_print_as_the_stdlib_does():
+    rng = random.Random(9)
+    largest_golden = max(len(stdlib(run(command, parse_input(str(path)))[1]))
+                         for _, path, command in cases() if command == "resolve")
+    for _ in range(40):
+        m = rng.randrange(8, 12)
+        d = parallel_curve_divisor(rng, m, rng.randrange(m, m * (m - 1) // 2))
+        doc = InputDocument("1", d, None, None, ALGEBRAICALLY_CLOSED)
+        _, machine = run("resolve", doc)
+        text = _json_text(machine)
+        assert text == stdlib(machine)
+        assert len(text) > largest_golden
+
+
+@pytest.mark.parametrize("x", [1.5, 0.0, {1, 2}, frozenset(), {1: "a"}, {None: 0},
+                               {("a",): 0}, {True: 0}, [0, {"a": [2.5]}], b"x", object()],
+                         ids=["float", "zero-float", "set", "frozenset", "int-key",
+                              "none-key", "tuple-key", "bool-key", "nested-float",
+                              "bytes", "object"])
+def test_other_values_and_keys_raise_type_error(x):
+    with pytest.raises(TypeError):
+        _json_text(x)
+
+
+def test_an_int_past_the_digit_limit_raises_value_error_as_the_stdlib_does():
+    # the CLI maps a ValueError while rendering to exit code 1
+    with pytest.raises(ValueError):
+        stdlib([10 ** 5000])
+    with pytest.raises(ValueError):
+        _json_text([10 ** 5000])
