@@ -114,6 +114,13 @@ def _as_int(value: Any, path: str, minimum: int | None = None) -> int:
 def _as_str(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(path, f"expected a string, got {type(value).__name__}")
+    # A JSON escape can decode to a lone surrogate, which has no UTF-8 form;
+    # printing one would depend on how the environment encodes stdout.
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError(path, "string is not valid Unicode text "
+                          "(it holds a lone surrogate)") from None
     return value
 
 

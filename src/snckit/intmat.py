@@ -17,6 +17,7 @@ which builds no transforms and takes the sparse rows that boundaries come in.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -446,59 +447,80 @@ def sparse_smith_diagonal(rows: Iterable[Iterable[tuple[int, int]]],
     Row i lists its nonzero entries as (column, entry) pairs, each column
     below ``ncols`` at most once.  The result is canonical (invariant
     factors are unique), which frees this path to run a cheaper elimination
-    than smith_normal_form: unit entries split off a diag(1) summand after
-    one sparse column clearing, and only the leftover block goes through
-    the dense routine.  Incidence matrices, which are almost entirely unit
-    entries, reduce in roughly linear time this way.
+    than smith_normal_form, in any pivot order: unit entries split off a
+    diag(1) summand each, and only the leftover block goes through the
+    dense routine.
+
+    Unit pivots go in Markowitz order.  A heap keyed by each column's live
+    entry count, re-keyed lazily when a popped count is stale, gives the
+    shortest column holding a +-1; among equal counts, columns that share a
+    row with an earlier pivot go first.  In that column the +-1 in the
+    shortest row is the pivot, ties going to the row whose other entries
+    sit in the longest columns.  Both ties keep the sweep next to where it
+    last worked, so fill lands in columns already too long to be picked:
+    on a simplex skeleton this finds a cone collapse, with no fill, however
+    the cells are ordered.  The pivot column is cleared from the other rows,
+    then the pivot row and column are deleted.  A column with no unit waits
+    until fill writes one into it.
+
+    Afterwards only rows and columns that still hold a nonzero entry go to
+    the dense routine; the lines dropped as empty stand for the zeros that
+    pad the diagonal to min(rows, ncols) entries.
     """
     work = [dict(row) for row in rows]
     cols: list[set[int]] = [set() for _ in range(ncols)]
-    ones: list[tuple[int, int]] = []
     for i, row in enumerate(work):
-        for j, x in row.items():
+        for j in row:
             cols[j].add(i)
-            if x in (1, -1):
-                ones.append((i, j))
-    alive_rows = set(range(len(work)))
-    alive_cols = set(range(ncols))
+    heap = [(len(c), True, j) for j, c in enumerate(cols) if c]
+    heapq.heapify(heap)
+    touched: set[int] = set()
+    waiting: set[int] = set()
     units = 0
-    head = 0
-    while head < len(ones):
-        i, j = ones[head]
-        head += 1
-        if i not in alive_rows or j not in alive_cols:
+    while heap:
+        count, untouched, j = heapq.heappop(heap)
+        col = cols[j]
+        if untouched and j in touched:
             continue
-        val = work[i].get(j, 0)
-        if val not in (1, -1):
+        if count != len(col):
+            if col:
+                heapq.heappush(heap, (len(col), untouched, j))
+            continue
+        i = min((k for k in col if work[k][j] in (1, -1)), default=None, key=lambda k: (
+            len(work[k]), -sum(len(cols[jj]) for jj in work[k]), k))
+        if i is None:
+            waiting.add(j)
             continue
         pivot_row = work[i]
-        for k in list(cols[j]):
-            if k == i or k not in alive_rows:
-                continue
-            q = work[k][j] * val
+        work[i] = {}
+        val = pivot_row[j]
+        for k in col - {i}:
             target = work[k]
+            q = target[j] * val
             for jj, x in pivot_row.items():
-                if jj not in alive_cols:
-                    continue
                 new = target.get(jj, 0) - q * x
                 if new == 0:
-                    if jj in target:
-                        del target[jj]
-                        cols[jj].discard(k)
-                else:
-                    target[jj] = new
+                    del target[jj]
+                    cols[jj].discard(k)
+                    continue
+                if jj not in target:
                     cols[jj].add(k)
-                    if new in (1, -1):
-                        ones.append((k, jj))
-        alive_rows.discard(i)
-        alive_cols.discard(j)
+                target[jj] = new
+                if new in (1, -1) and jj in waiting:
+                    waiting.discard(jj)
+                    heapq.heappush(heap, (len(cols[jj]), jj not in touched, jj))
+            for jj in target:
+                if jj not in touched:
+                    touched.add(jj)
+                    heapq.heappush(heap, (len(cols[jj]), False, jj))
+        for jj in pivot_row:
+            cols[jj].discard(i)
         units += 1
-    sub_rows = sorted(alive_rows)
-    sub_cols = sorted(alive_cols)
-    m = [[work[i].get(j, 0) for j in sub_cols] for i in sub_rows]
-    _eliminate(m, len(sub_rows), len(sub_cols), None, None, None)
-    rest = tuple(m[i][i] for i in range(min(len(sub_rows), len(sub_cols))))
-    return (1,) * units + rest
+    sub_cols = [j for j, c in enumerate(cols) if c]
+    m = [[row.get(j, 0) for j in sub_cols] for row in work if row]
+    _eliminate(m, len(m), len(sub_cols), None, None, None)
+    diag = (1,) * units + tuple(m[t][t] for t in range(min(len(m), len(sub_cols))))
+    return diag + (0,) * (min(len(work), ncols) - len(diag))
 
 
 def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:

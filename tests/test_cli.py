@@ -541,6 +541,41 @@ def test_an_id_that_stdout_cannot_encode_exits_one_without_a_traceback(tmp_path)
     assert done.stderr.startswith(b"error: ") and b"Traceback" not in done.stderr
 
 
+def test_a_lone_surrogate_id_exits_one_whatever_stdout_encodes(tmp_path):
+    # Under a C locale stdout escapes surrogates back to raw bytes, so only
+    # rejecting them while parsing keeps the output a function of the document.
+    path = tmp_path / "doc.json"
+    path.write_text('{"version": "1", "divisor": {"n": 2, "components": ["\\udc80"]}}',
+                    encoding="ascii")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("LC_ALL", "LANG", "PYTHONIOENCODING", "PYTHONUTF8")}
+    for env in ({"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8"}):
+        done = subprocess.run([sys.executable, "-m", "snckit.cli", "--input", str(path),
+                               "--command", "dual-complex", "--emit", "both"],
+                              capture_output=True, env={**base, **env})
+        assert (env, done.returncode, done.stdout) == (env, 1, b"")
+        assert done.stderr.startswith(b"error: divisor.components[0]: ")
+
+
+@pytest.mark.parametrize("path, edit", [
+    ("divisor.components[1]",
+     lambda doc: doc["divisor"]["components"].__setitem__(1, "E\udc80")),
+    ("divisor.strata[0].components[0].id",
+     lambda doc: doc["divisor"]["strata"][0]["components"][0].__setitem__("id", "\ud800")),
+    ("divisor.strata[0].components[0].parents['0']",
+     lambda doc: doc["divisor"]["strata"][0]["components"][0].__setitem__(
+         "parents", {"0": "c\udfff"})),
+    ("field_mode", lambda doc: doc.__setitem__("field_mode", "\udc80")),
+])
+def test_rejects_strings_with_a_lone_surrogate(path, edit):
+    doc = load(TRIANGLE)
+    edit(doc)
+    with pytest.raises(SchemaError) as err:
+        parse_document(doc)
+    assert err.value.path == path
+    assert "lone surrogate" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # emission modes and determinism
 
