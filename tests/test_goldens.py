@@ -1,12 +1,15 @@
 """CLI output stays byte-identical to the recorded goldens.
 
 The goldens (exit code, stdout and stderr of ``--emit both``) were recorded
-by tests/make_goldens.py; see that script for the cases.
+by tests/make_goldens.py; see that script for the cases.  The error corpus
+(exit code, stderr and a stdout digest on faulty documents) was recorded by
+tests/make_error_corpus.py.
 """
 import json
 
 import pytest
 
+from make_error_corpus import CORPUS, document_text, run_text
 from make_goldens import GOLDEN, INPUTS, cases, input_documents, run_case
 
 CASES = cases()
@@ -30,3 +33,15 @@ def test_cli_output_matches_golden(name, path, command):
     assert rc == EXIT_CODES[name]
     assert out == (GOLDEN / f"{name}.stdout").read_bytes()
     assert err == (GOLDEN / f"{name}.stderr").read_bytes()
+
+
+ERROR_CORPUS = json.loads(CORPUS.read_text(encoding="utf-8"))
+ERROR_RUNS = [(case, command) for case in ERROR_CORPUS for command in case["runs"]]
+
+
+@pytest.mark.parametrize("case,command", ERROR_RUNS,
+                         ids=[f"{case['name']}.{command}" for case, command in ERROR_RUNS])
+def test_error_corpus_replays_byte_for_byte(tmp_path, case, command):
+    want = case["runs"][command]
+    assert run_text(document_text(case), command, tmp_path) == (
+        want["exit"], want["stderr"], want["stdout_sha256"])
