@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from json.encoder import encode_basestring
-from typing import Any, Sequence
+from typing import Any, Collection, NoReturn, Sequence
 
 from .abgroup import FgAbGroup, Hom
 from .khasm import (
@@ -32,6 +32,7 @@ from .nk import DuBoisTable, k_report
 from .snc import (
     DimensionBoundError,
     SncDivisor,
+    Stratum,
     build_dual_complex,
     find_bad_intersections,
     resolve_to_simplicial,
@@ -82,7 +83,8 @@ class InputDocument:
 # parsing
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
+def _require_keys(obj: dict, allowed: Collection[str], required: tuple[str, ...],
+                  path: str) -> None:
     for key in obj:
         if key not in allowed:
             raise SchemaError(f"{path}.{key}", "unknown key")
@@ -124,75 +126,107 @@ def _as_str(value: Any, path: str) -> str:
     return value
 
 
+_GROUP_KEYS = frozenset({"subset", "components"})
+_MEMBER_KEYS = frozenset({"id", "parents"})
+
+
 def _parse_divisor(block: Any, path: str) -> SncDivisor:
+    # Per value, the loops test the common case inline and build a path
+    # string only in the branch that may raise.
     obj = _as_dict(block, path)
-    _require_keys(obj, {"n", "components", "strata"}, {"n", "components"}, path)
+    _require_keys(obj, {"n", "components", "strata"}, ("n", "components"), path)
     n = _as_int(obj["n"], f"{path}.n", minimum=1)
-    comps = [_as_str(c, f"{path}.components[{i}]")
-             for i, c in enumerate(_as_list(obj["components"], f"{path}.components"))]
+    comps = tuple(_as_list(obj["components"], f"{path}.components"))
+    for i, c in enumerate(comps):
+        if type(c) is not str or not c.isascii():
+            _as_str(c, f"{path}.components[{i}]")
     if not comps:
         raise SchemaError(f"{path}.components", "divisor needs at least one component")
     if len(set(comps)) != len(comps):
         raise SchemaError(f"{path}.components", "component ids must be unique")
+    ncomps = len(comps)
+    # only canonical decimal keys, as divisor_json writes them
+    key_index = {str(i): i for i in range(ncomps)}
 
-    strata_spec: list[tuple[str, list[str], dict[str, str]]] = []
+    strata: list[Stratum] = []
     stratum_ids: set[str] = set()
+    named: set[str] = set()         # every parent id some stratum names
     for gi, group in enumerate(_as_list(obj.get("strata", []), f"{path}.strata")):
-        gpath = f"{path}.strata[{gi}]"
-        gobj = _as_dict(group, gpath)
-        _require_keys(gobj, {"subset", "components"}, {"subset", "components"}, gpath)
-        subset_idx = []
-        for si, idx in enumerate(_as_list(gobj["subset"], f"{gpath}.subset")):
-            idx = _as_int(idx, f"{gpath}.subset[{si}]")
-            if not 0 <= idx < len(comps):
-                raise UnknownIdError(f"{gpath}.subset[{si}]",
-                                     f"component index {idx} out of range")
-            subset_idx.append(idx)
+        if (type(group) is not dict or len(group) != 2 or "subset" not in group
+                or "components" not in group):
+            gpath = f"{path}.strata[{gi}]"
+            _require_keys(_as_dict(group, gpath), _GROUP_KEYS, ("subset", "components"),
+                          gpath)
+        subset_idx = group["subset"]
+        if type(subset_idx) is not list:
+            _as_list(subset_idx, f"{path}.strata[{gi}].subset")
+        for si, idx in enumerate(subset_idx):
+            if type(idx) is not int or not 0 <= idx < ncomps:
+                ipath = f"{path}.strata[{gi}].subset[{si}]"
+                if not 0 <= _as_int(idx, ipath) < ncomps:
+                    raise UnknownIdError(ipath, f"component index {idx} out of range")
         if len(set(subset_idx)) != len(subset_idx):
-            raise SchemaError(f"{gpath}.subset", "repeated component index")
+            raise SchemaError(f"{path}.strata[{gi}].subset", "repeated component index")
         if len(subset_idx) > n:
-            raise DimensionBoundError(
-                f"{gpath}.subset: {len(subset_idx)} components exceeds n = {n}")
-        subset_ids = [comps[i] for i in subset_idx]
+            raise DimensionBoundError(f"{path}.strata[{gi}].subset: {len(subset_idx)} "
+                                      f"components exceeds n = {n}")
+        subset = tuple([comps[i] for i in sorted(subset_idx)])
 
-        for ci, rec in enumerate(_as_list(gobj["components"], f"{gpath}.components")):
-            cpath = f"{gpath}.components[{ci}]"
-            robj = _as_dict(rec, cpath)
-            _require_keys(robj, {"id", "parents"}, {"id"}, cpath)
-            sid = _as_str(robj["id"], f"{cpath}.id")
+        members = group["components"]
+        if type(members) is not list:
+            _as_list(members, f"{path}.strata[{gi}].components")
+        for ci, rec in enumerate(members):
+            if type(rec) is not dict or "id" not in rec or not _MEMBER_KEYS.issuperset(rec):
+                cpath = f"{path}.strata[{gi}].components[{ci}]"
+                _require_keys(_as_dict(rec, cpath), _MEMBER_KEYS, ("id",), cpath)
+            sid = rec["id"]
+            if type(sid) is not str or not sid.isascii():
+                _as_str(sid, f"{path}.strata[{gi}].components[{ci}].id")
             stratum_ids.add(sid)
+            raw = rec.get("parents", {})
+            if type(raw) is not dict:
+                _as_dict(raw, f"{path}.strata[{gi}].components[{ci}].parents")
             parents: dict[str, str] = {}
-            for key, val in _as_dict(robj.get("parents", {}), f"{cpath}.parents").items():
-                try:
-                    didx = int(key)
-                except ValueError:
-                    didx = None
-                # only canonical decimal keys, as divisor_json writes them
-                if didx is None or key != str(didx):
-                    raise SchemaError(f"{cpath}.parents",
-                                      f"key {key!r} is not a component index")
-                if not 0 <= didx < len(comps):
-                    raise UnknownIdError(f"{cpath}.parents",
-                                         f"component index {didx} out of range")
-                if didx not in subset_idx:
-                    raise SchemaError(f"{cpath}.parents",
-                                      f"component index {didx} is not in the subset")
-                parents[comps[didx]] = _as_str(val, f"{cpath}.parents[{key!r}]")
-            strata_spec.append((sid, subset_ids, parents))
+            if raw:
+                for key, val in raw.items():
+                    didx = key_index.get(key)
+                    if didx is None or didx not in subset_idx:
+                        _bad_parent_key(key, subset_idx, ncomps,
+                                        f"{path}.strata[{gi}].components[{ci}].parents")
+                    if type(val) is not str or not val.isascii():
+                        _as_str(val, f"{path}.strata[{gi}].components[{ci}]"
+                                     f".parents[{key!r}]")
+                    parents[comps[didx]] = val
+                named.update(parents.values())
+            strata.append(Stratum(sid, subset, parents))
 
     # Referenced parent ids must resolve to declared stratum ids.
-    for gi, (sid, _, parents) in enumerate(strata_spec):
-        for dropped, pid in parents.items():
-            if pid not in stratum_ids:
-                raise UnknownIdError(f"{path}.strata", f"stratum {sid!r} names unknown "
-                                     f"parent {pid!r} for dropped component {dropped!r}")
+    if not named <= stratum_ids:
+        for s in strata:
+            for dropped, pid in s.parents.items():
+                if pid not in stratum_ids:
+                    raise UnknownIdError(f"{path}.strata", f"stratum {s.id!r} names unknown "
+                                         f"parent {pid!r} for dropped component {dropped!r}")
 
-    return SncDivisor.build(n, comps, strata_spec)
+    return SncDivisor(n, comps, tuple(strata))
+
+
+def _bad_parent_key(key: Any, subset_idx: list[int], ncomps: int, path: str) -> NoReturn:
+    """Raise the error for a parent key that names no index of the subset."""
+    try:
+        didx = int(key)
+    except ValueError:
+        didx = None
+    if didx is None or key != str(didx):
+        raise SchemaError(path, f"key {key!r} is not a component index")
+    if not 0 <= didx < ncomps:
+        raise UnknownIdError(path, f"component index {didx} out of range")
+    raise SchemaError(path, f"component index {didx} is not in the subset")
 
 
 def _parse_group(obj: Any, path: str) -> FgAbGroup:
     gobj = _as_dict(obj, path)
-    _require_keys(gobj, {"free_rank", "torsion"}, {"free_rank"}, path)
+    _require_keys(gobj, {"free_rank", "torsion"}, ("free_rank",), path)
     rank = _as_int(gobj["free_rank"], f"{path}.free_rank", minimum=0)
     torsion = [_as_int(t, f"{path}.torsion[{i}]", minimum=2)
                for i, t in enumerate(_as_list(gobj.get("torsion", []), f"{path}.torsion"))]
@@ -209,13 +243,13 @@ def _parse_picard(block: Any, n: int, path: str) -> PicardInput:
         raise SchemaError(path, f"Picard data needs n >= 3, the divisor has n = {n}")
     obj = _as_dict(block, path)
     _require_keys(obj, {"levels", "ns_maps", "coker_pic0_dim", "ker_beta"},
-                  {"levels", "ns_maps", "coker_pic0_dim"}, path)
+                  ("levels", "ns_maps", "coker_pic0_dim"), path)
     levels = []
     for li, lv in enumerate(_as_list(obj["levels"], f"{path}.levels")):
         lpath = f"{path}.levels[{li}]"
         lobj = _as_dict(lv, lpath)
         _require_keys(lobj, {"p", "ns_rank", "ns_torsion", "pic0_dim"},
-                      {"p", "ns_rank"}, lpath)
+                      ("p", "ns_rank"), lpath)
         p = _as_int(lobj["p"], f"{lpath}.p", minimum=0)
         ns = _parse_group({"free_rank": lobj["ns_rank"],
                            "torsion": lobj.get("ns_torsion", [])}, lpath)
@@ -232,13 +266,15 @@ def _parse_picard(block: Any, n: int, path: str) -> PicardInput:
     for mi, rows in enumerate(raw_maps):
         mpath = f"{path}.ns_maps[{mi}]"
         rows = _as_list(rows, mpath)
-        matrix_rows = []
         for ri, row in enumerate(rows):
-            matrix_rows.append([_as_int(x, f"{mpath}[{ri}][{ci}]")
-                                for ci, x in enumerate(_as_list(row, f"{mpath}[{ri}]"))])
+            if type(row) is not list:
+                _as_list(row, f"{mpath}[{ri}]")
+            for ci, x in enumerate(row):
+                if type(x) is not int:
+                    _as_int(x, f"{mpath}[{ri}][{ci}]")
         source, target = levels[mi].ns, levels[mi + 1].ns
         try:
-            matrix = IntMatrix(matrix_rows, ncols=source.ngens)
+            matrix = IntMatrix(rows, ncols=source.ngens)
             maps.append(Hom(source, target, matrix))
         except ValueError as e:
             raise SchemaError(mpath, str(e))
@@ -255,12 +291,12 @@ def _parse_picard(block: Any, n: int, path: str) -> PicardInput:
 
 def _parse_dubois(block: Any, path: str) -> DuBoisTable:
     obj = _as_dict(block, path)
-    _require_keys(obj, {"entries", "isolated"}, {"entries"}, path)
+    _require_keys(obj, {"entries", "isolated"}, ("entries",), path)
     entries: dict[tuple[int, int], int] = {}
     for ei, rec in enumerate(_as_list(obj["entries"], f"{path}.entries")):
         epath = f"{path}.entries[{ei}]"
         robj = _as_dict(rec, epath)
-        _require_keys(robj, {"p", "q", "b"}, {"p", "q", "b"}, epath)
+        _require_keys(robj, {"p", "q", "b"}, ("p", "q", "b"), epath)
         key = (_as_int(robj["p"], f"{epath}.p", minimum=0),
                _as_int(robj["q"], f"{epath}.q", minimum=0))
         if key in entries:
@@ -281,7 +317,7 @@ def parse_document(data: Any) -> InputDocument:
     """
     obj = _as_dict(data, "document")
     _require_keys(obj, {"version", "divisor", "picard", "dubois", "field_mode"},
-                  {"version", "divisor"}, "document")
+                  ("version", "divisor"), "document")
     version = str(obj["version"])
     if version != SUPPORTED_VERSION:
         raise VersionError(f"unsupported document version {version!r}; "

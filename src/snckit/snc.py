@@ -6,6 +6,15 @@ I.  Each stratum component of depth three or more records which component
 of each facet intersection contains it; that containment data is exactly
 what the dual complex needs to glue cells.
 
+``validate_snc`` reads a divisor in two walks over its strata.  The first
+builds one index (strata by id, strata by depth, and the position of every
+component and stratum in its dimension of the dual complex) while it
+checks the ids and each stratum's own rules; the second checks parents and
+grandparents against the complete index.  It returns the index, and
+``build_dual_complex`` reads its cells and faces from it.  Error text is
+formatted only where a check fails, and the first error raised is the one
+the order of the checks names, whatever order the strata arrive in.
+
 Blowing up a stratum component is modeled as stellar subdivision of its
 dual cell, and the resolution loop repeats deepest-first blowups until no
 intersection has two components left.
@@ -24,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .chaincx import ChainComplex
 
@@ -109,8 +118,8 @@ class SncDivisor:
             for c in subset:
                 if c not in order:
                     raise SncError(f"stratum {sid} references unknown component {c!r}")
-            out.append(Stratum(sid, tuple(sorted(subset, key=order.__getitem__)),
-                               dict(parents)))
+            positions = sorted([order[c] for c in subset])
+            out.append(Stratum(sid, tuple([comps[i] for i in positions]), dict(parents)))
         return cls(n, comps, tuple(out))
 
     def component_order(self) -> dict[str, int]:
@@ -129,68 +138,154 @@ class SncDivisor:
         return out
 
 
-def validate_snc(d: SncDivisor) -> None:
-    """Check every structural invariant, raising on the first violation."""
+class _Strata(NamedTuple):
+    """The strata of a divisor that passed ``validate_snc``, looked up.
+
+    ``by_id`` and each list hold strata in divisor order.  ``by_depth[k]``
+    lists the strata on k components (empty for k < 2).  ``slot`` gives
+    every component id its position in the component list and every
+    stratum id its position in ``by_depth[its depth]``.
+    """
+
+    by_id: dict[str, Stratum]
+    by_depth: list[list[Stratum]]
+    slot: dict[str, int]
+
+
+def validate_snc(d: SncDivisor) -> _Strata:
+    """Check every structural invariant, raising on the first violation.
+
+    The checks run in this order, and the first failure raises: distinct
+    component ids; distinct stratum ids (not reusing a component id); then
+    stratum by stratum, its own rules (depth between 2 and n, known
+    components, none repeated, in component order) followed by its
+    parents (none at depth 2, one per component, each a stratum on the
+    facet that drops that component); last, at depth four and up, that
+    dropping two components in either order lands on the same stratum.
+
+    One walk over the strata builds the lookups returned, checks the ids
+    and each stratum's own rules; a second walk checks parents and
+    grandparents against the complete lookups.  Error text is formatted
+    only where a check fails.
+    """
     order = d.component_order()
     if len(order) != len(d.components):
         raise DuplicateIdError("duplicate component id")
-    seen = set(d.components)
-    for s in d.strata:
-        if s.id in seen:
-            raise DuplicateIdError(f"id {s.id!r} used more than once")
-        seen.add(s.id)
+    n = d.n
+    by_id: dict[str, Stratum] = {}
+    by_depth: list[list[Stratum]] = [[], []]
+    slot = dict(order)
+    first_bad = len(d.strata)       # position of the first stratum breaking its own rules
+    for i, s in enumerate(d.strata):
+        sid, subset = s.id, s.subset
+        if sid in by_id or sid in order:
+            raise DuplicateIdError(f"id {sid!r} used more than once")
+        by_id[sid] = s
+        if i > first_bad:
+            continue
+        depth = len(subset)
+        last = -1
+        for c in subset:
+            k = order.get(c, -1)
+            if k <= last:       # unknown, repeated or out of order
+                break
+            last = k
+        else:
+            if 2 <= depth <= n:
+                while len(by_depth) <= depth:
+                    by_depth.append([])
+                layer = by_depth[depth]
+                slot[sid] = len(layer)
+                layer.append(s)
+                continue
+        first_bad = i
 
-    by_id = {s.id: s for s in d.strata}
-    subsets = {s.subset for s in d.strata}
-    for s in d.strata:
-        if len(s.subset) < 2:
-            raise DimensionBoundError(
-                f"stratum {s.id} intersects {len(s.subset)} component(s); need at least 2")
-        if len(s.subset) > d.n:
-            raise DimensionBoundError(
-                f"stratum {s.id} intersects {len(s.subset)} components in ambient "
-                f"dimension {d.n}")
-        for c in s.subset:
-            if c not in order:
-                raise SncError(f"stratum {s.id} references unknown component {c!r}")
-        if len(set(s.subset)) != len(s.subset):
-            raise SncError(f"stratum {s.id} repeats a component in its subset")
-        if list(s.subset) != sorted(s.subset, key=order.__getitem__):
-            raise SncError(f"stratum {s.id} subset is not in component order")
-
-        if s.depth == 2:
-            if s.parents:
+    gp_error = None
+    for s in d.strata[:first_bad]:
+        subset, parents = s.subset, s.parents
+        depth = len(subset)
+        if depth == 2:
+            if parents:
                 raise ContainmentMismatchError(
                     f"stratum {s.id} of depth 2 must not list parents")
             continue
-
-        if set(s.parents) != set(s.subset):
+        try:
+            pids = [parents[c] for c in subset]
+        except KeyError:
+            pids = None
+        if pids is None or len(parents) != depth:
             raise ContainmentMismatchError(
                 f"stratum {s.id} must name one parent per dropped component")
-        for drop, pid in s.parents.items():
-            facet = tuple(c for c in s.subset if c != drop)
-            if facet not in subsets:
-                raise ClosureViolationError(
-                    f"stratum {s.id} needs a stratum on {facet}, found none")
-            parent = by_id.get(pid)
-            if parent is None or parent.subset != facet:
-                raise ContainmentMismatchError(
-                    f"stratum {s.id}: parent {pid!r} for dropped {drop!r} is not a "
-                    f"stratum on {facet}")
+        grand = []
+        for m, pid in enumerate(pids):
+            p = by_id.get(pid)
+            if p is None or p.subset != subset[:m] + subset[m + 1:]:
+                _raise_parent_error(s, by_id)
+            grand.append(p.parents)
+        if depth >= 4 and gp_error is None:
+            gp_error = _grandparent_error(s, grand)
+    if first_bad < len(d.strata):
+        _raise_own_error(d.strata[first_bad], order, n)
+    if gp_error is not None:
+        raise gp_error
+    return _Strata(by_id, by_depth, slot)
 
-    # Grandparent consistency: dropping two components in either order must
-    # land on the same stratum component.  Only meaningful at depth >= 4,
-    # where the grandparents are still strata rather than components.
-    for s in d.strata:
-        if s.depth < 4:
-            continue
-        for a, b in combinations(s.subset, 2):
-            via_a = by_id[by_id[s.parents[a]].parents[b]]
-            via_b = by_id[by_id[s.parents[b]].parents[a]]
-            if via_a.id != via_b.id:
-                raise ContainmentMismatchError(
-                    f"stratum {s.id}: dropping {a!r} then {b!r} gives {via_a.id!r} "
-                    f"but {b!r} then {a!r} gives {via_b.id!r}")
+
+def _raise_own_error(s: Stratum, order: Mapping[str, int], n: int) -> NoReturn:
+    """Raise the first of s's own rules that s breaks."""
+    if len(s.subset) < 2:
+        raise DimensionBoundError(
+            f"stratum {s.id} intersects {len(s.subset)} component(s); need at least 2")
+    if len(s.subset) > n:
+        raise DimensionBoundError(
+            f"stratum {s.id} intersects {len(s.subset)} components in ambient "
+            f"dimension {n}")
+    for c in s.subset:
+        if c not in order:
+            raise SncError(f"stratum {s.id} references unknown component {c!r}")
+    if len(set(s.subset)) != len(s.subset):
+        raise SncError(f"stratum {s.id} repeats a component in its subset")
+    raise SncError(f"stratum {s.id} subset is not in component order")
+
+
+def _raise_parent_error(s: Stratum, by_id: Mapping[str, Stratum]) -> NoReturn:
+    """Raise the error of the first of s's parents, in s's order, that is wrong."""
+    subsets = {t.subset for t in by_id.values()}
+    for drop, pid in s.parents.items():
+        facet = tuple(c for c in s.subset if c != drop)
+        if facet not in subsets:
+            raise ClosureViolationError(
+                f"stratum {s.id} needs a stratum on {facet}, found none")
+        parent = by_id.get(pid)
+        if parent is None or parent.subset != facet:
+            raise ContainmentMismatchError(
+                f"stratum {s.id}: parent {pid!r} for dropped {drop!r} is not a "
+                f"stratum on {facet}")
+    raise AssertionError(f"stratum {s.id} has no wrong parent")
+
+
+def _grandparent_error(s: Stratum, grand: list[dict[str, str]]) -> SncError | None:
+    """The error for the first pair of components whose two drop orders
+    disagree on s, or None; ``grand[m]`` holds the parents of s's parent
+    that drops its m-th component.
+
+    Dropping two components in either order must land on the same stratum
+    component.  Only meaningful at depth >= 4, where the grandparents are
+    still strata rather than components.  It may run before the parents'
+    own parents are checked; a parent lacking a grandparent then fails its
+    own check later, which raises first.
+    """
+    subset = s.subset
+    for i, j in combinations(range(len(subset)), 2):
+        a, b = subset[i], subset[j]
+        via_a, via_b = grand[i].get(b), grand[j].get(a)
+        if via_a != via_b:
+            if via_a is None or via_b is None:
+                return None
+            return ContainmentMismatchError(
+                f"stratum {s.id}: dropping {a!r} then {b!r} gives {via_a!r} "
+                f"but {b!r} then {a!r} gives {via_b!r}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -235,21 +330,26 @@ def build_dual_complex(d: SncDivisor) -> DualComplex:
     """One vertex per component, one (|I|-1)-cell per stratum component.
 
     The divisor is checked with ``validate_snc`` first, so an invalid one
-    raises ``SncError`` rather than giving a wrong complex.
+    raises ``SncError`` rather than giving a wrong complex; the cells and
+    faces are read from the lookups it returns.
     """
-    validate_snc(d)
-    layers = [tuple(DualCell(c, (c,)) for c in d.components)]
+    index = validate_snc(d)
+    slot = index.slot
+    signs = (1, -1) * len(index.by_depth)
     boundaries = []
-    max_depth = max((s.depth for s in d.strata), default=1)
-    for depth in range(2, max_depth + 1):
-        pos = {cell.id: i for i, cell in enumerate(layers[-1])}
-        layer = [s for s in d.strata if s.depth == depth]
-        boundaries.append(tuple(
-            tuple(sorted((pos[s.subset[1 - m] if depth == 2 else s.parents[c]],
-                          (-1) ** m) for m, c in enumerate(s.subset)))
-            for s in layer))
-        layers.append(tuple(DualCell(s.id, s.subset) for s in layer))
-    return DualComplex(tuple(layers), tuple(boundaries))
+    for depth, layer in enumerate(index.by_depth[2:], 2):
+        if depth == 2:
+            # a valid edge's subset is in component order: its faces are sorted
+            boundaries.append(tuple(((slot[s.subset[0]], -1), (slot[s.subset[1]], 1))
+                                    for s in layer))
+        else:
+            boundaries.append(tuple(
+                tuple(sorted(zip([slot[s.parents[c]] for c in s.subset], signs)))
+                for s in layer))
+    cells = [tuple(DualCell(c, (c,)) for c in d.components)]
+    cells.extend(tuple(DualCell(s.id, s.subset) for s in layer)
+                 for layer in index.by_depth[2:])
+    return DualComplex(tuple(cells), tuple(boundaries))
 
 
 class BadIntersections(NamedTuple):

@@ -175,6 +175,26 @@ def test_rejects_non_canonical_parent_keys(capsys, tmp_path, key):
     assert "not a component index" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({}, "document: missing required key 'version'"),
+    ({"version": "1", "divisor": {"n": 3, "components": ["A", "B"], "strata": [{}]}},
+     "divisor.strata[0]: missing required key 'subset'"),
+    ({"version": "1", "divisor": {"n": 3, "components": ["A", "B"], "strata": [
+        {"subset": [0, 1], "components": [{"id": "c"}]}]},
+      "dubois": {"entries": [{}]}},
+     "dubois.entries[0]: missing required key 'p'"),
+])
+def test_a_missing_key_error_does_not_depend_on_string_hashing(tmp_path, doc, message):
+    # Several required keys are missing: the first in schema order is named
+    # whatever order a set of the key names would iterate in.
+    path = write_doc(tmp_path, doc)
+    for seed in ("1", "2", "3", "4"):
+        done = subprocess.run([sys.executable, "-m", "snckit.cli", "--input", path,
+                               "--command", "validate"], capture_output=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed})
+        assert (seed, done.stderr) == (seed, f"error: {message}\n".encode())
+
+
 def test_fixtures_and_resolved_divisors_parse_back():
     def same(a, b):
         return (a.n, a.components) == (b.n, b.components) and (

@@ -12,6 +12,7 @@ from helpers import (
     parallel_curve_divisor,
     parallel_edges,
     random_divisor,
+    rp2_divisor,
     scan_blowup,
     scan_resolve,
     simplex_divisor,
@@ -201,9 +202,13 @@ def test_edge_boundary_orientation():
 
 def test_dual_equals_alternating_complex_everywhere():
     named = [triangle_cycle(), parallel_edges(), full_simplex(), sphere4(),
-             interval_divisor()]
+             interval_divisor(), rp2_divisor(), simplex_divisor(5, list("abcdefg"), 5)]
     rng = random.Random(32)
     corpus = named + [random_divisor(rng) for _ in range(200)]
+    # the same divisors with their strata shuffled, depths interleaved: the
+    # cells of each dimension keep their relative order, whatever it is
+    corpus += [SncDivisor(d.n, d.components, tuple(rng.sample(d.strata, len(d.strata))))
+               for d in corpus]
     for d in corpus:
         assert build_dual_complex(d).chain_complex() == alt_chain_complex(d)
 
