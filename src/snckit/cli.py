@@ -42,6 +42,10 @@ from .chaincx import cohomology
 
 SUPPORTED_VERSION = "1"
 MAX_BLOWUPS = 10000
+# ``cohomology`` prints H^i for every i < n while n is at most this; past
+# it, the groups above the dual complex's dimension, all zero, print as one
+# line and one JSON field, so the output is bounded by the divisor.
+COHOMOLOGY_LISTED_DEGREES = 64
 COMMANDS = ("validate", "dual-complex", "cohomology", "check-simplicial",
             "resolve", "kh-report", "k-report")
 
@@ -473,13 +477,19 @@ def _cmd_dual_complex(doc: InputDocument) -> tuple[str, dict]:
 
 def _cmd_cohomology(doc: InputDocument) -> tuple[str, dict]:
     cx = build_dual_complex(doc.divisor).chain_complex()
+    n = doc.divisor.n
+    # len(cx.ranks) - 1 is the dual complex's dimension, at most n - 1
+    listed = n if n <= COHOMOLOGY_LISTED_DEGREES else len(cx.ranks)
     lines = []
     groups = []
-    for i in range(doc.divisor.n):
+    for i in range(listed):
         g = cohomology(cx, i)
         lines.append(f"H^{i} = {g}")
         groups.append({"degree": i, **group_json(g)})
-    machine = {"command": "cohomology", "groups": groups}
+    machine: dict[str, Any] = {"command": "cohomology", "groups": groups}
+    if listed < n:
+        lines.append(f"H^i = 0 for {listed} <= i <= {n - 1}")
+        machine["zero_degrees"] = {"first": listed, "last": n - 1}
     return "\n".join(lines), machine
 
 
