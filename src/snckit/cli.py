@@ -130,7 +130,6 @@ def _as_str(value: Any, path: str) -> str:
     return value
 
 
-_GROUP_KEYS = frozenset({"subset", "components"})
 _MEMBER_KEYS = frozenset({"id", "parents"})
 
 
@@ -159,8 +158,8 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
         if (type(group) is not dict or len(group) != 2 or "subset" not in group
                 or "components" not in group):
             gpath = f"{path}.strata[{gi}]"
-            _require_keys(_as_dict(group, gpath), _GROUP_KEYS, ("subset", "components"),
-                          gpath)
+            _require_keys(_as_dict(group, gpath), {"subset", "components"},
+                          ("subset", "components"), gpath)
         subset_idx = group["subset"]
         if type(subset_idx) is not list:
             _as_list(subset_idx, f"{path}.strata[{gi}].subset")
@@ -195,7 +194,7 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
                 for key, val in raw.items():
                     didx = key_index.get(key)
                     if didx is None or didx not in subset_idx:
-                        _bad_parent_key(key, subset_idx, ncomps,
+                        _bad_parent_key(key, ncomps,
                                         f"{path}.strata[{gi}].components[{ci}].parents")
                     if type(val) is not str or not val.isascii():
                         _as_str(val, f"{path}.strata[{gi}].components[{ci}]"
@@ -215,7 +214,7 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
     return SncDivisor(n, comps, tuple(strata))
 
 
-def _bad_parent_key(key: Any, subset_idx: list[int], ncomps: int, path: str) -> NoReturn:
+def _bad_parent_key(key: Any, ncomps: int, path: str) -> NoReturn:
     """Raise the error for a parent key that names no index of the subset."""
     try:
         didx = int(key)
