@@ -153,20 +153,16 @@ class _Strata(NamedTuple):
 
 
 def validate_snc(d: SncDivisor) -> _Strata:
-    """Check every structural invariant, raising on the first violation.
+    """Check every structural invariant, raising on the first violation,
+    and return the index built on the way (see the module docstring).
 
-    The checks run in this order, and the first failure raises: distinct
-    component ids; distinct stratum ids (not reusing a component id); then
+    The order of the checks decides which error is raised: distinct
+    component ids; distinct stratum ids, none reusing a component id; then
     stratum by stratum, its own rules (depth between 2 and n, known
-    components, none repeated, in component order) followed by its
-    parents (none at depth 2, one per component, each a stratum on the
-    facet that drops that component); last, at depth four and up, that
-    dropping two components in either order lands on the same stratum.
-
-    One walk over the strata builds the lookups returned, checks the ids
-    and each stratum's own rules; a second walk checks parents and
-    grandparents against the complete lookups.  Error text is formatted
-    only where a check fails.
+    components, none repeated, in component order) followed by its parents
+    (none at depth 2, else one per component, each a stratum on the facet
+    that drops it); last, at depth 4 and up, that dropping two components
+    in either order lands on the same stratum.
     """
     order = d.component_order()
     if len(order) != len(d.components):
@@ -222,6 +218,7 @@ def validate_snc(d: SncDivisor) -> _Strata:
             if p is None or p.subset != subset[:m] + subset[m + 1:]:
                 _raise_parent_error(s, by_id)
             grand.append(p.parents)
+        # below depth 4 the grandparents are components, not strata
         if depth >= 4 and gp_error is None:
             gp_error = _grandparent_error(s, grand)
     if first_bad < len(d.strata):
@@ -266,14 +263,11 @@ def _raise_parent_error(s: Stratum, by_id: Mapping[str, Stratum]) -> NoReturn:
 
 def _grandparent_error(s: Stratum, grand: list[dict[str, str]]) -> SncError | None:
     """The error for the first pair of components whose two drop orders
-    disagree on s, or None; ``grand[m]`` holds the parents of s's parent
-    that drops its m-th component.
+    land on different strata, or None; ``grand[m]`` holds the parents of
+    s's parent that drops its m-th component.
 
-    Dropping two components in either order must land on the same stratum
-    component.  Only meaningful at depth >= 4, where the grandparents are
-    still strata rather than components.  It may run before the parents'
-    own parents are checked; a parent lacking a grandparent then fails its
-    own check later, which raises first.
+    It may run before those parents are checked: one that lacks a parent
+    fails its own check later, and that error is raised first.
     """
     subset = s.subset
     for i, j in combinations(range(len(subset)), 2):
