@@ -21,8 +21,8 @@ from .intmat import (
     Lattice,
     column_lattice,
     kernel_basis,
+    row_transforms,
     smith_diagonal,
-    smith_normal_form,
 )
 
 
@@ -153,7 +153,11 @@ def group_from_presentation(relations: IntMatrix, generators: int) -> FgAbGroup:
     if relations.nrows != generators:
         raise ValueError(
             f"relation matrix has {relations.nrows} rows for {generators} generators")
-    diag = smith_diagonal(relations)
+    return _group_from_diagonal(smith_diagonal(relations), generators)
+
+
+def _group_from_diagonal(diag: tuple[int, ...], generators: int) -> FgAbGroup:
+    """The cokernel of a relation matrix on ``generators``, from its Smith diagonal."""
     return FgAbGroup(generators - sum(1 for x in diag if x != 0),
                      tuple(x for x in diag if x > 1))
 
@@ -176,19 +180,18 @@ def presentation(relations: IntMatrix, generators: int) -> Presentation:
     """Like group_from_presentation, but keeps the change of coordinates.
 
     ``to_canonical`` is rows of U and ``lift`` columns of U^{-1}, both read
-    off one Smith form of the relations.
+    off one elimination of the relations that leaves V untracked.
     """
     if relations.nrows != generators:
         raise ValueError(
             f"relation matrix has {relations.nrows} rows for {generators} generators")
-    sf = smith_normal_form(relations)
-    diag = sf.diagonal
+    diag, u, u_inv = row_transforms(relations)
     free_idx = [i for i in range(generators) if i >= len(diag) or diag[i] == 0]
     tors_idx = [i for i in range(len(diag)) if diag[i] > 1]
     order = free_idx + tors_idx
     group = FgAbGroup(len(free_idx), tuple(diag[i] for i in tors_idx))
-    to_canonical = sf.u.take_rows(order)
-    lift = sf.u_inv.take_columns(order)
+    to_canonical = u.take_rows(order)
+    lift = u_inv.take_columns(order)
     return Presentation(group, to_canonical, lift)
 
 
@@ -254,23 +257,20 @@ def compose(f: Hom, g: Hom) -> Hom:
     return Hom(g.source, f.target, f.matrix @ g.matrix)
 
 
-def preimage_lattice(h: Hom) -> Lattice:
-    """The lattice {x : h.matrix·x = 0 in the target}, with its Smith form.
+def preimage_lattice(h: Hom) -> tuple[Lattice, FgAbGroup]:
+    """The lattice {x : h.matrix·x = 0 in the target}, and the cokernel of h.
 
     Solutions are integer vectors x with h.matrix·x in the relation lattice
     of the target, computed from the kernel of [matrix | relations].  The
     returned form serves every solve against the lattice, and its diagonal
-    presents the source modulo the lattice.
+    presents the source modulo the lattice.  The same elimination of
+    [matrix | relations] yields the Smith diagonal that presents the
+    cokernel, the target modulo the image of h.
     """
     stacked = h.matrix.hstack(presentation_matrix(h.target))
-    kb = kernel_basis(stacked)
-    return column_lattice(kb.take_rows(range(h.source.ngens)))
-
-
-def cokernel(h: Hom) -> FgAbGroup:
-    """The target of h modulo the image of h."""
-    return group_from_presentation(
-        h.matrix.hstack(presentation_matrix(h.target)), h.target.ngens)
+    kb, diag = kernel_basis(stacked)
+    lattice = column_lattice(kb.take_rows(range(h.source.ngens)))
+    return lattice, _group_from_diagonal(diag, h.target.ngens)
 
 
 def subquotient(outgoing: Hom, incoming: Hom) -> FgAbGroup:
@@ -284,7 +284,7 @@ def subquotient(outgoing: Hom, incoming: Hom) -> FgAbGroup:
         raise ValueError(
             f"maps do not meet: incoming lands in {incoming.target}, "
             f"outgoing leaves from {outgoing.source}")
-    lat = preimage_lattice(outgoing)
+    lat, _ = preimage_lattice(outgoing)
     q = lat.form.solve(incoming.matrix.hstack(presentation_matrix(outgoing.source)))
     if q is None:
         raise ValueError("incoming image does not lie in the outgoing kernel")

@@ -3,14 +3,23 @@
 Everything in this module works with arbitrary-precision Python integers;
 there is deliberately no floating point and no fixed-width arithmetic
 anywhere, since the downstream group computations are only meaningful when
-every intermediate value is exact.
+every intermediate value is exact.  The public constructor accepts only
+integer entries; matrices the module builds itself skip that check.
 
-The central routine is :func:`smith_normal_form`, which diagonalizes an
-integer matrix A as U*A*V = D with U, V unimodular and the diagonal entries
-forming a divisibility chain.  The elimination also keeps U^{-1} up to date,
-mirroring every row move on U as the inverse column move, so no caller ever
-inverts U with a second Smith form.  On top of it sit the standard lattice
-primitives: integer kernels, exact linear solves, and column-span bases.
+One elimination, ``_eliminate``, diagonalizes an integer matrix A as
+U*A*V = D with U, V unimodular and the diagonal entries forming a
+divisibility chain.  It keeps U^{-1} up to date by mirroring every row move
+on U as the inverse column move, so no caller ever inverts U with a second
+Smith form.  Its pivots depend on A alone, so each caller tracks only the
+transforms it reads, and what it reads is what the full form would give:
+
+- :func:`smith_normal_form` tracks U, V and U^{-1}, and alone returns all
+  of them;
+- :func:`kernel_basis` tracks V, and returns the free columns of V with
+  the diagonal;
+- :func:`row_transforms` tracks U and U^{-1}, for :func:`column_lattice`
+  and for presentations of cokernels.
+
 Callers that need only the invariant factors use :func:`sparse_smith_diagonal`,
 which builds no transforms and takes the sparse rows that boundaries come in.
 """
@@ -19,6 +28,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, index, mul
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -39,7 +50,10 @@ class IntMatrix:
     __slots__ = ("nrows", "ncols", "_rows")
 
     def __init__(self, rows: Iterable[Sequence[int]], ncols: int | None = None):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        try:
+            data = tuple(tuple(map(index, row)) for row in rows)
+        except TypeError as exc:
+            raise ValueError(f"matrix entries must be integers: {exc}") from None
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -54,12 +68,22 @@ class IntMatrix:
         self.ncols = ncols
 
     @classmethod
+    def _of(cls, rows: tuple[tuple[int, ...], ...], ncols: int) -> "IntMatrix":
+        """A matrix on rows this module built: exact ints, each ``ncols`` long."""
+        out = object.__new__(cls)
+        out._rows = rows
+        out.nrows = len(rows)
+        out.ncols = ncols
+        return out
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        zeros = (0,) * n
+        return cls._of(tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(n)), n)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._of(((0,) * ncols,) * nrows, ncols)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int], nrows: int | None = None,
@@ -70,15 +94,6 @@ class IntMatrix:
         rows = [[entries[i] if i == j and i < k else 0 for j in range(ncols)]
                 for i in range(nrows)]
         return cls(rows, ncols=ncols)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]],
-                     nrows: int | None = None) -> "IntMatrix":
-        if columns:
-            nrows = len(columns[0]) if nrows is None else nrows
-            return cls([[col[i] for col in columns] for i in range(nrows)],
-                       ncols=len(columns))
-        return cls.zero(0 if nrows is None else nrows, 0)
 
     # -- shape and access ------------------------------------------------
 
@@ -113,51 +128,68 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        cols = [other.column(j) for j in range(other.ncols)]
-        rows = [[sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in self._rows]
-        return IntMatrix(rows, ncols=other.ncols)
+        # A row that is mostly zeros accumulates the rows of B that its
+        # nonzero entries pick, at a cost of nonzeros x columns; any other
+        # row takes one dot product per column of B.
+        n = other.ncols
+        brows = other._rows
+        zeros = (0,) * n
+        cols = None
+        out = []
+        for row in self._rows:
+            if 2 * row.count(0) >= len(row):
+                acc = None
+                for a, brow in zip(row, brows):
+                    if a:
+                        term = map(mul, brow, repeat(a))
+                        acc = tuple(term) if acc is None else tuple(map(add, acc, term))
+                out.append(zeros if acc is None else acc)
+            else:
+                if cols is None:
+                    cols = tuple(zip(*brows))
+                out.append(tuple(sum(map(mul, row, col)) for col in cols))
+        return IntMatrix._of(tuple(out), n)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return IntMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self._rows, other._rows)],
-                         ncols=self.ncols)
+        return IntMatrix._of(tuple(tuple(map(add, r1, r2))
+                                   for r1, r2 in zip(self._rows, other._rows)),
+                             self.ncols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in row] for row in self._rows],
-                         ncols=self.ncols)
+        return IntMatrix._of(tuple(tuple(-x for x in row) for row in self._rows),
+                             self.ncols)
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix([[c * x for x in row] for row in self._rows],
                          ncols=self.ncols)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([self.column(j) for j in range(self.ncols)],
-                         ncols=self.nrows)
+        rows = tuple(zip(*self._rows)) if self._rows else ((),) * self.ncols
+        return IntMatrix._of(rows, self.nrows)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.nrows != other.nrows:
             raise ValueError(f"row mismatch {self.shape} | {other.shape}")
-        return IntMatrix([r1 + r2 for r1, r2 in zip(self._rows, other._rows)],
-                         ncols=self.ncols + other.ncols)
+        return IntMatrix._of(tuple(map(add, self._rows, other._rows)),
+                             self.ncols + other.ncols)
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.ncols:
             raise ValueError(f"column mismatch {self.shape} / {other.shape}")
-        return IntMatrix(self._rows + other._rows, ncols=self.ncols)
+        return IntMatrix._of(self._rows + other._rows, self.ncols)
 
     def take_rows(self, indices: Iterable[int]) -> "IntMatrix":
-        return IntMatrix([self._rows[i] for i in indices], ncols=self.ncols)
+        return IntMatrix._of(tuple(self._rows[i] for i in indices), self.ncols)
 
     def take_columns(self, indices: Iterable[int]) -> "IntMatrix":
         idx = list(indices)
-        return IntMatrix([[row[j] for j in idx] for row in self._rows],
-                         ncols=len(idx))
+        return IntMatrix._of(tuple(tuple(map(row.__getitem__, idx)) for row in self._rows),
+                             len(idx))
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination.
@@ -230,10 +262,10 @@ class SmithForm:
 
     def __post_init__(self) -> None:
         diag = self.diagonal
-        for i in range(self.d.nrows):
-            for j in range(self.d.ncols):
-                if i != j and self.d[i, j] != 0:
-                    raise ValueError(f"D not diagonal at ({i}, {j})")
+        for i, row in enumerate(self.d.rows()):
+            if any(row[:i]) or any(row[i + 1:]):
+                j = next(j for j, x in enumerate(row) if x and j != i)
+                raise ValueError(f"D not diagonal at ({i}, {j})")
         for x in diag:
             if x < 0:
                 raise ValueError("negative diagonal entry in Smith form")
@@ -245,7 +277,8 @@ class SmithForm:
 
     @property
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.d[i, i] for i in range(min(self.d.shape)))
+        rows = self.d.rows()
+        return tuple(rows[i][i] for i in range(min(self.d.shape)))
 
     @property
     def rank(self) -> int:
@@ -267,20 +300,17 @@ class SmithForm:
         if self.u.ncols != b.nrows:
             raise ValueError(f"shape mismatch solving {self.d.shape} X = {b.shape}")
         diag = self.diagonal
-        c = self.u @ b
-        cols: list[list[int]] = []
-        for j in range(b.ncols):
-            y = [0] * self.d.ncols
-            for i in range(self.d.nrows):
-                ci = c[i, j]
-                if i < len(diag) and diag[i] != 0:
-                    if ci % diag[i] != 0:
-                        return None
-                    y[i] = ci // diag[i]
-                elif ci != 0:
-                    return None
-            cols.append(y)
-        return self.v @ IntMatrix.from_columns(cols, nrows=self.d.ncols)
+        r = self.rank
+        c = (self.u @ b).rows()
+        if any(any(row) for row in c[r:]):
+            return None
+        y = []
+        for row, p in zip(c, diag[:r]):
+            if any(x % p for x in row):
+                return None
+            y.append(tuple(x // p for x in row))
+        y.extend(((0,) * b.ncols,) * (self.d.ncols - r))
+        return self.v @ IntMatrix._of(tuple(y), b.ncols)
 
     def verify(self, a: IntMatrix) -> None:
         """Check the defining identity, unimodularity and the tracked inverse."""
@@ -403,15 +433,17 @@ def _eliminate(m: list[list[int]], nr: int, nc: int,
         # The pivot must divide every entry of the remaining block; if it
         # does not, folding an offending row into row t and re-eliminating
         # strictly shrinks the pivot.
+        # A unit pivot divides everything, so its scan would find nothing.
         p = m[t][t]
-        bad_row = None
-        for i in range(t + 1, nr):
-            if any(m[i][j] % p != 0 for j in range(t + 1, nc)):
-                bad_row = i
-                break
-        if bad_row is not None:
-            row_sub(t, bad_row, -1)
-            continue
+        if p not in (1, -1):
+            bad_row = None
+            for i in range(t + 1, nr):
+                if any(m[i][j] % p != 0 for j in range(t + 1, nc)):
+                    bad_row = i
+                    break
+            if bad_row is not None:
+                row_sub(t, bad_row, -1)
+                continue
 
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
@@ -436,8 +468,31 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     v = IntMatrix.identity(nc).to_lists()
     u_inv_t = IntMatrix.identity(nr).to_lists()
     _eliminate(m, nr, nc, u, v, u_inv_t)
-    return SmithForm(IntMatrix(u, ncols=nr), IntMatrix(m, ncols=nc),
-                     IntMatrix(v, ncols=nc), IntMatrix(zip(*u_inv_t), ncols=nr))
+    return SmithForm(_frozen(u, nr), _frozen(m, nc), _frozen(v, nc),
+                     IntMatrix._of(tuple(zip(*u_inv_t)), nr))
+
+
+def _frozen(rows: list[list[int]], ncols: int) -> IntMatrix:
+    return IntMatrix._of(tuple(map(tuple, rows)), ncols)
+
+
+def _diagonal(m: list[list[int]], nr: int, nc: int) -> tuple[int, ...]:
+    return tuple(m[t][t] for t in range(min(nr, nc)))
+
+
+def row_transforms(a: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
+    """The Smith diagonal of A with U and U^{-1}; V is not tracked.
+
+    The elimination is the one smith_normal_form runs, so U and U^{-1} are
+    the ones it returns.
+    """
+    nr, nc = a.shape
+    m = a.to_lists()
+    u = IntMatrix.identity(nr).to_lists()
+    u_inv_t = IntMatrix.identity(nr).to_lists()
+    _eliminate(m, nr, nc, u, None, u_inv_t)
+    return (_diagonal(m, nr, nc), _frozen(u, nr),
+            IntMatrix._of(tuple(zip(*u_inv_t)), nr))
 
 
 def sparse_smith_diagonal(rows: Iterable[Iterable[tuple[int, int]]],
@@ -529,16 +584,21 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
         [[(j, x) for j, x in enumerate(row) if x] for row in a.rows()], a.ncols)
 
 
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """A basis for the integer kernel {x : A x = 0}, as matrix columns.
+def kernel_basis(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
+    """A basis for the integer kernel {x : A x = 0}, and the Smith diagonal of A.
 
-    The basis spans a saturated sublattice: any integer solution is an
-    integer combination of the returned columns.
+    The basis is the free columns of V, from an elimination that tracks V
+    alone.  It spans a saturated sublattice: any integer solution is an
+    integer combination of the returned columns.  The diagonal presents
+    the cokernel of A at no further cost.
     """
-    sf = smith_normal_form(a)
-    free = [j for j in range(a.ncols)
-            if j >= len(sf.diagonal) or sf.diagonal[j] == 0]
-    return sf.v.take_columns(free)
+    nr, nc = a.shape
+    m = a.to_lists()
+    v = IntMatrix.identity(nc).to_lists()
+    _eliminate(m, nr, nc, None, v, None)
+    diag = _diagonal(m, nr, nc)
+    free = [j for j in range(nc) if j >= len(diag) or diag[j] == 0]
+    return _frozen(v, nc).take_columns(free), diag
 
 
 class Lattice(NamedTuple):
@@ -553,17 +613,18 @@ class Lattice(NamedTuple):
 
 
 def column_lattice(a: IntMatrix) -> Lattice:
-    """The lattice spanned by the columns of A, from one Smith form of A.
+    """The lattice spanned by the columns of A, from one elimination of A.
 
     With U*A*V = D of rank r, the column span of A equals the column span
     of B = U^{-1} D_r, the first r columns of U^{-1} D, which are
     independent.  Since U*B = D_r, the form (U, D_r, I, U^{-1}) of B comes
-    for free: no elimination of B, whose entries are large, is needed.
+    for free: no elimination of B, whose entries are large, is needed, and
+    the elimination of A tracks U and U^{-1} but not V.
     """
-    sf = smith_normal_form(a)
-    factors = sf.invariant_factors()
+    diag, u, u_inv = row_transforms(a)
+    factors = tuple(x for x in diag if x != 0)
     r = len(factors)
-    cols = [[x * d for x in sf.u_inv.column(j)] for j, d in enumerate(factors)]
-    form = SmithForm(sf.u, IntMatrix.diagonal(factors, a.nrows, r),
-                     IntMatrix.identity(r), sf.u_inv)
-    return Lattice(IntMatrix.from_columns(cols, nrows=a.nrows), form)
+    basis = IntMatrix._of(tuple(tuple(map(mul, row, factors)) for row in u_inv.rows()), r)
+    form = SmithForm(u, IntMatrix.diagonal(factors, a.nrows, r),
+                     IntMatrix.identity(r), u_inv)
+    return Lattice(basis, form)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .abgroup import (
     FgAbGroup,
     Hom,
-    cokernel,
     compose,
     direct_sum,
     preimage_lattice,
@@ -151,13 +150,14 @@ def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
     n-3 or its map is zero, and a nonzero lower map cuts it down to a proper
     quotient.  It is computed on the same kernel-lattice basis as ker(NS),
     so the surjection comes out as an explicit matrix.  The lattice is built
-    once, and both solves share its Smith form.
+    once, and both solves share its Smith form; coker(NS) comes from the
+    same elimination as the lattice.
     """
     main = pi.maps[-1]
     incoming = (pi.maps[0].matrix if len(pi.maps) == 2
                 else IntMatrix.zero(main.source.ngens, 0))
 
-    lat = preimage_lattice(main)
+    lat, coker_ns = preimage_lattice(main)
     r_mid = presentation_matrix(main.source)
     rels_ker = lat.form.solve(r_mid)
     rels_gamma = lat.form.solve(incoming.hstack(r_mid))
@@ -167,7 +167,7 @@ def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
     pres_gamma = presentation(rels_gamma, lat.basis.ncols)
     surjection = Hom(pres_ker.group, pres_gamma.group,
                      pres_gamma.to_canonical @ pres_ker.lift)
-    return pres_ker.group, cokernel(main), pres_gamma.group, surjection
+    return pres_ker.group, coker_ns, pres_gamma.group, surjection
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ blowups and resolution from full rescans of the divisor, inverses of
 Smith transforms from a second Smith form instead of the tracked inverse,
 chain complexes straight off the strata, and the E_3 corner of the KH
 report from an assembled two-row descent page.  Small conveniences that
-only tests call (``hom_analyze``, ``validate_complex``,
+only tests call (``hom_analyze``, ``cokernel``, ``validate_complex``,
 ``euler_characteristic``, ``kh_top``) live here too, as does the dense
 view of sparse boundaries: ``complex_from_matrices`` builds a complex from
 dense matrices and ``boundary_matrix`` reads a boundary back as one.
@@ -40,7 +40,6 @@ from snckit import (
 )
 from snckit.abgroup import (
     Presentation,
-    cokernel,
     group_from_presentation,
     preimage_lattice,
     presentation,
@@ -96,6 +95,33 @@ def random_matrix(rng: random.Random, max_dim: int = 6, span: int = 9) -> IntMat
                       for _ in range(nr)], ncols=nc)
 
 
+def from_columns(columns: list[list[int]], nrows: int) -> IntMatrix:
+    """The matrix whose columns are ``columns``, each ``nrows`` entries long."""
+    return IntMatrix([[col[i] for col in columns] for i in range(nrows)],
+                     ncols=len(columns))
+
+
+def wide_random_matrix(rng: random.Random) -> IntMatrix:
+    """A random matrix of up to 6 x 6 for checks against the full Smith form.
+
+    Shapes include 0 rows and 0 columns; about a third of the matrices hold
+    entries above 2^64, and about a third are scaled by a common factor, so
+    that their cokernel has torsion.
+    """
+    nr, nc = rng.randint(0, 6), rng.randint(0, 6)
+    kind = rng.randrange(3)
+    scale = rng.choice((2, 3, 4, 6, 12)) if kind == 2 else 1
+
+    def entry() -> int:
+        if rng.random() < 0.3:
+            return 0
+        if kind == 1 and rng.random() < 0.5:
+            return rng.choice((-1, 1)) * rng.randint(2 ** 64 + 1, 2 ** 70)
+        return scale * rng.randint(-9, 9)
+
+    return IntMatrix([[entry() for _ in range(nc)] for _ in range(nr)], ncols=nc)
+
+
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """An integer solution X of A X = B, or None when none exists."""
     return smith_normal_form(a).solve(b)
@@ -119,7 +145,7 @@ def column_lattice_basis(a: IntMatrix) -> IntMatrix:
     uinv = unimodular_inverse(sf.u)
     cols = [[x * d for x in uinv.column(j)]
             for j, d in enumerate(sf.diagonal) if d != 0]
-    return IntMatrix.from_columns(cols, nrows=a.nrows)
+    return from_columns(cols, a.nrows)
 
 
 def presentation_lift(relations: IntMatrix) -> IntMatrix:
@@ -134,7 +160,7 @@ def presentation_lift(relations: IntMatrix) -> IntMatrix:
 def kernel_lattice(h: Hom) -> IntMatrix:
     """Basis (as columns) of the vectors on source generators killed by h."""
     stacked = h.matrix.hstack(presentation_matrix(h.target))
-    kb = kernel_basis(stacked)
+    kb, _ = kernel_basis(stacked)
     return column_lattice_basis(kb.take_rows(range(h.source.ngens)))
 
 
@@ -153,9 +179,15 @@ class HomAnalysis(NamedTuple):
     cokernel: FgAbGroup
 
 
+def cokernel(h: Hom) -> FgAbGroup:
+    """The target of h modulo the image of h, from its own Smith diagonal."""
+    return group_from_presentation(
+        h.matrix.hstack(presentation_matrix(h.target)), h.target.ngens)
+
+
 def hom_analyze(h: Hom) -> HomAnalysis:
     """Kernel, image, and cokernel of a homomorphism, all canonical."""
-    lat = preimage_lattice(h)
+    lat, _ = preimage_lattice(h)
     rels = lat.form.solve(presentation_matrix(h.source))
     if rels is None:  # pragma: no cover - validation makes this unreachable
         raise AssertionError("source relations escaped the kernel lattice")

@@ -4,13 +4,16 @@ import random
 import pytest
 
 from helpers import (
+    cokernel,
     complex_from_matrices,
+    from_columns,
     hom_analyze,
     kernel_lattice,
     kernel_presentation,
     presentation_lift,
     prime_power_chain,
     random_matrix,
+    wide_random_matrix,
 )
 from snckit import (
     FgAbGroup,
@@ -24,7 +27,7 @@ from snckit import (
     subquotient,
 )
 from snckit.abgroup import Z, ZERO_GROUP, preimage_lattice
-from snckit.intmat import kernel_basis, smith_normal_form
+from snckit.intmat import column_lattice, kernel_basis, smith_normal_form
 
 
 def random_group(rng: random.Random) -> FgAbGroup:
@@ -49,7 +52,7 @@ def random_hom(rng: random.Random, source: FgAbGroup, target: FgAbGroup) -> Hom:
                 step = t // __import__("math").gcd(s, t)
                 col.append(step * rng.randint(-3, 3))
         cols.append(col)
-    return Hom(source, target, IntMatrix.from_columns(cols, nrows=target.ngens))
+    return Hom(source, target, from_columns(cols, target.ngens))
 
 
 def test_canonical_form_examples():
@@ -106,6 +109,38 @@ def test_presentation_maps_compose_to_identity():
         n = pres.group.ngens
         assert pres.to_canonical @ pres.lift == IntMatrix.identity(n)
         assert pres.lift == presentation_lift(a)
+
+
+def test_presentations_and_preimages_read_what_the_full_form_returns():
+    # presentation tracks U and U^{-1} only, and preimage_lattice reads the
+    # cokernel off the elimination that gives its kernel; both must agree
+    # with the full Smith form of the same input.
+    rng = random.Random(43)
+    for _ in range(250):
+        a = wide_random_matrix(rng)
+        sf = smith_normal_form(a)
+        diag = sf.diagonal
+        free = [i for i in range(a.nrows) if i >= len(diag) or diag[i] == 0]
+        order = free + [i for i in range(len(diag)) if diag[i] > 1]
+        pres = presentation(a, a.nrows)
+        assert pres.to_canonical == sf.u.take_rows(order)
+        assert pres.lift == sf.u_inv.take_columns(order)
+        assert pres.group == group_from_presentation(a, a.nrows)
+
+        chain = [rng.choice((2, 3, 4, 2 ** 65))]
+        k = rng.randint(0, a.nrows)
+        while len(chain) < k:
+            chain.append(chain[-1] * rng.choice((1, 2, 3)))
+        target = FgAbGroup(a.nrows - k, tuple(chain[:k]))
+        h = Hom(FgAbGroup.free(a.ncols), target, a)
+        lattice, coker = preimage_lattice(h)
+        stacked = a.hstack(presentation_matrix(target))
+        assert coker == group_from_presentation(stacked, target.ngens) == cokernel(h)
+        full = smith_normal_form(stacked)
+        kernel = full.v.take_columns(
+            j for j in range(stacked.ncols)
+            if j >= len(full.diagonal) or full.diagonal[j] == 0)
+        assert lattice == column_lattice(kernel.take_rows(range(a.ncols)))
 
 
 def test_presentation_matrix_roundtrip():
@@ -168,7 +203,7 @@ def test_kernel_lattice_and_presentation_agree():
         lattice = kernel_lattice(h)
         pres = kernel_presentation(h)
         assert pres.group == hom_analyze(h).kernel
-        assert preimage_lattice(h).basis == lattice
+        assert preimage_lattice(h)[0].basis == lattice
         # every lattice vector really dies in the target
         img = h.matrix @ lattice
         for j in range(img.ncols):
@@ -198,7 +233,7 @@ def test_subquotient_is_middle_homology():
     rng = random.Random(18)
     for _ in range(150):
         f_mat = random_matrix(rng, max_dim=4)
-        ker = kernel_basis(f_mat)
+        ker, _ = kernel_basis(f_mat)
         w = rng.randint(0, 3)
         mix = IntMatrix([[rng.randint(-2, 2) for _ in range(w)]
                          for _ in range(ker.ncols)], ncols=w)

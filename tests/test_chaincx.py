@@ -77,7 +77,7 @@ def random_complex(rng: random.Random, length: int = 4) -> ChainComplex:
             m = IntMatrix([[rng.randint(-3, 3) for _ in range(ranks[k])]
                            for _ in range(ranks[k - 1])], ncols=ranks[k])
         else:
-            ker = kernel_basis(prev)
+            ker, _ = kernel_basis(prev)
             mix = IntMatrix([[rng.randint(-2, 2) for _ in range(ranks[k])]
                              for _ in range(ker.ncols)], ncols=ranks[k])
             m = ker @ mix

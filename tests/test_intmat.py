@@ -11,11 +11,13 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from helpers import (
     cofactor_det,
     column_lattice_basis,
+    from_columns,
     minors_invariant_factors,
     random_matrix,
     simplex_divisor,
     solve_exact,
     unimodular_inverse,
+    wide_random_matrix,
 )
 from snckit import (
     IntMatrix,
@@ -27,7 +29,12 @@ from snckit import (
     smith_normal_form,
 )
 from snckit import intmat
-from snckit.intmat import column_lattice, kernel_basis, sparse_smith_diagonal
+from snckit.intmat import (
+    column_lattice,
+    kernel_basis,
+    row_transforms,
+    sparse_smith_diagonal,
+)
 
 
 def test_spec_example_diag_2_4():
@@ -119,7 +126,7 @@ def test_kernel_basis_spans_saturated_kernel():
     rng = random.Random(7)
     for _ in range(300):
         a = random_matrix(rng)
-        k = kernel_basis(a)
+        k, _ = kernel_basis(a)
         assert (a @ k).is_zero()
         assert (smith_normal_form(k).rank == k.ncols
                 == a.ncols - smith_normal_form(a).rank)
@@ -206,6 +213,46 @@ def test_column_lattice_basis_spans_same_lattice():
         # every column of a lies in the lattice of the basis and conversely
         assert solve_exact(basis, a) is not None
         assert solve_exact(a, basis) is not None
+
+
+def test_trimmed_eliminations_read_what_the_full_form_returns():
+    # Pivots depend on the matrix alone, so an elimination that leaves a
+    # transform untracked must give the same diagonal and the same tracked
+    # transforms as smith_normal_form.
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(250):
+        a = wide_random_matrix(rng)
+        sf = smith_normal_form(a)
+        diag = sf.diagonal
+        free = [j for j in range(a.ncols) if j >= len(diag) or diag[j] == 0]
+        assert kernel_basis(a) == (sf.v.take_columns(free), diag)
+        assert row_transforms(a) == (diag, sf.u, sf.u_inv)
+        factors = sf.invariant_factors()
+        r = len(factors)
+        basis, form = column_lattice(a)
+        assert basis == from_columns(
+            [[x * d for x in sf.u_inv.column(j)] for j, d in enumerate(factors)],
+            a.nrows)
+        assert form == SmithForm(sf.u, IntMatrix.diagonal(factors, a.nrows, r),
+                                 IntMatrix.identity(r), sf.u_inv)
+        seen.update(("no rows",) * (a.nrows == 0) + ("no columns",) * (a.ncols == 0)
+                    + ("torsion",) * bool(sf.torsion_factors())
+                    + ("above 2^64",) * any(abs(x) > 2 ** 64 for row in a.rows()
+                                            for x in row))
+    assert seen == {"no rows", "no columns", "torsion", "above 2^64"}
+
+
+def test_constructor_takes_only_integers():
+    for rows in ([[1.5, 7]], [[1, "7"]], [[2.0]], [[None]], [[1], [2j]]):
+        with pytest.raises(ValueError, match="must be integers"):
+            IntMatrix(rows)
+    with pytest.raises(ValueError, match="must be integers"):
+        IntMatrix.diagonal([0.5])
+    with pytest.raises(ValueError, match="must be integers"):
+        IntMatrix([[1]]).scale(0.5)
+    entry = IntMatrix([[True, 2]])[0, 0]
+    assert entry == 1 and type(entry) is int
 
 
 def test_matrix_algebra_shape_errors():

@@ -30,9 +30,10 @@ from snckit import (
     Stratum,
     kh_report,
     ns_analysis,
+    presentation_matrix,
     subquotient,
 )
-from snckit import abgroup, intmat, khasm
+from snckit import intmat, khasm
 from snckit.abgroup import Z, ZERO_GROUP
 from snckit.cli import parse_document
 from snckit.intmat import kernel_basis
@@ -168,7 +169,7 @@ def test_ns_analysis_gamma_matches_subquotient_on_random_input():
         a, b, c = (rng.randrange(1, 5) for _ in range(3))
         main_m = IntMatrix([[rng.randrange(-3, 4) for _ in range(b)]
                             for _ in range(c)])
-        ker = kernel_basis(main_m)
+        ker, _ = kernel_basis(main_m)
         mix = (IntMatrix([[rng.randrange(-2, 3) for _ in range(a)]
                           for _ in range(ker.ncols)])
                if ker.ncols else IntMatrix.zero(0, a))
@@ -394,26 +395,45 @@ def test_kh_report_validates_the_divisor():
 def test_kh_report_takes_few_smith_forms_and_none_of_a_transform(monkeypatch):
     """Each lattice on the Picard path goes through one elimination.
 
-    U^{-1} is tracked inside the elimination, the preimage lattice and its
-    Smith form are built once, and groups are read off diagonals, so a
-    dense-Picard report takes at most 5 Smith forms with transforms, and
-    never one of an earlier form's U or V.
+    Each elimination tracks only the transforms its caller reads, U^{-1} is
+    tracked inside it, the preimage lattice and its Smith form are built
+    once, and coker(NS) is read off the diagonal of the elimination that
+    gives ker(NS).  So a dense-Picard report runs at most 4 eliminations
+    that track a transform, none of them both V and a row transform (U or
+    U^{-1}), eliminates [NS | relations] exactly once, and never eliminates
+    an earlier elimination's U, V or U^{-1}.
     """
     doc = parse_document(dense_picard_document(random.Random(3), 12))
-    inputs, forms = [], []
-    real = intmat.smith_normal_form
+    main = doc.picard.maps[-1]
+    stacked = main.matrix.hstack(presentation_matrix(main.target))
+    tracked, diagonal_only, transforms = [], [], []
+    real_eliminate = intmat._eliminate
+    real_sparse = intmat.sparse_smith_diagonal
 
-    def counting(a):
-        inputs.append(a)
-        forms.append(real(a))
-        return forms[-1]
+    def eliminate(m, nr, nc, u, v, u_inv_t):
+        a = IntMatrix(m, ncols=nc)
+        real_eliminate(m, nr, nc, u, v, u_inv_t)
+        if (u, v, u_inv_t) != (None, None, None):
+            assert v is None or (u, u_inv_t) == (None, None)
+            tracked.append(a)
+            transforms.extend(IntMatrix(t, ncols=k) for t, k in
+                              ((u, nr), (v, nc), (u_inv_t, nr)) if t is not None)
 
-    monkeypatch.setattr(intmat, "smith_normal_form", counting)
-    monkeypatch.setattr(abgroup, "smith_normal_form", counting)
+    def sparse(rows, ncols):
+        rows = [list(row) for row in rows]
+        dense = [[0] * ncols for _ in rows]
+        for dense_row, row in zip(dense, rows):
+            for j, x in row:
+                dense_row[j] = x
+        diagonal_only.append(IntMatrix(dense, ncols=ncols))
+        return real_sparse(rows, ncols)
+
+    monkeypatch.setattr(intmat, "_eliminate", eliminate)
+    monkeypatch.setattr(intmat, "sparse_smith_diagonal", sparse)
     kh_report(doc.divisor, doc.picard, doc.field_mode)
-    assert 0 < len(inputs) <= 5
-    transforms = [f.u for f in forms] + [f.v for f in forms]
-    assert not any(a == t for a in inputs for t in transforms)
+    assert 0 < len(tracked) <= 4
+    assert (tracked + diagonal_only).count(stacked) == 1
+    assert not any(a == t for a in tracked for t in transforms)
 
 
 def test_kh_value_sub_is_the_e3_corner_of_the_descent_page():
