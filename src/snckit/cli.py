@@ -415,12 +415,18 @@ def _json_text(x: Any, nl: str = "\n") -> str:
     if isinstance(x, int):
         return int.__repr__(x)
     inner = nl + "  "
+    # str values and int list items, most of a resolved document's leaves,
+    # are rendered in place; bool, None and subclasses take the call
     if isinstance(x, dict):
         # encode_basestring raises TypeError on a key that is not a str
-        items = [f"{encode_basestring(k)}: {_json_text(v, inner)}" for k, v in x.items()]
+        items = [f"{encode_basestring(k)}: "
+                 f"{encode_basestring(v) if type(v) is str else _json_text(v, inner)}"
+                 for k, v in x.items()]
         bra, ket = "{", "}"
     elif isinstance(x, (list, tuple)):
-        items = [_json_text(v, inner) for v in x]
+        items = [encode_basestring(v) if type(v) is str
+                 else int.__repr__(v) if type(v) is int
+                 else _json_text(v, inner) for v in x]
         bra, ket = "[", "]"
     else:
         raise TypeError(f"{type(x).__name__} is not a report value")

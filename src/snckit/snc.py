@@ -22,7 +22,9 @@ intersection has two components left.
 Every blowup goes through one private, mutable index of the strata: by id
 in divisor order, ids by subset, children by parent id, and the bad
 subsets with a running count of the stratum components on them.  The
-resolution loop builds it once and applies each blowup to it in place, so
+resolution loop builds it once and applies each blowup to it in place.
+The next center is the top of a heap of bad subsets, deepest first, and
+the new component's name comes from a counter that only moves forward, so
 a step touches only the blowup's star and the cells it adds; the public
 single-step blowups build an index, apply one step and return the new
 divisor.  ``find_bad_intersections`` stays the full scan that reports a
@@ -32,8 +34,9 @@ divisor's bad intersections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import combinations
-from typing import Container, Iterable, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .chaincx import ChainComplex
 
@@ -381,13 +384,6 @@ class BlowupRecord:
     point_blowup: bool = False
 
 
-def _fresh_component_id(existing: Container[str]) -> str:
-    k = 1
-    while f"exc{k}" in existing:
-        k += 1
-    return f"exc{k}"
-
-
 class _StrataIndex:
     """The strata of a divisor, indexed for a run of blowups.
 
@@ -396,7 +392,17 @@ class _StrataIndex:
     subsets (those carrying two or more ids) and the running count of
     stratum components on bad subsets.  ``add`` and ``remove`` keep all of
     these current, so a blowup costs time in the size of its star and of
-    the cells it adds, not in the size of the divisor.  It runs
+    the cells it adds, not in the size of the divisor.
+
+    Two more pieces keep the resolution loop's own choices off the whole
+    divisor.  ``add`` pushes a subset onto a heap, keyed deepest first and
+    then by component positions, each time it turns bad; ``deepest_bad``
+    drops the tops that are clean again and reads the next.  A component's
+    position never changes, and no two subsets share their positions, so
+    the top is the subset a full scan of the bad set would pick.  Components
+    are never removed, so the first ``exc{k}`` that is not a component
+    never goes down, and ``new_component`` keeps k between calls.  The
+    index runs
     ``validate_snc`` on the divisor it is built from, so the blowups and the
     resolution loop raise ``SncError`` on an invalid one.
     """
@@ -413,6 +419,8 @@ class _StrataIndex:
         self.bad: set[tuple[str, ...]] = set()
         self.bad_total = 0
         self._next_seq = 0
+        self._bad_heap: list[tuple[int, tuple[int, ...], tuple[str, ...]]] = []
+        self._exc = 1
         for s in d.strata:
             self.add(s)
 
@@ -428,6 +436,8 @@ class _StrataIndex:
         if len(ids) == 2:
             self.bad.add(s.subset)
             self.bad_total += 2
+            heappush(self._bad_heap, (-len(s.subset),
+                                      tuple(map(self.order.__getitem__, s.subset)), s.subset))
         elif len(ids) > 2:
             self.bad_total += 1
         for pid in s.parents.values():
@@ -452,12 +462,41 @@ class _StrataIndex:
         self.children.pop(s.id, None)
 
     def deepest_bad(self) -> str:
-        """The resolve loop's next center: see ``resolve_to_simplicial``."""
+        """The resolve loop's next center (see ``resolve_to_simplicial``);
+        the bad set must not be empty.  A subset that turned clean, and
+        maybe bad again since, leaves a stale copy that is dropped here."""
+        heap = self._bad_heap
+        while heap[0][2] not in self.bad:
+            heappop(heap)
+        return min(self.by_subset[heap[0][2]])
+
+    def new_component(self) -> str:
+        """Append the first ``exc{k}`` that is neither a component id nor a
+        stratum id, and return it.
+
+        The kept k skips components only: a stratum's name may be freed by
+        a later blowup.  Stratum ids of that form come only from the input,
+        since every id a blowup makes holds a ``|``, so they are few.
+        """
         order = self.order
-        deepest = max(len(subset) for subset in self.bad)
-        subset = min((s for s in self.bad if len(s) == deepest),
-                     key=lambda s: tuple(order[c] for c in s))
-        return min(self.by_subset[subset])
+        while f"exc{self._exc}" in order:
+            self._exc += 1
+        k = self._exc
+        while f"exc{k}" in self.by_id or f"exc{k}" in order:
+            k += 1
+        name = f"exc{k}"
+        order[name] = len(self.components)
+        self.components.append(name)
+        return name
+
+    def free_id(self, base: str) -> str:
+        """``base``, or ``base~0``, ``base~1``, ... if it is taken: the first
+        that is neither a stratum id nor a component id."""
+        cid, n = base, 0
+        while cid in self.by_id or cid in self.order:
+            cid = f"{base}~{n}"
+            n += 1
+        return cid
 
     def blowup(self, center: str) -> BlowupRecord:
         """Apply ``blowup_stratum_component`` in place and return its record."""
@@ -496,9 +535,7 @@ class _StrataIndex:
         before = self.bad_total
         for t in star:
             self.remove(t)
-        new_comp = _fresh_component_id(order)
-        order[new_comp] = len(self.components)
-        self.components.append(new_comp)
+        new_comp = self.new_component()
 
         # Ids follow the coned face; parallel cones over the same face get a
         # deterministic suffix, and ids of the removed star are free again.
@@ -508,11 +545,7 @@ class _StrataIndex:
         cone_id: dict[tuple[str, tuple[str, ...]], str] = {}
         added: list[str] = []
         for t, k_part, keep, fcid in entries:
-            cid = f"{new_comp}|{fcid}"
-            n = 0
-            while cid in self.by_id or cid in order:
-                cid = f"{new_comp}|{fcid}~{n}"
-                n += 1
+            cid = self.free_id(f"{new_comp}|{fcid}")
             cone_id[(t.id, k_part)] = cid
             subset = keep + (new_comp,)
             parents: dict[str, str] = {}
@@ -560,7 +593,9 @@ def blowup_point_on_double_curve(d: SncDivisor, curve: str,
     The curve itself survives as its strict transform; the exceptional
     component meets exactly the curve's two components, and the strict
     transform of the curve pierces the exceptional component in one new
-    triple point.
+    triple point.  The three new strata are named as cones are: after the
+    new component and the cell they follow, with a ``~n`` suffix where that
+    id is taken.
     """
     if d.n != 3:
         raise WrongDimensionError(f"point blowup needs ambient dimension 3, got {d.n}")
@@ -569,19 +604,20 @@ def blowup_point_on_double_curve(d: SncDivisor, curve: str,
     if c is None or c.depth != 2:
         raise UnknownCurveError(f"{curve!r} is not a double-curve stratum component")
     i, j = c.subset
-    new_comp = _fresh_component_id(index.order)
-    edge_i = Stratum(f"{new_comp}|{i}", (i, new_comp))
-    edge_j = Stratum(f"{new_comp}|{j}", (j, new_comp))
-    triple = Stratum(f"{new_comp}|{curve}", (i, j, new_comp), {
+    before = index.bad_total
+    new_comp = index.new_component()
+    # each id is taken before the next is chosen, so they cannot collide
+    edge_i = Stratum(index.free_id(f"{new_comp}|{i}"), (i, new_comp))
+    index.add(edge_i)
+    edge_j = Stratum(index.free_id(f"{new_comp}|{j}"), (j, new_comp))
+    index.add(edge_j)
+    triple = Stratum(index.free_id(f"{new_comp}|{curve}"), (i, j, new_comp), {
         new_comp: curve,
         i: edge_j.id,
         j: edge_i.id,
     })
+    index.add(triple)
     added = (edge_i, edge_j, triple)
-    before = index.bad_total
-    for s in added:
-        index.add(s)
-    result = SncDivisor(d.n, d.components + (new_comp,), d.strata + added)
     record = BlowupRecord(
         center=curve,
         new_component=new_comp,
@@ -590,7 +626,7 @@ def blowup_point_on_double_curve(d: SncDivisor, curve: str,
         bad_decrement=before - index.bad_total,
         point_blowup=True,
     )
-    return result, record
+    return index.divisor(), record
 
 
 def resolve_to_simplicial(d: SncDivisor, max_blowups: int = 10000,
@@ -606,8 +642,10 @@ def resolve_to_simplicial(d: SncDivisor, max_blowups: int = 10000,
 
     The divisor is indexed once (strata by id, ids by subset, children by
     parent, the bad subsets); each blowup then updates the index in place,
-    touching only its star and the cells it adds, so the loop never
-    rescans the whole divisor.
+    touching only its star and the cells it adds.  The center comes from
+    the index's heap of bad subsets and the new component's name from its
+    running ``exc{k}`` counter, so no step rescans the whole divisor, the
+    bad set or the names used so far.
     """
     index = _StrataIndex(d)
     records: list[BlowupRecord] = []

@@ -384,14 +384,17 @@ def random_divisor(rng: random.Random, max_components: int = 8) -> SncDivisor:
     return d
 
 
-def parallel_curve_divisor(rng: random.Random, m: int, extra: int) -> SncDivisor:
+def parallel_curve_divisor(rng: random.Random, m: int, extra: int,
+                           comps: list[str] | None = None) -> SncDivisor:
     """A threefold whose components meet pairwise in 1 to 4 parallel curves.
 
     ``extra`` curves go beyond one per pair; a quarter of the triangles
     carry a triple point (some two), attached to random curve copies, so
     resolving it takes many blowups that create and clear bad subsets.
+    The m components are ``comps`` in that order, ``E0``, ``E1``, ... if
+    it is not given.
     """
-    comps = [f"E{i}" for i in range(m)]
+    comps = comps if comps is not None else [f"E{i}" for i in range(m)]
     pairs = list(itertools.combinations(comps, 2))
     counts = dict.fromkeys(pairs, 1)
     for _ in range(extra):
@@ -433,7 +436,9 @@ def scan_blowup(d: SncDivisor, center: str) -> tuple[SncDivisor, BlowupRecord]:
     """Stellar subdivision with the star found by scanning every stratum.
 
     The star is every stratum over the center's subset whose face there is
-    the center, and the bad decrement is a recount before and after.
+    the center, the new component is the first ``exc{k}`` that no component
+    and no stratum left after removing the star uses, and the bad decrement
+    is a recount before and after.
     """
     by_id = {s.id: s for s in d.strata}
     if center not in by_id:
@@ -446,10 +451,6 @@ def scan_blowup(d: SncDivisor, center: str) -> tuple[SncDivisor, BlowupRecord]:
             if i0 <= frozenset(s.subset)
             and _scan_face_cell(by_id, s, s0.subset) == center]
 
-    k = 1
-    while f"exc{k}" in d.components:
-        k += 1
-    new_comp = f"exc{k}"
     entries = []
     for t in star:
         l_part = tuple(c for c in t.subset if c not in i0)
@@ -466,6 +467,10 @@ def scan_blowup(d: SncDivisor, center: str) -> tuple[SncDivisor, BlowupRecord]:
     removed_ids = {t.id for t in star}
     kept = [s for s in d.strata if s.id not in removed_ids]
     taken = set(d.components) | {s.id for s in kept}
+    k = 1
+    while f"exc{k}" in taken:
+        k += 1
+    new_comp = f"exc{k}"
     cone_id = {}
     for t, k_part, keep, fcid in entries:
         cid = f"{new_comp}|{fcid}"

@@ -338,6 +338,61 @@ def test_fresh_component_ids_avoid_collisions():
     assert record.new_component == "exc2"
     validate_snc(after)
 
+    # a multi-step resolve names past exc1 and exc2 and keeps counting
+    d = SncDivisor.build(3, ["exc1", "x", "exc2", "y"], [
+        ("a0", ("exc1", "x"), {}), ("a1", ("exc1", "x"), {}),
+        ("b0", ("x", "exc2"), {}), ("b1", ("x", "exc2"), {}), ("b2", ("x", "exc2"), {}),
+        ("e", ("exc2", "y"), {}),
+    ])
+    resolved, records = resolve_to_simplicial(d)
+    assert [r.new_component for r in records] == ["exc3", "exc4", "exc5"]
+    assert (resolved, records) == scan_resolve(d)
+    validate_snc(resolved)
+
+    # the point blowup takes the same next name, and so does a blowup after it
+    after, record = blowup_point_on_double_curve(d, "e")
+    assert record.new_component == "exc3"
+    assert record.added == ("exc3|exc2", "exc3|y", "exc3|e")
+    validate_snc(after)
+    _, again = blowup_stratum_component(after, "a0")
+    assert again.new_component == "exc4"
+
+
+def test_new_component_ids_avoid_stratum_ids():
+    # exc1 names a stratum, so the first blowup takes exc2; once exc1's
+    # stratum is blown up itself, its name is free for the next component
+    d = SncDivisor.build(3, ["a", "b", "e"], [
+        ("c1", ("a", "b"), {}), ("c2", ("a", "b"), {}),
+        ("exc1", ("a", "e"), {}), ("zz", ("a", "e"), {}),
+    ])
+    resolved, records = resolve_to_simplicial(d)
+    assert [(r.center, r.new_component) for r in records] == [("c1", "exc2"),
+                                                             ("exc1", "exc1")]
+    assert (resolved, records) == scan_resolve(d)
+    validate_snc(resolved)
+    after, record = blowup_point_on_double_curve(d, "c1")
+    assert record.new_component == "exc2"
+    validate_snc(after)
+
+
+def test_point_blowup_ids_take_the_cone_suffix_when_taken():
+    d = SncDivisor.build(3, ["E1", "E2", "E3"], [("c", ("E1", "E2"), {}),
+                                                 ("exc1|E1", ("E1", "E3"), {})])
+    after, record = blowup_point_on_double_curve(d, "c")
+    validate_snc(after)
+    assert record.new_component == "exc1"
+    assert record.added == ("exc1|E1~0", "exc1|E2", "exc1|c")
+    assert after.stratum("exc1|c").parents == {"exc1": "c", "E1": "exc1|E2",
+                                               "E2": "exc1|E1~0"}
+    assert after.stratum("exc1|E1").subset == ("E1", "E3")
+    # the suffix also steps past a taken suffixed id
+    d = SncDivisor.build(3, ["E1", "E2", "E3"], [("c", ("E1", "E2"), {}),
+                                                 ("exc1|E1", ("E1", "E3"), {}),
+                                                 ("exc1|E1~0", ("E2", "E3"), {})])
+    after, record = blowup_point_on_double_curve(d, "c")
+    validate_snc(after)
+    assert record.added == ("exc1|E1~1", "exc1|E2", "exc1|c")
+
 
 def test_point_blowup_on_interval_gives_triangle():
     d = interval_divisor()
@@ -540,6 +595,77 @@ def test_resolution_cap_matches_the_oracle_partial_state(cap):
         assert got.value.divisor == want.value.divisor
         hit += 1
     assert hit > 10
+
+
+def _rename_stratum(d: SncDivisor, old: str, new: str) -> SncDivisor:
+    def name(sid: str) -> str:
+        return new if sid == old else sid
+    return SncDivisor(d.n, d.components, tuple(
+        Stratum(name(s.id), s.subset, {c: name(p) for c, p in s.parents.items()})
+        for s in d.strata))
+
+
+def larger_oracle_corpus(seed: int, count: int) -> list[tuple[set[str], SncDivisor]]:
+    """Threefolds on 8 to 12 components meeting in parallel curves, with
+    triple points, each with the set of the variations applied to it.
+
+    "named": three components are exc1, exc3 and exc4, so new names fill
+    the gap at exc2 and then skip to exc5.  "curve-exc2": a double curve is
+    named exc2, so new components step past that stratum id until it is
+    blown up.  "point": a point on a double curve is blown up first.
+    """
+    rng = random.Random(seed)
+    corpus = []
+    for i in range(count):
+        m = rng.randint(8, 12)
+        comps = [f"E{j}" for j in range(m)]
+        kinds = set()
+        if i % 3 == 0:
+            for name, pos in zip(("exc1", "exc3", "exc4"), rng.sample(range(m), 3)):
+                comps[pos] = name
+            kinds.add("named")
+        d = parallel_curve_divisor(rng, m, rng.randint(m, 3 * m), comps)
+        curves = [s.id for s in d.strata if s.depth == 2]
+        if i % 5 == 2:
+            d = _rename_stratum(d, rng.choice(curves), "exc2")
+            validate_snc(d)
+            kinds.add("curve-exc2")
+        if i % 4 == 1:
+            d, _ = blowup_point_on_double_curve(d, rng.choice(curves))
+            kinds.add("point")
+        corpus.append((kinds, d))
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def larger_corpus():
+    return [(kinds, d, scan_resolve(d)) for kinds, d in larger_oracle_corpus(43, 240)]
+
+
+def test_resolve_matches_the_oracle_on_larger_divisors(larger_corpus):
+    seen = {"named": 0, "curve-exc2": 0, "point": 0, "gap": 0}
+    for kinds, d, expected in larger_corpus:
+        resolved, records = resolve_to_simplicial(d)
+        # dataclass equality: every field, strata and records in order
+        assert (resolved, records) == expected
+        validate_snc(resolved)
+        for kind in kinds:
+            seen[kind] += 1
+        seen["gap"] += {"exc2", "exc5"} <= {r.new_component for r in records}
+        assert len(d.components) >= 8 and len(records) >= 5
+    assert min(seen.values()) >= 40, seen
+
+
+def test_resolution_cap_partway_matches_the_oracle_on_larger_divisors(larger_corpus):
+    for kinds, d, (_, records) in larger_corpus:
+        cap = len(records) // 2
+        with pytest.raises(ResolutionLimitError) as got:
+            resolve_to_simplicial(d, max_blowups=cap)
+        with pytest.raises(ResolutionLimitError) as want:
+            scan_resolve(d, max_blowups=cap)
+        assert str(got.value) == str(want.value)
+        assert got.value.records == want.value.records == records[:cap]
+        assert got.value.divisor == want.value.divisor
 
 
 def test_resolve_scans_for_bad_intersections_at_most_once(monkeypatch):
