@@ -2,10 +2,11 @@
 
 A complex stores one free rank per degree on a contiguous range, plus the
 boundary maps between adjacent degrees as sparse signed incidence: one
-column of (face, coefficient) pairs per cell.  Homology and cohomology come
-out in canonical form.  Both are read off the Smith diagonals of the
-boundaries, which each complex computes at most once and keeps; cohomology
-follows from them by universal coefficients, with no transposed complex.
+column of (face, coefficient) pairs per cell.  The boundaries must compose
+to zero.  Homology and cohomology come out in canonical form.  Both are
+read off the Smith diagonals of the boundaries, which each complex computes
+once, bottom-up with clearing, and keeps; cohomology follows from them by
+universal coefficients, with no transposed complex.
 
 Spectral pages are finite: a dictionary of nonzero entries together with an
 explicit support region.  Only the E_1 → E_2 step is implemented; the one
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .abgroup import FgAbGroup, Hom, compose, subquotient
-from .intmat import sparse_smith_diagonal
+from .intmat import unit_sweep
 
 
 class SupportViolationError(Exception):
@@ -38,15 +39,20 @@ class ChainComplex:
     each a tuple of (face, coefficient) pairs with faces strictly increasing
     and below ranks[k], and coefficients nonzero.  That form is canonical,
     so equality and hashing mean equality of the maps.
+
+    Each boundary composed with the one below it must be zero.  The
+    constructor does not check it; the diagonals, read bottom-up with
+    clearing, rely on it.
     """
 
     lowest_degree: int
     ranks: tuple[int, ...]
     boundaries: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
-    # Smith diagonals by boundary index, filled on first use; not part of
-    # the value, so equality, hashing and construction ignore it.
-    _diagonals: dict[int, tuple[int, ...]] = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False)
+    # (Smith diagonal, unit pivot columns) per boundary, filled bottom-up on
+    # first use; not part of the value, so equality, hashing and
+    # construction ignore it.
+    _sweeps: list[tuple[tuple[int, ...], list[int]]] = field(
+        default_factory=list, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self) -> None:
         expected = max(len(self.ranks) - 1, 0)
@@ -77,17 +83,28 @@ class ChainComplex:
         """Smith diagonal of the boundary out of degree d, computed once.
 
         Outside the range the boundary is zero and its diagonal is empty.
+        The first call sweeps every boundary from the lowest up to this
+        one, each once, with faces as rows.  A unit pivot of the sweep below,
+        in the column of cell c, is a cochain whose coboundary has a unit at
+        c; trading c for that coboundary is a unimodular change of basis in
+        which row c of this boundary is zero, as the boundaries compose to
+        zero.  So the rows of paired cells go in empty, and the diagonal,
+        zero padding included, is that of the whole boundary.
         """
         k = d - self.lowest_degree - 1
         if not 0 <= k < len(self.boundaries):
             return ()
-        diag = self._diagonals.get(k)
-        if diag is None:
-            # A matrix and its transpose share their invariant factors, so
-            # the columns go in as the rows.
-            diag = self._diagonals[k] = sparse_smith_diagonal(
-                self.boundaries[k], self.ranks[k])
-        return diag
+        sweeps = self._sweeps
+        while len(sweeps) <= k:
+            j = len(sweeps)
+            rows: list[dict[int, int]] = [{} for _ in range(self.ranks[j])]
+            for cell, column in enumerate(self.boundaries[j]):
+                for face, x in column:
+                    rows[face][cell] = x
+            for face in sweeps[-1][1] if sweeps else ():
+                rows[face] = {}
+            sweeps.append(unit_sweep(rows, self.ranks[j + 1]))
+        return sweeps[k][0]
 
 
 def _group(c: ChainComplex, i: int, torsion_from: int) -> FgAbGroup:

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
 from json.encoder import encode_basestring
 from typing import Any, Collection, NoReturn, Sequence
 
@@ -639,7 +640,9 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for later calls."""
     parser = argparse.ArgumentParser(
         prog="snckit",
         description="Reports on SNC divisor dual complexes and the finitely "
@@ -649,7 +652,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--emit", choices=("json", "text", "both"), default="text")
     parser.add_argument("--max-blowups", type=_non_negative_int, default=MAX_BLOWUPS,
                         help="resolution loop iteration cap")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         document = parse_input(args.input)

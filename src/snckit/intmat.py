@@ -20,8 +20,9 @@ transforms it reads, and what it reads is what the full form would give:
 - :func:`row_transforms` tracks U and U^{-1}, for :func:`column_lattice`
   and for presentations of cokernels.
 
-Callers that need only the invariant factors use :func:`sparse_smith_diagonal`,
-which builds no transforms and takes the sparse rows that boundaries come in.
+Callers that need only the invariant factors use :func:`unit_sweep`, which
+builds no transforms, takes sparse rows and also names its unit pivots, or
+its adapters :func:`sparse_smith_diagonal` and :func:`smith_diagonal`.
 """
 
 from __future__ import annotations
@@ -500,11 +501,21 @@ def sparse_smith_diagonal(rows: Iterable[Iterable[tuple[int, int]]],
     """The Smith diagonal of a matrix given as sparse rows, without transforms.
 
     Row i lists its nonzero entries as (column, entry) pairs, each column
-    below ``ncols`` at most once.  The result is canonical (invariant
-    factors are unique), which frees this path to run a cheaper elimination
-    than smith_normal_form, in any pivot order: unit entries split off a
-    diag(1) summand each, and only the leftover block goes through the
-    dense routine.
+    below ``ncols`` at most once.  This is :func:`unit_sweep` on a copy of
+    the rows.
+    """
+    return unit_sweep([dict(row) for row in rows], ncols)[0]
+
+
+def unit_sweep(work: list[dict[int, int]], ncols: int) -> tuple[tuple[int, ...], list[int]]:
+    """The Smith diagonal of sparse rows, and the columns of its unit pivots.
+
+    Row i maps each column below ``ncols`` where it is nonzero to its
+    entry; the sweep consumes the rows.  The diagonal is canonical
+    (invariant factors are unique), which frees this path to run a cheaper
+    elimination than smith_normal_form, in any pivot order: unit entries
+    split off a diag(1) summand each, and only the leftover block goes
+    through the dense routine.
 
     Unit pivots go in Markowitz order.  A heap keyed by each column's live
     entry count, re-keyed lazily when a popped count is stale, gives the
@@ -521,8 +532,13 @@ def sparse_smith_diagonal(rows: Iterable[Iterable[tuple[int, int]]],
     Afterwards only rows and columns that still hold a nonzero entry go to
     the dense routine; the lines dropped as empty stand for the zeros that
     pad the diagonal to min(rows, ncols) entries.
+
+    The pivot columns come back in the order taken.  Each pivot row is then
+    an integer combination of the input rows with a +-1 in its own column
+    and 0 in the columns of every earlier pivot, so those combinations
+    replace the pivot columns' unit rows by a unimodular, triangular change
+    of basis.  ``chaincx`` reads this to clear rows of the next boundary.
     """
-    work = [dict(row) for row in rows]
     cols: list[set[int]] = [set() for _ in range(ncols)]
     for i, row in enumerate(work):
         for j in row:
@@ -531,7 +547,7 @@ def sparse_smith_diagonal(rows: Iterable[Iterable[tuple[int, int]]],
     heapq.heapify(heap)
     touched: set[int] = set()
     waiting: set[int] = set()
-    units = 0
+    pivots: list[int] = []
     while heap:
         count, untouched, j = heapq.heappop(heap)
         col = cols[j]
@@ -570,12 +586,12 @@ def sparse_smith_diagonal(rows: Iterable[Iterable[tuple[int, int]]],
                     heapq.heappush(heap, (len(cols[jj]), False, jj))
         for jj in pivot_row:
             cols[jj].discard(i)
-        units += 1
+        pivots.append(j)
     sub_cols = [j for j, c in enumerate(cols) if c]
     m = [[row.get(j, 0) for j in sub_cols] for row in work if row]
     _eliminate(m, len(m), len(sub_cols), None, None, None)
-    diag = (1,) * units + tuple(m[t][t] for t in range(min(len(m), len(sub_cols))))
-    return diag + (0,) * (min(len(work), ncols) - len(diag))
+    diag = (1,) * len(pivots) + tuple(m[t][t] for t in range(min(len(m), len(sub_cols))))
+    return diag + (0,) * (min(len(work), ncols) - len(diag)), pivots
 
 
 def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:

@@ -15,6 +15,10 @@ from helpers import (
     euler_characteristic,
     minors_invariant_factors,
     one_row_page,
+    parallel_curve_divisor,
+    random_divisor,
+    rp2_divisor,
+    simplex_divisor,
     validate_complex,
 )
 from snckit import (
@@ -22,6 +26,7 @@ from snckit import (
     FgAbGroup,
     Hom,
     IntMatrix,
+    SncDivisor,
     SpectralPage,
     SupportViolationError,
     build_dual_complex,
@@ -30,10 +35,11 @@ from snckit import (
     e2_page,
     homology,
     kh_report,
+    resolve_to_simplicial,
 )
 from snckit.abgroup import Z, ZERO_GROUP
 from snckit.cli import parse_input
-from snckit.intmat import kernel_basis
+from snckit.intmat import kernel_basis, sparse_smith_diagonal
 
 SPHERE4 = Path(__file__).parent / "fixtures" / "sphere4.json"
 
@@ -220,20 +226,122 @@ def test_cached_diagonals_leave_equality_hash_and_repr_alone():
     assert (hash(c), repr(c)) == before
 
 
+def tensor(c: ChainComplex, e: ChainComplex) -> ChainComplex:
+    """The tensor product complex: d(a x b) = da x b + (-1)^|a| a x db."""
+    top = len(c.ranks) + len(e.ranks) - 1
+    cells = [[(p, a, t - p, b) for p in range(len(c.ranks)) if 0 <= t - p < len(e.ranks)
+              for a in range(c.ranks[p]) for b in range(e.ranks[t - p])]
+             for t in range(top)]
+    pos = [{cell: i for i, cell in enumerate(layer)} for layer in cells]
+    boundaries = []
+    for t in range(1, top):
+        columns = []
+        for p, a, q, b in cells[t]:
+            column = {}
+            if p:
+                for face, x in c.boundaries[p - 1][a]:
+                    column[pos[t - 1][(p - 1, face, q, b)]] = x
+            if q:
+                sign = (-1) ** (c.lowest_degree + p)
+                for face, x in e.boundaries[q - 1][b]:
+                    column[pos[t - 1][(p, a, q - 1, face)]] = sign * x
+            columns.append(tuple(sorted(column.items())))
+        boundaries.append(tuple(columns))
+    return ChainComplex(c.lowest_degree + e.lowest_degree, tuple(map(len, cells)),
+                        tuple(boundaries))
+
+
+def shuffled_divisor(d: SncDivisor, rng: random.Random) -> SncDivisor:
+    strata = list(d.strata)
+    rng.shuffle(strata)
+    return SncDivisor(d.n, d.components, tuple(strata))
+
+
+def divisor_corpus() -> list[SncDivisor]:
+    """The rp2 divisor, simplex skeletons canonical and shuffled, and resolved divisors."""
+    rng = random.Random(31)
+    out = [rp2_divisor()]
+    for n, m in ((2, 6), (3, 7), (4, 9)):
+        d = simplex_divisor(n, [f"E{i}" for i in range(m)], n)
+        out += [d, shuffled_divisor(d, rng), shuffled_divisor(d, rng)]
+    for _ in range(8):
+        out.append(resolve_to_simplicial(
+            parallel_curve_divisor(rng, rng.randint(4, 6), rng.randint(0, 6)))[0])
+    for _ in range(20):
+        out.append(resolve_to_simplicial(random_divisor(rng))[0])
+    return out
+
+
+def test_dual_complexes_compose_to_zero():
+    # The precondition clearing rests on, for every way the system builds a
+    # complex: skeletons, the rp2 divisor and resolved divisors.
+    for d in divisor_corpus():
+        validate_complex(build_dual_complex(d).chain_complex())
+
+
+def uncleared_diagonal(c: ChainComplex, d: int) -> tuple[int, ...]:
+    """The diagonal of the whole boundary out of d, rows taken as its cells."""
+    k = d - c.lowest_degree - 1
+    if not 0 <= k < len(c.boundaries):
+        return ()
+    return sparse_smith_diagonal(c.boundaries[k], c.ranks[k])
+
+
+def test_cleared_diagonals_equal_uncleared_ones_in_any_degree_order():
+    rng = random.Random(32)
+    rp2 = projective_plane_cw()
+    product = tensor(tensor(rp2, rp2), simplex_boundary_complex(4))
+    complexes = [product, tensor(rp2, simplex_boundary_complex(5))]
+    complexes += [random_complex(rng, rng.randint(1, 5)) for _ in range(150)]
+    complexes += [torsion_complex(rng) for _ in range(150)]
+    complexes += [build_dual_complex(d).chain_complex() for d in divisor_corpus()]
+    for c in complexes[:2]:
+        validate_complex(c)
+    # Clearing runs next to a dense block: a boundary with torsion sits on
+    # one whose unit pivots clear its rows.
+    assert sum(product.ranks) == 270
+    assert any(max(product.diagonal(d), default=0) > 1 and 1 in product.diagonal(d - 1)
+               for d in product.degrees)
+    for c in complexes:
+        degrees = list(range(c.lowest_degree - 1, c.degrees.stop + 2))
+        want = [uncleared_diagonal(c, d) for d in degrees]
+        for _ in range(2):
+            order = list(range(len(degrees)))
+            rng.shuffle(order)
+            got = fresh(c)
+            diagonals = {i: got.diagonal(degrees[i]) for i in order}
+            assert [diagonals[i] for i in range(len(degrees))] == want
+
+
 def test_kh_report_takes_each_smith_diagonal_once(monkeypatch):
     doc = parse_input(str(SPHERE4))
-    calls = []
-    real = chaincx.sparse_smith_diagonal
+    c = build_dual_complex(doc.divisor).chain_complex()
+    entries = [{(face, cell, x) for cell, column in enumerate(b) for face, x in column}
+               for b in c.boundaries]
+    calls = []  # (boundary index, empty rows, unit pivot columns)
+    real = chaincx.unit_sweep
 
     def counting(rows, ncols):
-        calls.append(id(rows))
-        return real(rows, ncols)
+        seen = {(face, cell, x) for face, row in enumerate(rows) for cell, x in row.items()}
+        k, = (k for k, e in enumerate(entries)
+              if (len(rows), ncols) == c.ranks[k:k + 2] and seen <= e)
+        empty = {face for face, row in enumerate(rows) if not row}
+        result = real(rows, ncols)
+        calls.append((k, empty, result[1]))
+        return result
 
-    monkeypatch.setattr(chaincx, "sparse_smith_diagonal", counting)
+    monkeypatch.setattr(chaincx, "unit_sweep", counting)
     kh_report(doc.divisor, doc.picard, doc.field_mode)
-    boundaries = len(build_dual_complex(doc.divisor).chain_complex().boundaries)
-    assert 0 < len(calls) <= boundaries
-    assert len(set(calls)) == len(calls)
+    swept = [k for k, _, _ in calls]
+    assert 0 < len(calls) <= len(c.boundaries)
+    assert len(set(swept)) == len(swept)
+    # Bottom-up, and each boundary above the lowest goes in without the
+    # rows of the cells the boundary below paired: its non-empty rows
+    # number ranks[k] minus the unit pivots below (every face of the
+    # 3-sphere has a coface).
+    assert swept == list(range(len(calls))) and len(calls) >= 2
+    for (k, empty, _), (_, _, below) in zip(calls[1:], calls):
+        assert below and empty == set(below)
 
 
 def test_dualize_is_an_involution():

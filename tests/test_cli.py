@@ -369,6 +369,32 @@ def test_cohomology_work_is_bounded_by_the_divisor_not_by_n(capsys, tmp_path, n)
         assert machine["zero_degrees"] == {"first": 2, "last": n - 1}
 
 
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_command_takes_time_flat_in_n(capsys, tmp_path, command):
+    # sphere4.json with n raised 1000x, its Picard levels and Du Bois entry
+    # moved to match: the divisor is the same, so the work must be too.
+    def best_seconds(factor: int) -> float:
+        data = load(SPHERE4)
+        shift = data["divisor"]["n"] * (factor - 1)
+        data["divisor"]["n"] += shift
+        for level in data["picard"]["levels"]:
+            level["p"] += shift
+        for entry in data["dubois"]["entries"]:
+            entry["q"] += shift
+        argv = ["--input", write_doc(tmp_path, data), "--command", command,
+                "--emit", "both"]
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            assert main(argv) == 0
+            best = min(best, time.perf_counter() - start)
+            capsys.readouterr()
+        return best
+
+    base = best_seconds(1)
+    assert best_seconds(1000) <= 4 * base + 0.01
+
+
 def test_k_report_text_and_machine():
     text, machine = run("k-report", parse_input(str(TRIANGLE)))
     assert "  b^{0,2} = 2" in text
