@@ -262,8 +262,8 @@ def preimage_lattice(h: Hom) -> tuple[Lattice, FgAbGroup]:
 
     Solutions are integer vectors x with h.matrix·x in the relation lattice
     of the target, computed from the kernel of [matrix | relations].  The
-    returned form serves every solve against the lattice, and its diagonal
-    presents the source modulo the lattice.  The same elimination of
+    lattice solves every relation against it, and its invariant factors
+    present the source modulo the lattice.  The same elimination of
     [matrix | relations] yields the Smith diagonal that presents the
     cokernel, the target modulo the image of h.
     """
@@ -285,10 +285,10 @@ def subquotient(outgoing: Hom, incoming: Hom) -> FgAbGroup:
             f"maps do not meet: incoming lands in {incoming.target}, "
             f"outgoing leaves from {outgoing.source}")
     lat, _ = preimage_lattice(outgoing)
-    q = lat.form.solve(incoming.matrix.hstack(presentation_matrix(outgoing.source)))
+    q = lat.solve(incoming.matrix.hstack(presentation_matrix(outgoing.source)))
     if q is None:
         raise ValueError("incoming image does not lie in the outgoing kernel")
-    return group_from_presentation(q, lat.basis.ncols)
+    return group_from_presentation(q, len(lat.factors))
 
 
 def direct_sum(gs: Iterable[FgAbGroup]) -> FgAbGroup:

@@ -17,12 +17,14 @@ transforms it reads, and what it reads is what the full form would give:
   of them;
 - :func:`kernel_basis` tracks V, and returns the free columns of V with
   the diagonal;
-- :func:`row_transforms` tracks U and U^{-1}, for :func:`column_lattice`
-  and for presentations of cokernels.
+- :func:`row_transforms` tracks U and U^{-1}, for presentations of
+  cokernels;
+- :func:`column_lattice` tracks U alone, and returns it with the invariant
+  factors as a :class:`Lattice` that solves against the column span.
 
 Callers that need only the invariant factors use :func:`unit_sweep`, which
 builds no transforms, takes sparse rows and also names its unit pivots, or
-its adapters :func:`sparse_smith_diagonal` and :func:`smith_diagonal`.
+:func:`smith_diagonal`, which hands it the rows of a dense matrix.
 """
 
 from __future__ import annotations
@@ -86,16 +88,6 @@ class IntMatrix:
     def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
         return cls._of(((0,) * ncols,) * nrows, ncols)
 
-    @classmethod
-    def diagonal(cls, entries: Sequence[int], nrows: int | None = None,
-                 ncols: int | None = None) -> "IntMatrix":
-        k = len(entries)
-        nrows = k if nrows is None else nrows
-        ncols = k if ncols is None else ncols
-        rows = [[entries[i] if i == j and i < k else 0 for j in range(ncols)]
-                for i in range(nrows)]
-        return cls(rows, ncols=ncols)
-
     # -- shape and access ------------------------------------------------
 
     @property
@@ -106,23 +98,11 @@ class IntMatrix:
         i, j = key
         return self._rows[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self._rows[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self._rows)
-
     def rows(self) -> tuple[tuple[int, ...], ...]:
         return self._rows
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self._rows]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self._rows for x in row)
-
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
 
     # -- arithmetic ------------------------------------------------------
 
@@ -151,24 +131,6 @@ class IntMatrix:
                 out.append(tuple(sum(map(mul, row, col)) for col in cols))
         return IntMatrix._of(tuple(out), n)
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return IntMatrix._of(tuple(tuple(map(add, r1, r2))
-                                   for r1, r2 in zip(self._rows, other._rows)),
-                             self.ncols)
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix._of(tuple(tuple(-x for x in row) for row in self._rows),
-                             self.ncols)
-
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * x for x in row] for row in self._rows],
-                         ncols=self.ncols)
-
     def transpose(self) -> "IntMatrix":
         rows = tuple(zip(*self._rows)) if self._rows else ((),) * self.ncols
         return IntMatrix._of(rows, self.nrows)
@@ -179,11 +141,6 @@ class IntMatrix:
         return IntMatrix._of(tuple(map(add, self._rows, other._rows)),
                              self.ncols + other.ncols)
 
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.ncols:
-            raise ValueError(f"column mismatch {self.shape} / {other.shape}")
-        return IntMatrix._of(self._rows + other._rows, self.ncols)
-
     def take_rows(self, indices: Iterable[int]) -> "IntMatrix":
         return IntMatrix._of(tuple(self._rows[i] for i in indices), self.ncols)
 
@@ -191,36 +148,6 @@ class IntMatrix:
         idx = list(indices)
         return IntMatrix._of(tuple(tuple(map(row.__getitem__, idx)) for row in self._rows),
                              len(idx))
-
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination.
-
-        Exact for any square integer matrix; all intermediate divisions are
-        known to be exact, so nothing ever leaves the integers.
-        """
-        if not self.is_square():
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
-        m = self.to_lists()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
 
     # -- protocol --------------------------------------------------------
 
@@ -292,38 +219,6 @@ class SmithForm:
     def torsion_factors(self) -> tuple[int, ...]:
         """Invariant factors greater than 1 (the torsion of the cokernel)."""
         return tuple(x for x in self.diagonal if x > 1)
-
-    def solve(self, b: IntMatrix) -> IntMatrix | None:
-        """An integer solution X of A X = B for the input A, or None.
-
-        Every solve against the same A can share one form this way.
-        """
-        if self.u.ncols != b.nrows:
-            raise ValueError(f"shape mismatch solving {self.d.shape} X = {b.shape}")
-        diag = self.diagonal
-        r = self.rank
-        c = (self.u @ b).rows()
-        if any(any(row) for row in c[r:]):
-            return None
-        y = []
-        for row, p in zip(c, diag[:r]):
-            if any(x % p for x in row):
-                return None
-            y.append(tuple(x // p for x in row))
-        y.extend(((0,) * b.ncols,) * (self.d.ncols - r))
-        return self.v @ IntMatrix._of(tuple(y), b.ncols)
-
-    def verify(self, a: IntMatrix) -> None:
-        """Check the defining identity, unimodularity and the tracked inverse."""
-        if self.u @ a @ self.v != self.d:
-            raise AssertionError("U*A*V != D")
-        if self.u.det() not in (1, -1):
-            raise AssertionError("U not unimodular")
-        if self.v.det() not in (1, -1):
-            raise AssertionError("V not unimodular")
-        if self.u @ self.u_inv != IntMatrix.identity(self.u.nrows):
-            raise AssertionError("U*U_inv != I")
-
 
 def _pick_pivot(m: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:
     """Smallest nonzero entry (by absolute value) of the trailing block.
@@ -496,17 +391,6 @@ def row_transforms(a: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]
             IntMatrix._of(tuple(zip(*u_inv_t)), nr))
 
 
-def sparse_smith_diagonal(rows: Iterable[Iterable[tuple[int, int]]],
-                          ncols: int) -> tuple[int, ...]:
-    """The Smith diagonal of a matrix given as sparse rows, without transforms.
-
-    Row i lists its nonzero entries as (column, entry) pairs, each column
-    below ``ncols`` at most once.  This is :func:`unit_sweep` on a copy of
-    the rows.
-    """
-    return unit_sweep([dict(row) for row in rows], ncols)[0]
-
-
 def unit_sweep(work: list[dict[int, int]], ncols: int) -> tuple[tuple[int, ...], list[int]]:
     """The Smith diagonal of sparse rows, and the columns of its unit pivots.
 
@@ -596,8 +480,8 @@ def unit_sweep(work: list[dict[int, int]], ncols: int) -> tuple[tuple[int, ...],
 
 def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """The diagonal of the Smith form of a dense matrix, without transforms."""
-    return sparse_smith_diagonal(
-        [[(j, x) for j, x in enumerate(row) if x] for row in a.rows()], a.ncols)
+    return unit_sweep([{j: x for j, x in enumerate(row) if x} for row in a.rows()],
+                      a.ncols)[0]
 
 
 def kernel_basis(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
@@ -618,29 +502,41 @@ def kernel_basis(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
 
 
 class Lattice(NamedTuple):
-    """A lattice basis (as columns) together with a Smith form of that basis.
+    """The column span of a matrix A, as the U and invariant factors of A.
 
-    Every solve against the lattice, and every reading of the quotient of
-    the ambient space by it, can share ``form``.
+    With U*A*V = D of rank r, A spans what B = U^{-1} D_r spans, the first
+    r columns of U^{-1} D, which are independent.  Since U*B = D_r, solving
+    against B needs U and the r factors alone, so neither V nor B, whose
+    entries are large, is ever built.  The factors above 1 are the torsion
+    of the ambient space modulo the lattice, and the rank of that quotient
+    is the number of rows of U minus ``len(factors)``.
     """
 
-    basis: IntMatrix
-    form: SmithForm
+    u: IntMatrix
+    factors: tuple[int, ...]
+
+    def solve(self, b: IntMatrix) -> IntMatrix | None:
+        """The integer X with B = U^{-1} D_r X, or None if B leaves the lattice.
+
+        Every solve works column by column, so the solution for
+        [B1 | B2] is [X1 | X2].
+        """
+        c = (self.u @ b).rows()
+        r = len(self.factors)
+        if any(any(row) for row in c[r:]):
+            return None
+        y = []
+        for row, p in zip(c, self.factors):
+            if any(x % p for x in row):
+                return None
+            y.append(tuple(x // p for x in row))
+        return IntMatrix._of(tuple(y), b.ncols)
 
 
 def column_lattice(a: IntMatrix) -> Lattice:
-    """The lattice spanned by the columns of A, from one elimination of A.
-
-    With U*A*V = D of rank r, the column span of A equals the column span
-    of B = U^{-1} D_r, the first r columns of U^{-1} D, which are
-    independent.  Since U*B = D_r, the form (U, D_r, I, U^{-1}) of B comes
-    for free: no elimination of B, whose entries are large, is needed, and
-    the elimination of A tracks U and U^{-1} but not V.
-    """
-    diag, u, u_inv = row_transforms(a)
-    factors = tuple(x for x in diag if x != 0)
-    r = len(factors)
-    basis = IntMatrix._of(tuple(tuple(map(mul, row, factors)) for row in u_inv.rows()), r)
-    form = SmithForm(u, IntMatrix.diagonal(factors, a.nrows, r),
-                     IntMatrix.identity(r), u_inv)
-    return Lattice(basis, form)
+    """The lattice spanned by the columns of A, from one elimination tracking U alone."""
+    nr, nc = a.shape
+    m = a.to_lists()
+    u = IntMatrix.identity(nr).to_lists()
+    _eliminate(m, nr, nc, u, None, None)
+    return Lattice(_frozen(u, nr), tuple(x for x in _diagonal(m, nr, nc) if x != 0))

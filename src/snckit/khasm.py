@@ -150,8 +150,10 @@ def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
     n-3 or its map is zero, and a nonzero lower map cuts it down to a proper
     quotient.  It is computed on the same kernel-lattice basis as ker(NS),
     so the surjection comes out as an explicit matrix.  The lattice is built
-    once, and both solves share its Smith form; coker(NS) comes from the
-    same elimination as the lattice.
+    once and solves [incoming | relations] once: solving works column by
+    column, so the relations' own columns of that solution are the
+    relations of ker(NS).  coker(NS) comes from the same elimination as
+    the lattice.
     """
     main = pi.maps[-1]
     incoming = (pi.maps[0].matrix if len(pi.maps) == 2
@@ -159,12 +161,12 @@ def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
 
     lat, coker_ns = preimage_lattice(main)
     r_mid = presentation_matrix(main.source)
-    rels_ker = lat.form.solve(r_mid)
-    rels_gamma = lat.form.solve(incoming.hstack(r_mid))
-    if rels_ker is None or rels_gamma is None:  # pragma: no cover
+    rels_gamma = lat.solve(incoming.hstack(r_mid))
+    if rels_gamma is None:  # pragma: no cover
         raise AssertionError("relations escaped the kernel lattice")
-    pres_ker = presentation(rels_ker, lat.basis.ncols)
-    pres_gamma = presentation(rels_gamma, lat.basis.ncols)
+    rels_ker = rels_gamma.take_columns(range(incoming.ncols, rels_gamma.ncols))
+    pres_ker = presentation(rels_ker, len(lat.factors))
+    pres_gamma = presentation(rels_gamma, len(lat.factors))
     surjection = Hom(pres_ker.group, pres_gamma.group,
                      pres_gamma.to_canonical @ pres_ker.lift)
     return pres_ker.group, coker_ns, pres_gamma.group, surjection

@@ -9,9 +9,11 @@ Smith transforms from a second Smith form instead of the tracked inverse,
 chain complexes straight off the strata, and the E_3 corner of the KH
 report from an assembled two-row descent page.  Small conveniences that
 only tests call (``hom_analyze``, ``cokernel``, ``validate_complex``,
-``euler_characteristic``, ``kh_top``) live here too, as does the dense
-view of sparse boundaries: ``complex_from_matrices`` builds a complex from
-dense matrices and ``boundary_matrix`` reads a boundary back as one.
+``euler_characteristic``, ``kh_top``, and matrix arithmetic such as
+``det``, ``diagonal`` or ``verify`` for a Smith form) live here too, as
+does the dense view of sparse boundaries: ``complex_from_matrices`` builds
+a complex from dense matrices and ``boundary_matrix`` reads a boundary
+back as one.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ from snckit.abgroup import (
     presentation,
     presentation_matrix,
 )
-from snckit.intmat import kernel_basis, smith_normal_form
+from snckit.intmat import Lattice, SmithForm, kernel_basis, smith_normal_form
 from snckit.snc import ResolutionLimitError, UnknownCenterError
 
 
@@ -88,6 +90,84 @@ def minors_invariant_factors(a: IntMatrix) -> list[int]:
     return factors
 
 
+def diagonal(entries: list[int] | tuple[int, ...], nrows: int | None = None,
+             ncols: int | None = None) -> IntMatrix:
+    """The nrows x ncols matrix (square by default) with ``entries`` on its diagonal."""
+    k = len(entries)
+    nrows = k if nrows is None else nrows
+    ncols = k if ncols is None else ncols
+    return IntMatrix([[entries[i] if i == j and i < k else 0 for j in range(ncols)]
+                      for i in range(nrows)], ncols=ncols)
+
+
+def column(a: IntMatrix, j: int) -> tuple[int, ...]:
+    return tuple(row[j] for row in a.rows())
+
+
+def is_zero(a: IntMatrix) -> bool:
+    return not any(map(any, a.rows()))
+
+
+def add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch {a.shape} + {b.shape}")
+    return IntMatrix([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a.rows(), b.rows())],
+                     ncols=a.ncols)
+
+
+def scale(a: IntMatrix, c: int) -> IntMatrix:
+    return IntMatrix([[c * x for x in row] for row in a.rows()], ncols=a.ncols)
+
+
+def vstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.ncols != b.ncols:
+        raise ValueError(f"column mismatch {a.shape} / {b.shape}")
+    return IntMatrix(a.rows() + b.rows(), ncols=a.ncols)
+
+
+def det(a: IntMatrix) -> int:
+    """Determinant by fraction-free (Bareiss) elimination.
+
+    Exact for any square integer matrix; all intermediate divisions are
+    known to be exact, so nothing ever leaves the integers.
+    """
+    if a.nrows != a.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    n = a.nrows
+    if n == 0:
+        return 1
+    m = a.to_lists()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def verify(sf: SmithForm, a: IntMatrix) -> None:
+    """Check U*A*V = D, unimodularity and the tracked inverse of a Smith form of A."""
+    if sf.u @ a @ sf.v != sf.d:
+        raise AssertionError("U*A*V != D")
+    if det(sf.u) not in (1, -1):
+        raise AssertionError("U not unimodular")
+    if det(sf.v) not in (1, -1):
+        raise AssertionError("V not unimodular")
+    if sf.u @ sf.u_inv != IntMatrix.identity(sf.u.nrows):
+        raise AssertionError("U*U_inv != I")
+
+
 def random_matrix(rng: random.Random, max_dim: int = 6, span: int = 9) -> IntMatrix:
     nr = rng.randint(0, max_dim)
     nc = rng.randint(0, max_dim)
@@ -123,8 +203,16 @@ def wide_random_matrix(rng: random.Random) -> IntMatrix:
 
 
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
-    """An integer solution X of A X = B, or None when none exists."""
-    return smith_normal_form(a).solve(b)
+    """An integer solution X of A X = B, or None when none exists.
+
+    With U*A*V = D of rank r, the lattice of A's U and invariant factors
+    gives Y with D_r Y = U B; then X = V [Y; 0].
+    """
+    sf = smith_normal_form(a)
+    y = Lattice(sf.u, sf.invariant_factors()).solve(b)
+    if y is None:
+        return None
+    return sf.v @ vstack(y, IntMatrix.zero(a.ncols - y.nrows, b.ncols))
 
 
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:
@@ -143,7 +231,7 @@ def column_lattice_basis(a: IntMatrix) -> IntMatrix:
     """Nonzero columns of U^{-1} D, with U^{-1} from ``unimodular_inverse``."""
     sf = smith_normal_form(a)
     uinv = unimodular_inverse(sf.u)
-    cols = [[x * d for x in uinv.column(j)]
+    cols = [[x * d for x in column(uinv, j)]
             for j, d in enumerate(sf.diagonal) if d != 0]
     return from_columns(cols, a.nrows)
 
@@ -188,12 +276,13 @@ def cokernel(h: Hom) -> FgAbGroup:
 def hom_analyze(h: Hom) -> HomAnalysis:
     """Kernel, image, and cokernel of a homomorphism, all canonical."""
     lat, _ = preimage_lattice(h)
-    rels = lat.form.solve(presentation_matrix(h.source))
+    rels = lat.solve(presentation_matrix(h.source))
     if rels is None:  # pragma: no cover - validation makes this unreachable
         raise AssertionError("source relations escaped the kernel lattice")
-    kernel = group_from_presentation(rels, lat.basis.ncols)
-    # The image is the source modulo the lattice, read off the lattice's form.
-    image = FgAbGroup(h.source.ngens - lat.form.rank, lat.form.torsion_factors())
+    kernel = group_from_presentation(rels, len(lat.factors))
+    # The image is the source modulo the lattice, read off its factors.
+    image = FgAbGroup(h.source.ngens - len(lat.factors),
+                      tuple(x for x in lat.factors if x > 1))
     return HomAnalysis(kernel, image, cokernel(h))
 
 
@@ -550,7 +639,7 @@ def complex_from_matrices(lowest_degree: int, ranks, matrices) -> ChainComplex:
     per cell of the upper degree, listing its nonzero entries by row.
     """
     return ChainComplex(lowest_degree, tuple(ranks), tuple(
-        tuple(tuple((i, x) for i, x in enumerate(m.column(j)) if x)
+        tuple(tuple((i, x) for i, x in enumerate(column(m, j)) if x)
               for j in range(m.ncols))
         for m in matrices))
 
@@ -560,8 +649,8 @@ def boundary_matrix(c: ChainComplex, d: int) -> IntMatrix:
     m = [[0] * c.rank(d) for _ in range(c.rank(d - 1))]
     k = d - c.lowest_degree - 1
     if 0 <= k < len(c.boundaries):
-        for j, column in enumerate(c.boundaries[k]):
-            for i, x in column:
+        for j, entries in enumerate(c.boundaries[k]):
+            for i, x in entries:
                 m[i][j] = x
     return IntMatrix(m, ncols=c.rank(d))
 
@@ -610,7 +699,7 @@ def validate_complex(c: ChainComplex) -> None:
     boundary(d - 1) @ boundary(d) failed.
     """
     for d in c.degrees:
-        if not (boundary_matrix(c, d - 1) @ boundary_matrix(c, d)).is_zero():
+        if not is_zero(boundary_matrix(c, d - 1) @ boundary_matrix(c, d)):
             raise NonComplexError(d)
 
 
@@ -792,17 +881,17 @@ def dense_picard_document(rng: random.Random, rank: int, moves: int = 3) -> dict
     top_torsion = rng.choice(([], [2], [3], [2, 4], [2, 6]))
     p_mat, _ = _unimodular_rows(rng, r2, moves * r2)
     q_mat, q_inv = _unimodular_rows(rng, rank, moves * rank)
-    main = p_mat @ IntMatrix.diagonal(_chain_factors(rng, k), r2, rank) @ q_mat
+    main = p_mat @ diagonal(_chain_factors(rng, k), r2, rank) @ q_mat
     tors_rows = []
     for t in top_torsion:
         w = [rng.randint(-4, 4) if j < k else t * rng.randint(-2, 2)
              for j in range(rank)]
-        tors_rows.append(list((IntMatrix([w]) @ q_mat).row(0)))
-    main = main.vstack(IntMatrix(tors_rows, ncols=rank))
+        tors_rows.append(list((IntMatrix([w]) @ q_mat).rows()[0]))
+    main = vstack(main, IntMatrix(tors_rows, ncols=rank))
 
     p2, _ = _unimodular_rows(rng, kdim, moves * kdim)
     q2, _ = _unimodular_rows(rng, r0, moves * r0)
-    b = p2 @ IntMatrix.diagonal(_chain_factors(rng, r0 - 1), kdim, r0) @ q2
+    b = p2 @ diagonal(_chain_factors(rng, r0 - 1), kdim, r0) @ q2
     lower = q_inv.take_columns(range(k, rank)) @ b
 
     ids: dict[tuple[int, ...], str] = {}

@@ -203,7 +203,9 @@ def test_kernel_lattice_and_presentation_agree():
         lattice = kernel_lattice(h)
         pres = kernel_presentation(h)
         assert pres.group == hom_analyze(h).kernel
-        assert preimage_lattice(h)[0].basis == lattice
+        # the lattice's basis U^{-1} D_r is the oracle's: its coordinates
+        # on it are the identity
+        assert preimage_lattice(h)[0].solve(lattice) == IntMatrix.identity(lattice.ncols)
         # every lattice vector really dies in the target
         img = h.matrix @ lattice
         for j in range(img.ncols):

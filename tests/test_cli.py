@@ -19,7 +19,7 @@ from helpers import (
     random_divisor,
     triangle_cycle,
 )
-from snckit import cli, resolve_to_simplicial, snc
+from snckit import IntMatrix, cli, resolve_to_simplicial, snc
 from snckit.cli import (
     COMMANDS,
     InputDocument,
@@ -408,6 +408,36 @@ def test_k_report_text_and_machine():
 def test_run_rejects_unknown_command():
     with pytest.raises(ValueError):
         run("explode", parse_input(str(PARALLEL)))
+
+
+def test_the_benchmark_tracer_leaves_stdout_alone(capsys, monkeypatch):
+    # perfbench/tracer.py wraps the layer modules' functions and looks up
+    # IntMatrix.transpose, IntMatrix.__matmul__ and DualComplex.chain_complex
+    # by name, so deleting any of them breaks the traced benchmark here.
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    from tracer import Tracer
+
+    def outputs() -> list[str]:
+        out = []
+        for path, command in ((SPHERE4, "kh-report"), (PARALLEL, "resolve")):
+            argv = ["--input", str(path), "--command", command, "--emit", "both"]
+            assert main(argv) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    matmul = IntMatrix.__matmul__
+    plain = outputs()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        traced = outputs()
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    spans = tracer.snapshot()
+    assert spans["khasm.kh_report"][0] == spans["snc.resolve_to_simplicial"][0] == 1
+    assert spans["snc.DualComplex.chain_complex"][0] >= 1
+    assert IntMatrix.__matmul__ is matmul
 
 
 # ---------------------------------------------------------------------------

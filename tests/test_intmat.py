@@ -9,14 +9,22 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from helpers import (
+    add,
     cofactor_det,
+    column,
     column_lattice_basis,
+    det,
+    diagonal,
     from_columns,
+    is_zero,
     minors_invariant_factors,
     random_matrix,
+    scale,
     simplex_divisor,
     solve_exact,
     unimodular_inverse,
+    verify,
+    vstack,
     wide_random_matrix,
 )
 from snckit import (
@@ -30,17 +38,18 @@ from snckit import (
 )
 from snckit import intmat
 from snckit.intmat import (
+    Lattice,
     column_lattice,
     kernel_basis,
     row_transforms,
-    sparse_smith_diagonal,
+    unit_sweep,
 )
 
 
 def test_spec_example_diag_2_4():
     sf = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     assert sf.diagonal == (2, 4)
-    sf.verify(IntMatrix([[2, 4], [6, 8]]))
+    verify(sf, IntMatrix([[2, 4], [6, 8]]))
 
 
 def test_degenerate_shapes():
@@ -49,7 +58,7 @@ def test_degenerate_shapes():
     for a in (IntMatrix([], ncols=0), IntMatrix([], ncols=4),
               IntMatrix([[], [], []], ncols=0)):
         sf = smith_normal_form(a)
-        sf.verify(a)
+        verify(sf, a)
         assert sf.diagonal == ()
         assert sf.rank == 0
 
@@ -58,7 +67,7 @@ def test_snf_verifies_on_random_matrices():
     rng = random.Random(1)
     for _ in range(1500):
         a = random_matrix(rng)
-        smith_normal_form(a).verify(a)
+        verify(smith_normal_form(a), a)
 
 
 def test_snf_deterministic():
@@ -104,9 +113,9 @@ def test_smith_diagonal_agrees_with_full_form():
         want = smith_normal_form(a).diagonal
         assert smith_diagonal(a) == want
         assert smith_diagonal(a.transpose()) == want
-        columns = [[(i, x) for i, x in enumerate(a.column(j)) if x]
+        columns = [{i: x for i, x in enumerate(column(a, j)) if x}
                    for j in range(a.ncols)]
-        assert sparse_smith_diagonal(columns, a.nrows) == want
+        assert unit_sweep(columns, a.nrows)[0] == want
     assert sum(a.nrows != a.ncols for a in matrices) >= 500
     assert sum(any(x > 1 for x in smith_diagonal(a)) for a in matrices) >= 100
 
@@ -117,9 +126,9 @@ def test_det_against_cofactor_expansion():
         n = rng.randint(0, 5)
         a = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)],
                       ncols=n)
-        assert a.det() == cofactor_det(a.to_lists())
+        assert det(a) == cofactor_det(a.to_lists())
     with pytest.raises(ValueError):
-        IntMatrix([[1, 2]]).det()
+        det(IntMatrix([[1, 2]]))
 
 
 def test_kernel_basis_spans_saturated_kernel():
@@ -127,7 +136,7 @@ def test_kernel_basis_spans_saturated_kernel():
     for _ in range(300):
         a = random_matrix(rng)
         k, _ = kernel_basis(a)
-        assert (a @ k).is_zero()
+        assert is_zero(a @ k)
         assert (smith_normal_form(k).rank == k.ncols
                 == a.ncols - smith_normal_form(a).rank)
         # saturated: the basis extends to a basis of Z^ncols
@@ -189,7 +198,7 @@ def _tracked_inverse_cases():
 def test_tracked_inverse_matches_the_two_pass_oracle():
     for a in _tracked_inverse_cases():
         sf = smith_normal_form(a)
-        sf.verify(a)
+        verify(sf, a)
         assert sf.u @ sf.u_inv == IntMatrix.identity(a.nrows)
         assert sf.u_inv == unimodular_inverse(sf.u)
 
@@ -197,19 +206,24 @@ def test_tracked_inverse_matches_the_two_pass_oracle():
 def test_verify_rejects_a_wrong_inverse():
     a = IntMatrix([[2, 4], [6, 8]])
     sf = smith_normal_form(a)
-    wrong = SmithForm(sf.u, sf.d, sf.v, sf.u_inv.scale(-1))
+    wrong = SmithForm(sf.u, sf.d, sf.v, scale(sf.u_inv, -1))
     with pytest.raises(AssertionError, match="U_inv"):
-        wrong.verify(a)
+        verify(wrong, a)
 
 
 def test_column_lattice_basis_spans_same_lattice():
     rng = random.Random(10)
     for _ in range(200):
         a = random_matrix(rng, max_dim=5)
-        basis, form = column_lattice(a)
-        assert basis == column_lattice_basis(a)
-        form.verify(basis)
-        assert basis.ncols == smith_normal_form(a).rank
+        lat = column_lattice(a)
+        basis = column_lattice_basis(a)
+        r = len(lat.factors)
+        # (U, factors) is a Smith form of the basis U^{-1} D_r, with V = I,
+        # and the lattice's own basis is that one
+        assert lat.u @ basis == diagonal(lat.factors, a.nrows, r)
+        assert det(lat.u) in (1, -1)
+        assert lat.solve(basis) == IntMatrix.identity(r)
+        assert r == smith_normal_form(a).rank
         # every column of a lies in the lattice of the basis and conversely
         assert solve_exact(basis, a) is not None
         assert solve_exact(a, basis) is not None
@@ -218,7 +232,11 @@ def test_column_lattice_basis_spans_same_lattice():
 def test_trimmed_eliminations_read_what_the_full_form_returns():
     # Pivots depend on the matrix alone, so an elimination that leaves a
     # transform untracked must give the same diagonal and the same tracked
-    # transforms as smith_normal_form.
+    # transforms as smith_normal_form.  The lattice's basis is U^{-1} D_r,
+    # and solving in the lattice agrees with the oracle solve_exact on that
+    # basis, which takes a Smith form of the basis itself: on the lattice
+    # both give the same coordinates, off it both give None.  A column of
+    # U^{-1} whose row of D is zero or above 1 lies off the lattice.
     rng = random.Random(41)
     seen = set()
     for _ in range(250):
@@ -230,17 +248,25 @@ def test_trimmed_eliminations_read_what_the_full_form_returns():
         assert row_transforms(a) == (diag, sf.u, sf.u_inv)
         factors = sf.invariant_factors()
         r = len(factors)
-        basis, form = column_lattice(a)
-        assert basis == from_columns(
-            [[x * d for x in sf.u_inv.column(j)] for j, d in enumerate(factors)],
-            a.nrows)
-        assert form == SmithForm(sf.u, IntMatrix.diagonal(factors, a.nrows, r),
-                                 IntMatrix.identity(r), sf.u_inv)
+        lat = column_lattice(a)
+        assert lat == Lattice(sf.u, factors)
+        basis = from_columns([[x * d for x in column(sf.u_inv, j)]
+                              for j, d in enumerate(factors)], a.nrows)
+        assert lat.solve(basis) == IntMatrix.identity(r)
+        coords = IntMatrix([[rng.randint(-5, 5) for _ in range(2)] for _ in range(r)], ncols=2)
+        on = basis @ coords
+        probes = [a, on] + [on.hstack(sf.u_inv.take_columns([j])) for j in range(a.nrows)
+                            if j >= r or factors[j] > 1]
+        for b in probes:
+            got = lat.solve(b)
+            assert got == solve_exact(basis, b)
+            seen.add("on the lattice" if got is not None else "off the lattice")
         seen.update(("no rows",) * (a.nrows == 0) + ("no columns",) * (a.ncols == 0)
                     + ("torsion",) * bool(sf.torsion_factors())
                     + ("above 2^64",) * any(abs(x) > 2 ** 64 for row in a.rows()
                                             for x in row))
-    assert seen == {"no rows", "no columns", "torsion", "above 2^64"}
+    assert seen == {"no rows", "no columns", "torsion", "above 2^64",
+                    "on the lattice", "off the lattice"}
 
 
 def test_constructor_takes_only_integers():
@@ -248,9 +274,9 @@ def test_constructor_takes_only_integers():
         with pytest.raises(ValueError, match="must be integers"):
             IntMatrix(rows)
     with pytest.raises(ValueError, match="must be integers"):
-        IntMatrix.diagonal([0.5])
+        diagonal([0.5])
     with pytest.raises(ValueError, match="must be integers"):
-        IntMatrix([[1]]).scale(0.5)
+        scale(IntMatrix([[1]]), 0.5)
     entry = IntMatrix([[True, 2]])[0, 0]
     assert entry == 1 and type(entry) is int
 
@@ -260,10 +286,10 @@ def test_matrix_algebra_shape_errors():
     with pytest.raises(ValueError):
         a @ IntMatrix([[1, 2, 3]])
     with pytest.raises(ValueError):
-        a + IntMatrix([[1]])
+        add(a, IntMatrix([[1]]))
     assert a.transpose().transpose() == a
     assert a.hstack(IntMatrix.zero(2, 1)).shape == (2, 3)
-    assert a.vstack(IntMatrix.zero(1, 2)).shape == (3, 2)
+    assert vstack(a, IntMatrix.zero(1, 2)).shape == (3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +365,7 @@ def test_shuffled_strata_cost_about_what_canonical_strata_cost():
         ranks = [len(layer) for layer in dc.cells]
         start = time.perf_counter()
         for k, boundary in enumerate(dc.boundaries):
-            sparse_smith_diagonal(boundary, ranks[k])
+            unit_sweep([dict(cell) for cell in boundary], ranks[k])
         return time.perf_counter() - start
 
     base = min(sweep_seconds(canonical) for _ in range(3))

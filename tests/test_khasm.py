@@ -396,19 +396,23 @@ def test_kh_report_takes_few_smith_forms_and_none_of_a_transform(monkeypatch):
     """Each lattice on the Picard path goes through one elimination.
 
     Each elimination tracks only the transforms its caller reads, U^{-1} is
-    tracked inside it, the preimage lattice and its Smith form are built
-    once, and coker(NS) is read off the diagonal of the elimination that
-    gives ker(NS).  So a dense-Picard report runs at most 4 eliminations
-    that track a transform, none of them both V and a row transform (U or
-    U^{-1}), eliminates [NS | relations] exactly once, and never eliminates
-    an earlier elimination's U, V or U^{-1}.
+    tracked inside it, the preimage lattice is built once from an
+    elimination of its kernel basis that tracks U alone, and coker(NS) is
+    read off the diagonal of the elimination that gives ker(NS).  So a
+    dense-Picard report runs at most 4 eliminations that track a transform,
+    none of them both V and a row transform (U or U^{-1}) and exactly one,
+    the lattice's, U alone; it eliminates [NS | relations] exactly once,
+    never eliminates an earlier elimination's U, V or U^{-1}, and solves
+    against the lattice once.
     """
     doc = parse_document(dense_picard_document(random.Random(3), 12))
     main = doc.picard.maps[-1]
     stacked = main.matrix.hstack(presentation_matrix(main.target))
-    tracked, diagonal_only, transforms = [], [], []
+    kernel_rows = kernel_basis(stacked)[0].take_rows(range(main.source.ngens))
+    tracked, u_alone, diagonal_only, transforms, solves = [], [], [], [], []
     real_eliminate = intmat._eliminate
-    real_sparse = intmat.sparse_smith_diagonal
+    real_sweep = intmat.unit_sweep
+    real_solve = intmat.Lattice.solve
 
     def eliminate(m, nr, nc, u, v, u_inv_t):
         a = IntMatrix(m, ncols=nc)
@@ -416,24 +420,32 @@ def test_kh_report_takes_few_smith_forms_and_none_of_a_transform(monkeypatch):
         if (u, v, u_inv_t) != (None, None, None):
             assert v is None or (u, u_inv_t) == (None, None)
             tracked.append(a)
+            if (v, u_inv_t) == (None, None):
+                u_alone.append(a)
             transforms.extend(IntMatrix(t, ncols=k) for t, k in
                               ((u, nr), (v, nc), (u_inv_t, nr)) if t is not None)
 
-    def sparse(rows, ncols):
-        rows = [list(row) for row in rows]
+    def sweep(rows, ncols):
         dense = [[0] * ncols for _ in rows]
         for dense_row, row in zip(dense, rows):
-            for j, x in row:
+            for j, x in row.items():
                 dense_row[j] = x
         diagonal_only.append(IntMatrix(dense, ncols=ncols))
-        return real_sparse(rows, ncols)
+        return real_sweep(rows, ncols)
+
+    def solve(lattice, b):
+        solves.append(b)
+        return real_solve(lattice, b)
 
     monkeypatch.setattr(intmat, "_eliminate", eliminate)
-    monkeypatch.setattr(intmat, "sparse_smith_diagonal", sparse)
+    monkeypatch.setattr(intmat, "unit_sweep", sweep)
+    monkeypatch.setattr(intmat.Lattice, "solve", solve)
     kh_report(doc.divisor, doc.picard, doc.field_mode)
     assert 0 < len(tracked) <= 4
+    assert u_alone == [kernel_rows]
     assert (tracked + diagonal_only).count(stacked) == 1
     assert not any(a == t for a in tracked for t in transforms)
+    assert len(solves) == 1
 
 
 def test_kh_value_sub_is_the_e3_corner_of_the_descent_page():
