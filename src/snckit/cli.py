@@ -149,7 +149,7 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
     if len(set(comps)) != len(comps):
         raise SchemaError(f"{path}.components", "component ids must be unique")
     ncomps = len(comps)
-    # only canonical decimal keys, as divisor_json writes them
+    # only canonical decimal keys, as _divisor_text prints them
     key_index = {str(i): i for i in range(ncomps)}
 
     strata: list[Stratum] = []
@@ -371,19 +371,52 @@ def _report_json(x: Any) -> Any:
     return x
 
 
-def divisor_json(d: SncDivisor) -> dict:
-    """Emit a divisor block that parses back to an equal divisor."""
+def _divisor_text(d: SncDivisor, nl: str) -> str:
+    """The divisor block, as ``_json_text`` prints it at newline-and-indent
+    ``nl``, written straight from the strata of a divisor that passed
+    ``validate_snc``; it parses back to an equal divisor.
+
+    Groups of strata on one subset come in (depth, component positions)
+    order, members in divisor order, each under ``"id"`` and ``"parents"``.
+    A parent is keyed by the decimal position of the component it drops;
+    a valid stratum of depth 3 or more names one per subset component, and
+    the subset is in component order, so the parents print in subset order.
+    """
+    enc = encode_basestring
+    i1, i2, i3, i4, i5, i6 = [nl + "  " * k for k in range(1, 7)]
     index = d.component_order()
+    size = len(index)
+    # the text of each component position as a subset item and as a parent key
+    item = [f"{i4}{i}" for i in range(size)]
+    key = [f'{i6}"{i}": ' for i in range(size)]
+
+    def order(subset: tuple[str, ...]) -> int:
+        # (depth, positions) as one int: the depth, then the positions as
+        # base-size digits, so comparing ints compares the pairs
+        k = len(subset)
+        for c in subset:
+            k = k * size + index[c]
+        return k
+
     groups = d.by_subset()
-    out = []
-    for _, idx, subset in sorted((len(sub), [index[c] for c in sub], sub) for sub in groups):
+    strata = []
+    for subset in sorted(groups, key=order):
+        idx = [index[c] for c in subset]
         members = []
         for s in groups[subset]:
-            parents = {str(i): pid
-                       for i, pid in sorted((index[c], pid) for c, pid in s.parents.items())}
-            members.append({"id": s.id, "parents": parents})
-        out.append({"subset": idx, "components": members})
-    return {"n": d.n, "components": list(d.components), "strata": out}
+            parents = s.parents
+            if parents:
+                listed = ",".join([key[i] + enc(parents[c]) for i, c in zip(idx, subset)])
+                members.append(f'{i4}{{{i5}"id": {enc(s.id)},{i5}"parents": '
+                               f'{{{listed}{i5}}}{i4}}}')
+            else:
+                members.append(f'{i4}{{{i5}"id": {enc(s.id)},{i5}"parents": {{}}{i4}}}')
+        strata.append(f'{i2}{{{i3}"subset": [{",".join([item[i] for i in idx])}{i3}],'
+                      f'{i3}"components": [{",".join(members)}{i3}]{i2}}}')
+    comps = f'[{",".join([i2 + enc(c) for c in d.components])}{i1}]' if d.components else "[]"
+    strata_text = f'[{",".join(strata)}{i1}]' if strata else "[]"
+    return (f'{{{i1}"n": {int.__repr__(d.n)},{i1}"components": {comps},'
+            f'{i1}"strata": {strata_text}{nl}}}')
 
 
 def _picard_json(pi: PicardInput) -> dict:
@@ -408,7 +441,9 @@ def _dubois_json(b: DuBoisTable) -> dict:
 
 def _json_text(x: Any, nl: str = "\n") -> str:
     """``json.dumps(x, ensure_ascii=False, indent=2)`` for str, int, bool, None,
-    list, tuple and str-keyed dict; any other value or key raises TypeError."""
+    list, tuple and str-keyed dict; any other value or key raises TypeError,
+    except an ``SncDivisor``, which prints as its divisor block
+    (``_divisor_text``)."""
     if isinstance(x, str):
         return encode_basestring(x)
     if x is None or isinstance(x, bool):
@@ -429,6 +464,8 @@ def _json_text(x: Any, nl: str = "\n") -> str:
                  else int.__repr__(v) if type(v) is int
                  else _json_text(v, inner) for v in x]
         bra, ket = "[", "]"
+    elif isinstance(x, SncDivisor):
+        return _divisor_text(x, nl)
     else:
         raise TypeError(f"{type(x).__name__} is not a report value")
     if not items:
@@ -437,7 +474,9 @@ def _json_text(x: Any, nl: str = "\n") -> str:
 
 
 def document_json(doc: InputDocument) -> dict:
-    out: dict[str, Any] = {"version": doc.version, "divisor": divisor_json(doc.divisor)}
+    """The document as a report value; the divisor stays an ``SncDivisor``,
+    which ``_json_text`` prints as its block."""
+    out: dict[str, Any] = {"version": doc.version, "divisor": doc.divisor}
     if doc.picard is not None:
         out["picard"] = _picard_json(doc.picard)
     if doc.dubois is not None:
@@ -622,7 +661,10 @@ def run(command: str, document: InputDocument,
         max_blowups: int = MAX_BLOWUPS) -> tuple[str, dict]:
     """Execute one command, returning (text report, machine report).
 
-    ``max_blowups`` caps the resolution loop; only ``resolve`` runs it.
+    The machine report is a value ``_json_text`` prints: plain JSON data,
+    except that ``resolve``'s holds the resolved ``SncDivisor`` itself
+    under ``["document"]["divisor"]``.  ``max_blowups`` caps the
+    resolution loop; only ``resolve`` runs it.
     """
     if command == "resolve":
         return _cmd_resolve(document, max_blowups)

@@ -6,8 +6,10 @@ factorization, simpliciality from raw vertex sets of the dual complex,
 cohomology from the homology of the explicitly transposed complex,
 blowups and resolution from full rescans of the divisor, inverses of
 Smith transforms from a second Smith form instead of the tracked inverse,
-chain complexes straight off the strata, and the E_3 corner of the KH
-report from an assembled two-row descent page.  Small conveniences that
+chain complexes straight off the strata, the E_3 corner of the KH
+report from an assembled two-row descent page, and a document's divisor
+block from nested dicts (``divisor_json``, which ``json.dumps`` prints as
+the CLI's one-pass writer must).  Small conveniences that
 only tests call (``hom_analyze``, ``cokernel``, ``validate_complex``,
 ``euler_characteristic``, ``kh_top``, and matrix arithmetic such as
 ``det``, ``diagonal`` or ``verify`` for a Smith form) live here too, as
@@ -312,6 +314,25 @@ def prime_power_chain(orders: list[int]) -> tuple[int, ...]:
                 piece *= ranked[slot]
         chain.append(piece)
     return tuple(reversed(chain))
+
+
+# ---------------------------------------------------------------------------
+# document blocks
+
+
+def divisor_json(d: SncDivisor) -> dict:
+    """Emit a divisor block that parses back to an equal divisor."""
+    index = d.component_order()
+    groups = d.by_subset()
+    out = []
+    for _, idx, subset in sorted((len(sub), [index[c] for c in sub], sub) for sub in groups):
+        members = []
+        for s in groups[subset]:
+            parents = {str(i): pid
+                       for i, pid in sorted((index[c], pid) for c, pid in s.parents.items())}
+            members.append({"id": s.id, "parents": parents})
+        out.append({"subset": idx, "components": members})
+    return {"n": d.n, "components": list(d.components), "strata": out}
 
 
 # ---------------------------------------------------------------------------

@@ -360,8 +360,7 @@ def _random_fault_documents() -> list[tuple[str, dict]]:
     ``validate_snc``.
     """
     sys.path.insert(0, str(HERE))
-    from helpers import random_divisor, simplex_divisor, sphere4
-    from snckit.cli import divisor_json
+    from helpers import divisor_json, random_divisor, simplex_divisor, sphere4
 
     rng = random.Random(11)
     out = []

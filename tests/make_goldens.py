@@ -55,9 +55,9 @@ def cases() -> list[tuple[str, Path, str]]:
 
 def branch_documents() -> dict[str, dict]:
     """The branch documents by name (see the module docstring)."""
-    from helpers import boundary_matrix, four_cycle, rp2_divisor, triangle_cycle
+    from helpers import (boundary_matrix, divisor_json, four_cycle, rp2_divisor,
+                         triangle_cycle)
     from snckit import build_dual_complex
-    from snckit.cli import divisor_json
 
     def document(d, levels, maps, coker_pic0_dim=0, dubois_b=0,
                  field_mode="algebraically_closed", ker_beta=None) -> dict:

@@ -40,7 +40,7 @@ from snckit import (
     validate_snc,
 )
 from snckit.abgroup import Z, ZERO_GROUP, FgAbGroup
-from snckit.cli import main, parse_document, parse_input, run
+from snckit.cli import _json_text, main, parse_document, parse_input, run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 INPUT_FIXTURES = {
@@ -270,7 +270,7 @@ def test_criterion_9_cli_determinism_and_resolve_round_trip(capsys):
 
         doc = parse_input(path)
         _, machine = run("resolve", doc)
-        reparsed = parse_document(machine["document"])
+        reparsed = parse_document(json.loads(_json_text(machine))["document"])
         resolved, _ = resolve_to_simplicial(doc.divisor)
         assert reparsed.divisor == resolved
         assert reparsed.picard == doc.picard

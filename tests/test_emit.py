@@ -3,8 +3,11 @@
 The standard library is the oracle: on random values of every shape a report
 holds, on the machine report of every golden case and on resolved documents
 larger than any golden, ``cli._json_text(x)`` must equal
-``json.dumps(x, ensure_ascii=False, indent=2)``.
+``json.dumps(plain(x), ensure_ascii=False, indent=2)``, where ``plain`` puts
+the nested dicts of ``helpers.divisor_json`` in place of each divisor the
+report holds; the divisor writer meets the same oracle on its own.
 """
+import dataclasses
 import json
 import random
 
@@ -13,13 +16,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emit_check import SPECIAL, check
-from helpers import parallel_curve_divisor
+from helpers import (
+    divisor_json,
+    parallel_curve_divisor,
+    random_divisor,
+    simplex_divisor,
+)
 from make_goldens import cases
+from snckit import SncDivisor, Stratum, resolve_to_simplicial, validate_snc
 from snckit.cli import (
     ALGEBRAICALLY_CLOSED,
     InputDocument,
     MissingBlockError,
+    _divisor_text,
     _json_text,
+    parse_document,
     parse_input,
     run,
 )
@@ -27,6 +38,17 @@ from snckit.cli import (
 
 def stdlib(x) -> str:
     return json.dumps(x, ensure_ascii=False, indent=2)
+
+
+def plain(x):
+    """x with ``divisor_json(d)`` in place of every divisor d it holds."""
+    if isinstance(x, SncDivisor):
+        return divisor_json(x)
+    if isinstance(x, dict):
+        return {k: plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [plain(v) for v in x]
+    return x
 
 
 CHARS = st.one_of(st.characters(), st.characters(categories=["Cs"]),
@@ -65,7 +87,7 @@ def test_golden_machine_reports_print_as_the_stdlib_does():
             _, machine = run(command, parse_input(str(path)))
         except (MissingBlockError, ValueError):
             continue  # a golden whose command exits nonzero
-        assert _json_text(machine) == stdlib(machine), name
+        assert _json_text(machine) == stdlib(plain(machine)), name
         checked.add(command)
     assert checked == {"validate", "dual-complex", "cohomology", "check-simplicial",
                        "resolve", "kh-report", "k-report"}
@@ -73,7 +95,7 @@ def test_golden_machine_reports_print_as_the_stdlib_does():
 
 def test_resolve_reports_larger_than_any_golden_print_as_the_stdlib_does():
     rng = random.Random(9)
-    largest_golden = max(len(stdlib(run(command, parse_input(str(path)))[1]))
+    largest_golden = max(len(stdlib(plain(run(command, parse_input(str(path)))[1])))
                          for _, path, command in cases() if command == "resolve")
     for _ in range(40):
         m = rng.randrange(8, 12)
@@ -81,8 +103,67 @@ def test_resolve_reports_larger_than_any_golden_print_as_the_stdlib_does():
         doc = InputDocument("1", d, None, None, ALGEBRAICALLY_CLOSED)
         _, machine = run("resolve", doc)
         text = _json_text(machine)
-        assert text == stdlib(machine)
+        assert text == stdlib(plain(machine))
         assert len(text) > largest_golden
+
+
+# Valid id text the writer must escape or pass through: SPECIAL without its
+# lone surrogates, which the parser rejects; "|" ends every piece.
+ID_PIECES = [c for c in SPECIAL if not 0xD800 <= ord(c) <= 0xDFFF] + [
+    '"\\"', "\x00\u2028\U0001f600", "é€\x7f", ""]
+
+
+def renamed(d: SncDivisor, rng: random.Random) -> SncDivisor:
+    """d with every component and stratum id given odd text, kept unique."""
+    ids = list(d.components) + [s.id for s in d.strata]
+    new = {x: f"{rng.choice(ID_PIECES)}|{i}" for i, x in enumerate(ids)}
+    return SncDivisor(d.n, tuple(new[c] for c in d.components), tuple(
+        Stratum(new[s.id], tuple(new[c] for c in s.subset),
+                {new[c]: new[p] for c, p in s.parents.items()})
+        for s in d.strata))
+
+
+def writer_cases():
+    """Over 300 seeded valid divisors and resolutions, some renamed or shuffled."""
+    rng = random.Random(16)
+    comps = [f"E{i}" for i in range(6)]
+    yield SncDivisor(3, ("E1", "E2"), ())
+    yield SncDivisor(5, tuple(comps), ())
+    yield simplex_divisor(5, comps, 5)
+    for k in range(130):
+        if k % 2:
+            d = random_divisor(rng)
+        else:
+            m = rng.randrange(3, 7)
+            d = parallel_curve_divisor(rng, m, rng.randrange(0, m * (m - 1) // 2))
+        if k % 3 == 0:
+            d = renamed(d, rng)
+        if k % 4 == 1:
+            strata = list(d.strata)
+            rng.shuffle(strata)
+            d = dataclasses.replace(d, strata=tuple(strata))
+        resolved = resolve_to_simplicial(d)[0]
+        yield d
+        yield resolved
+        if k % 3 == 1:
+            yield renamed(resolved, rng)
+
+
+def test_divisor_writer_prints_what_the_stdlib_prints_of_divisor_json():
+    count = 0
+    for d in writer_cases():
+        validate_snc(d)
+        want = stdlib(divisor_json(d))
+        for nl in ("\n", "\n    "):
+            assert _divisor_text(d, nl) == want.replace("\n", nl)
+        block = json.loads(_divisor_text(d, "\n"))
+        # the block parses back to d, strata in printed (depth, positions) order
+        index = d.component_order()
+        printed = sorted(d.strata, key=lambda s: (s.depth, [index[c] for c in s.subset]))
+        back = parse_document({"version": "1", "divisor": block}).divisor
+        assert back == dataclasses.replace(d, strata=tuple(printed))
+        count += 1
+    assert count >= 300
 
 
 @pytest.mark.parametrize("x", [1.5, 0.0, {1, 2}, frozenset(), {1: "a"}, {None: 0},
