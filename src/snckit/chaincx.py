@@ -61,10 +61,18 @@ class ChainComplex:
                 f"{len(self.boundaries)} boundary maps for {len(self.ranks)} degrees")
         for k, columns in enumerate(self.boundaries):
             below = self.ranks[k]
-            if len(columns) != self.ranks[k + 1] or not all(
-                    all(x and -1 < f < below for f, x in col)
-                    and all(a[0] < b[0] for a, b in zip(col, col[1:]))
-                    for col in columns):
+            bad = len(columns) != self.ranks[k + 1]
+            for col in () if bad else columns:
+                last = -1
+                for f, x in col:
+                    if x == 0 or f <= last:
+                        last = below        # marks the column bad
+                        break
+                    last = f
+                if last >= below:
+                    bad = True
+                    break
+            if bad:
                 raise ValueError(
                     f"boundary out of degree {self.lowest_degree + k + 1} is not "
                     f"{self.ranks[k + 1]} columns of nonzero entries on faces "

@@ -33,7 +33,7 @@ from .nk import DuBoisTable, k_report
 from .snc import (
     DimensionBoundError,
     SncDivisor,
-    Stratum,
+    _StrataTable,
     build_dual_complex,
     find_bad_intersections,
     resolve_to_simplicial,
@@ -43,6 +43,11 @@ from .chaincx import cohomology
 
 SUPPORTED_VERSION = "1"
 MAX_BLOWUPS = 10000
+# A document that fails to parse and nests arrays and objects deeper than
+# this is reported as nested too deep.  The schema nests 7 deep; how deep
+# the decoder and the error text can go depends on the Python and on the
+# caller's stack, so past this depth the error names the nesting alone.
+MAX_NESTING = 512
 # ``cohomology`` prints H^i for every i < n while n is at most this; past
 # it, the groups above the dual complex's dimension, all zero, print as one
 # line and one JSON field, so the output is bounded by the divisor.
@@ -136,7 +141,9 @@ _MEMBER_KEYS = frozenset({"id", "parents"})
 
 def _parse_divisor(block: Any, path: str) -> SncDivisor:
     # Per value, the loops test the common case inline and build a path
-    # string only in the branch that may raise.
+    # string only in the branch that may raise.  The strata go straight
+    # into a position-indexed table (see ``snc._StrataTable``), from which
+    # ``Stratum`` objects are built only if a command reads them.
     obj = _as_dict(block, path)
     _require_keys(obj, {"n", "components", "strata"}, ("n", "components"), path)
     n = _as_int(obj["n"], f"{path}.n", minimum=1)
@@ -152,8 +159,9 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
     # only canonical decimal keys, as _divisor_text prints them
     key_index = {str(i): i for i in range(ncomps)}
 
-    strata: list[Stratum] = []
-    stratum_ids: set[str] = set()
+    table = _StrataTable([], [], [], [])
+    add_id, add_subset = table.ids.append, table.subsets.append
+    add_positions, add_parents = table.positions.append, table.parents.append
     named: set[str] = set()         # every parent id some stratum names
     for gi, group in enumerate(_as_list(obj.get("strata", []), f"{path}.strata")):
         if (type(group) is not dict or len(group) != 2 or "subset" not in group
@@ -174,7 +182,8 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
         if len(subset_idx) > n:
             raise DimensionBoundError(f"{path}.strata[{gi}].subset: {len(subset_idx)} "
                                       f"components exceeds n = {n}")
-        subset = tuple([comps[i] for i in sorted(subset_idx)])
+        positions = tuple(sorted(subset_idx))
+        subset = tuple([comps[i] for i in positions])
 
         members = group["components"]
         if type(members) is not list:
@@ -186,7 +195,6 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
             sid = rec["id"]
             if type(sid) is not str or not sid.isascii():
                 _as_str(sid, f"{path}.strata[{gi}].components[{ci}].id")
-            stratum_ids.add(sid)
             raw = rec.get("parents", {})
             if type(raw) is not dict:
                 _as_dict(raw, f"{path}.strata[{gi}].components[{ci}].parents")
@@ -202,17 +210,23 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
                                      f".parents[{key!r}]")
                     parents[comps[didx]] = val
                 named.update(parents.values())
-            strata.append(Stratum(sid, subset, parents))
+            add_id(sid)
+            add_subset(subset)
+            add_positions(positions)
+            add_parents(parents)
 
     # Referenced parent ids must resolve to declared stratum ids.
-    if not named <= stratum_ids:
-        for s in strata:
-            for dropped, pid in s.parents.items():
-                if pid not in stratum_ids:
-                    raise UnknownIdError(f"{path}.strata", f"stratum {s.id!r} names unknown "
-                                         f"parent {pid!r} for dropped component {dropped!r}")
+    if named:
+        stratum_ids = set(table.ids)
+        if not named <= stratum_ids:
+            for sid, parents in zip(table.ids, table.parents):
+                for dropped, pid in parents.items():
+                    if pid not in stratum_ids:
+                        raise UnknownIdError(f"{path}.strata", f"stratum {sid!r} names "
+                                             f"unknown parent {pid!r} for dropped "
+                                             f"component {dropped!r}")
 
-    return SncDivisor(n, comps, tuple(strata))
+    return SncDivisor(n, comps, table)
 
 
 def _bad_parent_key(key: Any, ncomps: int, path: str) -> NoReturn:
@@ -344,12 +358,36 @@ def parse_document(data: Any) -> InputDocument:
 
 
 def parse_input(path: str) -> InputDocument:
-    """Read and decode an input file, then check it with ``parse_document``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return parse_document(json.load(fh))
-        except RecursionError:
-            raise SchemaError("document", "nesting is too deep") from None
+    """Read and decode an input file, then check it with ``parse_document``.
+
+    A document too deep to decode, or one that fails the check and nests
+    deeper than ``MAX_NESTING``, raises "nesting is too deep".  A document
+    that passes nests no deeper than the schema, so only failures pay for
+    the walk.
+    """
+    data = None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        return parse_document(data)
+    except RecursionError:
+        pass
+    except Exception:
+        if data is None or not _nests_deeper(data, MAX_NESTING):
+            raise
+    raise SchemaError("document", "nesting is too deep")
+
+
+def _nests_deeper(value: Any, limit: int) -> bool:
+    """Whether arrays and objects nest more than ``limit`` deep in
+    ``value``, walked one level at a time rather than by recursion."""
+    level = [value]
+    for _ in range(limit):
+        level = [x for v in level if isinstance(v, (list, dict))
+                 for x in (v.values() if isinstance(v, dict) else v)]
+        if not level:
+            return False
+    return any(isinstance(v, (list, dict)) for v in level)
 
 
 # --------------------------------------------------------------------------
@@ -490,16 +528,17 @@ def document_json(doc: InputDocument) -> dict:
 
 
 def _cmd_validate(doc: InputDocument) -> tuple[str, dict]:
-    validate_snc(doc.divisor)
+    # the strata are counted in the table the check read, not built
+    strata = len(validate_snc(doc.divisor).table.ids)
     lines = [f"ok: divisor with {len(doc.divisor.components)} component(s) and "
-             f"{len(doc.divisor.strata)} stratum component(s) is valid"]
+             f"{strata} stratum component(s) is valid"]
     if doc.picard is not None:
         lines.append("picard block: present")
     if doc.dubois is not None:
         lines.append("dubois block: present")
     machine = {"command": "validate", "ok": True,
                "components": len(doc.divisor.components),
-               "stratum_components": len(doc.divisor.strata),
+               "stratum_components": strata,
                "picard": doc.picard is not None,
                "dubois": doc.dubois is not None}
     return "\n".join(lines), machine

@@ -6,14 +6,22 @@ I.  Each stratum component of depth three or more records which component
 of each facet intersection contains it; that containment data is exactly
 what the dual complex needs to glue cells.
 
-``validate_snc`` reads a divisor in two walks over its strata.  The first
-builds one index (strata by id, strata by depth, and the position of every
-component and stratum in its dimension of the dual complex) while it
-checks the ids and each stratum's own rules; the second checks parents and
-grandparents against the complete index.  It returns the index, and
-``build_dual_complex`` reads its cells and faces from it.  Error text is
-formatted only where a check fails, and the first error raised is the one
-the order of the checks names, whatever order the strata arrive in.
+The strata are checked as a position-indexed table: per stratum its id,
+its subset as component ids and positions, and its parents.  The CLI
+parser reads a document straight into that table; for a divisor built
+through the API, ``validate_snc`` makes the table from ``strata``.  The
+check walks the table twice: the first walk finds each stratum's row by
+id and its position among the strata of its depth, and the first stratum
+breaking its own rules; the second checks parents, and keeps the rows of
+the parents it finds.  Past the parent checks, the drops of two
+components are compared only where a subset carries two strata, since
+elsewhere both orders land on its one stratum.  ``build_dual_complex``
+makes its boundary columns from the rows and positions the check
+returns.  ``Stratum`` and ``DualCell`` objects are built on first read of
+``SncDivisor.strata`` and ``DualComplex.cells``, so the commands that
+print only cohomology and reports build neither.  Error text is formatted
+only where a check fails, and the first error raised is the one the order
+of the checks names, whatever order the strata arrive in.
 
 Blowing up a stratum component is modeled as stellar subdivision of its
 dual cell, and the resolution loop repeats deepest-first blowups until no
@@ -103,11 +111,91 @@ class Stratum:
         return len(self.subset)
 
 
+class _BuiltOnRead:
+    """A frozen dataclass field that may be given a ``source`` in place of
+    its value; the value is then ``source.build()``, built on first read
+    and kept.  What was given stays in the instance's ``__dict__`` under
+    the field's name.
+
+    Read on the class it raises AttributeError, so the field has no
+    default.  The dataclass's ``__init__`` stores through ``__set__``, and
+    ``==``, ``repr`` and ``dataclasses.replace`` read through ``__get__``.
+    """
+
+    def __init__(self, source: type):
+        self.source = source
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+        self.built = f"_{name}_built"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if type(value) is self.source:
+            built = obj.__dict__.get(self.built)
+            if built is None:
+                built = obj.__dict__[self.built] = value.build()
+            return built
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+        obj.__dict__.pop(self.built, None)
+
+
+class _StrataTable(NamedTuple):
+    """A divisor's strata by position in divisor order, as the parser
+    reads them.
+
+    Per stratum: ``ids``, the id; ``subsets``, the subset as component
+    ids; ``positions``, the same as component positions, or None when the
+    subset names an unknown component, repeats one or is out of component
+    order; ``parents``, the parents keyed by dropped component id.  The
+    parser shares one subset tuple and one positions tuple among the
+    members of a group.  ``build`` makes the ``Stratum`` objects.
+    """
+
+    ids: list[str]
+    subsets: list[tuple[str, ...]]
+    positions: list[tuple[int, ...] | None]
+    parents: list[dict[str, str]]
+
+    @classmethod
+    def of(cls, d: "SncDivisor") -> "_StrataTable":
+        """The table d was read into, or else the one built from ``d.strata``."""
+        table = d.__dict__["strata"]
+        if type(table) is cls:
+            return table
+        order = d.component_order()
+        strata = d.strata
+        positions: list[tuple[int, ...] | None] = []
+        for s in strata:
+            pos = tuple([order.get(c, -1) for c in s.subset])
+            # None if a component is unknown, repeated or out of order
+            positions.append(pos if -1 not in pos and pos == tuple(sorted(set(pos)))
+                             else None)
+        return cls([s.id for s in strata], [s.subset for s in strata], positions,
+                   [s.parents for s in strata])
+
+    def build(self) -> tuple[Stratum, ...]:
+        return tuple(map(Stratum, self.ids, self.subsets, self.parents))
+
+
 @dataclass(frozen=True)
 class SncDivisor:
+    """A divisor: ambient dimension, component ids and strata.
+
+    A divisor read from a document is given its ``_StrataTable`` in place
+    of the strata, which are then built from it on first read; commands
+    that only check the divisor and take its chain complex never build
+    them.
+    """
+
     n: int
     components: tuple[str, ...]
-    strata: tuple[Stratum, ...]
+    strata: tuple[Stratum, ...] = _BuiltOnRead(_StrataTable)
 
     @classmethod
     def build(cls, n: int, components: Sequence[str],
@@ -141,23 +229,52 @@ class SncDivisor:
         return out
 
 
-class _Strata(NamedTuple):
-    """The strata of a divisor that passed ``validate_snc``, looked up.
-
-    ``by_id`` and each list hold strata in divisor order.  ``by_depth[k]``
-    lists the strata on k components (empty for k < 2).  ``slot`` gives
-    every component id its position in the component list and every
-    stratum id its position in ``by_depth[its depth]``.
-    """
-
-    by_id: dict[str, Stratum]
-    by_depth: list[list[Stratum]]
-    slot: dict[str, int]
+@dataclass(frozen=True)
+class DualCell:
+    id: str
+    vertices: tuple[str, ...]
 
 
-def validate_snc(d: SncDivisor) -> _Strata:
+class _Incidence(NamedTuple):
+    """What ``validate_snc`` returns for a valid divisor: its components
+    and strata table; ``counts[k]``, the number of strata on k components,
+    for every k up to the deepest stratum (0 for k < 2); ``slot``, each
+    stratum's position among the strata of its depth; and ``found[k]``,
+    for each stratum on k >= 3 components in divisor order, the table rows
+    of its parents in subset order.  ``boundaries`` and ``build`` make the
+    dual complex's boundary columns and cells from these."""
+
+    components: tuple[str, ...]
+    table: _StrataTable
+    counts: list[int]
+    slot: list[int]
+    found: list[list[list[int]]]
+
+    def ranks(self) -> tuple[int, ...]:
+        return (len(self.components), *self.counts[2:])
+
+    def boundaries(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """The face opposite the m-th vertex carries the sign (-1)^m."""
+        if len(self.counts) < 3:
+            return ()
+        slot, signs = self.slot, (1, -1) * len(self.counts)
+        edges = tuple([((pos[0], -1), (pos[1], 1)) for pos in self.table.positions
+                       if len(pos) == 2])
+        return (edges, *[tuple([tuple(sorted(zip([slot[p] for p in ps], signs)))
+                                for ps in layer]) for layer in self.found[3:]])
+
+    def build(self) -> tuple[tuple[DualCell, ...], ...]:
+        layers: list[list[DualCell]] = [[] for _ in self.counts]
+        for sid, subset in zip(self.table.ids, self.table.subsets):
+            layers[len(subset)].append(DualCell(sid, subset))
+        return (tuple(DualCell(c, (c,)) for c in self.components),
+                *map(tuple, layers[2:]))
+
+
+def validate_snc(d: SncDivisor) -> _Incidence:
     """Check every structural invariant, raising on the first violation,
-    and return the index built on the way (see the module docstring).
+    and return what the check found on the way, from which
+    ``build_dual_complex`` makes the boundaries (see the module docstring).
 
     The order of the checks decides which error is raised: distinct
     component ids; distinct stratum ids, none reusing a component id; then
@@ -167,128 +284,122 @@ def validate_snc(d: SncDivisor) -> _Strata:
     that drops it); last, at depth 4 and up, that dropping two components
     in either order lands on the same stratum.
     """
-    order = d.component_order()
-    if len(order) != len(d.components):
+    components = d.components
+    order = {c: i for i, c in enumerate(components)}
+    if len(order) != len(components):
         raise DuplicateIdError("duplicate component id")
+    table = _StrataTable.of(d)
     n = d.n
-    by_id: dict[str, Stratum] = {}
-    by_depth: list[list[Stratum]] = [[], []]
-    slot = dict(order)
-    first_bad = len(d.strata)       # position of the first stratum breaking its own rules
-    for i, s in enumerate(d.strata):
-        sid, subset = s.id, s.subset
-        if sid in by_id or sid in order:
-            raise DuplicateIdError(f"id {sid!r} used more than once")
-        by_id[sid] = s
-        if i > first_bad:
-            continue
-        depth = len(subset)
-        last = -1
-        for c in subset:
-            k = order.get(c, -1)
-            if k <= last:       # unknown, repeated or out of order
-                break
-            last = k
-        else:
-            if 2 <= depth <= n:
-                while len(by_depth) <= depth:
-                    by_depth.append([])
-                layer = by_depth[depth]
-                slot[sid] = len(layer)
-                layer.append(s)
-                continue
-        first_bad = i
+    ids, subsets, positions, parents_of = (table.ids, table.subsets, table.positions,
+                                           table.parents)
+    by_id = {sid: i for i, sid in enumerate(ids)}
+    if len(by_id) != len(ids) or not order.keys().isdisjoint(by_id):
+        seen: set[str] = set()
+        for sid in ids:
+            if sid in seen or sid in order:
+                raise DuplicateIdError(f"id {sid!r} used more than once")
+            seen.add(sid)
+    # A valid stratum's depth is at most min(n, #components); the counts
+    # are trimmed to the deepest stratum below.
+    counts = [0] * (min(n, len(components)) + 1)    # strata so far on k components
+    slot: list[int] = []    # each stratum's position among those of its depth
+    first_bad = len(ids)    # position of the first stratum breaking its own rules
+    for i, pos in enumerate(positions):
+        if pos is None or not 2 <= len(pos) <= n:
+            first_bad = i
+            break
+        depth = len(pos)
+        slot.append(counts[depth])
+        counts[depth] += 1
+    while len(counts) > 2 and not counts[-1]:
+        counts.pop()
 
-    gp_error = None
-    for s in d.strata[:first_bad]:
-        subset, parents = s.subset, s.parents
-        depth = len(subset)
+    found: list[list[list[int]]] = [[] for _ in counts]
+    for i in range(first_bad):
+        pos, parents = positions[i], parents_of[i]
+        depth = len(pos)
         if depth == 2:
             if parents:
                 raise ContainmentMismatchError(
-                    f"stratum {s.id} of depth 2 must not list parents")
+                    f"stratum {ids[i]} of depth 2 must not list parents")
             continue
+        subset = subsets[i]
         try:
-            pids = [parents[c] for c in subset]
+            ps = [by_id.get(parents[c]) for c in subset]
         except KeyError:
-            pids = None
-        if pids is None or len(parents) != depth:
+            ps = None
+        if ps is None or len(parents) != depth:
             raise ContainmentMismatchError(
-                f"stratum {s.id} must name one parent per dropped component")
-        grand = []
-        for m, pid in enumerate(pids):
-            p = by_id.get(pid)
-            if p is None or p.subset != subset[:m] + subset[m + 1:]:
-                _raise_parent_error(s, by_id)
-            grand.append(p.parents)
-        # below depth 4 the grandparents are components, not strata
-        if depth >= 4 and gp_error is None:
-            gp_error = _grandparent_error(s, grand)
-    if first_bad < len(d.strata):
-        _raise_own_error(d.strata[first_bad], order, n)
-    if gp_error is not None:
-        raise gp_error
-    return _Strata(by_id, by_depth, slot)
+                f"stratum {ids[i]} must name one parent per dropped component")
+        # the facets dropping the last, ..., the first component
+        if None in ps or [positions[p] for p in reversed(ps)] != list(
+                combinations(pos, depth - 1)):
+            _raise_parent_error(ids[i], subset, parents, subsets, by_id)
+        found[depth].append(ps)
+    if first_bad < len(ids):
+        _raise_own_error(ids[first_bad], subsets[first_bad], order, n)
+    # Every parent is now on its facet, so dropping two components in
+    # either order lands on a stratum on the same subset, two below the
+    # stratum's depth: the two can differ only where that subset carries
+    # two strata.  Below depth 4 the grandparents are components.
+    low = [pos for pos in positions if len(pos) <= len(counts) - 3]
+    if len(set(low)) < len(low):
+        for i, pos in enumerate(positions):
+            if len(pos) >= 4:
+                grand = [parents_of[by_id[parents_of[i][c]]] for c in subsets[i]]
+                _raise_if_drops_differ(ids[i], subsets[i], grand)
+    return _Incidence(components, table, counts, slot, found)
 
 
-def _raise_own_error(s: Stratum, order: Mapping[str, int], n: int) -> NoReturn:
-    """Raise the first of s's own rules that s breaks."""
-    if len(s.subset) < 2:
+def _raise_own_error(sid: str, subset: tuple[str, ...], order: Mapping[str, int],
+                     n: int) -> NoReturn:
+    """Raise the first of its own rules that the stratum breaks."""
+    if len(subset) < 2:
         raise DimensionBoundError(
-            f"stratum {s.id} intersects {len(s.subset)} component(s); need at least 2")
-    if len(s.subset) > n:
+            f"stratum {sid} intersects {len(subset)} component(s); need at least 2")
+    if len(subset) > n:
         raise DimensionBoundError(
-            f"stratum {s.id} intersects {len(s.subset)} components in ambient "
+            f"stratum {sid} intersects {len(subset)} components in ambient "
             f"dimension {n}")
-    for c in s.subset:
+    for c in subset:
         if c not in order:
-            raise SncError(f"stratum {s.id} references unknown component {c!r}")
-    if len(set(s.subset)) != len(s.subset):
-        raise SncError(f"stratum {s.id} repeats a component in its subset")
-    raise SncError(f"stratum {s.id} subset is not in component order")
+            raise SncError(f"stratum {sid} references unknown component {c!r}")
+    if len(set(subset)) != len(subset):
+        raise SncError(f"stratum {sid} repeats a component in its subset")
+    raise SncError(f"stratum {sid} subset is not in component order")
 
 
-def _raise_parent_error(s: Stratum, by_id: Mapping[str, Stratum]) -> NoReturn:
-    """Raise the error of the first of s's parents, in s's order, that is wrong."""
-    subsets = {t.subset for t in by_id.values()}
-    for drop, pid in s.parents.items():
-        facet = tuple(c for c in s.subset if c != drop)
-        if facet not in subsets:
+def _raise_parent_error(sid: str, subset: tuple[str, ...], parents: Mapping[str, str],
+                        subsets: list[tuple[str, ...]], by_id: Mapping[str, int],
+                        ) -> NoReturn:
+    """Raise the error of the first of the stratum's parents, in its
+    order, that is wrong; ``subsets`` and ``by_id`` cover every stratum."""
+    present = set(subsets)
+    for drop, pid in parents.items():
+        facet = tuple(c for c in subset if c != drop)
+        if facet not in present:
             raise ClosureViolationError(
-                f"stratum {s.id} needs a stratum on {facet}, found none")
-        parent = by_id.get(pid)
-        if parent is None or parent.subset != facet:
+                f"stratum {sid} needs a stratum on {facet}, found none")
+        p = by_id.get(pid)
+        if p is None or subsets[p] != facet:
             raise ContainmentMismatchError(
-                f"stratum {s.id}: parent {pid!r} for dropped {drop!r} is not a "
+                f"stratum {sid}: parent {pid!r} for dropped {drop!r} is not a "
                 f"stratum on {facet}")
-    raise AssertionError(f"stratum {s.id} has no wrong parent")
+    raise AssertionError(f"stratum {sid} has no wrong parent")
 
 
-def _grandparent_error(s: Stratum, grand: list[dict[str, str]]) -> SncError | None:
-    """The error for the first pair of components whose two drop orders
-    land on different strata, or None; ``grand[m]`` holds the parents of
-    s's parent that drops its m-th component.
-
-    It may run before those parents are checked: one that lacks a parent
-    fails its own check later, and that error is raised first.
-    """
-    subset = s.subset
+def _raise_if_drops_differ(sid: str, subset: tuple[str, ...],
+                           grand: list[dict[str, str]]) -> None:
+    """Raise for the first pair of components whose two drop orders land
+    on different strata; ``grand[m]`` holds the parents of the stratum's
+    parent that drops its m-th component, each already checked."""
     for i, j in combinations(range(len(subset)), 2):
         a, b = subset[i], subset[j]
-        via_a, via_b = grand[i].get(b), grand[j].get(a)
+        via_a, via_b = grand[i][b], grand[j][a]
         if via_a != via_b:
-            if via_a is None or via_b is None:
-                return None
-            return ContainmentMismatchError(
-                f"stratum {s.id}: dropping {a!r} then {b!r} gives {via_a!r} "
+            raise ContainmentMismatchError(
+                f"stratum {sid}: dropping {a!r} then {b!r} gives {via_a!r} "
                 f"but {b!r} then {a!r} gives {via_b!r}")
-    return None
-
-
-@dataclass(frozen=True)
-class DualCell:
-    id: str
-    vertices: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -299,15 +410,17 @@ class DualComplex:
     faces as (position in ``cells[k]``, sign) pairs sorted by position: the
     face opposite the m-th vertex carries the sign (-1)^m.  This is the
     boundary form ``ChainComplex`` takes, so ``chain_complex`` copies
-    nothing.
+    nothing.  ``build_dual_complex`` gives the cells as the incidence
+    ``validate_snc`` returns, and they are built on first read.
     """
 
-    cells: tuple[tuple[DualCell, ...], ...]
+    cells: tuple[tuple[DualCell, ...], ...] = _BuiltOnRead(_Incidence)
     boundaries: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
     def chain_complex(self) -> ChainComplex:
-        return ChainComplex(0, tuple(len(layer) for layer in self.cells),
-                            self.boundaries)
+        cells = self.__dict__["cells"]      # the cells, or the incidence they come from
+        ranks = cells.ranks() if type(cells) is _Incidence else tuple(map(len, cells))
+        return ChainComplex(0, ranks, self.boundaries)
 
 
 def _face_cell(by_id: Mapping[str, Stratum], s: Stratum, keep: Sequence[str]) -> str:
@@ -327,26 +440,12 @@ def build_dual_complex(d: SncDivisor) -> DualComplex:
     """One vertex per component, one (|I|-1)-cell per stratum component.
 
     The divisor is checked with ``validate_snc`` first, so an invalid one
-    raises ``SncError`` rather than giving a wrong complex; the cells and
-    faces are read from the lookups it returns.
+    raises ``SncError`` rather than giving a wrong complex.  The
+    boundaries come from the parents the check found, and the cells are
+    built from the same result when first read.
     """
-    index = validate_snc(d)
-    slot = index.slot
-    signs = (1, -1) * len(index.by_depth)
-    boundaries = []
-    for depth, layer in enumerate(index.by_depth[2:], 2):
-        if depth == 2:
-            # a valid edge's subset is in component order: its faces are sorted
-            boundaries.append(tuple(((slot[s.subset[0]], -1), (slot[s.subset[1]], 1))
-                                    for s in layer))
-        else:
-            boundaries.append(tuple(
-                tuple(sorted(zip([slot[s.parents[c]] for c in s.subset], signs)))
-                for s in layer))
-    cells = [tuple(DualCell(c, (c,)) for c in d.components)]
-    cells.extend(tuple(DualCell(s.id, s.subset) for s in layer)
-                 for layer in index.by_depth[2:])
-    return DualComplex(tuple(cells), tuple(boundaries))
+    incidence = validate_snc(d)
+    return DualComplex(incidence, incidence.boundaries())
 
 
 class BadIntersections(NamedTuple):

@@ -458,13 +458,20 @@ def test_e3_corner_input_guards():
         TaggedGroup(g, True, source_bound=g)
 
 
+# the one message every malformed boundary out of degree 1 (ranks (2, 1)) gives
+BAD_COLUMNS = ("boundary out of degree 1 is not 1 columns of nonzero entries on faces "
+               "increasing below 2")
+
+
 def test_complex_constructor_shape_guard():
     ChainComplex(0, (2, 1), ((((0, -1), (1, 1)),),))
     for columns in ((), (((0, 1),), ((1, 1),))):  # one column too few, too many
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             ChainComplex(0, (2, 1), (columns,))
-    with pytest.raises(ValueError):
+        assert str(caught.value) == BAD_COLUMNS
+    with pytest.raises(ValueError) as caught:
         ChainComplex(0, (2, 1), ())  # no boundary for two degrees
+    assert str(caught.value) == "0 boundary maps for 2 degrees"
 
 
 @pytest.mark.parametrize("column", [
@@ -477,5 +484,17 @@ def test_complex_constructor_shape_guard():
 ], ids=["face-at-rank", "face-past-rank", "negative-face", "zero-coefficient",
         "repeated-face", "unsorted-faces"])
 def test_complex_constructor_rejects_non_canonical_columns(column):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         ChainComplex(0, (2, 1), ((column,),))
+    assert str(caught.value) == BAD_COLUMNS
+    # the same column after a good one, in the boundary above a good one
+    with pytest.raises(ValueError) as caught:
+        ChainComplex(3, (1, 2, 2), ((((0, 1),), ((0, 1),)), (((0, 1), (1, -1)), column)))
+    assert str(caught.value) == ("boundary out of degree 5 is not 2 columns of nonzero "
+                                 "entries on faces increasing below 2")
+
+
+def test_complex_constructor_accepts_empty_and_edge_columns():
+    c = ChainComplex(0, (2, 2, 1), (((), ((0, -1), (1, 1))), (((0, 3), (1, -2)),)))
+    assert c.ranks == (2, 2, 1)
+    ChainComplex(0, (0, 1), (((),),))   # an empty column over no faces

@@ -595,6 +595,72 @@ def test_exit_one_on_deeply_nested_json(capsys, tmp_path):
     assert "nesting is too deep" in capsys.readouterr().err
 
 
+def _run_quietly(path: Path) -> tuple[int, str]:
+    """Exit code and stderr of one in-process ``validate`` run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--input", str(path), "--command", "validate", "--emit", "both"])
+    return code, err.getvalue()
+
+
+def _from_a_deep_stack(spare: int, call):
+    """``call()`` made with only ``spare`` frames left below the recursion limit."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+
+    def down(k):
+        return call() if k <= 0 else down(k - 1)
+
+    return down(sys.getrecursionlimit() - spare - depth)
+
+
+def _deep_documents(depth: int) -> dict[str, str]:
+    """Documents holding arrays ``depth`` deep where the schema wants other values."""
+    deep = "[" * depth + "]" * depth
+    sphere = json.dumps(load(SPHERE4))
+    # the last "c01" is a parent value, as in the corpus's drawn cases
+    head, _, tail = sphere.rpartition('"c01"')
+    return {
+        "whole": deep,
+        "version": json.dumps({**load(PARALLEL), "version": "@"}).replace('"@"', deep),
+        "n": sphere.replace('"n": 4', f'"n": {deep}', 1),
+        "parent": head + deep + tail,
+    }
+
+
+@pytest.mark.parametrize("depth", [990, 5000, 100_000])
+def test_deep_documents_fail_alike_from_a_shallow_and_a_deep_stack(tmp_path, depth):
+    # json.load's reach and the error text's depend on the interpreter and
+    # the caller's stack; past MAX_NESTING the error is the nesting alone
+    for name, text in _deep_documents(depth).items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        want = (1, "error: document: nesting is too deep\n")
+        assert _run_quietly(path) == want, name
+        assert _from_a_deep_stack(100, lambda: _run_quietly(path)) == want, name
+
+
+def test_a_document_past_max_nesting_that_decodes_is_too_deep(tmp_path):
+    for name, text in _deep_documents(600).items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        json.loads(text)        # it decodes on every supported Python
+        assert _run_quietly(path) == (1, "error: document: nesting is too deep\n"), name
+
+
+def test_nesting_up_to_max_nesting_keeps_the_schema_error(tmp_path):
+    path = tmp_path / "doc.json"
+    for depth, err in ((cli.MAX_NESTING, "document: expected an object, got list"),
+                       (cli.MAX_NESTING + 1, "document: nesting is too deep")):
+        path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+        assert _run_quietly(path) == (1, f"error: {err}\n")
+    for name, text in _deep_documents(50).items():
+        path.write_text(text, encoding="utf-8")
+        code, err = _run_quietly(path)
+        assert code == 1 and "nesting is too deep" not in err, (name, err)
+
+
 def test_exit_one_when_the_blowup_cap_is_hit(capsys):
     assert main(["--input", str(PARALLEL), "--command", "resolve",
                  "--max-blowups", "0"]) == 1
