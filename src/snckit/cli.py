@@ -411,45 +411,40 @@ def _report_json(x: Any) -> Any:
 
 def _divisor_text(d: SncDivisor, nl: str) -> str:
     """The divisor block, as ``_json_text`` prints it at newline-and-indent
-    ``nl``, written straight from the strata of a divisor that passed
-    ``validate_snc``; it parses back to an equal divisor.
+    ``nl``, written straight from the strata table of a divisor that
+    passed ``validate_snc``; it parses back to an equal divisor.
 
-    Groups of strata on one subset come in (depth, component positions)
-    order, members in divisor order, each under ``"id"`` and ``"parents"``.
+    Groups of rows on one positions tuple come in (depth, positions) order,
+    members in divisor order, each under ``"id"`` and ``"parents"``.
     A parent is keyed by the decimal position of the component it drops;
     a valid stratum of depth 3 or more names one per subset component, and
     the subset is in component order, so the parents print in subset order.
     """
     enc = encode_basestring
     i1, i2, i3, i4, i5, i6 = [nl + "  " * k for k in range(1, 7)]
-    index = d.component_order()
-    size = len(index)
+    size = len(d.components)
     # the text of each component position as a subset item and as a parent key
     item = [f"{i4}{i}" for i in range(size)]
     key = [f'{i6}"{i}": ' for i in range(size)]
-
-    def order(subset: tuple[str, ...]) -> int:
-        # (depth, positions) as one int: the depth, then the positions as
-        # base-size digits, so comparing ints compares the pairs
-        k = len(subset)
-        for c in subset:
-            k = k * size + index[c]
-        return k
-
-    groups = d.by_subset()
+    table = _StrataTable.of(d)
+    ids, subsets, parents_of = table.ids, table.subsets, table.parents
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for row, pos in enumerate(table.positions):
+        groups.setdefault(pos, []).append(row)
     strata = []
-    for subset in sorted(groups, key=order):
-        idx = [index[c] for c in subset]
+    for pos in sorted(groups, key=lambda pos: (len(pos), pos)):
+        rows = groups[pos]
+        subset = subsets[rows[0]]
         members = []
-        for s in groups[subset]:
-            parents = s.parents
+        for row in rows:
+            parents = parents_of[row]
             if parents:
-                listed = ",".join([key[i] + enc(parents[c]) for i, c in zip(idx, subset)])
-                members.append(f'{i4}{{{i5}"id": {enc(s.id)},{i5}"parents": '
+                listed = ",".join([key[i] + enc(parents[c]) for i, c in zip(pos, subset)])
+                members.append(f'{i4}{{{i5}"id": {enc(ids[row])},{i5}"parents": '
                                f'{{{listed}{i5}}}{i4}}}')
             else:
-                members.append(f'{i4}{{{i5}"id": {enc(s.id)},{i5}"parents": {{}}{i4}}}')
-        strata.append(f'{i2}{{{i3}"subset": [{",".join([item[i] for i in idx])}{i3}],'
+                members.append(f'{i4}{{{i5}"id": {enc(ids[row])},{i5}"parents": {{}}{i4}}}')
+        strata.append(f'{i2}{{{i3}"subset": [{",".join([item[i] for i in pos])}{i3}],'
                       f'{i3}"components": [{",".join(members)}{i3}]{i2}}}')
     comps = f'[{",".join([i2 + enc(c) for c in d.components])}{i1}]' if d.components else "[]"
     strata_text = f'[{",".join(strata)}{i1}]' if strata else "[]"

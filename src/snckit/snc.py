@@ -18,29 +18,34 @@ components are compared only where a subset carries two strata, since
 elsewhere both orders land on its one stratum.  ``build_dual_complex``
 makes its boundary columns from the rows and positions the check
 returns.  ``Stratum`` and ``DualCell`` objects are built on first read of
-``SncDivisor.strata`` and ``DualComplex.cells``, so the commands that
-print only cohomology and reports build neither.  Error text is formatted
-only where a check fails, and the first error raised is the one the order
-of the checks names, whatever order the strata arrive in.
+``SncDivisor.strata`` and ``DualComplex.cells``; of the commands, only
+``dual-complex`` reads either.  Error text is formatted only where a check
+fails, and the first error raised is the one the order of the checks
+names, whatever order the strata arrive in.
 
 Blowing up a stratum component is modeled as stellar subdivision of its
 dual cell, and the resolution loop repeats deepest-first blowups until no
 intersection has two components left.
 
-Every blowup goes through one private, mutable index of the strata: by id
-in divisor order, ids by subset, children by parent id, and the bad
-subsets with a running count of the stratum components on them.  The
-resolution loop builds it once and applies each blowup to it in place.
-The next center is the top of a heap of bad subsets, deepest first, and
-the new component's name comes from a counter that only moves forward, so
-a step touches only the blowup's star and the cells it adds; the public
+Every blowup goes through one private, mutable index that starts from the
+table ``validate_snc`` checked: its rows by id in divisor order, ids by
+positions, children by parent id, and the bad positions with a running
+count of the stratum components on them.  The resolution loop builds it
+once and applies each blowup to it in place, ordering the cones by
+positions; a new component takes the last position.  The next center is
+the top of a heap of bad positions, deepest first, and the new
+component's name comes from a counter that only moves forward, so a step
+touches only the blowup's star and the cells it adds; the public
 single-step blowups build an index, apply one step and return the new
-divisor.  ``find_bad_intersections`` stays the full scan that reports a
-divisor's bad intersections.
+divisor.  Every divisor a blowup returns carries the index's rows as its
+table, so the CLI writes the resolved block from the table too.
+``find_bad_intersections`` stays the full count that reports a divisor's
+bad intersections.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import combinations
@@ -147,7 +152,7 @@ class _BuiltOnRead:
 
 class _StrataTable(NamedTuple):
     """A divisor's strata by position in divisor order, as the parser
-    reads them.
+    reads them or a blowup leaves them.
 
     Per stratum: ``ids``, the id; ``subsets``, the subset as component
     ids; ``positions``, the same as component positions, or None when the
@@ -187,10 +192,9 @@ class _StrataTable(NamedTuple):
 class SncDivisor:
     """A divisor: ambient dimension, component ids and strata.
 
-    A divisor read from a document is given its ``_StrataTable`` in place
-    of the strata, which are then built from it on first read; commands
-    that only check the divisor and take its chain complex never build
-    them.
+    A divisor read from a document or returned by a blowup is given its
+    ``_StrataTable`` in place of the strata, which are then built from it
+    on first read; only ``dual-complex`` among the commands builds them.
     """
 
     n: int
@@ -215,18 +219,6 @@ class SncDivisor:
 
     def component_order(self) -> dict[str, int]:
         return {c: i for i, c in enumerate(self.components)}
-
-    def stratum(self, sid: str) -> Stratum:
-        for s in self.strata:
-            if s.id == sid:
-                return s
-        raise KeyError(sid)
-
-    def by_subset(self) -> dict[tuple[str, ...], list[Stratum]]:
-        out: dict[tuple[str, ...], list[Stratum]] = {}
-        for s in self.strata:
-            out.setdefault(s.subset, []).append(s)
-        return out
 
 
 @dataclass(frozen=True)
@@ -423,19 +415,6 @@ class DualComplex:
         return ChainComplex(0, ranks, self.boundaries)
 
 
-def _face_cell(by_id: Mapping[str, Stratum], s: Stratum, keep: Sequence[str]) -> str:
-    """Id of the face of s spanned by ``keep`` (a vertex id when |keep| = 1)."""
-    keep_set = frozenset(keep)
-    cur = s
-    while len(cur.subset) > len(keep_set):
-        if len(cur.subset) == 2:
-            (v,) = keep_set
-            return v
-        drop = next(c for c in cur.subset if c not in keep_set)
-        cur = by_id[cur.parents[drop]]
-    return cur.id
-
-
 def build_dual_complex(d: SncDivisor) -> DualComplex:
     """One vertex per component, one (|I|-1)-cell per stratum component.
 
@@ -457,12 +436,13 @@ def find_bad_intersections(d: SncDivisor) -> BadIntersections:
     """Index sets whose intersection has two or more components.
 
     The divisor is simplicial (its dual complex has at most one cell per
-    vertex set) exactly when the list is empty.
+    vertex set) exactly when the list is empty.  The subsets are counted in
+    the divisor's strata table, which needs no valid divisor.
     """
     order = d.component_order()
-    bad = [(subset, len(group)) for subset, group in d.by_subset().items()
-           if len(group) >= 2]
-    bad.sort(key=lambda item: (len(item[0]), tuple(order[c] for c in item[0])))
+    bad = [(subset, count) for subset, count in Counter(_StrataTable.of(d).subsets).items()
+           if count >= 2]
+    bad.sort(key=lambda item: (len(item[0]), tuple([order[c] for c in item[0]])))
     return BadIntersections(bad, not bad)
 
 
@@ -484,90 +464,98 @@ class BlowupRecord:
 
 
 class _StrataIndex:
-    """The strata of a divisor, indexed for a run of blowups.
+    """The strata of a divisor, as rows of its ``_StrataTable``, indexed
+    for a run of blowups.
 
-    It keeps the strata by id in divisor order, the ids on each subset, the
-    children of each stratum (the strata naming it as a parent), the bad
-    subsets (those carrying two or more ids) and the running count of
-    stratum components on bad subsets.  ``add`` and ``remove`` keep all of
-    these current, so a blowup costs time in the size of its star and of
-    the cells it adds, not in the size of the divisor.
+    It starts from the table ``validate_snc`` returns, so the blowups and
+    the resolution loop raise ``SncError`` on an invalid divisor.  It keeps
+    each stratum's row, (subset, positions, parents), by id in divisor
+    order, and ``seq``, each id's place in that order; the ids on each
+    positions tuple; the children of each stratum (the strata naming it as
+    a parent); the bad positions tuples (those carrying two or more ids)
+    and the running count of stratum components on them.  ``add`` and
+    ``remove`` keep all of these current, so a blowup costs time in the
+    size of its star and of the cells it adds, not in the size of the
+    divisor.
 
     Two more pieces keep the resolution loop's own choices off the whole
-    divisor.  ``add`` pushes a subset onto a heap, keyed deepest first and
-    then by component positions, each time it turns bad; ``deepest_bad``
-    drops the tops that are clean again and reads the next.  A component's
-    position never changes, and no two subsets share their positions, so
-    the top is the subset a full scan of the bad set would pick.  Components
-    are never removed, so the first ``exc{k}`` that is not a component
-    never goes down, and ``new_component`` keeps k between calls.  The
-    index runs
-    ``validate_snc`` on the divisor it is built from, so the blowups and the
-    resolution loop raise ``SncError`` on an invalid one.
+    divisor.  ``add`` pushes (-depth, positions) onto a heap each time a
+    positions tuple turns bad; ``deepest_bad`` drops the tops that are
+    clean again and reads the next.  A component's position never changes,
+    so the top is the subset a full scan of the bad set would pick.
+    Components are never removed, so the first ``exc{k}`` that is not a
+    component never goes down, and ``new_component`` keeps k between
+    calls.  A new component takes the last position.
     """
 
     def __init__(self, d: SncDivisor):
-        validate_snc(d)
+        table = validate_snc(d).table
         self.n = d.n
         self.components = list(d.components)
         self.order = d.component_order()
-        self.by_id: dict[str, Stratum] = {}
+        self.rows: dict[str, tuple[tuple[str, ...], tuple[int, ...], dict[str, str]]] = {}
         self.seq: dict[str, int] = {}
-        self.by_subset: dict[tuple[str, ...], set[str]] = {}
+        self.by_positions: dict[tuple[int, ...], set[str]] = {}
         self.children: dict[str, set[str]] = {}
-        self.bad: set[tuple[str, ...]] = set()
+        self.bad: set[tuple[int, ...]] = set()
         self.bad_total = 0
         self._next_seq = 0
-        self._bad_heap: list[tuple[int, tuple[int, ...], tuple[str, ...]]] = []
+        self._bad_heap: list[tuple[int, tuple[int, ...]]] = []
         self._exc = 1
-        for s in d.strata:
-            self.add(s)
+        for row in zip(table.ids, table.subsets, table.positions, table.parents):
+            self.add(*row)
 
     def divisor(self) -> SncDivisor:
-        return SncDivisor(self.n, tuple(self.components), tuple(self.by_id.values()))
+        rows = self.rows.values()
+        return SncDivisor(self.n, tuple(self.components), _StrataTable(
+            list(self.rows), [r[0] for r in rows], [r[1] for r in rows],
+            [r[2] for r in rows]))
 
-    def add(self, s: Stratum) -> None:
-        self.by_id[s.id] = s
-        self.seq[s.id] = self._next_seq
+    def add(self, sid: str, subset: tuple[str, ...], positions: tuple[int, ...],
+            parents: dict[str, str]) -> None:
+        self.rows[sid] = (subset, positions, parents)
+        self.seq[sid] = self._next_seq
         self._next_seq += 1
-        ids = self.by_subset.setdefault(s.subset, set())
-        ids.add(s.id)
-        if len(ids) == 2:
-            self.bad.add(s.subset)
-            self.bad_total += 2
-            heappush(self._bad_heap, (-len(s.subset),
-                                      tuple(map(self.order.__getitem__, s.subset)), s.subset))
-        elif len(ids) > 2:
-            self.bad_total += 1
-        for pid in s.parents.values():
-            self.children.setdefault(pid, set()).add(s.id)
+        ids = self.by_positions.get(positions)
+        if ids is None:
+            self.by_positions[positions] = {sid}
+        else:
+            ids.add(sid)
+            if len(ids) == 2:
+                self.bad.add(positions)
+                self.bad_total += 2
+                heappush(self._bad_heap, (-len(positions), positions))
+            else:
+                self.bad_total += 1
+        for pid in parents.values():
+            self.children.setdefault(pid, set()).add(sid)
 
-    def remove(self, s: Stratum) -> None:
-        del self.by_id[s.id]
-        del self.seq[s.id]
-        ids = self.by_subset[s.subset]
-        ids.discard(s.id)
+    def remove(self, sid: str) -> None:
+        _, positions, parents = self.rows.pop(sid)
+        del self.seq[sid]
+        ids = self.by_positions[positions]
+        ids.discard(sid)
         if len(ids) == 1:
-            self.bad.discard(s.subset)
+            self.bad.discard(positions)
             self.bad_total -= 2
         elif len(ids) > 1:
             self.bad_total -= 1
         elif not ids:
-            del self.by_subset[s.subset]
-        for pid in s.parents.values():
+            del self.by_positions[positions]
+        for pid in parents.values():
             kids = self.children.get(pid)
             if kids is not None:  # None once the parent itself is removed
-                kids.discard(s.id)
-        self.children.pop(s.id, None)
+                kids.discard(sid)
+        self.children.pop(sid, None)
 
     def deepest_bad(self) -> str:
         """The resolve loop's next center (see ``resolve_to_simplicial``);
         the bad set must not be empty.  A subset that turned clean, and
         maybe bad again since, leaves a stale copy that is dropped here."""
         heap = self._bad_heap
-        while heap[0][2] not in self.bad:
+        while heap[0][1] not in self.bad:
             heappop(heap)
-        return min(self.by_subset[heap[0][2]])
+        return min(self.by_positions[heap[0][1]])
 
     def new_component(self) -> str:
         """Append the first ``exc{k}`` that is neither a component id nor a
@@ -581,7 +569,7 @@ class _StrataIndex:
         while f"exc{self._exc}" in order:
             self._exc += 1
         k = self._exc
-        while f"exc{k}" in self.by_id or f"exc{k}" in order:
+        while f"exc{k}" in self.rows or f"exc{k}" in order:
             k += 1
         name = f"exc{k}"
         order[name] = len(self.components)
@@ -592,18 +580,18 @@ class _StrataIndex:
         """``base``, or ``base~0``, ``base~1``, ... if it is taken: the first
         that is neither a stratum id nor a component id."""
         cid, n = base, 0
-        while cid in self.by_id or cid in self.order:
+        while cid in self.rows or cid in self.order:
             cid = f"{base}~{n}"
             n += 1
         return cid
 
     def blowup(self, center: str) -> BlowupRecord:
         """Apply ``blowup_stratum_component`` in place and return its record."""
-        s0 = self.by_id.get(center)
-        if s0 is None:
+        rows = self.rows
+        if center not in rows:
             raise UnknownCenterError(f"no stratum component with id {center!r}")
-        i0 = frozenset(s0.subset)
-        order = self.order
+        i0 = rows[center][1]
+        components = self.components
 
         # A stratum whose face on the center's subset is the center has a
         # parent with that face too (faces do not depend on the order of
@@ -616,52 +604,62 @@ class _StrataIndex:
                 if child not in star_ids:
                     star_ids.add(child)
                     todo.append(child)
-        star = [self.by_id[sid] for sid in sorted(star_ids, key=self.seq.__getitem__)]
+        star = sorted(star_ids, key=self.seq.__getitem__)
 
-        entries: list[tuple[Stratum, tuple[str, ...], tuple[str, ...], str]] = []
-        for t in star:
-            l_part = tuple(c for c in t.subset if c not in i0)
-            for r in range(len(s0.subset)):
-                for k_part in combinations(s0.subset, r):
-                    keep = tuple(sorted(k_part + l_part, key=order.__getitem__))
-                    if not keep:
-                        continue
-                    fcid = keep[0] if len(keep) == 1 else _face_cell(self.by_id, t, keep)
-                    entries.append((t, k_part, keep, fcid))
-        entries.sort(key=lambda e: (
-            len(e[2]), tuple(order[c] for c in e[2]), e[3], e[0].id))
+        # (len(keep), keep, face id, star id) is the order of the cones;
+        # (star id, keep) fixes k_part, which never decides it.  The face
+        # of t on keep drops t's other components in subset order.
+        entries: list[tuple[int, tuple[int, ...], str, str, tuple[int, ...]]] = []
+        for tid in star:
+            t_positions = rows[tid][1]
+            l_part = tuple([p for p in t_positions if p not in i0])
+            for r in range(len(i0)):
+                for k_part in combinations(i0, r):
+                    keep = tuple(sorted(k_part + l_part))
+                    if len(keep) == 1:
+                        entries.append((1, keep, components[keep[0]], tid, k_part))
+                    elif keep:
+                        fcid = tid
+                        for p in t_positions:
+                            if p not in keep:
+                                fcid = rows[fcid][2][components[p]]
+                        entries.append((len(keep), keep, fcid, tid, k_part))
+        entries.sort()
 
         before = self.bad_total
-        for t in star:
-            self.remove(t)
+        star_parents = {tid: rows[tid][2] for tid in star}
+        for tid in star:
+            self.remove(tid)
         new_comp = self.new_component()
+        new_pos = len(components) - 1
 
         # Ids follow the coned face; parallel cones over the same face get a
         # deterministic suffix, and ids of the removed star are free again.
         # Two entries share a face cell only when their star cells are
         # components of the same intersection.  A cone's parents are cones
         # over smaller faces, which sort earlier.
-        cone_id: dict[tuple[str, tuple[str, ...]], str] = {}
+        cone_id: dict[tuple[str, tuple[int, ...]], str] = {}
         added: list[str] = []
-        for t, k_part, keep, fcid in entries:
+        for depth, keep, fcid, tid, k_part in entries:
             cid = self.free_id(f"{new_comp}|{fcid}")
-            cone_id[(t.id, k_part)] = cid
-            subset = keep + (new_comp,)
+            cone_id[(tid, k_part)] = cid
             parents: dict[str, str] = {}
-            if len(subset) >= 3:
+            if depth >= 2:
                 parents[new_comp] = fcid
-                for x in keep:
-                    if x in i0:
-                        rest = tuple(c for c in k_part if c != x)
-                        parents[x] = cone_id[(t.id, rest)]
+                for p in keep:
+                    x = components[p]
+                    if p in i0:
+                        rest = tuple([q for q in k_part if q != p])
+                        parents[x] = cone_id[(tid, rest)]
                     else:
-                        parents[x] = cone_id[(t.parents[x], k_part)]
-            self.add(Stratum(cid, subset, parents))
+                        parents[x] = cone_id[(star_parents[tid][x], k_part)]
+            self.add(cid, tuple([components[p] for p in keep]) + (new_comp,),
+                     keep + (new_pos,), parents)
             added.append(cid)
         return BlowupRecord(
             center=center,
             new_component=new_comp,
-            removed=tuple(t.id for t in star),
+            removed=tuple(star),
             added=tuple(added),
             bad_decrement=before - self.bad_total,
         )
@@ -699,29 +697,26 @@ def blowup_point_on_double_curve(d: SncDivisor, curve: str,
     if d.n != 3:
         raise WrongDimensionError(f"point blowup needs ambient dimension 3, got {d.n}")
     index = _StrataIndex(d)
-    c = index.by_id.get(curve)
-    if c is None or c.depth != 2:
+    row = index.rows.get(curve)
+    if row is None or len(row[1]) != 2:
         raise UnknownCurveError(f"{curve!r} is not a double-curve stratum component")
-    i, j = c.subset
+    (i, j), (pi, pj) = row[0], row[1]
     before = index.bad_total
     new_comp = index.new_component()
+    new_pos = len(index.components) - 1
     # each id is taken before the next is chosen, so they cannot collide
-    edge_i = Stratum(index.free_id(f"{new_comp}|{i}"), (i, new_comp))
-    index.add(edge_i)
-    edge_j = Stratum(index.free_id(f"{new_comp}|{j}"), (j, new_comp))
-    index.add(edge_j)
-    triple = Stratum(index.free_id(f"{new_comp}|{curve}"), (i, j, new_comp), {
-        new_comp: curve,
-        i: edge_j.id,
-        j: edge_i.id,
-    })
-    index.add(triple)
-    added = (edge_i, edge_j, triple)
+    edge_i = index.free_id(f"{new_comp}|{i}")
+    index.add(edge_i, (i, new_comp), (pi, new_pos), {})
+    edge_j = index.free_id(f"{new_comp}|{j}")
+    index.add(edge_j, (j, new_comp), (pj, new_pos), {})
+    triple = index.free_id(f"{new_comp}|{curve}")
+    index.add(triple, (i, j, new_comp), (pi, pj, new_pos),
+              {new_comp: curve, i: edge_j, j: edge_i})
     record = BlowupRecord(
         center=curve,
         new_component=new_comp,
         removed=(),
-        added=tuple(s.id for s in added),
+        added=(edge_i, edge_j, triple),
         bad_decrement=before - index.bad_total,
         point_blowup=True,
     )
@@ -739,12 +734,13 @@ def resolve_to_simplicial(d: SncDivisor, max_blowups: int = 10000,
     not proven immune to new bad intersections; hitting it raises with the
     partial result attached rather than looping forever.
 
-    The divisor is indexed once (strata by id, ids by subset, children by
-    parent, the bad subsets); each blowup then updates the index in place,
-    touching only its star and the cells it adds.  The center comes from
-    the index's heap of bad subsets and the new component's name from its
-    running ``exc{k}`` counter, so no step rescans the whole divisor, the
-    bad set or the names used so far.
+    The divisor's checked table is indexed once (rows by id, ids by
+    positions, children by parent, the bad positions); each blowup then
+    updates the index in place, touching only its star and the cells it
+    adds.  The center comes from the index's heap of bad positions, the
+    returned divisor carries the index's rows as its table, and the new
+    component's name comes from its running ``exc{k}`` counter, so no step
+    rescans the whole divisor, the bad set or the names used so far.
     """
     index = _StrataIndex(d)
     records: list[BlowupRecord] = []

@@ -323,7 +323,9 @@ def prime_power_chain(orders: list[int]) -> tuple[int, ...]:
 def divisor_json(d: SncDivisor) -> dict:
     """Emit a divisor block that parses back to an equal divisor."""
     index = d.component_order()
-    groups = d.by_subset()
+    groups: dict[tuple[str, ...], list[Stratum]] = {}
+    for s in d.strata:
+        groups.setdefault(s.subset, []).append(s)
     out = []
     for _, idx, subset in sorted((len(sub), [index[c] for c in sub], sub) for sub in groups):
         members = []
@@ -682,7 +684,7 @@ def alt_chain_complex(d: SncDivisor) -> ChainComplex:
     Degree p counts the stratum components of depth p + 1 (degree 0 counts
     the divisor components); the boundary drops one component at a time
     with alternating signs.  It is a second build of
-    ``DualComplex.chain_complex``, with a linear stratum lookup per cell,
+    ``DualComplex.chain_complex``, with a dict stratum lookup per cell,
     and must agree with it entry for entry.
     """
     if not d.components:
@@ -692,12 +694,13 @@ def alt_chain_complex(d: SncDivisor) -> ChainComplex:
     for depth in range(2, max_depth + 1):
         layer_ids.append([s.id for s in d.strata if s.depth == depth])
     ranks = tuple(len(layer) for layer in layer_ids)
+    by_id = {s.id: s for s in d.strata}
     boundaries = []
     for p in range(1, len(layer_ids)):
         pos = {cid: i for i, cid in enumerate(layer_ids[p - 1])}
         m = [[0] * len(layer_ids[p]) for _ in range(len(layer_ids[p - 1]))]
         for col, sid in enumerate(layer_ids[p]):
-            s = d.stratum(sid)
+            s = by_id[sid]
             for k, dropped in enumerate(s.subset):
                 face = s.subset[1 - k] if s.depth == 2 else s.parents[dropped]
                 m[pos[face]][col] += (-1) ** k

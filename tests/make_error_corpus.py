@@ -355,9 +355,13 @@ def _validate_fault_documents() -> list[tuple[str, dict]]:
 def _random_fault_documents() -> list[tuple[str, dict]]:
     """Valid divisors, strata shuffled, with one to three rule faults each.
 
-    Every fault keeps the document acceptable to the parser (parent keys in
+    Most faults keep the document acceptable to the parser (parent keys in
     the subset, parent values declared ids), so the first error comes from
-    ``validate_snc``.
+    ``validate_snc``, but not all: a "duplicate" fault that renames an id
+    some parent names fails in the parser with ``UnknownIdError``, and
+    faults that undo each other or change nothing leave a valid divisor.
+    Of the 64 documents, 36 fail in ``validate_snc``, 11 in the parser and
+    17 are valid.
     """
     sys.path.insert(0, str(HERE))
     from helpers import divisor_json, random_divisor, simplex_divisor, sphere4

@@ -226,6 +226,12 @@ def test_bad_intersections_examples():
     assert not simplicial
     assert bad == [(("1", "2"), 2)]
     assert find_bad_intersections(full_simplex()) == ([], True)
+    # the count needs no valid divisor: these triple points name no parents
+    loose = SncDivisor(3, ("A", "B", "C"), (Stratum("s", ("A", "B", "C")),
+                                            Stratum("t", ("A", "B", "C"))))
+    with pytest.raises(SncError):
+        validate_snc(loose)
+    assert find_bad_intersections(loose) == ([(("A", "B", "C"), 2)], False)
 
 
 def test_bad_triple_stratum_derived_example():
@@ -382,9 +388,9 @@ def test_point_blowup_ids_take_the_cone_suffix_when_taken():
     validate_snc(after)
     assert record.new_component == "exc1"
     assert record.added == ("exc1|E1~0", "exc1|E2", "exc1|c")
-    assert after.stratum("exc1|c").parents == {"exc1": "c", "E1": "exc1|E2",
-                                               "E2": "exc1|E1~0"}
-    assert after.stratum("exc1|E1").subset == ("E1", "E3")
+    by_id = {s.id: s for s in after.strata}
+    assert by_id["exc1|c"].parents == {"exc1": "c", "E1": "exc1|E2", "E2": "exc1|E1~0"}
+    assert by_id["exc1|E1"].subset == ("E1", "E3")
     # the suffix also steps past a taken suffixed id
     d = SncDivisor.build(3, ["E1", "E2", "E3"], [("c", ("E1", "E2"), {}),
                                                  ("exc1|E1", ("E1", "E3"), {}),
@@ -404,7 +410,7 @@ def test_point_blowup_on_interval_gives_triangle():
     assert tuple(len(layer) for layer in dc.cells) == (3, 3, 1)
     assert cohomology_profile(after, 3) == cohomology_profile(d, 3)
     # the curve survives and now carries a triple point with the new wall
-    assert after.stratum("c").subset == ("1", "2")
+    assert {s.id: s for s in after.strata}["c"].subset == ("1", "2")
     triple = [s for s in after.strata if s.depth == 3]
     assert len(triple) == 1
     assert triple[0].parents["exc1"] == "c"
@@ -690,7 +696,7 @@ def test_resolve_scans_for_bad_intersections_at_most_once(monkeypatch):
 
 def test_build_sorts_subsets_by_component_order():
     d = SncDivisor.build(3, ["b", "a"], [("c", ("a", "b"), {})])
-    assert d.stratum("c").subset == ("b", "a")
+    assert {s.id: s for s in d.strata}["c"].subset == ("b", "a")
 
 
 def test_build_rejects_unknown_and_repeated_components():

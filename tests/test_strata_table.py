@@ -17,9 +17,16 @@ from helpers import (
     simplex_divisor,
 )
 from make_error_corpus import CORPUS, _random_fault_documents
-from snckit import SncDivisor, Stratum, build_dual_complex, resolve_to_simplicial
-from snckit.cli import SchemaError, _json_text, main, parse_document
-from snckit.snc import DualCell, DualComplex, SncError, validate_snc
+from snckit import (
+    SncDivisor,
+    Stratum,
+    blowup_point_on_double_curve,
+    blowup_stratum_component,
+    build_dual_complex,
+    resolve_to_simplicial,
+)
+from snckit.cli import SchemaError, UnknownIdError, _json_text, main, parse_document
+from snckit.snc import DualCell, DualComplex, SncError, _StrataTable, validate_snc
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SPHERE4 = FIXTURES / "sphere4.json"
@@ -112,6 +119,21 @@ def test_the_table_and_the_api_strata_fail_with_the_same_first_error():
     assert len([e for e in errors if e is not None]) > 80
 
 
+def test_the_random_fault_cases_fail_in_the_checker_the_parser_or_not_at_all():
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+    where = []
+    for case in corpus:
+        if case["name"].startswith("snc-random-"):
+            try:
+                where.append(_first_error(parse_document(case["document"]).divisor))
+            except UnknownIdError:
+                where.append("parser")
+    assert len(where) == 64
+    assert where.count("parser") == 11
+    assert where.count(None) == 17
+    assert len([e for e in where if type(e) is tuple]) == 36
+
+
 def test_a_read_divisor_keeps_the_dataclass_api():
     data = json.loads(SPHERE4.read_text(encoding="utf-8"))
     read = parse_document(data).divisor
@@ -164,7 +186,8 @@ def _run(path: Path, command: str) -> int:
         return main(["--input", str(path), "--command", command, "--emit", "both"])
 
 
-@pytest.mark.parametrize("command", ["kh-report", "k-report", "cohomology", "validate"])
+@pytest.mark.parametrize("command", ["kh-report", "k-report", "cohomology", "validate",
+                                     "check-simplicial", "resolve"])
 def test_the_report_paths_build_no_stratum_and_no_dual_cell(skeleton_path, built, command):
     assert built == []
     for path in (SPHERE4, skeleton_path):
@@ -174,12 +197,59 @@ def test_the_report_paths_build_no_stratum_and_no_dual_cell(skeleton_path, built
 
 @pytest.mark.parametrize("command, builds", [
     ("dual-complex", {"DualCell"}),
-    ("check-simplicial", {"Stratum"}),
-    ("resolve", {"Stratum"}),
 ])
 def test_the_commands_that_read_strata_or_cells_build_them(built, command, builds):
     assert _run(SPHERE4, command) == 0
     assert set(built) == builds
+
+
+def test_the_public_blowups_of_a_read_divisor_build_no_stratum(built):
+    block = divisor_json(parallel_curve_divisor(random.Random(5), 5, 4))
+    read = parse_document({"version": "1", "divisor": block}).divisor
+    built.clear()
+    table = _StrataTable.of(read)
+    curve = next(sid for sid, subset in zip(table.ids, table.subsets) if len(subset) == 2)
+    top = next(sid for sid, subset in zip(table.ids, table.subsets) if len(subset) == 3)
+    blown, _ = blowup_stratum_component(read, top)
+    blowup_stratum_component(blown, curve)
+    pointed, _ = blowup_point_on_double_curve(read, curve)
+    resolve_to_simplicial(pointed)
+    assert built == []
+
+
+def assert_carries_its_table(d: SncDivisor) -> None:
+    """d holds a ``_StrataTable`` that ``_StrataTable.of`` returns as it is,
+    whose positions are its subsets' and whose rows are d.strata in order."""
+    table = d.__dict__["strata"]
+    assert type(table) is _StrataTable
+    assert _StrataTable.of(d) is table
+    order = d.component_order()
+    assert table.positions == [tuple([order[c] for c in subset]) for subset in table.subsets]
+    assert [(s.id, s.subset, s.parents) for s in d.strata] == list(
+        zip(table.ids, table.subsets, table.parents))
+    assert _StrataTable.of(d) is table
+
+
+def test_the_blowups_and_the_resolution_return_divisors_carrying_a_table():
+    rng = random.Random(23)
+    divisors = [random_divisor(rng) for _ in range(200)]
+    divisors += [parallel_curve_divisor(rng, rng.randint(3, 6), rng.randint(0, 6))
+                 for _ in range(60)]
+    pointed = []
+    for d in divisors:
+        curves = [s.id for s in d.strata if s.depth == 2]
+        if d.n == 3 and curves:
+            after, _ = blowup_point_on_double_curve(d, rng.choice(curves))
+            assert_carries_its_table(after)
+            pointed.append(after)
+    divisors += pointed
+    assert len(divisors) >= 300 and len(pointed) >= 60
+    for d in divisors:
+        resolved, _ = resolve_to_simplicial(d)
+        assert_carries_its_table(resolved)
+        if d.strata:
+            after, _ = blowup_stratum_component(d, rng.choice(d.strata).id)
+            assert_carries_its_table(after)
 
 
 def test_validate_counts_the_strata_of_the_table(capsys, skeleton_path):
