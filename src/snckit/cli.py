@@ -12,6 +12,7 @@ asked for a block the document does not have, 3 an internal invariant broke.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import dataclass, fields, is_dataclass
@@ -31,6 +32,7 @@ from .khasm import (
 from .intmat import IntMatrix
 from .nk import DuBoisTable, k_report
 from .snc import (
+    BlowupRecord,
     DimensionBoundError,
     SncDivisor,
     _StrataTable,
@@ -452,6 +454,21 @@ def _divisor_text(d: SncDivisor, nl: str) -> str:
             f'{i1}"strata": {strata_text}{nl}}}')
 
 
+def _blowup_text(r: BlowupRecord, nl: str) -> str:
+    """A blowup record as ``_json_text`` prints the dict of its fields, in
+    field order, at newline-and-indent ``nl``; written straight from the
+    record, as ``_divisor_text`` writes a divisor block."""
+    enc = encode_basestring
+    i1 = nl + "  "
+    i2 = i1 + "  "
+    removed = f"[{i2}{(',' + i2).join(map(enc, r.removed))}{i1}]" if r.removed else "[]"
+    added = f"[{i2}{(',' + i2).join(map(enc, r.added))}{i1}]" if r.added else "[]"
+    return (f'{{{i1}"center": {enc(r.center)},{i1}"new_component": '
+            f'{enc(r.new_component)},{i1}"removed": {removed},{i1}"added": {added},'
+            f'{i1}"bad_decrement": {int.__repr__(r.bad_decrement)},{i1}"point_blowup": '
+            f'{"true" if r.point_blowup else "false"}{nl}}}')
+
+
 def _picard_json(pi: PicardInput) -> dict:
     out: dict[str, Any] = {
         "levels": [{"p": lv.p, "ns_rank": lv.ns.free_rank,
@@ -476,7 +493,8 @@ def _json_text(x: Any, nl: str = "\n") -> str:
     """``json.dumps(x, ensure_ascii=False, indent=2)`` for str, int, bool, None,
     list, tuple and str-keyed dict; any other value or key raises TypeError,
     except an ``SncDivisor``, which prints as its divisor block
-    (``_divisor_text``)."""
+    (``_divisor_text``), and a ``BlowupRecord``, which prints as the dict
+    of its fields (``_blowup_text``)."""
     if isinstance(x, str):
         return encode_basestring(x)
     if x is None or isinstance(x, bool):
@@ -499,6 +517,8 @@ def _json_text(x: Any, nl: str = "\n") -> str:
         bra, ket = "[", "]"
     elif isinstance(x, SncDivisor):
         return _divisor_text(x, nl)
+    elif isinstance(x, BlowupRecord):
+        return _blowup_text(x, nl)
     else:
         raise TypeError(f"{type(x).__name__} is not a report value")
     if not items:
@@ -598,10 +618,7 @@ def _cmd_resolve(doc: InputDocument, max_blowups: int) -> tuple[str, dict]:
                             doc.field_mode)
     machine = {
         "command": "resolve",
-        "blowups": [{"center": r.center, "new_component": r.new_component,
-                     "removed": list(r.removed), "added": list(r.added),
-                     "bad_decrement": r.bad_decrement,
-                     "point_blowup": r.point_blowup} for r in records],
+        "blowups": records,
         "is_simplicial": True,
         "document": document_json(new_doc),
     }
@@ -696,9 +713,10 @@ def run(command: str, document: InputDocument,
     """Execute one command, returning (text report, machine report).
 
     The machine report is a value ``_json_text`` prints: plain JSON data,
-    except that ``resolve``'s holds the resolved ``SncDivisor`` itself
-    under ``["document"]["divisor"]``.  ``max_blowups`` caps the
-    resolution loop; only ``resolve`` runs it.
+    except that ``resolve``'s holds its ``BlowupRecord`` list under
+    ``["blowups"]`` and the resolved ``SncDivisor`` itself under
+    ``["document"]["divisor"]``.  ``max_blowups`` caps the resolution
+    loop; only ``resolve`` runs it.
     """
     if command == "resolve":
         return _cmd_resolve(document, max_blowups)
@@ -732,9 +750,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line and return its exit code.
 
+    The cyclic garbage collector is off while it runs, and left on or off
+    as the caller had it: past the parser built on the first call, a run
+    leaves no reference cycles, so reference counting frees what it
+    makes, and a collection would only rescan the tuples and dicts of a
+    large divisor, which live until the end.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = _parser().parse_args(argv)   # a usage error raises SystemExit(2)
         document = parse_input(args.input)
         text, machine = run(args.command, document, args.max_blowups)
         out = [text] if args.emit in ("text", "both") else []
@@ -750,6 +777,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as e:  # nothing should reach this
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    finally:
+        if enabled:
+            gc.enable()
     return 0
 
 

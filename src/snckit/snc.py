@@ -27,9 +27,10 @@ Blowing up a stratum component is modeled as stellar subdivision of its
 dual cell, and the resolution loop repeats deepest-first blowups until no
 intersection has two components left.
 
-Every blowup goes through one private, mutable index that starts from the
-table ``validate_snc`` checked: its rows by id in divisor order, ids by
-positions, children by parent id, and the bad positions with a running
+Every blowup goes through one private, mutable index, built in bulk from
+the table ``validate_snc`` checked: its rows by id in divisor order, each
+carrying its place in that order, ids by positions and children by parent
+id from one pass, and the bad positions, heapified once, with a running
 count of the stratum components on them.  The resolution loop builds it
 once and applies each blowup to it in place, ordering the cones by
 positions; a new component takes the last position.  The next center is
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
@@ -437,12 +438,16 @@ def find_bad_intersections(d: SncDivisor) -> BadIntersections:
 
     The divisor is simplicial (its dual complex has at most one cell per
     vertex set) exactly when the list is empty.  The subsets are counted in
-    the divisor's strata table, which needs no valid divisor.
+    the divisor's strata table, which needs no valid divisor: they sort by
+    size, then by component positions, a component the divisor does not
+    list counting as after every one it does, then by the subset itself.
     """
     order = d.component_order()
+    unknown = len(order)
     bad = [(subset, count) for subset, count in Counter(_StrataTable.of(d).subsets).items()
            if count >= 2]
-    bad.sort(key=lambda item: (len(item[0]), tuple([order[c] for c in item[0]])))
+    bad.sort(key=lambda item: (len(item[0]), [order.get(c, unknown) for c in item[0]],
+                               item[0]))
     return BadIntersections(bad, not bad)
 
 
@@ -467,10 +472,10 @@ class _StrataIndex:
     """The strata of a divisor, as rows of its ``_StrataTable``, indexed
     for a run of blowups.
 
-    It starts from the table ``validate_snc`` returns, so the blowups and
-    the resolution loop raise ``SncError`` on an invalid divisor.  It keeps
-    each stratum's row, (subset, positions, parents), by id in divisor
-    order, and ``seq``, each id's place in that order; the ids on each
+    It is built in bulk from the table ``validate_snc`` returns, so the
+    blowups and the resolution loop raise ``SncError`` on an invalid
+    divisor.  It keeps each stratum's row, (subset, positions, parents,
+    place in divisor order), by id in divisor order; the ids on each
     positions tuple; the children of each stratum (the strata naming it as
     a parent); the bad positions tuples (those carrying two or more ids)
     and the running count of stratum components on them.  ``add`` and
@@ -479,31 +484,45 @@ class _StrataIndex:
     divisor.
 
     Two more pieces keep the resolution loop's own choices off the whole
-    divisor.  ``add`` pushes (-depth, positions) onto a heap each time a
-    positions tuple turns bad; ``deepest_bad`` drops the tops that are
-    clean again and reads the next.  A component's position never changes,
-    so the top is the subset a full scan of the bad set would pick.
-    Components are never removed, so the first ``exc{k}`` that is not a
-    component never goes down, and ``new_component`` keeps k between
-    calls.  A new component takes the last position.
+    divisor.  A heap holds (-depth, positions) for every positions tuple
+    that was bad when the index was built or turned bad in ``add`` since;
+    ``deepest_bad`` drops the tops that are clean again and reads the next.
+    A component's position never changes, so the top is the subset a full
+    scan of the bad set would pick.  Components are never removed, so the
+    first ``exc{k}`` that is not a component never goes down, and
+    ``new_component`` keeps k between calls.  A new component takes the
+    last position.
     """
 
     def __init__(self, d: SncDivisor):
         table = validate_snc(d).table
+        ids, positions, parents_of = table.ids, table.positions, table.parents
         self.n = d.n
         self.components = list(d.components)
         self.order = d.component_order()
-        self.rows: dict[str, tuple[tuple[str, ...], tuple[int, ...], dict[str, str]]] = {}
-        self.seq: dict[str, int] = {}
-        self.by_positions: dict[tuple[int, ...], set[str]] = {}
-        self.children: dict[str, set[str]] = {}
-        self.bad: set[tuple[int, ...]] = set()
-        self.bad_total = 0
-        self._next_seq = 0
-        self._bad_heap: list[tuple[int, tuple[int, ...]]] = []
+        self.rows: dict[str, tuple[tuple[str, ...], tuple[int, ...], dict[str, str], int]] = (
+            dict(zip(ids, zip(table.subsets, positions, parents_of, range(len(ids))))))
+        self._next_seq = len(ids)
+        by_positions: dict[tuple[int, ...], set[str]] = {}
+        children: dict[str, set[str]] = {}
+        for sid, pos, parents in zip(ids, positions, parents_of):
+            on = by_positions.get(pos)
+            if on is None:
+                by_positions[pos] = {sid}
+            else:
+                on.add(sid)
+            for pid in parents.values():
+                kids = children.get(pid)
+                if kids is None:
+                    children[pid] = {sid}
+                else:
+                    kids.add(sid)
+        self.by_positions, self.children = by_positions, children
+        self.bad = {pos for pos, on in by_positions.items() if len(on) > 1}
+        self.bad_total = sum([len(by_positions[pos]) for pos in self.bad])
+        self._bad_heap = [(-len(pos), pos) for pos in self.bad]
+        heapify(self._bad_heap)
         self._exc = 1
-        for row in zip(table.ids, table.subsets, table.positions, table.parents):
-            self.add(*row)
 
     def divisor(self) -> SncDivisor:
         rows = self.rows.values()
@@ -513,40 +532,44 @@ class _StrataIndex:
 
     def add(self, sid: str, subset: tuple[str, ...], positions: tuple[int, ...],
             parents: dict[str, str]) -> None:
-        self.rows[sid] = (subset, positions, parents)
-        self.seq[sid] = self._next_seq
+        self.rows[sid] = (subset, positions, parents, self._next_seq)
         self._next_seq += 1
-        ids = self.by_positions.get(positions)
-        if ids is None:
+        on = self.by_positions.get(positions)
+        if on is None:
             self.by_positions[positions] = {sid}
         else:
-            ids.add(sid)
-            if len(ids) == 2:
+            on.add(sid)
+            if len(on) == 2:
                 self.bad.add(positions)
                 self.bad_total += 2
                 heappush(self._bad_heap, (-len(positions), positions))
             else:
                 self.bad_total += 1
+        children = self.children
         for pid in parents.values():
-            self.children.setdefault(pid, set()).add(sid)
+            kids = children.get(pid)
+            if kids is None:
+                children[pid] = {sid}
+            else:
+                kids.add(sid)
 
     def remove(self, sid: str) -> None:
-        _, positions, parents = self.rows.pop(sid)
-        del self.seq[sid]
-        ids = self.by_positions[positions]
-        ids.discard(sid)
-        if len(ids) == 1:
+        _, positions, parents, _ = self.rows.pop(sid)
+        on = self.by_positions[positions]
+        on.discard(sid)
+        if len(on) == 1:
             self.bad.discard(positions)
             self.bad_total -= 2
-        elif len(ids) > 1:
+        elif len(on) > 1:
             self.bad_total -= 1
-        elif not ids:
+        elif not on:
             del self.by_positions[positions]
+        children = self.children
         for pid in parents.values():
-            kids = self.children.get(pid)
+            kids = children.get(pid)
             if kids is not None:  # None once the parent itself is removed
                 kids.discard(sid)
-        self.children.pop(sid, None)
+        children.pop(sid, None)
 
     def deepest_bad(self) -> str:
         """The resolve loop's next center (see ``resolve_to_simplicial``);
@@ -569,9 +592,10 @@ class _StrataIndex:
         while f"exc{self._exc}" in order:
             self._exc += 1
         k = self._exc
-        while f"exc{k}" in self.rows or f"exc{k}" in order:
-            k += 1
         name = f"exc{k}"
+        while name in self.rows or name in order:
+            k += 1
+            name = f"exc{k}"
         order[name] = len(self.components)
         self.components.append(name)
         return name
@@ -587,82 +611,92 @@ class _StrataIndex:
 
     def blowup(self, center: str) -> BlowupRecord:
         """Apply ``blowup_stratum_component`` in place and return its record."""
-        rows = self.rows
-        if center not in rows:
+        rows, children, components = self.rows, self.children, self.components
+        row = rows.get(center)
+        if row is None:
             raise UnknownCenterError(f"no stratum component with id {center!r}")
-        i0 = rows[center][1]
-        components = self.components
+        i0 = row[1]
 
         # A stratum whose face on the center's subset is the center has a
         # parent with that face too (faces do not depend on the order of
         # the drops, by validate_snc's grandparent check), so the star is
         # the center's closure under children.
-        star_ids = {center}
-        todo = [center]
-        while todo:
-            for child in self.children.get(todo.pop(), ()):
-                if child not in star_ids:
-                    star_ids.add(child)
-                    todo.append(child)
-        star = sorted(star_ids, key=self.seq.__getitem__)
+        if children.get(center):
+            star_ids = {center}
+            todo = [center]
+            while todo:
+                for child in children.get(todo.pop(), ()):
+                    if child not in star_ids:
+                        star_ids.add(child)
+                        todo.append(child)
+            star = sorted(star_ids, key=lambda tid: rows[tid][3])
+        else:
+            star = [center]
+        # The center's proper faces K, each with its facets by dropped
+        # component and the components of the center it leaves off.
+        faces = [((), (), row[0])]
+        for r in range(1, len(i0)):
+            for k_part in combinations(i0, r):
+                faces.append((k_part,
+                              [(components[p], tuple([q for q in k_part if q != p]))
+                               for p in k_part],
+                              [components[p] for p in i0 if p not in k_part]))
 
         # (len(keep), keep, face id, star id) is the order of the cones;
-        # (star id, keep) fixes k_part, which never decides it.  The face
-        # of t on keep drops t's other components in subset order.
-        entries: list[tuple[int, tuple[int, ...], str, str, tuple[int, ...]]] = []
+        # (star id, keep) fixes the rest, which never decides it.  The face
+        # of t on keep drops what K leaves off the center, in subset order;
+        # both sides of keep are sorted already.
+        entries = []
         for tid in star:
-            t_positions = rows[tid][1]
+            _, t_positions, t_parents, _ = rows[tid]
             l_part = tuple([p for p in t_positions if p not in i0])
-            for r in range(len(i0)):
-                for k_part in combinations(i0, r):
-                    keep = tuple(sorted(k_part + l_part))
-                    if len(keep) == 1:
-                        entries.append((1, keep, components[keep[0]], tid, k_part))
-                    elif keep:
-                        fcid = tid
-                        for p in t_positions:
-                            if p not in keep:
-                                fcid = rows[fcid][2][components[p]]
-                        entries.append((len(keep), keep, fcid, tid, k_part))
+            l_names = [components[p] for p in l_part]
+            for k_part, facets, off in faces:
+                keep = (l_part if not k_part else k_part if not l_part
+                        else tuple(sorted(k_part + l_part)))
+                depth = len(keep)
+                if depth == 1:
+                    entries.append((1, keep, components[keep[0]], tid, k_part, facets,
+                                    l_names, t_parents))
+                elif depth:
+                    fcid = tid
+                    for x in off:
+                        fcid = rows[fcid][2][x]
+                    entries.append((depth, keep, fcid, tid, k_part, facets, l_names,
+                                    t_parents))
         entries.sort()
 
         before = self.bad_total
-        star_parents = {tid: rows[tid][2] for tid in star}
         for tid in star:
             self.remove(tid)
         new_comp = self.new_component()
         new_pos = len(components) - 1
+        order = self.order
 
         # Ids follow the coned face; parallel cones over the same face get a
         # deterministic suffix, and ids of the removed star are free again.
         # Two entries share a face cell only when their star cells are
-        # components of the same intersection.  A cone's parents are cones
-        # over smaller faces, which sort earlier.
+        # components of the same intersection.  A cone's parents are the
+        # face and cones over smaller faces, which sort earlier.
         cone_id: dict[tuple[str, tuple[int, ...]], str] = {}
         added: list[str] = []
-        for depth, keep, fcid, tid, k_part in entries:
-            cid = self.free_id(f"{new_comp}|{fcid}")
-            cone_id[(tid, k_part)] = cid
-            parents: dict[str, str] = {}
-            if depth >= 2:
-                parents[new_comp] = fcid
-                for p in keep:
-                    x = components[p]
-                    if p in i0:
-                        rest = tuple([q for q in k_part if q != p])
-                        parents[x] = cone_id[(tid, rest)]
-                    else:
-                        parents[x] = cone_id[(star_parents[tid][x], k_part)]
-            self.add(cid, tuple([components[p] for p in keep]) + (new_comp,),
-                     keep + (new_pos,), parents)
+        for depth, keep, fcid, tid, k_part, facets, l_names, t_parents in entries:
+            cid = f"{new_comp}|{fcid}"
+            if cid in rows or cid in order:
+                cid = self.free_id(cid)
+            cone_id[tid, k_part] = cid
+            if depth == 1:
+                self.add(cid, (fcid, new_comp), keep + (new_pos,), {})
+            else:
+                parents = {new_comp: fcid}
+                for x, rest in facets:
+                    parents[x] = cone_id[tid, rest]
+                for x in l_names:
+                    parents[x] = cone_id[t_parents[x], k_part]
+                self.add(cid, rows[fcid][0] + (new_comp,), keep + (new_pos,), parents)
             added.append(cid)
-        return BlowupRecord(
-            center=center,
-            new_component=new_comp,
-            removed=tuple(star),
-            added=tuple(added),
-            bad_decrement=before - self.bad_total,
-        )
+        return BlowupRecord(center, new_comp, tuple(star), tuple(added),
+                            before - self.bad_total)
 
 
 def blowup_stratum_component(d: SncDivisor, center: str,

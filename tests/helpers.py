@@ -8,8 +8,9 @@ blowups and resolution from full rescans of the divisor, inverses of
 Smith transforms from a second Smith form instead of the tracked inverse,
 chain complexes straight off the strata, the E_3 corner of the KH
 report from an assembled two-row descent page, and a document's divisor
-block from nested dicts (``divisor_json``, which ``json.dumps`` prints as
-the CLI's one-pass writer must).  Small conveniences that
+block and a resolve report's blowup records from nested dicts
+(``divisor_json`` and ``blowup_json``, which ``json.dumps`` prints as the
+CLI's writers must).  Small conveniences that
 only tests call (``hom_analyze``, ``cokernel``, ``validate_complex``,
 ``euler_characteristic``, ``kh_top``, and matrix arithmetic such as
 ``det``, ``diagonal`` or ``verify`` for a Smith form) live here too, as
@@ -335,6 +336,13 @@ def divisor_json(d: SncDivisor) -> dict:
             members.append({"id": s.id, "parents": parents})
         out.append({"subset": idx, "components": members})
     return {"n": d.n, "components": list(d.components), "strata": out}
+
+
+def blowup_json(r: BlowupRecord) -> dict:
+    """A blowup record as the dict of its fields, in field order."""
+    return {"center": r.center, "new_component": r.new_component,
+            "removed": list(r.removed), "added": list(r.added),
+            "bad_decrement": r.bad_decrement, "point_blowup": r.point_blowup}
 
 
 # ---------------------------------------------------------------------------

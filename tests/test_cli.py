@@ -1,5 +1,6 @@
 """JSON document parsing, command output, exit codes, and determinism."""
 import contextlib
+import gc
 import io
 import json
 import os
@@ -20,6 +21,9 @@ from helpers import (
     random_divisor,
     triangle_cycle,
 )
+from make_error_corpus import CORPUS, document_text, run_text
+from make_goldens import cases as golden_cases
+from make_goldens import run_case
 from snckit import IntMatrix, cli, resolve_to_simplicial, snc
 from snckit.cli import (
     COMMANDS,
@@ -790,6 +794,83 @@ def test_subprocess_runs_are_byte_identical():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"blowups: 1")
+
+
+def test_resolve_output_does_not_depend_on_string_hashing(tmp_path):
+    # The index the blowups run on builds and walks sets of ids.
+    d = parallel_curve_divisor(random.Random(19), 10, 20)
+    generated = write_doc(tmp_path, {"version": "1", "divisor": divisor_json(d)})
+    for path in (str(PARALLEL), generated):
+        outputs = set()
+        for seed in ("1", "2", "3", "4"):
+            done = subprocess.run([sys.executable, "-m", "snckit.cli", "--input", path,
+                                   "--command", "resolve", "--emit", "both"],
+                                  capture_output=True, check=True,
+                                  env={**os.environ, "PYTHONHASHSEED": seed})
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, path
+    assert b"blowups: 0" not in done.stdout
+
+
+# ---------------------------------------------------------------------------
+# the cyclic garbage collector
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_runs_with_the_collector_off_and_restores_the_callers_state(
+        monkeypatch, capsys, tmp_path, enabled):
+    seen = []
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return run(*args)
+
+    def explode(*args):
+        raise RuntimeError("boom")
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "run", spy)
+            for argv, code in [
+                    (["--input", str(TRIANGLE), "--command", "validate"], 0),
+                    (["--input", str(tmp_path / "absent.json"), "--command", "validate"], 1),
+                    (["--input", str(PARALLEL), "--command", "kh-report"], 2)]:
+                assert main(argv) == code
+                assert gc.isenabled() is enabled
+            assert seen == [False, False]   # the absent file fails before run
+            m.setattr(cli, "run", explode)
+            assert main(["--input", str(TRIANGLE), "--command", "validate"]) == 3
+            assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            main(["--input", str(TRIANGLE), "--command", "nope"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_runs_leave_no_garbage_for_the_collector(tmp_path):
+    # Evidence that turning the collector off in main cannot grow memory:
+    # reference counting alone frees what every golden run and every error
+    # corpus run makes.  The warm-up call makes the parser's one-time
+    # objects, some of them cyclic.
+    run_case(TRIANGLE, "validate")
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _, path, command in golden_cases():
+            run_case(path, command)
+        for case in json.loads(CORPUS.read_text(encoding="utf-8")):
+            text = document_text(case)
+            for command in case["runs"]:
+                run_text(text, command, tmp_path)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

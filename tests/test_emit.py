@@ -4,8 +4,9 @@ The standard library is the oracle: on random values of every shape a report
 holds, on the machine report of every golden case and on resolved documents
 larger than any golden, ``cli._json_text(x)`` must equal
 ``json.dumps(plain(x), ensure_ascii=False, indent=2)``, where ``plain`` puts
-the nested dicts of ``helpers.divisor_json`` in place of each divisor the
-report holds; the divisor writer meets the same oracle on its own.
+the nested dicts of ``helpers.divisor_json`` and ``helpers.blowup_json`` in
+place of each divisor and blowup record the report holds; the divisor and
+record writers meet the same oracle on their own.
 """
 import dataclasses
 import json
@@ -17,13 +18,14 @@ from hypothesis import strategies as st
 
 from emit_check import SPECIAL, check
 from helpers import (
+    blowup_json,
     divisor_json,
     parallel_curve_divisor,
     random_divisor,
     simplex_divisor,
 )
 from make_goldens import cases
-from snckit import SncDivisor, Stratum, resolve_to_simplicial, validate_snc
+from snckit import BlowupRecord, SncDivisor, Stratum, resolve_to_simplicial, validate_snc
 from snckit.cli import (
     ALGEBRAICALLY_CLOSED,
     InputDocument,
@@ -41,9 +43,12 @@ def stdlib(x) -> str:
 
 
 def plain(x):
-    """x with ``divisor_json(d)`` in place of every divisor d it holds."""
+    """x with ``divisor_json(d)`` in place of every divisor d and
+    ``blowup_json(r)`` in place of every blowup record r it holds."""
     if isinstance(x, SncDivisor):
         return divisor_json(x)
+    if isinstance(x, BlowupRecord):
+        return blowup_json(x)
     if isinstance(x, dict):
         return {k: plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -164,6 +169,32 @@ def test_divisor_writer_prints_what_the_stdlib_prints_of_divisor_json():
         assert back == dataclasses.replace(d, strata=tuple(printed))
         count += 1
     assert count >= 300
+
+
+def record_cases():
+    """Blowup records with odd id text, empty lists, both flags and big or
+    negative decrements, and the records of the writer cases' resolutions."""
+    rng = random.Random(19)
+    for k in range(200):
+        def ids(most):
+            return tuple(f"{rng.choice(ID_PIECES)}|{j}" for j in range(rng.randrange(most)))
+        yield BlowupRecord(rng.choice(ID_PIECES), f"exc{k}{rng.choice(ID_PIECES)}",
+                           ids(4), ids(6), rng.choice((0, 1, 2, -3, 2 ** 70)),
+                           point_blowup=bool(k % 2))
+    yield BlowupRecord("c", "exc1", (), (), 0, point_blowup=True)
+    for d in writer_cases():
+        yield from resolve_to_simplicial(d)[1]
+
+
+def test_blowup_writer_prints_what_the_stdlib_prints_of_blowup_json():
+    records = list(record_cases())
+    assert any(r.point_blowup and not r.removed for r in records)
+    assert sum(not r.point_blowup for r in records) > 300
+    for r in records:
+        want = stdlib(blowup_json(r))
+        for nl in ("\n", "\n    "):
+            assert _json_text(r, nl) == want.replace("\n", nl)
+    assert _json_text(records) == stdlib([blowup_json(r) for r in records])
 
 
 @pytest.mark.parametrize("x", [1.5, 0.0, {1, 2}, frozenset(), {1: "a"}, {None: 0},

@@ -232,6 +232,14 @@ def test_bad_intersections_examples():
     with pytest.raises(SncError):
         validate_snc(loose)
     assert find_bad_intersections(loose) == ([(("A", "B", "C"), 2)], False)
+    # nor known components: unknown ones sort after every known one, then by name
+    unknown = SncDivisor(3, ("A", "B"), (Stratum("s", ("A", "Z")), Stratum("t", ("A", "Z"))))
+    assert find_bad_intersections(unknown) == ([(("A", "Z"), 2)], False)
+    mixed = SncDivisor(3, ("A", "B"), tuple(
+        Stratum(f"{sub}{k}", sub) for sub in (("Y", "A"), ("B", "A"), ("X", "A"))
+        for k in range(2)))
+    assert find_bad_intersections(mixed).bad == [
+        (("B", "A"), 2), (("X", "A"), 2), (("Y", "A"), 2)]
 
 
 def test_bad_triple_stratum_derived_example():
