@@ -228,7 +228,7 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
                                              f"unknown parent {pid!r} for dropped "
                                              f"component {dropped!r}")
 
-    return SncDivisor(n, comps, table)
+    return SncDivisor._of(n, comps, table)
 
 
 def _bad_parent_key(key: Any, ncomps: int, path: str) -> NoReturn:

@@ -162,15 +162,6 @@ class IntMatrix:
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_lists()!r}, ncols={self.ncols})"
 
-    def __str__(self) -> str:
-        if self.nrows == 0 or self.ncols == 0:
-            return f"<empty {self.nrows}x{self.ncols}>"
-        widths = [max(len(str(self._rows[i][j])) for i in range(self.nrows))
-                  for j in range(self.ncols)]
-        lines = ["[" + " ".join(str(x).rjust(w) for x, w in zip(row, widths)) + "]"
-                 for row in self._rows]
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class SmithForm:

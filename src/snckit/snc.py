@@ -8,20 +8,22 @@ what the dual complex needs to glue cells.
 
 The strata are checked as a position-indexed table: per stratum its id,
 its subset as component ids and positions, and its parents.  The CLI
-parser reads a document straight into that table; for a divisor built
-through the API, ``validate_snc`` makes the table from ``strata``.  The
-check walks the table twice: the first walk finds each stratum's row by
-id and its position among the strata of its depth, and the first stratum
-breaking its own rules; the second checks parents, and keeps the rows of
-the parents it finds.  Past the parent checks, the drops of two
+parser reads a document straight into that table; a divisor built through
+the API makes its table from ``strata`` when first asked and keeps it.
+The check walks the table twice: the first walk finds each stratum's row
+by id and its position among the strata of its depth, and the first
+stratum breaking its own rules; the second checks parents, and keeps the
+rows of the parents it finds.  Past the parent checks, the drops of two
 components are compared only where a subset carries two strata, since
 elsewhere both orders land on its one stratum.  ``build_dual_complex``
-makes its boundary columns from the rows and positions the check
-returns.  ``Stratum`` and ``DualCell`` objects are built on first read of
-``SncDivisor.strata`` and ``DualComplex.cells``; of the commands, only
-``dual-complex`` reads either.  Error text is formatted only where a check
-fails, and the first error raised is the one the order of the checks
-names, whatever order the strata arrive in.
+makes its boundary columns from the rows and positions the check returns.
+The parser, the blowups and ``build_dual_complex`` make their divisors and
+complexes by private constructors that keep the table or the check's
+result; ``SncDivisor.strata`` and ``DualComplex.cells`` are then built
+from it on first read, and of the commands only ``dual-complex`` reads
+either.  Error text is formatted only where a check fails, and the first
+error raised is the one the order of the checks names, whatever order the
+strata arrive in.
 
 Blowing up a stratum component is modeled as stellar subdivision of its
 dual cell, and the resolution loop repeats deepest-first blowups until no
@@ -117,43 +119,10 @@ class Stratum:
         return len(self.subset)
 
 
-class _BuiltOnRead:
-    """A frozen dataclass field that may be given a ``source`` in place of
-    its value; the value is then ``source.build()``, built on first read
-    and kept.  What was given stays in the instance's ``__dict__`` under
-    the field's name.
-
-    Read on the class it raises AttributeError, so the field has no
-    default.  The dataclass's ``__init__`` stores through ``__set__``, and
-    ``==``, ``repr`` and ``dataclasses.replace`` read through ``__get__``.
-    """
-
-    def __init__(self, source: type):
-        self.source = source
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-        self.built = f"_{name}_built"
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.name)
-        value = obj.__dict__[self.name]
-        if type(value) is self.source:
-            built = obj.__dict__.get(self.built)
-            if built is None:
-                built = obj.__dict__[self.built] = value.build()
-            return built
-        return value
-
-    def __set__(self, obj, value) -> None:
-        obj.__dict__[self.name] = value
-        obj.__dict__.pop(self.built, None)
-
-
 class _StrataTable(NamedTuple):
     """A divisor's strata by position in divisor order, as the parser
-    reads them or a blowup leaves them.
+    reads them, a blowup leaves them or ``of`` makes them from
+    ``SncDivisor.strata``.
 
     Per stratum: ``ids``, the id; ``subsets``, the subset as component
     ids; ``positions``, the same as component positions, or None when the
@@ -170,11 +139,12 @@ class _StrataTable(NamedTuple):
 
     @classmethod
     def of(cls, d: "SncDivisor") -> "_StrataTable":
-        """The table d was read into, or else the one built from ``d.strata``."""
-        table = d.__dict__["strata"]
-        if type(table) is cls:
+        """The table d was made with, or else the one made from ``d.strata``
+        on the first call, which d then keeps."""
+        table = getattr(d, "_table", None)
+        if table is not None:
             return table
-        order = d.component_order()
+        order = {c: i for i, c in enumerate(d.components)}
         strata = d.strata
         positions: list[tuple[int, ...] | None] = []
         for s in strata:
@@ -182,8 +152,10 @@ class _StrataTable(NamedTuple):
             # None if a component is unknown, repeated or out of order
             positions.append(pos if -1 not in pos and pos == tuple(sorted(set(pos)))
                              else None)
-        return cls([s.id for s in strata], [s.subset for s in strata], positions,
-                   [s.parents for s in strata])
+        table = cls([s.id for s in strata], [s.subset for s in strata], positions,
+                    [s.parents for s in strata])
+        object.__setattr__(d, "_table", table)
+        return table
 
     def build(self) -> tuple[Stratum, ...]:
         return tuple(map(Stratum, self.ids, self.subsets, self.parents))
@@ -193,14 +165,28 @@ class _StrataTable(NamedTuple):
 class SncDivisor:
     """A divisor: ambient dimension, component ids and strata.
 
-    A divisor read from a document or returned by a blowup is given its
-    ``_StrataTable`` in place of the strata, which are then built from it
-    on first read; only ``dual-complex`` among the commands builds them.
+    A divisor read from a document or returned by a blowup is made by
+    ``_of`` with its ``_StrataTable`` in ``_table``; its strata are built
+    from the table on first read and kept.  Only ``dual-complex`` among
+    the commands builds them.
     """
 
     n: int
     components: tuple[str, ...]
-    strata: tuple[Stratum, ...] = _BuiltOnRead(_StrataTable)
+    strata: tuple[Stratum, ...]
+
+    @classmethod
+    def _of(cls, n: int, components: tuple[str, ...], table: _StrataTable) -> "SncDivisor":
+        out = object.__new__(cls)
+        out.__dict__.update(n=n, components=components, _table=table)
+        return out
+
+    def __getattr__(self, name: str) -> tuple[Stratum, ...]:
+        if name != "strata":
+            raise AttributeError(name)
+        strata = self._table.build()
+        object.__setattr__(self, "strata", strata)
+        return strata
 
     @classmethod
     def build(cls, n: int, components: Sequence[str],
@@ -217,9 +203,6 @@ class SncDivisor:
             positions = sorted([order[c] for c in subset])
             out.append(Stratum(sid, tuple([comps[i] for i in positions]), dict(parents)))
         return cls(n, comps, tuple(out))
-
-    def component_order(self) -> dict[str, int]:
-        return {c: i for i, c in enumerate(self.components)}
 
 
 @dataclass(frozen=True)
@@ -403,17 +386,33 @@ class DualComplex:
     faces as (position in ``cells[k]``, sign) pairs sorted by position: the
     face opposite the m-th vertex carries the sign (-1)^m.  This is the
     boundary form ``ChainComplex`` takes, so ``chain_complex`` copies
-    nothing.  ``build_dual_complex`` gives the cells as the incidence
-    ``validate_snc`` returns, and they are built on first read.
+    nothing.  ``build_dual_complex`` makes the complex by ``_of`` from the
+    incidence ``validate_snc`` returns, kept in ``_incidence``; its cells
+    are built from it on first read and kept.
     """
 
-    cells: tuple[tuple[DualCell, ...], ...] = _BuiltOnRead(_Incidence)
+    cells: tuple[tuple[DualCell, ...], ...]
     boundaries: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_ranks", tuple(map(len, self.cells)))
+
+    @classmethod
+    def _of(cls, incidence: _Incidence) -> "DualComplex":
+        out = object.__new__(cls)
+        out.__dict__.update(boundaries=incidence.boundaries(), _ranks=incidence.ranks(),
+                            _incidence=incidence)
+        return out
+
+    def __getattr__(self, name: str) -> tuple[tuple[DualCell, ...], ...]:
+        if name != "cells":
+            raise AttributeError(name)
+        cells = self._incidence.build()
+        object.__setattr__(self, "cells", cells)
+        return cells
+
     def chain_complex(self) -> ChainComplex:
-        cells = self.__dict__["cells"]      # the cells, or the incidence they come from
-        ranks = cells.ranks() if type(cells) is _Incidence else tuple(map(len, cells))
-        return ChainComplex(0, ranks, self.boundaries)
+        return ChainComplex(0, self._ranks, self.boundaries)
 
 
 def build_dual_complex(d: SncDivisor) -> DualComplex:
@@ -424,8 +423,7 @@ def build_dual_complex(d: SncDivisor) -> DualComplex:
     boundaries come from the parents the check found, and the cells are
     built from the same result when first read.
     """
-    incidence = validate_snc(d)
-    return DualComplex(incidence, incidence.boundaries())
+    return DualComplex._of(validate_snc(d))
 
 
 class BadIntersections(NamedTuple):
@@ -442,7 +440,7 @@ def find_bad_intersections(d: SncDivisor) -> BadIntersections:
     size, then by component positions, a component the divisor does not
     list counting as after every one it does, then by the subset itself.
     """
-    order = d.component_order()
+    order = {c: i for i, c in enumerate(d.components)}
     unknown = len(order)
     bad = [(subset, count) for subset, count in Counter(_StrataTable.of(d).subsets).items()
            if count >= 2]
@@ -499,7 +497,7 @@ class _StrataIndex:
         ids, positions, parents_of = table.ids, table.positions, table.parents
         self.n = d.n
         self.components = list(d.components)
-        self.order = d.component_order()
+        self.names = set(d.components)
         self.rows: dict[str, tuple[tuple[str, ...], tuple[int, ...], dict[str, str], int]] = (
             dict(zip(ids, zip(table.subsets, positions, parents_of, range(len(ids))))))
         self._next_seq = len(ids)
@@ -526,7 +524,7 @@ class _StrataIndex:
 
     def divisor(self) -> SncDivisor:
         rows = self.rows.values()
-        return SncDivisor(self.n, tuple(self.components), _StrataTable(
+        return SncDivisor._of(self.n, tuple(self.components), _StrataTable(
             list(self.rows), [r[0] for r in rows], [r[1] for r in rows],
             [r[2] for r in rows]))
 
@@ -588,15 +586,15 @@ class _StrataIndex:
         a later blowup.  Stratum ids of that form come only from the input,
         since every id a blowup makes holds a ``|``, so they are few.
         """
-        order = self.order
-        while f"exc{self._exc}" in order:
+        names = self.names
+        while f"exc{self._exc}" in names:
             self._exc += 1
         k = self._exc
         name = f"exc{k}"
-        while name in self.rows or name in order:
+        while name in self.rows or name in names:
             k += 1
             name = f"exc{k}"
-        order[name] = len(self.components)
+        names.add(name)
         self.components.append(name)
         return name
 
@@ -604,7 +602,7 @@ class _StrataIndex:
         """``base``, or ``base~0``, ``base~1``, ... if it is taken: the first
         that is neither a stratum id nor a component id."""
         cid, n = base, 0
-        while cid in self.rows or cid in self.order:
+        while cid in self.rows or cid in self.names:
             cid = f"{base}~{n}"
             n += 1
         return cid
@@ -671,7 +669,7 @@ class _StrataIndex:
             self.remove(tid)
         new_comp = self.new_component()
         new_pos = len(components) - 1
-        order = self.order
+        names = self.names
 
         # Ids follow the coned face; parallel cones over the same face get a
         # deterministic suffix, and ids of the removed star are free again.
@@ -682,7 +680,7 @@ class _StrataIndex:
         added: list[str] = []
         for depth, keep, fcid, tid, k_part, facets, l_names, t_parents in entries:
             cid = f"{new_comp}|{fcid}"
-            if cid in rows or cid in order:
+            if cid in rows or cid in names:
                 cid = self.free_id(cid)
             cone_id[tid, k_part] = cid
             if depth == 1:

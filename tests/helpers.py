@@ -323,7 +323,7 @@ def prime_power_chain(orders: list[int]) -> tuple[int, ...]:
 
 def divisor_json(d: SncDivisor) -> dict:
     """Emit a divisor block that parses back to an equal divisor."""
-    index = d.component_order()
+    index = {c: i for i, c in enumerate(d.components)}
     groups: dict[tuple[str, ...], list[Stratum]] = {}
     for s in d.strata:
         groups.setdefault(s.subset, []).append(s)
@@ -565,7 +565,7 @@ def scan_blowup(d: SncDivisor, center: str) -> tuple[SncDivisor, BlowupRecord]:
         raise UnknownCenterError(f"no stratum component with id {center!r}")
     s0 = by_id[center]
     i0 = frozenset(s0.subset)
-    order = d.component_order()
+    order = {c: i for i, c in enumerate(d.components)}
 
     star = [s for s in d.strata
             if i0 <= frozenset(s.subset)
@@ -638,7 +638,7 @@ def scan_resolve(d: SncDivisor, max_blowups: int = 10000,
             raise ResolutionLimitError(
                 f"still {len(bad)} bad intersection(s) after {len(records)} blowups",
                 current, records)
-        order = current.component_order()
+        order = {c: i for i, c in enumerate(current.components)}
         deepest = max(len(subset) for subset, _ in bad)
         subset = min((s for s, _ in bad if len(s) == deepest),
                       key=lambda s: tuple(order[c] for c in s))

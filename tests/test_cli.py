@@ -204,12 +204,18 @@ def test_fixtures_and_resolved_divisors_parse_back():
         return (a.n, a.components) == (b.n, b.components) and (
             {s.id: s for s in a.strata} == {s.id: s for s in b.strata})
 
-    for path in (TRIANGLE, PARALLEL, SPHERE4):
-        doc = parse_input(str(path))
+    with_ker_beta = load(SPHERE4)
+    with_ker_beta["picard"]["ker_beta"] = {"free_rank": 1, "torsion": [3]}
+    docs = [parse_input(str(path)) for path in (TRIANGLE, PARALLEL, SPHERE4)]
+    docs.append(parse_document(with_ker_beta))
+    for doc in docs:
         _, machine = run("resolve", doc)
         machine = json.loads(cli._json_text(machine))
+        echoed = parse_document(machine["document"])
         resolved, _ = resolve_to_simplicial(doc.divisor)
-        assert same(parse_document(machine["document"]).divisor, resolved)
+        assert same(echoed.divisor, resolved)
+        assert (echoed.picard, echoed.dubois) == (doc.picard, doc.dubois)
+    assert machine["document"]["picard"]["ker_beta"] == {"free_rank": 1, "torsion": [3]}
     rng = random.Random(40)
     corpus = [random_divisor(rng) for _ in range(60)]
     corpus.append(parallel_curve_divisor(rng, 5, 6))

@@ -163,7 +163,7 @@ def test_divisor_writer_prints_what_the_stdlib_prints_of_divisor_json():
             assert _divisor_text(d, nl) == want.replace("\n", nl)
         block = json.loads(_divisor_text(d, "\n"))
         # the block parses back to d, strata in printed (depth, positions) order
-        index = d.component_order()
+        index = {c: i for i, c in enumerate(d.components)}
         printed = sorted(d.strata, key=lambda s: (s.depth, [index[c] for c in s.subset]))
         back = parse_document({"version": "1", "divisor": block}).divisor
         assert back == dataclasses.replace(d, strata=tuple(printed))

@@ -714,11 +714,15 @@ def test_build_rejects_unknown_and_repeated_components():
         validate_snc(SncDivisor.build(3, ["a", "b"], [("c", ("a", "a"), {})]))
 
 
-def test_a_stratum_repeating_a_component_is_invalid():
+@pytest.mark.parametrize("subset, message", [
     # Unchecked, the dual complex would get a 1-cell with zero boundary.
-    d = SncDivisor(3, ("A", "B"), (Stratum("s", ("A", "A")),))
+    (("A", "A"), "repeats a component"),
+    (("B", "A"), "subset is not in component order"),
+], ids=["repeated", "out-of-order"])
+def test_a_stratum_repeating_a_component_is_invalid(subset, message):
+    d = SncDivisor(3, ("A", "B"), (Stratum("s", subset),))
     for check in (validate_snc, build_dual_complex, resolve_to_simplicial):
-        with pytest.raises(SncError, match="repeats a component"):
+        with pytest.raises(SncError, match=message):
             check(d)
 
 

@@ -90,6 +90,7 @@ def test_the_parser_reads_what_build_reads_and_every_route_gives_one_complex():
         cx = build_dual_complex(read).chain_complex()
         api = SncDivisor(read.n, read.components, read.strata)
         assert build_dual_complex(api).chain_complex() == cx == alt_chain_complex(read)
+        assert_carries_its_table(api)       # made from its strata once, and kept
         assert build_dual_complex(read).cells == build_dual_complex(api).cells
         assert read == read_with_build(block) == api
 
@@ -218,12 +219,13 @@ def test_the_public_blowups_of_a_read_divisor_build_no_stratum(built):
 
 
 def assert_carries_its_table(d: SncDivisor) -> None:
-    """d holds a ``_StrataTable`` that ``_StrataTable.of`` returns as it is,
-    whose positions are its subsets' and whose rows are d.strata in order."""
-    table = d.__dict__["strata"]
+    """d keeps one ``_StrataTable``, which ``_StrataTable.of`` returns each
+    time, whose positions are its subsets' and whose rows are d.strata in
+    order."""
+    table = _StrataTable.of(d)
     assert type(table) is _StrataTable
     assert _StrataTable.of(d) is table
-    order = d.component_order()
+    order = {c: i for i, c in enumerate(d.components)}
     assert table.positions == [tuple([order[c] for c in subset]) for subset in table.subsets]
     assert [(s.id, s.subset, s.parents) for s in d.strata] == list(
         zip(table.ids, table.subsets, table.parents))
