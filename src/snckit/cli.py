@@ -757,12 +757,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     leaves no reference cycles, so reference counting frees what it
     makes, and a collection would only rescan the tuples and dicts of a
     large divisor, which live until the end.
+
+    Input integers are decoded under Python's limit on the digits of an
+    int converted from or to a string, where it has one; past the parse
+    the limit is lifted, since an exact answer, such as the order of a
+    cokernel, may have many more digits than any input.  The caller's
+    limit is restored on the way out.
     """
     enabled = gc.isenabled()
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     gc.disable()
     try:
         args = _parser().parse_args(argv)   # a usage error raises SystemExit(2)
         document = parse_input(args.input)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         text, machine = run(args.command, document, args.max_blowups)
         out = [text] if args.emit in ("text", "both") else []
         if args.emit in ("json", "both"):
@@ -780,6 +789,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         if enabled:
             gc.enable()
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

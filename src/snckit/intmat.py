@@ -233,17 +233,23 @@ def _pick_pivot(m: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int]
 
 
 def _eliminate(m: list[list[int]], nr: int, nc: int,
-               u: list[list[int]] | None, v: list[list[int]] | None,
+               u: list[list[int]] | None, v_t: list[list[int]] | None,
                u_inv_t: list[list[int]] | None) -> None:
     """Diagonalize ``m`` in place; mirror the moves into the transforms given.
 
-    ``u_inv_t`` holds the transpose of U^{-1}.  Each row move E on U is
-    mirrored as U^{-1} <- U^{-1} E^{-1}, a column move on U^{-1}, which on
-    the transpose is again a row move.
+    ``v_t`` holds the transpose of V, so each column move on V is a move
+    of whole rows.  ``u_inv_t`` holds the transpose of U^{-1}.  Each row
+    move E on U is mirrored as U^{-1} <- U^{-1} E^{-1}, a column move on
+    U^{-1}, which on the transpose is again a row move.
 
     Pivots are always chosen with minimal absolute value to keep
     intermediate entries small; this is the classical guard against
     coefficient blow-up in fraction-free elimination.
+
+    While the column pass clears row t, column t of ``m`` is zero outside
+    row t: the row pass has just cleared it below, and every earlier row
+    is already diagonal.  So subtracting a multiple of column t from
+    another column changes a single entry of ``m``.
     """
 
     def swap_rows(i: int, k: int) -> None:
@@ -256,9 +262,8 @@ def _eliminate(m: list[list[int]], nr: int, nc: int,
     def swap_cols(j: int, k: int) -> None:
         for row in m:
             row[j], row[k] = row[k], row[j]
-        if v is not None:
-            for row in v:
-                row[j], row[k] = row[k], row[j]
+        if v_t is not None:
+            v_t[j], v_t[k] = v_t[k], v_t[j]
 
     def row_sub(i: int, k: int, q: int) -> None:
         # row i -= q * row k; its inverse adds q * column i to column k
@@ -269,12 +274,10 @@ def _eliminate(m: list[list[int]], nr: int, nc: int,
             u_inv_t[k] = [x + q * y for x, y in zip(u_inv_t[k], u_inv_t[i])]
 
     def col_sub(j: int, k: int, q: int) -> None:
-        # column j -= q * column k
-        for row in m:
-            row[j] -= q * row[k]
-        if v is not None:
-            for row in v:
-                row[j] -= q * row[k]
+        # column j -= q * column k, where column k of m is zero outside row k
+        m[k][j] -= q * m[k][k]
+        if v_t is not None:
+            v_t[j] = [x - q * y for x, y in zip(v_t[j], v_t[k])]
 
     t = 0
     limit = min(nr, nc)
@@ -352,10 +355,10 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     nr, nc = a.shape
     m = a.to_lists()
     u = IntMatrix.identity(nr).to_lists()
-    v = IntMatrix.identity(nc).to_lists()
+    v_t = IntMatrix.identity(nc).to_lists()
     u_inv_t = IntMatrix.identity(nr).to_lists()
-    _eliminate(m, nr, nc, u, v, u_inv_t)
-    return SmithForm(_frozen(u, nr), _frozen(m, nc), _frozen(v, nc),
+    _eliminate(m, nr, nc, u, v_t, u_inv_t)
+    return SmithForm(_frozen(u, nr), _frozen(m, nc), IntMatrix._of(tuple(zip(*v_t)), nc),
                      IntMatrix._of(tuple(zip(*u_inv_t)), nr))
 
 
@@ -404,6 +407,17 @@ def unit_sweep(work: list[dict[int, int]], ncols: int) -> tuple[tuple[int, ...],
     then the pivot row and column are deleted.  A column with no unit waits
     until fill writes one into it.
 
+    The sweep costs what it changes.  A pivot costs the length of its
+    column, plus the length of the pivot row for each other row in that
+    column, which bounds the entries it writes or cancels, plus a heap
+    step for each column it touches first.  A row's own length is paid
+    once, when a pivot first targets it, and the tie-break sums column
+    lengths only over the +-1 rows of least length.  So a long row that
+    many pivots target, such as an original component after blowups,
+    costs its length once rather than once per pivot.  The sweep stops
+    when no row holds an entry, rather than popping the stale keys of the
+    columns it emptied.
+
     Afterwards only rows and columns that still hold a nonzero entry go to
     the dense routine; the lines dropped as empty stand for the zeros that
     pad the diagonal to min(rows, ncols) entries.
@@ -421,9 +435,12 @@ def unit_sweep(work: list[dict[int, int]], ncols: int) -> tuple[tuple[int, ...],
     heap = [(len(c), True, j) for j, c in enumerate(cols) if c]
     heapq.heapify(heap)
     touched: set[int] = set()
+    targeted = [False] * len(work)
     waiting: set[int] = set()
     pivots: list[int] = []
-    while heap:
+    # Rows that hold an entry; once none does, every key left is stale.
+    live = sum(map(bool, work))
+    while heap and live:
         count, untouched, j = heapq.heappop(heap)
         col = cols[j]
         if untouched and j in touched:
@@ -432,17 +449,22 @@ def unit_sweep(work: list[dict[int, int]], ncols: int) -> tuple[tuple[int, ...],
             if col:
                 heapq.heappush(heap, (len(col), untouched, j))
             continue
-        i = min((k for k in col if work[k][j] in (1, -1)), default=None, key=lambda k: (
-            len(work[k]), -sum(len(cols[jj]) for jj in work[k]), k))
-        if i is None:
+        units = [k for k in col if work[k][j] in (1, -1)]
+        if not units:
             waiting.add(j)
             continue
+        i = units[0]
+        if len(units) > 1:
+            shortest = min(len(work[k]) for k in units)
+            i = min((k for k in units if len(work[k]) == shortest), key=lambda k: (
+                -sum(len(cols[jj]) for jj in work[k]), k))
         pivot_row = work[i]
         work[i] = {}
         val = pivot_row[j]
         for k in col - {i}:
             target = work[k]
             q = target[j] * val
+            added = []
             for jj, x in pivot_row.items():
                 new = target.get(jj, 0) - q * x
                 if new == 0:
@@ -451,17 +473,24 @@ def unit_sweep(work: list[dict[int, int]], ncols: int) -> tuple[tuple[int, ...],
                     continue
                 if jj not in target:
                     cols[jj].add(k)
+                    added.append(jj)
                 target[jj] = new
                 if new in (1, -1) and jj in waiting:
                     waiting.discard(jj)
                     heapq.heappush(heap, (len(cols[jj]), jj not in touched, jj))
-            for jj in target:
+            # Every column of a row that a pivot has targeted is touched,
+            # so after its first time only the columns it gains can be new.
+            for jj in added if targeted[k] else target:
                 if jj not in touched:
                     touched.add(jj)
                     heapq.heappush(heap, (len(cols[jj]), False, jj))
+            targeted[k] = True
+            if not target:
+                live -= 1
         for jj in pivot_row:
             cols[jj].discard(i)
         pivots.append(j)
+        live -= 1
     sub_cols = [j for j, c in enumerate(cols) if c]
     m = [[row.get(j, 0) for j in sub_cols] for row in work if row]
     _eliminate(m, len(m), len(sub_cols), None, None, None)
@@ -479,17 +508,18 @@ def kernel_basis(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
     """A basis for the integer kernel {x : A x = 0}, and the Smith diagonal of A.
 
     The basis is the free columns of V, from an elimination that tracks V
-    alone.  It spans a saturated sublattice: any integer solution is an
-    integer combination of the returned columns.  The diagonal presents
-    the cokernel of A at no further cost.
+    alone, read off as rows of its transpose.  It spans a saturated
+    sublattice: any integer solution is an integer combination of the
+    returned columns.  The diagonal presents the cokernel of A at no
+    further cost.
     """
     nr, nc = a.shape
     m = a.to_lists()
-    v = IntMatrix.identity(nc).to_lists()
-    _eliminate(m, nr, nc, None, v, None)
+    v_t = IntMatrix.identity(nc).to_lists()
+    _eliminate(m, nr, nc, None, v_t, None)
     diag = _diagonal(m, nr, nc)
-    free = [j for j in range(nc) if j >= len(diag) or diag[j] == 0]
-    return _frozen(v, nc).take_columns(free), diag
+    free = [v_t[j] for j in range(nc) if j >= len(diag) or diag[j] == 0]
+    return _frozen(free, nc).transpose(), diag
 
 
 class Lattice(NamedTuple):

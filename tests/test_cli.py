@@ -24,7 +24,7 @@ from helpers import (
 from make_error_corpus import CORPUS, document_text, run_text
 from make_goldens import cases as golden_cases
 from make_goldens import run_case
-from snckit import IntMatrix, cli, resolve_to_simplicial, snc
+from snckit import FgAbGroup, IntMatrix, cli, resolve_to_simplicial, snc
 from snckit.cli import (
     COMMANDS,
     InputDocument,
@@ -877,6 +877,53 @@ def test_runs_leave_no_garbage_for_the_collector(tmp_path):
     finally:
         if was:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Python's limit on the digits of an int converted from or to a string
+
+
+def _digit_limit() -> int | None:
+    """The interpreter's digit limit, or None where it has none (3.10.0-3.10.6)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else None
+
+
+def test_an_answer_past_the_digit_limit_prints_and_the_callers_limit_comes_back(
+        monkeypatch, capsys, tmp_path):
+    # Each input has about 3,000 digits, within the default limit of 4,300;
+    # coker(NS) = Z/ab has about 6,000.  An input past the limit still
+    # fails as it did, since documents are decoded under the caller's limit.
+    a, b = 10 ** 2999 + 1, 2 ** 9960
+    data = load(TRIANGLE)
+    del data["dubois"]
+    data["picard"] = {"levels": [{"p": 0, "ns_rank": 2, "ns_torsion": [], "pic0_dim": 0},
+                                 {"p": 1, "ns_rank": 2, "ns_torsion": [], "pic0_dim": 0}],
+                      "ns_maps": [[[a, 0], [0, b]]], "coker_pic0_dim": 0}
+    path = write_doc(tmp_path, data)
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(load(TRIANGLE)).replace(
+        "[[[1, -1, 0]", "[[[1" + "0" * 5000 + ", -1, 0]"), encoding="utf-8")
+    caller = _digit_limit()
+    assert main(["--input", path, "--command", "kh-report", "--emit", "json"]) == 0
+    out = capsys.readouterr().out
+    assert _digit_limit() == caller
+    if caller:
+        assert main(["--input", str(huge), "--command", "kh-report"]) == 1
+        assert "Exceeds the limit" in capsys.readouterr().err
+        assert _digit_limit() == caller
+    monkeypatch.setattr(cli, "run", lambda *_: 1 / 0)
+    assert main(["--input", path, "--command", "kh-report"]) == 3
+    assert _digit_limit() == caller
+    if caller is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        coker_ns = json.loads(out)["units_cohomology"]["coker_ns"]
+        assert coker_ns == {"str": str(FgAbGroup.from_factors(0, (a, b))),
+                            "free_rank": 0, "torsion": [a * b]}
+    finally:
+        if caller is not None:
+            sys.set_int_max_str_digits(caller)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Exact integer matrices and Smith normal form against independent oracles."""
+import heapq
 import random
 import time
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -269,6 +270,30 @@ def test_trimmed_eliminations_read_what_the_full_form_returns():
                     "on the lattice", "off the lattice"}
 
 
+@st.composite
+def _unit_free_matrices(draw):
+    # No entry is +-1, so pivots start above 1: the column pass meets
+    # remainders and swaps them in, and a pivot that divides its row and
+    # column but not the rest of the block folds a row in.
+    nr, nc = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.sampled_from([0, 0, 2, -2, 3, 4, -6, 9, 10, -15, 25, 2 ** 70 + 6])
+    return IntMatrix(draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                                   min_size=nr, max_size=nr)), ncols=nc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_unit_free_matrices())
+@example(IntMatrix([[2, 3]]))           # a remainder in the column pass
+@example(IntMatrix([[2, 0], [0, 3]]))   # a pivot that does not divide the block
+@example(IntMatrix([[6, 10], [10, 15], [15, 6]]))
+def test_the_column_pass_with_remainders_keeps_the_transforms_exact(a):
+    sf = smith_normal_form(a)
+    verify(sf, a)   # U*A*V = D, U and V unimodular, U*U_inv = I
+    diag = sf.diagonal
+    free = [j for j in range(a.ncols) if j >= len(diag) or diag[j] == 0]
+    assert kernel_basis(a) == (sf.v.take_columns(free), diag)
+
+
 def test_constructor_takes_only_integers():
     for rows in ([[1.5, 7]], [[1, "7"]], [[2.0]], [[None]], [[1], [2j]]):
         with pytest.raises(ValueError, match="must be integers"):
@@ -316,6 +341,83 @@ def test_sweep_matches_the_full_form_under_permutations(case):
     permuted = a.take_rows(row_order).take_columns(col_order)
     for b in (a, permuted, a.transpose(), permuted.transpose()):
         assert smith_diagonal(b) == want
+
+
+def _reference_unit_pivots(work: list[dict[int, int]], ncols: int) -> list[int]:
+    """The unit pivots of the sweep as its docstring defines them.
+
+    A plain restatement of the sweep's rule: every target row marks all of
+    its columns touched after each update, the pivot row is picked by one
+    ``min`` over every +-1 row of the column, and the heap is drained to
+    its last key.
+    """
+    cols = [set() for _ in range(ncols)]
+    for i, row in enumerate(work):
+        for j in row:
+            cols[j].add(i)
+    heap = [(len(c), True, j) for j, c in enumerate(cols) if c]
+    heapq.heapify(heap)
+    touched, waiting, pivots = set(), set(), []
+    while heap:
+        count, untouched, j = heapq.heappop(heap)
+        col = cols[j]
+        if untouched and j in touched:
+            continue
+        if count != len(col):
+            if col:
+                heapq.heappush(heap, (len(col), untouched, j))
+            continue
+        i = min((k for k in col if work[k][j] in (1, -1)), default=None, key=lambda k: (
+            len(work[k]), -sum(len(cols[jj]) for jj in work[k]), k))
+        if i is None:
+            waiting.add(j)
+            continue
+        pivot_row, work[i] = work[i], {}
+        for k in col - {i}:
+            target = work[k]
+            q = target[j] * pivot_row[j]
+            for jj, x in pivot_row.items():
+                new = target.get(jj, 0) - q * x
+                if new == 0:
+                    del target[jj]
+                    cols[jj].discard(k)
+                    continue
+                cols[jj].add(k)
+                target[jj] = new
+                if new in (1, -1) and jj in waiting:
+                    waiting.discard(jj)
+                    heapq.heappush(heap, (len(cols[jj]), jj not in touched, jj))
+            for jj in target:
+                if jj not in touched:
+                    touched.add(jj)
+                    heapq.heappush(heap, (len(cols[jj]), False, jj))
+        for jj in pivot_row:
+            cols[jj].discard(i)
+        pivots.append(j)
+    return pivots
+
+
+@st.composite
+def _sparse_unit_rows(draw):
+    # Mostly +-1, so most pivots are units and rows tie on length; hub rows,
+    # dense in +-1, are targeted by many pivots and lose every length tie.
+    nr, nc = draw(st.integers(0, 14)), draw(st.integers(0, 14))
+    entry = st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -3])
+    hub = st.sampled_from([0, 1, -1, 1, -1, 2])
+    rows = [draw(st.lists(entry, min_size=nc, max_size=nc)) for _ in range(nr)]
+    for _ in range(draw(st.integers(0, min(nr, 3)))):
+        rows[draw(st.integers(0, nr - 1))] = draw(st.lists(hub, min_size=nc, max_size=nc))
+    return IntMatrix(rows, ncols=nc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_sparse_unit_rows())
+def test_the_sweep_takes_the_pivots_its_rule_names(a):
+    def rows():
+        return [{j: x for j, x in enumerate(row) if x} for row in a.rows()]
+
+    assert unit_sweep(rows(), a.ncols) == (smith_normal_form(a).diagonal,
+                                           _reference_unit_pivots(rows(), a.ncols))
 
 
 def _shuffled(d: SncDivisor, seed: int) -> SncDivisor:
@@ -374,3 +476,38 @@ def test_shuffled_strata_cost_about_what_canonical_strata_cost():
         if took <= 4 * base:
             break
     assert took <= 4 * base, (took, base)
+
+
+def _hub_graph(leaves: int, hubs: int = 8) -> tuple[list[dict[int, int]], int]:
+    """Vertex-edge incidence rows of a graph whose leaves all hang off a few hubs.
+
+    Leaf k joins the previous leaf and hubs k and k + 1 (mod ``hubs``), so
+    each hub row holds about a quarter of the edges.
+    """
+    edges = []
+    for k in range(leaves):
+        leaf = hubs + k
+        edges += [(leaf - 1, leaf)] * (k > 0) + [(k % hubs, leaf), ((k + 1) % hubs, leaf)]
+    rows = [{} for _ in range(hubs + leaves)]
+    for j, (tail, head) in enumerate(edges):
+        rows[tail][j], rows[head][j] = 1, -1
+    return rows, len(edges)
+
+
+def test_the_sweep_costs_what_it_changes_on_hub_rows():
+    # Each pivot on a leaf edge targets a hub row.  A sweep that walked the
+    # whole target row, or summed over each hub candidate's columns, paid
+    # the hub's length per pivot: 11 to 15 times the time for 4 times the
+    # leaves.  Paying for the entries that change takes 4.5 to 5.5.
+    def sweep_seconds(leaves: int) -> float:
+        best = float("inf")
+        for _ in range(3):
+            rows, ncols = _hub_graph(leaves)
+            start = time.perf_counter()
+            diag, pivots = unit_sweep(rows, ncols)
+            best = min(best, time.perf_counter() - start)
+        assert len(pivots) == leaves + 7 and diag.count(1) == leaves + 7
+        return best
+
+    small, large = sweep_seconds(1000), sweep_seconds(4000)
+    assert large <= 8 * small, (large, small)

@@ -414,16 +414,16 @@ def test_kh_report_takes_few_smith_forms_and_none_of_a_transform(monkeypatch):
     real_sweep = intmat.unit_sweep
     real_solve = intmat.Lattice.solve
 
-    def eliminate(m, nr, nc, u, v, u_inv_t):
+    def eliminate(m, nr, nc, u, v_t, u_inv_t):
         a = IntMatrix(m, ncols=nc)
-        real_eliminate(m, nr, nc, u, v, u_inv_t)
-        if (u, v, u_inv_t) != (None, None, None):
-            assert v is None or (u, u_inv_t) == (None, None)
+        real_eliminate(m, nr, nc, u, v_t, u_inv_t)
+        if (u, v_t, u_inv_t) != (None, None, None):
+            assert v_t is None or (u, u_inv_t) == (None, None)
             tracked.append(a)
-            if (v, u_inv_t) == (None, None):
+            if (v_t, u_inv_t) == (None, None):
                 u_alone.append(a)
             transforms.extend(IntMatrix(t, ncols=k) for t, k in
-                              ((u, nr), (v, nc), (u_inv_t, nr)) if t is not None)
+                              ((u, nr), (v_t, nc), (u_inv_t, nr)) if t is not None)
 
     def sweep(rows, ncols):
         dense = [[0] * ncols for _ in rows]
