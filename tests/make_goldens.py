@@ -12,8 +12,9 @@ dense-Picard and branch document under ``kh-report`` and ``k-report``.  The
 branch documents reach the report branches that the other documents leave
 alone: a torus with a root-of-unity part, an undetermined torus over a
 general field, an opaque degree-2 differential, a supplied ker(beta), a
-divisible Picard part of dimension 2 and a Du Bois table with
-b^{0,n-1} > 0 on a report that is only a bound.  Record goldens only from a
+divisible Picard part of dimension 2, a Du Bois table with
+b^{0,n-1} > 0 on a report that is only a bound, and torsion on level n-3,
+the source of the last NS map, so that ker(NS) has relations of its own.  Record goldens only from a
 commit whose output is known to be right: the test treats them as the
 truth.
 """
@@ -34,7 +35,7 @@ FIXTURE_DOCUMENTS = ("parallel_edges", "sphere4", "triangle_cycle")
 DENSE_RANKS = tuple(6 + 2 * (seed % 6) for seed in range(12))
 DENSE_COMMANDS = ("kh-report", "k-report")
 BRANCH_DOCUMENTS = ("rp2-closed", "rp2-general", "four-cycle", "ker-beta",
-                    "coker-pic0-2", "dubois-bound")
+                    "coker-pic0-2", "dubois-bound", "torsion-source")
 
 
 def cases() -> list[tuple[str, Path, str]]:
@@ -55,8 +56,8 @@ def cases() -> list[tuple[str, Path, str]]:
 
 def branch_documents() -> dict[str, dict]:
     """The branch documents by name (see the module docstring)."""
-    from helpers import (boundary_matrix, divisor_json, four_cycle, rp2_divisor,
-                         triangle_cycle)
+    from helpers import (boundary_matrix, dense_picard_document, divisor_json,
+                         four_cycle, rp2_divisor, triangle_cycle)
     from snckit import build_dual_complex
 
     def document(d, levels, maps, coker_pic0_dim=0, dubois_b=0,
@@ -80,6 +81,17 @@ def branch_documents() -> dict[str, dict]:
     # The lower map lands in ker(main) = Z e_1 with index 2, so Gamma = Z/2,
     # and coker(NS) = Z/2 is the corner that the opaque d_2 may cut down.
     cycle_levels, cycle_maps = [(0, 1), (1, 2), (2, 1)], [[[2], [0]], [[0, 2]]]
+    # A dense document with Z/2 + Z/6 added to level n-3: the main map sends
+    # the two torsion generators to zero, the lower map hits them with small
+    # entries, and ker(NS) = Z^4 + Z/2 + Z/6 surjects onto a Gamma with torsion.
+    rng = random.Random(5)
+    torsion_source = dense_picard_document(rng, 8)
+    source = torsion_source["picard"]["levels"][1]
+    lower, main = torsion_source["picard"]["ns_maps"]
+    source["ns_torsion"] = [2, 6]
+    for row in main:
+        row.extend([0, 0])
+    lower.extend([rng.randint(-3, 3) for _ in lower[0]] for _ in range(2))
     return {
         "rp2-closed": document(rp2, rp2_levels, rp2_maps),
         "rp2-general": document(rp2, rp2_levels, rp2_maps, field_mode="general"),
@@ -91,6 +103,7 @@ def branch_documents() -> dict[str, dict]:
                                  coker_pic0_dim=2),
         "dubois-bound": document(four_cycle(), cycle_levels, cycle_maps,
                                  coker_pic0_dim=1, dubois_b=4),
+        "torsion-source": torsion_source,
     }
 
 
