@@ -180,19 +180,21 @@ def presentation(relations: IntMatrix, generators: int) -> Presentation:
     """Like group_from_presentation, but keeps the change of coordinates.
 
     ``to_canonical`` is rows of U and ``lift`` columns of U^{-1}, both read
-    off one elimination of the relations that leaves V untracked.
+    off one elimination of the relations that leaves V untracked, or the
+    identity when there are no relations.
     """
     if relations.nrows != generators:
         raise ValueError(
             f"relation matrix has {relations.nrows} rows for {generators} generators")
+    if not relations.ncols:
+        identity = IntMatrix.identity(generators)
+        return Presentation(FgAbGroup(generators), identity, identity)
     diag, u, u_inv = row_transforms(relations)
     free_idx = [i for i in range(generators) if i >= len(diag) or diag[i] == 0]
     tors_idx = [i for i in range(len(diag)) if diag[i] > 1]
     order = free_idx + tors_idx
     group = FgAbGroup(len(free_idx), tuple(diag[i] for i in tors_idx))
-    to_canonical = u.take_rows(order)
-    lift = u_inv.take_columns(order)
-    return Presentation(group, to_canonical, lift)
+    return Presentation(group, u.take_rows(order), u_inv.take_columns(order))
 
 
 @dataclass(frozen=True)
@@ -214,22 +216,17 @@ class Hom:
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not map "
                 f"{self.source.ngens} generators to {self.target.ngens}")
-        for j in range(self.source.ngens):
-            s = self.source.order_of_generator(j)
-            if s == 0:
-                continue
-            for i in range(self.target.ngens):
-                t = self.target.order_of_generator(i)
-                e = self.matrix[i, j]
-                if t == 0:
-                    if s * e != 0:
-                        raise ValueError(
-                            f"entry ({i}, {j}) = {e} sends a generator of order "
-                            f"{s} to a free generator")
-                elif (s * e) % t != 0:
-                    raise ValueError(
-                        f"entry ({i}, {j}) = {e} violates torsion: "
-                        f"{s} * {e} is nonzero mod {t}")
+        # only the images of torsion generators are constrained
+        orders = (0,) * self.target.free_rank + self.target.torsion
+        for j, s in enumerate(self.source.torsion, self.source.free_rank):
+            for i, (t, row) in enumerate(zip(orders, self.matrix.rows())):
+                e = row[j]
+                if t == 0 and e != 0:
+                    raise ValueError(f"entry ({i}, {j}) = {e} sends a generator of "
+                                     f"order {s} to a free generator")
+                if t != 0 and (s * e) % t != 0:
+                    raise ValueError(f"entry ({i}, {j}) = {e} violates torsion: "
+                                     f"{s} * {e} is nonzero mod {t}")
 
     @classmethod
     def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "Hom":
@@ -241,13 +238,11 @@ class Hom:
 
     def is_zero(self) -> bool:
         """Whether every generator maps to zero in the target."""
-        for i in range(self.target.ngens):
-            t = self.target.order_of_generator(i)
-            for j in range(self.source.ngens):
-                e = self.matrix[i, j]
-                if (t == 0 and e != 0) or (t != 0 and e % t != 0):
-                    return False
-        return True
+        if not self.target.torsion:
+            return not any(map(any, self.matrix.rows()))
+        orders = (0,) * self.target.free_rank + self.target.torsion
+        return all(e % t == 0 if t else e == 0
+                   for t, row in zip(orders, self.matrix.rows()) for e in row)
 
 
 def compose(f: Hom, g: Hom) -> Hom:

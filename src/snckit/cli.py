@@ -365,12 +365,28 @@ def parse_input(path: str) -> InputDocument:
     A document too deep to decode, or one that fails the check and nests
     deeper than ``MAX_NESTING``, raises "nesting is too deep".  A document
     that passes nests no deeper than the schema, so only failures pay for
-    the walk.
+    the walk.  An integer with more digits than Python's limit on int
+    conversion from a string allows fails the decode; the text is then
+    decoded again with such integers marked, to name the first one's path.
     """
     data = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            data = json.loads(text, parse_int=_parse_int)
+            # none is left when a repeated key dropped it
+            found = _first_overlong(data, "" if isinstance(data, dict) else "document")
+            if found is not None:
+                where, digits = found
+                raise SchemaError(where, f"integer has {len(digits.lstrip('-'))} digits, "
+                                  "more than the limit of "
+                                  f"{sys.get_int_max_str_digits()} for integer string "
+                                  "conversion") from None
         return parse_document(data)
     except RecursionError:
         pass
@@ -378,6 +394,34 @@ def parse_input(path: str) -> InputDocument:
         if data is None or not _nests_deeper(data, MAX_NESTING):
             raise
     raise SchemaError("document", "nesting is too deep")
+
+
+class _Overlong(str):
+    """The digits of an integer that ``_parse_int`` could not convert."""
+
+
+def _parse_int(text: str) -> int | _Overlong:
+    """``int(text)``, or ``text`` marked when it is past the digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        return _Overlong(text)
+
+
+def _first_overlong(value: Any, path: str) -> tuple[str, _Overlong] | None:
+    """The path and digits of the first integer in ``value``, in document
+    order, that ``_parse_int`` marked; ``path`` is the path of ``value``,
+    "" for a document that is an object."""
+    if type(value) is _Overlong:
+        return path, value
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for k, v in items:
+        found = _first_overlong(v, f"{path}[{k}]" if type(k) is int
+                                else f"{path}.{k}" if path else k)
+        if found is not None:
+            return found
+    return None
 
 
 def _nests_deeper(value: Any, limit: int) -> bool:
@@ -396,19 +440,12 @@ def _nests_deeper(value: Any, limit: int) -> bool:
 # serialization
 
 
-def group_json(g: FgAbGroup) -> dict:
-    return {"str": str(g), "free_rank": g.free_rank, "torsion": list(g.torsion)}
-
-
-def _report_json(x: Any) -> Any:
-    """A report as JSON: one key per dataclass field, in field order."""
-    if isinstance(x, FgAbGroup):
-        return group_json(x)
-    if isinstance(x, IntMatrix):
-        return x.to_lists()
-    if is_dataclass(x):
-        return {f.name: _report_json(getattr(x, f.name)) for f in fields(x)}
-    return x
+@cache
+def _field_keys(cls: type) -> tuple[tuple[str, str], ...] | None:
+    """Each field name of a dataclass, in field order, with its text as a
+    JSON key; None for any other class."""
+    return tuple((f.name, f"{encode_basestring(f.name)}: ")
+                 for f in fields(cls)) if is_dataclass(cls) else None
 
 
 def _divisor_text(d: SncDivisor, nl: str) -> str:
@@ -492,9 +529,9 @@ def _dubois_json(b: DuBoisTable) -> dict:
 def _json_text(x: Any, nl: str = "\n") -> str:
     """``json.dumps(x, ensure_ascii=False, indent=2)`` for str, int, bool, None,
     list, tuple and str-keyed dict; any other value or key raises TypeError,
-    except an ``SncDivisor``, which prints as its divisor block
-    (``_divisor_text``), and a ``BlowupRecord``, which prints as the dict
-    of its fields (``_blowup_text``)."""
+    except an ``SncDivisor``, printed as its block (``_divisor_text``), an
+    ``FgAbGroup`` as ``{"str", "free_rank", "torsion"}``, an ``IntMatrix`` as
+    its rows and any other dataclass as the dict of its fields, in order."""
     if isinstance(x, str):
         return encode_basestring(x)
     if x is None or isinstance(x, bool):
@@ -515,10 +552,21 @@ def _json_text(x: Any, nl: str = "\n") -> str:
                  else int.__repr__(v) if type(v) is int
                  else _json_text(v, inner) for v in x]
         bra, ket = "[", "]"
+    elif isinstance(x, FgAbGroup):
+        return (f'{{{inner}"str": {encode_basestring(str(x))},{inner}"free_rank": '
+                f'{int.__repr__(x.free_rank)},{inner}"torsion": '
+                f'{_json_text(x.torsion, inner)}{nl}}}')
+    elif isinstance(x, IntMatrix):
+        return _json_text(x.rows(), nl)
     elif isinstance(x, SncDivisor):
         return _divisor_text(x, nl)
     elif isinstance(x, BlowupRecord):
         return _blowup_text(x, nl)
+    elif (keys := _field_keys(type(x))) is not None:
+        items = [key + (encode_basestring(v) if type(v) is str else int.__repr__(v)
+                        if type(v) is int else _json_text(v, inner))
+                 for name, key in keys for v in (getattr(x, name),)]
+        bra, ket = "{", "}"
     else:
         raise TypeError(f"{type(x).__name__} is not a report value")
     if not items:
@@ -584,7 +632,8 @@ def _cmd_cohomology(doc: InputDocument) -> tuple[str, dict]:
     for i in range(listed):
         g = cohomology(cx, i)
         lines.append(f"H^{i} = {g}")
-        groups.append({"degree": i, **group_json(g)})
+        groups.append({"degree": i, "str": str(g), "free_rank": g.free_rank,
+                       "torsion": list(g.torsion)})
     machine: dict[str, Any] = {"command": "cohomology", "groups": groups}
     if listed < n:
         lines.append(f"H^i = 0 for {listed} <= i <= {n - 1}")
@@ -671,8 +720,7 @@ def _cmd_kh_report(doc: InputDocument) -> tuple[str, dict]:
     if doc.picard is None:
         raise MissingBlockError("picard", "kh-report")
     report = kh_report(doc.divisor, doc.picard, doc.field_mode)
-    machine = {"command": "kh-report", **_report_json(report)}
-    return "\n".join(_kh_text(report)), machine
+    return "\n".join(_kh_text(report)), {"command": "kh-report", **vars(report)}
 
 
 def _cmd_k_report(doc: InputDocument) -> tuple[str, dict]:
@@ -694,8 +742,7 @@ def _cmd_k_report(doc: InputDocument) -> tuple[str, dict]:
         f"  K_{2 - n}(X) -> KH_{2 - n}(X) surjective: "
         + ("yes" if report.surjectivity_note else "no"),
     ])
-    machine = {"command": "k-report", **_report_json(report)}
-    return "\n".join(lines), machine
+    return "\n".join(lines), {"command": "k-report", **vars(report)}
 
 
 _DISPATCH = {
@@ -712,11 +759,11 @@ def run(command: str, document: InputDocument,
         max_blowups: int = MAX_BLOWUPS) -> tuple[str, dict]:
     """Execute one command, returning (text report, machine report).
 
-    The machine report is a value ``_json_text`` prints: plain JSON data,
-    except that ``resolve``'s holds its ``BlowupRecord`` list under
-    ``["blowups"]`` and the resolved ``SncDivisor`` itself under
-    ``["document"]["divisor"]``.  ``max_blowups`` caps the resolution
-    loop; only ``resolve`` runs it.
+    The machine report is a value ``_json_text`` prints: plain JSON data
+    but for the objects it holds, ``resolve``'s ``BlowupRecord`` list and
+    resolved ``SncDivisor`` (``["blowups"]``, ``["document"]["divisor"]``) and
+    the report fields of ``kh-report`` and ``k-report``, each its object.
+    ``max_blowups`` caps the resolution loop; only ``resolve`` runs it.
     """
     if command == "resolve":
         return _cmd_resolve(document, max_blowups)

@@ -167,8 +167,10 @@ def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
     rels_ker = rels_gamma.take_columns(range(incoming.ncols, rels_gamma.ncols))
     pres_ker = presentation(rels_ker, len(lat.factors))
     pres_gamma = presentation(rels_gamma, len(lat.factors))
+    # without relations, as on a torsion-free source of NS, the lift is I
+    to_gamma = pres_gamma.to_canonical
     surjection = Hom(pres_ker.group, pres_gamma.group,
-                     pres_gamma.to_canonical @ pres_ker.lift)
+                     to_gamma @ pres_ker.lift if rels_ker.ncols else to_gamma)
     return pres_ker.group, coker_ns, pres_gamma.group, surjection
 
 
@@ -286,8 +288,8 @@ class KhReport:
     divisible Picard part), and exact only when additionally no opaque
     differential intervenes.
 
-    The report dataclasses are also the JSON schema: the CLI's JSON report
-    has one key per field, in field order, all the way down.
+    The report dataclasses are the JSON schema and what the CLI's JSON
+    writer walks: one key per field, in field order, all the way down.
     """
 
     n: int

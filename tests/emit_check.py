@@ -7,8 +7,11 @@ Run from the repository root, under any Python the package supports:
 It needs neither pytest nor hypothesis.  It draws COUNT random nested
 values (20000 by default, seed 0) of the shapes reports hold and asserts
 that ``snckit.cli._json_text`` prints each exactly as
-``json.dumps(value, ensure_ascii=False, indent=2)`` does.
-``tests/test_emit.py`` runs the same check inside the suite.
+``json.dumps(value, ensure_ascii=False, indent=2)`` does.  Then it runs
+every golden ``kh-report`` and ``k-report`` case, whose machine report
+holds the report objects, and asserts that ``_json_text`` prints it as
+``json.dumps`` prints the nested dicts of ``helpers.report_json``.
+``tests/test_emit.py`` runs the same checks inside the suite.
 """
 from __future__ import annotations
 
@@ -16,7 +19,9 @@ import json
 import random
 import sys
 
-from snckit.cli import _json_text
+from helpers import report_json
+from make_goldens import cases
+from snckit.cli import MissingBlockError, _json_text, parse_input, run
 
 # Characters the encoder escapes, or passes through although they are
 # special somewhere: quote, backslash, controls, DEL, C1, the JavaScript line
@@ -65,9 +70,29 @@ def check(count: int, seed: int) -> None:
         assert got == want, f"value {i} of seed {seed}: {x!r}"
 
 
+def check_reports() -> int:
+    """Check the golden kh-report and k-report machine reports; return how
+    many were checked."""
+    checked = 0
+    for name, path, command in cases():
+        if command not in ("kh-report", "k-report"):
+            continue
+        try:
+            _, machine = run(command, parse_input(str(path)))
+        except (MissingBlockError, ValueError):
+            continue  # a golden whose command exits nonzero
+        want = json.dumps({k: report_json(v) for k, v in machine.items()},
+                          ensure_ascii=False, indent=2)
+        assert _json_text(machine) == want, name
+        checked += 1
+    return checked
+
+
 if __name__ == "__main__":
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 20000
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
     check(count, seed)
+    reports = check_reports()
     print(f"Python {sys.version.split()[0]}: {count} random values (seed {seed}) "
+          f"and {reports} golden kh-report and k-report machine reports "
           "print as json.dumps prints them")

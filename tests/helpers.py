@@ -8,9 +8,10 @@ blowups and resolution from full rescans of the divisor, inverses of
 Smith transforms from a second Smith form instead of the tracked inverse,
 chain complexes straight off the strata, the E_3 corner of the KH
 report from an assembled two-row descent page, and a document's divisor
-block and a resolve report's blowup records from nested dicts
-(``divisor_json`` and ``blowup_json``, which ``json.dumps`` prints as the
-CLI's writers must).  Small conveniences that
+block, a resolve report's blowup records and the reports of kh-report and
+k-report from nested dicts (``divisor_json``, ``blowup_json`` and
+``report_json``, which ``json.dumps`` prints as the CLI's writers must).
+Small conveniences that
 only tests call (``hom_analyze``, ``cokernel``, ``validate_complex``,
 ``euler_characteristic``, ``kh_top``, and matrix arithmetic such as
 ``det``, ``diagonal`` or ``verify`` for a Smith form) live here too, as
@@ -23,8 +24,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Any, NamedTuple
 
 from snckit import (
     BlowupRecord,
@@ -343,6 +344,19 @@ def blowup_json(r: BlowupRecord) -> dict:
     return {"center": r.center, "new_component": r.new_component,
             "removed": list(r.removed), "added": list(r.added),
             "bad_decrement": r.bad_decrement, "point_blowup": r.point_blowup}
+
+
+def report_json(x: Any) -> Any:
+    """A report as nested dicts: one key per dataclass field, in field order,
+    a group as its text, free rank and torsion, and a matrix as its rows;
+    any other value as it is."""
+    if isinstance(x, FgAbGroup):
+        return {"str": str(x), "free_rank": x.free_rank, "torsion": list(x.torsion)}
+    if isinstance(x, IntMatrix):
+        return x.to_lists()
+    if is_dataclass(x):
+        return {f.name: report_json(getattr(x, f.name)) for f in fields(x)}
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -952,3 +966,16 @@ def dense_picard_document(rng: random.Random, rank: int, moves: int = 3) -> dict
         "dubois": {"entries": [{"p": 0, "q": n - 1, "b": rng.randint(0, 3)}],
                    "isolated": True},
     }
+
+
+def with_source_torsion(doc: dict, torsion: list[int], rng: random.Random) -> dict:
+    """A ``dense_picard_document`` with ``torsion`` added to level n-3, the
+    source of the main map, which sends the new generators to zero; the
+    lower map gets a row of small entries for each.  The maps still compose
+    to zero, and ker(NS) gains ``torsion``."""
+    lower, main = doc["picard"]["ns_maps"]
+    doc["picard"]["levels"][1]["ns_torsion"] = torsion
+    for row in main:
+        row.extend([0] * len(torsion))
+    lower.extend([rng.randint(-3, 3) for _ in lower[0]] for _ in torsion)
+    return doc

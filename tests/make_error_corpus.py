@@ -20,7 +20,9 @@ sources:
 
 Documents are stored as JSON values.  A document nested too deeply to
 store is stored with the placeholder string ``NEST`` and a ``nesting``
-depth; the replay puts the brackets back.  The script records every case
+depth; the replay puts the brackets back.  An integer with more digits
+than Python decodes by default is stored as the placeholder string
+``OVERLONG``, which the replay turns into 10^(OVERLONG_DIGITS - 1).  The script records every case
 under several string-hash seeds and keeps only the outcomes that agree.
 Record the corpus only from a commit whose error text is known to be right:
 the test treats it as the truth.
@@ -43,6 +45,8 @@ FIXTURES = HERE / "fixtures"
 CORPUS = FIXTURES / "error_corpus.json"
 NEST = "\u0000nest\u0000"
 NESTINGS = (100_000, 5000, 990)   # depths of mutated_documents stored as NEST
+OVERLONG = "\u0000overlong\u0000"
+OVERLONG_DIGITS = 5001
 DRAWS = 160
 RANDOM_FAULTS = 80
 HASH_SEEDS = (1, 2, 3, 4)
@@ -55,9 +59,11 @@ def load(name: str) -> dict:
 
 
 def document_text(case: dict) -> str:
-    """The document text of a stored case, with its nesting put back."""
+    """The document text of a stored case, with its nesting and over-long
+    integers put back."""
     depth = case.get("nesting", 0)
     text = json.dumps(case["document"])
+    text = text.replace(json.dumps(OVERLONG), "1" + "0" * (OVERLONG_DIGITS - 1))
     return text.replace(json.dumps(NEST), "[" * depth + "]" * depth)
 
 
@@ -126,6 +132,7 @@ PARSER_FAULTS = [
     ("n-float", "triangle_cycle", "validate", [_set(DIV + ("n",), 3.0)]),
     ("n-zero", "triangle_cycle", "validate", [_set(DIV + ("n",), 0)]),
     ("n-negative", "triangle_cycle", "validate", [_set(DIV + ("n",), -2)]),
+    ("n-past-digit-limit", "triangle_cycle", "validate", [_set(DIV + ("n",), OVERLONG)]),
     ("components-not-an-array", "triangle_cycle", "validate",
      [_set(DIV + ("components",), "E1")]),
     ("component-int", "triangle_cycle", "validate", [_set(DIV + ("components", 1), 7)]),
@@ -158,6 +165,8 @@ PARSER_FAULTS = [
      [_set(G0 + ("subset",), [0, 3])]),
     ("subset-index-huge", "triangle_cycle", "validate",
      [_set(G0 + ("subset",), [0, 10 ** 30])]),
+    ("subset-index-past-digit-limit", "triangle_cycle", "validate",
+     [_set(G0 + ("subset",), [0, OVERLONG])]),
     ("subset-repeated", "triangle_cycle", "validate", [_set(G0 + ("subset",), [1, 1])]),
     ("subset-deeper-than-n", "triangle_cycle", "validate",
      [_set(DIV + ("n",), 2), _set(G0 + ("subset",), [0, 1, 2])]),
@@ -238,6 +247,8 @@ PARSER_FAULTS = [
      [_set(PIC + ("ns_maps", 0, 2, 0), 0.5)]),
     ("ns-map-entry-bool", "triangle_cycle", "validate",
      [_set(PIC + ("ns_maps", 0, 0, 0), False)]),
+    ("ns-map-entry-past-digit-limit", "triangle_cycle", "kh-report",
+     [_set(PIC + ("ns_maps", 0, 0, 0), OVERLONG)]),
     ("ns-map-ragged", "triangle_cycle", "validate",
      [_set(PIC + ("ns_maps", 0, 1), [1, 0])]),
     ("ns-map-wrong-rows", "triangle_cycle", "validate",

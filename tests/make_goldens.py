@@ -57,7 +57,7 @@ def cases() -> list[tuple[str, Path, str]]:
 def branch_documents() -> dict[str, dict]:
     """The branch documents by name (see the module docstring)."""
     from helpers import (boundary_matrix, dense_picard_document, divisor_json,
-                         four_cycle, rp2_divisor, triangle_cycle)
+                         four_cycle, rp2_divisor, triangle_cycle, with_source_torsion)
     from snckit import build_dual_complex
 
     def document(d, levels, maps, coker_pic0_dim=0, dubois_b=0,
@@ -81,17 +81,9 @@ def branch_documents() -> dict[str, dict]:
     # The lower map lands in ker(main) = Z e_1 with index 2, so Gamma = Z/2,
     # and coker(NS) = Z/2 is the corner that the opaque d_2 may cut down.
     cycle_levels, cycle_maps = [(0, 1), (1, 2), (2, 1)], [[[2], [0]], [[0, 2]]]
-    # A dense document with Z/2 + Z/6 added to level n-3: the main map sends
-    # the two torsion generators to zero, the lower map hits them with small
-    # entries, and ker(NS) = Z^4 + Z/2 + Z/6 surjects onto a Gamma with torsion.
+    # ker(NS) = Z^4 + Z/2 + Z/6 surjects onto a Gamma with torsion.
     rng = random.Random(5)
-    torsion_source = dense_picard_document(rng, 8)
-    source = torsion_source["picard"]["levels"][1]
-    lower, main = torsion_source["picard"]["ns_maps"]
-    source["ns_torsion"] = [2, 6]
-    for row in main:
-        row.extend([0, 0])
-    lower.extend([rng.randint(-3, 3) for _ in lower[0]] for _ in range(2))
+    torsion_source = with_source_torsion(dense_picard_document(rng, 8), [2, 6], rng)
     return {
         "rp2-closed": document(rp2, rp2_levels, rp2_maps),
         "rp2-general": document(rp2, rp2_levels, rp2_maps, field_mode="general"),

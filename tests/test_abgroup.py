@@ -26,8 +26,8 @@ from snckit import (
     presentation_matrix,
     subquotient,
 )
-from snckit.abgroup import Z, ZERO_GROUP, preimage_lattice
-from snckit.intmat import column_lattice, kernel_basis, smith_normal_form
+from snckit.abgroup import Z, ZERO_GROUP, Presentation, preimage_lattice
+from snckit.intmat import column_lattice, kernel_basis, row_transforms, smith_normal_form
 
 
 def random_group(rng: random.Random) -> FgAbGroup:
@@ -165,6 +165,14 @@ def test_hom_rejects_torsion_violations():
         Hom(FgAbGroup.cyclic(2), Z, IntMatrix([[1]]))
     with pytest.raises(ValueError):
         Hom(FgAbGroup.cyclic(2), FgAbGroup.cyclic(4), IntMatrix([[1]]))
+    # the error names the first bad entry, column by column
+    mixed = FgAbGroup(1, (2,)), FgAbGroup(1, (4,))
+    with pytest.raises(ValueError, match=r"^entry \(0, 1\) = 3 sends a generator of "
+                                         r"order 2 to a free generator$"):
+        Hom(*mixed, IntMatrix([[5, 3], [1, 1]]))
+    with pytest.raises(ValueError, match=r"^entry \(1, 1\) = 1 violates torsion: "
+                                         r"2 \* 1 is nonzero mod 4$"):
+        Hom(*mixed, IntMatrix([[5, 0], [1, 1]]))
     # 2 * 2 = 0 in Z/4, fine
     h = Hom(FgAbGroup.cyclic(2), FgAbGroup.cyclic(4), IntMatrix([[2]]))
     assert not h.is_zero()
@@ -226,6 +234,44 @@ def test_compose_and_identity():
         assert compose(Hom.identity(c), f).matrix == f.matrix
     with pytest.raises(ValueError):
         compose(Hom.identity(Z), Hom.identity(FgAbGroup.free(2)))
+
+
+def entrywise_zero(h: Hom) -> bool:
+    """Every entry is zero modulo the order of its target generator, and
+    zero itself in the row of a free generator."""
+    return all(e == 0 if t == 0 else e % t == 0
+               for i, row in enumerate(h.matrix.rows())
+               for t in (h.target.order_of_generator(i),) for e in row)
+
+
+def test_is_zero_agrees_with_the_entrywise_rule():
+    rng = random.Random(23)
+    seen = set()
+    homs = [Hom.zero(a, b) for a in (ZERO_GROUP, Z, FgAbGroup(0, (2,)))
+            for b in (ZERO_GROUP, Z, FgAbGroup(0, (2,)))]
+    for _ in range(600):
+        source = random_group(rng)
+        target = random_group(rng) if rng.random() < 0.5 else FgAbGroup.free(rng.randint(0, 3))
+        h = random_hom(rng, source, target)
+        # most entries a multiple of the order of their target generator
+        rows = [[target.order_of_generator(i) * rng.randint(-2, 2) if rng.random() < 0.9
+                 else e for e in row] for i, row in enumerate(h.matrix.rows())]
+        homs += [h, Hom(source, target, IntMatrix(rows, ncols=source.ngens))]
+    for h in homs:
+        assert h.is_zero() == entrywise_zero(h), h
+        seen.add((h.target.is_free(), h.is_zero(), 0 in h.matrix.shape))
+    assert {(free, zero) for free, zero, _ in seen} == {
+        (True, True), (True, False), (False, True), (False, False)}
+    assert (True, True, True) in seen and (False, True, True) in seen
+
+
+def test_presentation_without_relations_reads_what_the_elimination_gives():
+    for g in range(6):
+        relations = IntMatrix.zero(g, 0)
+        diag, u, u_inv = row_transforms(relations)
+        assert diag == ()
+        assert presentation(relations, g) == Presentation(
+            FgAbGroup.free(g), u.take_rows(range(g)), u_inv.take_columns(range(g)))
 
 
 def test_subquotient_is_middle_homology():

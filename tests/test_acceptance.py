@@ -230,7 +230,7 @@ def test_criterion_8_opaque_differential_markers_only_when_honest():
                 (FIXTURES / "triangle_cycle.json").read_text())["picard"],
             "field_mode": mode,
         }))
-        blob = json.dumps(machine, ensure_ascii=False)
+        blob = _json_text(machine)
         assert not any(marker in blob for marker in unknown_markers)
 
     # n = 4 with H^1(D(E)) = 0: every unknown is forced to zero
@@ -240,7 +240,7 @@ def test_criterion_8_opaque_differential_markers_only_when_honest():
     assert rep.h_n_minus_3.is_trivial()
     assert rep.d2_top_known_zero
     assert rep.ker_alpha.ses.quotient.exact
-    blob = json.dumps(run("kh-report", doc)[1], ensure_ascii=False)
+    blob = _json_text(run("kh-report", doc)[1])
     assert not any(marker in blob for marker in unknown_markers)
 
     # contrast: n = 4 with H^1 = Z really is opaque and must say so

@@ -323,6 +323,7 @@ def test_resolve_machine_document_reparses_to_the_resolved_divisor():
 
 def test_kh_report_text_lines():
     text, machine = run("kh-report", parse_input(str(TRIANGLE)))
+    machine = json.loads(cli._json_text(machine))
     lines = text.splitlines()
     assert lines[0] == "kh report: n = 3, field mode algebraically_closed"
     assert lines[1] == "KH_-3(X) = H^2(D(E),Z) = 0"
@@ -409,6 +410,7 @@ def test_every_command_takes_time_flat_in_n(capsys, tmp_path, command):
 
 def test_k_report_text_and_machine():
     text, machine = run("k-report", parse_input(str(TRIANGLE)))
+    machine = json.loads(cli._json_text(machine))
     assert "  b^{0,2} = 2" in text
     assert "  NK_-2(U) = 2-dim V ⊗ tQ[t]" in text
     assert "  K_-2(X) = extension of KH_-2(X) by a 2-dim k-vector space" in text
@@ -893,7 +895,8 @@ def test_an_answer_past_the_digit_limit_prints_and_the_callers_limit_comes_back(
         monkeypatch, capsys, tmp_path):
     # Each input has about 3,000 digits, within the default limit of 4,300;
     # coker(NS) = Z/ab has about 6,000.  An input past the limit still
-    # fails as it did, since documents are decoded under the caller's limit.
+    # fails, since documents are decoded under the caller's limit, and the
+    # error names its path.
     a, b = 10 ** 2999 + 1, 2 ** 9960
     data = load(TRIANGLE)
     del data["dubois"]
@@ -910,7 +913,9 @@ def test_an_answer_past_the_digit_limit_prints_and_the_callers_limit_comes_back(
     assert _digit_limit() == caller
     if caller:
         assert main(["--input", str(huge), "--command", "kh-report"]) == 1
-        assert "Exceeds the limit" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: picard.ns_maps[0][0][0]: integer has 5001 digits, more than "
+            f"the limit of {caller} for integer string conversion\n")
         assert _digit_limit() == caller
     monkeypatch.setattr(cli, "run", lambda *_: 1 / 0)
     assert main(["--input", path, "--command", "kh-report"]) == 3
@@ -924,6 +929,35 @@ def test_an_answer_past_the_digit_limit_prints_and_the_callers_limit_comes_back(
     finally:
         if caller is not None:
             sys.set_int_max_str_digits(caller)
+
+
+def test_an_input_integer_past_the_digit_limit_is_named_at_its_path(capsys, tmp_path):
+    # the first such integer in document order, its sign not counted
+    caller = _digit_limit()
+    if not caller:
+        pytest.skip("this Python has no digit limit")
+    big = "1" + "0" * caller
+    documents = {
+        '{"version": "1", "divisor": {"n": BIG, "components": ["E1"], '
+        '"strata": [{"subset": [-BIG]}]}}': "divisor.n",
+        '{"version": "1", "divisor": {"n": 3, "components": ["E1"], '
+        '"strata": [{"subset": [0, -BIG, BIG]}]}}': "divisor.strata[0].subset[1]",
+        '[0, {"a": [1, BIG]}, BIG]': "document[1].a[1]",
+        "-BIG": "document",
+        # a repeated key keeps its last value, so the document is checked
+        '{"version": "1", "divisor": {"n": BIG, "n": 0, "components": ["E1"]}}':
+            "divisor.n: must be >= 1, got 0",
+    }
+    for text, where in documents.items():
+        path = tmp_path / "doc.json"
+        path.write_text(text.replace("BIG", big), encoding="utf-8")
+        assert main(["--input", str(path), "--command", "validate"]) == 1
+        err = capsys.readouterr().err
+        if ":" in where:
+            assert err == f"error: {where}\n"
+        else:
+            assert err == (f"error: {where}: integer has {caller + 1} digits, more than "
+                           f"the limit of {caller} for integer string conversion\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """The CLI's JSON emitter prints exactly what ``json.dumps(indent=2)`` prints.
 
 The standard library is the oracle: on random values of every shape a report
-holds, on the machine report of every golden case and on resolved documents
-larger than any golden, ``cli._json_text(x)`` must equal
+holds, on the machine report of every golden case, on the kh-report and
+k-report machine reports of seeded dense Picard documents and on resolved
+documents larger than any golden, ``cli._json_text(x)`` must equal
 ``json.dumps(plain(x), ensure_ascii=False, indent=2)``, where ``plain`` puts
-the nested dicts of ``helpers.divisor_json`` and ``helpers.blowup_json`` in
-place of each divisor and blowup record the report holds; the divisor and
-record writers meet the same oracle on their own.
+the nested dicts of ``helpers.divisor_json``, ``helpers.blowup_json`` and
+``helpers.report_json`` in place of each divisor, blowup record and report
+object the report holds; the divisor and record writers meet the same
+oracle on their own.
 """
 import dataclasses
 import json
@@ -16,15 +18,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emit_check import SPECIAL, check
+from emit_check import SPECIAL, check, check_reports
 from helpers import (
     blowup_json,
+    dense_picard_document,
     divisor_json,
     parallel_curve_divisor,
     random_divisor,
+    report_json,
     simplex_divisor,
+    with_source_torsion,
 )
-from make_goldens import cases
+from make_goldens import BRANCH_DOCUMENTS, DENSE_RANKS, cases
 from snckit import BlowupRecord, SncDivisor, Stratum, resolve_to_simplicial, validate_snc
 from snckit.cli import (
     ALGEBRAICALLY_CLOSED,
@@ -43,8 +48,10 @@ def stdlib(x) -> str:
 
 
 def plain(x):
-    """x with ``divisor_json(d)`` in place of every divisor d and
-    ``blowup_json(r)`` in place of every blowup record r it holds."""
+    """x with ``divisor_json(d)`` in place of every divisor d,
+    ``blowup_json(r)`` in place of every blowup record r, and the nested
+    dicts of ``report_json`` in place of every report, group and matrix
+    it holds."""
     if isinstance(x, SncDivisor):
         return divisor_json(x)
     if isinstance(x, BlowupRecord):
@@ -53,7 +60,7 @@ def plain(x):
         return {k: plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [plain(v) for v in x]
-    return x
+    return report_json(x)
 
 
 CHARS = st.one_of(st.characters(), st.characters(categories=["Cs"]),
@@ -81,8 +88,23 @@ def test_emitter_prints_as_the_stdlib_does(x):
 
 
 def test_plain_script_check_passes():
-    # the check tests/emit_check.py runs under interpreters without pytest
+    # the checks tests/emit_check.py runs under interpreters without pytest
     check(2000, seed=1)
+    assert check_reports() >= 2 * (len(DENSE_RANKS) + len(BRANCH_DOCUMENTS))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32), rank=st.integers(4, 16),
+       source_torsion=st.sampled_from([[], [2], [3], [2, 6], [4, 12]]))
+def test_dense_picard_reports_print_as_the_stdlib_prints_their_nested_dicts(
+        seed, rank, source_torsion):
+    # dense_picard_document puts torsion on the top level for most seeds
+    rng = random.Random(seed)
+    doc = parse_document(with_source_torsion(dense_picard_document(rng, rank),
+                                             source_torsion, rng))
+    for command in ("kh-report", "k-report"):
+        _, machine = run(command, doc)
+        assert _json_text(machine) == stdlib(plain(machine))
 
 
 def test_golden_machine_reports_print_as_the_stdlib_does():
