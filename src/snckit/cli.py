@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache
 from json.encoder import encode_basestring
-from typing import Any, Collection, NoReturn, Sequence
+from typing import Any, Callable, Collection, NoReturn, Sequence
 
 from .abgroup import FgAbGroup, Hom
 from .khasm import (
@@ -440,24 +440,18 @@ def _nests_deeper(value: Any, limit: int) -> bool:
 # serialization
 
 
-@cache
-def _field_keys(cls: type) -> tuple[tuple[str, str], ...] | None:
-    """Each field name of a dataclass, in field order, with its text as a
-    JSON key; None for any other class."""
-    return tuple((f.name, f"{encode_basestring(f.name)}: ")
-                 for f in fields(cls)) if is_dataclass(cls) else None
-
-
 def _divisor_text(d: SncDivisor, nl: str) -> str:
     """The divisor block, as ``_json_text`` prints it at newline-and-indent
     ``nl``, written straight from the strata table of a divisor that
     passed ``validate_snc``; it parses back to an equal divisor.
 
-    Groups of rows on one positions tuple come in (depth, positions) order,
-    members in divisor order, each under ``"id"`` and ``"parents"``.
-    A parent is keyed by the decimal position of the component it drops;
-    a valid stratum of depth 3 or more names one per subset component, and
-    the subset is in component order, so the parents print in subset order.
+    One sort of the table's rows by (depth, positions, divisor order)
+    gives the printed order: a group opens where the positions tuple
+    changes, and its members, each under ``"id"`` and ``"parents"``, follow
+    in divisor order.  A parent is keyed by the decimal position of the
+    component it drops; a valid stratum of depth 3 or more names one per
+    subset component, and the subset is in component order, so the
+    parents print in subset order.
     """
     enc = encode_basestring
     i1, i2, i3, i4, i5, i6 = [nl + "  " * k for k in range(1, 7)]
@@ -466,29 +460,29 @@ def _divisor_text(d: SncDivisor, nl: str) -> str:
     item = [f"{i4}{i}" for i in range(size)]
     key = [f'{i6}"{i}": ' for i in range(size)]
     table = _StrataTable.of(d)
-    ids, subsets, parents_of = table.ids, table.subsets, table.parents
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for row, pos in enumerate(table.positions):
-        groups.setdefault(pos, []).append(row)
-    strata = []
-    for pos in sorted(groups, key=lambda pos: (len(pos), pos)):
-        rows = groups[pos]
-        subset = subsets[rows[0]]
-        members = []
-        for row in rows:
-            parents = parents_of[row]
-            if parents:
-                listed = ",".join([key[i] + enc(parents[c]) for i, c in zip(pos, subset)])
-                members.append(f'{i4}{{{i5}"id": {enc(ids[row])},{i5}"parents": '
-                               f'{{{listed}{i5}}}{i4}}}')
-            else:
-                members.append(f'{i4}{{{i5}"id": {enc(ids[row])},{i5}"parents": {{}}{i4}}}')
-        strata.append(f'{i2}{{{i3}"subset": [{",".join([item[i] for i in pos])}{i3}],'
-                      f'{i3}"components": [{",".join(members)}{i3}]{i2}}}')
+    ids, subsets, positions, parents_of = table
     comps = f'[{",".join([i2 + enc(c) for c in d.components])}{i1}]' if d.components else "[]"
-    strata_text = f'[{",".join(strata)}{i1}]' if strata else "[]"
-    return (f'{{{i1}"n": {int.__repr__(d.n)},{i1}"components": {comps},'
-            f'{i1}"strata": {strata_text}{nl}}}')
+    out = [f'{{{i1}"n": {int.__repr__(d.n)},{i1}"components": {comps},{i1}"strata": [']
+    append = out.append
+    close = f"{i3}]{i2}}}"
+    last = None
+    for _, pos, row in sorted(zip(map(len, positions), positions, range(len(ids)))):
+        if pos != last:
+            # a group opens; its first member takes no comma
+            append(f'{"" if last is None else close + ","}{i2}{{{i3}"subset": '
+                   f'[{",".join([item[i] for i in pos])}{i3}],{i3}"components": [')
+            last, subset, sep = pos, subsets[row], ""
+        else:
+            sep = ","
+        parents = parents_of[row]
+        if parents:
+            listed = ",".join([key[i] + enc(parents[c]) for i, c in zip(pos, subset)])
+            append(f'{sep}{i4}{{{i5}"id": {enc(ids[row])},{i5}"parents": '
+                   f'{{{listed}{i5}}}{i4}}}')
+        else:
+            append(f'{sep}{i4}{{{i5}"id": {enc(ids[row])},{i5}"parents": {{}}{i4}}}')
+    append(f"{close}{i1}]{nl}}}" if ids else f"]{nl}}}")
+    return "".join(out)
 
 
 def _blowup_text(r: BlowupRecord, nl: str) -> str:
@@ -529,49 +523,86 @@ def _dubois_json(b: DuBoisTable) -> dict:
 def _json_text(x: Any, nl: str = "\n") -> str:
     """``json.dumps(x, ensure_ascii=False, indent=2)`` for str, int, bool, None,
     list, tuple and str-keyed dict; any other value or key raises TypeError,
-    except an ``SncDivisor``, printed as its block (``_divisor_text``), an
-    ``FgAbGroup`` as ``{"str", "free_rank", "torsion"}``, an ``IntMatrix`` as
-    its rows and any other dataclass as the dict of its fields, in order."""
-    if isinstance(x, str):
+    except an ``SncDivisor``, printed as its block (``_divisor_text``), a
+    ``BlowupRecord`` and any other dataclass as the dict of its fields, in
+    order, an ``FgAbGroup`` as ``{"str", "free_rank", "torsion"}`` and an
+    ``IntMatrix`` as its rows.  ``nl`` is the newline and indent of the
+    line ``x`` ends on."""
+    t = type(x)
+    if t is str:
         return encode_basestring(x)
-    if x is None or isinstance(x, bool):
-        return "null" if x is None else "true" if x else "false"
-    if isinstance(x, int):
+    if t is int:
         return int.__repr__(x)
-    inner = nl + "  "
-    # str values and int list items, most of a resolved document's leaves,
-    # are rendered in place; bool, None and subclasses take the call
-    if isinstance(x, dict):
-        # encode_basestring raises TypeError on a key that is not a str
-        items = [f"{encode_basestring(k)}: "
-                 f"{encode_basestring(v) if type(v) is str else _json_text(v, inner)}"
-                 for k, v in x.items()]
-        bra, ket = "{", "}"
-    elif isinstance(x, (list, tuple)):
-        items = [encode_basestring(v) if type(v) is str
-                 else int.__repr__(v) if type(v) is int
-                 else _json_text(v, inner) for v in x]
-        bra, ket = "[", "]"
-    elif isinstance(x, FgAbGroup):
-        return (f'{{{inner}"str": {encode_basestring(str(x))},{inner}"free_rank": '
-                f'{int.__repr__(x.free_rank)},{inner}"torsion": '
-                f'{_json_text(x.torsion, inner)}{nl}}}')
-    elif isinstance(x, IntMatrix):
-        return _json_text(x.rows(), nl)
-    elif isinstance(x, SncDivisor):
-        return _divisor_text(x, nl)
-    elif isinstance(x, BlowupRecord):
-        return _blowup_text(x, nl)
-    elif (keys := _field_keys(type(x))) is not None:
-        items = [key + (encode_basestring(v) if type(v) is str else int.__repr__(v)
-                        if type(v) is int else _json_text(v, inner))
-                 for name, key in keys for v in (getattr(x, name),)]
-        bra, ket = "{", "}"
-    else:
-        raise TypeError(f"{type(x).__name__} is not a report value")
+    if x is True or x is False or x is None:
+        return "true" if x is True else "false" if x is False else "null"
+    return _writer(t)(x, nl)
+
+
+def _bracketed(bra: str, items: list[str], ket: str, nl: str) -> str:
     if not items:
         return bra + ket
+    inner = nl + "  "
     return f"{bra}{inner}{(',' + inner).join(items)}{nl}{ket}"
+
+
+def _array_text(x: list | tuple, nl: str) -> str:
+    inner = nl + "  "
+    return _bracketed("[", [encode_basestring(v) if type(v) is str
+                            else int.__repr__(v) if type(v) is int
+                            else _json_text(v, inner) for v in x], "]", nl)
+
+
+def _object_text(x: dict, nl: str) -> str:
+    inner = nl + "  "
+    # encode_basestring raises TypeError on a key that is not a str
+    return _bracketed("{", [f"{encode_basestring(k)}: "
+                            f"{encode_basestring(v) if type(v) is str else _json_text(v, inner)}"
+                            for k, v in x.items()], "}", nl)
+
+
+def _group_text(g: FgAbGroup, nl: str) -> str:
+    inner = nl + "  "
+    return (f'{{{inner}"str": {encode_basestring(str(g))},{inner}"free_rank": '
+            f'{int.__repr__(g.free_rank)},{inner}"torsion": '
+            f'{_array_text(g.torsion, inner)}{nl}}}')
+
+
+@cache
+def _writer(cls: type) -> Callable[[Any, str], str]:
+    """The function ``_json_text`` sends a value of class ``cls`` to, found
+    once per class; TypeError if ``cls`` is no report value.  A subclass of
+    str, int, dict, list or tuple takes the writer of that class, so it
+    prints as ``json.dumps`` prints it.  Leaves of exactly str or int, and
+    bool fields, are written in place by the writer of their container."""
+    if issubclass(cls, str):
+        return lambda x, nl: encode_basestring(x)
+    if issubclass(cls, int):
+        return lambda x, nl: int.__repr__(x)
+    if issubclass(cls, dict):
+        return _object_text
+    if issubclass(cls, (list, tuple)):
+        return _array_text
+    if issubclass(cls, FgAbGroup):
+        return _group_text
+    if issubclass(cls, IntMatrix):
+        return lambda x, nl: _array_text(x.rows(), nl)
+    if issubclass(cls, SncDivisor):
+        return _divisor_text
+    if issubclass(cls, BlowupRecord):
+        return _blowup_text
+    if not is_dataclass(cls):
+        raise TypeError(f"{cls.__name__} is not a report value")
+    # each field's text as a key, read once
+    keys = tuple((f.name, f"{encode_basestring(f.name)}: ") for f in fields(cls))
+
+    def fields_text(x: Any, nl: str) -> str:
+        inner = nl + "  "
+        return _bracketed("{", [key + (encode_basestring(v) if type(v) is str
+                                       else int.__repr__(v) if type(v) is int
+                                       else "true" if v is True else "false" if v is False
+                                       else _json_text(v, inner))
+                                for name, key in keys for v in (getattr(x, name),)], "}", nl)
+    return fields_text
 
 
 def document_json(doc: InputDocument) -> dict:

@@ -465,6 +465,17 @@ class BlowupRecord:
     bad_decrement: int
     point_blowup: bool = False
 
+    @classmethod
+    def _of(cls, center: str, new_component: str, removed: tuple[str, ...],
+            added: tuple[str, ...], bad_decrement: int) -> "BlowupRecord":
+        """The record of a stellar blowup, equal to ``cls(...)`` of the same
+        fields, set in one dict update rather than one frozen-field
+        ``object.__setattr__`` each."""
+        out = object.__new__(cls)
+        out.__dict__.update(center=center, new_component=new_component, removed=removed,
+                            added=added, bad_decrement=bad_decrement, point_blowup=False)
+        return out
+
 
 class _StrataIndex:
     """The strata of a divisor, as rows of its ``_StrataTable``, indexed
@@ -586,14 +597,14 @@ class _StrataIndex:
         a later blowup.  Stratum ids of that form come only from the input,
         since every id a blowup makes holds a ``|``, so they are few.
         """
-        names = self.names
-        while f"exc{self._exc}" in names:
-            self._exc += 1
+        names, rows = self.names, self.rows
         k = self._exc
-        name = f"exc{k}"
-        while name in self.rows or name in names:
+        while (name := f"exc{k}") in names or name in rows:
+            if k == self._exc and name in names:
+                self._exc += 1
             k += 1
-            name = f"exc{k}"
+        if k == self._exc:  # the name is a component from here on
+            self._exc += 1
         names.add(name)
         self.components.append(name)
         return name
@@ -693,8 +704,8 @@ class _StrataIndex:
                     parents[x] = cone_id[t_parents[x], k_part]
                 self.add(cid, rows[fcid][0] + (new_comp,), keep + (new_pos,), parents)
             added.append(cid)
-        return BlowupRecord(center, new_comp, tuple(star), tuple(added),
-                            before - self.bad_total)
+        return BlowupRecord._of(center, new_comp, tuple(star), tuple(added),
+                                before - self.bad_total)
 
 
 def blowup_stratum_component(d: SncDivisor, center: str,

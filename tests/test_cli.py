@@ -1039,3 +1039,62 @@ def test_mutated_documents_never_exit_with_an_internal_error_in_cohomology(
     # past COHOMOLOGY_LISTED_DEGREES the zero degrees above the dual
     # complex print as one line, so n may be as huge here as elsewhere
     assert _exit_code(tmp_path_factory, text, "cohomology") in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# exit codes on generated valid documents
+
+
+@st.composite
+def generated_documents(draw):
+    """A document of a valid divisor from ``random_divisor`` (parallel
+    members among its clones) or ``parallel_curve_divisor``, with n drawn
+    from the deepest stratum's depth (at least 2) to 5, and the groups and
+    their members in shuffled order."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        d = random_divisor(rng)
+    else:
+        m = rng.randrange(3, 7)
+        d = parallel_curve_divisor(rng, m, rng.randrange(0, m * (m - 1) // 2))
+    block = divisor_json(d)
+    block["n"] = draw(st.integers(max([2] + [s.depth for s in d.strata]), 5))
+    rng.shuffle(block["strata"])
+    for group in block["strata"]:
+        rng.shuffle(group["components"])
+    return {"version": "1", "divisor": block}
+
+
+def _run_json(path: Path, command: str, *flags: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--input", str(path), "--command", command, "--emit", "json", *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(doc=generated_documents(), cap=st.sampled_from([0, 1, 3, None]))
+def test_generated_documents_keep_the_documented_exit_codes(tmp_path_factory, doc, cap):
+    path = tmp_path_factory.getbasetemp() / "generated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    reports = {}
+    for command in ("validate", "dual-complex", "cohomology", "check-simplicial"):
+        code, out, err = _run_json(path, command)
+        assert code == 0, (command, err)
+        reports[command] = json.loads(out)
+    code, out, err = _run_json(path, "resolve",
+                               *([] if cap is None else ["--max-blowups", str(cap)]))
+    if code == 1:
+        # only the blowup cap may stop a valid document
+        assert cap is not None and f" after {cap} blowups" in err, err
+        assert not reports["check-simplicial"]["is_simplicial"]
+        return
+    assert code == 0, err
+    resolved = json.loads(out)["document"]
+    assert parse_document(resolved).divisor.n == doc["divisor"]["n"]
+    path = tmp_path_factory.getbasetemp() / "generated-resolved.json"
+    path.write_text(json.dumps(resolved), encoding="utf-8")
+    code, out, err = _run_json(path, "check-simplicial")
+    assert code == 0 and json.loads(out)["is_simplicial"] is True, err
+    code, out, err = _run_json(path, "cohomology")
+    assert code == 0 and json.loads(out) == reports["cohomology"], err

@@ -18,23 +18,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emit_check import SPECIAL, check, check_reports
+from emit_check import (
+    ID_PIECES,
+    SPECIAL,
+    check,
+    check_reports,
+    check_writers,
+    plain,
+    writer_cases,
+)
 from helpers import (
     blowup_json,
     dense_picard_document,
     divisor_json,
     parallel_curve_divisor,
-    random_divisor,
-    report_json,
-    simplex_divisor,
     with_source_torsion,
 )
 from make_goldens import BRANCH_DOCUMENTS, DENSE_RANKS, cases
-from snckit import BlowupRecord, SncDivisor, Stratum, resolve_to_simplicial, validate_snc
+from snckit import BlowupRecord, resolve_to_simplicial, validate_snc
 from snckit.cli import (
     ALGEBRAICALLY_CLOSED,
     InputDocument,
-    MissingBlockError,
     _divisor_text,
     _json_text,
     parse_document,
@@ -45,22 +49,6 @@ from snckit.cli import (
 
 def stdlib(x) -> str:
     return json.dumps(x, ensure_ascii=False, indent=2)
-
-
-def plain(x):
-    """x with ``divisor_json(d)`` in place of every divisor d,
-    ``blowup_json(r)`` in place of every blowup record r, and the nested
-    dicts of ``report_json`` in place of every report, group and matrix
-    it holds."""
-    if isinstance(x, SncDivisor):
-        return divisor_json(x)
-    if isinstance(x, BlowupRecord):
-        return blowup_json(x)
-    if isinstance(x, dict):
-        return {k: plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [plain(v) for v in x]
-    return report_json(x)
 
 
 CHARS = st.one_of(st.characters(), st.characters(categories=["Cs"]),
@@ -88,9 +76,11 @@ def test_emitter_prints_as_the_stdlib_does(x):
 
 
 def test_plain_script_check_passes():
-    # the checks tests/emit_check.py runs under interpreters without pytest
+    # the checks tests/emit_check.py runs under interpreters without pytest;
+    # test_golden_machine_reports_print_as_the_stdlib_does runs check_reports
     check(2000, seed=1)
-    assert check_reports() >= 2 * (len(DENSE_RANKS) + len(BRANCH_DOCUMENTS))
+    divisors, records = check_writers(12, seed=2)
+    assert divisors >= 30 and records >= 20
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -108,16 +98,12 @@ def test_dense_picard_reports_print_as_the_stdlib_prints_their_nested_dicts(
 
 
 def test_golden_machine_reports_print_as_the_stdlib_does():
-    checked = set()
-    for name, path, command in cases():
-        try:
-            _, machine = run(command, parse_input(str(path)))
-        except (MissingBlockError, ValueError):
-            continue  # a golden whose command exits nonzero
-        assert _json_text(machine) == stdlib(plain(machine)), name
-        checked.add(command)
-    assert checked == {"validate", "dual-complex", "cohomology", "check-simplicial",
-                       "resolve", "kh-report", "k-report"}
+    checked = check_reports()
+    assert set(checked) == {"validate", "dual-complex", "cohomology", "check-simplicial",
+                            "resolve", "kh-report", "k-report"}
+    assert checked["kh-report"] + checked["k-report"] >= 2 * (len(DENSE_RANKS)
+                                                             + len(BRANCH_DOCUMENTS))
+    assert checked["resolve"] == 3
 
 
 def test_resolve_reports_larger_than_any_golden_print_as_the_stdlib_does():
@@ -132,48 +118,6 @@ def test_resolve_reports_larger_than_any_golden_print_as_the_stdlib_does():
         text = _json_text(machine)
         assert text == stdlib(plain(machine))
         assert len(text) > largest_golden
-
-
-# Valid id text the writer must escape or pass through: SPECIAL without its
-# lone surrogates, which the parser rejects; "|" ends every piece.
-ID_PIECES = [c for c in SPECIAL if not 0xD800 <= ord(c) <= 0xDFFF] + [
-    '"\\"', "\x00\u2028\U0001f600", "é€\x7f", ""]
-
-
-def renamed(d: SncDivisor, rng: random.Random) -> SncDivisor:
-    """d with every component and stratum id given odd text, kept unique."""
-    ids = list(d.components) + [s.id for s in d.strata]
-    new = {x: f"{rng.choice(ID_PIECES)}|{i}" for i, x in enumerate(ids)}
-    return SncDivisor(d.n, tuple(new[c] for c in d.components), tuple(
-        Stratum(new[s.id], tuple(new[c] for c in s.subset),
-                {new[c]: new[p] for c, p in s.parents.items()})
-        for s in d.strata))
-
-
-def writer_cases():
-    """Over 300 seeded valid divisors and resolutions, some renamed or shuffled."""
-    rng = random.Random(16)
-    comps = [f"E{i}" for i in range(6)]
-    yield SncDivisor(3, ("E1", "E2"), ())
-    yield SncDivisor(5, tuple(comps), ())
-    yield simplex_divisor(5, comps, 5)
-    for k in range(130):
-        if k % 2:
-            d = random_divisor(rng)
-        else:
-            m = rng.randrange(3, 7)
-            d = parallel_curve_divisor(rng, m, rng.randrange(0, m * (m - 1) // 2))
-        if k % 3 == 0:
-            d = renamed(d, rng)
-        if k % 4 == 1:
-            strata = list(d.strata)
-            rng.shuffle(strata)
-            d = dataclasses.replace(d, strata=tuple(strata))
-        resolved = resolve_to_simplicial(d)[0]
-        yield d
-        yield resolved
-        if k % 3 == 1:
-            yield renamed(resolved, rng)
 
 
 def test_divisor_writer_prints_what_the_stdlib_prints_of_divisor_json():
@@ -217,6 +161,31 @@ def test_blowup_writer_prints_what_the_stdlib_prints_of_blowup_json():
         for nl in ("\n", "\n    "):
             assert _json_text(r, nl) == want.replace("\n", nl)
     assert _json_text(records) == stdlib([blowup_json(r) for r in records])
+
+
+def test_a_record_from_a_resolution_is_one_from_the_public_constructor():
+    # the index builds its records without the dataclass __init__
+    records = [r for d in writer_cases() for r in resolve_to_simplicial(d)[1]]
+    records += [r for _, path, command in cases() if command == "resolve"
+                for r in run(command, parse_input(str(path)))[1]["blowups"]]
+    assert len(records) > 300
+    for r in records:
+        public = BlowupRecord(r.center, r.new_component, r.removed, r.added,
+                              r.bad_decrement)
+        assert r == public and public == r and not r != public
+        assert hash(r) == hash(public) and repr(r) == repr(public)
+        assert list(vars(r).items()) == list(vars(public).items())
+        assert dataclasses.asdict(r) == dataclasses.asdict(public)
+        for changes in ({}, {"bad_decrement": r.bad_decrement + 1}, {"point_blowup": True}):
+            again = dataclasses.replace(r, **changes)
+            assert type(again) is BlowupRecord
+            assert again == dataclasses.replace(public, **changes)
+        for name in ("center", "point_blowup", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, name, "x")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(r, name)
+        assert r == public
 
 
 @pytest.mark.parametrize("x", [1.5, 0.0, {1, 2}, frozenset(), {1: "a"}, {None: 0},
