@@ -4,7 +4,10 @@ A group is stored in canonical form (free rank plus a divisibility chain of
 torsion orders), so structural equality coincides with isomorphism.  Groups
 are produced from integer presentation matrices via Smith normal form, and
 homomorphisms between them are matrices on canonical generators, validated
-against torsion at construction time.
+against torsion at construction time.  One function,
+:func:`kernel_coordinates`, builds the lattice of a kernel, rewrites
+vectors on its basis and presents the cokernel; subquotients and the
+Picard analysis both read it.
 
 The canonical generator order is: free generators first, then torsion
 generators with ascending order.
@@ -16,14 +19,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable
 
-from .intmat import (
-    IntMatrix,
-    Lattice,
-    column_lattice,
-    kernel_basis,
-    row_transforms,
-    smith_diagonal,
-)
+from .intmat import IntMatrix, eliminate, smith_diagonal
 
 
 def _divisibility_chain(factors: Iterable[int]) -> tuple[int, ...]:
@@ -189,7 +185,7 @@ def presentation(relations: IntMatrix, generators: int) -> Presentation:
     if not relations.ncols:
         identity = IntMatrix.identity(generators)
         return Presentation(FgAbGroup(generators), identity, identity)
-    diag, u, u_inv = row_transforms(relations)
+    diag, u, _, u_inv = eliminate(relations, u=True, u_inv=True)
     free_idx = [i for i in range(generators) if i >= len(diag) or diag[i] == 0]
     tors_idx = [i for i in range(len(diag)) if diag[i] > 1]
     order = free_idx + tors_idx
@@ -252,20 +248,37 @@ def compose(f: Hom, g: Hom) -> Hom:
     return Hom(g.source, f.target, f.matrix @ g.matrix)
 
 
-def preimage_lattice(h: Hom) -> tuple[Lattice, FgAbGroup]:
-    """The lattice {x : h.matrix·x = 0 in the target}, and the cokernel of h.
+def kernel_coordinates(outgoing: Hom, incoming: IntMatrix
+                       ) -> tuple[IntMatrix | None, int, FgAbGroup]:
+    """Coordinates on a basis of ker(outgoing), the basis size, and coker(outgoing).
 
-    Solutions are integer vectors x with h.matrix·x in the relation lattice
-    of the target, computed from the kernel of [matrix | relations].  The
-    lattice solves every relation against it, and its invariant factors
-    present the source modulo the lattice.  The same elimination of
-    [matrix | relations] yields the Smith diagonal that presents the
-    cokernel, the target modulo the image of h.
+    The coordinates are those of [incoming | source relations], or None
+    when a column leaves the kernel lattice {x : outgoing.matrix·x = 0 in
+    the target}.  The lattice is spanned by K, the source rows of the free
+    columns of V from one elimination of [matrix | target relations] that
+    tracks V alone; its diagonal presents the cokernel, the target modulo
+    the image.  A second elimination, of K and tracking U alone, gives
+    U*K*V' = D of rank r.  K spans what the first r columns of U^{-1} D
+    span, and those are independent: they are the basis.  Solving
+    B = U^{-1} D_r X needs U and the r invariant factors alone, so neither
+    V' nor the basis, whose entries are large, is ever built.  The solve
+    works column by column, so the columns of the source relations are the
+    relations of the kernel on that basis.
     """
-    stacked = h.matrix.hstack(presentation_matrix(h.target))
-    kb, diag = kernel_basis(stacked)
-    lattice = column_lattice(kb.take_rows(range(h.source.ngens)))
-    return lattice, _group_from_diagonal(diag, h.target.ngens)
+    stacked = outgoing.matrix.hstack(presentation_matrix(outgoing.target))
+    diag, _, v, _ = eliminate(stacked, v=True)
+    coker = _group_from_diagonal(diag, outgoing.target.ngens)
+    free = [j for j in range(stacked.ncols) if j >= len(diag) or diag[j] == 0]
+    kernel = v.take_rows(range(outgoing.source.ngens)).take_columns(free)
+    kernel_diag, u, _, _ = eliminate(kernel, u=True)
+    factors = [x for x in kernel_diag if x]
+    r = len(factors)
+    b = incoming.hstack(presentation_matrix(outgoing.source))
+    c = (u @ b).rows()
+    if any(map(any, c[r:])) or any(x % p for row, p in zip(c, factors) for x in row):
+        return None, r, coker
+    coords = IntMatrix([[x // p for x in row] for row, p in zip(c, factors)], ncols=b.ncols)
+    return coords, r, coker
 
 
 def subquotient(outgoing: Hom, incoming: Hom) -> FgAbGroup:
@@ -279,11 +292,10 @@ def subquotient(outgoing: Hom, incoming: Hom) -> FgAbGroup:
         raise ValueError(
             f"maps do not meet: incoming lands in {incoming.target}, "
             f"outgoing leaves from {outgoing.source}")
-    lat, _ = preimage_lattice(outgoing)
-    q = lat.solve(incoming.matrix.hstack(presentation_matrix(outgoing.source)))
-    if q is None:
+    coords, size, _ = kernel_coordinates(outgoing, incoming.matrix)
+    if coords is None:
         raise ValueError("incoming image does not lie in the outgoing kernel")
-    return group_from_presentation(q, len(lat.factors))
+    return group_from_presentation(coords, size)
 
 
 def direct_sum(gs: Iterable[FgAbGroup]) -> FgAbGroup:

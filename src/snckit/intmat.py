@@ -11,16 +11,11 @@ U*A*V = D with U, V unimodular and the diagonal entries forming a
 divisibility chain.  It keeps U^{-1} up to date by mirroring every row move
 on U as the inverse column move, so no caller ever inverts U with a second
 Smith form.  Its pivots depend on A alone, so each caller tracks only the
-transforms it reads, and what it reads is what the full form would give:
-
-- :func:`smith_normal_form` tracks U, V and U^{-1}, and alone returns all
-  of them;
-- :func:`kernel_basis` tracks V, and returns the free columns of V with
-  the diagonal;
-- :func:`row_transforms` tracks U and U^{-1}, for presentations of
-  cokernels;
-- :func:`column_lattice` tracks U alone, and returns it with the invariant
-  factors as a :class:`Lattice` that solves against the column span.
+transforms it reads, and what it reads is what the full form would give.
+:func:`eliminate` is the one entry point that tracks transforms: it
+returns the diagonal with each of U, V and U^{-1} that the caller asks
+for, and None for the others.  :func:`smith_normal_form` asks for all
+three and checks them as a :class:`SmithForm`.
 
 Callers that need only the invariant factors use :func:`unit_sweep`, which
 builds no transforms, takes sparse rows and also names its unit pivots, or
@@ -33,7 +28,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, index, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 
 class IntMatrix:
@@ -344,6 +339,30 @@ def _eliminate(m: list[list[int]], nr: int, nc: int,
         t += 1
 
 
+def eliminate(a: IntMatrix, u: bool = False, v: bool = False, u_inv: bool = False
+              ) -> tuple[tuple[int, ...], IntMatrix | None, IntMatrix | None,
+                         IntMatrix | None]:
+    """The Smith diagonal of A, then U, V and U^{-1}, each None unless asked for.
+
+    Every transform asked for is the one smith_normal_form returns.  The
+    free columns of V, whose diagonal entry is zero or missing, span the
+    integer kernel of A as a saturated sublattice.
+
+    >>> eliminate(IntMatrix([[2, 4], [6, 8]]), u=True)
+    ((2, 4), IntMatrix([[1, 0], [3, -1]], ncols=2), None, None)
+    """
+    nr, nc = a.shape
+    m = a.to_lists()
+    u_rows = IntMatrix.identity(nr).to_lists() if u else None
+    v_t = IntMatrix.identity(nc).to_lists() if v else None
+    u_inv_t = IntMatrix.identity(nr).to_lists() if u_inv else None
+    _eliminate(m, nr, nc, u_rows, v_t, u_inv_t)
+    return (tuple(m[t][t] for t in range(min(nr, nc))),
+            None if u_rows is None else IntMatrix._of(tuple(map(tuple, u_rows)), nr),
+            None if v_t is None else IntMatrix._of(tuple(zip(*v_t)), nc),
+            None if u_inv_t is None else IntMatrix._of(tuple(zip(*u_inv_t)), nr))
+
+
 def smith_normal_form(a: IntMatrix) -> SmithForm:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
@@ -352,37 +371,11 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     >>> smith_normal_form(IntMatrix([[0]])).diagonal
     (0,)
     """
-    nr, nc = a.shape
-    m = a.to_lists()
-    u = IntMatrix.identity(nr).to_lists()
-    v_t = IntMatrix.identity(nc).to_lists()
-    u_inv_t = IntMatrix.identity(nr).to_lists()
-    _eliminate(m, nr, nc, u, v_t, u_inv_t)
-    return SmithForm(_frozen(u, nr), _frozen(m, nc), IntMatrix._of(tuple(zip(*v_t)), nc),
-                     IntMatrix._of(tuple(zip(*u_inv_t)), nr))
-
-
-def _frozen(rows: list[list[int]], ncols: int) -> IntMatrix:
-    return IntMatrix._of(tuple(map(tuple, rows)), ncols)
-
-
-def _diagonal(m: list[list[int]], nr: int, nc: int) -> tuple[int, ...]:
-    return tuple(m[t][t] for t in range(min(nr, nc)))
-
-
-def row_transforms(a: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
-    """The Smith diagonal of A with U and U^{-1}; V is not tracked.
-
-    The elimination is the one smith_normal_form runs, so U and U^{-1} are
-    the ones it returns.
-    """
-    nr, nc = a.shape
-    m = a.to_lists()
-    u = IntMatrix.identity(nr).to_lists()
-    u_inv_t = IntMatrix.identity(nr).to_lists()
-    _eliminate(m, nr, nc, u, None, u_inv_t)
-    return (_diagonal(m, nr, nc), _frozen(u, nr),
-            IntMatrix._of(tuple(zip(*u_inv_t)), nr))
+    diag, u, v, u_inv = eliminate(a, u=True, v=True, u_inv=True)
+    d = [[0] * a.ncols for _ in range(a.nrows)]
+    for t, x in enumerate(diag):
+        d[t][t] = x
+    return SmithForm(u, IntMatrix._of(tuple(map(tuple, d)), a.ncols), v, u_inv)
 
 
 def unit_sweep(work: list[dict[int, int]], ncols: int) -> tuple[tuple[int, ...], list[int]]:
@@ -502,62 +495,3 @@ def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
     """The diagonal of the Smith form of a dense matrix, without transforms."""
     return unit_sweep([{j: x for j, x in enumerate(row) if x} for row in a.rows()],
                       a.ncols)[0]
-
-
-def kernel_basis(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
-    """A basis for the integer kernel {x : A x = 0}, and the Smith diagonal of A.
-
-    The basis is the free columns of V, from an elimination that tracks V
-    alone, read off as rows of its transpose.  It spans a saturated
-    sublattice: any integer solution is an integer combination of the
-    returned columns.  The diagonal presents the cokernel of A at no
-    further cost.
-    """
-    nr, nc = a.shape
-    m = a.to_lists()
-    v_t = IntMatrix.identity(nc).to_lists()
-    _eliminate(m, nr, nc, None, v_t, None)
-    diag = _diagonal(m, nr, nc)
-    free = [v_t[j] for j in range(nc) if j >= len(diag) or diag[j] == 0]
-    return _frozen(free, nc).transpose(), diag
-
-
-class Lattice(NamedTuple):
-    """The column span of a matrix A, as the U and invariant factors of A.
-
-    With U*A*V = D of rank r, A spans what B = U^{-1} D_r spans, the first
-    r columns of U^{-1} D, which are independent.  Since U*B = D_r, solving
-    against B needs U and the r factors alone, so neither V nor B, whose
-    entries are large, is ever built.  The factors above 1 are the torsion
-    of the ambient space modulo the lattice, and the rank of that quotient
-    is the number of rows of U minus ``len(factors)``.
-    """
-
-    u: IntMatrix
-    factors: tuple[int, ...]
-
-    def solve(self, b: IntMatrix) -> IntMatrix | None:
-        """The integer X with B = U^{-1} D_r X, or None if B leaves the lattice.
-
-        Every solve works column by column, so the solution for
-        [B1 | B2] is [X1 | X2].
-        """
-        c = (self.u @ b).rows()
-        r = len(self.factors)
-        if any(any(row) for row in c[r:]):
-            return None
-        y = []
-        for row, p in zip(c, self.factors):
-            if any(x % p for x in row):
-                return None
-            y.append(tuple(x // p for x in row))
-        return IntMatrix._of(tuple(y), b.ncols)
-
-
-def column_lattice(a: IntMatrix) -> Lattice:
-    """The lattice spanned by the columns of A, from one elimination tracking U alone."""
-    nr, nc = a.shape
-    m = a.to_lists()
-    u = IntMatrix.identity(nr).to_lists()
-    _eliminate(m, nr, nc, u, None, None)
-    return Lattice(_frozen(u, nr), tuple(x for x in _diagonal(m, nr, nc) if x != 0))

@@ -21,9 +21,8 @@ from .abgroup import (
     Hom,
     compose,
     direct_sum,
-    preimage_lattice,
+    kernel_coordinates,
     presentation,
-    presentation_matrix,
 )
 from .chaincx import cohomology, homology
 from .intmat import IntMatrix
@@ -149,24 +148,22 @@ def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
     one step before its end: it equals ker(NS) when there is no level below
     n-3 or its map is zero, and a nonzero lower map cuts it down to a proper
     quotient.  It is computed on the same kernel-lattice basis as ker(NS),
-    so the surjection comes out as an explicit matrix.  The lattice is built
-    once and solves [incoming | relations] once: solving works column by
-    column, so the relations' own columns of that solution are the
-    relations of ker(NS).  coker(NS) comes from the same elimination as
-    the lattice.
+    so the surjection comes out as an explicit matrix.  One call of
+    ``kernel_coordinates`` rewrites [incoming | relations] on that basis:
+    solving works column by column, so the relations' own columns of that
+    solution are the relations of ker(NS).  coker(NS) comes from the same
+    call.
     """
     main = pi.maps[-1]
     incoming = (pi.maps[0].matrix if len(pi.maps) == 2
                 else IntMatrix.zero(main.source.ngens, 0))
 
-    lat, coker_ns = preimage_lattice(main)
-    r_mid = presentation_matrix(main.source)
-    rels_gamma = lat.solve(incoming.hstack(r_mid))
+    rels_gamma, size, coker_ns = kernel_coordinates(main, incoming)
     if rels_gamma is None:  # pragma: no cover
         raise AssertionError("relations escaped the kernel lattice")
     rels_ker = rels_gamma.take_columns(range(incoming.ncols, rels_gamma.ncols))
-    pres_ker = presentation(rels_ker, len(lat.factors))
-    pres_gamma = presentation(rels_gamma, len(lat.factors))
+    pres_ker = presentation(rels_ker, size)
+    pres_gamma = presentation(rels_gamma, size)
     # without relations, as on a torsion-free source of NS, the lift is I
     to_gamma = pres_gamma.to_canonical
     surjection = Hom(pres_ker.group, pres_gamma.group,

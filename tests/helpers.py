@@ -6,6 +6,8 @@ factorization, simpliciality from raw vertex sets of the dual complex,
 cohomology from the homology of the explicitly transposed complex,
 blowups and resolution from full rescans of the divisor, inverses of
 Smith transforms from a second Smith form instead of the tracked inverse,
+kernels, kernel lattices and exact solves from the U and V of the full
+Smith form instead of the eliminations that track one transform,
 chain complexes straight off the strata, the E_3 corner of the KH
 report from an assembled two-row descent page, and a document's divisor
 block, a resolve report's blowup records and the reports of kh-report and
@@ -47,11 +49,10 @@ from snckit import (
 from snckit.abgroup import (
     Presentation,
     group_from_presentation,
-    preimage_lattice,
     presentation,
     presentation_matrix,
 )
-from snckit.intmat import Lattice, SmithForm, kernel_basis, smith_normal_form
+from snckit.intmat import SmithForm, smith_normal_form
 from snckit.snc import ResolutionLimitError, UnknownCenterError
 
 
@@ -209,14 +210,25 @@ def wide_random_matrix(rng: random.Random) -> IntMatrix:
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """An integer solution X of A X = B, or None when none exists.
 
-    With U*A*V = D of rank r, the lattice of A's U and invariant factors
-    gives Y with D_r Y = U B; then X = V [Y; 0].
+    With U*A*V = D of rank r, Y with D_r Y = U B exists when the rows of
+    U B past r are zero and each row above divides by its invariant
+    factor; then X = V [Y; 0].
     """
     sf = smith_normal_form(a)
-    y = Lattice(sf.u, sf.invariant_factors()).solve(b)
-    if y is None:
+    factors = sf.invariant_factors()
+    c = (sf.u @ b).rows()
+    if any(map(any, c[len(factors):])) or any(
+            x % p for row, p in zip(c, factors) for x in row):
         return None
+    y = IntMatrix([[x // p for x in row] for row, p in zip(c, factors)], ncols=b.ncols)
     return sf.v @ vstack(y, IntMatrix.zero(a.ncols - y.nrows, b.ncols))
+
+
+def kernel_basis(a: IntMatrix) -> IntMatrix:
+    """A saturated basis of the integer kernel of A: the free columns of V."""
+    sf = smith_normal_form(a)
+    diag = sf.diagonal
+    return sf.v.take_columns(j for j in range(a.ncols) if j >= len(diag) or diag[j] == 0)
 
 
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:
@@ -252,8 +264,7 @@ def presentation_lift(relations: IntMatrix) -> IntMatrix:
 def kernel_lattice(h: Hom) -> IntMatrix:
     """Basis (as columns) of the vectors on source generators killed by h."""
     stacked = h.matrix.hstack(presentation_matrix(h.target))
-    kb, _ = kernel_basis(stacked)
-    return column_lattice_basis(kb.take_rows(range(h.source.ngens)))
+    return column_lattice_basis(kernel_basis(stacked).take_rows(range(h.source.ngens)))
 
 
 def kernel_presentation(h: Hom) -> Presentation:
@@ -277,17 +288,23 @@ def cokernel(h: Hom) -> FgAbGroup:
         h.matrix.hstack(presentation_matrix(h.target)), h.target.ngens)
 
 
+def middle_homology(outgoing: Hom, incoming: IntMatrix) -> FgAbGroup:
+    """ker(outgoing) modulo the span of ``incoming``'s columns, from the
+    coordinates of [incoming | source relations] on the ``kernel_lattice``
+    basis."""
+    lat = kernel_lattice(outgoing)
+    rels = solve_exact(lat, incoming.hstack(presentation_matrix(outgoing.source)))
+    if rels is None:
+        raise AssertionError("incoming image escaped the kernel lattice")
+    return group_from_presentation(rels, lat.ncols)
+
+
 def hom_analyze(h: Hom) -> HomAnalysis:
     """Kernel, image, and cokernel of a homomorphism, all canonical."""
-    lat, _ = preimage_lattice(h)
-    rels = lat.solve(presentation_matrix(h.source))
-    if rels is None:  # pragma: no cover - validation makes this unreachable
-        raise AssertionError("source relations escaped the kernel lattice")
-    kernel = group_from_presentation(rels, len(lat.factors))
-    # The image is the source modulo the lattice, read off its factors.
-    image = FgAbGroup(h.source.ngens - len(lat.factors),
-                      tuple(x for x in lat.factors if x > 1))
-    return HomAnalysis(kernel, image, cokernel(h))
+    # The image is the source modulo the lattice, which holds its relations.
+    return HomAnalysis(middle_homology(h, IntMatrix.zero(h.source.ngens, 0)),
+                       group_from_presentation(kernel_lattice(h), h.source.ngens),
+                       cokernel(h))
 
 
 def prime_power_chain(orders: list[int]) -> tuple[int, ...]:
@@ -961,6 +978,85 @@ def dense_picard_document(rng: random.Random, rank: int, moves: int = 3) -> dict
                        {"p": 2, "ns_rank": r2, "ns_torsion": top_torsion,
                         "pic0_dim": 0}],
             "ns_maps": [lower.to_lists(), main.to_lists()],
+            "coker_pic0_dim": rng.randint(0, 1),
+        },
+        "dubois": {"entries": [{"p": 0, "q": n - 1, "b": rng.randint(0, 3)}],
+                   "isolated": True},
+    }
+
+
+def random_picard_document(rng: random.Random, n: int, digits: int, max_gens: int = 4,
+                           groups: list[FgAbGroup] | None = None) -> dict:
+    """A kh-report / k-report document on bd(Δ^n) with a random Picard complex.
+
+    n is 3 (levels 0 and 1) or 4 (levels 0, 1 and 2).  The levels' groups
+    are ``groups``, or random with up to ``max_gens`` generators, free and
+    torsion, and possibly zero.  Built like ``dense_picard_document``: on
+    the free generators of its source the main map is W·Q, with Q
+    unimodular, W = P·D on the free rows of its target and D diagonal, and
+    W vanishing (modulo the order, on a torsion row) on the last kd
+    columns.  Its other entries are random
+    multiples of what the torsion allows, of about ``digits`` digits, as
+    are the entries of D.  The lower map sends a free generator to a
+    combination of the last kd columns of Q^{-1}, plus multiples of the
+    orders of the middle level's torsion generators, and a torsion
+    generator of order o to a multiple of a torsion generator of order t:
+    one that o kills and the main map sends to zero, if it is one, or else
+    one that is zero in the middle level.  So the two maps compose to zero.
+    """
+    def entry() -> int:
+        return rng.randint(-10 ** digits, 10 ** digits)
+
+    def group() -> FgAbGroup:
+        free = rng.randint(0, max_gens)
+        chain: list[int] = []
+        for _ in range(rng.randint(0, max_gens - free)):
+            chain.append((chain[-1] if chain else 1) * rng.choice((2, 3, 4, 6)))
+        return FgAbGroup(free, tuple(chain))
+
+    if groups is None:
+        groups = [group() for _ in range(n - 1)]
+    source, target = groups[-2], groups[-1]
+    sf, tf = source.free_rank, target.free_rank
+    kd = rng.randint(0, sf)
+    q_mat, q_inv = _unimodular_rows(rng, sf, 3 * sf)
+    p_mat, _ = _unimodular_rows(rng, tf, 3 * tf)
+    d = IntMatrix([[entry() if i == j < sf - kd else 0 for j in range(sf)]
+                   for i in range(tf)], ncols=sf)
+    w = IntMatrix([[t * rng.randint(-3, 3) if j >= sf - kd else entry() for j in range(sf)]
+                   for t in target.torsion], ncols=sf)
+    orders = (0,) * tf + target.torsion
+    tors_cols = [[0 if t == 0 else t // math.gcd(s, t) * entry() for t in orders]
+                 for s in source.torsion]
+    main = vstack(p_mat @ d, w) @ q_mat
+    main = main.hstack(from_columns(tors_cols, target.ngens))
+    maps = [main]
+    if n == 4:
+        kernel = q_inv.take_columns(range(sf - kd, sf))
+        cols = []
+        for o in (0,) * groups[0].free_rank + groups[0].torsion:
+            if o == 0:
+                b = IntMatrix([[rng.randint(-3, 3)] for _ in range(kd)], ncols=1)
+                cols.append([row[0] for row in (kernel @ b).rows()]
+                            + [t * rng.randint(-2, 2) for t in source.torsion])
+                continue
+            col = [0] * source.ngens
+            if source.torsion:
+                i = rng.randrange(len(source.torsion))
+                t, c = source.torsion[i], rng.randint(-3, 3)
+                col[sf + i] = t // math.gcd(o, t) * c
+                if any(col[sf + i] * row[sf + i] % u
+                       for u, row in zip(orders, main.rows()) if u):
+                    col[sf + i] = t * c
+            cols.append(col)
+        maps.insert(0, from_columns(cols, source.ngens))
+    return {
+        "version": "1",
+        "divisor": divisor_json(simplex_divisor(n, [f"E{i}" for i in range(n + 1)], n)),
+        "picard": {
+            "levels": [{"p": p, "ns_rank": g.free_rank, "ns_torsion": list(g.torsion),
+                        "pic0_dim": 0} for p, g in enumerate(groups)],
+            "ns_maps": [m.to_lists() for m in maps],
             "coker_pic0_dim": rng.randint(0, 1),
         },
         "dubois": {"entries": [{"p": 0, "q": n - 1, "b": rng.randint(0, 3)}],

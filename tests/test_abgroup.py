@@ -8,11 +8,13 @@ from helpers import (
     complex_from_matrices,
     from_columns,
     hom_analyze,
+    kernel_basis,
     kernel_lattice,
     kernel_presentation,
     presentation_lift,
     prime_power_chain,
     random_matrix,
+    solve_exact,
     wide_random_matrix,
 )
 from snckit import (
@@ -26,8 +28,8 @@ from snckit import (
     presentation_matrix,
     subquotient,
 )
-from snckit.abgroup import Z, ZERO_GROUP, Presentation, preimage_lattice
-from snckit.intmat import column_lattice, kernel_basis, row_transforms, smith_normal_form
+from snckit.abgroup import Z, ZERO_GROUP, Presentation, kernel_coordinates
+from snckit.intmat import eliminate, smith_normal_form
 
 
 def random_group(rng: random.Random) -> FgAbGroup:
@@ -111,10 +113,18 @@ def test_presentation_maps_compose_to_identity():
         assert pres.lift == presentation_lift(a)
 
 
-def test_presentations_and_preimages_read_what_the_full_form_returns():
-    # presentation tracks U and U^{-1} only, and preimage_lattice reads the
-    # cokernel off the elimination that gives its kernel; both must agree
-    # with the full Smith form of the same input.
+def _random_target(rng: random.Random, generators: int) -> FgAbGroup:
+    chain = [rng.choice((2, 3, 4, 2 ** 65))]
+    k = rng.randint(0, generators)
+    while len(chain) < k:
+        chain.append(chain[-1] * rng.choice((1, 2, 3)))
+    return FgAbGroup(generators - k, tuple(chain[:k]))
+
+
+def test_presentations_and_kernels_read_what_the_full_form_returns():
+    # presentation tracks U and U^{-1} only, and kernel_coordinates reads
+    # the cokernel off the elimination that gives its kernel; both must
+    # agree with the full Smith form of the same input.
     rng = random.Random(43)
     for _ in range(250):
         a = wide_random_matrix(rng)
@@ -127,20 +137,52 @@ def test_presentations_and_preimages_read_what_the_full_form_returns():
         assert pres.lift == sf.u_inv.take_columns(order)
         assert pres.group == group_from_presentation(a, a.nrows)
 
-        chain = [rng.choice((2, 3, 4, 2 ** 65))]
-        k = rng.randint(0, a.nrows)
-        while len(chain) < k:
-            chain.append(chain[-1] * rng.choice((1, 2, 3)))
-        target = FgAbGroup(a.nrows - k, tuple(chain[:k]))
+        target = _random_target(rng, a.nrows)
         h = Hom(FgAbGroup.free(a.ncols), target, a)
-        lattice, coker = preimage_lattice(h)
         stacked = a.hstack(presentation_matrix(target))
+        coords, size, coker = kernel_coordinates(h, IntMatrix.zero(a.ncols, 0))
         assert coker == group_from_presentation(stacked, target.ngens) == cokernel(h)
-        full = smith_normal_form(stacked)
-        kernel = full.v.take_columns(
-            j for j in range(stacked.ncols)
-            if j >= len(full.diagonal) or full.diagonal[j] == 0)
-        assert lattice == column_lattice(kernel.take_rows(range(a.ncols)))
+        assert size == kernel_lattice(h).ncols and coords == IntMatrix.zero(size, 0)
+
+
+def test_kernel_coordinates_solve_as_the_oracle_does():
+    # The kernel lattice's basis is U^{-1} D_r for the U of its spanning
+    # rows, and its coordinates agree with the oracle solve_exact on that
+    # basis, which takes a Smith form of the basis itself: on the lattice
+    # both give the same coordinates, off it both give None.  A column of
+    # U^{-1} whose row of D is zero or above 1 lies off the lattice.
+    rng = random.Random(41)
+    seen = set()
+    for k in range(400):
+        if k % 2:
+            a = wide_random_matrix(rng)
+            h = Hom(FgAbGroup.free(a.ncols), _random_target(rng, a.nrows), a)
+        else:
+            h = random_hom(rng, random_group(rng), random_group(rng))
+        source = h.source.ngens
+        spanning = kernel_basis(h.matrix.hstack(presentation_matrix(h.target)))
+        kernel_rows = spanning.take_rows(range(source))
+        sf = smith_normal_form(kernel_rows)
+        basis = kernel_lattice(h)
+        r = basis.ncols
+        relations = presentation_matrix(h.source)
+        coords = IntMatrix([[rng.randint(-5, 5) for _ in range(2)] for _ in range(r)], ncols=2)
+        on = basis @ coords
+        probes = [kernel_rows, on] + [on.hstack(sf.u_inv.take_columns([j]))
+                                      for j in range(source) if j >= r or sf.diagonal[j] > 1]
+        for b in probes:
+            got, size, _ = kernel_coordinates(h, b)
+            assert size == r
+            assert got == solve_exact(basis, b.hstack(relations))
+            seen.add("on the lattice" if got is not None else "off the lattice")
+        assert kernel_coordinates(h, on)[0].take_columns(range(2)) == coords
+        seen.update(("no rows",) * (h.matrix.nrows == 0) + ("no columns",) * (source == 0)
+                    + ("source torsion",) * bool(h.source.torsion)
+                    + ("target torsion",) * bool(h.target.torsion)
+                    + ("above 2^64",) * any(abs(x) > 2 ** 64 for row in h.matrix.rows()
+                                            for x in row))
+    assert seen == {"no rows", "no columns", "source torsion", "target torsion",
+                    "above 2^64", "on the lattice", "off the lattice"}
 
 
 def test_presentation_matrix_roundtrip():
@@ -213,7 +255,9 @@ def test_kernel_lattice_and_presentation_agree():
         assert pres.group == hom_analyze(h).kernel
         # the lattice's basis U^{-1} D_r is the oracle's: its coordinates
         # on it are the identity
-        assert preimage_lattice(h)[0].solve(lattice) == IntMatrix.identity(lattice.ncols)
+        coords, size, _ = kernel_coordinates(h, lattice)
+        assert size == lattice.ncols
+        assert coords.take_columns(range(size)) == IntMatrix.identity(size)
         # every lattice vector really dies in the target
         img = h.matrix @ lattice
         for j in range(img.ncols):
@@ -268,8 +312,8 @@ def test_is_zero_agrees_with_the_entrywise_rule():
 def test_presentation_without_relations_reads_what_the_elimination_gives():
     for g in range(6):
         relations = IntMatrix.zero(g, 0)
-        diag, u, u_inv = row_transforms(relations)
-        assert diag == ()
+        diag, u, v, u_inv = eliminate(relations, u=True, u_inv=True)
+        assert diag == () and v is None
         assert presentation(relations, g) == Presentation(
             FgAbGroup.free(g), u.take_rows(range(g)), u_inv.take_columns(range(g)))
 
@@ -281,7 +325,7 @@ def test_subquotient_is_middle_homology():
     rng = random.Random(18)
     for _ in range(150):
         f_mat = random_matrix(rng, max_dim=4)
-        ker, _ = kernel_basis(f_mat)
+        ker = kernel_basis(f_mat)
         w = rng.randint(0, 3)
         mix = IntMatrix([[rng.randint(-2, 2) for _ in range(w)]
                          for _ in range(ker.ncols)], ncols=w)

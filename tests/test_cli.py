@@ -11,20 +11,32 @@ import time
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from helpers import (
     divisor_json,
+    middle_homology,
     parallel_curve_divisor,
     parallel_edges,
     random_divisor,
+    random_picard_document,
     triangle_cycle,
 )
 from make_error_corpus import CORPUS, document_text, run_text
 from make_goldens import cases as golden_cases
 from make_goldens import run_case
-from snckit import FgAbGroup, IntMatrix, cli, resolve_to_simplicial, snc
+from snckit import (
+    FgAbGroup,
+    Hom,
+    IntMatrix,
+    cli,
+    presentation_matrix,
+    resolve_to_simplicial,
+    snc,
+)
 from snckit.cli import (
     COMMANDS,
     InputDocument,
@@ -891,6 +903,19 @@ def _digit_limit() -> int | None:
     return get() if get else None
 
 
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Lift the digit limit inside the block, and put the caller's back."""
+    caller = _digit_limit()
+    if caller is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if caller is not None:
+            sys.set_int_max_str_digits(caller)
+
+
 def test_an_answer_past_the_digit_limit_prints_and_the_callers_limit_comes_back(
         monkeypatch, capsys, tmp_path):
     # Each input has about 3,000 digits, within the default limit of 4,300;
@@ -920,15 +945,10 @@ def test_an_answer_past_the_digit_limit_prints_and_the_callers_limit_comes_back(
     monkeypatch.setattr(cli, "run", lambda *_: 1 / 0)
     assert main(["--input", path, "--command", "kh-report"]) == 3
     assert _digit_limit() == caller
-    if caller is not None:
-        sys.set_int_max_str_digits(0)
-    try:
+    with _no_digit_limit():
         coker_ns = json.loads(out)["units_cohomology"]["coker_ns"]
         assert coker_ns == {"str": str(FgAbGroup.from_factors(0, (a, b))),
                             "free_rank": 0, "torsion": [a * b]}
-    finally:
-        if caller is not None:
-            sys.set_int_max_str_digits(caller)
 
 
 def test_an_input_integer_past_the_digit_limit_is_named_at_its_path(capsys, tmp_path):
@@ -1098,3 +1118,83 @@ def test_generated_documents_keep_the_documented_exit_codes(tmp_path_factory, do
     assert code == 0 and json.loads(out)["is_simplicial"] is True, err
     code, out, err = _run_json(path, "cohomology")
     assert code == 0 and json.loads(out) == reports["cohomology"], err
+
+
+def _sympy_cokernel(h: Hom) -> FgAbGroup:
+    """coker(h) from sympy's Smith form of [matrix | target relations]."""
+    stacked = h.matrix.hstack(presentation_matrix(h.target))
+    diag = []
+    if stacked.nrows and stacked.ncols:
+        snf = sympy_snf(sympy.Matrix(stacked.to_lists()), domain=sympy.ZZ)
+        diag = [abs(int(snf[i, i])) for i in range(min(stacked.shape))]
+    return FgAbGroup.from_factors(h.target.ngens - sum(1 for x in diag if x),
+                                  [x for x in diag if x > 1])
+
+
+def _group_json(g: FgAbGroup) -> dict:
+    return {"str": str(g), "free_rank": g.free_rank, "torsion": list(g.torsion)}
+
+
+def _check_picard_document(path: Path, doc: dict) -> set[str]:
+    """Run kh-report and k-report on ``doc``; both must exit 0 with the
+    oracles' coker(NS), ker(NS) and Gamma.  Returns what the document
+    covers.  Answers may have more digits than Python's default limit for
+    converting an int to str, which the CLI lifts for its output."""
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    picard = doc["picard"]
+    groups = [FgAbGroup(lv["ns_rank"], tuple(lv["ns_torsion"])) for lv in picard["levels"]]
+    homs = [Hom(a, b, IntMatrix(rows, ncols=a.ngens))
+            for a, b, rows in zip(groups, groups[1:], picard["ns_maps"])]
+    main = homs[-1]
+    below = homs[0].matrix if len(homs) == 2 else IntMatrix.zero(main.source.ngens, 0)
+    ker_ns = middle_homology(main, IntMatrix.zero(main.source.ngens, 0))
+    gamma = middle_homology(main, below)
+    outs = {}
+    for command in ("kh-report", "k-report"):
+        code, outs[command], err = _run_json(path, command)
+        assert code == 0, (command, err)
+    with _no_digit_limit():
+        want = {"coker_ns": _group_json(_sympy_cokernel(main)),
+                "lattice_lprime": _group_json(ker_ns), "lattice_l": _group_json(gamma)}
+        for command, out in outs.items():
+            report = json.loads(out)
+            report = report["kh"] if command == "k-report" else report
+            assert report["units_cohomology"]["coker_ns"] == want["coker_ns"]
+            assert report["one_motive"]["lattice_lprime"] == want["lattice_lprime"]
+            assert report["one_motive"]["lattice_l"] == want["lattice_l"]
+    entries = [x for h in homs for row in h.matrix.rows() for x in row]
+    covers = {
+        "n = 4": len(homs) == 2,
+        "torsion on every level": all(g.torsion for g in groups),
+        "a zero level": any(g.ngens == 0 for g in groups),
+        "a map with no rows": any(h.matrix.nrows == 0 for h in homs),
+        "a map with no columns": any(h.matrix.ncols == 0 for h in homs),
+        "Gamma a proper quotient": gamma != ker_ns,
+        "entries above 200 digits": any(abs(x) > 10 ** 200 for x in entries),
+    }
+    return {name for name, holds in covers.items() if holds}
+
+
+def test_generated_picard_documents_exit_zero_with_the_oracle_groups(tmp_path):
+    # Two- and three-level Picard complexes whose maps compose to zero by
+    # construction, with entries of up to a few hundred digits.
+    rng = random.Random(25)
+    seen = set()
+    for k in range(200):
+        doc = random_picard_document(rng, 3 + k % 2, rng.choice((1, 2, 30, 300)))
+        seen |= _check_picard_document(tmp_path / "picard.json", doc)
+    assert seen == {"n = 4", "torsion on every level", "a zero level", "a map with no rows",
+                    "a map with no columns", "Gamma a proper quotient",
+                    "entries above 200 digits"}
+
+
+@pytest.mark.parametrize("seed,levels", [
+    (1, [(2, (2,)), (2, (4,))]),
+    (2, [(1, (2,)), (3, ()), (2, (3,))]),
+    (3, [(2, ()), (2, (2,)), (1, (2, 6))]),
+])
+def test_picard_documents_with_3000_digit_entries_exit_zero(tmp_path, seed, levels):
+    groups = [FgAbGroup(free, torsion) for free, torsion in levels]
+    doc = random_picard_document(random.Random(seed), len(groups) + 1, 3000, groups=groups)
+    seen = _check_picard_document(tmp_path / "picard.json", doc)
+    assert "entries above 200 digits" in seen

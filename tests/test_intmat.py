@@ -1,5 +1,6 @@
 """Exact integer matrices and Smith normal form against independent oracles."""
 import heapq
+import itertools
 import random
 import time
 
@@ -16,7 +17,6 @@ from helpers import (
     column_lattice_basis,
     det,
     diagonal,
-    from_columns,
     is_zero,
     minors_invariant_factors,
     random_matrix,
@@ -38,13 +38,7 @@ from snckit import (
     smith_normal_form,
 )
 from snckit import intmat
-from snckit.intmat import (
-    Lattice,
-    column_lattice,
-    kernel_basis,
-    row_transforms,
-    unit_sweep,
-)
+from snckit.intmat import eliminate, unit_sweep
 
 
 def test_spec_example_diag_2_4():
@@ -136,7 +130,8 @@ def test_kernel_basis_spans_saturated_kernel():
     rng = random.Random(7)
     for _ in range(300):
         a = random_matrix(rng)
-        k, _ = kernel_basis(a)
+        diag, _, v, _ = eliminate(a, v=True)
+        k = v.take_columns(j for j in range(a.ncols) if j >= len(diag) or diag[j] == 0)
         assert is_zero(a @ k)
         assert (smith_normal_form(k).rank == k.ncols
                 == a.ncols - smith_normal_form(a).rank)
@@ -216,58 +211,45 @@ def test_column_lattice_basis_spans_same_lattice():
     rng = random.Random(10)
     for _ in range(200):
         a = random_matrix(rng, max_dim=5)
-        lat = column_lattice(a)
+        diag, u, _, _ = eliminate(a, u=True)
+        factors = [x for x in diag if x]
         basis = column_lattice_basis(a)
-        r = len(lat.factors)
-        # (U, factors) is a Smith form of the basis U^{-1} D_r, with V = I,
-        # and the lattice's own basis is that one
-        assert lat.u @ basis == diagonal(lat.factors, a.nrows, r)
-        assert det(lat.u) in (1, -1)
-        assert lat.solve(basis) == IntMatrix.identity(r)
+        r = len(factors)
+        # (U, factors) is a Smith form of the basis U^{-1} D_r, with V = I
+        assert u @ basis == diagonal(factors, a.nrows, r)
+        assert det(u) in (1, -1)
         assert r == smith_normal_form(a).rank
         # every column of a lies in the lattice of the basis and conversely
         assert solve_exact(basis, a) is not None
         assert solve_exact(a, basis) is not None
 
 
-def test_trimmed_eliminations_read_what_the_full_form_returns():
+TRACKING = list(itertools.product((False, True), repeat=3))
+
+
+def _assert_reads_the_full_form(a: IntMatrix, sf: SmithForm, u: bool, v: bool,
+                                u_inv: bool) -> None:
+    assert eliminate(a, u=u, v=v, u_inv=u_inv) == (
+        sf.diagonal, sf.u if u else None, sf.v if v else None, sf.u_inv if u_inv else None)
+
+
+@pytest.mark.parametrize("u,v,u_inv", TRACKING)
+def test_trimmed_eliminations_read_what_the_full_form_returns(u, v, u_inv):
     # Pivots depend on the matrix alone, so an elimination that leaves a
     # transform untracked must give the same diagonal and the same tracked
-    # transforms as smith_normal_form.  The lattice's basis is U^{-1} D_r,
-    # and solving in the lattice agrees with the oracle solve_exact on that
-    # basis, which takes a Smith form of the basis itself: on the lattice
-    # both give the same coordinates, off it both give None.  A column of
-    # U^{-1} whose row of D is zero or above 1 lies off the lattice.
+    # transforms as smith_normal_form, and None for each untracked one.
     rng = random.Random(41)
     seen = set()
-    for _ in range(250):
-        a = wide_random_matrix(rng)
+    fixed = [IntMatrix([], ncols=0), IntMatrix([], ncols=3), IntMatrix([[], []], ncols=0),
+             IntMatrix([[6, 10], [10, 15], [15, 6]])]
+    for a in fixed + [wide_random_matrix(rng) for _ in range(250)]:
         sf = smith_normal_form(a)
-        diag = sf.diagonal
-        free = [j for j in range(a.ncols) if j >= len(diag) or diag[j] == 0]
-        assert kernel_basis(a) == (sf.v.take_columns(free), diag)
-        assert row_transforms(a) == (diag, sf.u, sf.u_inv)
-        factors = sf.invariant_factors()
-        r = len(factors)
-        lat = column_lattice(a)
-        assert lat == Lattice(sf.u, factors)
-        basis = from_columns([[x * d for x in column(sf.u_inv, j)]
-                              for j, d in enumerate(factors)], a.nrows)
-        assert lat.solve(basis) == IntMatrix.identity(r)
-        coords = IntMatrix([[rng.randint(-5, 5) for _ in range(2)] for _ in range(r)], ncols=2)
-        on = basis @ coords
-        probes = [a, on] + [on.hstack(sf.u_inv.take_columns([j])) for j in range(a.nrows)
-                            if j >= r or factors[j] > 1]
-        for b in probes:
-            got = lat.solve(b)
-            assert got == solve_exact(basis, b)
-            seen.add("on the lattice" if got is not None else "off the lattice")
+        _assert_reads_the_full_form(a, sf, u, v, u_inv)
         seen.update(("no rows",) * (a.nrows == 0) + ("no columns",) * (a.ncols == 0)
                     + ("torsion",) * bool(sf.torsion_factors())
                     + ("above 2^64",) * any(abs(x) > 2 ** 64 for row in a.rows()
                                             for x in row))
-    assert seen == {"no rows", "no columns", "torsion", "above 2^64",
-                    "on the lattice", "off the lattice"}
+    assert seen == {"no rows", "no columns", "torsion", "above 2^64"}
 
 
 @st.composite
@@ -289,9 +271,8 @@ def _unit_free_matrices(draw):
 def test_the_column_pass_with_remainders_keeps_the_transforms_exact(a):
     sf = smith_normal_form(a)
     verify(sf, a)   # U*A*V = D, U and V unimodular, U*U_inv = I
-    diag = sf.diagonal
-    free = [j for j in range(a.ncols) if j >= len(diag) or diag[j] == 0]
-    assert kernel_basis(a) == (sf.v.take_columns(free), diag)
+    for tracking in TRACKING:
+        _assert_reads_the_full_form(a, sf, *tracking)
 
 
 def test_constructor_takes_only_integers():

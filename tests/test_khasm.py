@@ -11,6 +11,7 @@ from helpers import (
     four_cycle,
     full_simplex,
     hom_analyze,
+    kernel_basis,
     kh_top,
     random_divisor,
     rp2_divisor,
@@ -33,10 +34,9 @@ from snckit import (
     presentation_matrix,
     subquotient,
 )
-from snckit import intmat, khasm
+from snckit import abgroup, intmat, khasm
 from snckit.abgroup import Z, ZERO_GROUP
 from snckit.cli import parse_document
-from snckit.intmat import kernel_basis
 from snckit.khasm import (
     ALGEBRAICALLY_CLOSED,
     GENERAL_FIELD,
@@ -169,7 +169,7 @@ def test_ns_analysis_gamma_matches_subquotient_on_random_input():
         a, b, c = (rng.randrange(1, 5) for _ in range(3))
         main_m = IntMatrix([[rng.randrange(-3, 4) for _ in range(b)]
                             for _ in range(c)])
-        ker, _ = kernel_basis(main_m)
+        ker = kernel_basis(main_m)
         mix = (IntMatrix([[rng.randrange(-2, 3) for _ in range(a)]
                           for _ in range(ker.ncols)])
                if ker.ncols else IntMatrix.zero(0, a))
@@ -396,23 +396,24 @@ def test_kh_report_takes_few_smith_forms_and_none_of_a_transform(monkeypatch):
     """Each lattice on the Picard path goes through one elimination.
 
     Each elimination tracks only the transforms its caller reads, U^{-1} is
-    tracked inside it, the preimage lattice is built once from an
-    elimination of its kernel basis that tracks U alone, and coker(NS) is
+    tracked inside it, the kernel lattice is built once from an
+    elimination of its spanning rows that tracks U alone, and coker(NS) is
     read off the diagonal of the elimination that gives ker(NS).  So a
     dense-Picard report runs at most 4 eliminations that track a transform,
     none of them both V and a row transform (U or U^{-1}) and exactly one,
     the lattice's, U alone; it eliminates [NS | relations] exactly once,
     never eliminates an earlier elimination's U, V or U^{-1}, and solves
-    against the lattice once.
+    against the lattice once: one call of ``kernel_coordinates``, which
+    makes one solve.
     """
     doc = parse_document(dense_picard_document(random.Random(3), 12))
     main = doc.picard.maps[-1]
     stacked = main.matrix.hstack(presentation_matrix(main.target))
-    kernel_rows = kernel_basis(stacked)[0].take_rows(range(main.source.ngens))
+    kernel_rows = kernel_basis(stacked).take_rows(range(main.source.ngens))
     tracked, u_alone, diagonal_only, transforms, solves = [], [], [], [], []
     real_eliminate = intmat._eliminate
     real_sweep = intmat.unit_sweep
-    real_solve = intmat.Lattice.solve
+    real_kernel = abgroup.kernel_coordinates
 
     def eliminate(m, nr, nc, u, v_t, u_inv_t):
         a = IntMatrix(m, ncols=nc)
@@ -433,13 +434,14 @@ def test_kh_report_takes_few_smith_forms_and_none_of_a_transform(monkeypatch):
         diagonal_only.append(IntMatrix(dense, ncols=ncols))
         return real_sweep(rows, ncols)
 
-    def solve(lattice, b):
-        solves.append(b)
-        return real_solve(lattice, b)
+    def kernel(outgoing, incoming):
+        solves.append(incoming)
+        return real_kernel(outgoing, incoming)
 
     monkeypatch.setattr(intmat, "_eliminate", eliminate)
     monkeypatch.setattr(intmat, "unit_sweep", sweep)
-    monkeypatch.setattr(intmat.Lattice, "solve", solve)
+    monkeypatch.setattr(abgroup, "kernel_coordinates", kernel)
+    monkeypatch.setattr(khasm, "kernel_coordinates", kernel)
     kh_report(doc.divisor, doc.picard, doc.field_mode)
     assert 0 < len(tracked) <= 4
     assert u_alone == [kernel_rows]
