@@ -68,21 +68,6 @@ class FgAbGroup:
                 raise ValueError(f"torsion {self.torsion} is not a divisibility chain")
 
     @classmethod
-    def zero(cls) -> "FgAbGroup":
-        return cls(0)
-
-    @classmethod
-    def free(cls, rank: int) -> "FgAbGroup":
-        return cls(rank)
-
-    @classmethod
-    def cyclic(cls, order: int) -> "FgAbGroup":
-        """Z/order, with order 0 meaning Z itself."""
-        if order == 0:
-            return cls(1)
-        return cls(0, _divisibility_chain([order]))
-
-    @classmethod
     def from_factors(cls, free_rank: int, factors: Iterable[int]) -> "FgAbGroup":
         return cls(free_rank, _divisibility_chain(factors))
 
@@ -96,21 +81,6 @@ class FgAbGroup:
     def is_free(self) -> bool:
         return not self.torsion
 
-    def order_of_generator(self, i: int) -> int:
-        """Order of the i-th canonical generator (0 for a free generator)."""
-        if not 0 <= i < self.ngens:
-            raise IndexError(f"generator index {i} out of range")
-        if i < self.free_rank:
-            return 0
-        return self.torsion[i - self.free_rank]
-
-    def torsion_order(self) -> int:
-        """The order of the torsion subgroup."""
-        out = 1
-        for t in self.torsion:
-            out *= t
-        return out
-
     def __str__(self) -> str:
         parts: list[str] = []
         if self.free_rank == 1:
@@ -119,10 +89,6 @@ class FgAbGroup:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " ⊕ ".join(parts) if parts else "0"
-
-
-ZERO_GROUP = FgAbGroup.zero()
-Z = FgAbGroup.free(1)
 
 
 def presentation_matrix(g: FgAbGroup) -> IntMatrix:
@@ -187,10 +153,9 @@ def presentation(relations: IntMatrix, generators: int) -> Presentation:
         return Presentation(FgAbGroup(generators), identity, identity)
     diag, u, _, u_inv = eliminate(relations, u=True, u_inv=True)
     free_idx = [i for i in range(generators) if i >= len(diag) or diag[i] == 0]
-    tors_idx = [i for i in range(len(diag)) if diag[i] > 1]
-    order = free_idx + tors_idx
-    group = FgAbGroup(len(free_idx), tuple(diag[i] for i in tors_idx))
-    return Presentation(group, u.take_rows(order), u_inv.take_columns(order))
+    order = free_idx + [i for i in range(len(diag)) if diag[i] > 1]
+    return Presentation(_group_from_diagonal(diag, generators),
+                        u.take_rows(order), u_inv.take_columns(order))
 
 
 @dataclass(frozen=True)
@@ -227,10 +192,6 @@ class Hom:
     @classmethod
     def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "Hom":
         return cls(source, target, IntMatrix.zero(target.ngens, source.ngens))
-
-    @classmethod
-    def identity(cls, g: FgAbGroup) -> "Hom":
-        return cls(g, g, IntMatrix.identity(g.ngens))
 
     def is_zero(self) -> bool:
         """Whether every generator maps to zero in the target."""
@@ -301,12 +262,12 @@ def subquotient(outgoing: Hom, incoming: Hom) -> FgAbGroup:
 def direct_sum(gs: Iterable[FgAbGroup]) -> FgAbGroup:
     """Direct sum in canonical form.
 
-    >>> str(direct_sum([FgAbGroup.cyclic(2), FgAbGroup.cyclic(3)]))
-    'Z/6'
+    >>> str(direct_sum([FgAbGroup(0, (2,)), FgAbGroup(1, (3,))]))
+    'Z ⊕ Z/6'
     """
     free = 0
     factors: list[int] = []
     for g in gs:
         free += g.free_rank
         factors.extend(g.torsion)
-    return FgAbGroup(free, _divisibility_chain(factors))
+    return FgAbGroup.from_factors(free, factors)

@@ -165,7 +165,7 @@ class SpectralPage:
     support: frozenset[tuple[int, int]] = frozenset()
 
     def entry(self, p: int, q: int) -> FgAbGroup:
-        return self.entries.get((p, q), FgAbGroup.zero())
+        return self.entries.get((p, q), FgAbGroup(0))
 
     def differential(self, p: int, q: int) -> Hom:
         d = self.differentials.get((p, q))

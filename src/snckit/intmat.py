@@ -194,18 +194,6 @@ class SmithForm:
         rows = self.d.rows()
         return tuple(rows[i][i] for i in range(min(self.d.shape)))
 
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal if x != 0)
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        """The nonzero diagonal entries, including any leading 1s."""
-        return tuple(x for x in self.diagonal if x != 0)
-
-    def torsion_factors(self) -> tuple[int, ...]:
-        """Invariant factors greater than 1 (the torsion of the cokernel)."""
-        return tuple(x for x in self.diagonal if x > 1)
-
 def _pick_pivot(m: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:
     """Smallest nonzero entry (by absolute value) of the trailing block.
 

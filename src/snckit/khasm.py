@@ -86,7 +86,7 @@ def torus_descriptor(hn1: FgAbGroup, hn2_homology_torsion_free: bool,
     if field_mode not in _FIELD_MODES:
         raise ValueError(f"unknown field mode {field_mode!r}")
     if field_mode == GENERAL_FIELD and not hn2_homology_torsion_free:
-        return TorusDescriptor(0, FgAbGroup.zero(), field_mode, determined=False)
+        return TorusDescriptor(0, FgAbGroup(0), field_mode, determined=False)
     mu = FgAbGroup(0, hn1.torsion)
     return TorusDescriptor(hn1.free_rank, mu, field_mode,
                            determined=True, mu_ambiguous=not mu.is_trivial())
@@ -201,10 +201,6 @@ class GroupValue:
     group: FgAbGroup
     exact: bool
     note: str = ""
-
-    @classmethod
-    def exactly(cls, g: FgAbGroup, note: str = "") -> "GroupValue":
-        return cls(g, True, note)
 
     def __str__(self) -> str:
         tag = "exact" if self.exact else "bound"
@@ -330,7 +326,7 @@ def kh_report(d: SncDivisor, pi: PicardInput,
     if pi.ker_beta_known is not None:
         ker_beta = GroupValue(pi.ker_beta_known, True, "supplied with input")
     elif divisible_trivial:
-        ker_beta = GroupValue(FgAbGroup.zero(), True,
+        ker_beta = GroupValue(FgAbGroup(0), True,
                               "coker(Pic^0) has no points")
     else:
         ker_beta = GroupValue(ker_ns, False,
@@ -370,10 +366,10 @@ def kh_report(d: SncDivisor, pi: PicardInput,
         sub_note.append("finitely generated part only")
     kh_sub = GroupValue(coker_ns, d2_known_zero and kh_is_fg,
                         "; ".join(sub_note))
-    kh_value = assemble_extension(kh_sub, GroupValue.exactly(hn2))
+    kh_value = assemble_extension(kh_sub, GroupValue(hn2, True))
 
     if d2_known_zero:
-        im_d2 = GroupValue(FgAbGroup.zero(), True,
+        im_d2 = GroupValue(FgAbGroup(0), True,
                            "the degree-2 differential vanishes")
     else:
         im_d2 = GroupValue(hn3, False, "image of an opaque map out of H^{n-3}")
@@ -383,7 +379,7 @@ def kh_report(d: SncDivisor, pi: PicardInput,
     )
 
     coker_alpha = assemble_extension(
-        GroupValue.exactly(coker_ns), GroupValue.exactly(hn2))
+        GroupValue(coker_ns, True), GroupValue(hn2, True))
 
     return KhReport(
         n=n,

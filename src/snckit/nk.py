@@ -39,9 +39,6 @@ class DuBoisTable:
             if b < 0:
                 raise ValueError(f"negative Du Bois invariant b^{{{p},{q}}} = {b}")
 
-    def get(self, p: int, q: int) -> int | None:
-        return self.entries.get((p, q))
-
 
 @dataclass(frozen=True)
 class KReport:
@@ -67,7 +64,7 @@ def k_report(kh: KhReport, b: DuBoisTable) -> KReport:
     if not b.isolated:
         raise NonIsolatedError(
             "NK in degree 1-n is only computed for isolated singular points")
-    v = b.get(0, kh.n - 1)
+    v = b.entries.get((0, kh.n - 1))
     if v is None:
         raise MissingEntryError(f"Du Bois table has no entry (0, {kh.n - 1})")
     return KReport(

@@ -114,10 +114,6 @@ class Stratum:
     subset: tuple[str, ...]
     parents: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def depth(self) -> int:
-        return len(self.subset)
-
 
 class _StrataTable(NamedTuple):
     """A divisor's strata by position in divisor order, as the parser

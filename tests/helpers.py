@@ -15,11 +15,11 @@ k-report from nested dicts (``divisor_json``, ``blowup_json`` and
 ``report_json``, which ``json.dumps`` prints as the CLI's writers must).
 Small conveniences that
 only tests call (``hom_analyze``, ``cokernel``, ``validate_complex``,
-``euler_characteristic``, ``kh_top``, and matrix arithmetic such as
-``det``, ``diagonal`` or ``verify`` for a Smith form) live here too, as
-does the dense view of sparse boundaries: ``complex_from_matrices`` builds
-a complex from dense matrices and ``boundary_matrix`` reads a boundary
-back as one.
+``euler_characteristic``, ``kh_top``, the groups ``Z`` and ``ZERO_GROUP``,
+and matrix arithmetic such as ``det``, ``diagonal``, or ``rank`` and
+``verify`` for a Smith form) live here too, as does the dense view of
+sparse boundaries: ``complex_from_matrices`` builds a complex from dense
+matrices and ``boundary_matrix`` reads a boundary back as one.
 """
 from __future__ import annotations
 
@@ -54,6 +54,9 @@ from snckit.abgroup import (
 )
 from snckit.intmat import SmithForm, smith_normal_form
 from snckit.snc import ResolutionLimitError, UnknownCenterError
+
+Z = FgAbGroup(1)
+ZERO_GROUP = FgAbGroup(0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +176,11 @@ def verify(sf: SmithForm, a: IntMatrix) -> None:
         raise AssertionError("U*U_inv != I")
 
 
+def rank(sf: SmithForm) -> int:
+    """The rank of the matrix that ``sf`` is a Smith form of."""
+    return sum(1 for x in sf.diagonal if x)
+
+
 def random_matrix(rng: random.Random, max_dim: int = 6, span: int = 9) -> IntMatrix:
     nr = rng.randint(0, max_dim)
     nc = rng.randint(0, max_dim)
@@ -215,7 +223,7 @@ def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     factor; then X = V [Y; 0].
     """
     sf = smith_normal_form(a)
-    factors = sf.invariant_factors()
+    factors = [x for x in sf.diagonal if x]
     c = (sf.u @ b).rows()
     if any(map(any, c[len(factors):])) or any(
             x % p for row, p in zip(c, factors) for x in row):
@@ -524,7 +532,7 @@ def random_divisor(rng: random.Random, max_components: int = 8) -> SncDivisor:
     for _ in range(2):
         if len(d.components) >= max_components or rng.random() > 0.3:
             break
-        curves = [s for s in d.strata if s.depth == 2]
+        curves = [s for s in d.strata if len(s.subset) == 2]
         if not curves:
             break
         if d.n == 3 and rng.random() < 0.4:
@@ -728,10 +736,10 @@ def alt_chain_complex(d: SncDivisor) -> ChainComplex:
     """
     if not d.components:
         return ChainComplex(0, (), ())
-    max_depth = max((s.depth for s in d.strata), default=1)
+    max_depth = max((len(s.subset) for s in d.strata), default=1)
     layer_ids: list[list[str]] = [list(d.components)]
     for depth in range(2, max_depth + 1):
-        layer_ids.append([s.id for s in d.strata if s.depth == depth])
+        layer_ids.append([s.id for s in d.strata if len(s.subset) == depth])
     ranks = tuple(len(layer) for layer in layer_ids)
     by_id = {s.id: s for s in d.strata}
     boundaries = []
@@ -741,7 +749,7 @@ def alt_chain_complex(d: SncDivisor) -> ChainComplex:
         for col, sid in enumerate(layer_ids[p]):
             s = by_id[sid]
             for k, dropped in enumerate(s.subset):
-                face = s.subset[1 - k] if s.depth == 2 else s.parents[dropped]
+                face = s.subset[1 - k] if len(s.subset) == 2 else s.parents[dropped]
                 m[pos[face]][col] += (-1) ** k
         boundaries.append(IntMatrix(m, ncols=len(layer_ids[p])))
     return complex_from_matrices(0, ranks, boundaries)
@@ -795,11 +803,11 @@ def one_row_page(cx: ChainComplex) -> SpectralPage:
     ranks = cx.ranks
     for p, r in enumerate(ranks):
         if r:
-            entries[(p, 0)] = FgAbGroup.free(r)
+            entries[(p, 0)] = FgAbGroup(r)
     for p in range(len(ranks) - 1):
         delta = boundary_matrix(cx, cx.lowest_degree + p + 1).transpose()
-        diffs[(p, 0)] = Hom(FgAbGroup.free(ranks[p]),
-                            FgAbGroup.free(ranks[p + 1]), delta)
+        diffs[(p, 0)] = Hom(FgAbGroup(ranks[p]),
+                            FgAbGroup(ranks[p + 1]), delta)
     support = frozenset((p, 0) for p in range(len(ranks)))
     return SpectralPage(1, entries, diffs, support)
 
@@ -819,7 +827,7 @@ class TaggedGroup:
 
     group: FgAbGroup
     exact: bool
-    source_bound: FgAbGroup = FgAbGroup.zero()
+    source_bound: FgAbGroup = FgAbGroup(0)
     min_rank: int = 0
 
     def __post_init__(self) -> None:
@@ -828,7 +836,7 @@ class TaggedGroup:
 
     @classmethod
     def exactly(cls, group: FgAbGroup) -> "TaggedGroup":
-        return cls(group, True, FgAbGroup.zero(), group.free_rank)
+        return cls(group, True, FgAbGroup(0), group.free_rank)
 
     def __str__(self) -> str:
         if self.exact:
@@ -894,8 +902,8 @@ def zero_picard(n: int, ranks: dict[int, FgAbGroup], coker_pic0_dim: int = 0,
 
 def triangle_picard() -> PicardInput:
     """Three plane-like components: NS maps Z^3 -> Z^3 by pairwise differences."""
-    ns0 = FgAbGroup.free(3)
-    ns1 = FgAbGroup.free(3)
+    ns0 = FgAbGroup(3)
+    ns1 = FgAbGroup(3)
     restriction = Hom(ns0, ns1, IntMatrix([[1, -1, 0], [1, 0, -1], [0, 1, -1]]))
     return PicardInput(3, (PicardLevel(0, ns0, 0), PicardLevel(1, ns1, 0)),
                        (restriction,), 0)

@@ -8,6 +8,8 @@ import pytest
 from helpers import (
     NonComplexError,
     TaggedGroup,
+    Z,
+    ZERO_GROUP,
     boundary_matrix,
     complex_from_matrices,
     dualize,
@@ -39,7 +41,6 @@ from snckit import (
     kh_report,
     resolve_to_simplicial,
 )
-from snckit.abgroup import Z, ZERO_GROUP
 from snckit.cli import parse_input
 from snckit.intmat import unit_sweep
 
@@ -132,7 +133,7 @@ def test_cohomology_of_named_complexes():
     assert cohomology(parallel, 1) == Z
 
     torus = torus_cw()
-    assert [cohomology(torus, i) for i in range(3)] == [Z, FgAbGroup.free(2), Z]
+    assert [cohomology(torus, i) for i in range(3)] == [Z, FgAbGroup(2), Z]
 
     point = ChainComplex(0, (1,), ())
     assert cohomology(point, 0) == Z
@@ -141,10 +142,10 @@ def test_cohomology_of_named_complexes():
 
 def test_torsion_moves_up_one_degree_in_cohomology():
     rp2 = projective_plane_cw()
-    assert homology(rp2, 1) == FgAbGroup.cyclic(2)
+    assert homology(rp2, 1) == FgAbGroup(0, (2,))
     assert homology(rp2, 2) == ZERO_GROUP
     assert cohomology(rp2, 1) == ZERO_GROUP
-    assert cohomology(rp2, 2) == FgAbGroup.cyclic(2)
+    assert cohomology(rp2, 2) == FgAbGroup(0, (2,))
 
 
 def test_universal_coefficients_on_random_complexes():
@@ -223,7 +224,7 @@ def test_degree_order_does_not_change_the_groups():
 def test_cached_diagonals_leave_equality_hash_and_repr_alone():
     c = projective_plane_cw()
     before = (hash(c), repr(c))
-    assert cohomology(c, 2) == FgAbGroup.cyclic(2)
+    assert cohomology(c, 2) == FgAbGroup(0, (2,))
     assert c == fresh(c)
     assert (hash(c), repr(c)) == before
 
@@ -379,7 +380,7 @@ def test_e2_two_term_row():
     two = complex_from_matrices(0, (1, 1), [IntMatrix([[2]])])
     page = e2_page(one_row_page(two), [(0, 0), (1, 0)])
     assert page.entry(0, 0) == ZERO_GROUP
-    assert page.entry(1, 0) == FgAbGroup.cyclic(2)
+    assert page.entry(1, 0) == FgAbGroup(0, (2,))
     assert (0, 0) not in page.entries
 
 
@@ -402,7 +403,7 @@ def test_e2_requires_page_one_and_support():
 
 
 def test_page_validate_rejects_broken_differentials():
-    g = FgAbGroup.free(1)
+    g = FgAbGroup(1)
     ok = SpectralPage(1, {(0, 0): g, (1, 0): g},
                       {(0, 0): Hom(g, g, IntMatrix([[1]]))},
                       frozenset({(0, 0), (1, 0)}))
@@ -410,7 +411,7 @@ def test_page_validate_rejects_broken_differentials():
     offsup = SpectralPage(1, {(5, 5): g}, {}, frozenset({(0, 0)}))
     with pytest.raises(SupportViolationError):
         offsup.validate()
-    shapewrong = SpectralPage(1, {(0, 0): g, (1, 0): FgAbGroup.free(2)},
+    shapewrong = SpectralPage(1, {(0, 0): g, (1, 0): FgAbGroup(2)},
                               {(0, 0): Hom(g, g, IntMatrix([[1]]))},
                               frozenset({(0, 0), (1, 0)}))
     with pytest.raises(ValueError):
@@ -425,7 +426,7 @@ def test_page_validate_rejects_broken_differentials():
 
 
 def test_e3_corner_exact_when_flagged_or_source_trivial():
-    corner = FgAbGroup.free(2)
+    corner = FgAbGroup(2)
     page = SpectralPage(2, {(3, 0): corner, (1, 1): Z}, {},
                         frozenset({(3, 0), (1, 1)}))
     flagged = e3_top_corner(page, 4, d2_known_zero=True)
@@ -437,7 +438,7 @@ def test_e3_corner_exact_when_flagged_or_source_trivial():
 
 
 def test_e3_corner_bounded_by_opaque_differential():
-    corner = FgAbGroup.free(2)
+    corner = FgAbGroup(2)
     page = SpectralPage(2, {(3, 0): corner, (1, 1): Z}, {},
                         frozenset({(3, 0), (1, 1)}))
     tag = e3_top_corner(page, 4, d2_known_zero=False)
@@ -449,7 +450,7 @@ def test_e3_corner_bounded_by_opaque_differential():
 
 
 def test_e3_corner_input_guards():
-    g = FgAbGroup.free(1)
+    g = FgAbGroup(1)
     with pytest.raises(ValueError):
         e3_top_corner(SpectralPage(1, {}, {}, frozenset()), 3, True)
     threerow = SpectralPage(2, {(0, 2): g}, {}, frozenset({(0, 2)}))

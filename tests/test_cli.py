@@ -80,7 +80,7 @@ def test_parse_triangle_fixture():
     assert doc.divisor == triangle_cycle()
     assert doc.picard is not None
     assert [lv.p for lv in doc.picard.levels] == [0, 1]
-    assert doc.dubois is not None and doc.dubois.get(0, 2) == 2
+    assert doc.dubois is not None and doc.dubois.entries.get((0, 2)) == 2
     assert doc.field_mode == "algebraically_closed"
 
 
@@ -1078,7 +1078,7 @@ def generated_documents(draw):
         m = rng.randrange(3, 7)
         d = parallel_curve_divisor(rng, m, rng.randrange(0, m * (m - 1) // 2))
     block = divisor_json(d)
-    block["n"] = draw(st.integers(max([2] + [s.depth for s in d.strata]), 5))
+    block["n"] = draw(st.integers(max([2] + [len(s.subset) for s in d.strata]), 5))
     rng.shuffle(block["strata"])
     for group in block["strata"]:
         rng.shuffle(group["components"])

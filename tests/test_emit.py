@@ -130,7 +130,7 @@ def test_divisor_writer_prints_what_the_stdlib_prints_of_divisor_json():
         block = json.loads(_divisor_text(d, "\n"))
         # the block parses back to d, strata in printed (depth, positions) order
         index = {c: i for i, c in enumerate(d.components)}
-        printed = sorted(d.strata, key=lambda s: (s.depth, [index[c] for c in s.subset]))
+        printed = sorted(d.strata, key=lambda s: (len(s.subset), [index[c] for c in s.subset]))
         back = parse_document({"version": "1", "divisor": block}).divisor
         assert back == dataclasses.replace(d, strata=tuple(printed))
         count += 1

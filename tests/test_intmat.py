@@ -20,6 +20,7 @@ from helpers import (
     is_zero,
     minors_invariant_factors,
     random_matrix,
+    rank,
     scale,
     simplex_divisor,
     solve_exact,
@@ -55,7 +56,7 @@ def test_degenerate_shapes():
         sf = smith_normal_form(a)
         verify(sf, a)
         assert sf.diagonal == ()
-        assert sf.rank == 0
+        assert rank(sf) == 0
 
 
 def test_snf_verifies_on_random_matrices():
@@ -78,7 +79,7 @@ def test_invariant_factors_match_minors_oracle():
     rng = random.Random(3)
     for _ in range(800):
         a = random_matrix(rng, max_dim=4, span=7)
-        got = list(smith_normal_form(a).invariant_factors())
+        got = [x for x in smith_normal_form(a).diagonal if x]
         assert got == minors_invariant_factors(a)
 
 
@@ -133,8 +134,8 @@ def test_kernel_basis_spans_saturated_kernel():
         diag, _, v, _ = eliminate(a, v=True)
         k = v.take_columns(j for j in range(a.ncols) if j >= len(diag) or diag[j] == 0)
         assert is_zero(a @ k)
-        assert (smith_normal_form(k).rank == k.ncols
-                == a.ncols - smith_normal_form(a).rank)
+        assert (rank(smith_normal_form(k)) == k.ncols
+                == a.ncols - rank(smith_normal_form(a)))
         # saturated: the basis extends to a basis of Z^ncols
         assert all(x == 1 for x in smith_diagonal(k))
 
@@ -218,7 +219,7 @@ def test_column_lattice_basis_spans_same_lattice():
         # (U, factors) is a Smith form of the basis U^{-1} D_r, with V = I
         assert u @ basis == diagonal(factors, a.nrows, r)
         assert det(u) in (1, -1)
-        assert r == smith_normal_form(a).rank
+        assert r == rank(smith_normal_form(a))
         # every column of a lies in the lattice of the basis and conversely
         assert solve_exact(basis, a) is not None
         assert solve_exact(a, basis) is not None
@@ -246,7 +247,7 @@ def test_trimmed_eliminations_read_what_the_full_form_returns(u, v, u_inv):
         sf = smith_normal_form(a)
         _assert_reads_the_full_form(a, sf, u, v, u_inv)
         seen.update(("no rows",) * (a.nrows == 0) + ("no columns",) * (a.ncols == 0)
-                    + ("torsion",) * bool(sf.torsion_factors())
+                    + ("torsion",) * any(x > 1 for x in sf.diagonal)
                     + ("above 2^64",) * any(abs(x) > 2 ** 64 for row in a.rows()
                                             for x in row))
     assert seen == {"no rows", "no columns", "torsion", "above 2^64"}

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from helpers import (
+    Z,
+    ZERO_GROUP,
     alt_chain_complex,
     dense_picard_document,
     descent_page,
@@ -35,7 +37,6 @@ from snckit import (
     subquotient,
 )
 from snckit import abgroup, intmat, khasm
-from snckit.abgroup import Z, ZERO_GROUP
 from snckit.cli import parse_document
 from snckit.khasm import (
     ALGEBRAICALLY_CLOSED,
@@ -54,7 +55,7 @@ from snckit.snc import SncError
 
 
 def test_torus_descriptor_free_part_only():
-    td = torus_descriptor(FgAbGroup.free(2), True, ALGEBRAICALLY_CLOSED)
+    td = torus_descriptor(FgAbGroup(2), True, ALGEBRAICALLY_CLOSED)
     assert td.rank == 2
     assert td.mu_part.is_trivial()
     assert not td.mu_ambiguous
@@ -76,7 +77,7 @@ def test_torus_descriptor_general_field_needs_torsion_free_homology():
     assert not td.determined
     assert str(td) == "undetermined (general field, torsion obstructs)"
     assert not td.is_trivial_group()
-    ok = torus_descriptor(FgAbGroup.free(1), True, GENERAL_FIELD)
+    ok = torus_descriptor(FgAbGroup(1), True, GENERAL_FIELD)
     assert ok.determined and ok.rank == 1
 
 
@@ -105,7 +106,7 @@ def test_picard_input_rejects_malformed_levels():
     with pytest.raises(ValueError):
         PicardInput(3, (lv0, lv1), (), 0)
     with pytest.raises(ValueError):
-        PicardInput(3, (lv0, lv1), (Hom.zero(FgAbGroup.free(2), Z),), 0)
+        PicardInput(3, (lv0, lv1), (Hom.zero(FgAbGroup(2), Z),), 0)
     with pytest.raises(ValueError):
         PicardInput(3, (lv0, lv1), (Hom.zero(Z, Z),), -1)
 
@@ -133,15 +134,15 @@ def test_ns_analysis_triangle():
 
 
 def test_ns_analysis_zero_maps():
-    pi = zero_picard(4, {0: FgAbGroup.free(2), 1: FgAbGroup.free(3), 2: Z})
+    pi = zero_picard(4, {0: FgAbGroup(2), 1: FgAbGroup(3), 2: Z})
     ker_ns, coker_ns, gamma, _ = ns_analysis(pi)
-    assert ker_ns == FgAbGroup.free(3)
+    assert ker_ns == FgAbGroup(3)
     assert coker_ns == Z
     assert gamma == ker_ns
 
 
 def test_ns_analysis_lower_map_cuts_gamma():
-    l0, l1, l2 = Z, FgAbGroup.free(2), Z
+    l0, l1, l2 = Z, FgAbGroup(2), Z
     below = Hom(l0, l1, IntMatrix([[2], [0]]))
     main = Hom(l1, l2, IntMatrix([[0, 1]]))
     pi = PicardInput(4, (PicardLevel(0, l0, 0), PicardLevel(1, l1, 0),
@@ -154,7 +155,7 @@ def test_ns_analysis_lower_map_cuts_gamma():
 
 
 def test_ns_analysis_rejects_non_complex():
-    l0, l1, l2 = Z, FgAbGroup.free(2), Z
+    l0, l1, l2 = Z, FgAbGroup(2), Z
     below = Hom(l0, l1, IntMatrix([[1], [1]]))
     main = Hom(l1, l2, IntMatrix([[0, 1]]))
     # the maps are checked when the input is built, before ns_analysis runs
@@ -174,7 +175,7 @@ def test_ns_analysis_gamma_matches_subquotient_on_random_input():
                           for _ in range(ker.ncols)])
                if ker.ncols else IntMatrix.zero(0, a))
         below_m = ker @ mix
-        l0, l1, l2 = (FgAbGroup.free(k) for k in (a, b, c))
+        l0, l1, l2 = (FgAbGroup(k) for k in (a, b, c))
         below, main = Hom(l0, l1, below_m), Hom(l1, l2, main_m)
         pi = PicardInput(4, (PicardLevel(0, l0, 0), PicardLevel(1, l1, 0),
                              PicardLevel(2, l2, 0)), (below, main), 0)
@@ -188,7 +189,7 @@ def test_ns_analysis_gamma_matches_subquotient_on_random_input():
 
 
 def test_one_motive_surjection_is_onto():
-    l0, l1, l2 = Z, FgAbGroup.free(2), Z
+    l0, l1, l2 = Z, FgAbGroup(2), Z
     below = Hom(l0, l1, IntMatrix([[2], [0]]))
     main = Hom(l1, l2, IntMatrix([[0, 1]]))
     pi = PicardInput(4, (PicardLevel(0, l0, 0), PicardLevel(1, l1, 0),
@@ -216,8 +217,8 @@ def test_one_motive_surjection_identity_when_no_lower_map():
 
 
 def test_assemble_extension_trivial_ends_split():
-    a = GroupValue.exactly(FgAbGroup(1, (2,)))
-    zero = GroupValue.exactly(ZERO_GROUP)
+    a = GroupValue(FgAbGroup(1, (2,)), True)
+    zero = GroupValue(ZERO_GROUP, True)
     ses = assemble_extension(a, zero)
     assert ses.split and ses.total.exact and ses.total.group == a.group
     ses = assemble_extension(zero, a)
@@ -225,8 +226,8 @@ def test_assemble_extension_trivial_ends_split():
 
 
 def test_assemble_extension_free_quotient_splits():
-    ses = assemble_extension(GroupValue.exactly(FgAbGroup(0, (2,))),
-                             GroupValue.exactly(Z))
+    ses = assemble_extension(GroupValue(FgAbGroup(0, (2,)), True),
+                             GroupValue(Z, True))
     assert ses.split
     assert ses.total.exact
     assert ses.total.group == FgAbGroup(1, (2,))
@@ -234,8 +235,8 @@ def test_assemble_extension_free_quotient_splits():
 
 
 def test_assemble_extension_torsion_quotient_stays_bound():
-    ses = assemble_extension(GroupValue.exactly(Z),
-                             GroupValue.exactly(FgAbGroup(0, (2,))))
+    ses = assemble_extension(GroupValue(Z, True),
+                             GroupValue(FgAbGroup(0, (2,)), True))
     assert not ses.split
     assert not ses.total.exact
     assert ses.total.group == FgAbGroup(1, (2,))
@@ -244,12 +245,12 @@ def test_assemble_extension_torsion_quotient_stays_bound():
 
 def test_assemble_extension_propagates_inexactness():
     fuzzy = GroupValue(Z, False, "who knows")
-    ses = assemble_extension(fuzzy, GroupValue.exactly(Z))
+    ses = assemble_extension(fuzzy, GroupValue(Z, True))
     assert not ses.split
     assert not ses.total.exact
     assert ses.total.note == "an end is not exact"
     assert str(ses.total) == "Z^2 (bound; an end is not exact)"
-    assert str(GroupValue.exactly(Z)) == "Z (exact)"
+    assert str(GroupValue(Z, True)) == "Z (exact)"
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +288,13 @@ def test_kh_report_triangle_cycle():
     assert rep.kh_value.quotient.group == Z
     assert rep.kh_value.split
     assert rep.kh_value.total.exact
-    assert rep.kh_value.total.group == FgAbGroup.free(2)
+    assert rep.kh_value.total.group == FgAbGroup(2)
 
     assert rep.ker_alpha.ses.total.exact
     assert rep.ker_alpha.ses.total.group.is_trivial()
     assert rep.ker_alpha.ker_ns_bound == Z
     assert rep.coker_alpha.total.exact
-    assert rep.coker_alpha.total.group == FgAbGroup.free(2)
+    assert rep.coker_alpha.total.group == FgAbGroup(2)
 
 
 def test_kh_report_contractible_divisor_is_trivial():
@@ -362,8 +363,8 @@ def test_kh_report_opaque_differential_in_dimension_four():
 
 def test_kh_report_vanishing_h1_restores_exactness_above_three():
     rep = kh_report(sphere4(), zero_picard(
-        4, {0: FgAbGroup.free(5), 1: FgAbGroup.free(10),
-            2: FgAbGroup.free(10)}))
+        4, {0: FgAbGroup(5), 1: FgAbGroup(10),
+            2: FgAbGroup(10)}))
     assert rep.h_n_minus_3.is_trivial()
     assert rep.d2_top_known_zero
     assert not rep.n3_exact

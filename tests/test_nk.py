@@ -1,17 +1,16 @@
 """Du Bois bookkeeping and the K vs KH comparison in the bottom degree."""
 import pytest
 
-from helpers import sphere4, triangle_cycle, triangle_picard, zero_picard
+from helpers import Z, sphere4, triangle_cycle, triangle_picard, zero_picard
 from snckit import DuBoisTable, k_report, kh_report
-from snckit.abgroup import Z
 from snckit.nk import MissingEntryError, NonIsolatedError
 
 
 def test_table_lookup_and_validation():
     t = DuBoisTable({(0, 2): 3, (1, 1): 0})
-    assert t.get(0, 2) == 3
-    assert t.get(1, 1) == 0
-    assert t.get(2, 0) is None
+    assert t.entries.get((0, 2)) == 3
+    assert t.entries.get((1, 1)) == 0
+    assert t.entries.get((2, 0)) is None
     with pytest.raises(ValueError):
         DuBoisTable({(0, 2): -1})
 

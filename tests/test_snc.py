@@ -4,6 +4,8 @@ import random
 import pytest
 
 from helpers import (
+    Z,
+    ZERO_GROUP,
     alt_chain_complex,
     brute_force_bad,
     euler_characteristic,
@@ -32,7 +34,6 @@ from snckit import (
     resolve_to_simplicial,
     validate_snc,
 )
-from snckit.abgroup import Z, ZERO_GROUP
 from snckit.snc import (
     ClosureViolationError,
     ContainmentMismatchError,
@@ -419,7 +420,7 @@ def test_point_blowup_on_interval_gives_triangle():
     assert cohomology_profile(after, 3) == cohomology_profile(d, 3)
     # the curve survives and now carries a triple point with the new wall
     assert {s.id: s for s in after.strata}["c"].subset == ("1", "2")
-    triple = [s for s in after.strata if s.depth == 3]
+    triple = [s for s in after.strata if len(s.subset) == 3]
     assert len(triple) == 1
     assert triple[0].parents["exc1"] == "c"
 
@@ -456,14 +457,14 @@ def test_point_blowup_intersection_table_in_star_configuration():
     validate_snc(after)
     new = record.new_component
 
-    pairs = {s.subset for s in after.strata if s.depth == 2}
+    pairs = {s.subset for s in after.strata if len(s.subset) == 2}
     # the old pairwise intersections are untouched, including E1 ^ E2
     assert {("E1", f"E{i}") for i in range(2, m + 1)} <= pairs
     # the exceptional wall meets exactly the two components through the point
     assert ("E1", new) in pairs and ("E2", new) in pairs
     assert all((f"E{i}", new) not in pairs for i in range(3, m + 1))
     # one new triple point, nothing else of depth three
-    triples = [s for s in after.strata if s.depth == 3]
+    triples = [s for s in after.strata if len(s.subset) == 3]
     assert [s.subset for s in triples] == [("E1", "E2", new)]
     assert cohomology_profile(after, 3) == before
 
@@ -583,7 +584,7 @@ def test_bad_decrement_is_the_recount_before_and_after():
         for s in d.strata:
             after, record = blowup_stratum_component(d, s.id)
             assert record.bad_decrement == bad_count(d) - bad_count(after)
-            if d.n == 3 and s.depth == 2:
+            if d.n == 3 and len(s.subset) == 2:
                 after, record = blowup_point_on_double_curve(d, s.id)
                 assert record.bad_decrement == bad_count(d) - bad_count(after)
         # the resolve loop keeps one running total across all its steps
@@ -639,7 +640,7 @@ def larger_oracle_corpus(seed: int, count: int) -> list[tuple[set[str], SncDivis
                 comps[pos] = name
             kinds.add("named")
         d = parallel_curve_divisor(rng, m, rng.randint(m, 3 * m), comps)
-        curves = [s.id for s in d.strata if s.depth == 2]
+        curves = [s.id for s in d.strata if len(s.subset) == 2]
         if i % 5 == 2:
             d = _rename_stratum(d, rng.choice(curves), "exc2")
             validate_snc(d)

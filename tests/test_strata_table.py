@@ -46,7 +46,7 @@ def skeleton(rng: random.Random, n: int, m: int, copies: int) -> SncDivisor:
     """The full (n-1)-skeleton of the (m-1)-simplex with ``copies`` parallel
     copies of random top cells."""
     d = simplex_divisor(n, [f"E{i}" for i in range(m)], n)
-    tops = [s for s in d.strata if s.depth == n]
+    tops = [s for s in d.strata if len(s.subset) == n]
     extra = tuple(Stratum(f"{s.id}~{k}", s.subset, dict(s.parents))
                   for k, s in enumerate(rng.choices(tops, k=copies)))
     return SncDivisor(d.n, d.components, d.strata + extra)
@@ -239,7 +239,7 @@ def test_the_blowups_and_the_resolution_return_divisors_carrying_a_table():
                  for _ in range(60)]
     pointed = []
     for d in divisors:
-        curves = [s.id for s in d.strata if s.depth == 2]
+        curves = [s.id for s in d.strata if len(s.subset) == 2]
         if d.n == 3 and curves:
             after, _ = blowup_point_on_double_curve(d, rng.choice(curves))
             assert_carries_its_table(after)
