@@ -6,7 +6,10 @@ column of (face, coefficient) pairs per cell.  The boundaries must compose
 to zero.  Homology and cohomology come out in canonical form.  Both are
 read off the Smith diagonals of the boundaries, which each complex computes
 once, bottom-up with clearing, and keeps; cohomology follows from them by
-universal coefficients, with no transposed complex.
+universal coefficients, with no transposed complex.  The sweep takes each
+boundary as face rows: a complex made by ``ChainComplex._of``, as the dual
+complex of a checked divisor is, reads them from its maker and builds its
+columns only if they are read.
 
 Spectral pages are finite: a dictionary of nonzero entries together with an
 explicit support region.  Only the E_1 → E_2 step is implemented; the one
@@ -16,7 +19,7 @@ E_3 entry that the KH report reads is the direct corner rule in ``khasm``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .abgroup import FgAbGroup, Hom, compose, subquotient
 from .intmat import unit_sweep
@@ -42,16 +45,17 @@ class ChainComplex:
 
     Each boundary composed with the one below it must be zero.  The
     constructor does not check it; the diagonals, read bottom-up with
-    clearing, rely on it.
+    clearing, rely on it.  ``_of`` makes a complex from face rows that its
+    caller has checked, and skips the column check.
     """
 
     lowest_degree: int
     ranks: tuple[int, ...]
     boundaries: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
-    # (Smith diagonal, unit pivot columns) per boundary, filled bottom-up on
-    # first use; not part of the value, so equality, hashing and
-    # construction ignore it.
-    _sweeps: list[tuple[tuple[int, ...], list[int]]] = field(
+    # (Smith diagonal, unit pivot columns, rank) per boundary, filled
+    # bottom-up on first use; not part of the value, so equality, hashing
+    # and construction ignore it.
+    _sweeps: list[tuple[tuple[int, ...], list[int], int]] = field(
         default_factory=list, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -61,18 +65,10 @@ class ChainComplex:
                 f"{len(self.boundaries)} boundary maps for {len(self.ranks)} degrees")
         for k, columns in enumerate(self.boundaries):
             below = self.ranks[k]
-            bad = len(columns) != self.ranks[k + 1]
-            for col in () if bad else columns:
-                last = -1
-                for f, x in col:
-                    if x == 0 or f <= last:
-                        last = below        # marks the column bad
-                        break
-                    last = f
-                if last >= below:
-                    bad = True
-                    break
-            if bad:
+            # faces rise strictly from 0, the sentinel (below, 0) bounding the last
+            if len(columns) != self.ranks[k + 1] or not all(
+                    all(x and -1 < f < g for (f, x), (g, _) in zip(col, (*col[1:], (below, 0))))
+                    for col in columns):
                 raise ValueError(
                     f"boundary out of degree {self.lowest_degree + k + 1} is not "
                     f"{self.ranks[k + 1]} columns of nonzero entries on faces "
@@ -87,37 +83,73 @@ class ChainComplex:
             return self.ranks[d - self.lowest_degree]
         return 0
 
+    @classmethod
+    def _of(cls, lowest_degree: int, ranks: tuple[int, ...], rows: Callable) -> ChainComplex:
+        """A complex whose boundary k has the face rows ``rows(k)``, checked
+        by the caller; its ``boundaries`` are built from them on first read."""
+        out = object.__new__(cls)
+        out.__dict__.update(lowest_degree=lowest_degree, ranks=ranks, _rows=rows, _sweeps=[])
+        return out
+
+    def __getattr__(self, name: str) -> tuple:
+        if name != "boundaries":
+            raise AttributeError(name)
+        value = tuple([tuple(map(tuple, _transpose(map(dict.items, self._rows(k)), n)))
+                       for k, n in enumerate(self.ranks[1:])])
+        object.__setattr__(self, name, value)
+        return value
+
+    def _rows(self, k: int) -> list[dict[int, int]]:
+        """Boundary k as fresh face rows {cell: coefficient}, its columns
+        transposed; a complex made by ``_of`` reads its own rows instead."""
+        return list(map(dict, _transpose(self.boundaries[k], self.ranks[k])))
+
     def diagonal(self, d: int) -> tuple[int, ...]:
         """Smith diagonal of the boundary out of degree d, computed once.
 
         Outside the range the boundary is zero and its diagonal is empty.
         The first call sweeps every boundary from the lowest up to this
-        one, each once, with faces as rows.  A unit pivot of the sweep below,
-        in the column of cell c, is a cochain whose coboundary has a unit at
-        c; trading c for that coboundary is a unimodular change of basis in
-        which row c of this boundary is zero, as the boundaries compose to
-        zero.  So the rows of paired cells go in empty, and the diagonal,
-        zero padding included, is that of the whole boundary.
+        one, each once, with faces as rows: the rows a complex made by
+        ``_of`` was given, or else its columns transposed.  A unit pivot of
+        the sweep below, in the column of cell c, is a cochain whose
+        coboundary has a unit at c; trading c for that coboundary is a
+        unimodular change of basis in which row c of this boundary is zero,
+        as the boundaries compose to zero.  So the rows of paired cells go
+        in empty, and the diagonal, zero padding included, is that of the
+        whole boundary.
         """
+        return self._swept(d)[0]
+
+    def _swept(self, d: int) -> tuple[tuple[int, ...], list[int], int]:
+        """The sweep of the boundary out of degree d: its diagonal, unit
+        pivot columns and rank, or an empty one outside the range."""
         k = d - self.lowest_degree - 1
-        if not 0 <= k < len(self.boundaries):
-            return ()
+        if not 0 <= k < len(self.ranks) - 1:
+            return (), [], 0
         sweeps = self._sweeps
         while len(sweeps) <= k:
             j = len(sweeps)
-            rows: list[dict[int, int]] = [{} for _ in range(self.ranks[j])]
-            for cell, column in enumerate(self.boundaries[j]):
-                for face, x in column:
-                    rows[face][cell] = x
+            rows = self._rows(j)
             for face in sweeps[-1][1] if sweeps else ():
                 rows[face] = {}
-            sweeps.append(unit_sweep(rows, self.ranks[j + 1]))
-        return sweeps[k][0]
+            diag, pivots = unit_sweep(rows, self.ranks[j + 1])
+            sweeps.append((diag, pivots, len(diag) - diag.count(0)))
+        return sweeps[k]
+
+
+def _transpose(lines: Iterable[Iterable[tuple[int, int]]], n: int) -> list[list[tuple[int, int]]]:
+    """Sparse lines of (index, entry) pairs turned into n lines the other
+    way, each in index order."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, line in enumerate(lines):
+        for j, x in line:
+            out[j].append((i, x))
+    return out
 
 
 def _group(c: ChainComplex, i: int, torsion_from: int) -> FgAbGroup:
     """Free rank rank_i - r_i - r_{i+1}; torsion from one boundary's diagonal."""
-    free = c.rank(i) - sum(1 for d in (i, i + 1) for x in c.diagonal(d) if x != 0)
+    free = c.rank(i) - c._swept(i)[2] - c._swept(i + 1)[2]
     return FgAbGroup(free, tuple(x for x in c.diagonal(torsion_from) if x > 1))
 
 

@@ -15,14 +15,16 @@ by id and its position among the strata of its depth, and the first
 stratum breaking its own rules; the second checks parents, and keeps the
 rows of the parents it finds.  Past the parent checks, the drops of two
 components are compared only where a subset carries two strata, since
-elsewhere both orders land on its one stratum.  ``build_dual_complex``
-makes its boundary columns from the rows and positions the check returns.
+elsewhere both orders land on its one stratum.  The dual complex reads
+each boundary's face rows straight from the parents and positions the
+check returns, and the Smith sweep takes them as they are.
 The parser, the blowups and ``build_dual_complex`` make their divisors and
 complexes by private constructors that keep the table or the check's
-result; ``SncDivisor.strata`` and ``DualComplex.cells`` are then built
-from it on first read, and of the commands only ``dual-complex`` reads
-either.  Error text is formatted only where a check fails, and the first
-error raised is the one the order of the checks names, whatever order the
+result; ``SncDivisor.strata``, ``DualComplex.cells`` and the boundary
+columns are then built from it on first read.  Of the commands only
+``dual-complex`` reads the strata or cells, and none reads the columns.
+Error text is formatted only where a check fails, and the first error
+raised is the one the order of the checks names, whatever order the
 strata arrive in.
 
 Blowing up a stratum component is modeled as stellar subdivision of its
@@ -213,8 +215,9 @@ class _Incidence(NamedTuple):
     for every k up to the deepest stratum (0 for k < 2); ``slot``, each
     stratum's position among the strata of its depth; and ``found[k]``,
     for each stratum on k >= 3 components in divisor order, the table rows
-    of its parents in subset order.  ``boundaries`` and ``build`` make the
-    dual complex's boundary columns and cells from these."""
+    of its parents in subset order.  ``rows`` and ``build`` make the dual
+    complex's boundary face rows and cells from these; no other reader
+    builds the boundaries."""
 
     components: tuple[str, ...]
     table: _StrataTable
@@ -225,15 +228,17 @@ class _Incidence(NamedTuple):
     def ranks(self) -> tuple[int, ...]:
         return (len(self.components), *self.counts[2:])
 
-    def boundaries(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-        """The face opposite the m-th vertex carries the sign (-1)^m."""
-        if len(self.counts) < 3:
-            return ()
-        slot, signs = self.slot, (1, -1) * len(self.counts)
-        edges = tuple([((pos[0], -1), (pos[1], 1)) for pos in self.table.positions
-                       if len(pos) == 2])
-        return (edges, *[tuple([tuple(sorted(zip([slot[p] for p in ps], signs)))
-                                for ps in layer]) for layer in self.found[3:]])
+    def rows(self, k: int) -> list[dict[int, int]]:
+        """Fresh face rows {cell: sign} of the boundary out of dimension
+        k + 1; the face opposite the m-th vertex carries the sign (-1)^m."""
+        rows: list[dict[int, int]] = [{} for _ in range(self.ranks()[k])]
+        # parents in subset order: an edge's are its vertices reversed
+        parents = self.found[k + 2] if k else [p[::-1] for p in self.table.positions if len(p) == 2]
+        face, signs = self.slot if k else range(len(rows)), (1, -1) * len(self.counts)
+        for cell, ps in enumerate(parents):
+            for p, x in zip(ps, signs):
+                rows[face[p]][cell] = x
+        return rows
 
     def build(self) -> tuple[tuple[DualCell, ...], ...]:
         layers: list[list[DualCell]] = [[] for _ in self.counts]
@@ -245,8 +250,8 @@ class _Incidence(NamedTuple):
 
 def validate_snc(d: SncDivisor) -> _Incidence:
     """Check every structural invariant, raising on the first violation,
-    and return what the check found on the way, from which
-    ``build_dual_complex`` makes the boundaries (see the module docstring).
+    and return what the check found on the way, from which the dual
+    complex reads its boundaries (see the module docstring).
 
     The order of the checks decides which error is raised: distinct
     component ids; distinct stratum ids, none reusing a component id; then
@@ -381,10 +386,12 @@ class DualComplex:
     ``boundaries[k]`` lists, for each cell of dimension k + 1 in order, its
     faces as (position in ``cells[k]``, sign) pairs sorted by position: the
     face opposite the m-th vertex carries the sign (-1)^m.  This is the
-    boundary form ``ChainComplex`` takes, so ``chain_complex`` copies
-    nothing.  ``build_dual_complex`` makes the complex by ``_of`` from the
-    incidence ``validate_snc`` returns, kept in ``_incidence``; its cells
-    are built from it on first read and kept.
+    boundary form ``ChainComplex`` takes.  ``build_dual_complex`` makes the
+    complex by ``_of`` from the incidence ``validate_snc`` returns, kept in
+    ``_incidence``; its cells and boundaries are built from it on first
+    read and kept, and ``chain_complex`` hands the sweep the incidence's
+    face rows with no column built or checked.  A complex made by the
+    constructor gives ``ChainComplex`` its boundaries, which it checks.
     """
 
     cells: tuple[tuple[DualCell, ...], ...]
@@ -396,18 +403,19 @@ class DualComplex:
     @classmethod
     def _of(cls, incidence: _Incidence) -> "DualComplex":
         out = object.__new__(cls)
-        out.__dict__.update(boundaries=incidence.boundaries(), _ranks=incidence.ranks(),
-                            _incidence=incidence)
+        out.__dict__.update(_ranks=incidence.ranks(), _incidence=incidence)
         return out
 
-    def __getattr__(self, name: str) -> tuple[tuple[DualCell, ...], ...]:
-        if name != "cells":
+    def __getattr__(self, name: str) -> tuple:
+        if name not in ("cells", "boundaries"):
             raise AttributeError(name)
-        cells = self._incidence.build()
-        object.__setattr__(self, "cells", cells)
-        return cells
+        value = self._incidence.build() if name == "cells" else self.chain_complex().boundaries
+        object.__setattr__(self, name, value)
+        return value
 
     def chain_complex(self) -> ChainComplex:
+        if "_incidence" in self.__dict__:
+            return ChainComplex._of(0, self._ranks, self._incidence.rows)
         return ChainComplex(0, self._ranks, self.boundaries)
 
 
@@ -416,8 +424,9 @@ def build_dual_complex(d: SncDivisor) -> DualComplex:
 
     The divisor is checked with ``validate_snc`` first, so an invalid one
     raises ``SncError`` rather than giving a wrong complex.  The
-    boundaries come from the parents the check found, and the cells are
-    built from the same result when first read.
+    boundaries' face rows come from the parents the check found; the
+    cells and the boundary columns are built from the same result when
+    first read.
     """
     return DualComplex._of(validate_snc(d))
 

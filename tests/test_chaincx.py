@@ -1,9 +1,14 @@
 """Free chain complexes, integral (co)homology, and spectral pages."""
+import contextlib
+import io
 import itertools
+import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     NonComplexError,
@@ -12,6 +17,7 @@ from helpers import (
     ZERO_GROUP,
     boundary_matrix,
     complex_from_matrices,
+    divisor_json,
     dualize,
     e3_top_corner,
     euler_characteristic,
@@ -41,7 +47,7 @@ from snckit import (
     kh_report,
     resolve_to_simplicial,
 )
-from snckit.cli import parse_input
+from snckit.cli import main, parse_input
 from snckit.intmat import unit_sweep
 
 SPHERE4 = Path(__file__).parent / "fixtures" / "sphere4.json"
@@ -345,6 +351,87 @@ def test_kh_report_takes_each_smith_diagonal_once(monkeypatch):
     assert swept == list(range(len(calls))) and len(calls) >= 2
     for (k, empty, _), (_, _, below) in zip(calls[1:], calls):
         assert below and empty == set(below)
+
+
+def assert_columns_read_on_demand(d: SncDivisor, order: list[int], read_at: int) -> None:
+    """The dual complex's chain complex equals the checked one built from
+    its columns, and takes the uncleared diagonals in degree order
+    ``order``, whether ``boundaries`` is read before the diagonal at
+    ``read_at`` or, past the end of ``order``, after them all."""
+    lazy = build_dual_complex(d).chain_complex()
+    degrees = list(range(-1, len(lazy.ranks) + 1))
+    got = {}
+    for step in range(len(order) + 1):
+        if step == min(read_at, len(order)):
+            columns, shown = lazy.boundaries, repr(lazy)
+        if step < len(order):
+            got[order[step]] = lazy.diagonal(degrees[order[step]])
+    checked = ChainComplex(0, lazy.ranks, columns)
+    assert lazy == checked and hash(lazy) == hash(checked)
+    assert repr(lazy) == shown == repr(checked) and lazy.boundaries is columns
+    want = [uncleared_diagonal(checked, i) for i in degrees]
+    assert [got[i] for i in range(len(degrees))] == want
+    assert [lazy.diagonal(i) for i in degrees] == want
+
+
+def test_dual_complex_columns_read_on_demand_match_the_checked_complex():
+    rng = random.Random(34)
+    for d in divisor_corpus():
+        size = len(build_dual_complex(d).chain_complex().ranks) + 2
+        for read_at in (0, size // 2, size):
+            order = list(range(size))
+            rng.shuffle(order)
+            assert_columns_read_on_demand(d, order, read_at)
+
+
+@st.composite
+def drawn_divisors(draw):
+    """A simplex skeleton, canonical or shuffled, the rp2 divisor, or a
+    resolved parallel-curve or random divisor."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["skeleton", "shuffled", "rp2", "parallel", "random"]))
+    if kind == "rp2":
+        return rp2_divisor()
+    if kind == "parallel":
+        return resolve_to_simplicial(
+            parallel_curve_divisor(rng, rng.randint(3, 6), rng.randint(0, 6)))[0]
+    if kind == "random":
+        return resolve_to_simplicial(random_divisor(rng))[0]
+    n = draw(st.integers(2, 4))
+    d = simplex_divisor(n, [f"E{i}" for i in range(draw(st.integers(n, 7)))], n)
+    return shuffled_divisor(d, rng) if kind == "shuffled" else d
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(d=drawn_divisors(), data=st.data())
+def test_drawn_dual_complexes_read_columns_on_demand(d, data):
+    ranks = build_dual_complex(d).chain_complex().ranks
+    order = data.draw(st.permutations(range(len(ranks) + 2)))
+    assert_columns_read_on_demand(d, order, data.draw(st.integers(0, len(order))))
+
+
+def test_reports_build_no_boundary_columns(monkeypatch, tmp_path):
+    calls = []
+    real = chaincx._transpose
+
+    def counting(lines, n):
+        calls.append(n)
+        return real(lines, n)
+
+    monkeypatch.setattr(chaincx, "_transpose", counting)
+    doc = json.loads(SPHERE4.read_text(encoding="utf-8"))
+    block = divisor_json(simplex_divisor(4, [f"E{i}" for i in range(7)], 4))
+    random.Random(35).shuffle(block["strata"])
+    shuffled = tmp_path / "shuffled-skeleton.json"
+    shuffled.write_text(json.dumps({**doc, "divisor": block}), encoding="utf-8")
+    for path in (SPHERE4, shuffled):
+        for command in ("kh-report", "cohomology"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["--input", str(path), "--command", command]) == 0
+    assert calls == []
+    # the counter does see the columns built when they are read
+    assert build_dual_complex(parse_input(str(shuffled)).divisor).chain_complex().boundaries
+    assert calls == [21, 35, 35]
 
 
 def test_dualize_is_an_involution():
