@@ -13,7 +13,6 @@ from .abgroup import (
     compose,
     direct_sum,
     group_from_presentation,
-    presentation,
     presentation_matrix,
     subquotient,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "k_report",
     "kh_report",
     "ns_analysis",
-    "presentation",
     "presentation_matrix",
     "resolve_to_simplicial",
     "smith_diagonal",

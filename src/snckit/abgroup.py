@@ -125,40 +125,6 @@ def _group_from_diagonal(diag: tuple[int, ...], generators: int) -> FgAbGroup:
 
 
 @dataclass(frozen=True)
-class Presentation:
-    """A cokernel together with coordinates on its canonical generators.
-
-    ``to_canonical`` rewrites a vector on the presenting generators as a
-    vector on the canonical generators of ``group``; ``lift`` is a section
-    of it (to_canonical @ lift is the identity).
-    """
-
-    group: FgAbGroup
-    to_canonical: IntMatrix
-    lift: IntMatrix
-
-
-def presentation(relations: IntMatrix, generators: int) -> Presentation:
-    """Like group_from_presentation, but keeps the change of coordinates.
-
-    ``to_canonical`` is rows of U and ``lift`` columns of U^{-1}, both read
-    off one elimination of the relations that leaves V untracked, or the
-    identity when there are no relations.
-    """
-    if relations.nrows != generators:
-        raise ValueError(
-            f"relation matrix has {relations.nrows} rows for {generators} generators")
-    if not relations.ncols:
-        identity = IntMatrix.identity(generators)
-        return Presentation(FgAbGroup(generators), identity, identity)
-    diag, u, _, u_inv = eliminate(relations, u=True, u_inv=True)
-    free_idx = [i for i in range(generators) if i >= len(diag) or diag[i] == 0]
-    order = free_idx + [i for i in range(len(diag)) if diag[i] > 1]
-    return Presentation(_group_from_diagonal(diag, generators),
-                        u.take_rows(order), u_inv.take_columns(order))
-
-
-@dataclass(frozen=True)
 class Hom:
     """A homomorphism between groups in canonical form.
 

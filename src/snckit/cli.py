@@ -247,13 +247,20 @@ def _bad_parent_key(key: Any, ncomps: int, path: str) -> NoReturn:
 def _parse_group(obj: Any, path: str) -> FgAbGroup:
     gobj = _as_dict(obj, path)
     _require_keys(gobj, {"free_rank", "torsion"}, ("free_rank",), path)
-    rank = _as_int(gobj["free_rank"], f"{path}.free_rank", minimum=0)
-    torsion = [_as_int(t, f"{path}.torsion[{i}]", minimum=2)
-               for i, t in enumerate(_as_list(gobj.get("torsion", []), f"{path}.torsion"))]
+    return _group_at(gobj, path, "free_rank", "torsion")
+
+
+def _group_at(obj: dict, path: str, rank_key: str, torsion_key: str) -> FgAbGroup:
+    """The group whose free rank and torsion orders sit at two keys of obj,
+    the torsion optional; errors name the key that holds the bad value."""
+    tpath = f"{path}.{torsion_key}"
+    rank = _as_int(obj[rank_key], f"{path}.{rank_key}", minimum=0)
+    torsion = [_as_int(t, f"{tpath}[{i}]", minimum=2)
+               for i, t in enumerate(_as_list(obj.get(torsion_key, []), tpath))]
     try:
         return FgAbGroup(rank, tuple(torsion))
     except ValueError as e:
-        raise SchemaError(f"{path}.torsion", str(e))
+        raise SchemaError(tpath, str(e))
 
 
 def _parse_picard(block: Any, n: int, path: str) -> PicardInput:
@@ -271,8 +278,7 @@ def _parse_picard(block: Any, n: int, path: str) -> PicardInput:
         _require_keys(lobj, {"p", "ns_rank", "ns_torsion", "pic0_dim"},
                       ("p", "ns_rank"), lpath)
         p = _as_int(lobj["p"], f"{lpath}.p", minimum=0)
-        ns = _parse_group({"free_rank": lobj["ns_rank"],
-                           "torsion": lobj.get("ns_torsion", [])}, lpath)
+        ns = _group_at(lobj, lpath, "ns_rank", "ns_torsion")
         dim = _as_int(lobj.get("pic0_dim", 0), f"{lpath}.pic0_dim", minimum=0)
         levels.append(PicardLevel(p, ns, dim))
     levels.sort(key=lambda lv: lv.p)

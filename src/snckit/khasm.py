@@ -22,10 +22,9 @@ from .abgroup import (
     compose,
     direct_sum,
     kernel_coordinates,
-    presentation,
 )
 from .chaincx import cohomology, homology
-from .intmat import IntMatrix
+from .intmat import IntMatrix, eliminate
 from .snc import SncDivisor, build_dual_complex
 
 ALGEBRAICALLY_CLOSED = "algebraically_closed"
@@ -141,6 +140,15 @@ class PicardInput:
                 f"NS maps do not compose to zero between levels {ps[0]} and {ps[2]}")
 
 
+def _canonical_rows(diag: tuple[int, ...], size: int) -> tuple[FgAbGroup, list[int]]:
+    """The cokernel of relations on ``size`` generators, from their Smith
+    diagonal, and which rows of U (columns of U^{-1}) are its canonical
+    generators: the free ones first, then torsion in ascending order."""
+    free = [i for i in range(size) if i >= len(diag) or diag[i] == 0]
+    torsion = [i for i, x in enumerate(diag) if x > 1]
+    return FgAbGroup(len(free), tuple(diag[i] for i in torsion)), free + torsion
+
+
 def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
     """ker(NS), coker(NS), the lattice Gamma, and the surjection ker(NS) -> Gamma.
 
@@ -153,6 +161,12 @@ def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
     solving works column by column, so the relations' own columns of that
     solution are the relations of ker(NS).  coker(NS) comes from the same
     call.
+
+    The surjection is the rows of U at Gamma's canonical generators times
+    the columns of U^{-1} at ker(NS)'s, U and U^{-1} from eliminating each
+    lattice's relations, so each elimination tracks that one transform.  A
+    lattice without relations, as on a torsion-free source of NS, is free
+    on the basis and needs no elimination.
     """
     main = pi.maps[-1]
     incoming = (pi.maps[0].matrix if len(pi.maps) == 2
@@ -162,13 +176,18 @@ def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
     if rels_gamma is None:  # pragma: no cover
         raise AssertionError("relations escaped the kernel lattice")
     rels_ker = rels_gamma.take_columns(range(incoming.ncols, rels_gamma.ncols))
-    pres_ker = presentation(rels_ker, size)
-    pres_gamma = presentation(rels_gamma, size)
-    # without relations, as on a torsion-free source of NS, the lift is I
-    to_gamma = pres_gamma.to_canonical
-    surjection = Hom(pres_ker.group, pres_gamma.group,
-                     to_gamma @ pres_ker.lift if rels_ker.ncols else to_gamma)
-    return pres_ker.group, coker_ns, pres_gamma.group, surjection
+    gamma = ker_ns = FgAbGroup(size)
+    if rels_gamma.ncols:
+        diag, u, _, _ = eliminate(rels_gamma, u=True)
+        gamma, order = _canonical_rows(diag, size)
+        matrix = u.take_rows(order)
+    else:
+        matrix = IntMatrix.identity(size)
+    if rels_ker.ncols:
+        diag, _, _, u_inv = eliminate(rels_ker, u_inv=True)
+        ker_ns, order = _canonical_rows(diag, size)
+        matrix = matrix @ u_inv.take_columns(order)
+    return ker_ns, coker_ns, gamma, Hom(ker_ns, gamma, matrix)
 
 
 @dataclass(frozen=True)

@@ -127,7 +127,7 @@ class _StrataTable(NamedTuple):
     subset names an unknown component, repeats one or is out of component
     order; ``parents``, the parents keyed by dropped component id.  The
     parser shares one subset tuple and one positions tuple among the
-    members of a group.  ``build`` makes the ``Stratum`` objects.
+    members of a group.  ``strata`` makes the ``Stratum`` objects.
     """
 
     ids: list[str]
@@ -155,7 +155,7 @@ class _StrataTable(NamedTuple):
         object.__setattr__(d, "_table", table)
         return table
 
-    def build(self) -> tuple[Stratum, ...]:
+    def strata(self) -> tuple[Stratum, ...]:
         return tuple(map(Stratum, self.ids, self.subsets, self.parents))
 
 
@@ -182,7 +182,7 @@ class SncDivisor:
     def __getattr__(self, name: str) -> tuple[Stratum, ...]:
         if name != "strata":
             raise AttributeError(name)
-        strata = self._table.build()
+        strata = self._table.strata()
         object.__setattr__(self, "strata", strata)
         return strata
 
@@ -215,7 +215,7 @@ class _Incidence(NamedTuple):
     for every k up to the deepest stratum (0 for k < 2); ``slot``, each
     stratum's position among the strata of its depth; and ``found[k]``,
     for each stratum on k >= 3 components in divisor order, the table rows
-    of its parents in subset order.  ``rows`` and ``build`` make the dual
+    of its parents in subset order.  ``rows`` and ``cells`` make the dual
     complex's boundary face rows and cells from these; no other reader
     builds the boundaries."""
 
@@ -240,7 +240,7 @@ class _Incidence(NamedTuple):
                 rows[face[p]][cell] = x
         return rows
 
-    def build(self) -> tuple[tuple[DualCell, ...], ...]:
+    def cells(self) -> tuple[tuple[DualCell, ...], ...]:
         layers: list[list[DualCell]] = [[] for _ in self.counts]
         for sid, subset in zip(self.table.ids, self.table.subsets):
             layers[len(subset)].append(DualCell(sid, subset))
@@ -409,7 +409,7 @@ class DualComplex:
     def __getattr__(self, name: str) -> tuple:
         if name not in ("cells", "boundaries"):
             raise AttributeError(name)
-        value = self._incidence.build() if name == "cells" else self.chain_complex().boundaries
+        value = self._incidence.cells() if name == "cells" else self.chain_complex().boundaries
         object.__setattr__(self, name, value)
         return value
 

@@ -8,8 +8,10 @@ blowups and resolution from full rescans of the divisor, inverses of
 Smith transforms from a second Smith form instead of the tracked inverse,
 kernels, kernel lattices and exact solves from the U and V of the full
 Smith form instead of the eliminations that track one transform,
-chain complexes straight off the strata, the E_3 corner of the KH
-report from an assembled two-row descent page, and a document's divisor
+the Picard analysis from ``presentation``, one elimination per lattice
+that tracks both U and U^{-1} (``reference_ns_analysis``), chain
+complexes straight off the strata, the E_3 corner of the KH report from
+an assembled two-row descent page, and a document's divisor
 block, a resolve report's blowup records and the reports of kh-report and
 k-report from nested dicts (``divisor_json``, ``blowup_json`` and
 ``report_json``, which ``json.dumps`` prints as the CLI's writers must).
@@ -46,13 +48,8 @@ from snckit import (
     find_bad_intersections,
     validate_snc,
 )
-from snckit.abgroup import (
-    Presentation,
-    group_from_presentation,
-    presentation,
-    presentation_matrix,
-)
-from snckit.intmat import SmithForm, smith_normal_form
+from snckit.abgroup import group_from_presentation, kernel_coordinates, presentation_matrix
+from snckit.intmat import SmithForm, eliminate, smith_normal_form
 from snckit.snc import ResolutionLimitError, UnknownCenterError
 
 Z = FgAbGroup(1)
@@ -261,7 +258,8 @@ def column_lattice_basis(a: IntMatrix) -> IntMatrix:
 
 
 def presentation_lift(relations: IntMatrix) -> IntMatrix:
-    """The ``lift`` of ``presentation``, with U^{-1} from a second Smith form."""
+    """The ``lift`` of ``presentation``: the columns of U^{-1} of the
+    canonical generators, free first, with U^{-1} from a second Smith form."""
     sf = smith_normal_form(relations)
     diag = sf.diagonal
     free_idx = [i for i in range(relations.nrows) if i >= len(diag) or diag[i] == 0]
@@ -273,6 +271,49 @@ def kernel_lattice(h: Hom) -> IntMatrix:
     """Basis (as columns) of the vectors on source generators killed by h."""
     stacked = h.matrix.hstack(presentation_matrix(h.target))
     return column_lattice_basis(kernel_basis(stacked).take_rows(range(h.source.ngens)))
+
+
+class Presentation(NamedTuple):
+    """A cokernel with coordinates on its canonical generators.
+
+    ``to_canonical`` rewrites a vector on the presenting generators as a
+    vector on the canonical generators of ``group``; ``lift`` is a section
+    of it (to_canonical @ lift is the identity).
+    """
+
+    group: FgAbGroup
+    to_canonical: IntMatrix
+    lift: IntMatrix
+
+
+def presentation(relations: IntMatrix, generators: int) -> Presentation:
+    """The cokernel of ``relations`` with both changes of coordinates: rows
+    of U and columns of U^{-1}, free generators first, from one elimination
+    that tracks the two, or the identity when there are no relations."""
+    if not relations.ncols:
+        identity = IntMatrix.identity(generators)
+        return Presentation(FgAbGroup(generators), identity, identity)
+    diag, u, _, u_inv = eliminate(relations, u=True, u_inv=True)
+    free = [i for i in range(generators) if i >= len(diag) or diag[i] == 0]
+    order = free + [i for i in range(len(diag)) if diag[i] > 1]
+    return Presentation(group_from_presentation(relations, generators),
+                        u.take_rows(order), u_inv.take_columns(order))
+
+
+def reference_ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
+    """``ns_analysis`` with each lattice read through ``presentation``, which
+    tracks U and U^{-1} on both: the surjection is Gamma's ``to_canonical``
+    times ker(NS)'s ``lift``."""
+    main = pi.maps[-1]
+    incoming = (pi.maps[0].matrix if len(pi.maps) == 2
+                else IntMatrix.zero(main.source.ngens, 0))
+    rels_gamma, size, coker_ns = kernel_coordinates(main, incoming)
+    rels_ker = rels_gamma.take_columns(range(incoming.ncols, rels_gamma.ncols))
+    pres_ker = presentation(rels_ker, size)
+    pres_gamma = presentation(rels_gamma, size)
+    surjection = Hom(pres_ker.group, pres_gamma.group,
+                     pres_gamma.to_canonical @ pres_ker.lift)
+    return pres_ker.group, coker_ns, pres_gamma.group, surjection
 
 
 def kernel_presentation(h: Hom) -> Presentation:

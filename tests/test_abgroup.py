@@ -26,12 +26,12 @@ from snckit import (
     compose,
     direct_sum,
     group_from_presentation,
-    presentation,
     presentation_matrix,
     subquotient,
 )
-from snckit.abgroup import Presentation, kernel_coordinates
+from snckit.abgroup import kernel_coordinates
 from snckit.intmat import eliminate, smith_normal_form
+from snckit.khasm import _canonical_rows
 
 
 def random_group(rng: random.Random) -> FgAbGroup:
@@ -108,14 +108,18 @@ def test_presentation_invariant_under_unimodular_change():
                 == group_from_presentation(b, b.nrows))
 
 
-def test_presentation_maps_compose_to_identity():
+def test_tracked_transforms_compose_to_identity():
+    # ns_analysis tracks U alone on Gamma and U^{-1} alone on ker(NS), and
+    # multiplies them: the two must be inverse, and U^{-1}'s columns of the
+    # canonical generators must be the lift that a second Smith form gives.
     rng = random.Random(14)
     for _ in range(200):
         a = random_matrix(rng, max_dim=4)
-        pres = presentation(a, a.nrows)
-        n = pres.group.ngens
-        assert pres.to_canonical @ pres.lift == IntMatrix.identity(n)
-        assert pres.lift == presentation_lift(a)
+        diag, u, _, _ = eliminate(a, u=True)
+        _, _, _, u_inv = eliminate(a, u_inv=True)
+        assert u @ u_inv == IntMatrix.identity(a.nrows)
+        _, order = _canonical_rows(diag, a.nrows)
+        assert u_inv.take_columns(order) == presentation_lift(a)
 
 
 def _random_target(rng: random.Random, generators: int) -> FgAbGroup:
@@ -126,10 +130,10 @@ def _random_target(rng: random.Random, generators: int) -> FgAbGroup:
     return FgAbGroup(generators - k, tuple(chain[:k]))
 
 
-def test_presentations_and_kernels_read_what_the_full_form_returns():
-    # presentation tracks U and U^{-1} only, and kernel_coordinates reads
-    # the cokernel off the elimination that gives its kernel; both must
-    # agree with the full Smith form of the same input.
+def test_single_transforms_and_kernels_read_what_the_full_form_returns():
+    # ns_analysis tracks U alone or U^{-1} alone, and kernel_coordinates
+    # reads the cokernel off the elimination that gives its kernel; all
+    # must agree with the full Smith form of the same input.
     rng = random.Random(43)
     for _ in range(250):
         a = wide_random_matrix(rng)
@@ -137,10 +141,10 @@ def test_presentations_and_kernels_read_what_the_full_form_returns():
         diag = sf.diagonal
         free = [i for i in range(a.nrows) if i >= len(diag) or diag[i] == 0]
         order = free + [i for i in range(len(diag)) if diag[i] > 1]
-        pres = presentation(a, a.nrows)
-        assert pres.to_canonical == sf.u.take_rows(order)
-        assert pres.lift == sf.u_inv.take_columns(order)
-        assert pres.group == group_from_presentation(a, a.nrows)
+        assert eliminate(a, u=True) == (diag, sf.u, None, None)
+        assert eliminate(a, u_inv=True) == (diag, None, None, sf.u_inv)
+        assert _canonical_rows(diag, a.nrows) == (group_from_presentation(a, a.nrows),
+                                                  order)
 
         target = _random_target(rng, a.nrows)
         h = Hom(FgAbGroup(a.ncols), target, a)
@@ -258,6 +262,7 @@ def test_kernel_lattice_and_presentation_agree():
         lattice = kernel_lattice(h)
         pres = kernel_presentation(h)
         assert pres.group == hom_analyze(h).kernel
+        assert pres.to_canonical @ pres.lift == IntMatrix.identity(pres.group.ngens)
         # the lattice's basis U^{-1} D_r is the oracle's: its coordinates
         # on it are the identity
         coords, size, _ = kernel_coordinates(h, lattice)
@@ -313,13 +318,15 @@ def test_is_zero_agrees_with_the_entrywise_rule():
     assert (True, True, True) in seen and (False, True, True) in seen
 
 
-def test_presentation_without_relations_reads_what_the_elimination_gives():
+def test_no_relations_shortcut_reads_what_the_elimination_gives():
+    # ns_analysis skips the elimination of a lattice without relations and
+    # takes it free on the identity, which is what the elimination returns
     for g in range(6):
         relations = IntMatrix.zero(g, 0)
         diag, u, v, u_inv = eliminate(relations, u=True, u_inv=True)
         assert diag == () and v is None
-        assert presentation(relations, g) == Presentation(
-            FgAbGroup(g), u.take_rows(range(g)), u_inv.take_columns(range(g)))
+        assert u == u_inv == IntMatrix.identity(g)
+        assert _canonical_rows(diag, g) == (FgAbGroup(g), list(range(g)))
 
 
 def test_subquotient_is_middle_homology():

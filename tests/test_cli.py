@@ -242,13 +242,27 @@ def test_rejects_bad_picard_blocks():
     base["picard"]["levels"][0]["ns_torsion"] = [2, 3]
     with pytest.raises(SchemaError) as err:
         parse_document(base)
-    assert err.value.path == "picard.levels[0].torsion"
+    assert err.value.path == "picard.levels[0].ns_torsion"
 
     base = load(TRIANGLE)
     base["picard"]["levels"][0]["ns_torsion"] = [1]
     with pytest.raises(SchemaError) as err:
         parse_document(base)
-    assert err.value.path == "picard.levels[0].torsion[0]"
+    assert err.value.path == "picard.levels[0].ns_torsion[0]"
+
+    base = load(TRIANGLE)
+    base["picard"]["levels"][1]["ns_rank"] = -1
+    with pytest.raises(SchemaError) as err:
+        parse_document(base)
+    assert err.value.path == "picard.levels[1].ns_rank"
+
+    # ker_beta is a group block, whose keys are free_rank and torsion
+    for key, value, path in (("free_rank", "1", "free_rank"), ("torsion", [0], "torsion[0]")):
+        base = load(TRIANGLE)
+        base["picard"]["ker_beta"] = {"free_rank": 1, "torsion": [3], key: value}
+        with pytest.raises(SchemaError) as err:
+            parse_document(base)
+        assert err.value.path == f"picard.ker_beta.{path}"
 
     base = load(TRIANGLE)
     base["picard"]["ns_maps"] = []

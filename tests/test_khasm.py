@@ -1,5 +1,7 @@
 """Picard-side analysis and the KH report in degrees -n and 1-n."""
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +18,14 @@ from helpers import (
     kernel_basis,
     kh_top,
     random_divisor,
+    random_picard_document,
+    reference_ns_analysis,
     rp2_divisor,
     simplex_divisor,
     sphere4,
     triangle_cycle,
     triangle_picard,
+    with_source_torsion,
     zero_picard,
 )
 from snckit import (
@@ -186,6 +191,63 @@ def test_ns_analysis_gamma_matches_subquotient_on_random_input():
         assert gamma == subquotient(main, below)
         assert surjection.source == ker_ns and surjection.target == gamma
         assert hom_analyze(surjection).cokernel.is_trivial()
+
+
+def test_ns_analysis_equals_the_presentation_reference():
+    """Tracking U alone on Gamma and U^{-1} alone on ker(NS) gives the
+    groups and the surjection matrix of ``reference_ns_analysis``, which
+    tracks both on each lattice.  A torsion source gives ker(NS) relations,
+    so its lift is read; a lower map gives Gamma more relations."""
+    rng = random.Random(28)
+    docs = [random_picard_document(rng, 3 + k % 2, rng.choice((1, 2, 30)))
+            for k in range(400)]
+    docs += [with_source_torsion(dense_picard_document(rng, rank), [2, 6], rng)
+             for rank in (4, 8, 12)]
+    torsion_sources = 0
+    for doc in docs:
+        pi = parse_document(doc).picard
+        torsion_sources += bool(pi.maps[-1].source.torsion)
+        assert ns_analysis(pi) == reference_ns_analysis(pi)
+    assert torsion_sources >= 100
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "fixtures" / "golden" / "inputs"
+
+
+@pytest.mark.parametrize("source", ["torsion-source golden", "dense Picard"])
+def test_ns_analysis_tracks_only_the_transforms_it_reads(monkeypatch, source):
+    """Every elimination of a kh-report that tracks a transform, with the
+    transforms it tracks: V on [NS | relations], U on the kernel lattice's
+    spanning rows, U on Gamma's relations, and U^{-1} on ker(NS)'s, only
+    when there are any."""
+    if source == "dense Picard":
+        raw = dense_picard_document(random.Random(3), 12)
+    else:
+        raw = json.loads((GOLDEN_INPUTS / "torsion-source.json").read_text(encoding="utf-8"))
+    doc = parse_document(raw)
+    main = doc.picard.maps[-1]
+    incoming = doc.picard.maps[0].matrix
+    stacked = main.matrix.hstack(presentation_matrix(main.target))
+    kernel_rows = kernel_basis(stacked).take_rows(range(main.source.ngens))
+    rels_gamma, _, _ = abgroup.kernel_coordinates(main, incoming)
+    rels_ker = rels_gamma.take_columns(range(incoming.ncols, rels_gamma.ncols))
+    assert rels_gamma.ncols and bool(rels_ker.ncols) == (source != "dense Picard")
+    u, v, u_inv = (True, False, False), (False, True, False), (False, False, True)
+    expected = [(stacked, v), (kernel_rows, u), (rels_gamma, u)]
+    if rels_ker.ncols:
+        expected.append((rels_ker, u_inv))
+
+    calls = []
+    real_eliminate = intmat._eliminate
+
+    def eliminate(m, nr, nc, u_rows, v_t, u_inv_t):
+        calls.append((IntMatrix(m, ncols=nc),
+                      (u_rows is not None, v_t is not None, u_inv_t is not None)))
+        real_eliminate(m, nr, nc, u_rows, v_t, u_inv_t)
+
+    monkeypatch.setattr(intmat, "_eliminate", eliminate)
+    kh_report(doc.divisor, doc.picard, doc.field_mode)
+    assert [call for call in calls if any(call[1])] == expected
 
 
 def test_one_motive_surjection_is_onto():
@@ -401,8 +463,9 @@ def test_kh_report_takes_few_smith_forms_and_none_of_a_transform(monkeypatch):
     elimination of its spanning rows that tracks U alone, and coker(NS) is
     read off the diagonal of the elimination that gives ker(NS).  So a
     dense-Picard report runs at most 4 eliminations that track a transform,
-    none of them both V and a row transform (U or U^{-1}) and exactly one,
-    the lattice's, U alone; it eliminates [NS | relations] exactly once,
+    none of them both V and a row transform (U or U^{-1}), the first of
+    those that track U alone the lattice's (Gamma's relations come next);
+    it eliminates [NS | relations] exactly once,
     never eliminates an earlier elimination's U, V or U^{-1}, and solves
     against the lattice once: one call of ``kernel_coordinates``, which
     makes one solve.
@@ -445,7 +508,7 @@ def test_kh_report_takes_few_smith_forms_and_none_of_a_transform(monkeypatch):
     monkeypatch.setattr(khasm, "kernel_coordinates", kernel)
     kh_report(doc.divisor, doc.picard, doc.field_mode)
     assert 0 < len(tracked) <= 4
-    assert u_alone == [kernel_rows]
+    assert u_alone[0] == kernel_rows
     assert (tracked + diagonal_only).count(stacked) == 1
     assert not any(a == t for a in tracked for t in transforms)
     assert len(solves) == 1
