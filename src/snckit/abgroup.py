@@ -115,13 +115,16 @@ def group_from_presentation(relations: IntMatrix, generators: int) -> FgAbGroup:
     if relations.nrows != generators:
         raise ValueError(
             f"relation matrix has {relations.nrows} rows for {generators} generators")
-    return _group_from_diagonal(smith_diagonal(relations), generators)
+    return _canonical_rows(smith_diagonal(relations), generators)[0]
 
 
-def _group_from_diagonal(diag: tuple[int, ...], generators: int) -> FgAbGroup:
-    """The cokernel of a relation matrix on ``generators``, from its Smith diagonal."""
-    return FgAbGroup(generators - sum(1 for x in diag if x != 0),
-                     tuple(x for x in diag if x > 1))
+def _canonical_rows(diag: tuple[int, ...], size: int) -> tuple[FgAbGroup, list[int]]:
+    """The cokernel of relations on ``size`` generators, from their Smith
+    diagonal, and which rows of U (columns of U^{-1}) are its canonical
+    generators: the free ones first, then torsion in ascending order."""
+    free = [i for i in range(size) if i >= len(diag) or diag[i] == 0]
+    torsion = [i for i, x in enumerate(diag) if x > 1]
+    return FgAbGroup(len(free), tuple(diag[i] for i in torsion)), free + torsion
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,7 @@ def kernel_coordinates(outgoing: Hom, incoming: IntMatrix
     """
     stacked = outgoing.matrix.hstack(presentation_matrix(outgoing.target))
     diag, _, v, _ = eliminate(stacked, v=True)
-    coker = _group_from_diagonal(diag, outgoing.target.ngens)
+    coker = _canonical_rows(diag, outgoing.target.ngens)[0]
     free = [j for j in range(stacked.ncols) if j >= len(diag) or diag[j] == 0]
     kernel = v.take_rows(range(outgoing.source.ngens)).take_columns(free)
     kernel_diag, u, _, _ = eliminate(kernel, u=True)

@@ -84,11 +84,12 @@ class ChainComplex:
         return 0
 
     @classmethod
-    def _of(cls, lowest_degree: int, ranks: tuple[int, ...], rows: Callable) -> ChainComplex:
-        """A complex whose boundary k has the face rows ``rows(k)``, checked
-        by the caller; its ``boundaries`` are built from them on first read."""
+    def _of(cls, ranks: tuple[int, ...], rows: Callable) -> ChainComplex:
+        """A complex from degree 0 whose boundary k has the face rows
+        ``rows(k)``, checked by the caller; its ``boundaries`` are built from
+        them on first read."""
         out = object.__new__(cls)
-        out.__dict__.update(lowest_degree=lowest_degree, ranks=ranks, _rows=rows, _sweeps=[])
+        out.__dict__.update(lowest_degree=0, ranks=ranks, _rows=rows, _sweeps=[])
         return out
 
     def __getattr__(self, name: str) -> tuple:

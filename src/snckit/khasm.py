@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .abgroup import (
     FgAbGroup,
     Hom,
+    _canonical_rows,
     compose,
     direct_sum,
     kernel_coordinates,
@@ -138,15 +139,6 @@ class PicardInput:
         if len(self.maps) == 2 and not compose(self.maps[1], self.maps[0]).is_zero():
             raise ComplexViolationError(
                 f"NS maps do not compose to zero between levels {ps[0]} and {ps[2]}")
-
-
-def _canonical_rows(diag: tuple[int, ...], size: int) -> tuple[FgAbGroup, list[int]]:
-    """The cokernel of relations on ``size`` generators, from their Smith
-    diagonal, and which rows of U (columns of U^{-1}) are its canonical
-    generators: the free ones first, then torsion in ascending order."""
-    free = [i for i in range(size) if i >= len(diag) or diag[i] == 0]
-    torsion = [i for i, x in enumerate(diag) if x > 1]
-    return FgAbGroup(len(free), tuple(diag[i] for i in torsion)), free + torsion
 
 
 def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:

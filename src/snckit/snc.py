@@ -18,11 +18,13 @@ components are compared only where a subset carries two strata, since
 elsewhere both orders land on its one stratum.  The dual complex reads
 each boundary's face rows straight from the parents and positions the
 check returns, and the Smith sweep takes them as they are.
-The parser, the blowups and ``build_dual_complex`` make their divisors and
-complexes by private constructors that keep the table or the check's
-result; ``SncDivisor.strata``, ``DualComplex.cells`` and the boundary
-columns are then built from it on first read.  Of the commands only
-``dual-complex`` reads the strata or cells, and none reads the columns.
+The parser and the blowups make their divisors by a private constructor
+that keeps the table, and ``SncDivisor.strata`` is built from it on first
+read.  The check's result is the dual complex itself: ``DualComplex.cells``
+is built from its table each time it is read, and its chain complex takes
+the face rows, building the boundary columns only if they are read.  Of
+the commands only ``dual-complex`` reads the strata or cells, and none
+reads the columns.
 Error text is formatted only where a check fails, and the first error
 raised is the one the order of the checks names, whatever order the
 strata arrive in.
@@ -31,16 +33,16 @@ Blowing up a stratum component is modeled as stellar subdivision of its
 dual cell, and the resolution loop repeats deepest-first blowups until no
 intersection has two components left.
 
-Every blowup goes through one private, mutable index, built in bulk from
-the table ``validate_snc`` checked: its rows by id in divisor order, each
-carrying its place in that order, ids by positions and children by parent
-id from one pass, and the bad positions, heapified once, with a running
-count of the stratum components on them.  The resolution loop builds it
-once and applies each blowup to it in place, ordering the cones by
-positions; a new component takes the last position.  The next center is
-the top of a heap of bad positions, deepest first, and the new
-component's name comes from a counter that only moves forward, so a step
-touches only the blowup's star and the cells it adds; the public
+Every blowup goes through one private, mutable index, which adds the rows
+of the table ``validate_snc`` checked one by one, as a blowup adds its
+cones: its rows by id in divisor order, each carrying its place in that
+order, ids by positions, children by parent id, and a heap of the bad
+positions with a running count of the stratum components on them.  The
+resolution loop builds it once and applies each blowup to it in place,
+ordering the cones by positions; a new component takes the last
+position.  The next center is the top of the heap, deepest first, and the
+new component's name comes from a counter that only moves forward, so a
+step touches only the blowup's star and the cells it adds; the public
 single-step blowups build an index, apply one step and return the new
 divisor.  Every divisor a blowup returns carries the index's rows as its
 table, so the CLI writes the resolved block from the table too.
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
@@ -209,15 +211,19 @@ class DualCell:
     vertices: tuple[str, ...]
 
 
-class _Incidence(NamedTuple):
-    """What ``validate_snc`` returns for a valid divisor: its components
-    and strata table; ``counts[k]``, the number of strata on k components,
+class DualComplex(NamedTuple):
+    """CW model of a valid divisor, as ``validate_snc`` returns it: one
+    vertex per component, one (|I|-1)-cell per stratum component.
+
+    The fields are what the check found: the divisor's components and
+    strata table; ``counts[k]``, the number of strata on k components,
     for every k up to the deepest stratum (0 for k < 2); ``slot``, each
     stratum's position among the strata of its depth; and ``found[k]``,
     for each stratum on k >= 3 components in divisor order, the table rows
-    of its parents in subset order.  ``rows`` and ``cells`` make the dual
-    complex's boundary face rows and cells from these; no other reader
-    builds the boundaries."""
+    of its parents in subset order.  ``rows`` makes the boundaries' face
+    rows from these, and ``cells`` the cells per dimension, built from the
+    table each time they are read.
+    """
 
     components: tuple[str, ...]
     table: _StrataTable
@@ -240,6 +246,7 @@ class _Incidence(NamedTuple):
                 rows[face[p]][cell] = x
         return rows
 
+    @property
     def cells(self) -> tuple[tuple[DualCell, ...], ...]:
         layers: list[list[DualCell]] = [[] for _ in self.counts]
         for sid, subset in zip(self.table.ids, self.table.subsets):
@@ -247,11 +254,17 @@ class _Incidence(NamedTuple):
         return (tuple(DualCell(c, (c,)) for c in self.components),
                 *map(tuple, layers[2:]))
 
+    def chain_complex(self) -> ChainComplex:
+        """The cellular chain complex, on the face rows with no column built
+        or checked: ``boundaries[k]`` lists, for each cell of dimension
+        k + 1, its faces as (position in ``cells[k]``, sign) pairs."""
+        return ChainComplex._of(self.ranks(), self.rows)
 
-def validate_snc(d: SncDivisor) -> _Incidence:
+
+def validate_snc(d: SncDivisor) -> DualComplex:
     """Check every structural invariant, raising on the first violation,
-    and return what the check found on the way, from which the dual
-    complex reads its boundaries (see the module docstring).
+    and return the dual complex, made of what the check found on the way
+    (see the module docstring).
 
     The order of the checks decides which error is raised: distinct
     component ids; distinct stratum ids, none reusing a component id; then
@@ -325,7 +338,7 @@ def validate_snc(d: SncDivisor) -> _Incidence:
             if len(pos) >= 4:
                 grand = [parents_of[by_id[parents_of[i][c]]] for c in subsets[i]]
                 _raise_if_drops_differ(ids[i], subsets[i], grand)
-    return _Incidence(components, table, counts, slot, found)
+    return DualComplex(components, table, counts, slot, found)
 
 
 def _raise_own_error(sid: str, subset: tuple[str, ...], order: Mapping[str, int],
@@ -379,56 +392,10 @@ def _raise_if_drops_differ(sid: str, subset: tuple[str, ...],
                 f"but {b!r} then {a!r} gives {via_b!r}")
 
 
-@dataclass(frozen=True)
-class DualComplex:
-    """CW model of the divisor: cells per dimension plus signed incidence.
-
-    ``boundaries[k]`` lists, for each cell of dimension k + 1 in order, its
-    faces as (position in ``cells[k]``, sign) pairs sorted by position: the
-    face opposite the m-th vertex carries the sign (-1)^m.  This is the
-    boundary form ``ChainComplex`` takes.  ``build_dual_complex`` makes the
-    complex by ``_of`` from the incidence ``validate_snc`` returns, kept in
-    ``_incidence``; its cells and boundaries are built from it on first
-    read and kept, and ``chain_complex`` hands the sweep the incidence's
-    face rows with no column built or checked.  A complex made by the
-    constructor gives ``ChainComplex`` its boundaries, which it checks.
-    """
-
-    cells: tuple[tuple[DualCell, ...], ...]
-    boundaries: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_ranks", tuple(map(len, self.cells)))
-
-    @classmethod
-    def _of(cls, incidence: _Incidence) -> "DualComplex":
-        out = object.__new__(cls)
-        out.__dict__.update(_ranks=incidence.ranks(), _incidence=incidence)
-        return out
-
-    def __getattr__(self, name: str) -> tuple:
-        if name not in ("cells", "boundaries"):
-            raise AttributeError(name)
-        value = self._incidence.cells() if name == "cells" else self.chain_complex().boundaries
-        object.__setattr__(self, name, value)
-        return value
-
-    def chain_complex(self) -> ChainComplex:
-        if "_incidence" in self.__dict__:
-            return ChainComplex._of(0, self._ranks, self._incidence.rows)
-        return ChainComplex(0, self._ranks, self.boundaries)
-
-
 def build_dual_complex(d: SncDivisor) -> DualComplex:
-    """One vertex per component, one (|I|-1)-cell per stratum component.
-
-    The divisor is checked with ``validate_snc`` first, so an invalid one
-    raises ``SncError`` rather than giving a wrong complex.  The
-    boundaries' face rows come from the parents the check found; the
-    cells and the boundary columns are built from the same result when
-    first read.
-    """
-    return DualComplex._of(validate_snc(d))
+    """The dual complex of d, which ``validate_snc`` returns, so an invalid
+    divisor raises ``SncError`` rather than giving a wrong complex."""
+    return validate_snc(d)
 
 
 class BadIntersections(NamedTuple):
@@ -486,57 +453,42 @@ class _StrataIndex:
     """The strata of a divisor, as rows of its ``_StrataTable``, indexed
     for a run of blowups.
 
-    It is built in bulk from the table ``validate_snc`` returns, so the
-    blowups and the resolution loop raise ``SncError`` on an invalid
-    divisor.  It keeps each stratum's row, (subset, positions, parents,
-    place in divisor order), by id in divisor order; the ids on each
-    positions tuple; the children of each stratum (the strata naming it as
-    a parent); the bad positions tuples (those carrying two or more ids)
-    and the running count of stratum components on them.  ``add`` and
-    ``remove`` keep all of these current, so a blowup costs time in the
-    size of its star and of the cells it adds, not in the size of the
+    It is built by ``add``ing each row of the table ``validate_snc``
+    returns, so the blowups and the resolution loop raise ``SncError`` on
+    an invalid divisor.  It keeps each stratum's row, (subset, positions,
+    parents, place in divisor order), by id in divisor order; the ids on
+    each positions tuple; the children of each stratum (the strata naming
+    it as a parent); the bad positions tuples (those carrying two or more
+    ids) and the running count of stratum components on them.  ``add``
+    and ``remove`` keep all of these current, so a blowup costs time in
+    the size of its star and of the cells it adds, not in the size of the
     divisor.
 
     Two more pieces keep the resolution loop's own choices off the whole
     divisor.  A heap holds (-depth, positions) for every positions tuple
-    that was bad when the index was built or turned bad in ``add`` since;
-    ``deepest_bad`` drops the tops that are clean again and reads the next.
-    A component's position never changes, so the top is the subset a full
-    scan of the bad set would pick.  Components are never removed, so the
-    first ``exc{k}`` that is not a component never goes down, and
-    ``new_component`` keeps k between calls.  A new component takes the
-    last position.
+    that turned bad in ``add``; ``deepest_bad`` drops the tops that are
+    clean again and reads the next.  A component's position never changes,
+    so the top is the subset a full scan of the bad set would pick.
+    Components are never removed, so the first ``exc{k}`` that is not a
+    component never goes down, and ``new_component`` keeps k between
+    calls.  A new component takes the last position.
     """
 
     def __init__(self, d: SncDivisor):
         table = validate_snc(d).table
-        ids, positions, parents_of = table.ids, table.positions, table.parents
         self.n = d.n
         self.components = list(d.components)
         self.names = set(d.components)
-        self.rows: dict[str, tuple[tuple[str, ...], tuple[int, ...], dict[str, str], int]] = (
-            dict(zip(ids, zip(table.subsets, positions, parents_of, range(len(ids))))))
-        self._next_seq = len(ids)
-        by_positions: dict[tuple[int, ...], set[str]] = {}
-        children: dict[str, set[str]] = {}
-        for sid, pos, parents in zip(ids, positions, parents_of):
-            on = by_positions.get(pos)
-            if on is None:
-                by_positions[pos] = {sid}
-            else:
-                on.add(sid)
-            for pid in parents.values():
-                kids = children.get(pid)
-                if kids is None:
-                    children[pid] = {sid}
-                else:
-                    kids.add(sid)
-        self.by_positions, self.children = by_positions, children
-        self.bad = {pos for pos, on in by_positions.items() if len(on) > 1}
-        self.bad_total = sum([len(by_positions[pos]) for pos in self.bad])
-        self._bad_heap = [(-len(pos), pos) for pos in self.bad]
-        heapify(self._bad_heap)
+        self.rows: dict[str, tuple[tuple[str, ...], tuple[int, ...], dict[str, str], int]] = {}
+        self._next_seq = 0
+        self.by_positions: dict[tuple[int, ...], set[str]] = {}
+        self.children: dict[str, set[str]] = {}
+        self.bad: set[tuple[int, ...]] = set()
+        self.bad_total = 0
+        self._bad_heap: list[tuple[int, tuple[int, ...]]] = []
         self._exc = 1
+        for row in zip(table.ids, table.subsets, table.positions, table.parents):
+            self.add(*row)
 
     def divisor(self) -> SncDivisor:
         rows = self.rows.values()

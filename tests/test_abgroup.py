@@ -29,9 +29,8 @@ from snckit import (
     presentation_matrix,
     subquotient,
 )
-from snckit.abgroup import kernel_coordinates
+from snckit.abgroup import _canonical_rows, kernel_coordinates
 from snckit.intmat import eliminate, smith_normal_form
-from snckit.khasm import _canonical_rows
 
 
 def random_group(rng: random.Random) -> FgAbGroup:

@@ -33,6 +33,7 @@ from helpers import (
 )
 from snckit import (
     ChainComplex,
+    DualComplex,
     FgAbGroup,
     Hom,
     IntMatrix,
@@ -46,6 +47,7 @@ from snckit import (
     homology,
     kh_report,
     resolve_to_simplicial,
+    validate_snc,
 )
 from snckit.cli import main, parse_input
 from snckit.intmat import unit_sweep
@@ -286,6 +288,27 @@ def test_dual_complexes_compose_to_zero():
     # complex: skeletons, the rp2 divisor and resolved divisors.
     for d in divisor_corpus():
         validate_complex(build_dual_complex(d).chain_complex())
+
+
+def test_validate_snc_returns_the_dual_complex_of_its_checked_columns():
+    rng = random.Random(36)
+    for d in divisor_corpus():
+        strata = list(d.strata)
+        api = SncDivisor(d.n, d.components, tuple(strata))
+        rng.shuffle(strata)
+        for dd in (api, SncDivisor(d.n, d.components, tuple(strata))):
+            dc = validate_snc(dd)
+            assert type(dc) is DualComplex and dc == build_dual_complex(dd)
+            ranks = dc.ranks()
+            assert tuple(map(len, dc.cells)) == ranks
+            boundaries = []
+            for k, n in enumerate(ranks[1:]):
+                columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+                for face, row in enumerate(dc.rows(k)):
+                    for cell, x in row.items():
+                        columns[cell].append((face, x))
+                boundaries.append(tuple(map(tuple, columns)))
+            assert dc.chain_complex() == ChainComplex(0, ranks, tuple(boundaries))
 
 
 def uncleared_diagonal(c: ChainComplex, d: int) -> tuple[int, ...]:

@@ -448,7 +448,7 @@ def test_shuffled_strata_cost_about_what_canonical_strata_cost():
     def sweep_seconds(dc) -> float:
         ranks = [len(layer) for layer in dc.cells]
         start = time.perf_counter()
-        for k, boundary in enumerate(dc.boundaries):
+        for k, boundary in enumerate(dc.chain_complex().boundaries):
             unit_sweep([dict(cell) for cell in boundary], ranks[k])
         return time.perf_counter() - start
 

@@ -18,6 +18,7 @@ from helpers import (
 )
 from make_error_corpus import CORPUS, _random_fault_documents
 from snckit import (
+    ChainComplex,
     SncDivisor,
     Stratum,
     blowup_point_on_double_curve,
@@ -26,7 +27,7 @@ from snckit import (
     resolve_to_simplicial,
 )
 from snckit.cli import SchemaError, UnknownIdError, _json_text, main, parse_document
-from snckit.snc import DualCell, DualComplex, SncError, _StrataTable, validate_snc
+from snckit.snc import DualCell, SncError, _StrataIndex, _StrataTable, validate_snc
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SPHERE4 = FIXTURES / "sphere4.json"
@@ -150,13 +151,13 @@ def test_a_read_divisor_keeps_the_dataclass_api():
     assert read.strata is read.strata       # built once
 
 
-def test_a_dual_complex_built_from_cells_gives_the_same_chain_complex():
+def test_a_dual_complex_gives_the_checked_chain_complex_of_its_cells():
     read = parse_document(json.loads(SPHERE4.read_text(encoding="utf-8"))).divisor
     dc = build_dual_complex(read)
-    explicit = DualComplex(dc.cells, dc.boundaries)
-    assert explicit == dc
-    assert explicit.chain_complex() == dc.chain_complex()
-    assert [len(layer) for layer in dc.cells] == [5, 10, 10, 5]
+    ranks = tuple(len(layer) for layer in dc.cells)
+    assert ranks == (5, 10, 10, 5)
+    explicit = ChainComplex(0, ranks, dc.chain_complex().boundaries)
+    assert explicit == dc.chain_complex()
 
 
 @pytest.fixture
@@ -202,6 +203,25 @@ def test_the_report_paths_build_no_stratum_and_no_dual_cell(skeleton_path, built
 def test_the_commands_that_read_strata_or_cells_build_them(built, command, builds):
     assert _run(SPHERE4, command) == 0
     assert set(built) == builds
+
+
+def test_the_index_adds_each_stratum_once_in_table_order(monkeypatch):
+    rng = random.Random(9)
+    divisors = [parallel_curve_divisor(rng, 5, 4), random_divisor(rng)]
+    divisors.append(parse_document({"version": "1",
+                                    "divisor": divisor_json(divisors[0])}).divisor)
+    added: list[str] = []
+    real = _StrataIndex.add
+
+    def counting(self, sid, *rest):
+        added.append(sid)
+        real(self, sid, *rest)
+
+    monkeypatch.setattr(_StrataIndex, "add", counting)
+    for d in divisors:
+        added.clear()
+        _StrataIndex(d)
+        assert added == _StrataTable.of(d).ids and added
 
 
 def test_the_public_blowups_of_a_read_divisor_build_no_stratum(built):
