@@ -29,10 +29,10 @@ def _divisibility_chain(factors: Iterable[int]) -> tuple[int, ...]:
     cyclic groups (Z/a ⊕ Z/b ≅ Z/gcd ⊕ Z/lcm) and strictly decreases the
     smaller factor unless the pair already divides, so the loop terminates.
     """
-    vals = [abs(int(t)) for t in factors]
-    if any(v == 0 for v in vals):
-        raise ValueError("torsion order 0 is not a torsion order")
-    vals = [v for v in vals if v != 1]
+    vals = list(factors)
+    if not all(type(t) is int and t for t in vals):
+        raise ValueError(f"torsion orders {vals} are not all nonzero ints")
+    vals = [v for v in map(abs, vals) if v != 1]
     changed = True
     while changed:
         changed = False
@@ -58,6 +58,9 @@ class FgAbGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if not all(type(x) is int for x in (self.free_rank, *self.torsion)):
+            raise ValueError("free rank and torsion orders must be ints, got "
+                             f"{self.free_rank!r} and {self.torsion!r}")
         if self.free_rank < 0:
             raise ValueError(f"negative free rank {self.free_rank}")
         for t in self.torsion:

@@ -1,15 +1,14 @@
 """Bounded chain complexes of free abelian groups and spectral pages.
 
-A complex stores one free rank per degree on a contiguous range, plus the
-boundary maps between adjacent degrees as sparse signed incidence: one
-column of (face, coefficient) pairs per cell.  The boundaries must compose
-to zero.  Homology and cohomology come out in canonical form.  Both are
-read off the Smith diagonals of the boundaries, which each complex computes
-once, bottom-up with clearing, and keeps; cohomology follows from them by
-universal coefficients, with no transposed complex.  The sweep takes each
-boundary as face rows: a complex made by ``ChainComplex._of``, as the dual
-complex of a checked divisor is, reads them from its maker and builds its
-columns only if they are read.
+A complex stores one free rank per degree from degree 0, plus the boundary
+map out of each degree above 0 as sparse signed incidence: one face row
+{cell: coefficient} per cell of the degree below.  The boundaries must
+compose to zero.  Homology and cohomology come out in canonical form.  Both
+are read off the Smith diagonals of the boundaries, which each complex
+computes once, bottom-up with clearing, on copies of the face rows, and
+keeps; cohomology follows from them by universal coefficients, with no
+transposed complex.  The dual complex of a checked divisor hands its rows
+in through ``ChainComplex._of``, which skips the row check.
 
 Spectral pages are finite: a dictionary of nonzero entries together with an
 explicit support region.  Only the E_1 → E_2 step is implemented; the one
@@ -19,7 +18,7 @@ E_3 entry that the KH report reads is the direct corner rule in ``khasm``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .abgroup import FgAbGroup, Hom, compose, subquotient
 from .intmat import unit_sweep
@@ -35,117 +34,82 @@ class SupportViolationError(Exception):
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Free chain complex on degrees lowest_degree .. lowest_degree + len - 1.
+    """Free chain complex in degree 0 through len(ranks) - 1.
 
-    ``boundaries[k]`` is the boundary map out of degree lowest_degree + k + 1
-    into degree lowest_degree + k: one column per cell of the upper degree,
-    each a tuple of (face, coefficient) pairs with faces strictly increasing
-    and below ranks[k], and coefficients nonzero.  That form is canonical,
-    so equality and hashing mean equality of the maps.
+    ``boundaries[k]`` is the boundary map out of degree k + 1 into degree
+    k as face rows: one dict {cell of degree k + 1: coefficient} per cell
+    of degree k, its cells ints below ranks[k + 1] and its coefficients
+    nonzero ints.  Equality is equality of the maps; the rows are dicts,
+    so a complex is not hashable.
 
     Each boundary composed with the one below it must be zero.  The
     constructor does not check it; the diagonals, read bottom-up with
-    clearing, rely on it.  ``_of`` makes a complex from face rows that its
-    caller has checked, and skips the column check.
+    clearing, rely on it.  ``_of`` makes a complex from rows its caller
+    has checked, as ``validate_snc`` has, and skips the row check.
     """
 
-    lowest_degree: int
     ranks: tuple[int, ...]
-    boundaries: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    boundaries: tuple[tuple[dict[int, int], ...], ...]
+    __hash__ = None  # type: ignore[assignment]
     # (Smith diagonal, unit pivot columns, rank) per boundary, filled
-    # bottom-up on first use; not part of the value, so equality, hashing
-    # and construction ignore it.
+    # bottom-up on first use; not part of the value, so equality and
+    # construction ignore it.
     _sweeps: list[tuple[tuple[int, ...], list[int], int]] = field(
-        default_factory=list, init=False, compare=False, hash=False, repr=False)
+        default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        expected = max(len(self.ranks) - 1, 0)
-        if len(self.boundaries) != expected:
+        if len(self.boundaries) != max(len(self.ranks) - 1, 0):
             raise ValueError(
-                f"{len(self.boundaries)} boundary maps for {len(self.ranks)} degrees")
-        for k, columns in enumerate(self.boundaries):
-            below = self.ranks[k]
-            # faces rise strictly from 0, the sentinel (below, 0) bounding the last
-            if len(columns) != self.ranks[k + 1] or not all(
-                    all(x and -1 < f < g for (f, x), (g, _) in zip(col, (*col[1:], (below, 0))))
-                    for col in columns):
+                f"{len(self.boundaries)} boundary maps for {len(self.ranks)} ranks")
+        for k, rows in enumerate(self.boundaries):
+            cells = range(self.ranks[k + 1])
+            if len(rows) != self.ranks[k] or not all(
+                    type(row) is dict and all(type(c) is type(x) is int and x and c in cells
+                                              for c, x in row.items()) for row in rows):
                 raise ValueError(
-                    f"boundary out of degree {self.lowest_degree + k + 1} is not "
-                    f"{self.ranks[k + 1]} columns of nonzero entries on faces "
-                    f"increasing below {below}")
-
-    @property
-    def degrees(self) -> range:
-        return range(self.lowest_degree, self.lowest_degree + len(self.ranks))
+                    f"boundary out of degree {k + 1} is not {self.ranks[k]} rows of "
+                    f"nonzero ints on cells below {len(cells)}")
 
     def rank(self, d: int) -> int:
-        if d in self.degrees:
-            return self.ranks[d - self.lowest_degree]
-        return 0
+        return self.ranks[d] if 0 <= d < len(self.ranks) else 0
 
     @classmethod
-    def _of(cls, ranks: tuple[int, ...], rows: Callable) -> ChainComplex:
-        """A complex from degree 0 whose boundary k has the face rows
-        ``rows(k)``, checked by the caller; its ``boundaries`` are built from
-        them on first read."""
+    def _of(cls, ranks: tuple[int, ...],
+            boundaries: tuple[tuple[dict[int, int], ...], ...]) -> ChainComplex:
+        """A complex on face rows its caller has checked, unchecked here."""
         out = object.__new__(cls)
-        out.__dict__.update(lowest_degree=0, ranks=ranks, _rows=rows, _sweeps=[])
+        out.__dict__.update(ranks=ranks, boundaries=boundaries, _sweeps=[])
         return out
-
-    def __getattr__(self, name: str) -> tuple:
-        if name != "boundaries":
-            raise AttributeError(name)
-        value = tuple([tuple(map(tuple, _transpose(map(dict.items, self._rows(k)), n)))
-                       for k, n in enumerate(self.ranks[1:])])
-        object.__setattr__(self, name, value)
-        return value
-
-    def _rows(self, k: int) -> list[dict[int, int]]:
-        """Boundary k as fresh face rows {cell: coefficient}, its columns
-        transposed; a complex made by ``_of`` reads its own rows instead."""
-        return list(map(dict, _transpose(self.boundaries[k], self.ranks[k])))
 
     def diagonal(self, d: int) -> tuple[int, ...]:
         """Smith diagonal of the boundary out of degree d, computed once.
 
         Outside the range the boundary is zero and its diagonal is empty.
-        The first call sweeps every boundary from the lowest up to this
-        one, each once, with faces as rows: the rows a complex made by
-        ``_of`` was given, or else its columns transposed.  A unit pivot of
-        the sweep below, in the column of cell c, is a cochain whose
-        coboundary has a unit at c; trading c for that coboundary is a
-        unimodular change of basis in which row c of this boundary is zero,
-        as the boundaries compose to zero.  So the rows of paired cells go
-        in empty, and the diagonal, zero padding included, is that of the
-        whole boundary.
+        The first call sweeps every boundary from degree 1 up to this one,
+        each once, on a copy of its face rows.  A unit pivot of the sweep
+        below, in the column of cell c, is a cochain whose coboundary has a
+        unit at c; trading c for that coboundary is a unimodular change of
+        basis in which row c of this boundary is zero, as the boundaries
+        compose to zero.  So the rows of paired cells go in empty, and the
+        diagonal, zero padding included, is that of the whole boundary.
         """
         return self._swept(d)[0]
 
     def _swept(self, d: int) -> tuple[tuple[int, ...], list[int], int]:
         """The sweep of the boundary out of degree d: its diagonal, unit
         pivot columns and rank, or an empty one outside the range."""
-        k = d - self.lowest_degree - 1
-        if not 0 <= k < len(self.ranks) - 1:
+        if not 0 < d < len(self.ranks):
             return (), [], 0
         sweeps = self._sweeps
-        while len(sweeps) <= k:
+        while len(sweeps) < d:
             j = len(sweeps)
-            rows = self._rows(j)
+            # the sweep consumes its rows, and the stored ones must stay
+            rows = list(map(dict, self.boundaries[j]))
             for face in sweeps[-1][1] if sweeps else ():
                 rows[face] = {}
             diag, pivots = unit_sweep(rows, self.ranks[j + 1])
             sweeps.append((diag, pivots, len(diag) - diag.count(0)))
-        return sweeps[k]
-
-
-def _transpose(lines: Iterable[Iterable[tuple[int, int]]], n: int) -> list[list[tuple[int, int]]]:
-    """Sparse lines of (index, entry) pairs turned into n lines the other
-    way, each in index order."""
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, line in enumerate(lines):
-        for j, x in line:
-            out[j].append((i, x))
-    return out
+        return sweeps[d - 1]
 
 
 def _group(c: ChainComplex, i: int, torsion_from: int) -> FgAbGroup:
@@ -172,10 +136,10 @@ def cohomology(c: ChainComplex, i: int) -> FgAbGroup:
     H_{i-1}, the invariant factors above 1 of the boundary out of degree i,
     whose transpose is the coboundary into degree i.
 
-    >>> circle = ChainComplex(0, (1, 1), (((),),))
+    >>> circle = ChainComplex((1, 1), (({},),))
     >>> str(cohomology(circle, 1))
     'Z'
-    >>> rp2 = ChainComplex(0, (1, 1, 1), (((),), (((0, 2),),)))
+    >>> rp2 = ChainComplex((1, 1, 1), (({},), ({0: 2},)))
     >>> [str(cohomology(rp2, i)) for i in range(3)]
     ['Z', '0', 'Z/2']
     """

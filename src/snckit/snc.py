@@ -21,10 +21,9 @@ check returns, and the Smith sweep takes them as they are.
 The parser and the blowups make their divisors by a private constructor
 that keeps the table, and ``SncDivisor.strata`` is built from it on first
 read.  The check's result is the dual complex itself: ``DualComplex.cells``
-is built from its table each time it is read, and its chain complex takes
-the face rows, building the boundary columns only if they are read.  Of
-the commands only ``dual-complex`` reads the strata or cells, and none
-reads the columns.
+is built from its table each time it is read, and its chain complex holds
+the face rows, with no second check.  Of the commands only
+``dual-complex`` reads the strata or cells.
 Error text is formatted only where a check fails, and the first error
 raised is the one the order of the checks names, whatever order the
 strata arrive in.
@@ -255,10 +254,12 @@ class DualComplex(NamedTuple):
                 *map(tuple, layers[2:]))
 
     def chain_complex(self) -> ChainComplex:
-        """The cellular chain complex, on the face rows with no column built
-        or checked: ``boundaries[k]`` lists, for each cell of dimension
-        k + 1, its faces as (position in ``cells[k]``, sign) pairs."""
-        return ChainComplex._of(self.ranks(), self.rows)
+        """The cellular chain complex on the face rows, which the check has
+        made sound: ``boundaries[k]`` holds, for each cell of ``cells[k]``,
+        its cofaces in ``cells[k + 1]`` as {position: sign}."""
+        ranks = self.ranks()
+        return ChainComplex._of(
+            ranks, tuple(tuple(self.rows(k)) for k in range(len(ranks) - 1)))
 
 
 def validate_snc(d: SncDivisor) -> DualComplex:

@@ -743,25 +743,23 @@ def brute_force_bad(d: SncDivisor) -> tuple[dict[frozenset[str], int], bool]:
     return dup, not dup
 
 
-def complex_from_matrices(lowest_degree: int, ranks, matrices) -> ChainComplex:
+def complex_from_matrices(ranks, matrices) -> ChainComplex:
     """A ChainComplex whose boundaries are given as dense integer matrices.
 
-    Each matrix becomes the sparse form ``ChainComplex`` takes: one column
-    per cell of the upper degree, listing its nonzero entries by row.
+    Each matrix becomes the face rows ``ChainComplex`` takes: one dict per
+    row, holding its nonzero entries by column.
     """
-    return ChainComplex(lowest_degree, tuple(ranks), tuple(
-        tuple(tuple((i, x) for i, x in enumerate(column(m, j)) if x)
-              for j in range(m.ncols))
+    return ChainComplex(tuple(ranks), tuple(
+        tuple({j: x for j, x in enumerate(row) if x} for row in m.rows())
         for m in matrices))
 
 
 def boundary_matrix(c: ChainComplex, d: int) -> IntMatrix:
     """The boundary out of degree d as a dense matrix (zero outside the range)."""
     m = [[0] * c.rank(d) for _ in range(c.rank(d - 1))]
-    k = d - c.lowest_degree - 1
-    if 0 <= k < len(c.boundaries):
-        for j, entries in enumerate(c.boundaries[k]):
-            for i, x in entries:
+    if 0 < d < len(c.ranks):
+        for i, row in enumerate(c.boundaries[d - 1]):
+            for j, x in row.items():
                 m[i][j] = x
     return IntMatrix(m, ncols=c.rank(d))
 
@@ -776,7 +774,7 @@ def alt_chain_complex(d: SncDivisor) -> ChainComplex:
     and must agree with it entry for entry.
     """
     if not d.components:
-        return ChainComplex(0, (), ())
+        return ChainComplex((), ())
     max_depth = max((len(s.subset) for s in d.strata), default=1)
     layer_ids: list[list[str]] = [list(d.components)]
     for depth in range(2, max_depth + 1):
@@ -793,7 +791,7 @@ def alt_chain_complex(d: SncDivisor) -> ChainComplex:
                 face = s.subset[1 - k] if len(s.subset) == 2 else s.parents[dropped]
                 m[pos[face]][col] += (-1) ** k
         boundaries.append(IntMatrix(m, ncols=len(layer_ids[p])))
-    return complex_from_matrices(0, ranks, boundaries)
+    return complex_from_matrices(ranks, boundaries)
 
 
 class NonComplexError(Exception):
@@ -810,13 +808,13 @@ def validate_complex(c: ChainComplex) -> None:
     The reported degree is the upper one: degree d means the composite
     boundary(d - 1) @ boundary(d) failed.
     """
-    for d in c.degrees:
+    for d in range(len(c.ranks)):
         if not is_zero(boundary_matrix(c, d - 1) @ boundary_matrix(c, d)):
             raise NonComplexError(d)
 
 
 def euler_characteristic(c: ChainComplex) -> int:
-    return sum((-1) ** d * c.rank(d) for d in c.degrees)
+    return sum((-1) ** d * r for d, r in enumerate(c.ranks))
 
 
 def kh_top(d: SncDivisor) -> FgAbGroup:
@@ -826,15 +824,15 @@ def kh_top(d: SncDivisor) -> FgAbGroup:
 
 
 def dualize(c: ChainComplex) -> ChainComplex:
-    """The transposed complex, reindexed so that H^i(c) = H_{-i}(dualize(c)).
+    """The transposed complex, reindexed so that H^i(c) = H_{top - i}(dualize(c))
+    with top = len(c.ranks) - 1.
 
     An oracle for cohomology: it builds the cochain complex explicitly,
     where snckit reads cohomology off the boundary diagonals instead.
     """
-    ranks = tuple(reversed(c.ranks))
-    boundaries = [boundary_matrix(c, d).transpose() for d in reversed(c.degrees[1:])]
-    top = c.lowest_degree + len(c.ranks) - 1
-    return complex_from_matrices(-top, ranks, boundaries)
+    top = len(c.ranks) - 1
+    return complex_from_matrices(tuple(reversed(c.ranks)), [
+        boundary_matrix(c, top - j).transpose() for j in range(top)])
 
 
 def one_row_page(cx: ChainComplex) -> SpectralPage:
@@ -846,7 +844,7 @@ def one_row_page(cx: ChainComplex) -> SpectralPage:
         if r:
             entries[(p, 0)] = FgAbGroup(r)
     for p in range(len(ranks) - 1):
-        delta = boundary_matrix(cx, cx.lowest_degree + p + 1).transpose()
+        delta = boundary_matrix(cx, p + 1).transpose()
         diffs[(p, 0)] = Hom(FgAbGroup(ranks[p]),
                             FgAbGroup(ranks[p + 1]), delta)
     support = frozenset((p, 0) for p in range(len(ranks)))
@@ -917,7 +915,7 @@ def descent_page(cx: ChainComplex, n: int, coker_ns: FgAbGroup) -> SpectralPage:
     """
     entries: dict[tuple[int, int], FgAbGroup] = {}
     support = {(n - 1, 0)}
-    for p in range(min(n, cx.degrees.stop)):
+    for p in range(min(n, len(cx.ranks))):
         support.add((p, 1))
         g = cohomology(cx, p)
         if not g.is_trivial():

@@ -76,12 +76,27 @@ def test_from_factors_normalizes_to_divisibility_chain():
     assert FgAbGroup.from_factors(0, [2, 3]).torsion == (6,)
     assert FgAbGroup.from_factors(0, [4, 6]).torsion == (2, 12)
     assert FgAbGroup.from_factors(1, []) == Z
+    assert FgAbGroup.from_factors(0, [-4, 6]).torsion == (2, 12)
     with pytest.raises(ValueError):
         FgAbGroup.from_factors(0, [0])
     rng = random.Random(11)
     for _ in range(300):
         factors = [rng.randint(2, 30) for _ in range(rng.randint(0, 5))]
         assert FgAbGroup.from_factors(0, factors).torsion == prime_power_chain(factors)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FgAbGroup.from_factors(0, [2.5]),
+    lambda: FgAbGroup.from_factors(0, [2, True]),
+    lambda: FgAbGroup(0, (3.0,)),
+    lambda: FgAbGroup(0, (True,)),
+    lambda: FgAbGroup(1.0),
+    lambda: FgAbGroup(True),
+], ids=["float-factor", "bool-factor", "float-order", "bool-order", "float-rank",
+        "bool-rank"])
+def test_groups_reject_non_int_ranks_and_orders(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_direct_sum_examples_and_oracle():
@@ -343,7 +358,7 @@ def test_subquotient_is_middle_homology():
         b, c = f_mat.ncols, f_mat.nrows
         outgoing = Hom(FgAbGroup(b), FgAbGroup(c), f_mat)
         incoming = Hom(FgAbGroup(g_mat.ncols), FgAbGroup(b), g_mat)
-        cx = complex_from_matrices(0, (c, b, g_mat.ncols), [f_mat, g_mat])
+        cx = complex_from_matrices((c, b, g_mat.ncols), [f_mat, g_mat])
         assert subquotient(outgoing, incoming) == homology(cx, 1)
 
 

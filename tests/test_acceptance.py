@@ -103,7 +103,7 @@ def test_criterion_2_cohomology_oracle_suite():
                 for k in range(len(cell)):
                     m[pos[cell[:k] + cell[k + 1:]]][col] += (-1) ** k
             boundaries.append(IntMatrix(m, ncols=len(cells[d])))
-        return complex_from_matrices(0, [len(c) for c in cells], boundaries)
+        return complex_from_matrices([len(c) for c in cells], boundaries)
 
     start = time.perf_counter()
     suite = [
@@ -111,8 +111,8 @@ def test_criterion_2_cohomology_oracle_suite():
         (simplex_boundary(2, full=True), (Z, ZERO_GROUP, ZERO_GROUP)),
         (simplex_boundary(3), (Z, ZERO_GROUP, Z)),          # 2-sphere
         (simplex_boundary(4), (Z, ZERO_GROUP, ZERO_GROUP, Z)),
-        (complex_from_matrices(0, (2, 2), [IntMatrix([[-1, -1], [1, 1]])]), (Z, Z)),
-        (complex_from_matrices(0, (1, 2, 1), [IntMatrix.zero(1, 2),
+        (complex_from_matrices((2, 2), [IntMatrix([[-1, -1], [1, 1]])]), (Z, Z)),
+        (complex_from_matrices((1, 2, 1), [IntMatrix.zero(1, 2),
                                               IntMatrix.zero(2, 1)]),
          (Z, FgAbGroup(2), Z)),                             # 2-torus
     ]

@@ -414,7 +414,7 @@ def test_shuffled_strata_give_the_same_diagonals_and_cohomology():
         canonical = build_dual_complex(d).chain_complex()
         for seed in range(3):
             c = build_dual_complex(_shuffled(d, seed)).chain_complex()
-            for i in canonical.degrees:
+            for i in range(len(canonical.ranks)):
                 assert c.diagonal(i) == canonical.diagonal(i)
                 assert cohomology(c, i) == cohomology(canonical, i)
 
@@ -434,7 +434,7 @@ def test_the_dense_routine_gets_no_zero_block_on_torsion_free_skeletons(monkeypa
         d = simplex_divisor(n, [f"E{i}" for i in range(m)], n)
         for dd in (d, _shuffled(d, 1)):
             c = build_dual_complex(dd).chain_complex()
-            for i in c.degrees:
+            for i in range(len(c.ranks)):
                 assert set(c.diagonal(i)) <= {0, 1}
     assert blocks and all(0 in shape for shape in blocks)
 
@@ -449,7 +449,7 @@ def test_shuffled_strata_cost_about_what_canonical_strata_cost():
         ranks = [len(layer) for layer in dc.cells]
         start = time.perf_counter()
         for k, boundary in enumerate(dc.chain_complex().boundaries):
-            unit_sweep([dict(cell) for cell in boundary], ranks[k])
+            unit_sweep(list(map(dict, boundary)), ranks[k + 1])
         return time.perf_counter() - start
 
     base = min(sweep_seconds(canonical) for _ in range(3))

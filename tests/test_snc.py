@@ -198,7 +198,7 @@ def test_parallel_edges_dual_complex():
 def test_edge_boundary_orientation():
     dc = build_dual_complex(interval_divisor())
     # the edge c on vertices 1 < 2 has boundary 2 - 1; vertex 1 sits at 0
-    assert dc.chain_complex().boundaries == ((((0, -1), (1, 1)),),)
+    assert dc.chain_complex().boundaries == (({0: -1}, {0: 1}),)
 
 
 def test_dual_equals_alternating_complex_everywhere():

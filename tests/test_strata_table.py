@@ -156,7 +156,7 @@ def test_a_dual_complex_gives_the_checked_chain_complex_of_its_cells():
     dc = build_dual_complex(read)
     ranks = tuple(len(layer) for layer in dc.cells)
     assert ranks == (5, 10, 10, 5)
-    explicit = ChainComplex(0, ranks, dc.chain_complex().boundaries)
+    explicit = ChainComplex(ranks, dc.chain_complex().boundaries)
     assert explicit == dc.chain_complex()
 
 
