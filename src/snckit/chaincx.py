@@ -34,7 +34,7 @@ class SupportViolationError(Exception):
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Free chain complex in degree 0 through len(ranks) - 1.
+    """Free chain complex in degree 0 through len(ranks) - 1; ranks are ints >= 0.
 
     ``boundaries[k]`` is the boundary map out of degree k + 1 into degree
     k as face rows: one dict {cell of degree k + 1: coefficient} per cell
@@ -45,7 +45,7 @@ class ChainComplex:
     Each boundary composed with the one below it must be zero.  The
     constructor does not check it; the diagonals, read bottom-up with
     clearing, rely on it.  ``_of`` makes a complex from rows its caller
-    has checked, as ``validate_snc`` has, and skips the row check.
+    has checked, as ``validate_snc`` has, and skips the checks.
     """
 
     ranks: tuple[int, ...]
@@ -58,6 +58,8 @@ class ChainComplex:
         default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not all(type(r) is int and r >= 0 for r in self.ranks):
+            raise ValueError(f"ranks {self.ranks!r} are not non-negative ints")
         if len(self.boundaries) != max(len(self.ranks) - 1, 0):
             raise ValueError(
                 f"{len(self.boundaries)} boundary maps for {len(self.ranks)} ranks")

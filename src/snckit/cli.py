@@ -144,8 +144,8 @@ _MEMBER_KEYS = frozenset({"id", "parents"})
 def _parse_divisor(block: Any, path: str) -> SncDivisor:
     # Per value, the loops test the common case inline and build a path
     # string only in the branch that may raise.  The strata go straight
-    # into a position-indexed table (see ``snc._StrataTable``), from which
-    # ``Stratum`` objects are built only if a command reads them.
+    # into the divisor's table (see ``snc._StrataTable``), positions sorted,
+    # in range and unrepeated, which keeps ``SncDivisor``'s invariant.
     obj = _as_dict(block, path)
     _require_keys(obj, {"n", "components", "strata"}, ("n", "components"), path)
     n = _as_int(obj["n"], f"{path}.n", minimum=1)
@@ -228,7 +228,7 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
                                              f"unknown parent {pid!r} for dropped "
                                              f"component {dropped!r}")
 
-    return SncDivisor._of(n, comps, table)
+    return SncDivisor(n, comps, table)
 
 
 def _bad_parent_key(key: Any, ncomps: int, path: str) -> NoReturn:
@@ -465,8 +465,7 @@ def _divisor_text(d: SncDivisor, nl: str) -> str:
     # the text of each component position as a subset item and as a parent key
     item = [f"{i4}{i}" for i in range(size)]
     key = [f'{i6}"{i}": ' for i in range(size)]
-    table = _StrataTable.of(d)
-    ids, subsets, positions, parents_of = table
+    ids, subsets, positions, parents_of = d.table
     comps = f'[{",".join([i2 + enc(c) for c in d.components])}{i1}]' if d.components else "[]"
     out = [f'{{{i1}"n": {int.__repr__(d.n)},{i1}"components": {comps},{i1}"strata": [']
     append = out.append
@@ -646,15 +645,18 @@ def _cmd_validate(doc: InputDocument) -> tuple[str, dict]:
 
 def _cmd_dual_complex(doc: InputDocument) -> tuple[str, dict]:
     dc = build_dual_complex(doc.divisor)
-    lines = []
-    dims = []
-    for dim, layer in enumerate(dc.cells):
-        cells = sorted(layer, key=lambda c: c.id)
+    # (id, vertices) per cell by dimension; the check made the ids unique
+    layers = [[(c, (c,)) for c in dc.components], *[[] for _ in dc.counts[2:]]]
+    for sid, subset in zip(dc.table.ids, dc.table.subsets):
+        layers[len(subset) - 1].append((sid, subset))
+    lines, dims = [], []
+    for dim, cells in enumerate(layers):
+        cells.sort()
         lines.append(f"dimension {dim}: {len(cells)} cell(s): "
-                     + ", ".join(c.id for c in cells))
+                     + ", ".join([cid for cid, _ in cells]))
         dims.append({"dimension": dim, "count": len(cells),
-                     "cells": [{"id": c.id, "vertices": list(c.vertices)}
-                               for c in cells]})
+                     "cells": [{"id": cid, "vertices": list(vertices)}
+                               for cid, vertices in cells]})
     machine = {"command": "dual-complex", "cells_by_dimension": dims}
     return "\n".join(lines), machine
 

@@ -6,24 +6,21 @@ I.  Each stratum component of depth three or more records which component
 of each facet intersection contains it; that containment data is exactly
 what the dual complex needs to glue cells.
 
-The strata are checked as a position-indexed table: per stratum its id,
-its subset as component ids and positions, and its parents.  The CLI
-parser reads a document straight into that table; a divisor built through
-the API makes its table from ``strata`` when first asked and keeps it.
+A divisor holds its strata as one position-indexed table: per stratum its
+id, its subset as component ids and positions, and its parents.  The CLI
+parser reads a document straight into that table, ``SncDivisor.build``
+fills one from (id, subset, parents) triples, and the blowups leave one;
+``SncDivisor.strata`` makes ``Stratum`` objects from it each time it is
+read, and no command reads them.
 The check walks the table twice: the first walk finds each stratum's row
 by id and its position among the strata of its depth, and the first
 stratum breaking its own rules; the second checks parents, and keeps the
 rows of the parents it finds.  Past the parent checks, the drops of two
 components are compared only where a subset carries two strata, since
-elsewhere both orders land on its one stratum.  The dual complex reads
-each boundary's face rows straight from the parents and positions the
-check returns, and the Smith sweep takes them as they are.
-The parser and the blowups make their divisors by a private constructor
-that keeps the table, and ``SncDivisor.strata`` is built from it on first
-read.  The check's result is the dual complex itself: ``DualComplex.cells``
-is built from its table each time it is read, and its chain complex holds
-the face rows, with no second check.  Of the commands only
-``dual-complex`` reads the strata or cells.
+elsewhere both orders land on its one stratum.  The check's result is the
+dual complex itself, and the dual complex reads each boundary's face rows
+straight from the parents and positions the check returns; the Smith
+sweep takes them as they are, with no second check.
 Error text is formatted only where a check fails, and the first error
 raised is the one the order of the checks names, whatever order the
 strata arrive in.
@@ -120,8 +117,7 @@ class Stratum:
 
 class _StrataTable(NamedTuple):
     """A divisor's strata by position in divisor order, as the parser
-    reads them, a blowup leaves them or ``of`` makes them from
-    ``SncDivisor.strata``.
+    reads them, ``SncDivisor.build`` fills them or a blowup leaves them.
 
     Per stratum: ``ids``, the id; ``subsets``, the subset as component
     ids; ``positions``, the same as component positions, or None when the
@@ -136,78 +132,50 @@ class _StrataTable(NamedTuple):
     positions: list[tuple[int, ...] | None]
     parents: list[dict[str, str]]
 
-    @classmethod
-    def of(cls, d: "SncDivisor") -> "_StrataTable":
-        """The table d was made with, or else the one made from ``d.strata``
-        on the first call, which d then keeps."""
-        table = getattr(d, "_table", None)
-        if table is not None:
-            return table
-        order = {c: i for i, c in enumerate(d.components)}
-        strata = d.strata
-        positions: list[tuple[int, ...] | None] = []
-        for s in strata:
-            pos = tuple([order.get(c, -1) for c in s.subset])
-            # None if a component is unknown, repeated or out of order
-            positions.append(pos if -1 not in pos and pos == tuple(sorted(set(pos)))
-                             else None)
-        table = cls([s.id for s in strata], [s.subset for s in strata], positions,
-                    [s.parents for s in strata])
-        object.__setattr__(d, "_table", table)
-        return table
-
     def strata(self) -> tuple[Stratum, ...]:
         return tuple(map(Stratum, self.ids, self.subsets, self.parents))
 
 
 @dataclass(frozen=True)
 class SncDivisor:
-    """A divisor: ambient dimension, component ids and strata.
+    """A divisor: ambient dimension, component ids and strata table.
 
-    A divisor read from a document or returned by a blowup is made by
-    ``_of`` with its ``_StrataTable`` in ``_table``; its strata are built
-    from the table on first read and kept.  Only ``dual-complex`` among
-    the commands builds them.
+    ``table.positions`` index ``components`` (None where a subset has no
+    positions, see ``_StrataTable``).  The parser, ``build`` and the
+    blowups each keep this, and ``validate_snc`` relies on it rather than
+    rechecking subsets, so new components need a new table, not
+    ``dataclasses.replace`` of ``components`` alone.  ``strata`` is built
+    from the table each time it is read.
     """
 
     n: int
     components: tuple[str, ...]
-    strata: tuple[Stratum, ...]
+    table: _StrataTable
 
-    @classmethod
-    def _of(cls, n: int, components: tuple[str, ...], table: _StrataTable) -> "SncDivisor":
-        out = object.__new__(cls)
-        out.__dict__.update(n=n, components=components, _table=table)
-        return out
-
-    def __getattr__(self, name: str) -> tuple[Stratum, ...]:
-        if name != "strata":
-            raise AttributeError(name)
-        strata = self._table.strata()
-        object.__setattr__(self, "strata", strata)
-        return strata
+    @property
+    def strata(self) -> tuple[Stratum, ...]:
+        return self.table.strata()
 
     @classmethod
     def build(cls, n: int, components: Sequence[str],
               strata: Iterable[tuple[str, Sequence[str], Mapping[str, str]]],
               ) -> "SncDivisor":
-        """Assemble a divisor, sorting each subset by component order."""
+        """Assemble a divisor, sorting each subset by component order; a
+        subset that repeats a component gets no positions."""
         comps = tuple(components)
         order = {c: i for i, c in enumerate(comps)}
-        out = []
+        table = _StrataTable([], [], [], [])
         for sid, subset, parents in strata:
             for c in subset:
                 if c not in order:
                     raise SncError(f"stratum {sid} references unknown component {c!r}")
-            positions = sorted([order[c] for c in subset])
-            out.append(Stratum(sid, tuple([comps[i] for i in positions]), dict(parents)))
-        return cls(n, comps, tuple(out))
-
-
-@dataclass(frozen=True)
-class DualCell:
-    id: str
-    vertices: tuple[str, ...]
+            positions = tuple(sorted([order[c] for c in subset]))
+            table.ids.append(sid)
+            table.subsets.append(tuple([comps[i] for i in positions]))
+            table.positions.append(positions if len(set(positions)) == len(positions)
+                                   else None)
+            table.parents.append(dict(parents))
+        return cls(n, comps, table)
 
 
 class DualComplex(NamedTuple):
@@ -215,13 +183,12 @@ class DualComplex(NamedTuple):
     vertex per component, one (|I|-1)-cell per stratum component.
 
     The fields are what the check found: the divisor's components and
-    strata table; ``counts[k]``, the number of strata on k components,
-    for every k up to the deepest stratum (0 for k < 2); ``slot``, each
-    stratum's position among the strata of its depth; and ``found[k]``,
-    for each stratum on k >= 3 components in divisor order, the table rows
-    of its parents in subset order.  ``rows`` makes the boundaries' face
-    rows from these, and ``cells`` the cells per dimension, built from the
-    table each time they are read.
+    strata table, whose ids and subsets are the cells' names and vertices;
+    ``counts[k]``, the number of strata on k components, for every k up to
+    the deepest stratum (0 for k < 2); ``slot``, each stratum's position
+    among the strata of its depth; and ``found[k]``, for each stratum on
+    k >= 3 components in divisor order, the table rows of its parents in
+    subset order.  ``rows`` makes the boundaries' face rows from these.
     """
 
     components: tuple[str, ...]
@@ -245,18 +212,10 @@ class DualComplex(NamedTuple):
                 rows[face[p]][cell] = x
         return rows
 
-    @property
-    def cells(self) -> tuple[tuple[DualCell, ...], ...]:
-        layers: list[list[DualCell]] = [[] for _ in self.counts]
-        for sid, subset in zip(self.table.ids, self.table.subsets):
-            layers[len(subset)].append(DualCell(sid, subset))
-        return (tuple(DualCell(c, (c,)) for c in self.components),
-                *map(tuple, layers[2:]))
-
     def chain_complex(self) -> ChainComplex:
         """The cellular chain complex on the face rows, which the check has
-        made sound: ``boundaries[k]`` holds, for each cell of ``cells[k]``,
-        its cofaces in ``cells[k + 1]`` as {position: sign}."""
+        made sound: ``boundaries[k]`` holds, for each k-cell in divisor
+        order, its cofaces among the (k + 1)-cells as {position: sign}."""
         ranks = self.ranks()
         return ChainComplex._of(
             ranks, tuple(tuple(self.rows(k)) for k in range(len(ranks) - 1)))
@@ -279,10 +238,8 @@ def validate_snc(d: SncDivisor) -> DualComplex:
     order = {c: i for i, c in enumerate(components)}
     if len(order) != len(components):
         raise DuplicateIdError("duplicate component id")
-    table = _StrataTable.of(d)
     n = d.n
-    ids, subsets, positions, parents_of = (table.ids, table.subsets, table.positions,
-                                           table.parents)
+    ids, subsets, positions, parents_of = d.table
     by_id = {sid: i for i, sid in enumerate(ids)}
     if len(by_id) != len(ids) or not order.keys().isdisjoint(by_id):
         seen: set[str] = set()
@@ -339,7 +296,7 @@ def validate_snc(d: SncDivisor) -> DualComplex:
             if len(pos) >= 4:
                 grand = [parents_of[by_id[parents_of[i][c]]] for c in subsets[i]]
                 _raise_if_drops_differ(ids[i], subsets[i], grand)
-    return DualComplex(components, table, counts, slot, found)
+    return DualComplex(components, d.table, counts, slot, found)
 
 
 def _raise_own_error(sid: str, subset: tuple[str, ...], order: Mapping[str, int],
@@ -415,7 +372,7 @@ def find_bad_intersections(d: SncDivisor) -> BadIntersections:
     """
     order = {c: i for i, c in enumerate(d.components)}
     unknown = len(order)
-    bad = [(subset, count) for subset, count in Counter(_StrataTable.of(d).subsets).items()
+    bad = [(subset, count) for subset, count in Counter(d.table.subsets).items()
            if count >= 2]
     bad.sort(key=lambda item: (len(item[0]), [order.get(c, unknown) for c in item[0]],
                                item[0]))
@@ -442,8 +399,8 @@ class BlowupRecord:
     def _of(cls, center: str, new_component: str, removed: tuple[str, ...],
             added: tuple[str, ...], bad_decrement: int) -> "BlowupRecord":
         """The record of a stellar blowup, equal to ``cls(...)`` of the same
-        fields, set in one dict update rather than one frozen-field
-        ``object.__setattr__`` each."""
+        fields, set in one dict update rather than through the frozen
+        dataclass's setter once per field."""
         out = object.__new__(cls)
         out.__dict__.update(center=center, new_component=new_component, removed=removed,
                             added=added, bad_decrement=bad_decrement, point_blowup=False)
@@ -493,7 +450,7 @@ class _StrataIndex:
 
     def divisor(self) -> SncDivisor:
         rows = self.rows.values()
-        return SncDivisor._of(self.n, tuple(self.components), _StrataTable(
+        return SncDivisor(self.n, tuple(self.components), _StrataTable(
             list(self.rows), [r[0] for r in rows], [r[1] for r in rows],
             [r[2] for r in rows]))
 

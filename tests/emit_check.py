@@ -22,7 +22,6 @@ suite.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import sys
@@ -32,13 +31,14 @@ from typing import Any, NamedTuple
 from helpers import (
     blowup_json,
     divisor_json,
+    divisor_of,
     parallel_curve_divisor,
     random_divisor,
     report_json,
     simplex_divisor,
 )
 from make_goldens import cases
-from snckit import BlowupRecord, SncDivisor, Stratum, resolve_to_simplicial
+from snckit import BlowupRecord, SncDivisor, resolve_to_simplicial
 from snckit.cli import MissingBlockError, _divisor_text, _json_text, parse_input, run
 
 # Characters the encoder escapes, or passes through although they are
@@ -179,10 +179,9 @@ def renamed(d: SncDivisor, rng: random.Random) -> SncDivisor:
     """d with every component and stratum id given odd text, kept unique."""
     ids = list(d.components) + [s.id for s in d.strata]
     new = {x: f"{rng.choice(ID_PIECES)}|{i}" for i, x in enumerate(ids)}
-    return SncDivisor(d.n, tuple(new[c] for c in d.components), tuple(
-        Stratum(new[s.id], tuple(new[c] for c in s.subset),
-                {new[c]: new[p] for c, p in s.parents.items()})
-        for s in d.strata))
+    return SncDivisor.build(d.n, [new[c] for c in d.components], [
+        (new[s.id], [new[c] for c in s.subset], {new[c]: new[p] for c, p in s.parents.items()})
+        for s in d.strata])
 
 
 def writer_cases(count: int = 130, seed: int = 16):
@@ -190,8 +189,8 @@ def writer_cases(count: int = 130, seed: int = 16):
     three fixed ones and two or three for each of ``count`` draws."""
     rng = random.Random(seed)
     comps = [f"E{i}" for i in range(6)]
-    yield SncDivisor(3, ("E1", "E2"), ())
-    yield SncDivisor(5, tuple(comps), ())
+    yield SncDivisor.build(3, ("E1", "E2"), ())
+    yield SncDivisor.build(5, comps, ())
     yield simplex_divisor(5, comps, 5)
     for k in range(count):
         if k % 2:
@@ -204,7 +203,7 @@ def writer_cases(count: int = 130, seed: int = 16):
         if k % 4 == 1:
             strata = list(d.strata)
             rng.shuffle(strata)
-            d = dataclasses.replace(d, strata=tuple(strata))
+            d = divisor_of(d.n, d.components, strata)
         resolved = resolve_to_simplicial(d)[0]
         yield d
         yield resolved

@@ -29,7 +29,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from snckit import (
     BlowupRecord,
@@ -429,6 +429,11 @@ def report_json(x: Any) -> Any:
 # named divisors
 
 
+def divisor_of(n: int, components: Sequence[str], strata: Iterable[Stratum]) -> SncDivisor:
+    """The divisor on ``strata`` in their order, through ``SncDivisor.build``."""
+    return SncDivisor.build(n, components, [(s.id, s.subset, s.parents) for s in strata])
+
+
 def triangle_cycle() -> SncDivisor:
     """Three surfaces meeting pairwise in one curve, no triple point."""
     return SncDivisor.build(3, ["E1", "E2", "E3"], [
@@ -694,7 +699,7 @@ def scan_blowup(d: SncDivisor, center: str) -> tuple[SncDivisor, BlowupRecord]:
                 else:
                     parents[x] = cone_id[(by_id[t.parents[x]].id, k_part)]
         added.append(Stratum(cone_id[(t.id, k_part)], subset, parents))
-    result = SncDivisor(d.n, d.components + (new_comp,), tuple(kept) + tuple(added))
+    result = divisor_of(d.n, d.components + (new_comp,), kept + added)
     record = BlowupRecord(
         center=center,
         new_component=new_comp,
@@ -733,12 +738,11 @@ def scan_resolve(d: SncDivisor, max_blowups: int = 10000,
 
 def brute_force_bad(d: SncDivisor) -> tuple[dict[frozenset[str], int], bool]:
     """Count duplicate vertex sets among the cells of the dual complex."""
-    dc = build_dual_complex(d)
+    validate_snc(d)
     seen: dict[frozenset[str], int] = {}
-    for layer in dc.cells[1:]:
-        for cell in layer:
-            key = frozenset(cell.vertices)
-            seen[key] = seen.get(key, 0) + 1
+    for s in d.strata:
+        key = frozenset(s.subset)
+        seen[key] = seen.get(key, 0) + 1
     dup = {k: v for k, v in seen.items() if v >= 2}
     return dup, not dup
 

@@ -49,9 +49,9 @@ def read_path(tmp: str) -> None:
     by the benchmark oracle; every H^i that cohomology prints is checked
     against gen._skeleton_cohomology, a closed form that never calls
     snckit, so each boundary the sweep reads with clearing is checked at
-    this size.  validate counts the strata without building them, and
-    dual-complex builds every cell on first read; their counts are checked
-    against the generator's.  Each run takes a few seconds; the step's
+    this size.  validate counts the strata and dual-complex lists the
+    cells, both from the strata table; their counts are checked against
+    the generator's.  Each run takes a few seconds; the step's
     limit stops a read path or sweep that has turned superlinear.
     """
     for shuffled in (False, True):

@@ -2,6 +2,7 @@
 import copy
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     ZERO_GROUP,
     boundary_matrix,
     complex_from_matrices,
+    divisor_of,
     dualize,
     e3_top_corner,
     euler_characteristic,
@@ -266,7 +268,7 @@ def tensor(c: ChainComplex, e: ChainComplex) -> ChainComplex:
 def shuffled_divisor(d: SncDivisor, rng: random.Random) -> SncDivisor:
     strata = list(d.strata)
     rng.shuffle(strata)
-    return SncDivisor(d.n, d.components, tuple(strata))
+    return divisor_of(d.n, d.components, strata)
 
 
 def divisor_corpus() -> list[SncDivisor]:
@@ -295,9 +297,9 @@ def api_and_shuffled(d: SncDivisor, rng: random.Random) -> tuple[SncDivisor, Snc
     """The divisor built through the API from its strata, and again with
     its strata shuffled."""
     strata = list(d.strata)
-    api = SncDivisor(d.n, d.components, tuple(strata))
+    api = divisor_of(d.n, d.components, strata)
     rng.shuffle(strata)
-    return api, SncDivisor(d.n, d.components, tuple(strata))
+    return api, divisor_of(d.n, d.components, strata)
 
 
 def test_validate_snc_returns_the_dual_complex_of_its_checked_rows():
@@ -307,7 +309,10 @@ def test_validate_snc_returns_the_dual_complex_of_its_checked_rows():
             dc = validate_snc(dd)
             assert type(dc) is DualComplex and dc == build_dual_complex(dd)
             ranks = dc.ranks()
-            assert tuple(map(len, dc.cells)) == ranks
+            depths = Counter(len(s.subset) for s in dd.strata)
+            assert ranks == (len(dd.components),
+                             *[depths[k] for k in range(2, len(ranks) + 1)])
+            assert depths.total() == sum(ranks[1:])
             boundaries = tuple(tuple(dc.rows(k)) for k in range(len(ranks) - 1))
             assert dc.chain_complex() == ChainComplex(ranks, boundaries)
 
@@ -574,6 +579,11 @@ def test_complex_constructor_rejects_malformed_rows(row):
         ChainComplex((1, 2, 1), (({0: 1, 1: -1},), ({0: 1}, row)))
     assert str(caught.value) == ("boundary out of degree 2 is not 2 rows of nonzero "
                                  "ints on cells below 1")
+    # ranks that are not non-negative ints: a bool, a negative int, a float
+    for ranks in ((True,), (-1,), (2.0,)):
+        with pytest.raises(ValueError) as caught:
+            ChainComplex(ranks, ())
+        assert str(caught.value) == f"ranks {ranks!r} are not non-negative ints"
 
 
 def test_complex_constructor_accepts_empty_and_edge_rows():

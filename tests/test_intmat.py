@@ -17,6 +17,7 @@ from helpers import (
     column_lattice_basis,
     det,
     diagonal,
+    divisor_of,
     is_zero,
     minors_invariant_factors,
     random_matrix,
@@ -405,7 +406,7 @@ def test_the_sweep_takes_the_pivots_its_rule_names(a):
 def _shuffled(d: SncDivisor, seed: int) -> SncDivisor:
     strata = list(d.strata)
     random.Random(seed).shuffle(strata)
-    return SncDivisor(d.n, d.components, tuple(strata))
+    return divisor_of(d.n, d.components, strata)
 
 
 def test_shuffled_strata_give_the_same_diagonals_and_cohomology():
@@ -446,7 +447,7 @@ def test_shuffled_strata_cost_about_what_canonical_strata_cost():
     canonical, shuffled = (build_dual_complex(x) for x in (d, _shuffled(d, 5)))
 
     def sweep_seconds(dc) -> float:
-        ranks = [len(layer) for layer in dc.cells]
+        ranks = dc.ranks()
         start = time.perf_counter()
         for k, boundary in enumerate(dc.chain_complex().boundaries):
             unit_sweep(list(map(dict, boundary)), ranks[k + 1])

@@ -35,7 +35,6 @@ from snckit import (
     PicardInput,
     PicardLevel,
     SncDivisor,
-    Stratum,
     kh_report,
     ns_analysis,
     presentation_matrix,
@@ -52,7 +51,7 @@ from snckit.khasm import (
     assemble_extension,
     torus_descriptor,
 )
-from snckit.snc import SncError
+from snckit.snc import SncError, _StrataTable
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +449,7 @@ def test_kh_report_level_and_mode_mismatches():
 
 
 def test_kh_report_validates_the_divisor():
-    broken = SncDivisor(3, ("A", "B"), (Stratum("s", ("A", "C")),))
+    broken = SncDivisor(3, ("A", "B"), _StrataTable(["s"], [("A", "C")], [None], [{}]))
     with pytest.raises(SncError):
         kh_report(broken, triangle_picard())
 

@@ -8,6 +8,7 @@ from helpers import (
     ZERO_GROUP,
     alt_chain_complex,
     brute_force_bad,
+    divisor_of,
     euler_characteristic,
     full_simplex,
     interval_divisor,
@@ -44,6 +45,7 @@ from snckit.snc import (
     UnknownCenterError,
     UnknownCurveError,
     WrongDimensionError,
+    _StrataTable,
 )
 
 
@@ -175,7 +177,7 @@ def test_random_corpus_is_valid():
 
 def test_full_simplex_dual_counts_and_euler():
     dc = build_dual_complex(full_simplex())
-    assert tuple(len(layer) for layer in dc.cells) == (3, 3, 1)
+    assert dc.ranks() == (3, 3, 1)
     cx = dc.chain_complex()
     assert euler_characteristic(cx) == 1
     assert homology(cx, 0) == Z
@@ -189,9 +191,9 @@ def test_triangle_cycle_is_a_circle():
 
 def test_parallel_edges_dual_complex():
     dc = build_dual_complex(parallel_edges())
-    assert tuple(len(layer) for layer in dc.cells) == (2, 2)
-    va, vb = dc.cells[1]
-    assert set(va.vertices) == set(vb.vertices) == {"1", "2"}
+    assert dc.ranks() == (2, 2)
+    va, vb = dc.table.subsets
+    assert set(va) == set(vb) == {"1", "2"}
     assert cohomology_profile(parallel_edges(), 2) == (Z, Z)
 
 
@@ -208,7 +210,7 @@ def test_dual_equals_alternating_complex_everywhere():
     corpus = named + [random_divisor(rng) for _ in range(200)]
     # the same divisors with their strata shuffled, depths interleaved: the
     # cells of each dimension keep their relative order, whatever it is
-    corpus += [SncDivisor(d.n, d.components, tuple(rng.sample(d.strata, len(d.strata))))
+    corpus += [divisor_of(d.n, d.components, rng.sample(d.strata, len(d.strata)))
                for d in corpus]
     for d in corpus:
         assert build_dual_complex(d).chain_complex() == alt_chain_complex(d)
@@ -228,17 +230,19 @@ def test_bad_intersections_examples():
     assert bad == [(("1", "2"), 2)]
     assert find_bad_intersections(full_simplex()) == ([], True)
     # the count needs no valid divisor: these triple points name no parents
-    loose = SncDivisor(3, ("A", "B", "C"), (Stratum("s", ("A", "B", "C")),
-                                            Stratum("t", ("A", "B", "C"))))
+    loose = SncDivisor.build(3, ("A", "B", "C"), [("s", ("A", "B", "C"), {}),
+                                                  ("t", ("A", "B", "C"), {})])
     with pytest.raises(SncError):
         validate_snc(loose)
     assert find_bad_intersections(loose) == ([(("A", "B", "C"), 2)], False)
     # nor known components: unknown ones sort after every known one, then by name
-    unknown = SncDivisor(3, ("A", "B"), (Stratum("s", ("A", "Z")), Stratum("t", ("A", "Z"))))
+    unknown = SncDivisor(3, ("A", "B"), _StrataTable(
+        ["s", "t"], [("A", "Z"), ("A", "Z")], [None, None], [{}, {}]))
     assert find_bad_intersections(unknown) == ([(("A", "Z"), 2)], False)
-    mixed = SncDivisor(3, ("A", "B"), tuple(
-        Stratum(f"{sub}{k}", sub) for sub in (("Y", "A"), ("B", "A"), ("X", "A"))
-        for k in range(2)))
+    subsets = [sub for sub in (("Y", "A"), ("B", "A"), ("X", "A")) for _ in range(2)]
+    mixed = SncDivisor(3, ("A", "B"), _StrataTable(
+        [f"{sub}{k % 2}" for k, sub in enumerate(subsets)], subsets, [None] * 6,
+        [{} for _ in subsets]))
     assert find_bad_intersections(mixed).bad == [
         (("B", "A"), 2), (("X", "A"), 2), (("Y", "A"), 2)]
 
@@ -286,7 +290,7 @@ def test_blowup_parallel_edge_gives_three_cycle():
     bad, simplicial = find_bad_intersections(after)
     assert simplicial
     dc = build_dual_complex(after)
-    assert tuple(len(layer) for layer in dc.cells) == (3, 3)
+    assert dc.ranks() == (3, 3)
     assert cohomology_profile(after, 2) == before == (Z, Z)
 
 
@@ -296,7 +300,7 @@ def test_blowup_center_under_parallel_cells_keeps_their_interiors():
     base = full_simplex()
     twin = Stratum("t2", ("E1", "E2", "E3"),
                    {"E1": "c23", "E2": "c13", "E3": "c12"})
-    d = SncDivisor(base.n, base.components, base.strata + (twin,))
+    d = divisor_of(base.n, base.components, base.strata + (twin,))
     validate_snc(d)
     sphere = cohomology_profile(d, 3)
     assert sphere == (Z, ZERO_GROUP, Z)
@@ -308,7 +312,7 @@ def test_blowup_center_under_parallel_cells_keeps_their_interiors():
     assert set(record.removed) == {"c12", "t", "t2"}
     assert cohomology_profile(after, 3) == sphere
     dc = build_dual_complex(after)
-    assert tuple(len(layer) for layer in dc.cells) == (4, 6, 4)
+    assert dc.ranks() == (4, 6, 4)
     names = {s.id for s in after.strata}
     assert {"exc1|c13", "exc1|c23", "exc1|c13~0", "exc1|c23~0"} <= names
 
@@ -319,9 +323,9 @@ def test_blowup_triple_point_is_stellar_subdivision():
     after, record = blowup_stratum_component(d, "t")
     validate_snc(after)
     dc = build_dual_complex(after)
-    assert tuple(len(layer) for layer in dc.cells) == (4, 6, 3)
+    assert dc.ranks() == (4, 6, 3)
     # the new vertex is joined to all three old ones
-    new_edges = {c.vertices for c in dc.cells[1] if "exc1" in c.vertices}
+    new_edges = {s for s in dc.table.subsets if len(s) == 2 and "exc1" in s}
     assert new_edges == {("E1", "exc1"), ("E2", "exc1"), ("E3", "exc1")}
     assert cohomology_profile(after, 3) == before
 
@@ -416,7 +420,7 @@ def test_point_blowup_on_interval_gives_triangle():
     assert record.point_blowup
     assert record.removed == ()
     dc = build_dual_complex(after)
-    assert tuple(len(layer) for layer in dc.cells) == (3, 3, 1)
+    assert dc.ranks() == (3, 3, 1)
     assert cohomology_profile(after, 3) == cohomology_profile(d, 3)
     # the curve survives and now carries a triple point with the new wall
     assert {s.id: s for s in after.strata}["c"].subset == ("1", "2")
@@ -485,7 +489,7 @@ def test_resolve_parallel_edges():
     assert len(records) == 1
     assert find_bad_intersections(resolved).is_simplicial
     dc = build_dual_complex(resolved)
-    assert tuple(len(layer) for layer in dc.cells) == (3, 3)
+    assert dc.ranks() == (3, 3)
     assert cohomology_profile(resolved, 2) == (Z, Z)
 
 
@@ -615,9 +619,9 @@ def test_resolution_cap_matches_the_oracle_partial_state(cap):
 def _rename_stratum(d: SncDivisor, old: str, new: str) -> SncDivisor:
     def name(sid: str) -> str:
         return new if sid == old else sid
-    return SncDivisor(d.n, d.components, tuple(
-        Stratum(name(s.id), s.subset, {c: name(p) for c, p in s.parents.items()})
-        for s in d.strata))
+    return SncDivisor.build(d.n, d.components, [
+        (name(s.id), s.subset, {c: name(p) for c, p in s.parents.items()})
+        for s in d.strata])
 
 
 def larger_oracle_corpus(seed: int, count: int) -> list[tuple[set[str], SncDivisor]]:
@@ -721,7 +725,7 @@ def test_build_rejects_unknown_and_repeated_components():
     (("B", "A"), "subset is not in component order"),
 ], ids=["repeated", "out-of-order"])
 def test_a_stratum_repeating_a_component_is_invalid(subset, message):
-    d = SncDivisor(3, ("A", "B"), (Stratum("s", subset),))
+    d = SncDivisor(3, ("A", "B"), _StrataTable(["s"], [subset], [None], [{}]))
     for check in (validate_snc, build_dual_complex, resolve_to_simplicial):
         with pytest.raises(SncError, match=message):
             check(d)
@@ -731,4 +735,4 @@ def test_simplex_divisor_helper_matches_counts():
     d = simplex_divisor(3, ["E1", "E2", "E3"], 3)
     validate_snc(d)
     dc = build_dual_complex(d)
-    assert tuple(len(layer) for layer in dc.cells) == (3, 3, 1)
+    assert dc.ranks() == (3, 3, 1)

@@ -1,5 +1,5 @@
-"""The position-indexed strata table: the parser's reads, the one checker,
-and the strata and cells that only reading code builds."""
+"""The position-indexed strata table: the parser's reads, ``build``, the
+one checker, and the strata that only reading code builds."""
 import contextlib
 import dataclasses
 import io
@@ -8,10 +8,13 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     alt_chain_complex,
     divisor_json,
+    divisor_of,
     parallel_curve_divisor,
     random_divisor,
     simplex_divisor,
@@ -27,7 +30,7 @@ from snckit import (
     resolve_to_simplicial,
 )
 from snckit.cli import SchemaError, UnknownIdError, _json_text, main, parse_document
-from snckit.snc import DualCell, SncError, _StrataIndex, _StrataTable, validate_snc
+from snckit.snc import SncError, _StrataIndex, _StrataTable, validate_snc
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SPHERE4 = FIXTURES / "sphere4.json"
@@ -50,7 +53,7 @@ def skeleton(rng: random.Random, n: int, m: int, copies: int) -> SncDivisor:
     tops = [s for s in d.strata if len(s.subset) == n]
     extra = tuple(Stratum(f"{s.id}~{k}", s.subset, dict(s.parents))
                   for k, s in enumerate(rng.choices(tops, k=copies)))
-    return SncDivisor(d.n, d.components, d.strata + extra)
+    return divisor_of(d.n, d.components, d.strata + extra)
 
 
 def shuffled(block: dict, rng: random.Random) -> dict:
@@ -87,12 +90,11 @@ def test_the_parser_reads_what_build_reads_and_every_route_gives_one_complex():
     assert max(len(g["subset"]) for b in blocks for g in b["strata"]) == 5
     for block in blocks:
         read = parse_document({"version": "1", "divisor": block}).divisor
-        # the complex first, while the read divisor holds only its table
         cx = build_dual_complex(read).chain_complex()
-        api = SncDivisor(read.n, read.components, read.strata)
+        api = divisor_of(read.n, read.components, read.strata)
         assert build_dual_complex(api).chain_complex() == cx == alt_chain_complex(read)
-        assert_carries_its_table(api)       # made from its strata once, and kept
-        assert build_dual_complex(read).cells == build_dual_complex(api).cells
+        assert_carries_its_table(api)
+        assert build_dual_complex(read) == build_dual_complex(api)
         assert read == read_with_build(block) == api
 
 
@@ -115,7 +117,7 @@ def test_the_table_and_the_api_strata_fail_with_the_same_first_error():
         except SchemaError:     # a renamed id left a parent unknown
             continue
         error = _first_error(read)
-        assert _first_error(SncDivisor(read.n, read.components, read.strata)) == error
+        assert _first_error(divisor_of(read.n, read.components, read.strata)) == error
         errors.append(error)
     # a random fault may undo another; the rest raise
     assert len([e for e in errors if e is not None]) > 80
@@ -140,21 +142,20 @@ def test_a_read_divisor_keeps_the_dataclass_api():
     data = json.loads(SPHERE4.read_text(encoding="utf-8"))
     read = parse_document(data).divisor
     api = read_with_build(data["divisor"])
-    assert [f.name for f in dataclasses.fields(SncDivisor)] == ["n", "components", "strata"]
+    assert [f.name for f in dataclasses.fields(SncDivisor)] == ["n", "components", "table"]
     assert read == api and repr(read) == repr(api)
     moved = dataclasses.replace(read, n=5)
     assert (moved.n, moved.components, moved.strata) == (5, api.components, api.strata)
     with pytest.raises(dataclasses.FrozenInstanceError):
         read.strata = ()
     with pytest.raises(TypeError):
-        SncDivisor(3, ("a",))       # strata has no default
-    assert read.strata is read.strata       # built once
+        SncDivisor(3, ("a",))       # table has no default
 
 
 def test_a_dual_complex_gives_the_checked_chain_complex_of_its_cells():
     read = parse_document(json.loads(SPHERE4.read_text(encoding="utf-8"))).divisor
     dc = build_dual_complex(read)
-    ranks = tuple(len(layer) for layer in dc.cells)
+    ranks = dc.ranks()
     assert ranks == (5, 10, 10, 5)
     explicit = ChainComplex(ranks, dc.chain_complex().boundaries)
     assert explicit == dc.chain_complex()
@@ -162,13 +163,13 @@ def test_a_dual_complex_gives_the_checked_chain_complex_of_its_cells():
 
 @pytest.fixture
 def built(monkeypatch) -> list[str]:
-    """The names of the classes whose ``__init__`` ran, of Stratum and DualCell."""
+    """The names of the classes whose ``__init__`` ran, of Stratum."""
     names: list[str] = []
-    for cls in (Stratum, DualCell):
-        def counting(self, *args, _init=cls.__init__, **kwargs):
-            names.append(type(self).__name__)
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counting)
+
+    def counting(self, *args, _init=Stratum.__init__, **kwargs):
+        names.append(type(self).__name__)
+        _init(self, *args, **kwargs)
+    monkeypatch.setattr(Stratum, "__init__", counting)
     return names
 
 
@@ -189,20 +190,12 @@ def _run(path: Path, command: str) -> int:
 
 
 @pytest.mark.parametrize("command", ["kh-report", "k-report", "cohomology", "validate",
-                                     "check-simplicial", "resolve"])
+                                     "check-simplicial", "resolve", "dual-complex"])
 def test_the_report_paths_build_no_stratum_and_no_dual_cell(skeleton_path, built, command):
     assert built == []
     for path in (SPHERE4, skeleton_path):
         assert _run(path, command) == 0
     assert built == []
-
-
-@pytest.mark.parametrize("command, builds", [
-    ("dual-complex", {"DualCell"}),
-])
-def test_the_commands_that_read_strata_or_cells_build_them(built, command, builds):
-    assert _run(SPHERE4, command) == 0
-    assert set(built) == builds
 
 
 def test_the_index_adds_each_stratum_once_in_table_order(monkeypatch):
@@ -221,14 +214,14 @@ def test_the_index_adds_each_stratum_once_in_table_order(monkeypatch):
     for d in divisors:
         added.clear()
         _StrataIndex(d)
-        assert added == _StrataTable.of(d).ids and added
+        assert added == d.table.ids and added
 
 
 def test_the_public_blowups_of_a_read_divisor_build_no_stratum(built):
     block = divisor_json(parallel_curve_divisor(random.Random(5), 5, 4))
     read = parse_document({"version": "1", "divisor": block}).divisor
     built.clear()
-    table = _StrataTable.of(read)
+    table = read.table
     curve = next(sid for sid, subset in zip(table.ids, table.subsets) if len(subset) == 2)
     top = next(sid for sid, subset in zip(table.ids, table.subsets) if len(subset) == 3)
     blown, _ = blowup_stratum_component(read, top)
@@ -239,17 +232,14 @@ def test_the_public_blowups_of_a_read_divisor_build_no_stratum(built):
 
 
 def assert_carries_its_table(d: SncDivisor) -> None:
-    """d keeps one ``_StrataTable``, which ``_StrataTable.of`` returns each
-    time, whose positions are its subsets' and whose rows are d.strata in
-    order."""
-    table = _StrataTable.of(d)
+    """d's ``_StrataTable`` has its subsets' positions, and its rows are
+    d.strata in order."""
+    table = d.table
     assert type(table) is _StrataTable
-    assert _StrataTable.of(d) is table
     order = {c: i for i, c in enumerate(d.components)}
     assert table.positions == [tuple([order[c] for c in subset]) for subset in table.subsets]
     assert [(s.id, s.subset, s.parents) for s in d.strata] == list(
         zip(table.ids, table.subsets, table.parents))
-    assert _StrataTable.of(d) is table
 
 
 def test_the_blowups_and_the_resolution_return_divisors_carrying_a_table():
@@ -279,3 +269,36 @@ def test_validate_counts_the_strata_of_the_table(capsys, skeleton_path):
                  "--emit", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["stratum_components"] == 36 + 84 + 126 + 1
+
+
+@st.composite
+def strata_triples(draw) -> tuple[int, tuple[str, ...], list[tuple], list[tuple]]:
+    """The n and components of a valid divisor from ``random_divisor`` or
+    ``parallel_curve_divisor``, and its strata in their order or shuffled,
+    as (id, subset, parents): each subset in random order, as
+    ``SncDivisor.build`` takes them, and in component order, as it keeps
+    them."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        d = random_divisor(rng)
+    else:
+        m = rng.randrange(3, 7)
+        d = parallel_curve_divisor(rng, m, rng.randrange(0, m * (m - 1) // 2))
+    strata = list(d.strata)
+    if draw(st.booleans()):
+        rng.shuffle(strata)
+    return (d.n, d.components,
+            [(s.id, rng.sample(s.subset, len(s.subset)), s.parents) for s in strata],
+            [(s.id, s.subset, s.parents) for s in strata])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(strata_triples())
+def test_build_table_strata_build_gives_an_equal_divisor(drawn):
+    n, components, triples, kept = drawn
+    d = SncDivisor.build(n, components, triples)
+    assert [(s.id, s.subset, s.parents) for s in d.strata] == kept
+    assert_carries_its_table(d)
+    assert SncDivisor(d.n, d.components, d.table) == d
+    again = divisor_of(d.n, d.components, d.strata)
+    assert again == d and again.table is not d.table
