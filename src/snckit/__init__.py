@@ -41,7 +41,6 @@ from .snc import (
     Stratum,
     blowup_point_on_double_curve,
     blowup_stratum_component,
-    build_dual_complex,
     find_bad_intersections,
     resolve_to_simplicial,
     validate_snc,
@@ -69,7 +68,6 @@ __all__ = [
     "TorusDescriptor",
     "blowup_point_on_double_curve",
     "blowup_stratum_component",
-    "build_dual_complex",
     "cohomology",
     "compose",
     "direct_sum",

@@ -36,7 +36,6 @@ from .snc import (
     DimensionBoundError,
     SncDivisor,
     _StrataTable,
-    build_dual_complex,
     find_bad_intersections,
     resolve_to_simplicial,
     validate_snc,
@@ -145,7 +144,8 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
     # Per value, the loops test the common case inline and build a path
     # string only in the branch that may raise.  The strata go straight
     # into the divisor's table (see ``snc._StrataTable``), positions sorted,
-    # in range and unrepeated, which keeps ``SncDivisor``'s invariant.
+    # in range and unrepeated and parents keyed by a position of the
+    # subset, which keeps ``SncDivisor``'s invariant.
     obj = _as_dict(block, path)
     _require_keys(obj, {"n", "components", "strata"}, ("n", "components"), path)
     n = _as_int(obj["n"], f"{path}.n", minimum=1)
@@ -161,9 +161,9 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
     # only canonical decimal keys, as _divisor_text prints them
     key_index = {str(i): i for i in range(ncomps)}
 
-    table = _StrataTable([], [], [], [])
-    add_id, add_subset = table.ids.append, table.subsets.append
-    add_positions, add_parents = table.positions.append, table.parents.append
+    table = _StrataTable([], [], [])
+    add_id, add_positions = table.ids.append, table.positions.append
+    add_parents = table.parents.append
     named: set[str] = set()         # every parent id some stratum names
     for gi, group in enumerate(_as_list(obj.get("strata", []), f"{path}.strata")):
         if (type(group) is not dict or len(group) != 2 or "subset" not in group
@@ -185,7 +185,6 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
             raise DimensionBoundError(f"{path}.strata[{gi}].subset: {len(subset_idx)} "
                                       f"components exceeds n = {n}")
         positions = tuple(sorted(subset_idx))
-        subset = tuple([comps[i] for i in positions])
 
         members = group["components"]
         if type(members) is not list:
@@ -200,7 +199,7 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
             raw = rec.get("parents", {})
             if type(raw) is not dict:
                 _as_dict(raw, f"{path}.strata[{gi}].components[{ci}].parents")
-            parents: dict[str, str] = {}
+            parents: dict[int, str] = {}
             if raw:
                 for key, val in raw.items():
                     didx = key_index.get(key)
@@ -210,10 +209,9 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
                     if type(val) is not str or not val.isascii():
                         _as_str(val, f"{path}.strata[{gi}].components[{ci}]"
                                      f".parents[{key!r}]")
-                    parents[comps[didx]] = val
+                    parents[didx] = val
                 named.update(parents.values())
             add_id(sid)
-            add_subset(subset)
             add_positions(positions)
             add_parents(parents)
 
@@ -226,7 +224,7 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
                     if pid not in stratum_ids:
                         raise UnknownIdError(f"{path}.strata", f"stratum {sid!r} names "
                                              f"unknown parent {pid!r} for dropped "
-                                             f"component {dropped!r}")
+                                             f"component {comps[dropped]!r}")
 
     return SncDivisor(n, comps, table)
 
@@ -455,9 +453,8 @@ def _divisor_text(d: SncDivisor, nl: str) -> str:
     gives the printed order: a group opens where the positions tuple
     changes, and its members, each under ``"id"`` and ``"parents"``, follow
     in divisor order.  A parent is keyed by the decimal position of the
-    component it drops; a valid stratum of depth 3 or more names one per
-    subset component, and the subset is in component order, so the
-    parents print in subset order.
+    component it drops, as in the table; a valid stratum of depth 3 or
+    more names one per position, and they print in positions order.
     """
     enc = encode_basestring
     i1, i2, i3, i4, i5, i6 = [nl + "  " * k for k in range(1, 7)]
@@ -465,7 +462,7 @@ def _divisor_text(d: SncDivisor, nl: str) -> str:
     # the text of each component position as a subset item and as a parent key
     item = [f"{i4}{i}" for i in range(size)]
     key = [f'{i6}"{i}": ' for i in range(size)]
-    ids, subsets, positions, parents_of = d.table
+    ids, positions, parents_of = d.table
     comps = f'[{",".join([i2 + enc(c) for c in d.components])}{i1}]' if d.components else "[]"
     out = [f'{{{i1}"n": {int.__repr__(d.n)},{i1}"components": {comps},{i1}"strata": [']
     append = out.append
@@ -476,12 +473,12 @@ def _divisor_text(d: SncDivisor, nl: str) -> str:
             # a group opens; its first member takes no comma
             append(f'{"" if last is None else close + ","}{i2}{{{i3}"subset": '
                    f'[{",".join([item[i] for i in pos])}{i3}],{i3}"components": [')
-            last, subset, sep = pos, subsets[row], ""
+            last, sep = pos, ""
         else:
             sep = ","
         parents = parents_of[row]
         if parents:
-            listed = ",".join([key[i] + enc(parents[c]) for i, c in zip(pos, subset)])
+            listed = ",".join([key[i] + enc(parents[i]) for i in pos])
             append(f'{sep}{i4}{{{i5}"id": {enc(ids[row])},{i5}"parents": '
                    f'{{{listed}{i5}}}{i4}}}')
         else:
@@ -644,11 +641,12 @@ def _cmd_validate(doc: InputDocument) -> tuple[str, dict]:
 
 
 def _cmd_dual_complex(doc: InputDocument) -> tuple[str, dict]:
-    dc = build_dual_complex(doc.divisor)
+    dc = validate_snc(doc.divisor)
+    comps = dc.components
     # (id, vertices) per cell by dimension; the check made the ids unique
-    layers = [[(c, (c,)) for c in dc.components], *[[] for _ in dc.counts[2:]]]
-    for sid, subset in zip(dc.table.ids, dc.table.subsets):
-        layers[len(subset) - 1].append((sid, subset))
+    layers = [[(c, (c,)) for c in comps], *[[] for _ in dc.counts[2:]]]
+    for sid, pos in zip(dc.table.ids, dc.table.positions):
+        layers[len(pos) - 1].append((sid, [comps[p] for p in pos]))
     lines, dims = [], []
     for dim, cells in enumerate(layers):
         cells.sort()
@@ -662,7 +660,7 @@ def _cmd_dual_complex(doc: InputDocument) -> tuple[str, dict]:
 
 
 def _cmd_cohomology(doc: InputDocument) -> tuple[str, dict]:
-    cx = build_dual_complex(doc.divisor).chain_complex()
+    cx = validate_snc(doc.divisor).chain_complex()
     n = doc.divisor.n
     # len(cx.ranks) - 1 is the dual complex's dimension, at most n - 1
     listed = n if n <= COHOMOLOGY_LISTED_DEGREES else len(cx.ranks)

@@ -26,7 +26,7 @@ from .abgroup import (
 )
 from .chaincx import cohomology, homology
 from .intmat import IntMatrix, eliminate
-from .snc import SncDivisor, build_dual_complex
+from .snc import SncDivisor, validate_snc
 
 ALGEBRAICALLY_CLOSED = "algebraically_closed"
 GENERAL_FIELD = "general"
@@ -316,7 +316,7 @@ def kh_report(d: SncDivisor, pi: PicardInput,
     """Assemble the full degree 1-n report from divisor plus Picard data."""
     if field_mode not in _FIELD_MODES:
         raise ValueError(f"unknown field mode {field_mode!r}")
-    cx = build_dual_complex(d).chain_complex()
+    cx = validate_snc(d).chain_complex()
     n = d.n
     if pi.n != n:
         raise LevelMismatchError(f"Picard data is for n = {pi.n}, divisor has n = {n}")

@@ -6,12 +6,13 @@ I.  Each stratum component of depth three or more records which component
 of each facet intersection contains it; that containment data is exactly
 what the dual complex needs to glue cells.
 
-A divisor holds its strata as one position-indexed table: per stratum its
-id, its subset as component ids and positions, and its parents.  The CLI
-parser reads a document straight into that table, ``SncDivisor.build``
-fills one from (id, subset, parents) triples, and the blowups leave one;
-``SncDivisor.strata`` makes ``Stratum`` objects from it each time it is
-read, and no command reads them.
+A divisor holds its strata as one table: per stratum its id, its subset
+as component positions, and its parents keyed by the position of the
+component each drops.  An id is looked up in ``components`` only where
+it is printed.  The CLI parser reads a document straight into that table,
+``SncDivisor.build`` fills one from (id, subset, parents) triples of ids,
+and the blowups leave one; ``SncDivisor.strata`` makes ``Stratum``
+objects from it each time it is read, and no command reads them.
 The check walks the table twice: the first walk finds each stratum's row
 by id and its position among the strata of its depth, and the first
 stratum breaking its own rules; the second checks parents, and keeps the
@@ -119,33 +120,25 @@ class _StrataTable(NamedTuple):
     """A divisor's strata by position in divisor order, as the parser
     reads them, ``SncDivisor.build`` fills them or a blowup leaves them.
 
-    Per stratum: ``ids``, the id; ``subsets``, the subset as component
-    ids; ``positions``, the same as component positions, or None when the
-    subset names an unknown component, repeats one or is out of component
-    order; ``parents``, the parents keyed by dropped component id.  The
-    parser shares one subset tuple and one positions tuple among the
-    members of a group.  ``strata`` makes the ``Stratum`` objects.
+    Per stratum: ``ids``, the id; ``positions``, its subset as sorted,
+    distinct component positions; ``parents``, the parent's id keyed by
+    the position of the component it drops.  The parser shares one
+    positions tuple among the members of a group.
     """
 
     ids: list[str]
-    subsets: list[tuple[str, ...]]
-    positions: list[tuple[int, ...] | None]
-    parents: list[dict[str, str]]
-
-    def strata(self) -> tuple[Stratum, ...]:
-        return tuple(map(Stratum, self.ids, self.subsets, self.parents))
+    positions: list[tuple[int, ...]]
+    parents: list[dict[int, str]]
 
 
 @dataclass(frozen=True)
 class SncDivisor:
     """A divisor: ambient dimension, component ids and strata table.
 
-    ``table.positions`` index ``components`` (None where a subset has no
-    positions, see ``_StrataTable``).  The parser, ``build`` and the
-    blowups each keep this, and ``validate_snc`` relies on it rather than
-    rechecking subsets, so new components need a new table, not
-    ``dataclasses.replace`` of ``components`` alone.  ``strata`` is built
-    from the table each time it is read.
+    The table names components by position only, so ``components[p]`` is
+    the id of position p wherever it is read; ``dataclasses.replace`` of
+    ``components`` alone relabels the components by position.  ``strata``
+    is built from the table each time it is read.
     """
 
     n: int
@@ -154,27 +147,38 @@ class SncDivisor:
 
     @property
     def strata(self) -> tuple[Stratum, ...]:
-        return self.table.strata()
+        comps = self.components
+        return tuple([Stratum(sid, tuple([comps[p] for p in pos]),
+                              {comps[p]: pid for p, pid in parents.items()})
+                      for sid, pos, parents in zip(*self.table)])
 
     @classmethod
     def build(cls, n: int, components: Sequence[str],
               strata: Iterable[tuple[str, Sequence[str], Mapping[str, str]]],
               ) -> "SncDivisor":
-        """Assemble a divisor, sorting each subset by component order; a
-        subset that repeats a component gets no positions."""
+        """Assemble a divisor, sorting each subset by component order and
+        keying each parent by the position of the component it drops.
+
+        Raises ``SncError`` on a subset that names an unknown component or
+        repeats one, and ``ContainmentMismatchError`` on a parent dropping
+        an unknown component: the table has no positions for them.
+        """
         comps = tuple(components)
         order = {c: i for i, c in enumerate(comps)}
-        table = _StrataTable([], [], [], [])
+        table = _StrataTable([], [], [])
         for sid, subset, parents in strata:
             for c in subset:
                 if c not in order:
                     raise SncError(f"stratum {sid} references unknown component {c!r}")
             positions = tuple(sorted([order[c] for c in subset]))
+            if len(set(positions)) != len(positions):
+                raise SncError(f"stratum {sid} repeats a component in its subset")
+            if not order.keys() >= parents.keys():
+                raise ContainmentMismatchError(
+                    f"stratum {sid} must name one parent per dropped component")
             table.ids.append(sid)
-            table.subsets.append(tuple([comps[i] for i in positions]))
-            table.positions.append(positions if len(set(positions)) == len(positions)
-                                   else None)
-            table.parents.append(dict(parents))
+            table.positions.append(positions)
+            table.parents.append({order[c]: pid for c, pid in parents.items()})
         return cls(n, comps, table)
 
 
@@ -183,7 +187,7 @@ class DualComplex(NamedTuple):
     vertex per component, one (|I|-1)-cell per stratum component.
 
     The fields are what the check found: the divisor's components and
-    strata table, whose ids and subsets are the cells' names and vertices;
+    strata table, whose ids and positions name the cells and their vertices;
     ``counts[k]``, the number of strata on k components, for every k up to
     the deepest stratum (0 for k < 2); ``slot``, each stratum's position
     among the strata of its depth; and ``found[k]``, for each stratum on
@@ -228,18 +232,18 @@ def validate_snc(d: SncDivisor) -> DualComplex:
 
     The order of the checks decides which error is raised: distinct
     component ids; distinct stratum ids, none reusing a component id; then
-    stratum by stratum, its own rules (depth between 2 and n, known
-    components, none repeated, in component order) followed by its parents
-    (none at depth 2, else one per component, each a stratum on the facet
-    that drops it); last, at depth 4 and up, that dropping two components
-    in either order lands on the same stratum.
+    stratum by stratum, its own rule (depth between 2 and n) followed by
+    its parents (none at depth 2, else one per component, each a stratum
+    on the facet that drops it); last, at depth 4 and up, that dropping
+    two components in either order lands on the same stratum.  Unknown
+    or repeated subset components are ``SncDivisor.build``'s errors.
     """
     components = d.components
     order = {c: i for i, c in enumerate(components)}
     if len(order) != len(components):
         raise DuplicateIdError("duplicate component id")
     n = d.n
-    ids, subsets, positions, parents_of = d.table
+    ids, positions, parents_of = d.table
     by_id = {sid: i for i, sid in enumerate(ids)}
     if len(by_id) != len(ids) or not order.keys().isdisjoint(by_id):
         seen: set[str] = set()
@@ -253,7 +257,7 @@ def validate_snc(d: SncDivisor) -> DualComplex:
     slot: list[int] = []    # each stratum's position among those of its depth
     first_bad = len(ids)    # position of the first stratum breaking its own rules
     for i, pos in enumerate(positions):
-        if pos is None or not 2 <= len(pos) <= n:
+        if not 2 <= len(pos) <= n:
             first_bad = i
             break
         depth = len(pos)
@@ -271,9 +275,8 @@ def validate_snc(d: SncDivisor) -> DualComplex:
                 raise ContainmentMismatchError(
                     f"stratum {ids[i]} of depth 2 must not list parents")
             continue
-        subset = subsets[i]
         try:
-            ps = [by_id.get(parents[c]) for c in subset]
+            ps = [by_id.get(parents[p]) for p in pos]
         except KeyError:
             ps = None
         if ps is None or len(parents) != depth:
@@ -282,10 +285,10 @@ def validate_snc(d: SncDivisor) -> DualComplex:
         # the facets dropping the last, ..., the first component
         if None in ps or [positions[p] for p in reversed(ps)] != list(
                 combinations(pos, depth - 1)):
-            _raise_parent_error(ids[i], subset, parents, subsets, by_id)
+            _raise_parent_error(ids[i], pos, parents, positions, by_id, components)
         found[depth].append(ps)
     if first_bad < len(ids):
-        _raise_own_error(ids[first_bad], subsets[first_bad], order, n)
+        _raise_own_error(ids[first_bad], len(positions[first_bad]), n)
     # Every parent is now on its facet, so dropping two components in
     # either order lands on a stratum on the same subset, two below the
     # stratum's depth: the two can differ only where that subset carries
@@ -294,66 +297,52 @@ def validate_snc(d: SncDivisor) -> DualComplex:
     if len(set(low)) < len(low):
         for i, pos in enumerate(positions):
             if len(pos) >= 4:
-                grand = [parents_of[by_id[parents_of[i][c]]] for c in subsets[i]]
-                _raise_if_drops_differ(ids[i], subsets[i], grand)
+                grand = [parents_of[by_id[parents_of[i][p]]] for p in pos]
+                _raise_if_drops_differ(ids[i], pos, grand, components)
     return DualComplex(components, d.table, counts, slot, found)
 
 
-def _raise_own_error(sid: str, subset: tuple[str, ...], order: Mapping[str, int],
-                     n: int) -> NoReturn:
-    """Raise the first of its own rules that the stratum breaks."""
-    if len(subset) < 2:
+def _raise_own_error(sid: str, depth: int, n: int) -> NoReturn:
+    """Raise the error of a stratum on ``depth`` components outside 2..n."""
+    if depth < 2:
         raise DimensionBoundError(
-            f"stratum {sid} intersects {len(subset)} component(s); need at least 2")
-    if len(subset) > n:
-        raise DimensionBoundError(
-            f"stratum {sid} intersects {len(subset)} components in ambient "
-            f"dimension {n}")
-    for c in subset:
-        if c not in order:
-            raise SncError(f"stratum {sid} references unknown component {c!r}")
-    if len(set(subset)) != len(subset):
-        raise SncError(f"stratum {sid} repeats a component in its subset")
-    raise SncError(f"stratum {sid} subset is not in component order")
+            f"stratum {sid} intersects {depth} component(s); need at least 2")
+    raise DimensionBoundError(
+        f"stratum {sid} intersects {depth} components in ambient dimension {n}")
 
 
-def _raise_parent_error(sid: str, subset: tuple[str, ...], parents: Mapping[str, str],
-                        subsets: list[tuple[str, ...]], by_id: Mapping[str, int],
-                        ) -> NoReturn:
+def _raise_parent_error(sid: str, pos: tuple[int, ...], parents: Mapping[int, str],
+                        positions: list[tuple[int, ...]], by_id: Mapping[str, int],
+                        components: Sequence[str]) -> NoReturn:
     """Raise the error of the first of the stratum's parents, in its
-    order, that is wrong; ``subsets`` and ``by_id`` cover every stratum."""
-    present = set(subsets)
+    order, that is wrong; ``positions`` and ``by_id`` cover every stratum."""
+    present = set(positions)
     for drop, pid in parents.items():
-        facet = tuple(c for c in subset if c != drop)
+        facet = tuple([q for q in pos if q != drop])
+        names = tuple([components[q] for q in facet])
         if facet not in present:
             raise ClosureViolationError(
-                f"stratum {sid} needs a stratum on {facet}, found none")
+                f"stratum {sid} needs a stratum on {names}, found none")
         p = by_id.get(pid)
-        if p is None or subsets[p] != facet:
+        if p is None or positions[p] != facet:
             raise ContainmentMismatchError(
-                f"stratum {sid}: parent {pid!r} for dropped {drop!r} is not a "
-                f"stratum on {facet}")
+                f"stratum {sid}: parent {pid!r} for dropped {components[drop]!r} is not "
+                f"a stratum on {names}")
     raise AssertionError(f"stratum {sid} has no wrong parent")
 
 
-def _raise_if_drops_differ(sid: str, subset: tuple[str, ...],
-                           grand: list[dict[str, str]]) -> None:
+def _raise_if_drops_differ(sid: str, pos: tuple[int, ...], grand: list[dict[int, str]],
+                           components: Sequence[str]) -> None:
     """Raise for the first pair of components whose two drop orders land
     on different strata; ``grand[m]`` holds the parents of the stratum's
     parent that drops its m-th component, each already checked."""
-    for i, j in combinations(range(len(subset)), 2):
-        a, b = subset[i], subset[j]
-        via_a, via_b = grand[i][b], grand[j][a]
+    for i, j in combinations(range(len(pos)), 2):
+        via_a, via_b = grand[i][pos[j]], grand[j][pos[i]]
         if via_a != via_b:
+            a, b = components[pos[i]], components[pos[j]]
             raise ContainmentMismatchError(
                 f"stratum {sid}: dropping {a!r} then {b!r} gives {via_a!r} "
                 f"but {b!r} then {a!r} gives {via_b!r}")
-
-
-def build_dual_complex(d: SncDivisor) -> DualComplex:
-    """The dual complex of d, which ``validate_snc`` returns, so an invalid
-    divisor raises ``SncError`` rather than giving a wrong complex."""
-    return validate_snc(d)
 
 
 class BadIntersections(NamedTuple):
@@ -365,18 +354,17 @@ def find_bad_intersections(d: SncDivisor) -> BadIntersections:
     """Index sets whose intersection has two or more components.
 
     The divisor is simplicial (its dual complex has at most one cell per
-    vertex set) exactly when the list is empty.  The subsets are counted in
-    the divisor's strata table, which needs no valid divisor: they sort by
-    size, then by component positions, a component the divisor does not
-    list counting as after every one it does, then by the subset itself.
+    vertex set) exactly when the list is empty.  The subsets are counted
+    by positions in the divisor's strata table, which needs no valid
+    divisor, sorted by size and then by positions, and named by
+    component id.
     """
-    order = {c: i for i, c in enumerate(d.components)}
-    unknown = len(order)
-    bad = [(subset, count) for subset, count in Counter(d.table.subsets).items()
+    comps = d.components
+    bad = [(pos, count) for pos, count in Counter(d.table.positions).items()
            if count >= 2]
-    bad.sort(key=lambda item: (len(item[0]), [order.get(c, unknown) for c in item[0]],
-                               item[0]))
-    return BadIntersections(bad, not bad)
+    bad.sort(key=lambda item: (len(item[0]), item[0]))
+    named = [(tuple([comps[p] for p in pos]), count) for pos, count in bad]
+    return BadIntersections(named, not named)
 
 
 @dataclass(frozen=True)
@@ -413,14 +401,14 @@ class _StrataIndex:
 
     It is built by ``add``ing each row of the table ``validate_snc``
     returns, so the blowups and the resolution loop raise ``SncError`` on
-    an invalid divisor.  It keeps each stratum's row, (subset, positions,
-    parents, place in divisor order), by id in divisor order; the ids on
-    each positions tuple; the children of each stratum (the strata naming
-    it as a parent); the bad positions tuples (those carrying two or more
-    ids) and the running count of stratum components on them.  ``add``
-    and ``remove`` keep all of these current, so a blowup costs time in
-    the size of its star and of the cells it adds, not in the size of the
-    divisor.
+    an invalid divisor.  It keeps each stratum's row, (positions, parents
+    keyed by position, place in divisor order), by id in divisor order;
+    the ids on each positions tuple; the children of each stratum (the
+    strata naming it as a parent); the bad positions tuples (those
+    carrying two or more ids) and the running count of stratum components
+    on them.  ``add`` and ``remove`` keep all of these current, so a
+    blowup costs time in the size of its star and of the cells it adds,
+    not in the size of the divisor.
 
     Two more pieces keep the resolution loop's own choices off the whole
     divisor.  A heap holds (-depth, positions) for every positions tuple
@@ -437,7 +425,7 @@ class _StrataIndex:
         self.n = d.n
         self.components = list(d.components)
         self.names = set(d.components)
-        self.rows: dict[str, tuple[tuple[str, ...], tuple[int, ...], dict[str, str], int]] = {}
+        self.rows: dict[str, tuple[tuple[int, ...], dict[int, str], int]] = {}
         self._next_seq = 0
         self.by_positions: dict[tuple[int, ...], set[str]] = {}
         self.children: dict[str, set[str]] = {}
@@ -445,18 +433,16 @@ class _StrataIndex:
         self.bad_total = 0
         self._bad_heap: list[tuple[int, tuple[int, ...]]] = []
         self._exc = 1
-        for row in zip(table.ids, table.subsets, table.positions, table.parents):
+        for row in zip(*table):
             self.add(*row)
 
     def divisor(self) -> SncDivisor:
         rows = self.rows.values()
         return SncDivisor(self.n, tuple(self.components), _StrataTable(
-            list(self.rows), [r[0] for r in rows], [r[1] for r in rows],
-            [r[2] for r in rows]))
+            list(self.rows), [r[0] for r in rows], [r[1] for r in rows]))
 
-    def add(self, sid: str, subset: tuple[str, ...], positions: tuple[int, ...],
-            parents: dict[str, str]) -> None:
-        self.rows[sid] = (subset, positions, parents, self._next_seq)
+    def add(self, sid: str, positions: tuple[int, ...], parents: dict[int, str]) -> None:
+        self.rows[sid] = (positions, parents, self._next_seq)
         self._next_seq += 1
         on = self.by_positions.get(positions)
         if on is None:
@@ -478,7 +464,7 @@ class _StrataIndex:
                 kids.add(sid)
 
     def remove(self, sid: str) -> None:
-        _, positions, parents, _ = self.rows.pop(sid)
+        positions, parents, _ = self.rows.pop(sid)
         on = self.by_positions[positions]
         on.discard(sid)
         if len(on) == 1:
@@ -539,7 +525,7 @@ class _StrataIndex:
         row = rows.get(center)
         if row is None:
             raise UnknownCenterError(f"no stratum component with id {center!r}")
-        i0 = row[1]
+        i0 = row[0]
 
         # A stratum whose face on the center's subset is the center has a
         # parent with that face too (faces do not depend on the order of
@@ -553,18 +539,17 @@ class _StrataIndex:
                     if child not in star_ids:
                         star_ids.add(child)
                         todo.append(child)
-            star = sorted(star_ids, key=lambda tid: rows[tid][3])
+            star = sorted(star_ids, key=lambda tid: rows[tid][2])
         else:
             star = [center]
         # The center's proper faces K, each with its facets by dropped
-        # component and the components of the center it leaves off.
-        faces = [((), (), row[0])]
+        # position and the positions of the center it leaves off.
+        faces = [((), (), i0)]
         for r in range(1, len(i0)):
             for k_part in combinations(i0, r):
                 faces.append((k_part,
-                              [(components[p], tuple([q for q in k_part if q != p]))
-                               for p in k_part],
-                              [components[p] for p in i0 if p not in k_part]))
+                              [(p, tuple([q for q in k_part if q != p])) for p in k_part],
+                              [p for p in i0 if p not in k_part]))
 
         # (len(keep), keep, face id, star id) is the order of the cones;
         # (star id, keep) fixes the rest, which never decides it.  The face
@@ -572,21 +557,20 @@ class _StrataIndex:
         # both sides of keep are sorted already.
         entries = []
         for tid in star:
-            _, t_positions, t_parents, _ = rows[tid]
+            t_positions, t_parents, _ = rows[tid]
             l_part = tuple([p for p in t_positions if p not in i0])
-            l_names = [components[p] for p in l_part]
             for k_part, facets, off in faces:
                 keep = (l_part if not k_part else k_part if not l_part
                         else tuple(sorted(k_part + l_part)))
                 depth = len(keep)
                 if depth == 1:
                     entries.append((1, keep, components[keep[0]], tid, k_part, facets,
-                                    l_names, t_parents))
+                                    l_part, t_parents))
                 elif depth:
                     fcid = tid
                     for x in off:
-                        fcid = rows[fcid][2][x]
-                    entries.append((depth, keep, fcid, tid, k_part, facets, l_names,
+                        fcid = rows[fcid][1][x]
+                    entries.append((depth, keep, fcid, tid, k_part, facets, l_part,
                                     t_parents))
         entries.sort()
 
@@ -604,20 +588,20 @@ class _StrataIndex:
         # face and cones over smaller faces, which sort earlier.
         cone_id: dict[tuple[str, tuple[int, ...]], str] = {}
         added: list[str] = []
-        for depth, keep, fcid, tid, k_part, facets, l_names, t_parents in entries:
+        for depth, keep, fcid, tid, k_part, facets, l_part, t_parents in entries:
             cid = f"{new_comp}|{fcid}"
             if cid in rows or cid in names:
                 cid = self.free_id(cid)
             cone_id[tid, k_part] = cid
             if depth == 1:
-                self.add(cid, (fcid, new_comp), keep + (new_pos,), {})
+                self.add(cid, keep + (new_pos,), {})
             else:
-                parents = {new_comp: fcid}
+                parents = {new_pos: fcid}
                 for x, rest in facets:
                     parents[x] = cone_id[tid, rest]
-                for x in l_names:
+                for x in l_part:
                     parents[x] = cone_id[t_parents[x], k_part]
-                self.add(cid, rows[fcid][0] + (new_comp,), keep + (new_pos,), parents)
+                self.add(cid, keep + (new_pos,), parents)
             added.append(cid)
         return BlowupRecord._of(center, new_comp, tuple(star), tuple(added),
                                 before - self.bad_total)
@@ -656,20 +640,20 @@ def blowup_point_on_double_curve(d: SncDivisor, curve: str,
         raise WrongDimensionError(f"point blowup needs ambient dimension 3, got {d.n}")
     index = _StrataIndex(d)
     row = index.rows.get(curve)
-    if row is None or len(row[1]) != 2:
+    if row is None or len(row[0]) != 2:
         raise UnknownCurveError(f"{curve!r} is not a double-curve stratum component")
-    (i, j), (pi, pj) = row[0], row[1]
+    pi, pj = row[0]
+    i, j = index.components[pi], index.components[pj]
     before = index.bad_total
     new_comp = index.new_component()
     new_pos = len(index.components) - 1
     # each id is taken before the next is chosen, so they cannot collide
     edge_i = index.free_id(f"{new_comp}|{i}")
-    index.add(edge_i, (i, new_comp), (pi, new_pos), {})
+    index.add(edge_i, (pi, new_pos), {})
     edge_j = index.free_id(f"{new_comp}|{j}")
-    index.add(edge_j, (j, new_comp), (pj, new_pos), {})
+    index.add(edge_j, (pj, new_pos), {})
     triple = index.free_id(f"{new_comp}|{curve}")
-    index.add(triple, (i, j, new_comp), (pi, pj, new_pos),
-              {new_comp: curve, i: edge_j, j: edge_i})
+    index.add(triple, (pi, pj, new_pos), {new_pos: curve, pi: edge_j, pj: edge_i})
     record = BlowupRecord(
         center=curve,
         new_component=new_comp,

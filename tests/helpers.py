@@ -43,7 +43,6 @@ from snckit import (
     SpectralPage,
     Stratum,
     blowup_point_on_double_curve,
-    build_dual_complex,
     cohomology,
     find_bad_intersections,
     validate_snc,
@@ -824,7 +823,7 @@ def euler_characteristic(c: ChainComplex) -> int:
 def kh_top(d: SncDivisor) -> FgAbGroup:
     """H^{n-1}(D(E), Z), which is the whole of KH in degree -n."""
     validate_snc(d)
-    return cohomology(build_dual_complex(d).chain_complex(), d.n - 1)
+    return cohomology(validate_snc(d).chain_complex(), d.n - 1)
 
 
 def dualize(c: ChainComplex) -> ChainComplex:

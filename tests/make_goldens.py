@@ -58,7 +58,7 @@ def branch_documents() -> dict[str, dict]:
     """The branch documents by name (see the module docstring)."""
     from helpers import (boundary_matrix, dense_picard_document, divisor_json,
                          four_cycle, rp2_divisor, triangle_cycle, with_source_torsion)
-    from snckit import build_dual_complex
+    from snckit import validate_snc
 
     def document(d, levels, maps, coker_pic0_dim=0, dubois_b=0,
                  field_mode="algebraically_closed", ker_beta=None) -> dict:
@@ -74,7 +74,7 @@ def branch_documents() -> dict[str, dict]:
 
     rp2 = rp2_divisor()
     # NS of the components pulled back to the double curves: the coboundary.
-    coboundary = boundary_matrix(build_dual_complex(rp2).chain_complex(), 1).transpose()
+    coboundary = boundary_matrix(validate_snc(rp2).chain_complex(), 1).transpose()
     rp2_levels, rp2_maps = [(0, 6), (1, 15)], [coboundary.to_lists()]
     triangle_levels = [(0, 3), (1, 3)]
     triangle_maps = [[[1, -1, 0], [1, 0, -1], [0, 1, -1]]]

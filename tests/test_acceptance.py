@@ -31,7 +31,6 @@ from snckit import (
     IntMatrix,
     SncDivisor,
     blowup_point_on_double_curve,
-    build_dual_complex,
     cohomology,
     e2_page,
     find_bad_intersections,
@@ -63,7 +62,7 @@ def corpus():
 
 
 def cohomology_profile(d: SncDivisor, up_to: int) -> tuple:
-    cx = build_dual_complex(d).chain_complex()
+    cx = validate_snc(d).chain_complex()
     return tuple(cohomology(cx, i) for i in range(up_to))
 
 
@@ -127,7 +126,7 @@ def test_criterion_3_one_row_page_agrees_with_dual_complex_cohomology(corpus):
     assert len(corpus) >= 100
     start = time.perf_counter()
     for d in corpus:
-        cx = build_dual_complex(d).chain_complex()
+        cx = validate_snc(d).chain_complex()
         degrees = range(len(cx.ranks))
         page = e2_page(one_row_page(cx), [(p, 0) for p in degrees])
         for p in degrees:
@@ -183,7 +182,7 @@ def test_criterion_7_triangle_cycle_report_matches_committed_hand_computation():
         (FIXTURES / "triangle_cycle_expected.json").read_text(encoding="utf-8"))
 
     d = triangle_cycle()
-    cx = build_dual_complex(d).chain_complex()
+    cx = validate_snc(d).chain_complex()
     assert str(cohomology(cx, 0)) == expected["h0"]
     assert str(cohomology(cx, 1)) == expected["h1"]
 

@@ -39,7 +39,6 @@ from snckit import (
     SncDivisor,
     SpectralPage,
     SupportViolationError,
-    build_dual_complex,
     chaincx,
     cohomology,
     e2_page,
@@ -290,7 +289,7 @@ def test_dual_complexes_compose_to_zero():
     # The precondition clearing rests on, for every way the system builds a
     # complex: skeletons, the rp2 divisor and resolved divisors.
     for d in divisor_corpus():
-        validate_complex(build_dual_complex(d).chain_complex())
+        validate_complex(validate_snc(d).chain_complex())
 
 
 def api_and_shuffled(d: SncDivisor, rng: random.Random) -> tuple[SncDivisor, SncDivisor]:
@@ -307,7 +306,7 @@ def test_validate_snc_returns_the_dual_complex_of_its_checked_rows():
     for d in divisor_corpus():
         for dd in api_and_shuffled(d, rng):
             dc = validate_snc(dd)
-            assert type(dc) is DualComplex and dc == build_dual_complex(dd)
+            assert type(dc) is DualComplex and dc == validate_snc(dd)
             ranks = dc.ranks()
             depths = Counter(len(s.subset) for s in dd.strata)
             assert ranks == (len(dd.components),
@@ -336,7 +335,7 @@ def test_cleared_diagonals_equal_uncleared_ones_in_any_degree_order():
     complexes = [product, tensor(rp2, simplex_boundary_complex(5))]
     complexes += [random_complex(rng, rng.randint(1, 5)) for _ in range(150)]
     complexes += [torsion_complex(rng) for _ in range(150)]
-    complexes += [build_dual_complex(d).chain_complex() for d in divisor_corpus()]
+    complexes += [validate_snc(d).chain_complex() for d in divisor_corpus()]
     for c in complexes[:2]:
         validate_complex(c)
     # Clearing runs next to a dense block: a boundary with torsion sits on
@@ -357,7 +356,7 @@ def test_cleared_diagonals_equal_uncleared_ones_in_any_degree_order():
 
 def test_kh_report_takes_each_smith_diagonal_once(monkeypatch):
     doc = parse_input(str(SPHERE4))
-    c = build_dual_complex(doc.divisor).chain_complex()
+    c = validate_snc(doc.divisor).chain_complex()
     entries = [{(face, cell, x) for face, row in enumerate(b) for cell, x in row.items()}
                for b in c.boundaries]
     calls = []  # (boundary index, empty rows, unit pivot columns)
@@ -391,7 +390,7 @@ def assert_sweeps_leave_the_rows_alone(d: SncDivisor, order: list[int]) -> None:
     in degree order ``order``, leave its face rows as they were: after each
     degree they equal a deep copy taken before the sweeps, and the checked
     complex on them equals it and gives the same, uncleared, diagonal."""
-    cx = build_dual_complex(d).chain_complex()
+    cx = validate_snc(d).chain_complex()
     before = copy.deepcopy(cx.boundaries)
     degrees = list(range(-1, len(cx.ranks) + 1))
     for i in order:
@@ -408,7 +407,7 @@ def test_sweeps_leave_the_dual_complex_rows_alone():
     rng = random.Random(34)
     for d in divisor_corpus():
         for dd in api_and_shuffled(d, rng):
-            order = list(range(len(build_dual_complex(dd).ranks()) + 2))
+            order = list(range(len(validate_snc(dd).ranks()) + 2))
             rng.shuffle(order)
             assert_sweeps_leave_the_rows_alone(dd, order)
 
@@ -434,7 +433,7 @@ def drawn_divisors(draw):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(d=drawn_divisors(), data=st.data())
 def test_sweeps_leave_drawn_dual_complex_rows_alone(d, data):
-    order = data.draw(st.permutations(range(len(build_dual_complex(d).ranks()) + 2)))
+    order = data.draw(st.permutations(range(len(validate_snc(d).ranks()) + 2)))
     assert_sweeps_leave_the_rows_alone(d, order)
 
 

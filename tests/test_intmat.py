@@ -34,10 +34,10 @@ from snckit import (
     IntMatrix,
     SmithForm,
     SncDivisor,
-    build_dual_complex,
     cohomology,
     smith_diagonal,
     smith_normal_form,
+    validate_snc,
 )
 from snckit import intmat
 from snckit.intmat import eliminate, unit_sweep
@@ -412,9 +412,9 @@ def _shuffled(d: SncDivisor, seed: int) -> SncDivisor:
 def test_shuffled_strata_give_the_same_diagonals_and_cohomology():
     for n, m in ((2, 6), (3, 7), (4, 8), (4, 10)):
         d = simplex_divisor(n, [f"E{i}" for i in range(m)], n)
-        canonical = build_dual_complex(d).chain_complex()
+        canonical = validate_snc(d).chain_complex()
         for seed in range(3):
-            c = build_dual_complex(_shuffled(d, seed)).chain_complex()
+            c = validate_snc(_shuffled(d, seed)).chain_complex()
             for i in range(len(canonical.ranks)):
                 assert c.diagonal(i) == canonical.diagonal(i)
                 assert cohomology(c, i) == cohomology(canonical, i)
@@ -434,7 +434,7 @@ def test_the_dense_routine_gets_no_zero_block_on_torsion_free_skeletons(monkeypa
     for n, m in ((3, 7), (4, 11)):
         d = simplex_divisor(n, [f"E{i}" for i in range(m)], n)
         for dd in (d, _shuffled(d, 1)):
-            c = build_dual_complex(dd).chain_complex()
+            c = validate_snc(dd).chain_complex()
             for i in range(len(c.ranks)):
                 assert set(c.diagonal(i)) <= {0, 1}
     assert blocks and all(0 in shape for shape in blocks)
@@ -444,7 +444,7 @@ def test_shuffled_strata_cost_about_what_canonical_strata_cost():
     # n = 4, m = 16: 2,516 cells.  A first-found pivot order filled the
     # shuffled top boundary in and took about 90 times the canonical time.
     d = simplex_divisor(4, [f"E{i}" for i in range(16)], 4)
-    canonical, shuffled = (build_dual_complex(x) for x in (d, _shuffled(d, 5)))
+    canonical, shuffled = (validate_snc(x) for x in (d, _shuffled(d, 5)))
 
     def sweep_seconds(dc) -> float:
         ranks = dc.ranks()

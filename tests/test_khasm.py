@@ -51,7 +51,7 @@ from snckit.khasm import (
     assemble_extension,
     torus_descriptor,
 )
-from snckit.snc import SncError, _StrataTable
+from snckit.snc import SncError
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +449,8 @@ def test_kh_report_level_and_mode_mismatches():
 
 
 def test_kh_report_validates_the_divisor():
-    broken = SncDivisor(3, ("A", "B"), _StrataTable(["s"], [("A", "C")], [None], [{}]))
+    # a stratum on one component
+    broken = SncDivisor.build(3, ("A", "B"), [("s", ("A",), {})])
     with pytest.raises(SncError):
         kh_report(broken, triangle_picard())
 

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     alt_chain_complex,
     divisor_json,
     divisor_of,
+    full_simplex,
     parallel_curve_divisor,
     random_divisor,
     simplex_divisor,
@@ -26,10 +28,11 @@ from snckit import (
     Stratum,
     blowup_point_on_double_curve,
     blowup_stratum_component,
-    build_dual_complex,
+    find_bad_intersections,
     resolve_to_simplicial,
 )
-from snckit.cli import SchemaError, UnknownIdError, _json_text, main, parse_document
+from snckit.cli import (InputDocument, SchemaError, UnknownIdError, _divisor_text, _json_text,
+                        main, parse_document, run)
 from snckit.snc import SncError, _StrataIndex, _StrataTable, validate_snc
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -90,11 +93,11 @@ def test_the_parser_reads_what_build_reads_and_every_route_gives_one_complex():
     assert max(len(g["subset"]) for b in blocks for g in b["strata"]) == 5
     for block in blocks:
         read = parse_document({"version": "1", "divisor": block}).divisor
-        cx = build_dual_complex(read).chain_complex()
+        cx = validate_snc(read).chain_complex()
         api = divisor_of(read.n, read.components, read.strata)
-        assert build_dual_complex(api).chain_complex() == cx == alt_chain_complex(read)
+        assert validate_snc(api).chain_complex() == cx == alt_chain_complex(read)
         assert_carries_its_table(api)
-        assert build_dual_complex(read) == build_dual_complex(api)
+        assert validate_snc(read) == validate_snc(api)
         assert read == read_with_build(block) == api
 
 
@@ -154,7 +157,7 @@ def test_a_read_divisor_keeps_the_dataclass_api():
 
 def test_a_dual_complex_gives_the_checked_chain_complex_of_its_cells():
     read = parse_document(json.loads(SPHERE4.read_text(encoding="utf-8"))).divisor
-    dc = build_dual_complex(read)
+    dc = validate_snc(read)
     ranks = dc.ranks()
     assert ranks == (5, 10, 10, 5)
     explicit = ChainComplex(ranks, dc.chain_complex().boundaries)
@@ -222,8 +225,8 @@ def test_the_public_blowups_of_a_read_divisor_build_no_stratum(built):
     read = parse_document({"version": "1", "divisor": block}).divisor
     built.clear()
     table = read.table
-    curve = next(sid for sid, subset in zip(table.ids, table.subsets) if len(subset) == 2)
-    top = next(sid for sid, subset in zip(table.ids, table.subsets) if len(subset) == 3)
+    curve = next(sid for sid, pos in zip(table.ids, table.positions) if len(pos) == 2)
+    top = next(sid for sid, pos in zip(table.ids, table.positions) if len(pos) == 3)
     blown, _ = blowup_stratum_component(read, top)
     blowup_stratum_component(blown, curve)
     pointed, _ = blowup_point_on_double_curve(read, curve)
@@ -232,14 +235,18 @@ def test_the_public_blowups_of_a_read_divisor_build_no_stratum(built):
 
 
 def assert_carries_its_table(d: SncDivisor) -> None:
-    """d's ``_StrataTable`` has its subsets' positions, and its rows are
-    d.strata in order."""
+    """d's ``_StrataTable`` names components by sorted, distinct positions
+    below ``len(d.components)``, keys each row's parents by positions of
+    that row, and maps through ``d.components`` to d.strata in order."""
     table = d.table
+    comps = d.components
     assert type(table) is _StrataTable
-    order = {c: i for i, c in enumerate(d.components)}
-    assert table.positions == [tuple([order[c] for c in subset]) for subset in table.subsets]
-    assert [(s.id, s.subset, s.parents) for s in d.strata] == list(
-        zip(table.ids, table.subsets, table.parents))
+    for pos, parents in zip(table.positions, table.parents):
+        assert list(pos) == sorted(set(pos)) and all(0 <= p < len(comps) for p in pos)
+        assert set(parents) <= set(pos)
+    assert [(s.id, s.subset, s.parents) for s in d.strata] == [
+        (sid, tuple([comps[p] for p in pos]), {comps[p]: pid for p, pid in parents.items()})
+        for sid, pos, parents in zip(*table)]
 
 
 def test_the_blowups_and_the_resolution_return_divisors_carrying_a_table():
@@ -302,3 +309,55 @@ def test_build_table_strata_build_gives_an_equal_divisor(drawn):
     assert SncDivisor(d.n, d.components, d.table) == d
     again = divisor_of(d.n, d.components, d.strata)
     assert again == d and again.table is not d.table
+
+
+def assert_relabelled_consistently(d: SncDivisor, order: list[int]) -> None:
+    """``dataclasses.replace`` of d's components by ``order`` relabels them
+    by position: the check accepts it, and ``strata``, the bad
+    intersections, the ``dual-complex`` vertices and the written block all
+    name the components the table's positions give, and the block parses
+    back to the same divisor."""
+    relabelled = dataclasses.replace(d, components=tuple([d.components[i] for i in order]))
+    comps = relabelled.components
+    validate_snc(relabelled)
+    on = {sid: tuple([comps[p] for p in pos])
+          for sid, pos in zip(relabelled.table.ids, relabelled.table.positions)}
+    strata = {s.id: s for s in relabelled.strata}
+    assert {sid: s.subset for sid, s in strata.items()} == on
+    counts = Counter(on.values())
+    assert dict(find_bad_intersections(relabelled).bad) == {
+        subset: k for subset, k in counts.items() if k >= 2}
+    doc = InputDocument("1", relabelled, None, None, "algebraically_closed")
+    cells = run("dual-complex", doc)[1]["cells_by_dimension"]
+    assert {c["id"]: tuple(c["vertices"]) for dim in cells[1:] for c in dim["cells"]} == on
+    block = json.loads(_divisor_text(relabelled, "\n"))
+    for group in block["strata"]:
+        for member in group["components"]:
+            s = strata[member["id"]]
+            assert tuple([comps[i] for i in group["subset"]]) == s.subset
+            assert {comps[int(k)]: pid for k, pid in member["parents"].items()} == s.parents
+    back = parse_document({"version": "1", "divisor": block}).divisor
+    assert (back.n, back.components) == (relabelled.n, comps)
+    assert {s.id: s for s in back.strata} == strata
+
+
+def test_replacing_the_components_of_a_divisor_relabels_them_by_position():
+    d = full_simplex()
+    assert_relabelled_consistently(d, [2, 1, 0])
+    reversed_ = dataclasses.replace(d, components=d.components[::-1])
+    # c12 lies on positions 0 and 1, which now name E3 and E2
+    assert {s.id: s.subset for s in reversed_.strata}["c12"] == ("E3", "E2")
+    block = json.loads(_divisor_text(reversed_, "\n"))
+    assert parse_document({"version": "1", "divisor": block}).divisor == reversed_
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_replacing_the_components_by_any_permutation_relabels_them(seed, parallel):
+    rng = random.Random(seed)
+    if parallel:
+        m = rng.randrange(3, 7)
+        d = parallel_curve_divisor(rng, m, rng.randrange(0, m * (m - 1) // 2))
+    else:
+        d = random_divisor(rng)
+    assert_relabelled_consistently(d, rng.sample(range(len(d.components)), len(d.components)))
