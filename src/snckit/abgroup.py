@@ -15,11 +15,10 @@ generators with ascending order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .intmat import IntMatrix, eliminate, smith_diagonal
+from .intmat import IntMatrix, _Checked, eliminate, smith_diagonal
 
 
 def _divisibility_chain(factors: Iterable[int]) -> tuple[int, ...]:
@@ -45,8 +44,8 @@ def _divisibility_chain(factors: Iterable[int]) -> tuple[int, ...]:
     return tuple(v for v in sorted(vals) if v != 1)
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(_Checked, NamedTuple("FgAbGroup", [
+        ("free_rank", int), ("torsion", tuple[int, ...])])):
     """A finitely generated abelian group Z^r ⊕ Z/t_1 ⊕ ... ⊕ Z/t_k.
 
     The torsion orders satisfy t_i ≥ 2 and t_i | t_{i+1}, which makes the
@@ -54,10 +53,10 @@ class FgAbGroup:
     are isomorphic.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()) -> FgAbGroup:
+        self = tuple.__new__(cls, (free_rank, torsion))
         if not all(type(x) is int for x in (self.free_rank, *self.torsion)):
             raise ValueError("free rank and torsion orders must be ints, got "
                              f"{self.free_rank!r} and {self.torsion!r}")
@@ -69,6 +68,7 @@ class FgAbGroup:
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError(f"torsion {self.torsion} is not a divisibility chain")
+        return self
 
     @classmethod
     def from_factors(cls, free_rank: int, factors: Iterable[int]) -> "FgAbGroup":
@@ -130,8 +130,8 @@ def _canonical_rows(diag: tuple[int, ...], size: int) -> tuple[FgAbGroup, list[i
     return FgAbGroup(len(free), tuple(diag[i] for i in torsion)), free + torsion
 
 
-@dataclass(frozen=True)
-class Hom:
+class Hom(_Checked, NamedTuple("Hom", [
+        ("source", FgAbGroup), ("target", FgAbGroup), ("matrix", IntMatrix)])):
     """A homomorphism between groups in canonical form.
 
     The matrix has one column per source generator and one row per target
@@ -140,11 +140,10 @@ class Hom:
     generator, i.e. when the assignment does not define a homomorphism.
     """
 
-    source: FgAbGroup
-    target: FgAbGroup
-    matrix: IntMatrix
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix) -> Hom:
+        self = tuple.__new__(cls, (source, target, matrix))
         if self.matrix.shape != (self.target.ngens, self.source.ngens):
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not map "
@@ -160,6 +159,7 @@ class Hom:
                 if t != 0 and (s * e) % t != 0:
                     raise ValueError(f"entry ({i}, {j}) = {e} violates torsion: "
                                      f"{s} * {e} is nonzero mod {t}")
+        return self
 
     @classmethod
     def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "Hom":

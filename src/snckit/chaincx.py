@@ -17,11 +17,10 @@ E_3 entry that the KH report reads is the direct corner rule in ``khasm``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .abgroup import FgAbGroup, Hom, compose, subquotient
-from .intmat import unit_sweep
+from .intmat import _Checked, unit_sweep
 
 
 class SupportViolationError(Exception):
@@ -32,8 +31,8 @@ class SupportViolationError(Exception):
         super().__init__(message or f"nonzero entry outside support at {position}")
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(_Checked, NamedTuple("ChainComplex", [
+        ("ranks", tuple[int, ...]), ("boundaries", tuple[tuple[dict[int, int], ...], ...])])):
     """Free chain complex in degree 0 through len(ranks) - 1; ranks are ints >= 0.
 
     ``boundaries[k]`` is the boundary map out of degree k + 1 into degree
@@ -48,16 +47,15 @@ class ChainComplex:
     has checked, as ``validate_snc`` has, and skips the checks.
     """
 
-    ranks: tuple[int, ...]
-    boundaries: tuple[tuple[dict[int, int], ...], ...]
     __hash__ = None  # type: ignore[assignment]
     # (Smith diagonal, unit pivot columns, rank) per boundary, filled
-    # bottom-up on first use; not part of the value, so equality and
-    # construction ignore it.
-    _sweeps: list[tuple[tuple[int, ...], list[int], int]] = field(
-        default_factory=list, init=False, compare=False, repr=False)
+    # bottom-up on first use.  It lives in the instance dict, as the class
+    # has no __slots__, and is no field, so equality and repr ignore it.
+    _sweeps: list[tuple[tuple[int, ...], list[int], int]]
 
-    def __post_init__(self) -> None:
+    def __new__(cls, ranks: tuple[int, ...],
+                boundaries: tuple[tuple[dict[int, int], ...], ...]) -> ChainComplex:
+        self = cls._of(ranks, boundaries)
         if not all(type(r) is int and r >= 0 for r in self.ranks):
             raise ValueError(f"ranks {self.ranks!r} are not non-negative ints")
         if len(self.boundaries) != max(len(self.ranks) - 1, 0):
@@ -71,6 +69,7 @@ class ChainComplex:
                 raise ValueError(
                     f"boundary out of degree {k + 1} is not {self.ranks[k]} rows of "
                     f"nonzero ints on cells below {len(cells)}")
+        return self
 
     def rank(self, d: int) -> int:
         return self.ranks[d] if 0 <= d < len(self.ranks) else 0
@@ -79,8 +78,8 @@ class ChainComplex:
     def _of(cls, ranks: tuple[int, ...],
             boundaries: tuple[tuple[dict[int, int], ...], ...]) -> ChainComplex:
         """A complex on face rows its caller has checked, unchecked here."""
-        out = object.__new__(cls)
-        out.__dict__.update(ranks=ranks, boundaries=boundaries, _sweeps=[])
+        out = tuple.__new__(cls, (ranks, boundaries))
+        out._sweeps = []
         return out
 
     def diagonal(self, d: int) -> tuple[int, ...]:
@@ -148,20 +147,29 @@ def cohomology(c: ChainComplex, i: int) -> FgAbGroup:
     return _group(c, i, i)
 
 
-@dataclass
-class SpectralPage:
+class SpectralPage(_Checked, NamedTuple("SpectralPage", [
+        ("page_no", int), ("entries", dict[tuple[int, int], FgAbGroup]),
+        ("differentials", dict[tuple[int, int], Hom]),
+        ("support", frozenset[tuple[int, int]])])):
     """One page of a first-quadrant spectral sequence, finitely supported.
 
     ``entries`` holds the nonzero groups; anything absent is zero.  The
     differentials on page r have bidegree (r, 1 - r) and are keyed by their
     source position.  ``support`` is the region where nonzero entries are
-    allowed at all; it never grows when passing to a later page.
+    allowed at all; it never grows when passing to a later page.  Left out,
+    ``entries`` and ``differentials`` are fresh empty dicts.  The dicts
+    make a page unhashable.
     """
 
-    page_no: int
-    entries: dict[tuple[int, int], FgAbGroup] = field(default_factory=dict)
-    differentials: dict[tuple[int, int], Hom] = field(default_factory=dict)
-    support: frozenset[tuple[int, int]] = frozenset()
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __new__(cls, page_no: int,
+                entries: dict[tuple[int, int], FgAbGroup] | None = None,
+                differentials: dict[tuple[int, int], Hom] | None = None,
+                support: frozenset[tuple[int, int]] = frozenset()) -> SpectralPage:
+        return tuple.__new__(cls, (page_no, {} if entries is None else entries,
+                                   {} if differentials is None else differentials, support))
 
     def entry(self, p: int, q: int) -> FgAbGroup:
         return self.entries.get((p, q), FgAbGroup(0))

@@ -15,22 +15,27 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import dataclass, fields, is_dataclass
 from functools import cache
 from json.encoder import encode_basestring
-from typing import Any, Callable, Collection, NoReturn, Sequence
+from typing import Any, Callable, Collection, NamedTuple, NoReturn, Sequence
 
 from .abgroup import FgAbGroup, Hom
 from .khasm import (
     ALGEBRAICALLY_CLOSED,
     GENERAL_FIELD,
+    GroupValue,
+    KerAlphaDescriptor,
     KhReport,
+    OneMotiveDescriptor,
     PicardInput,
     PicardLevel,
+    SesDescriptor,
+    TorusDescriptor,
+    UnitsCohomology,
     kh_report,
 )
 from .intmat import IntMatrix
-from .nk import DuBoisTable, k_report
+from .nk import DuBoisTable, KReport, k_report
 from .snc import (
     BlowupRecord,
     DimensionBoundError,
@@ -81,8 +86,7 @@ class MissingBlockError(Exception):
         super().__init__(f"command {command!r} needs the {block!r} block")
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(NamedTuple):
     version: str
     divisor: SncDivisor
     picard: PicardInput | None
@@ -526,10 +530,11 @@ def _json_text(x: Any, nl: str = "\n") -> str:
     """``json.dumps(x, ensure_ascii=False, indent=2)`` for str, int, bool, None,
     list, tuple and str-keyed dict; any other value or key raises TypeError,
     except an ``SncDivisor``, printed as its block (``_divisor_text``), a
-    ``BlowupRecord`` and any other dataclass as the dict of its fields, in
-    order, an ``FgAbGroup`` as ``{"str", "free_rank", "torsion"}`` and an
-    ``IntMatrix`` as its rows.  ``nl`` is the newline and indent of the
-    line ``x`` ends on."""
+    ``BlowupRecord`` and the records of ``_REPORT_RECORDS`` as the dict of
+    their fields, in order, an ``FgAbGroup`` as ``{"str", "free_rank",
+    "torsion"}`` and an ``IntMatrix`` as its rows.  These are NamedTuples,
+    but any other tuple prints as an array.  ``nl`` is the newline and
+    indent of the line ``x`` ends on."""
     t = type(x)
     if t is str:
         return encode_basestring(x)
@@ -569,10 +574,17 @@ def _group_text(g: FgAbGroup, nl: str) -> str:
             f'{_array_text(g.torsion, inner)}{nl}}}')
 
 
+# The records a kh-report or k-report holds, each printed as the object of
+# its fields.
+_REPORT_RECORDS = (KhReport, KReport, UnitsCohomology, OneMotiveDescriptor, TorusDescriptor,
+                   KerAlphaDescriptor, SesDescriptor, GroupValue)
+
+
 @cache
 def _writer(cls: type) -> Callable[[Any, str], str]:
     """The function ``_json_text`` sends a value of class ``cls`` to, found
-    once per class; TypeError if ``cls`` is no report value.  A subclass of
+    once per class; TypeError if ``cls`` is no report value.  snckit's
+    records are named before the tuples they are; any other subclass of
     str, int, dict, list or tuple takes the writer of that class, so it
     prints as ``json.dumps`` prints it.  Leaves of exactly str or int, and
     bool fields, are written in place by the writer of their container."""
@@ -582,8 +594,6 @@ def _writer(cls: type) -> Callable[[Any, str], str]:
         return lambda x, nl: int.__repr__(x)
     if issubclass(cls, dict):
         return _object_text
-    if issubclass(cls, (list, tuple)):
-        return _array_text
     if issubclass(cls, FgAbGroup):
         return _group_text
     if issubclass(cls, IntMatrix):
@@ -592,10 +602,12 @@ def _writer(cls: type) -> Callable[[Any, str], str]:
         return _divisor_text
     if issubclass(cls, BlowupRecord):
         return _blowup_text
-    if not is_dataclass(cls):
+    if not issubclass(cls, _REPORT_RECORDS):
+        if issubclass(cls, (list, tuple)):
+            return _array_text
         raise TypeError(f"{cls.__name__} is not a report value")
-    # each field's text as a key, read once
-    keys = tuple((f.name, f"{encode_basestring(f.name)}: ") for f in fields(cls))
+    # each field's text as a key, made once
+    keys = tuple(f"{encode_basestring(name)}: " for name in cls._fields)
 
     def fields_text(x: Any, nl: str) -> str:
         inner = nl + "  "
@@ -603,7 +615,7 @@ def _writer(cls: type) -> Callable[[Any, str], str]:
                                        else int.__repr__(v) if type(v) is int
                                        else "true" if v is True else "false" if v is False
                                        else _json_text(v, inner))
-                                for name, key in keys for v in (getattr(x, name),)], "}", nl)
+                                for key, v in zip(keys, x)], "}", nl)
     return fields_text
 
 
@@ -757,7 +769,7 @@ def _cmd_kh_report(doc: InputDocument) -> tuple[str, dict]:
     if doc.picard is None:
         raise MissingBlockError("picard", "kh-report")
     report = kh_report(doc.divisor, doc.picard, doc.field_mode)
-    return "\n".join(_kh_text(report)), {"command": "kh-report", **vars(report)}
+    return "\n".join(_kh_text(report)), {"command": "kh-report", **report._asdict()}
 
 
 def _cmd_k_report(doc: InputDocument) -> tuple[str, dict]:
@@ -779,7 +791,7 @@ def _cmd_k_report(doc: InputDocument) -> tuple[str, dict]:
         f"  K_{2 - n}(X) -> KH_{2 - n}(X) surjective: "
         + ("yes" if report.surjectivity_note else "no"),
     ])
-    return "\n".join(lines), {"command": "k-report", **vars(report)}
+    return "\n".join(lines), {"command": "k-report", **report._asdict()}
 
 
 _DISPATCH = {

@@ -25,10 +25,9 @@ builds no transforms, takes sparse rows and also names its unit pivots, or
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, index, mul
-from typing import Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 
 class IntMatrix:
@@ -158,8 +157,20 @@ class IntMatrix:
         return f"IntMatrix({self.to_lists()!r}, ncols={self.ncols})"
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class _Checked:
+    """Mixin of a NamedTuple subclass whose ``__new__`` checks the fields:
+    ``_make``, and so ``_replace``, build through that ``__new__`` rather
+    than straight from the tuple, so they check too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> Any:
+        return cls(*iterable)
+
+
+class SmithForm(_Checked, NamedTuple("SmithForm", [
+        ("u", IntMatrix), ("d", IntMatrix), ("v", IntMatrix), ("u_inv", IntMatrix)])):
     """Result of a Smith normal form computation: U*A*V = D.
 
     U and V are unimodular; D is diagonal with nonnegative entries forming
@@ -169,12 +180,11 @@ class SmithForm:
     costs no second Smith form.
     """
 
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-    u_inv: IntMatrix
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, u: IntMatrix, d: IntMatrix, v: IntMatrix,
+                u_inv: IntMatrix) -> SmithForm:
+        self = tuple.__new__(cls, (u, d, v, u_inv))
         diag = self.diagonal
         for i, row in enumerate(self.d.rows()):
             if any(row[:i]) or any(row[i + 1:]):
@@ -188,6 +198,7 @@ class SmithForm:
                 raise ValueError("zero diagonal entry before a nonzero one")
             if a != 0 and b % a != 0:
                 raise ValueError(f"divisibility chain broken: {a} does not divide {b}")
+        return self
 
     @property
     def diagonal(self) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ generated and in canonical form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abgroup import (
     FgAbGroup,
@@ -25,7 +25,7 @@ from .abgroup import (
     kernel_coordinates,
 )
 from .chaincx import cohomology, homology
-from .intmat import IntMatrix, eliminate
+from .intmat import IntMatrix, _Checked, eliminate
 from .snc import SncDivisor, validate_snc
 
 ALGEBRAICALLY_CLOSED = "algebraically_closed"
@@ -41,8 +41,7 @@ class LevelMismatchError(ValueError):
     """Picard data levels do not match the ambient dimension."""
 
 
-@dataclass(frozen=True)
-class TorusDescriptor:
+class TorusDescriptor(NamedTuple):
     """The torus part of the units cohomology of the dual complex.
 
     ``rank`` counts copies of the multiplicative group; ``mu_part`` is the
@@ -92,21 +91,22 @@ def torus_descriptor(hn1: FgAbGroup, hn2_homology_torsion_free: bool,
                            determined=True, mu_ambiguous=not mu.is_trivial())
 
 
-@dataclass(frozen=True)
-class PicardLevel:
+class PicardLevel(_Checked, NamedTuple("PicardLevel", [
+        ("p", int), ("ns", FgAbGroup), ("pic0_dim", int)])):
     """Neron-Severi group and abelian-variety dimension at one level."""
 
-    p: int
-    ns: FgAbGroup
-    pic0_dim: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, p: int, ns: FgAbGroup, pic0_dim: int) -> PicardLevel:
+        self = tuple.__new__(cls, (p, ns, pic0_dim))
         if self.pic0_dim < 0:
             raise ValueError(f"negative Pic^0 dimension at level {self.p}")
+        return self
 
 
-@dataclass(frozen=True)
-class PicardInput:
+class PicardInput(_Checked, NamedTuple("PicardInput", [
+        ("n", int), ("levels", tuple[PicardLevel, ...]), ("maps", tuple[Hom, ...]),
+        ("coker_pic0_dim", int), ("ker_beta_known", FgAbGroup | None)])):
     """User-supplied Picard-side data of the stratum levels.
 
     The levels must be exactly p = n-4, n-3, n-2 in that order (the first
@@ -117,13 +117,11 @@ class PicardInput:
     input, not something the combinatorics can know.
     """
 
-    n: int
-    levels: tuple[PicardLevel, ...]
-    maps: tuple[Hom, ...]
-    coker_pic0_dim: int
-    ker_beta_known: FgAbGroup | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, n: int, levels: tuple[PicardLevel, ...], maps: tuple[Hom, ...],
+                coker_pic0_dim: int, ker_beta_known: FgAbGroup | None = None) -> PicardInput:
+        self = tuple.__new__(cls, (n, levels, maps, coker_pic0_dim, ker_beta_known))
         if self.coker_pic0_dim < 0:
             raise ValueError("negative coker(Pic^0) dimension")
         ps = [lv.p for lv in self.levels]
@@ -139,6 +137,7 @@ class PicardInput:
         if len(self.maps) == 2 and not compose(self.maps[1], self.maps[0]).is_zero():
             raise ComplexViolationError(
                 f"NS maps do not compose to zero between levels {ps[0]} and {ps[2]}")
+        return self
 
 
 def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
@@ -182,8 +181,7 @@ def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
     return ker_ns, coker_ns, gamma, Hom(ker_ns, gamma, matrix)
 
 
-@dataclass(frozen=True)
-class OneMotiveDescriptor:
+class OneMotiveDescriptor(NamedTuple):
     """The two lattices and the semiabelian shape of the associated 1-motive.
 
     The lattice map into the semiabelian group is not determined by our
@@ -200,8 +198,7 @@ class OneMotiveDescriptor:
     map_status: str = "opaque"
 
 
-@dataclass(frozen=True)
-class GroupValue:
+class GroupValue(NamedTuple):
     """A finitely generated group, known exactly or only as a bound.
 
     When ``exact`` is false the true group is a quotient of ``group`` (or,
@@ -219,8 +216,7 @@ class GroupValue:
         return f"{self.group} ({tag}{suffix})"
 
 
-@dataclass(frozen=True)
-class SesDescriptor:
+class SesDescriptor(NamedTuple):
     """A short exact sequence 0 → sub → total → quotient → 0, tagged.
 
     ``total`` is resolved to an actual group only when both ends are exact
@@ -253,8 +249,7 @@ def assemble_extension(sub: GroupValue, quotient: GroupValue) -> SesDescriptor:
         sub, quotient, GroupValue(bound, False, "an end is not exact"), False)
 
 
-@dataclass(frozen=True)
-class UnitsCohomology:
+class UnitsCohomology(NamedTuple):
     """The units cohomology of the exceptional divisor, piece by piece.
 
     It is an extension of coker(Pic) by the torus; coker(Pic) in turn is an
@@ -270,8 +265,7 @@ class UnitsCohomology:
     coker_pic: GroupValue
 
 
-@dataclass(frozen=True)
-class KerAlphaDescriptor:
+class KerAlphaDescriptor(NamedTuple):
     """ker(alpha) as an extension of im(d_2) by ker(beta).
 
     ``ker_ns_bound`` is the standing resolution-independent bound: whatever
@@ -282,8 +276,7 @@ class KerAlphaDescriptor:
     ker_ns_bound: FgAbGroup
 
 
-@dataclass(frozen=True)
-class KhReport:
+class KhReport(NamedTuple):
     """Everything computed about KH in degrees -n and 1-n of the base.
 
     ``kh_top`` is exact in every case.  ``kh_value`` describes the degree
@@ -292,7 +285,7 @@ class KhReport:
     divisible Picard part), and exact only when additionally no opaque
     differential intervenes.
 
-    The report dataclasses are the JSON schema and what the CLI's JSON
+    The report records are the JSON schema and what the CLI's JSON
     writer walks: one key per field, in field order, all the way down.
     """
 

@@ -9,8 +9,9 @@ does not model, and they are only defined here for isolated singular points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from .intmat import _Checked
 from .khasm import KhReport
 
 
@@ -22,8 +23,8 @@ class NonIsolatedError(ValueError):
     """Du Bois bookkeeping is only defined at isolated singular points."""
 
 
-@dataclass(frozen=True)
-class DuBoisTable:
+class DuBoisTable(_Checked, NamedTuple("DuBoisTable", [
+        ("entries", dict[tuple[int, int], int]), ("isolated", bool)])):
     """Du Bois invariants b^{p,q} of one isolated singular point.
 
     ``entries`` maps (p, q) to a nonnegative length.  A table with
@@ -31,17 +32,17 @@ class DuBoisTable:
     no honest NK answer for non-isolated singularities.
     """
 
-    entries: dict[tuple[int, int], int]
-    isolated: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, entries: dict[tuple[int, int], int], isolated: bool = True) -> DuBoisTable:
+        self = tuple.__new__(cls, (entries, isolated))
         for (p, q), b in self.entries.items():
             if b < 0:
                 raise ValueError(f"negative Du Bois invariant b^{{{p},{q}}} = {b}")
+        return self
 
 
-@dataclass(frozen=True)
-class KReport:
+class KReport(NamedTuple):
     """K-theory in degree 1-n: an extension of KH by a vector space.
 
     ``v_dim`` is b^{0,n-1}, the dimension of the vector-space kernel of

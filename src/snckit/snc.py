@@ -50,12 +50,12 @@ bad intersections.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .chaincx import ChainComplex
+from .intmat import _Checked
 
 
 class SncError(ValueError):
@@ -100,20 +100,23 @@ class ResolutionLimitError(SncError):
         self.records = records
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(_Checked, NamedTuple("Stratum", [
+        ("id", str), ("subset", tuple[str, ...]), ("parents", dict[str, str])])):
     """One irreducible component of an intersection of divisor components.
 
     ``subset`` lists the components being intersected, sorted by their
     position in the divisor's component list.  ``parents`` maps each
     dropped component id to the id of the stratum component of the facet
     intersection that contains this one; it is empty when the subset has
-    exactly two elements (the facets are then the components themselves).
+    exactly two elements (the facets are then the components themselves),
+    and a fresh empty dict when left out.
     """
 
-    id: str
-    subset: tuple[str, ...]
-    parents: dict[str, str] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, id: str, subset: tuple[str, ...],
+                parents: dict[str, str] | None = None) -> Stratum:
+        return tuple.__new__(cls, (id, subset, {} if parents is None else parents))
 
 
 class _StrataTable(NamedTuple):
@@ -131,12 +134,11 @@ class _StrataTable(NamedTuple):
     parents: list[dict[int, str]]
 
 
-@dataclass(frozen=True)
-class SncDivisor:
+class SncDivisor(NamedTuple):
     """A divisor: ambient dimension, component ids and strata table.
 
     The table names components by position only, so ``components[p]`` is
-    the id of position p wherever it is read; ``dataclasses.replace`` of
+    the id of position p wherever it is read; ``_replace`` of
     ``components`` alone relabels the components by position.  ``strata``
     is built from the table each time it is read.
     """
@@ -232,11 +234,14 @@ def validate_snc(d: SncDivisor) -> DualComplex:
 
     The order of the checks decides which error is raised: distinct
     component ids; distinct stratum ids, none reusing a component id; then
-    stratum by stratum, its own rule (depth between 2 and n) followed by
-    its parents (none at depth 2, else one per component, each a stratum
-    on the facet that drops it); last, at depth 4 and up, that dropping
-    two components in either order lands on the same stratum.  Unknown
-    or repeated subset components are ``SncDivisor.build``'s errors.
+    stratum by stratum, its own rules (depth between 2 and n, then its
+    first and last positions within ``components``) followed by its parents
+    (none at depth 2, else one per component, each a stratum on the facet
+    that drops it); last, at depth 4 and up, that dropping two components
+    in either order lands on the same stratum.  Unknown or repeated subset
+    components are ``SncDivisor.build``'s errors.  The parser, ``build``
+    and the blowups leave every position in range; a divisor whose
+    ``components`` were replaced by a shorter tuple may not be.
     """
     components = d.components
     order = {c: i for i, c in enumerate(components)}
@@ -253,11 +258,13 @@ def validate_snc(d: SncDivisor) -> DualComplex:
             seen.add(sid)
     # A valid stratum's depth is at most min(n, #components); the counts
     # are trimmed to the deepest stratum below.
-    counts = [0] * (min(n, len(components)) + 1)    # strata so far on k components
+    size = len(components)
+    counts = [0] * (min(n, size) + 1)    # strata so far on k components
     slot: list[int] = []    # each stratum's position among those of its depth
     first_bad = len(ids)    # position of the first stratum breaking its own rules
     for i, pos in enumerate(positions):
-        if not 2 <= len(pos) <= n:
+        # positions are sorted, so the ends bound them all
+        if not 2 <= len(pos) <= n or pos[0] < 0 or pos[-1] >= size:
             first_bad = i
             break
         depth = len(pos)
@@ -288,7 +295,7 @@ def validate_snc(d: SncDivisor) -> DualComplex:
             _raise_parent_error(ids[i], pos, parents, positions, by_id, components)
         found[depth].append(ps)
     if first_bad < len(ids):
-        _raise_own_error(ids[first_bad], len(positions[first_bad]), n)
+        _raise_own_error(ids[first_bad], positions[first_bad], n, size)
     # Every parent is now on its facet, so dropping two components in
     # either order lands on a stratum on the same subset, two below the
     # stratum's depth: the two can differ only where that subset carries
@@ -302,13 +309,19 @@ def validate_snc(d: SncDivisor) -> DualComplex:
     return DualComplex(components, d.table, counts, slot, found)
 
 
-def _raise_own_error(sid: str, depth: int, n: int) -> NoReturn:
-    """Raise the error of a stratum on ``depth`` components outside 2..n."""
+def _raise_own_error(sid: str, pos: tuple[int, ...], n: int, size: int) -> NoReturn:
+    """Raise the error of a stratum on positions ``pos`` whose depth is
+    outside 2..n or that has a position outside 0..size-1."""
+    depth = len(pos)
     if depth < 2:
         raise DimensionBoundError(
             f"stratum {sid} intersects {depth} component(s); need at least 2")
-    raise DimensionBoundError(
-        f"stratum {sid} intersects {depth} components in ambient dimension {n}")
+    if depth > n:
+        raise DimensionBoundError(
+            f"stratum {sid} intersects {depth} components in ambient dimension {n}")
+    p = pos[0] if pos[0] < 0 else pos[-1]
+    raise SncError(f"stratum {sid} lies on component position {p}, but the divisor "
+                   f"has {size} component(s)")
 
 
 def _raise_parent_error(sid: str, pos: tuple[int, ...], parents: Mapping[int, str],
@@ -367,8 +380,7 @@ def find_bad_intersections(d: SncDivisor) -> BadIntersections:
     return BadIntersections(named, not named)
 
 
-@dataclass(frozen=True)
-class BlowupRecord:
+class BlowupRecord(NamedTuple):
     """What one combinatorial blowup did, enough to replay or audit it.
 
     ``bad_decrement`` records how much the total count of stratum
@@ -382,17 +394,6 @@ class BlowupRecord:
     added: tuple[str, ...]
     bad_decrement: int
     point_blowup: bool = False
-
-    @classmethod
-    def _of(cls, center: str, new_component: str, removed: tuple[str, ...],
-            added: tuple[str, ...], bad_decrement: int) -> "BlowupRecord":
-        """The record of a stellar blowup, equal to ``cls(...)`` of the same
-        fields, set in one dict update rather than through the frozen
-        dataclass's setter once per field."""
-        out = object.__new__(cls)
-        out.__dict__.update(center=center, new_component=new_component, removed=removed,
-                            added=added, bad_decrement=bad_decrement, point_blowup=False)
-        return out
 
 
 class _StrataIndex:
@@ -603,8 +604,8 @@ class _StrataIndex:
                     parents[x] = cone_id[t_parents[x], k_part]
                 self.add(cid, keep + (new_pos,), parents)
             added.append(cid)
-        return BlowupRecord._of(center, new_comp, tuple(star), tuple(added),
-                                before - self.bad_total)
+        return BlowupRecord(center, new_comp, tuple(star), tuple(added),
+                            before - self.bad_total)
 
 
 def blowup_stratum_component(d: SncDivisor, center: str,

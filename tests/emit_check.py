@@ -32,6 +32,7 @@ from helpers import (
     blowup_json,
     divisor_json,
     divisor_of,
+    is_record,
     parallel_curve_divisor,
     random_divisor,
     report_json,
@@ -149,7 +150,7 @@ def plain(x):
         return blowup_json(x)
     if isinstance(x, dict):
         return {k: plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, (list, tuple)) and not is_record(x):
         return [plain(v) for v in x]
     return report_json(x)
 

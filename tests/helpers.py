@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from snckit import (
@@ -411,16 +411,23 @@ def blowup_json(r: BlowupRecord) -> dict:
             "bad_decrement": r.bad_decrement, "point_blowup": r.point_blowup}
 
 
+def is_record(x: Any) -> bool:
+    """Whether x is one of snckit's records: a NamedTuple whose class a
+    module of snckit defines, rather than a plain or other tuple."""
+    return (isinstance(x, tuple) and hasattr(x, "_fields")
+            and type(x).__module__.startswith("snckit."))
+
+
 def report_json(x: Any) -> Any:
-    """A report as nested dicts: one key per dataclass field, in field order,
-    a group as its text, free rank and torsion, and a matrix as its rows;
-    any other value as it is."""
+    """A report as nested dicts: one key per field of each snckit record,
+    in field order, a group as its text, free rank and torsion, and a
+    matrix as its rows; any other value as it is."""
     if isinstance(x, FgAbGroup):
         return {"str": str(x), "free_rank": x.free_rank, "torsion": list(x.torsion)}
     if isinstance(x, IntMatrix):
         return x.to_lists()
-    if is_dataclass(x):
-        return {f.name: report_json(getattr(x, f.name)) for f in fields(x)}
+    if is_record(x):
+        return {name: report_json(v) for name, v in x._asdict().items()}
     return x
 
 

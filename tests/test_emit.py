@@ -10,7 +10,6 @@ the nested dicts of ``helpers.divisor_json``, ``helpers.blowup_json`` and
 object the report holds; the divisor and record writers meet the same
 oracle on their own.
 """
-import dataclasses
 import json
 import random
 
@@ -165,7 +164,6 @@ def test_blowup_writer_prints_what_the_stdlib_prints_of_blowup_json():
 
 
 def test_a_record_from_a_resolution_is_one_from_the_public_constructor():
-    # the index builds its records without the dataclass __init__
     records = [r for d in writer_cases() for r in resolve_to_simplicial(d)[1]]
     records += [r for _, path, command in cases() if command == "resolve"
                 for r in run(command, parse_input(str(path)))[1]["blowups"]]
@@ -173,18 +171,18 @@ def test_a_record_from_a_resolution_is_one_from_the_public_constructor():
     for r in records:
         public = BlowupRecord(r.center, r.new_component, r.removed, r.added,
                               r.bad_decrement)
+        assert type(r) is BlowupRecord
         assert r == public and public == r and not r != public
         assert hash(r) == hash(public) and repr(r) == repr(public)
-        assert list(vars(r).items()) == list(vars(public).items())
-        assert dataclasses.asdict(r) == dataclasses.asdict(public)
+        assert list(r._asdict().items()) == list(public._asdict().items())
         for changes in ({}, {"bad_decrement": r.bad_decrement + 1}, {"point_blowup": True}):
-            again = dataclasses.replace(r, **changes)
+            again = r._replace(**changes)
             assert type(again) is BlowupRecord
-            assert again == dataclasses.replace(public, **changes)
+            assert again == public._replace(**changes)
         for name in ("center", "point_blowup", "other"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(r, name, "x")
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 delattr(r, name)
         assert r == public
 

@@ -541,7 +541,7 @@ def test_resolve_matches_the_full_rescan_oracle():
     for d in oracle_corpus(36, 300):
         resolved, records = resolve_to_simplicial(d)
         expected, expected_records = scan_resolve(d)
-        # dataclass equality: every field, strata and records in order
+        # record equality: every field, strata and records in order
         assert records == expected_records
         assert resolved == expected
         multi += len(records) >= 2
@@ -652,7 +652,7 @@ def test_resolve_matches_the_oracle_on_larger_divisors(larger_corpus):
     seen = {"named": 0, "curve-exc2": 0, "point": 0, "gap": 0}
     for kinds, d, expected in larger_corpus:
         resolved, records = resolve_to_simplicial(d)
-        # dataclass equality: every field, strata and records in order
+        # record equality: every field, strata and records in order
         assert (resolved, records) == expected
         validate_snc(resolved)
         for kind in kinds:

@@ -1,7 +1,6 @@
 """The position-indexed strata table: the parser's reads, ``build``, the
 one checker, and the strata that only reading code builds."""
 import contextlib
-import dataclasses
 import io
 import json
 import random
@@ -20,6 +19,7 @@ from helpers import (
     parallel_curve_divisor,
     random_divisor,
     simplex_divisor,
+    triangle_cycle,
 )
 from make_error_corpus import CORPUS, _random_fault_documents
 from snckit import (
@@ -141,16 +141,18 @@ def test_the_random_fault_cases_fail_in_the_checker_the_parser_or_not_at_all():
     assert len([e for e in where if type(e) is tuple]) == 36
 
 
-def test_a_read_divisor_keeps_the_dataclass_api():
+def test_a_read_divisor_keeps_the_named_tuple_api():
     data = json.loads(SPHERE4.read_text(encoding="utf-8"))
     read = parse_document(data).divisor
     api = read_with_build(data["divisor"])
-    assert [f.name for f in dataclasses.fields(SncDivisor)] == ["n", "components", "table"]
+    assert SncDivisor._fields == ("n", "components", "table")
     assert read == api and repr(read) == repr(api)
-    moved = dataclasses.replace(read, n=5)
+    moved = read._replace(n=5)
+    assert type(moved) is SncDivisor
     assert (moved.n, moved.components, moved.strata) == (5, api.components, api.strata)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        read.strata = ()
+    for name in ("n", "strata", "other"):
+        with pytest.raises(AttributeError):
+            setattr(read, name, ())
     with pytest.raises(TypeError):
         SncDivisor(3, ("a",))       # table has no default
 
@@ -166,13 +168,13 @@ def test_a_dual_complex_gives_the_checked_chain_complex_of_its_cells():
 
 @pytest.fixture
 def built(monkeypatch) -> list[str]:
-    """The names of the classes whose ``__init__`` ran, of Stratum."""
+    """The names of the classes whose ``__new__`` ran, of Stratum."""
     names: list[str] = []
 
-    def counting(self, *args, _init=Stratum.__init__, **kwargs):
-        names.append(type(self).__name__)
-        _init(self, *args, **kwargs)
-    monkeypatch.setattr(Stratum, "__init__", counting)
+    def counting(cls, *args, _new=Stratum.__new__, **kwargs):
+        names.append(cls.__name__)
+        return _new(cls, *args, **kwargs)
+    monkeypatch.setattr(Stratum, "__new__", counting)
     return names
 
 
@@ -312,12 +314,12 @@ def test_build_table_strata_build_gives_an_equal_divisor(drawn):
 
 
 def assert_relabelled_consistently(d: SncDivisor, order: list[int]) -> None:
-    """``dataclasses.replace`` of d's components by ``order`` relabels them
+    """``_replace`` of d's components by ``order`` relabels them
     by position: the check accepts it, and ``strata``, the bad
     intersections, the ``dual-complex`` vertices and the written block all
     name the components the table's positions give, and the block parses
     back to the same divisor."""
-    relabelled = dataclasses.replace(d, components=tuple([d.components[i] for i in order]))
+    relabelled = d._replace(components=tuple([d.components[i] for i in order]))
     comps = relabelled.components
     validate_snc(relabelled)
     on = {sid: tuple([comps[p] for p in pos])
@@ -344,11 +346,33 @@ def assert_relabelled_consistently(d: SncDivisor, order: list[int]) -> None:
 def test_replacing_the_components_of_a_divisor_relabels_them_by_position():
     d = full_simplex()
     assert_relabelled_consistently(d, [2, 1, 0])
-    reversed_ = dataclasses.replace(d, components=d.components[::-1])
+    reversed_ = d._replace(components=d.components[::-1])
     # c12 lies on positions 0 and 1, which now name E3 and E2
     assert {s.id: s.subset for s in reversed_.strata}["c12"] == ("E3", "E2")
     block = json.loads(_divisor_text(reversed_, "\n"))
     assert parse_document({"version": "1", "divisor": block}).divisor == reversed_
+
+
+def test_components_fewer_than_the_table_positions_raise_snc_error():
+    # The triangle was accepted and its chain complex raised IndexError;
+    # the simplex raised IndexError inside validate_snc.  c12 is in range
+    # and checked first; c13 on positions (0, 2) is the first out of it.
+    for d in (triangle_cycle(), full_simplex()):
+        short = d._replace(components=("A", "B"))
+        with pytest.raises(SncError, match=r"^stratum c13 lies on component position 2, "
+                                           r"but the divisor has 2 component\(s\)$"):
+            validate_snc(short)
+        doc = InputDocument("1", short, None, None, "algebraically_closed")
+        for command in ("validate", "cohomology", "resolve"):
+            with pytest.raises(SncError):
+                run(command, doc)
+    negative = SncDivisor(3, ("A", "B"), _StrataTable(["c"], [(-1, 0)], [{}]))
+    with pytest.raises(SncError, match="^stratum c lies on component position -1,"):
+        validate_snc(negative)
+    # a stratum's depth is its own first rule
+    deep = SncDivisor(2, ("A", "B"), _StrataTable(["c"], [(0, 1, 2)], [{}]))
+    with pytest.raises(SncError, match="intersects 3 components in ambient dimension 2"):
+        validate_snc(deep)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
