@@ -38,7 +38,6 @@ from .snc import (
     BlowupRecord,
     DualComplex,
     SncDivisor,
-    Stratum,
     blowup_point_on_double_curve,
     blowup_stratum_component,
     find_bad_intersections,
@@ -63,7 +62,6 @@ __all__ = [
     "SmithForm",
     "SncDivisor",
     "SpectralPage",
-    "Stratum",
     "SupportViolationError",
     "TorusDescriptor",
     "blowup_point_on_double_curve",

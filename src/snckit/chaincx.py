@@ -26,9 +26,9 @@ from .intmat import _Checked, unit_sweep
 class SupportViolationError(Exception):
     """A nonzero spectral entry sits outside the declared support region."""
 
-    def __init__(self, position: tuple[int, int], message: str | None = None):
+    def __init__(self, position: tuple[int, int]):
         self.position = position
-        super().__init__(message or f"nonzero entry outside support at {position}")
+        super().__init__(f"nonzero entry outside support at {position}")
 
 
 class ChainComplex(_Checked, NamedTuple("ChainComplex", [

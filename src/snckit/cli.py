@@ -37,8 +37,8 @@ from .khasm import (
 from .intmat import IntMatrix
 from .nk import DuBoisTable, KReport, k_report
 from .snc import (
+    MAX_BLOWUPS,
     BlowupRecord,
-    DimensionBoundError,
     SncDivisor,
     _StrataTable,
     find_bad_intersections,
@@ -48,7 +48,6 @@ from .snc import (
 from .chaincx import cohomology
 
 SUPPORTED_VERSION = "1"
-MAX_BLOWUPS = 10000
 # A document that fails to parse and nests arrays and objects deeper than
 # this is reported as nested too deep.  The schema nests 7 deep; how deep
 # the decoder and the error text can go depends on the Python and on the
@@ -70,19 +69,10 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-class UnknownIdError(SchemaError):
-    pass
-
-
-class VersionError(ValueError):
-    pass
-
-
 class MissingBlockError(Exception):
     """The requested command needs a block the document does not carry."""
 
     def __init__(self, block: str, command: str):
-        self.block = block
         super().__init__(f"command {command!r} needs the {block!r} block")
 
 
@@ -182,12 +172,12 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
             if type(idx) is not int or not 0 <= idx < ncomps:
                 ipath = f"{path}.strata[{gi}].subset[{si}]"
                 if not 0 <= _as_int(idx, ipath) < ncomps:
-                    raise UnknownIdError(ipath, f"component index {idx} out of range")
+                    raise SchemaError(ipath, f"component index {idx} out of range")
         if len(set(subset_idx)) != len(subset_idx):
             raise SchemaError(f"{path}.strata[{gi}].subset", "repeated component index")
         if len(subset_idx) > n:
-            raise DimensionBoundError(f"{path}.strata[{gi}].subset: {len(subset_idx)} "
-                                      f"components exceeds n = {n}")
+            raise SchemaError(f"{path}.strata[{gi}].subset",
+                              f"{len(subset_idx)} components exceeds n = {n}")
         positions = tuple(sorted(subset_idx))
 
         members = group["components"]
@@ -226,9 +216,9 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
             for sid, parents in zip(table.ids, table.parents):
                 for dropped, pid in parents.items():
                     if pid not in stratum_ids:
-                        raise UnknownIdError(f"{path}.strata", f"stratum {sid!r} names "
-                                             f"unknown parent {pid!r} for dropped "
-                                             f"component {comps[dropped]!r}")
+                        raise SchemaError(f"{path}.strata", f"stratum {sid!r} names "
+                                          f"unknown parent {pid!r} for dropped "
+                                          f"component {comps[dropped]!r}")
 
     return SncDivisor(n, comps, table)
 
@@ -242,7 +232,7 @@ def _bad_parent_key(key: Any, ncomps: int, path: str) -> NoReturn:
     if didx is None or key != str(didx):
         raise SchemaError(path, f"key {key!r} is not a component index")
     if not 0 <= didx < ncomps:
-        raise UnknownIdError(path, f"component index {didx} out of range")
+        raise SchemaError(path, f"component index {didx} out of range")
     raise SchemaError(path, f"component index {didx} is not in the subset")
 
 
@@ -348,8 +338,8 @@ def parse_document(data: Any) -> InputDocument:
                   ("version", "divisor"), "document")
     version = str(obj["version"])
     if version != SUPPORTED_VERSION:
-        raise VersionError(f"unsupported document version {version!r}; "
-                           f"this build reads version {SUPPORTED_VERSION}")
+        raise ValueError(f"unsupported document version {version!r}; "
+                         f"this build reads version {SUPPORTED_VERSION}")
     divisor = _parse_divisor(obj["divisor"], "divisor")
 
     field_mode = obj.get("field_mode", ALGEBRAICALLY_CLOSED)
@@ -554,16 +544,13 @@ def _bracketed(bra: str, items: list[str], ket: str, nl: str) -> str:
 
 def _array_text(x: list | tuple, nl: str) -> str:
     inner = nl + "  "
-    return _bracketed("[", [encode_basestring(v) if type(v) is str
-                            else int.__repr__(v) if type(v) is int
-                            else _json_text(v, inner) for v in x], "]", nl)
+    return _bracketed("[", [_json_text(v, inner) for v in x], "]", nl)
 
 
 def _object_text(x: dict, nl: str) -> str:
     inner = nl + "  "
     # encode_basestring raises TypeError on a key that is not a str
-    return _bracketed("{", [f"{encode_basestring(k)}: "
-                            f"{encode_basestring(v) if type(v) is str else _json_text(v, inner)}"
+    return _bracketed("{", [f"{encode_basestring(k)}: {_json_text(v, inner)}"
                             for k, v in x.items()], "}", nl)
 
 
@@ -586,8 +573,7 @@ def _writer(cls: type) -> Callable[[Any, str], str]:
     once per class; TypeError if ``cls`` is no report value.  snckit's
     records are named before the tuples they are; any other subclass of
     str, int, dict, list or tuple takes the writer of that class, so it
-    prints as ``json.dumps`` prints it.  Leaves of exactly str or int, and
-    bool fields, are written in place by the writer of their container."""
+    prints as ``json.dumps`` prints it."""
     if issubclass(cls, str):
         return lambda x, nl: encode_basestring(x)
     if issubclass(cls, int):
@@ -611,11 +597,8 @@ def _writer(cls: type) -> Callable[[Any, str], str]:
 
     def fields_text(x: Any, nl: str) -> str:
         inner = nl + "  "
-        return _bracketed("{", [key + (encode_basestring(v) if type(v) is str
-                                       else int.__repr__(v) if type(v) is int
-                                       else "true" if v is True else "false" if v is False
-                                       else _json_text(v, inner))
-                                for key, v in zip(keys, x)], "}", nl)
+        return _bracketed("{", [key + _json_text(v, inner) for key, v in zip(keys, x)],
+                          "}", nl)
     return fields_text
 
 

@@ -33,14 +33,6 @@ GENERAL_FIELD = "general"
 _FIELD_MODES = (ALGEBRAICALLY_CLOSED, GENERAL_FIELD)
 
 
-class ComplexViolationError(ValueError):
-    """Consecutive Neron-Severi pullback maps do not compose to zero."""
-
-
-class LevelMismatchError(ValueError):
-    """Picard data levels do not match the ambient dimension."""
-
-
 class TorusDescriptor(NamedTuple):
     """The torus part of the units cohomology of the dual complex.
 
@@ -110,11 +102,11 @@ class PicardInput(_Checked, NamedTuple("PicardInput", [
     """User-supplied Picard-side data of the stratum levels.
 
     The levels must be exactly p = n-4, n-3, n-2 in that order (the first
-    absent when n = 3), or construction raises ``LevelMismatchError``;
-    ``maps`` holds the pullback map from each level to the next, and two
-    maps must compose to zero, or it raises ``ComplexViolationError``.  The
-    cokernel dimension of the induced map on abelian-variety parts is an
-    input, not something the combinatorics can know.
+    absent when n = 3); ``maps`` holds the pullback map from each level to
+    the next, and two maps must compose to zero; construction raises
+    ``ValueError`` otherwise.  The cokernel dimension of the induced map on
+    abelian-variety parts is an input, not something the combinatorics can
+    know.
     """
 
     __slots__ = ()
@@ -127,7 +119,7 @@ class PicardInput(_Checked, NamedTuple("PicardInput", [
         ps = [lv.p for lv in self.levels]
         want = list(range(self.n - 3 if self.n == 3 else self.n - 4, self.n - 1))
         if ps != want:
-            raise LevelMismatchError(f"expected levels {want}, got {ps}")
+            raise ValueError(f"expected levels {want}, got {ps}")
         if len(self.maps) != len(self.levels) - 1:
             raise ValueError(
                 f"{len(self.maps)} maps for {len(self.levels)} levels")
@@ -135,7 +127,7 @@ class PicardInput(_Checked, NamedTuple("PicardInput", [
             if h.source != self.levels[k].ns or h.target != self.levels[k + 1].ns:
                 raise ValueError(f"map {k} does not join levels {ps[k]} and {ps[k + 1]}")
         if len(self.maps) == 2 and not compose(self.maps[1], self.maps[0]).is_zero():
-            raise ComplexViolationError(
+            raise ValueError(
                 f"NS maps do not compose to zero between levels {ps[0]} and {ps[2]}")
         return self
 
@@ -312,7 +304,7 @@ def kh_report(d: SncDivisor, pi: PicardInput,
     cx = validate_snc(d).chain_complex()
     n = d.n
     if pi.n != n:
-        raise LevelMismatchError(f"Picard data is for n = {pi.n}, divisor has n = {n}")
+        raise ValueError(f"Picard data is for n = {pi.n}, divisor has n = {n}")
     top = cohomology(cx, n - 1)
     hn3 = cohomology(cx, n - 3)
     hn2 = cohomology(cx, n - 2)

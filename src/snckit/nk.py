@@ -15,14 +15,6 @@ from .intmat import _Checked
 from .khasm import KhReport
 
 
-class MissingEntryError(ValueError):
-    """A required Du Bois entry is absent from the table."""
-
-
-class NonIsolatedError(ValueError):
-    """Du Bois bookkeeping is only defined at isolated singular points."""
-
-
 class DuBoisTable(_Checked, NamedTuple("DuBoisTable", [
         ("entries", dict[tuple[int, int], int]), ("isolated", bool)])):
     """Du Bois invariants b^{p,q} of one isolated singular point.
@@ -63,11 +55,10 @@ class KReport(NamedTuple):
 def k_report(kh: KhReport, b: DuBoisTable) -> KReport:
     """Attach the NK layer, read off b^{0,n-1} alone, to a finished KH report."""
     if not b.isolated:
-        raise NonIsolatedError(
-            "NK in degree 1-n is only computed for isolated singular points")
+        raise ValueError("NK in degree 1-n is only computed for isolated singular points")
     v = b.entries.get((0, kh.n - 1))
     if v is None:
-        raise MissingEntryError(f"Du Bois table has no entry (0, {kh.n - 1})")
+        raise ValueError(f"Du Bois table has no entry (0, {kh.n - 1})")
     return KReport(
         kh=kh,
         v_dim=v,

@@ -11,8 +11,8 @@ as component positions, and its parents keyed by the position of the
 component each drops.  An id is looked up in ``components`` only where
 it is printed.  The CLI parser reads a document straight into that table,
 ``SncDivisor.build`` fills one from (id, subset, parents) triples of ids,
-and the blowups leave one; ``SncDivisor.strata`` makes ``Stratum``
-objects from it each time it is read, and no command reads them.
+and the blowups leave one.  Every check raises ``SncError``; its message
+tells one failure from another.
 The check walks the table twice: the first walk finds each stratum's row
 by id and its position among the strata of its depth, and the first
 stratum breaking its own rules; the second checks parents, and keeps the
@@ -55,39 +55,13 @@ from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .chaincx import ChainComplex
-from .intmat import _Checked
+
+# The default cap on the blowups of one resolution.
+MAX_BLOWUPS = 10000
 
 
 class SncError(ValueError):
     """Base class for malformed or inconsistent divisor data."""
-
-
-class DuplicateIdError(SncError):
-    pass
-
-
-class DimensionBoundError(SncError):
-    pass
-
-
-class ClosureViolationError(SncError):
-    pass
-
-
-class ContainmentMismatchError(SncError):
-    pass
-
-
-class UnknownCenterError(SncError):
-    pass
-
-
-class UnknownCurveError(SncError):
-    pass
-
-
-class WrongDimensionError(SncError):
-    pass
 
 
 class ResolutionLimitError(SncError):
@@ -98,25 +72,6 @@ class ResolutionLimitError(SncError):
         super().__init__(message)
         self.divisor = divisor
         self.records = records
-
-
-class Stratum(_Checked, NamedTuple("Stratum", [
-        ("id", str), ("subset", tuple[str, ...]), ("parents", dict[str, str])])):
-    """One irreducible component of an intersection of divisor components.
-
-    ``subset`` lists the components being intersected, sorted by their
-    position in the divisor's component list.  ``parents`` maps each
-    dropped component id to the id of the stratum component of the facet
-    intersection that contains this one; it is empty when the subset has
-    exactly two elements (the facets are then the components themselves),
-    and a fresh empty dict when left out.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, id: str, subset: tuple[str, ...],
-                parents: dict[str, str] | None = None) -> Stratum:
-        return tuple.__new__(cls, (id, subset, {} if parents is None else parents))
 
 
 class _StrataTable(NamedTuple):
@@ -139,20 +94,12 @@ class SncDivisor(NamedTuple):
 
     The table names components by position only, so ``components[p]`` is
     the id of position p wherever it is read; ``_replace`` of
-    ``components`` alone relabels the components by position.  ``strata``
-    is built from the table each time it is read.
+    ``components`` alone relabels the components by position.
     """
 
     n: int
     components: tuple[str, ...]
     table: _StrataTable
-
-    @property
-    def strata(self) -> tuple[Stratum, ...]:
-        comps = self.components
-        return tuple([Stratum(sid, tuple([comps[p] for p in pos]),
-                              {comps[p]: pid for p, pid in parents.items()})
-                      for sid, pos, parents in zip(*self.table)])
 
     @classmethod
     def build(cls, n: int, components: Sequence[str],
@@ -162,8 +109,8 @@ class SncDivisor(NamedTuple):
         keying each parent by the position of the component it drops.
 
         Raises ``SncError`` on a subset that names an unknown component or
-        repeats one, and ``ContainmentMismatchError`` on a parent dropping
-        an unknown component: the table has no positions for them.
+        repeats one, or on a parent dropping an unknown component: the
+        table has no positions for them.
         """
         comps = tuple(components)
         order = {c: i for i, c in enumerate(comps)}
@@ -176,8 +123,7 @@ class SncDivisor(NamedTuple):
             if len(set(positions)) != len(positions):
                 raise SncError(f"stratum {sid} repeats a component in its subset")
             if not order.keys() >= parents.keys():
-                raise ContainmentMismatchError(
-                    f"stratum {sid} must name one parent per dropped component")
+                raise SncError(f"stratum {sid} must name one parent per dropped component")
             table.ids.append(sid)
             table.positions.append(positions)
             table.parents.append({order[c]: pid for c, pid in parents.items()})
@@ -246,7 +192,7 @@ def validate_snc(d: SncDivisor) -> DualComplex:
     components = d.components
     order = {c: i for i, c in enumerate(components)}
     if len(order) != len(components):
-        raise DuplicateIdError("duplicate component id")
+        raise SncError("duplicate component id")
     n = d.n
     ids, positions, parents_of = d.table
     by_id = {sid: i for i, sid in enumerate(ids)}
@@ -254,7 +200,7 @@ def validate_snc(d: SncDivisor) -> DualComplex:
         seen: set[str] = set()
         for sid in ids:
             if sid in seen or sid in order:
-                raise DuplicateIdError(f"id {sid!r} used more than once")
+                raise SncError(f"id {sid!r} used more than once")
             seen.add(sid)
     # A valid stratum's depth is at most min(n, #components); the counts
     # are trimmed to the deepest stratum below.
@@ -279,16 +225,14 @@ def validate_snc(d: SncDivisor) -> DualComplex:
         depth = len(pos)
         if depth == 2:
             if parents:
-                raise ContainmentMismatchError(
-                    f"stratum {ids[i]} of depth 2 must not list parents")
+                raise SncError(f"stratum {ids[i]} of depth 2 must not list parents")
             continue
         try:
             ps = [by_id.get(parents[p]) for p in pos]
         except KeyError:
             ps = None
         if ps is None or len(parents) != depth:
-            raise ContainmentMismatchError(
-                f"stratum {ids[i]} must name one parent per dropped component")
+            raise SncError(f"stratum {ids[i]} must name one parent per dropped component")
         # the facets dropping the last, ..., the first component
         if None in ps or [positions[p] for p in reversed(ps)] != list(
                 combinations(pos, depth - 1)):
@@ -314,14 +258,18 @@ def _raise_own_error(sid: str, pos: tuple[int, ...], n: int, size: int) -> NoRet
     outside 2..n or that has a position outside 0..size-1."""
     depth = len(pos)
     if depth < 2:
-        raise DimensionBoundError(
-            f"stratum {sid} intersects {depth} component(s); need at least 2")
+        raise SncError(f"stratum {sid} intersects {depth} component(s); need at least 2")
     if depth > n:
-        raise DimensionBoundError(
-            f"stratum {sid} intersects {depth} components in ambient dimension {n}")
+        raise SncError(f"stratum {sid} intersects {depth} components in ambient dimension {n}")
+    raise _position_error(sid, pos, size)
+
+
+def _position_error(sid: str, pos: tuple[int, ...], size: int) -> SncError:
+    """The error of a stratum on sorted positions ``pos``, one of them
+    outside 0..size-1."""
     p = pos[0] if pos[0] < 0 else pos[-1]
-    raise SncError(f"stratum {sid} lies on component position {p}, but the divisor "
-                   f"has {size} component(s)")
+    return SncError(f"stratum {sid} lies on component position {p}, but the divisor "
+                    f"has {size} component(s)")
 
 
 def _raise_parent_error(sid: str, pos: tuple[int, ...], parents: Mapping[int, str],
@@ -334,11 +282,10 @@ def _raise_parent_error(sid: str, pos: tuple[int, ...], parents: Mapping[int, st
         facet = tuple([q for q in pos if q != drop])
         names = tuple([components[q] for q in facet])
         if facet not in present:
-            raise ClosureViolationError(
-                f"stratum {sid} needs a stratum on {names}, found none")
+            raise SncError(f"stratum {sid} needs a stratum on {names}, found none")
         p = by_id.get(pid)
         if p is None or positions[p] != facet:
-            raise ContainmentMismatchError(
+            raise SncError(
                 f"stratum {sid}: parent {pid!r} for dropped {components[drop]!r} is not "
                 f"a stratum on {names}")
     raise AssertionError(f"stratum {sid} has no wrong parent")
@@ -353,7 +300,7 @@ def _raise_if_drops_differ(sid: str, pos: tuple[int, ...], grand: list[dict[int,
         via_a, via_b = grand[i][pos[j]], grand[j][pos[i]]
         if via_a != via_b:
             a, b = components[pos[i]], components[pos[j]]
-            raise ContainmentMismatchError(
+            raise SncError(
                 f"stratum {sid}: dropping {a!r} then {b!r} gives {via_a!r} "
                 f"but {b!r} then {a!r} gives {via_b!r}")
 
@@ -368,13 +315,19 @@ def find_bad_intersections(d: SncDivisor) -> BadIntersections:
 
     The divisor is simplicial (its dual complex has at most one cell per
     vertex set) exactly when the list is empty.  The subsets are counted
-    by positions in the divisor's strata table, which needs no valid
-    divisor, sorted by size and then by positions, and named by
-    component id.
+    by positions in the divisor's strata table, sorted by size and then by
+    positions, and named by component id.  The divisor need not pass
+    ``validate_snc``, but a position outside ``components`` raises
+    ``SncError``, as the check does.
     """
     comps = d.components
-    bad = [(pos, count) for pos, count in Counter(d.table.positions).items()
-           if count >= 2]
+    size = len(comps)
+    counts = Counter(d.table.positions)
+    for pos in counts:
+        if pos and (pos[0] < 0 or pos[-1] >= size):
+            ids, positions, _ = d.table
+            raise _position_error(ids[positions.index(pos)], pos, size)
+    bad = [(pos, count) for pos, count in counts.items() if count >= 2]
     bad.sort(key=lambda item: (len(item[0]), item[0]))
     named = [(tuple([comps[p] for p in pos]), count) for pos, count in bad]
     return BadIntersections(named, not named)
@@ -525,7 +478,7 @@ class _StrataIndex:
         rows, children, components = self.rows, self.children, self.components
         row = rows.get(center)
         if row is None:
-            raise UnknownCenterError(f"no stratum component with id {center!r}")
+            raise SncError(f"no stratum component with id {center!r}")
         i0 = row[0]
 
         # A stratum whose face on the center's subset is the center has a
@@ -638,11 +591,11 @@ def blowup_point_on_double_curve(d: SncDivisor, curve: str,
     id is taken.
     """
     if d.n != 3:
-        raise WrongDimensionError(f"point blowup needs ambient dimension 3, got {d.n}")
+        raise SncError(f"point blowup needs ambient dimension 3, got {d.n}")
     index = _StrataIndex(d)
     row = index.rows.get(curve)
     if row is None or len(row[0]) != 2:
-        raise UnknownCurveError(f"{curve!r} is not a double-curve stratum component")
+        raise SncError(f"{curve!r} is not a double-curve stratum component")
     pi, pj = row[0]
     i, j = index.components[pi], index.components[pj]
     before = index.bad_total
@@ -666,7 +619,7 @@ def blowup_point_on_double_curve(d: SncDivisor, curve: str,
     return index.divisor(), record
 
 
-def resolve_to_simplicial(d: SncDivisor, max_blowups: int = 10000,
+def resolve_to_simplicial(d: SncDivisor, max_blowups: int = MAX_BLOWUPS,
                           ) -> tuple[SncDivisor, list[BlowupRecord]]:
     """Blow up bad intersections, deepest first, until none remain.
 

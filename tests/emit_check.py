@@ -37,6 +37,7 @@ from helpers import (
     random_divisor,
     report_json,
     simplex_divisor,
+    strata_of,
 )
 from make_goldens import cases
 from snckit import BlowupRecord, SncDivisor, resolve_to_simplicial
@@ -178,11 +179,11 @@ ID_PIECES = [c for c in SPECIAL if not 0xD800 <= ord(c) <= 0xDFFF] + [
 
 def renamed(d: SncDivisor, rng: random.Random) -> SncDivisor:
     """d with every component and stratum id given odd text, kept unique."""
-    ids = list(d.components) + [s.id for s in d.strata]
+    ids = list(d.components) + [s.id for s in strata_of(d)]
     new = {x: f"{rng.choice(ID_PIECES)}|{i}" for i, x in enumerate(ids)}
     return SncDivisor.build(d.n, [new[c] for c in d.components], [
         (new[s.id], [new[c] for c in s.subset], {new[c]: new[p] for c, p in s.parents.items()})
-        for s in d.strata])
+        for s in strata_of(d)])
 
 
 def writer_cases(count: int = 130, seed: int = 16):
@@ -202,7 +203,7 @@ def writer_cases(count: int = 130, seed: int = 16):
         if k % 3 == 0:
             d = renamed(d, rng)
         if k % 4 == 1:
-            strata = list(d.strata)
+            strata = list(strata_of(d))
             rng.shuffle(strata)
             d = divisor_of(d.n, d.components, strata)
         resolved = resolve_to_simplicial(d)[0]

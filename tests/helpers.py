@@ -19,9 +19,11 @@ Small conveniences that
 only tests call (``hom_analyze``, ``cokernel``, ``validate_complex``,
 ``euler_characteristic``, ``kh_top``, the groups ``Z`` and ``ZERO_GROUP``,
 and matrix arithmetic such as ``det``, ``diagonal``, or ``rank`` and
-``verify`` for a Smith form) live here too, as does the dense view of
-sparse boundaries: ``complex_from_matrices`` builds a complex from dense
-matrices and ``boundary_matrix`` reads a boundary back as one.
+``verify`` for a Smith form) live here too, as do the view of a
+divisor's strata with components named by id (``strata_of``, a tuple of
+``Stratum``) and the dense view of sparse boundaries:
+``complex_from_matrices`` builds a complex from dense matrices and
+``boundary_matrix`` reads a boundary back as one.
 """
 from __future__ import annotations
 
@@ -41,7 +43,6 @@ from snckit import (
     PicardLevel,
     SncDivisor,
     SpectralPage,
-    Stratum,
     blowup_point_on_double_curve,
     cohomology,
     find_bad_intersections,
@@ -49,7 +50,7 @@ from snckit import (
 )
 from snckit.abgroup import group_from_presentation, kernel_coordinates, presentation_matrix
 from snckit.intmat import SmithForm, eliminate, smith_normal_form
-from snckit.snc import ResolutionLimitError, UnknownCenterError
+from snckit.snc import MAX_BLOWUPS, ResolutionLimitError, SncError
 
 Z = FgAbGroup(1)
 ZERO_GROUP = FgAbGroup(0)
@@ -384,6 +385,29 @@ def prime_power_chain(orders: list[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# strata named by id
+
+
+class Stratum(NamedTuple):
+    """One stratum of a divisor with its components named by id: ``subset``
+    in component order, ``parents`` keyed by the id of the component each
+    drops."""
+
+    id: str
+    subset: tuple[str, ...]
+    parents: dict[str, str]
+
+
+def strata_of(d: SncDivisor) -> tuple[Stratum, ...]:
+    """The rows of a divisor's strata table, in its order, with every
+    component position read as its id."""
+    comps = d.components
+    return tuple(Stratum(sid, tuple(comps[p] for p in pos),
+                         {comps[p]: pid for p, pid in parents.items()})
+                 for sid, pos, parents in zip(*d.table))
+
+
+# ---------------------------------------------------------------------------
 # document blocks
 
 
@@ -391,7 +415,7 @@ def divisor_json(d: SncDivisor) -> dict:
     """Emit a divisor block that parses back to an equal divisor."""
     index = {c: i for i, c in enumerate(d.components)}
     groups: dict[tuple[str, ...], list[Stratum]] = {}
-    for s in d.strata:
+    for s in strata_of(d):
         groups.setdefault(s.subset, []).append(s)
     out = []
     for _, idx, subset in sorted((len(sub), [index[c] for c in sub], sub) for sub in groups):
@@ -584,13 +608,13 @@ def random_divisor(rng: random.Random, max_components: int = 8) -> SncDivisor:
     for _ in range(2):
         if len(d.components) >= max_components or rng.random() > 0.3:
             break
-        curves = [s for s in d.strata if len(s.subset) == 2]
+        curves = [s for s in strata_of(d) if len(s.subset) == 2]
         if not curves:
             break
         if d.n == 3 and rng.random() < 0.4:
             d, _ = blowup_point_on_double_curve(d, rng.choice(curves).id)
         else:
-            d, _ = scan_blowup(d, rng.choice([s.id for s in d.strata]))
+            d, _ = scan_blowup(d, rng.choice([s.id for s in strata_of(d)]))
         validate_snc(d)
     return d
 
@@ -651,14 +675,14 @@ def scan_blowup(d: SncDivisor, center: str) -> tuple[SncDivisor, BlowupRecord]:
     and no stratum left after removing the star uses, and the bad decrement
     is a recount before and after.
     """
-    by_id = {s.id: s for s in d.strata}
+    by_id = {s.id: s for s in strata_of(d)}
     if center not in by_id:
-        raise UnknownCenterError(f"no stratum component with id {center!r}")
+        raise SncError(f"no stratum component with id {center!r}")
     s0 = by_id[center]
     i0 = frozenset(s0.subset)
     order = {c: i for i, c in enumerate(d.components)}
 
-    star = [s for s in d.strata
+    star = [s for s in strata_of(d)
             if i0 <= frozenset(s.subset)
             and _scan_face_cell(by_id, s, s0.subset) == center]
 
@@ -676,7 +700,7 @@ def scan_blowup(d: SncDivisor, center: str) -> tuple[SncDivisor, BlowupRecord]:
         len(e[2]), tuple(order[c] for c in e[2]), e[3], e[0].id))
 
     removed_ids = {t.id for t in star}
-    kept = [s for s in d.strata if s.id not in removed_ids]
+    kept = [s for s in strata_of(d) if s.id not in removed_ids]
     taken = set(d.components) | {s.id for s in kept}
     k = 1
     while f"exc{k}" in taken:
@@ -709,14 +733,14 @@ def scan_blowup(d: SncDivisor, center: str) -> tuple[SncDivisor, BlowupRecord]:
     record = BlowupRecord(
         center=center,
         new_component=new_comp,
-        removed=tuple(s.id for s in d.strata if s.id in removed_ids),
+        removed=tuple(s.id for s in strata_of(d) if s.id in removed_ids),
         added=tuple(s.id for s in added),
         bad_decrement=_bad_component_count(d) - _bad_component_count(result),
     )
     return result, record
 
 
-def scan_resolve(d: SncDivisor, max_blowups: int = 10000,
+def scan_resolve(d: SncDivisor, max_blowups: int = MAX_BLOWUPS,
                  ) -> tuple[SncDivisor, list[BlowupRecord]]:
     """The resolve loop with a full ``find_bad_intersections`` every step."""
     records: list[BlowupRecord] = []
@@ -733,7 +757,7 @@ def scan_resolve(d: SncDivisor, max_blowups: int = 10000,
         deepest = max(len(subset) for subset, _ in bad)
         subset = min((s for s, _ in bad if len(s) == deepest),
                       key=lambda s: tuple(order[c] for c in s))
-        target = min(s.id for s in current.strata if s.subset == subset)
+        target = min(s.id for s in strata_of(current) if s.subset == subset)
         current, rec = scan_blowup(current, target)
         records.append(rec)
 
@@ -746,7 +770,7 @@ def brute_force_bad(d: SncDivisor) -> tuple[dict[frozenset[str], int], bool]:
     """Count duplicate vertex sets among the cells of the dual complex."""
     validate_snc(d)
     seen: dict[frozenset[str], int] = {}
-    for s in d.strata:
+    for s in strata_of(d):
         key = frozenset(s.subset)
         seen[key] = seen.get(key, 0) + 1
     dup = {k: v for k, v in seen.items() if v >= 2}
@@ -785,12 +809,12 @@ def alt_chain_complex(d: SncDivisor) -> ChainComplex:
     """
     if not d.components:
         return ChainComplex((), ())
-    max_depth = max((len(s.subset) for s in d.strata), default=1)
+    max_depth = max((len(s.subset) for s in strata_of(d)), default=1)
     layer_ids: list[list[str]] = [list(d.components)]
     for depth in range(2, max_depth + 1):
-        layer_ids.append([s.id for s in d.strata if len(s.subset) == depth])
+        layer_ids.append([s.id for s in strata_of(d) if len(s.subset) == depth])
     ranks = tuple(len(layer) for layer in layer_ids)
-    by_id = {s.id: s for s in d.strata}
+    by_id = {s.id: s for s in strata_of(d)}
     boundaries = []
     for p in range(1, len(layer_ids)):
         pos = {cid: i for i, cid in enumerate(layer_ids[p - 1])}

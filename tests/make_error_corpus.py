@@ -369,7 +369,7 @@ def _random_fault_documents() -> list[tuple[str, dict]]:
     Most faults keep the document acceptable to the parser (parent keys in
     the subset, parent values declared ids), so the first error comes from
     ``validate_snc``, but not all: a "duplicate" fault that renames an id
-    some parent names fails in the parser with ``UnknownIdError``, and
+    some parent names fails in the parser with a ``SchemaError``, and
     faults that undo each other or change nothing leave a valid divisor.
     Of the 64 documents, 36 fail in ``validate_snc``, 11 in the parser and
     17 are valid.

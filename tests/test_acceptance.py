@@ -22,6 +22,7 @@ from helpers import (
     one_row_page,
     random_divisor,
     random_matrix,
+    strata_of,
     triangle_cycle,
     triangle_picard,
 )
@@ -166,12 +167,12 @@ def test_criterion_6_point_blowup_intersection_table_replay():
     validate_snc(after)
     new = record.new_component
 
-    pairs = {s.subset for s in after.strata if len(s.subset) == 2}
+    pairs = {s.subset for s in strata_of(after) if len(s.subset) == 2}
     assert {("E1", f"E{i}") for i in range(2, m + 1)} <= pairs
     assert ("E1", new) in pairs and ("E2", new) in pairs
     # every other pairwise intersection with the new wall is empty
     assert all((f"E{i}", new) not in pairs for i in range(3, m + 1))
-    assert [s.subset for s in after.strata if len(s.subset) == 3] \
+    assert [s.subset for s in strata_of(after) if len(s.subset) == 3] \
         == [("E1", "E2", new)]
     assert cohomology_profile(after, 3) == before
 

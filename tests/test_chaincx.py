@@ -28,6 +28,7 @@ from helpers import (
     rp2_divisor,
     scale,
     simplex_divisor,
+    strata_of,
     validate_complex,
 )
 from snckit import (
@@ -265,7 +266,7 @@ def tensor(c: ChainComplex, e: ChainComplex) -> ChainComplex:
 
 
 def shuffled_divisor(d: SncDivisor, rng: random.Random) -> SncDivisor:
-    strata = list(d.strata)
+    strata = list(strata_of(d))
     rng.shuffle(strata)
     return divisor_of(d.n, d.components, strata)
 
@@ -295,7 +296,7 @@ def test_dual_complexes_compose_to_zero():
 def api_and_shuffled(d: SncDivisor, rng: random.Random) -> tuple[SncDivisor, SncDivisor]:
     """The divisor built through the API from its strata, and again with
     its strata shuffled."""
-    strata = list(d.strata)
+    strata = list(strata_of(d))
     api = divisor_of(d.n, d.components, strata)
     rng.shuffle(strata)
     return api, divisor_of(d.n, d.components, strata)
@@ -308,7 +309,7 @@ def test_validate_snc_returns_the_dual_complex_of_its_checked_rows():
             dc = validate_snc(dd)
             assert type(dc) is DualComplex and dc == validate_snc(dd)
             ranks = dc.ranks()
-            depths = Counter(len(s.subset) for s in dd.strata)
+            depths = Counter(len(s.subset) for s in strata_of(dd))
             assert ranks == (len(dd.components),
                              *[depths[k] for k in range(2, len(ranks) + 1)])
             assert depths.total() == sum(ranks[1:])

@@ -23,6 +23,7 @@ from helpers import (
     parallel_edges,
     random_divisor,
     random_picard_document,
+    strata_of,
     triangle_cycle,
 )
 from make_error_corpus import CORPUS, document_text, run_text
@@ -42,16 +43,12 @@ from snckit.cli import (
     InputDocument,
     MissingBlockError,
     SchemaError,
-    UnknownIdError,
-    VersionError,
     document_json,
     main,
     parse_document,
     parse_input,
     run,
 )
-from snckit.khasm import ComplexViolationError, LevelMismatchError
-from snckit.nk import MissingEntryError, NonIsolatedError
 from snckit.snc import SncError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -96,7 +93,7 @@ def test_parse_sphere_fixture():
     doc = parse_input(str(SPHERE4))
     assert doc.divisor.n == 4
     assert len(doc.divisor.components) == 5
-    assert len(doc.divisor.strata) == 25
+    assert len(strata_of(doc.divisor)) == 25
     assert doc.picard is not None and len(doc.picard.levels) == 3
 
 
@@ -131,7 +128,8 @@ def test_rejects_unknown_and_missing_keys():
     with pytest.raises(SchemaError) as err:
         parse_document({"version": "1"})
     assert err.value.path == "document"
-    with pytest.raises(VersionError):
+    with pytest.raises(ValueError, match=r"^unsupported document version '2'; this build "
+                                          r"reads version 1$"):
         parse_document({"version": "2",
                         "divisor": {"n": 3, "components": ["A"]}})
 
@@ -139,7 +137,8 @@ def test_rejects_unknown_and_missing_keys():
 def test_rejects_bad_divisor_blocks():
     base = load(PARALLEL)
     base["divisor"]["strata"][0]["subset"] = [0, 9]
-    with pytest.raises(UnknownIdError) as err:
+    with pytest.raises(SchemaError, match=r"^divisor\.strata\[0\]\.subset\[1\]: component "
+                                           r"index 9 out of range$") as err:
         parse_document(base)
     assert err.value.path == "divisor.strata[0].subset[1]"
 
@@ -171,9 +170,9 @@ def test_rejects_bad_parent_references():
 
     base = load(TRIANGLE)
     base["divisor"]["strata"][0]["components"][0]["parents"] = {"0": "ghost"}
-    with pytest.raises(UnknownIdError) as err:
+    with pytest.raises(SchemaError, match=r"^divisor\.strata: stratum 'c12' names unknown "
+                                           r"parent 'ghost' for dropped component 'E1'$"):
         parse_document(base)
-    assert "unknown parent 'ghost'" in str(err.value)
 
 
 @pytest.mark.parametrize("key", [" 0", "+1", "0_2", "01", "-0", "1 ", "\u0660"])
@@ -214,7 +213,7 @@ def test_a_missing_key_error_does_not_depend_on_string_hashing(tmp_path, doc, me
 def test_fixtures_and_resolved_divisors_parse_back():
     def same(a, b):
         return (a.n, a.components) == (b.n, b.components) and (
-            {s.id: s for s in a.strata} == {s.id: s for s in b.strata})
+            {s.id: s for s in strata_of(a)} == {s.id: s for s in strata_of(b)})
 
     with_ker_beta = load(SPHERE4)
     with_ker_beta["picard"]["ker_beta"] = {"free_rank": 1, "torsion": [3]}
@@ -412,7 +411,7 @@ def test_cohomology_work_is_bounded_by_the_divisor_not_by_n(capsys, tmp_path, n)
 def test_every_command_takes_time_flat_in_n(capsys, tmp_path, command):
     # sphere4.json with n raised 1000x, its Picard levels and Du Bois entry
     # moved to match: the divisor is the same, so the work must be too.
-    def best_seconds(factor: int) -> float:
+    def argv(factor: int) -> list[str]:
         data = load(SPHERE4)
         shift = data["divisor"]["n"] * (factor - 1)
         data["divisor"]["n"] += shift
@@ -420,18 +419,24 @@ def test_every_command_takes_time_flat_in_n(capsys, tmp_path, command):
             level["p"] += shift
         for entry in data["dubois"]["entries"]:
             entry["q"] += shift
-        argv = ["--input", write_doc(tmp_path, data), "--command", command,
+        return ["--input", write_doc(tmp_path, data, f"n{factor}.json"), "--command", command,
                 "--emit", "both"]
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            assert main(argv) == 0
-            best = min(best, time.perf_counter() - start)
-            capsys.readouterr()
-        return best
 
-    base = best_seconds(1)
-    assert best_seconds(1000) <= 4 * base + 0.01
+    def seconds(args: list[str]) -> float:
+        start = time.process_time()
+        assert main(args) == 0
+        took = time.process_time() - start
+        capsys.readouterr()
+        return took
+
+    # CPU time, the two runs interleaved, so that load on the host weighs
+    # on both alike
+    small, large = argv(1), argv(1000)
+    base = wide = float("inf")
+    for _ in range(3):
+        base = min(base, seconds(small))
+        wide = min(wide, seconds(large))
+    assert wide <= 4 * base + 0.01, (wide, base)
 
 
 def test_k_report_text_and_machine():
@@ -600,12 +605,8 @@ def test_a_missing_block_is_reported_before_the_divisor_is_checked(capsys, tmp_p
 
 @pytest.mark.parametrize("error, code", [
     (SchemaError("divisor", "bad"), 1),
-    (VersionError("bad"), 1),
     (SncError("bad"), 1),
-    (ComplexViolationError("bad"), 1),
-    (LevelMismatchError("bad"), 1),
-    (MissingEntryError("bad"), 1),
-    (NonIsolatedError("bad"), 1),
+    (ValueError("bad"), 1),
     (MissingBlockError("picard", "kh-report"), 2),
 ], ids=lambda x: type(x).__name__ if isinstance(x, Exception) else None)
 def test_input_errors_exit_one_and_a_missing_block_exits_two(
@@ -1092,7 +1093,7 @@ def generated_documents(draw):
         m = rng.randrange(3, 7)
         d = parallel_curve_divisor(rng, m, rng.randrange(0, m * (m - 1) // 2))
     block = divisor_json(d)
-    block["n"] = draw(st.integers(max([2] + [len(s.subset) for s in d.strata]), 5))
+    block["n"] = draw(st.integers(max([2] + [len(s.subset) for s in strata_of(d)]), 5))
     rng.shuffle(block["strata"])
     for group in block["strata"]:
         rng.shuffle(group["components"])

@@ -32,6 +32,7 @@ from helpers import (
     divisor_json,
     divisor_of,
     parallel_curve_divisor,
+    strata_of,
     with_source_torsion,
 )
 from make_goldens import BRANCH_DOCUMENTS, DENSE_RANKS, cases
@@ -130,7 +131,7 @@ def test_divisor_writer_prints_what_the_stdlib_prints_of_divisor_json():
         block = json.loads(_divisor_text(d, "\n"))
         # the block parses back to d, strata in printed (depth, positions) order
         index = {c: i for i, c in enumerate(d.components)}
-        printed = sorted(d.strata, key=lambda s: (len(s.subset), [index[c] for c in s.subset]))
+        printed = sorted(strata_of(d), key=lambda s: (len(s.subset), [index[c] for c in s.subset]))
         back = parse_document({"version": "1", "divisor": block}).divisor
         assert back == divisor_of(d.n, d.components, printed)
         count += 1

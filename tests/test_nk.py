@@ -3,7 +3,6 @@ import pytest
 
 from helpers import Z, sphere4, triangle_cycle, triangle_picard, zero_picard
 from snckit import DuBoisTable, k_report, kh_report
-from snckit.nk import MissingEntryError, NonIsolatedError
 
 
 def test_table_lookup_and_validation():
@@ -31,15 +30,16 @@ def test_descriptor_examples():
 
 
 def test_descriptor_requires_the_bottom_row_entry():
-    with pytest.raises(MissingEntryError):
+    with pytest.raises(ValueError, match=r"^Du Bois table has no entry \(0, 2\)$"):
         k_report(triangle_kh(), DuBoisTable({(1, 2): 5}))
-    with pytest.raises(MissingEntryError):
+    with pytest.raises(ValueError, match=r"^Du Bois table has no entry \(0, 3\)$"):
         # right invariant, wrong dimension
         k_report(sphere4_kh(), DuBoisTable({(0, 2): 5}))
 
 
 def test_descriptor_refuses_non_isolated_points():
-    with pytest.raises(NonIsolatedError):
+    with pytest.raises(ValueError, match="^NK in degree 1-n is only computed for isolated "
+                                         "singular points$"):
         k_report(triangle_kh(), DuBoisTable({(0, 2): 1}, isolated=False))
 
 
@@ -63,7 +63,8 @@ def test_k_report_collapses_when_the_invariant_vanishes():
 
 def test_k_report_propagates_table_errors():
     kh = triangle_kh()
-    with pytest.raises(MissingEntryError):
+    with pytest.raises(ValueError, match=r"^Du Bois table has no entry \(0, 2\)$"):
         k_report(kh, DuBoisTable({(0, 1): 1}))
-    with pytest.raises(NonIsolatedError):
+    with pytest.raises(ValueError, match="^NK in degree 1-n is only computed for isolated "
+                                         "singular points$"):
         k_report(kh, DuBoisTable({(0, 2): 1}, isolated=False))

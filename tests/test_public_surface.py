@@ -2,11 +2,13 @@
 
 An AST scan collects each public top-level function, class and constant
 of every module but ``__init__``, and each public method of its classes.
-A name counts as used when some module of the package (again not
-``__init__``, whose re-exports would mark everything used) loads it as a
-``Name``, reads it as an ``Attribute`` or imports it.  A helper that only
-tests call must not come back, so the unused names must be exactly the
-allowlist below, each with the reason it stays.
+A top-level name counts as used when some module of the package (again
+not ``__init__``, whose re-exports would mark everything used) loads it as
+a ``Name``, reads it as an ``Attribute`` or imports it; a method counts as
+used only when some module reads it as an ``Attribute``, so a local
+variable of the same name does not hide it.  A helper that only tests call
+must not come back, so the unused names must be exactly the allowlist
+below, each with the reason it stays.
 
 Uses are matched by the bare name, so a name that collides with another
 identifier (``free``, ``rank`` or ``get``, say) always looks used: the scan
@@ -62,33 +64,49 @@ def public_names(tree: ast.Module) -> dict[str, str]:
     return out
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    """The bare names one module loads, reads as attributes or imports."""
-    out: set[str] = set()
+def used_names(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The bare names one module loads, reads as attributes or imports,
+    and those it reads as attributes."""
+    names: set[str] = set()
+    attrs: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.alias):
-            out.add(node.name.rsplit(".", 1)[-1])
-    return out
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names | attrs, attrs
 
 
-def unused_public_names() -> set[str]:
-    """Public names of the package that no module of it uses."""
-    trees = _modules()
+def unused_public_names(trees: list[ast.Module] | None = None) -> set[str]:
+    """Public names of the package, or of ``trees``, that no module uses."""
+    trees = _modules() if trees is None else trees
     defined: dict[str, str] = {}
     used: set[str] = set()
+    read: set[str] = set()
     for tree in trees:
         defined.update(public_names(tree))
-        used |= used_names(tree)
-    return {qual for qual, bare in defined.items() if bare not in used}
+        names, attrs = used_names(tree)
+        used |= names
+        read |= attrs
+    return {qual for qual, bare in defined.items()
+            if bare not in (read if "." in qual else used)}
 
 
 def test_only_allowlisted_public_names_go_unused_in_src():
     assert all(reason.strip() for reason in ALLOWED_UNUSED.values())
     assert unused_public_names() == set(ALLOWED_UNUSED)
+
+
+def test_a_method_is_used_only_where_it_is_read_as_an_attribute():
+    defining = ast.parse("class Table:\n"
+                         "    def rows(self): pass\n"
+                         "    def cols(self): pass\n")
+    reading = ast.parse("def _count():\n"
+                        "    rows = Table()\n"
+                        "    return len(rows.cols())\n")
+    assert unused_public_names([defining, reading]) == {"Table.rows"}
 
 
 if __name__ == "__main__":

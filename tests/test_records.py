@@ -19,7 +19,6 @@ from snckit import (
     PicardInput,
     PicardLevel,
     SpectralPage,
-    Stratum,
     cohomology,
 )
 from snckit.intmat import smith_normal_form
@@ -86,8 +85,6 @@ def test_a_chain_complex_keeps_its_sweeps_out_of_the_value():
 
 
 def test_dict_defaults_are_fresh():
-    a, b = Stratum("s", ("A", "B")), Stratum("t", ("A", "B"))
-    assert a.parents == b.parents == {} and a.parents is not b.parents
     p, q = SpectralPage(1), SpectralPage(1)
     assert p == q and p.support == frozenset()
     assert p.entries is not q.entries and p.differentials is not q.differentials

@@ -1,5 +1,5 @@
 """The position-indexed strata table: the parser's reads, ``build``, the
-one checker, and the strata that only reading code builds."""
+one checker, and the readers that need no valid divisor."""
 import contextlib
 import io
 import json
@@ -12,27 +12,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    Stratum,
     alt_chain_complex,
     divisor_json,
     divisor_of,
     full_simplex,
     parallel_curve_divisor,
+    parallel_edges,
     random_divisor,
     simplex_divisor,
+    strata_of,
     triangle_cycle,
 )
 from make_error_corpus import CORPUS, _random_fault_documents
 from snckit import (
     ChainComplex,
     SncDivisor,
-    Stratum,
     blowup_point_on_double_curve,
     blowup_stratum_component,
     find_bad_intersections,
     resolve_to_simplicial,
 )
-from snckit.cli import (InputDocument, SchemaError, UnknownIdError, _divisor_text, _json_text,
-                        main, parse_document, run)
+from snckit.cli import (InputDocument, SchemaError, _divisor_text, _json_text, main,
+                        parse_document, run)
 from snckit.snc import SncError, _StrataIndex, _StrataTable, validate_snc
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -53,10 +55,10 @@ def skeleton(rng: random.Random, n: int, m: int, copies: int) -> SncDivisor:
     """The full (n-1)-skeleton of the (m-1)-simplex with ``copies`` parallel
     copies of random top cells."""
     d = simplex_divisor(n, [f"E{i}" for i in range(m)], n)
-    tops = [s for s in d.strata if len(s.subset) == n]
+    tops = [s for s in strata_of(d) if len(s.subset) == n]
     extra = tuple(Stratum(f"{s.id}~{k}", s.subset, dict(s.parents))
                   for k, s in enumerate(rng.choices(tops, k=copies)))
-    return divisor_of(d.n, d.components, d.strata + extra)
+    return divisor_of(d.n, d.components, strata_of(d) + extra)
 
 
 def shuffled(block: dict, rng: random.Random) -> dict:
@@ -94,7 +96,7 @@ def test_the_parser_reads_what_build_reads_and_every_route_gives_one_complex():
     for block in blocks:
         read = parse_document({"version": "1", "divisor": block}).divisor
         cx = validate_snc(read).chain_complex()
-        api = divisor_of(read.n, read.components, read.strata)
+        api = divisor_of(read.n, read.components, strata_of(read))
         assert validate_snc(api).chain_complex() == cx == alt_chain_complex(read)
         assert_carries_its_table(api)
         assert validate_snc(read) == validate_snc(api)
@@ -120,7 +122,7 @@ def test_the_table_and_the_api_strata_fail_with_the_same_first_error():
         except SchemaError:     # a renamed id left a parent unknown
             continue
         error = _first_error(read)
-        assert _first_error(divisor_of(read.n, read.components, read.strata)) == error
+        assert _first_error(divisor_of(read.n, read.components, strata_of(read))) == error
         errors.append(error)
     # a random fault may undo another; the rest raise
     assert len([e for e in errors if e is not None]) > 80
@@ -133,7 +135,8 @@ def test_the_random_fault_cases_fail_in_the_checker_the_parser_or_not_at_all():
         if case["name"].startswith("snc-random-"):
             try:
                 where.append(_first_error(parse_document(case["document"]).divisor))
-            except UnknownIdError:
+            except SchemaError as e:    # only a parent id no stratum has
+                assert e.path == "divisor.strata" and " names unknown parent " in str(e)
                 where.append("parser")
     assert len(where) == 64
     assert where.count("parser") == 11
@@ -149,7 +152,7 @@ def test_a_read_divisor_keeps_the_named_tuple_api():
     assert read == api and repr(read) == repr(api)
     moved = read._replace(n=5)
     assert type(moved) is SncDivisor
-    assert (moved.n, moved.components, moved.strata) == (5, api.components, api.strata)
+    assert (moved.n, moved.components, strata_of(moved)) == (5, api.components, strata_of(api))
     for name in ("n", "strata", "other"):
         with pytest.raises(AttributeError):
             setattr(read, name, ())
@@ -164,18 +167,6 @@ def test_a_dual_complex_gives_the_checked_chain_complex_of_its_cells():
     assert ranks == (5, 10, 10, 5)
     explicit = ChainComplex(ranks, dc.chain_complex().boundaries)
     assert explicit == dc.chain_complex()
-
-
-@pytest.fixture
-def built(monkeypatch) -> list[str]:
-    """The names of the classes whose ``__new__`` ran, of Stratum."""
-    names: list[str] = []
-
-    def counting(cls, *args, _new=Stratum.__new__, **kwargs):
-        names.append(cls.__name__)
-        return _new(cls, *args, **kwargs)
-    monkeypatch.setattr(Stratum, "__new__", counting)
-    return names
 
 
 @pytest.fixture
@@ -196,11 +187,9 @@ def _run(path: Path, command: str) -> int:
 
 @pytest.mark.parametrize("command", ["kh-report", "k-report", "cohomology", "validate",
                                      "check-simplicial", "resolve", "dual-complex"])
-def test_the_report_paths_build_no_stratum_and_no_dual_cell(skeleton_path, built, command):
-    assert built == []
+def test_every_report_path_runs_on_a_doubled_top_cell(skeleton_path, command):
     for path in (SPHERE4, skeleton_path):
         assert _run(path, command) == 0
-    assert built == []
 
 
 def test_the_index_adds_each_stratum_once_in_table_order(monkeypatch):
@@ -222,31 +211,17 @@ def test_the_index_adds_each_stratum_once_in_table_order(monkeypatch):
         assert added == d.table.ids and added
 
 
-def test_the_public_blowups_of_a_read_divisor_build_no_stratum(built):
-    block = divisor_json(parallel_curve_divisor(random.Random(5), 5, 4))
-    read = parse_document({"version": "1", "divisor": block}).divisor
-    built.clear()
-    table = read.table
-    curve = next(sid for sid, pos in zip(table.ids, table.positions) if len(pos) == 2)
-    top = next(sid for sid, pos in zip(table.ids, table.positions) if len(pos) == 3)
-    blown, _ = blowup_stratum_component(read, top)
-    blowup_stratum_component(blown, curve)
-    pointed, _ = blowup_point_on_double_curve(read, curve)
-    resolve_to_simplicial(pointed)
-    assert built == []
-
-
 def assert_carries_its_table(d: SncDivisor) -> None:
     """d's ``_StrataTable`` names components by sorted, distinct positions
     below ``len(d.components)``, keys each row's parents by positions of
-    that row, and maps through ``d.components`` to d.strata in order."""
+    that row, and maps through ``d.components`` to ``strata_of(d)`` in order."""
     table = d.table
     comps = d.components
     assert type(table) is _StrataTable
     for pos, parents in zip(table.positions, table.parents):
         assert list(pos) == sorted(set(pos)) and all(0 <= p < len(comps) for p in pos)
         assert set(parents) <= set(pos)
-    assert [(s.id, s.subset, s.parents) for s in d.strata] == [
+    assert [(s.id, s.subset, s.parents) for s in strata_of(d)] == [
         (sid, tuple([comps[p] for p in pos]), {comps[p]: pid for p, pid in parents.items()})
         for sid, pos, parents in zip(*table)]
 
@@ -258,7 +233,7 @@ def test_the_blowups_and_the_resolution_return_divisors_carrying_a_table():
                  for _ in range(60)]
     pointed = []
     for d in divisors:
-        curves = [s.id for s in d.strata if len(s.subset) == 2]
+        curves = [s.id for s in strata_of(d) if len(s.subset) == 2]
         if d.n == 3 and curves:
             after, _ = blowup_point_on_double_curve(d, rng.choice(curves))
             assert_carries_its_table(after)
@@ -268,8 +243,8 @@ def test_the_blowups_and_the_resolution_return_divisors_carrying_a_table():
     for d in divisors:
         resolved, _ = resolve_to_simplicial(d)
         assert_carries_its_table(resolved)
-        if d.strata:
-            after, _ = blowup_stratum_component(d, rng.choice(d.strata).id)
+        if strata_of(d):
+            after, _ = blowup_stratum_component(d, rng.choice(strata_of(d)).id)
             assert_carries_its_table(after)
 
 
@@ -293,7 +268,7 @@ def strata_triples(draw) -> tuple[int, tuple[str, ...], list[tuple], list[tuple]
     else:
         m = rng.randrange(3, 7)
         d = parallel_curve_divisor(rng, m, rng.randrange(0, m * (m - 1) // 2))
-    strata = list(d.strata)
+    strata = list(strata_of(d))
     if draw(st.booleans()):
         rng.shuffle(strata)
     return (d.n, d.components,
@@ -306,10 +281,10 @@ def strata_triples(draw) -> tuple[int, tuple[str, ...], list[tuple], list[tuple]
 def test_build_table_strata_build_gives_an_equal_divisor(drawn):
     n, components, triples, kept = drawn
     d = SncDivisor.build(n, components, triples)
-    assert [(s.id, s.subset, s.parents) for s in d.strata] == kept
+    assert [(s.id, s.subset, s.parents) for s in strata_of(d)] == kept
     assert_carries_its_table(d)
     assert SncDivisor(d.n, d.components, d.table) == d
-    again = divisor_of(d.n, d.components, d.strata)
+    again = divisor_of(d.n, d.components, strata_of(d))
     assert again == d and again.table is not d.table
 
 
@@ -324,7 +299,7 @@ def assert_relabelled_consistently(d: SncDivisor, order: list[int]) -> None:
     validate_snc(relabelled)
     on = {sid: tuple([comps[p] for p in pos])
           for sid, pos in zip(relabelled.table.ids, relabelled.table.positions)}
-    strata = {s.id: s for s in relabelled.strata}
+    strata = {s.id: s for s in strata_of(relabelled)}
     assert {sid: s.subset for sid, s in strata.items()} == on
     counts = Counter(on.values())
     assert dict(find_bad_intersections(relabelled).bad) == {
@@ -340,7 +315,7 @@ def assert_relabelled_consistently(d: SncDivisor, order: list[int]) -> None:
             assert {comps[int(k)]: pid for k, pid in member["parents"].items()} == s.parents
     back = parse_document({"version": "1", "divisor": block}).divisor
     assert (back.n, back.components) == (relabelled.n, comps)
-    assert {s.id: s for s in back.strata} == strata
+    assert {s.id: s for s in strata_of(back)} == strata
 
 
 def test_replacing_the_components_of_a_divisor_relabels_them_by_position():
@@ -348,7 +323,7 @@ def test_replacing_the_components_of_a_divisor_relabels_them_by_position():
     assert_relabelled_consistently(d, [2, 1, 0])
     reversed_ = d._replace(components=d.components[::-1])
     # c12 lies on positions 0 and 1, which now name E3 and E2
-    assert {s.id: s.subset for s in reversed_.strata}["c12"] == ("E3", "E2")
+    assert {s.id: s.subset for s in strata_of(reversed_)}["c12"] == ("E3", "E2")
     block = json.loads(_divisor_text(reversed_, "\n"))
     assert parse_document({"version": "1", "divisor": block}).divisor == reversed_
 
@@ -373,6 +348,23 @@ def test_components_fewer_than_the_table_positions_raise_snc_error():
     deep = SncDivisor(2, ("A", "B"), _StrataTable(["c"], [(0, 1, 2)], [{}]))
     with pytest.raises(SncError, match="intersects 3 components in ambient dimension 2"):
         validate_snc(deep)
+
+
+def test_find_bad_intersections_raises_snc_error_on_positions_past_the_components():
+    # It raised IndexError naming the bad subset (0, 1) with one component.
+    with pytest.raises(SncError, match=r"^stratum ca lies on component position 1, "
+                                       r"but the divisor has 1 component\(s\)$"):
+        find_bad_intersections(parallel_edges()._replace(components=("1",)))
+    # a position out of range on a subset carrying one stratum raises too
+    with pytest.raises(SncError, match=r"^stratum c13 lies on component position 2, "
+                                       r"but the divisor has 2 component\(s\)$"):
+        find_bad_intersections(triangle_cycle()._replace(components=("A", "B")))
+    negative = SncDivisor(3, ("A", "B"), _StrataTable(["c", "d"], [(0, 1), (-1, 0)], [{}, {}]))
+    with pytest.raises(SncError, match="^stratum d lies on component position -1,"):
+        find_bad_intersections(negative)
+    # an invalid divisor whose positions are in range is still counted
+    shallow = SncDivisor(3, ("A", "B"), _StrataTable(["a", "b"], [(0,), (0,)], [{}, {}]))
+    assert find_bad_intersections(shallow) == ([(("A",), 2)], False)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
