@@ -619,6 +619,41 @@ def test_input_errors_exit_one_and_a_missing_block_exits_two(
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+def _set(keys: tuple, value: object):
+    def edit(data: dict) -> None:
+        *head, last = keys
+        for key in head:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+def _drop_level_zero(data: dict) -> None:
+    del data["picard"]["levels"][0], data["picard"]["ns_maps"][0]
+
+
+def _compose_to_nonzero(data: dict) -> None:
+    first, second = data["picard"]["ns_maps"]
+    first[0][0] = second[0][0] = 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set(("version",), "2"),
+     "unsupported document version '2'; this build reads version 1"),
+    (_drop_level_zero, "picard: expected levels [0, 1, 2], got [1, 2]"),
+    (_compose_to_nonzero, "picard: NS maps do not compose to zero between levels 0 and 2"),
+    (_set(("dubois", "entries", 0, "q"), 2), "Du Bois table has no entry (0, 3)"),
+    (_set(("dubois", "isolated"), False),
+     "NK in degree 1-n is only computed for isolated singular points"),
+], ids=["version", "levels", "maps-compose", "missing-entry", "non-isolated"])
+def test_each_value_error_of_a_real_document_exits_one(capsys, tmp_path, edit, message):
+    data = load(SPHERE4)
+    edit(data)
+    path = write_doc(tmp_path, data)
+    assert main(["--input", path, "--command", "k-report"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_exit_one_on_deeply_nested_json(capsys, tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
