@@ -48,15 +48,17 @@ class FgAbGroup(_Checked, NamedTuple("FgAbGroup", [
         ("free_rank", int), ("torsion", tuple[int, ...])])):
     """A finitely generated abelian group Z^r ⊕ Z/t_1 ⊕ ... ⊕ Z/t_k.
 
-    The torsion orders satisfy t_i ≥ 2 and t_i | t_{i+1}, which makes the
-    representation unique: two values compare equal exactly when the groups
-    are isomorphic.
+    The torsion orders, a tuple, satisfy t_i ≥ 2 and t_i | t_{i+1}, which
+    makes the representation unique: two values compare equal exactly when
+    the groups are isomorphic.
     """
 
     __slots__ = ()
 
     def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()) -> FgAbGroup:
         self = tuple.__new__(cls, (free_rank, torsion))
+        if type(self.torsion) is not tuple:
+            raise ValueError(f"torsion orders must be a tuple, got {self.torsion!r}")
         if not all(type(x) is int for x in (self.free_rank, *self.torsion)):
             raise ValueError("free rank and torsion orders must be ints, got "
                              f"{self.free_rank!r} and {self.torsion!r}")
@@ -101,10 +103,10 @@ def presentation_matrix(g: FgAbGroup) -> IntMatrix:
     get no relations.
     """
     k = len(g.torsion)
-    rows = [[0] * k for _ in range(g.ngens)]
-    for i, t in enumerate(g.torsion):
-        rows[g.free_rank + i][i] = t
-    return IntMatrix(rows, ncols=k)
+    zeros = (0,) * k
+    rows = (zeros,) * g.free_rank + tuple(
+        zeros[:i] + (t,) + zeros[i + 1:] for i, t in enumerate(g.torsion))
+    return IntMatrix._of(rows, k)
 
 
 def group_from_presentation(relations: IntMatrix, generators: int) -> FgAbGroup:
@@ -190,28 +192,29 @@ def kernel_coordinates(outgoing: Hom, incoming: IntMatrix
     the target}.  The lattice is spanned by K, the source rows of the free
     columns of V from one elimination of [matrix | target relations] that
     tracks V alone; its diagonal presents the cokernel, the target modulo
-    the image.  A second elimination, of K and tracking U alone, gives
-    U*K*V' = D of rank r.  K spans what the first r columns of U^{-1} D
-    span, and those are independent: they are the basis.  Solving
-    B = U^{-1} D_r X needs U and the r invariant factors alone, so neither
-    V' nor the basis, whose entries are large, is ever built.  The solve
-    works column by column, so the columns of the source relations are the
-    relations of the kernel on that basis.
+    the image.  A second elimination, of K, gives U*K*V' = D of rank r.  K
+    spans what the first r columns of U^{-1} D span, and those are
+    independent: they are the basis.  Solving B = U^{-1} D_r X needs U*B
+    and the r invariant factors alone, and the elimination carries the
+    rows of B in U's slot, so each of its row moves lands on B: neither U,
+    nor V', nor the basis, whose entries are large, is ever built.  The
+    solve works column by column, so the columns of the source relations
+    are the relations of the kernel on that basis.
     """
     stacked = outgoing.matrix.hstack(presentation_matrix(outgoing.target))
     diag, _, v, _ = eliminate(stacked, v=True)
     coker = _canonical_rows(diag, outgoing.target.ngens)[0]
     free = [j for j in range(stacked.ncols) if j >= len(diag) or diag[j] == 0]
     kernel = v.take_rows(range(outgoing.source.ngens)).take_columns(free)
-    kernel_diag, u, _, _ = eliminate(kernel, u=True)
+    b = incoming.hstack(presentation_matrix(outgoing.source))
+    kernel_diag, ub, _, _ = eliminate(kernel, u=b)
     factors = [x for x in kernel_diag if x]
     r = len(factors)
-    b = incoming.hstack(presentation_matrix(outgoing.source))
-    c = (u @ b).rows()
+    c = ub.rows()
     if any(map(any, c[r:])) or any(x % p for row, p in zip(c, factors) for x in row):
         return None, r, coker
-    coords = IntMatrix([[x // p for x in row] for row, p in zip(c, factors)], ncols=b.ncols)
-    return coords, r, coker
+    coords = tuple(tuple(x // p for x in row) for row, p in zip(c, factors))
+    return IntMatrix._of(coords, b.ncols), r, coker
 
 
 def subquotient(outgoing: Hom, incoming: Hom) -> FgAbGroup:

@@ -35,6 +35,9 @@ class ChainComplex(_Checked, NamedTuple("ChainComplex", [
         ("ranks", tuple[int, ...]), ("boundaries", tuple[tuple[dict[int, int], ...], ...])])):
     """Free chain complex in degree 0 through len(ranks) - 1; ranks are ints >= 0.
 
+    The ranks, the boundaries and each boundary are tuples, so that equal
+    complexes compare equal however they were built.
+
     ``boundaries[k]`` is the boundary map out of degree k + 1 into degree
     k as face rows: one dict {cell of degree k + 1: coefficient} per cell
     of degree k, its cells ints below ranks[k + 1] and its coefficients
@@ -56,6 +59,10 @@ class ChainComplex(_Checked, NamedTuple("ChainComplex", [
     def __new__(cls, ranks: tuple[int, ...],
                 boundaries: tuple[tuple[dict[int, int], ...], ...]) -> ChainComplex:
         self = cls._of(ranks, boundaries)
+        if type(self.ranks) is not tuple or type(self.boundaries) is not tuple or not all(
+                type(rows) is tuple for rows in self.boundaries):
+            raise ValueError("ranks, boundaries and each boundary must be tuples, got "
+                             f"{self.ranks!r} and {self.boundaries!r}")
         if not all(type(r) is int and r >= 0 for r in self.ranks):
             raise ValueError(f"ranks {self.ranks!r} are not non-negative ints")
         if len(self.boundaries) != max(len(self.ranks) - 1, 0):

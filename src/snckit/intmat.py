@@ -12,10 +12,15 @@ divisibility chain.  It keeps U^{-1} up to date by mirroring every row move
 on U as the inverse column move, so no caller ever inverts U with a second
 Smith form.  Its pivots depend on A alone, so each caller tracks only the
 transforms it reads, and what it reads is what the full form would give.
+Each pivot is the first +-1 of the trailing block, which ``in`` and
+``index`` find row by row, or else its smallest nonzero entry.  U's slot
+carries whatever rows it is given through every row move: the identity
+ends as U, and the rows of a matrix B end as U*B, which is how a system
+is solved against the elimination without building U.
 :func:`eliminate` is the one entry point that tracks transforms: it
-returns the diagonal with each of U, V and U^{-1} that the caller asks
-for, and None for the others.  :func:`smith_normal_form` asks for all
-three and checks them as a :class:`SmithForm`.
+returns the diagonal with each of U (or U*B), V and U^{-1} that the
+caller asks for, and None for the others.  :func:`smith_normal_form`
+asks for all three and checks them as a :class:`SmithForm`.
 
 Callers that need only the invariant factors use :func:`unit_sweep`, which
 builds no transforms, takes sparse rows and also names its unit pivots, or
@@ -47,6 +52,8 @@ class IntMatrix:
     __slots__ = ("nrows", "ncols", "_rows")
 
     def __init__(self, rows: Iterable[Sequence[int]], ncols: int | None = None):
+        if ncols is not None and (type(ncols) is not int or ncols < 0):
+            raise ValueError(f"ncols must be a non-negative int, got {ncols!r}")
         try:
             data = tuple(tuple(map(index, row)) for row in rows)
         except TypeError as exc:
@@ -206,35 +213,49 @@ class SmithForm(_Checked, NamedTuple("SmithForm", [
         return tuple(rows[i][i] for i in range(min(self.d.shape)))
 
 def _pick_pivot(m: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:
-    """Smallest nonzero entry (by absolute value) of the trailing block.
+    """The first +-1 of the trailing block, else its smallest nonzero entry.
 
-    Ties go to the lowest row index, then the lowest column index, so that
-    the whole computation is reproducible.  An entry of absolute value 1
-    cannot be beaten and later ties would lose anyway, so the scan stops at
-    the first one it sees.
+    "First" is row by row, then column by column; ties for the smallest
+    absolute value go to the lowest row index, then the lowest column
+    index, so that the whole computation is reproducible.  Left of column
+    t every row from t on is zero, so the first of those rows that holds a
+    +-1 anywhere holds it in the block, and its lowest +-1, which ``in``
+    and ``index`` find without a loop in Python, is the block's first.
+    Nothing beats an entry of absolute value 1, so the full scan runs only
+    on a block without one.
     """
+    for i in range(t, nr):
+        row = m[i]
+        if 1 in row:
+            j = row.index(1)
+            return (i, row.index(-1)) if -1 in row[:j] else (i, j)
+        if -1 in row:
+            return (i, row.index(-1))
     best: tuple[int, int] | None = None
     best_val = 0
     for i in range(t, nr):
+        row = m[i]
         for j in range(t, nc):
-            v = m[i][j]
-            if v != 0 and (best is None or abs(v) < best_val):
-                if v in (1, -1):
-                    return (i, j)
+            v = row[j]
+            if v and (best is None or abs(v) < best_val):
                 best = (i, j)
                 best_val = abs(v)
     return best
 
 
 def _eliminate(m: list[list[int]], nr: int, nc: int,
-               u: list[list[int]] | None, v_t: list[list[int]] | None,
-               u_inv_t: list[list[int]] | None) -> None:
+               u: list[Sequence[int]] | None, v_t: list[Sequence[int]] | None,
+               u_inv_t: list[Sequence[int]] | None) -> None:
     """Diagonalize ``m`` in place; mirror the moves into the transforms given.
 
-    ``v_t`` holds the transpose of V, so each column move on V is a move
-    of whole rows.  ``u_inv_t`` holds the transpose of U^{-1}.  Each row
-    move E on U is mirrored as U^{-1} <- U^{-1} E^{-1}, a column move on
-    U^{-1}, which on the transpose is again a row move.
+    Each row move on ``m`` is made on the rows of ``u`` too, whatever they
+    are: started from the identity they end as U, and started from the
+    rows of B they end as U*B.  ``v_t`` holds the transpose of V, so each
+    column move on V is a move of whole rows.  ``u_inv_t`` holds the
+    transpose of U^{-1}.  Each row move E on U is mirrored as
+    U^{-1} <- U^{-1} E^{-1}, a column move on U^{-1}, which on the
+    transpose is again a row move.  Rows of the transforms are replaced,
+    never changed in place, so they may start as tuples.
 
     Pivots are always chosen with minimal absolute value to keep
     intermediate entries small; this is the classical guard against
@@ -245,92 +266,88 @@ def _eliminate(m: list[list[int]], nr: int, nc: int,
     is already diagonal.  So subtracting a multiple of column t from
     another column changes a single entry of ``m``.
     """
-
-    def swap_rows(i: int, k: int) -> None:
-        m[i], m[k] = m[k], m[i]
-        if u is not None:
-            u[i], u[k] = u[k], u[i]
-        if u_inv_t is not None:
-            u_inv_t[i], u_inv_t[k] = u_inv_t[k], u_inv_t[i]
-
-    def swap_cols(j: int, k: int) -> None:
-        for row in m:
-            row[j], row[k] = row[k], row[j]
-        if v_t is not None:
-            v_t[j], v_t[k] = v_t[k], v_t[j]
-
-    def row_sub(i: int, k: int, q: int) -> None:
-        # row i -= q * row k; its inverse adds q * column i to column k
-        m[i] = [x - q * y for x, y in zip(m[i], m[k])]
-        if u is not None:
-            u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-        if u_inv_t is not None:
-            u_inv_t[k] = [x + q * y for x, y in zip(u_inv_t[k], u_inv_t[i])]
-
-    def col_sub(j: int, k: int, q: int) -> None:
-        # column j -= q * column k, where column k of m is zero outside row k
-        m[k][j] -= q * m[k][k]
-        if v_t is not None:
-            v_t[j] = [x - q * y for x, y in zip(v_t[j], v_t[k])]
-
     t = 0
     limit = min(nr, nc)
     while t < limit:
         piv = _pick_pivot(m, t, nr, nc)
         if piv is None:
             break
-        if piv != (t, t):
-            if piv[0] != t:
-                swap_rows(t, piv[0])
-            if piv[1] != t:
-                swap_cols(t, piv[1])
+        i, j = piv
+        if i != t:
+            m[t], m[i] = m[i], m[t]
+            if u is not None:
+                u[t], u[i] = u[i], u[t]
+            if u_inv_t is not None:
+                u_inv_t[t], u_inv_t[i] = u_inv_t[i], u_inv_t[t]
+        if j != t:
+            for row in m:
+                row[t], row[j] = row[j], row[t]
+            if v_t is not None:
+                v_t[t], v_t[j] = v_t[j], v_t[t]
 
         # Clear the pivot column and row.  Whenever a division leaves a
         # remainder, the remainder is strictly smaller than the pivot, so
-        # swapping it into the pivot position makes progress.
+        # swapping it into the pivot position makes progress.  Row i less
+        # q times row t is mirrored on U^{-1} as column t plus q times
+        # column i.
         while True:
-            restart = False
+            top = m[t]
+            p = top[t]
             for i in range(t + 1, nr):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    if q != 0:
-                        row_sub(i, t, q)
-                    if m[i][t] != 0:
-                        swap_rows(t, i)
-                        restart = True
+                row = m[i]
+                x = row[t]
+                if x:
+                    q = x // p
+                    if q:
+                        m[i] = row = [a - q * b for a, b in zip(row, top)]
+                        if u is not None:
+                            u[i] = [a - q * b for a, b in zip(u[i], u[t])]
+                        if u_inv_t is not None:
+                            u_inv_t[t] = [a + q * b for a, b in zip(u_inv_t[t], u_inv_t[i])]
+                    if row[t]:
+                        m[t], m[i] = row, top
+                        if u is not None:
+                            u[t], u[i] = u[i], u[t]
+                        if u_inv_t is not None:
+                            u_inv_t[t], u_inv_t[i] = u_inv_t[i], u_inv_t[t]
                         break
-            if restart:
-                continue
-            for j in range(t + 1, nc):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    if q != 0:
-                        col_sub(j, t, q)
-                    if m[t][j] != 0:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            break
+            else:
+                for j in range(t + 1, nc):
+                    x = top[j]
+                    if x:
+                        q = x // p
+                        if q:
+                            top[j] = x = x - q * p
+                            if v_t is not None:
+                                v_t[j] = [a - q * b for a, b in zip(v_t[j], v_t[t])]
+                        if x:
+                            for row in m:
+                                row[t], row[j] = row[j], row[t]
+                            if v_t is not None:
+                                v_t[t], v_t[j] = v_t[j], v_t[t]
+                            break
+                else:
+                    break
 
         # The pivot must divide every entry of the remaining block; if it
         # does not, folding an offending row into row t and re-eliminating
-        # strictly shrinks the pivot.
+        # strictly shrinks the pivot.  Rows below t are zero in columns up
+        # to t, so the whole row can be tested.
         # A unit pivot divides everything, so its scan would find nothing.
-        p = m[t][t]
+        top = m[t]
+        p = top[t]
         if p not in (1, -1):
-            bad_row = None
-            for i in range(t + 1, nr):
-                if any(m[i][j] % p != 0 for j in range(t + 1, nc)):
-                    bad_row = i
-                    break
-            if bad_row is not None:
-                row_sub(t, bad_row, -1)
+            bad = next((i for i in range(t + 1, nr) if any(x % p for x in m[i])), None)
+            if bad is not None:
+                m[t] = [a + b for a, b in zip(top, m[bad])]
+                if u is not None:
+                    u[t] = [a + b for a, b in zip(u[t], u[bad])]
+                if u_inv_t is not None:
+                    u_inv_t[bad] = [a - b for a, b in zip(u_inv_t[bad], u_inv_t[t])]
                 continue
 
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
+        if p < 0:
+            m[t] = [-x for x in top]
             if u is not None:
                 u[t] = [-x for x in u[t]]
             if u_inv_t is not None:
@@ -338,26 +355,34 @@ def _eliminate(m: list[list[int]], nr: int, nc: int,
         t += 1
 
 
-def eliminate(a: IntMatrix, u: bool = False, v: bool = False, u_inv: bool = False
-              ) -> tuple[tuple[int, ...], IntMatrix | None, IntMatrix | None,
-                         IntMatrix | None]:
+def eliminate(a: IntMatrix, u: bool | IntMatrix = False, v: bool = False,
+              u_inv: bool = False) -> tuple[tuple[int, ...], IntMatrix | None,
+                                            IntMatrix | None, IntMatrix | None]:
     """The Smith diagonal of A, then U, V and U^{-1}, each None unless asked for.
 
     Every transform asked for is the one smith_normal_form returns.  The
     free columns of V, whose diagonal entry is zero or missing, span the
-    integer kernel of A as a saturated sublattice.
+    integer kernel of A as a saturated sublattice.  U's slot carries the
+    rows it is given through every row move: ``u=True`` starts it from
+    the identity and returns U, and ``u=B``, a matrix with a row per row
+    of A, returns U*B without building U.
 
     >>> eliminate(IntMatrix([[2, 4], [6, 8]]), u=True)
     ((2, 4), IntMatrix([[1, 0], [3, -1]], ncols=2), None, None)
+    >>> eliminate(IntMatrix([[2, 4], [6, 8]]), u=IntMatrix([[5], [7]]))[1]
+    IntMatrix([[5], [8]], ncols=1)
     """
     nr, nc = a.shape
     m = a.to_lists()
-    u_rows = IntMatrix.identity(nr).to_lists() if u else None
-    v_t = IntMatrix.identity(nc).to_lists() if v else None
-    u_inv_t = IntMatrix.identity(nr).to_lists() if u_inv else None
+    carried = u if isinstance(u, IntMatrix) else IntMatrix.identity(nr) if u else None
+    if carried is not None and carried.nrows != nr:
+        raise ValueError(f"cannot carry {carried.nrows} rows through {nr} rows")
+    u_rows = None if carried is None else list(carried.rows())
+    v_t = list(IntMatrix.identity(nc).rows()) if v else None
+    u_inv_t = list(IntMatrix.identity(nr).rows()) if u_inv else None
     _eliminate(m, nr, nc, u_rows, v_t, u_inv_t)
     return (tuple(m[t][t] for t in range(min(nr, nc))),
-            None if u_rows is None else IntMatrix._of(tuple(map(tuple, u_rows)), nr),
+            None if u_rows is None else IntMatrix._of(tuple(map(tuple, u_rows)), carried.ncols),
             None if v_t is None else IntMatrix._of(tuple(zip(*v_t)), nc),
             None if u_inv_t is None else IntMatrix._of(tuple(zip(*u_inv_t)), nr))
 

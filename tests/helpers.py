@@ -6,6 +6,8 @@ factorization, simpliciality from raw vertex sets of the dual complex,
 cohomology from the homology of the explicitly transposed complex,
 blowups and resolution from full rescans of the divisor, inverses of
 Smith transforms from a second Smith form instead of the tracked inverse,
+the pivot history of the elimination from a copy of it as it stood before
+its moves were inlined (``reference_eliminate``),
 kernels, kernel lattices and exact solves from the U and V of the full
 Smith form instead of the eliminations that track one transform,
 the Picard analysis from ``presentation``, one elimination per lattice
@@ -176,6 +178,159 @@ def verify(sf: SmithForm, a: IntMatrix) -> None:
 def rank(sf: SmithForm) -> int:
     """The rank of the matrix that ``sf`` is a Smith form of."""
     return sum(1 for x in sf.diagonal if x)
+
+
+def _reference_pick_pivot(m: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:
+    """Smallest nonzero entry (by absolute value) of the trailing block.
+
+    Ties go to the lowest row index, then the lowest column index, so that
+    the whole computation is reproducible.  An entry of absolute value 1
+    cannot be beaten and later ties would lose anyway, so the scan stops at
+    the first one it sees.
+    """
+    best: tuple[int, int] | None = None
+    best_val = 0
+    for i in range(t, nr):
+        for j in range(t, nc):
+            v = m[i][j]
+            if v != 0 and (best is None or abs(v) < best_val):
+                if v in (1, -1):
+                    return (i, j)
+                best = (i, j)
+                best_val = abs(v)
+    return best
+
+
+def _reference_eliminate(m: list[list[int]], nr: int, nc: int,
+               u: list[list[int]] | None, v_t: list[list[int]] | None,
+               u_inv_t: list[list[int]] | None) -> None:
+    """Diagonalize ``m`` in place; mirror the moves into the transforms given.
+
+    ``v_t`` holds the transpose of V, so each column move on V is a move
+    of whole rows.  ``u_inv_t`` holds the transpose of U^{-1}.  Each row
+    move E on U is mirrored as U^{-1} <- U^{-1} E^{-1}, a column move on
+    U^{-1}, which on the transpose is again a row move.
+
+    Pivots are always chosen with minimal absolute value to keep
+    intermediate entries small; this is the classical guard against
+    coefficient blow-up in fraction-free elimination.
+
+    While the column pass clears row t, column t of ``m`` is zero outside
+    row t: the row pass has just cleared it below, and every earlier row
+    is already diagonal.  So subtracting a multiple of column t from
+    another column changes a single entry of ``m``.
+    """
+
+    def swap_rows(i: int, k: int) -> None:
+        m[i], m[k] = m[k], m[i]
+        if u is not None:
+            u[i], u[k] = u[k], u[i]
+        if u_inv_t is not None:
+            u_inv_t[i], u_inv_t[k] = u_inv_t[k], u_inv_t[i]
+
+    def swap_cols(j: int, k: int) -> None:
+        for row in m:
+            row[j], row[k] = row[k], row[j]
+        if v_t is not None:
+            v_t[j], v_t[k] = v_t[k], v_t[j]
+
+    def row_sub(i: int, k: int, q: int) -> None:
+        # row i -= q * row k; its inverse adds q * column i to column k
+        m[i] = [x - q * y for x, y in zip(m[i], m[k])]
+        if u is not None:
+            u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+        if u_inv_t is not None:
+            u_inv_t[k] = [x + q * y for x, y in zip(u_inv_t[k], u_inv_t[i])]
+
+    def col_sub(j: int, k: int, q: int) -> None:
+        # column j -= q * column k, where column k of m is zero outside row k
+        m[k][j] -= q * m[k][k]
+        if v_t is not None:
+            v_t[j] = [x - q * y for x, y in zip(v_t[j], v_t[k])]
+
+    t = 0
+    limit = min(nr, nc)
+    while t < limit:
+        piv = _reference_pick_pivot(m, t, nr, nc)
+        if piv is None:
+            break
+        if piv != (t, t):
+            if piv[0] != t:
+                swap_rows(t, piv[0])
+            if piv[1] != t:
+                swap_cols(t, piv[1])
+
+        # Clear the pivot column and row.  Whenever a division leaves a
+        # remainder, the remainder is strictly smaller than the pivot, so
+        # swapping it into the pivot position makes progress.
+        while True:
+            restart = False
+            for i in range(t + 1, nr):
+                if m[i][t] != 0:
+                    q = m[i][t] // m[t][t]
+                    if q != 0:
+                        row_sub(i, t, q)
+                    if m[i][t] != 0:
+                        swap_rows(t, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, nc):
+                if m[t][j] != 0:
+                    q = m[t][j] // m[t][t]
+                    if q != 0:
+                        col_sub(j, t, q)
+                    if m[t][j] != 0:
+                        swap_cols(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            break
+
+        # The pivot must divide every entry of the remaining block; if it
+        # does not, folding an offending row into row t and re-eliminating
+        # strictly shrinks the pivot.
+        # A unit pivot divides everything, so its scan would find nothing.
+        p = m[t][t]
+        if p not in (1, -1):
+            bad_row = None
+            for i in range(t + 1, nr):
+                if any(m[i][j] % p != 0 for j in range(t + 1, nc)):
+                    bad_row = i
+                    break
+            if bad_row is not None:
+                row_sub(t, bad_row, -1)
+                continue
+
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
+            if u_inv_t is not None:
+                u_inv_t[t] = [-x for x in u_inv_t[t]]
+        t += 1
+
+
+def reference_eliminate(a: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix, IntMatrix]:
+    """The Smith diagonal of A with U, V and U^{-1}, move for move as
+    ``intmat._eliminate`` made them before its moves were inlined.
+
+    ``_reference_pick_pivot`` and ``_reference_eliminate`` keep that
+    elimination as it stood, scan and per-move closures included, so a
+    faster elimination can be checked against its pivot history: the same
+    diagonal and the same three transforms, entry for entry.
+    """
+    nr, nc = a.shape
+    m = a.to_lists()
+    u = IntMatrix.identity(nr).to_lists()
+    v_t = IntMatrix.identity(nc).to_lists()
+    u_inv_t = IntMatrix.identity(nr).to_lists()
+    _reference_eliminate(m, nr, nc, u, v_t, u_inv_t)
+    return (tuple(m[t][t] for t in range(min(nr, nc))),
+            IntMatrix(u, ncols=nr), IntMatrix(list(zip(*v_t)), ncols=nc),
+            IntMatrix(list(zip(*u_inv_t)), ncols=nr))
 
 
 def random_matrix(rng: random.Random, max_dim: int = 6, span: int = 9) -> IntMatrix:

@@ -92,9 +92,13 @@ def test_from_factors_normalizes_to_divisibility_chain():
     lambda: FgAbGroup(0, (True,)),
     lambda: FgAbGroup(1.0),
     lambda: FgAbGroup(True),
+    lambda: FgAbGroup(1, [2]),
+    lambda: FgAbGroup(1, []),
 ], ids=["float-factor", "bool-factor", "float-order", "bool-order", "float-rank",
-        "bool-rank"])
+        "bool-rank", "list-orders", "empty-list-orders"])
 def test_groups_reject_non_int_ranks_and_orders(make):
+    # A list of orders would compare unequal to the same orders as a tuple
+    # and leave the group unhashable.
     with pytest.raises(ValueError):
         make()
 

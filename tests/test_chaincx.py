@@ -586,6 +586,18 @@ def test_complex_constructor_rejects_malformed_rows(row):
         assert str(caught.value) == f"ranks {ranks!r} are not non-negative ints"
 
 
+@pytest.mark.parametrize("ranks,boundaries", [
+    ([1, 1], (({},),)),
+    ((1, 1), [({},)]),
+    ((1, 1), ([{}],)),
+    ([], ()),
+], ids=["list-ranks", "list-boundaries", "list-boundary", "empty-list-ranks"])
+def test_complex_constructor_takes_only_tuples(ranks, boundaries):
+    # A list would compare unequal to the same complex built from tuples.
+    with pytest.raises(ValueError, match="must be tuples"):
+        ChainComplex(ranks, boundaries)
+
+
 def test_complex_constructor_accepts_empty_and_edge_rows():
     c = ChainComplex((2, 2, 1), (({1: -1}, {1: 1}), ({0: 3}, {0: -2})))
     assert c.ranks == (2, 2, 1)

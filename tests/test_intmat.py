@@ -22,6 +22,7 @@ from helpers import (
     minors_invariant_factors,
     random_matrix,
     rank,
+    reference_eliminate,
     scale,
     simplex_divisor,
     solve_exact,
@@ -276,6 +277,65 @@ def test_the_column_pass_with_remainders_keeps_the_transforms_exact(a):
     verify(sf, a)   # U*A*V = D, U and V unimodular, U*U_inv = I
     for tracking in TRACKING:
         _assert_reads_the_full_form(a, sf, *tracking)
+
+
+@st.composite
+def _elimination_cases(draw):
+    # Up to 8 x 8 with entries in +-64.  Units are drawn often, so rows
+    # hold both a 1 and a -1; a common factor of the entries leaves no
+    # unit, so pivots start above 1 and remainders force restarts; zeroed
+    # rows and columns, and zeros drawn as entries, make empty lines and
+    # blocks.  B has a row per row of A, to carry through U's slot.
+    nr, nc = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    f = draw(st.sampled_from((1, 1, 2, 3, 6)))
+    entry = st.one_of(st.just(0), st.sampled_from((1, -1)),
+                      st.integers(-64 // f, 64 // f)).map(lambda x: f * x)
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    zero_rows = draw(st.sets(st.integers(0, 7), max_size=3))
+    zero_cols = draw(st.sets(st.integers(0, 7), max_size=3))
+    rows = [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+    width = draw(st.integers(0, 4))
+    b = draw(st.lists(st.lists(st.integers(-64, 64), min_size=width, max_size=width),
+                      min_size=nr, max_size=nr))
+    return IntMatrix(rows, ncols=nc), IntMatrix(b, ncols=width)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_elimination_cases())
+@example((IntMatrix([], ncols=0), IntMatrix([], ncols=0)))
+@example((IntMatrix([[0, 0], [0, 0]]), IntMatrix([[1], [2]])))
+@example((IntMatrix([[3], [5]]), IntMatrix([[1, 0], [0, 1]])))   # a row-pass remainder
+@example((IntMatrix([[3, 5]]), IntMatrix([[7]])))                 # a column-pass remainder
+@example((IntMatrix([[2, 0], [0, 3]]), IntMatrix([[1], [1]])))   # a row folded into row t
+@example((IntMatrix([[0, 0, 0], [0, -4, 6], [0, 10, -64]]), IntMatrix([[1], [2], [3]])))
+@example((IntMatrix([[5, 0], [3, -1], [1, 1]]), IntMatrix([[1], [2], [3]])))
+@example((IntMatrix([[4, -1, 1], [1, 2, 3]]), IntMatrix([[1], [2]])))    # -1 before 1
+def test_eliminate_keeps_the_reference_pivot_history(case):
+    # tests/helpers.py keeps the elimination as it was before its moves
+    # were inlined; every pivot and every move must be the same, which the
+    # three transforms and the diagonal pin down exactly.  Carrying B in
+    # U's slot makes the same row moves on B, so it ends as U*B.
+    a, b = case
+    diag, u, v, u_inv = eliminate(a, u=True, v=True, u_inv=True)
+    assert (diag, u, v, u_inv) == reference_eliminate(a)
+    assert eliminate(a, u=b) == (diag, u @ b, None, None)
+
+
+def test_eliminate_carries_only_a_matrix_with_a_row_per_row():
+    with pytest.raises(ValueError, match="cannot carry 1 rows through 2 rows"):
+        eliminate(IntMatrix([[1], [2]]), u=IntMatrix([[1, 2]]))
+
+
+def test_constructor_takes_only_a_non_negative_int_width():
+    for ncols in (-1, 2.0, "3", True, False):
+        with pytest.raises(ValueError, match="ncols must be a non-negative int"):
+            IntMatrix([], ncols=ncols)
+    with pytest.raises(ValueError, match="ncols must be a non-negative int"):
+        IntMatrix([[5]], ncols=True)
+    assert IntMatrix([], ncols=3).shape == (0, 3)
+    assert IntMatrix([], ncols=0) != IntMatrix([], ncols=1)
 
 
 def test_constructor_takes_only_integers():

@@ -486,7 +486,8 @@ def test_kh_report_takes_few_smith_forms_and_none_of_a_transform(monkeypatch):
             tracked.append(a)
             if (v_t, u_inv_t) == (None, None):
                 u_alone.append(a)
-            transforms.extend(IntMatrix(t, ncols=k) for t, k in
+            # U's slot may carry rows of its own width, such as [incoming | relations]
+            transforms.extend(IntMatrix(t, ncols=len(t[0]) if t else k) for t, k in
                               ((u, nr), (v_t, nc), (u_inv_t, nr)) if t is not None)
 
     def sweep(rows, ncols):
