@@ -146,6 +146,9 @@ class Hom(_Checked, NamedTuple("Hom", [
 
     def __new__(cls, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix) -> Hom:
         self = tuple.__new__(cls, (source, target, matrix))
+        if tuple(map(type, self)) != (FgAbGroup, FgAbGroup, IntMatrix):
+            raise ValueError("source and target must be FgAbGroups and matrix an IntMatrix, "
+                             f"got {', '.join([type(x).__name__ for x in self])}")
         if self.matrix.shape != (self.target.ngens, self.source.ngens):
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not map "

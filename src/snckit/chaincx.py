@@ -5,10 +5,10 @@ map out of each degree above 0 as sparse signed incidence: one face row
 {cell: coefficient} per cell of the degree below.  The boundaries must
 compose to zero.  Homology and cohomology come out in canonical form.  Both
 are read off the Smith diagonals of the boundaries, which each complex
-computes once, bottom-up with clearing, on copies of the face rows, and
-keeps; cohomology follows from them by universal coefficients, with no
-transposed complex.  The dual complex of a checked divisor hands its rows
-in through ``ChainComplex._of``, which skips the row check.
+computes once, bottom-up with clearing, and keeps; cohomology follows from
+them by universal coefficients, with no transposed complex.  The dual
+complex of a checked divisor hands its rows in through
+``ChainComplex._of``, which skips the row check.
 
 Spectral pages are finite: a dictionary of nonzero entries together with an
 explicit support region.  Only the E_1 → E_2 step is implemented; the one
@@ -94,12 +94,12 @@ class ChainComplex(_Checked, NamedTuple("ChainComplex", [
 
         Outside the range the boundary is zero and its diagonal is empty.
         The first call sweeps every boundary from degree 1 up to this one,
-        each once, on a copy of its face rows.  A unit pivot of the sweep
-        below, in the column of cell c, is a cochain whose coboundary has a
-        unit at c; trading c for that coboundary is a unimodular change of
-        basis in which row c of this boundary is zero, as the boundaries
-        compose to zero.  So the rows of paired cells go in empty, and the
-        diagonal, zero padding included, is that of the whole boundary.
+        each once.  A unit pivot of the sweep below, in the column of cell
+        c, is a cochain whose coboundary has a unit at c; trading c for
+        that coboundary is a unimodular change of basis in which row c of
+        this boundary is zero, as the boundaries compose to zero.  So the
+        rows of paired cells go in empty, and the diagonal, zero padding
+        included, is that of the whole boundary.
         """
         return self._swept(d)[0]
 
@@ -111,8 +111,7 @@ class ChainComplex(_Checked, NamedTuple("ChainComplex", [
         sweeps = self._sweeps
         while len(sweeps) < d:
             j = len(sweeps)
-            # the sweep consumes its rows, and the stored ones must stay
-            rows = list(map(dict, self.boundaries[j]))
+            rows = list(self.boundaries[j])
             for face in sweeps[-1][1] if sweeps else ():
                 rows[face] = {}
             diag, pivots = unit_sweep(rows, self.ranks[j + 1])

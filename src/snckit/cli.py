@@ -35,7 +35,7 @@ from .khasm import (
     kh_report,
 )
 from .intmat import IntMatrix
-from .nk import DuBoisTable, KReport, k_report
+from .nk import DuBoisTable, k_report
 from .snc import (
     MAX_BLOWUPS,
     BlowupRecord,
@@ -517,14 +517,11 @@ def _dubois_json(b: DuBoisTable) -> dict:
 
 
 def _json_text(x: Any, nl: str = "\n") -> str:
-    """``json.dumps(x, ensure_ascii=False, indent=2)`` for str, int, bool, None,
-    list, tuple and str-keyed dict; any other value or key raises TypeError,
-    except an ``SncDivisor``, printed as its block (``_divisor_text``), a
-    ``BlowupRecord`` and the records of ``_REPORT_RECORDS`` as the dict of
-    their fields, in order, an ``FgAbGroup`` as ``{"str", "free_rank",
-    "torsion"}`` and an ``IntMatrix`` as its rows.  These are NamedTuples,
-    but any other tuple prints as an array.  ``nl`` is the newline and
-    indent of the line ``x`` ends on."""
+    """``json.dumps(x, ensure_ascii=False, indent=2)`` for a report value: a
+    str, int, bool or None, or a value of a class ``_WRITERS`` holds.  Any
+    other class, a subclass included, raises TypeError, as does a key that
+    is not a str.  ``nl`` is the newline and indent of the line ``x`` ends
+    on."""
     t = type(x)
     if t is str:
         return encode_basestring(x)
@@ -532,7 +529,10 @@ def _json_text(x: Any, nl: str = "\n") -> str:
         return int.__repr__(x)
     if x is True or x is False or x is None:
         return "true" if x is True else "false" if x is False else "null"
-    return _writer(t)(x, nl)
+    writer = _WRITERS.get(t)
+    if writer is None:
+        raise TypeError(f"{t.__name__} is not a report value")
+    return writer(x, nl)
 
 
 def _bracketed(bra: str, items: list[str], ket: str, nl: str) -> str:
@@ -561,45 +561,25 @@ def _group_text(g: FgAbGroup, nl: str) -> str:
             f'{_array_text(g.torsion, inner)}{nl}}}')
 
 
-# The records a kh-report or k-report holds, each printed as the object of
-# its fields.
-_REPORT_RECORDS = (KhReport, KReport, UnitsCohomology, OneMotiveDescriptor, TorusDescriptor,
-                   KerAlphaDescriptor, SesDescriptor, GroupValue)
+# The text of each field name of a report record, as a key.
+_KEYS = {cls: tuple(f"{encode_basestring(name)}: " for name in cls._fields)
+         for cls in (KhReport, UnitsCohomology, OneMotiveDescriptor, TorusDescriptor,
+                     KerAlphaDescriptor, SesDescriptor, GroupValue)}
 
 
-@cache
-def _writer(cls: type) -> Callable[[Any, str], str]:
-    """The function ``_json_text`` sends a value of class ``cls`` to, found
-    once per class; TypeError if ``cls`` is no report value.  snckit's
-    records are named before the tuples they are; any other subclass of
-    str, int, dict, list or tuple takes the writer of that class, so it
-    prints as ``json.dumps`` prints it."""
-    if issubclass(cls, str):
-        return lambda x, nl: encode_basestring(x)
-    if issubclass(cls, int):
-        return lambda x, nl: int.__repr__(x)
-    if issubclass(cls, dict):
-        return _object_text
-    if issubclass(cls, FgAbGroup):
-        return _group_text
-    if issubclass(cls, IntMatrix):
-        return lambda x, nl: _array_text(x.rows(), nl)
-    if issubclass(cls, SncDivisor):
-        return _divisor_text
-    if issubclass(cls, BlowupRecord):
-        return _blowup_text
-    if not issubclass(cls, _REPORT_RECORDS):
-        if issubclass(cls, (list, tuple)):
-            return _array_text
-        raise TypeError(f"{cls.__name__} is not a report value")
-    # each field's text as a key, made once
-    keys = tuple(f"{encode_basestring(name)}: " for name in cls._fields)
+def _record_text(x: Any, nl: str) -> str:
+    inner = nl + "  "
+    return _bracketed("{", [key + _json_text(v, inner) for key, v in zip(_KEYS[type(x)], x)],
+                      "}", nl)
 
-    def fields_text(x: Any, nl: str) -> str:
-        inner = nl + "  "
-        return _bracketed("{", [key + _json_text(v, inner) for key, v in zip(keys, x)],
-                          "}", nl)
-    return fields_text
+
+# The writer of each class a report value holds, by exact class.  A divisor
+# prints as its block, a blowup record or report record as the object of its
+# fields, a group as {"str", "free_rank", "torsion"} and a matrix as its rows.
+_WRITERS: dict[type, Callable[[Any, str], str]] = {
+    list: _array_text, tuple: _array_text, dict: _object_text, FgAbGroup: _group_text,
+    IntMatrix: lambda x, nl: _array_text(x.rows(), nl), SncDivisor: _divisor_text,
+    BlowupRecord: _blowup_text, **dict.fromkeys(_KEYS, _record_text)}
 
 
 def document_json(doc: InputDocument) -> dict:

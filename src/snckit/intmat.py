@@ -402,15 +402,16 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     return SmithForm(u, IntMatrix._of(tuple(map(tuple, d)), a.ncols), v, u_inv)
 
 
-def unit_sweep(work: list[dict[int, int]], ncols: int) -> tuple[tuple[int, ...], list[int]]:
+def unit_sweep(rows: Sequence[dict[int, int]],
+               ncols: int) -> tuple[tuple[int, ...], list[int]]:
     """The Smith diagonal of sparse rows, and the columns of its unit pivots.
 
     Row i maps each column below ``ncols`` where it is nonzero to its
-    entry; the sweep consumes the rows.  The diagonal is canonical
-    (invariant factors are unique), which frees this path to run a cheaper
-    elimination than smith_normal_form, in any pivot order: unit entries
-    split off a diag(1) summand each, and only the leftover block goes
-    through the dense routine.
+    entry; the sweep leaves the rows and their list unchanged.  The
+    diagonal is canonical (invariant factors are unique), which frees this
+    path to run a cheaper elimination than smith_normal_form, in any pivot
+    order: unit entries split off a diag(1) summand each, and only the
+    leftover block goes through the dense routine.
 
     Unit pivots go in Markowitz order.  A heap keyed by each column's live
     entry count, re-keyed lazily when a popped count is stale, gives the
@@ -421,8 +422,8 @@ def unit_sweep(work: list[dict[int, int]], ncols: int) -> tuple[tuple[int, ...],
     last worked, so fill lands in columns already too long to be picked:
     on a simplex skeleton this finds a cone collapse, with no fill, however
     the cells are ordered.  The pivot column is cleared from the other rows,
-    then the pivot row and column are deleted.  A column with no unit waits
-    until fill writes one into it.
+    then the pivot row and column are deleted.  A column popped without a
+    unit leaves the heap; only a pivot's first touch of it pushes it again.
 
     The sweep costs what it changes.  A pivot costs the length of its
     column, plus the length of the pivot row for each other row in that
@@ -445,6 +446,7 @@ def unit_sweep(work: list[dict[int, int]], ncols: int) -> tuple[tuple[int, ...],
     replace the pivot columns' unit rows by a unimodular, triangular change
     of basis.  ``chaincx`` reads this to clear rows of the next boundary.
     """
+    work = list(rows)
     cols: list[set[int]] = [set() for _ in range(ncols)]
     for i, row in enumerate(work):
         for j in row:
@@ -453,7 +455,6 @@ def unit_sweep(work: list[dict[int, int]], ncols: int) -> tuple[tuple[int, ...],
     heapq.heapify(heap)
     touched: set[int] = set()
     targeted = [False] * len(work)
-    waiting: set[int] = set()
     pivots: list[int] = []
     # Rows that hold an entry; once none does, every key left is stale.
     live = sum(map(bool, work))
@@ -468,7 +469,6 @@ def unit_sweep(work: list[dict[int, int]], ncols: int) -> tuple[tuple[int, ...],
             continue
         units = [k for k in col if work[k][j] in (1, -1)]
         if not units:
-            waiting.add(j)
             continue
         i = units[0]
         if len(units) > 1:
@@ -479,7 +479,7 @@ def unit_sweep(work: list[dict[int, int]], ncols: int) -> tuple[tuple[int, ...],
         work[i] = {}
         val = pivot_row[j]
         for k in col - {i}:
-            target = work[k]
+            work[k] = target = work[k] if targeted[k] else dict(work[k])
             q = target[j] * val
             added = []
             for jj, x in pivot_row.items():
@@ -492,9 +492,6 @@ def unit_sweep(work: list[dict[int, int]], ncols: int) -> tuple[tuple[int, ...],
                     cols[jj].add(k)
                     added.append(jj)
                 target[jj] = new
-                if new in (1, -1) and jj in waiting:
-                    waiting.discard(jj)
-                    heapq.heappush(heap, (len(cols[jj]), jj not in touched, jj))
             # Every column of a row that a pivot has targeted is touched,
             # so after its first time only the columns it gains can be new.
             for jj in added if targeted[k] else target:

@@ -91,6 +91,8 @@ class PicardLevel(_Checked, NamedTuple("PicardLevel", [
 
     def __new__(cls, p: int, ns: FgAbGroup, pic0_dim: int) -> PicardLevel:
         self = tuple.__new__(cls, (p, ns, pic0_dim))
+        if tuple(map(type, self)) != (int, FgAbGroup, int):
+            raise ValueError(f"p and pic0_dim must be ints and ns an FgAbGroup, got {self!r}")
         if self.pic0_dim < 0:
             raise ValueError(f"negative Pic^0 dimension at level {self.p}")
         return self
@@ -114,6 +116,11 @@ class PicardInput(_Checked, NamedTuple("PicardInput", [
     def __new__(cls, n: int, levels: tuple[PicardLevel, ...], maps: tuple[Hom, ...],
                 coker_pic0_dim: int, ker_beta_known: FgAbGroup | None = None) -> PicardInput:
         self = tuple.__new__(cls, (n, levels, maps, coker_pic0_dim, ker_beta_known))
+        if (tuple(map(type, self[:4])) != (int, tuple, tuple, int)
+                or {*map(type, self.levels)} - {PicardLevel} or {*map(type, self.maps)} - {Hom}
+                or type(self.ker_beta_known) not in (FgAbGroup, type(None))):
+            raise ValueError("n and coker_pic0_dim must be ints, levels a tuple of PicardLevel, "
+                             "maps a tuple of Hom and ker_beta_known an FgAbGroup or None")
         if self.coker_pic0_dim < 0:
             raise ValueError("negative coker(Pic^0) dimension")
         ps = [lv.p for lv in self.levels]

@@ -28,6 +28,11 @@ class DuBoisTable(_Checked, NamedTuple("DuBoisTable", [
 
     def __new__(cls, entries: dict[tuple[int, int], int], isolated: bool = True) -> DuBoisTable:
         self = tuple.__new__(cls, (entries, isolated))
+        if type(self.entries) is not dict or type(self.isolated) is not bool or not all(
+                type(k) is tuple and tuple(map(type, (*k, b))) == (int, int, int)
+                for k, b in self.entries.items()):
+            raise ValueError("entries must be a dict from pairs of ints to ints and isolated "
+                             f"a bool, got {self!r}")
         for (p, q), b in self.entries.items():
             if b < 0:
                 raise ValueError(f"negative Du Bois invariant b^{{{p},{q}}} = {b}")

@@ -5,10 +5,11 @@ Run from the repository root, under any Python the package supports:
     PYTHONPATH=src python tests/emit_check.py [COUNT] [SEED]
 
 It needs neither pytest nor hypothesis.  It draws COUNT random nested
-values (20000 by default, seed 0) of the shapes reports hold, subclasses
-of str, int, list, tuple and dict among them, and asserts that
-``snckit.cli._json_text`` prints each exactly as
-``json.dumps(value, ensure_ascii=False, indent=2)`` does.  Then it runs
+values (20000 by default, seed 0) of the shapes reports hold and asserts
+that ``snckit.cli._json_text`` prints each exactly as
+``json.dumps(value, ensure_ascii=False, indent=2)`` does, and that it
+raises TypeError on subclasses of str, int, list, tuple and dict, which
+no report holds, alone or nested in plain values.  Then it runs
 every golden case and asserts that ``_json_text`` prints its machine
 report as ``json.dumps`` prints ``plain`` of it, the nested dicts of
 ``helpers.divisor_json``, ``blowup_json`` and ``report_json`` in place of
@@ -50,7 +51,8 @@ SPECIAL = ('"\\/\b\f\n\r\t\x00\x01\x1f\x7f\x80\x9f\u2028\u2029'
            '\ud800\udbff\udc00\udfff\ufeff\uffff\xe9\u20ac\U0001f600')
 
 
-# Subclasses of the JSON types; json.dumps prints each as its base class.
+# Subclasses of the JSON types; json.dumps prints each as its base class,
+# and _json_text, whose writers go by exact class, raises TypeError.
 class Text(str):
     def __str__(self) -> str:
         return "not the text"
@@ -89,45 +91,39 @@ def random_string(rng: random.Random) -> str:
             out.append(chr(rng.randrange(0x20, 0x7F)))
         else:
             out.append(chr(rng.randrange(0x110000)))
-    text = "".join(out)
-    return Text(text) if rng.random() < 0.1 else text
+    return "".join(out)
 
 
 def random_value(rng: random.Random, depth: int = 0):
-    """A str, int, bool or None, or a list, tuple or str-keyed dict of them;
-    about one in ten of each is a subclass instance."""
+    """A str, int, bool or None, or a list, tuple or str-keyed dict of them."""
     kind = rng.choice(("str", "int", "const") + (("list", "tuple", "dict") * 2
                                                  if depth < 4 else ()))
-    sub = rng.random() < 0.1
     if kind == "str":
         return random_string(rng)
     if kind == "int":
-        if sub:
-            return rng.choice(list(Level))
         bits = rng.choice((3, 31, 63, 64, 65, 200))
         return rng.randrange(-(2 ** bits), 2 ** bits)
     if kind == "const":
         return rng.choice((True, False, None))
     size = rng.randrange(5)
     if kind == "dict":
-        return (Table if sub else dict)(
-            (random_string(rng), random_value(rng, depth + 1)) for _ in range(size))
+        return {random_string(rng): random_value(rng, depth + 1) for _ in range(size)}
     items = [random_value(rng, depth + 1) for _ in range(size)]
-    if kind == "list":
-        return Items(items) if sub else items
-    if sub:
-        return Pair(*items[:2]) if len(items) == 2 else Row(items)
-    return tuple(items)
+    return items if kind == "list" else tuple(items)
 
 
-# Subclass values and bools in every container, nested in one another.
+# Bools in every container, nested in one another.
 FIXED = [
-    Text('"a '), Level.LOW, Level.HIGH, Items(), Row(), Table(),
-    [True, False, None, True], (False, True), Items([True, Level.ZERO, Text("x")]),
-    Row((Level.HIGH, False)), Pair(Text("l"), [True]), Pair(Items([Row()]), Table()),
-    Table({Text("k"): Items([Pair(Level.LOW, Table({"t": (True, None)}))]),
-           "p": Row([Pair(False, Text(""))])}),
-    {"a": Items([Table({"b": Row((Pair(Level.ZERO, Items([False])),))})])},
+    [True, False, None, True], (False, True), {"t": (True, None)},
+    {"a": [{"b": ((0, [False]),)}]},
+]
+
+# Subclass values, alone and nested in plain containers and in one another.
+SUBCLASSED = [
+    Text('"a '), Level.LOW, Level.HIGH, Items(), Row(), Table(), Pair(1, 2),
+    [True, Level.ZERO], (False, Text("x")), {"k": Row()}, Items([True]),
+    Pair(Text("l"), [True]), Table({"t": (True, None)}),
+    {"a": [{"b": ((Pair(0, [False]),),)}]},
 ]
 
 
@@ -138,6 +134,12 @@ def check(count: int, seed: int) -> None:
         want = json.dumps(x, ensure_ascii=False, indent=2)
         got = _json_text(x)
         assert got == want, f"value {i} of seed {seed}: {x!r}"
+    for x in SUBCLASSED:
+        try:
+            _json_text(x)
+        except TypeError:
+            continue
+        raise AssertionError(f"no TypeError on {x!r}")
 
 
 def plain(x):
@@ -241,7 +243,8 @@ if __name__ == "__main__":
     reports = check_reports()
     divisors, records = check_writers(130, seed)
     print(f"Python {sys.version.split()[0]}: {count} random values and "
-          f"{len(FIXED)} fixed ones (seed {seed}), the machine reports of "
+          f"{len(FIXED)} fixed ones (seed {seed}) print as json.dumps prints them, "
+          f"{len(SUBCLASSED)} subclass values raise TypeError, the machine reports of "
           f"{sum(reports.values())} golden cases ({reports.get('resolve', 0)} of them "
           f"resolve), {divisors} divisor blocks and {records} blowup records "
           "print as json.dumps prints them")

@@ -12,6 +12,7 @@ oracle on their own.
 """
 import json
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from emit_check import (
     ID_PIECES,
     SPECIAL,
+    SUBCLASSED,
     check,
     check_reports,
     check_writers,
@@ -36,7 +38,7 @@ from helpers import (
     with_source_torsion,
 )
 from make_goldens import BRANCH_DOCUMENTS, DENSE_RANKS, cases
-from snckit import BlowupRecord, resolve_to_simplicial, validate_snc
+from snckit import BlowupRecord, FgAbGroup, PicardLevel, resolve_to_simplicial, validate_snc
 from snckit.cli import (
     ALGEBRAICALLY_CLOSED,
     InputDocument,
@@ -46,6 +48,7 @@ from snckit.cli import (
     parse_input,
     run,
 )
+from snckit.nk import KReport
 
 
 def stdlib(x) -> str:
@@ -188,11 +191,27 @@ def test_a_record_from_a_resolution_is_one_from_the_public_constructor():
         assert r == public
 
 
+class Unlisted(NamedTuple):
+    x: int
+
+
+class Group(FgAbGroup):
+    __slots__ = ()
+
+
+# Writers go by exact class, so a subclass of a JSON type or of a record,
+# which json.dumps would print as its base, is no report value either.
+NOT_REPORT_VALUES = SUBCLASSED + [Unlisted(1), [Unlisted(1)], PicardLevel(0, FgAbGroup(1), 0),
+                                  Group(1), KReport(None, 0, "0", True, True)]
+
+
 @pytest.mark.parametrize("x", [1.5, 0.0, {1, 2}, frozenset(), {1: "a"}, {None: 0},
-                               {("a",): 0}, {True: 0}, [0, {"a": [2.5]}], b"x", object()],
+                               {("a",): 0}, {True: 0}, [0, {"a": [2.5]}], b"x", object(),
+                               *NOT_REPORT_VALUES],
                          ids=["float", "zero-float", "set", "frozenset", "int-key",
                               "none-key", "tuple-key", "bool-key", "nested-float",
-                              "bytes", "object"])
+                              "bytes", "object",
+                              *[type(x).__name__ for x in NOT_REPORT_VALUES]])
 def test_other_values_and_keys_raise_type_error(x):
     with pytest.raises(TypeError):
         _json_text(x)

@@ -401,7 +401,7 @@ def _reference_unit_pivots(work: list[dict[int, int]], ncols: int) -> list[int]:
             cols[j].add(i)
     heap = [(len(c), True, j) for j, c in enumerate(cols) if c]
     heapq.heapify(heap)
-    touched, waiting, pivots = set(), set(), []
+    touched, pivots = set(), []
     while heap:
         count, untouched, j = heapq.heappop(heap)
         col = cols[j]
@@ -414,7 +414,6 @@ def _reference_unit_pivots(work: list[dict[int, int]], ncols: int) -> list[int]:
         i = min((k for k in col if work[k][j] in (1, -1)), default=None, key=lambda k: (
             len(work[k]), -sum(len(cols[jj]) for jj in work[k]), k))
         if i is None:
-            waiting.add(j)
             continue
         pivot_row, work[i] = work[i], {}
         for k in col - {i}:
@@ -428,9 +427,6 @@ def _reference_unit_pivots(work: list[dict[int, int]], ncols: int) -> list[int]:
                     continue
                 cols[jj].add(k)
                 target[jj] = new
-                if new in (1, -1) and jj in waiting:
-                    waiting.discard(jj)
-                    heapq.heappush(heap, (len(cols[jj]), jj not in touched, jj))
             for jj in target:
                 if jj not in touched:
                     touched.add(jj)
@@ -462,6 +458,17 @@ def test_the_sweep_takes_the_pivots_its_rule_names(a):
 
     assert unit_sweep(rows(), a.ncols) == (smith_normal_form(a).diagonal,
                                            _reference_unit_pivots(rows(), a.ncols))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_sparse_unit_rows())
+def test_the_sweep_leaves_the_rows_it_is_handed_alone(a):
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a.rows()]
+    snapshot = [dict(row) for row in rows]
+    handed = list(rows)
+    unit_sweep(handed, a.ncols)
+    assert all(x is y for x, y in zip(handed, rows)) and len(handed) == len(rows)
+    assert rows == snapshot
 
 
 def _shuffled(d: SncDivisor, seed: int) -> SncDivisor:

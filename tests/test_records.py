@@ -55,10 +55,47 @@ CHECKED = [
     (DuBoisTable({(0, 2): 1}), "entries", {(0, 2): -1},
      "negative Du Bois invariant b^{0,2} = -1"),
 ]
+# Fields of the wrong type: each used to build a value that compares
+# unequal to the right one, or to fail with another error, or not at all.
+HOM_TYPES = "source and target must be FgAbGroups and matrix an IntMatrix, got "
+PICARD_TYPES = ("n and coker_pic0_dim must be ints, levels a tuple of PicardLevel, maps a "
+                "tuple of Hom and ker_beta_known an FgAbGroup or None")
+LEVEL_TYPES = "p and pic0_dim must be ints and ns an FgAbGroup, got PicardLevel("
+DUBOIS_TYPES = "entries must be a dict from pairs of ints to ints and isolated a bool, got "
+CHECKED += [
+    (IDENTITY, "matrix", [[1]], HOM_TYPES + "FgAbGroup, FgAbGroup, list"),
+    (IDENTITY, "matrix", ((1,),), HOM_TYPES + "FgAbGroup, FgAbGroup, tuple"),
+    (IDENTITY, "source", (1, ()), HOM_TYPES + "tuple, FgAbGroup, IntMatrix"),
+    (PicardInput(3, LEVELS, (IDENTITY,), 0), "levels", list(LEVELS), PICARD_TYPES),
+    (PicardInput(3, LEVELS, (IDENTITY,), 0), "maps", [IDENTITY], PICARD_TYPES),
+    (PicardInput(3, LEVELS, (IDENTITY,), 0), "coker_pic0_dim", True, PICARD_TYPES),
+    (PicardInput(3, LEVELS, (IDENTITY,), 0), "ker_beta_known", (1, ()), PICARD_TYPES),
+    (PicardInput(3, LEVELS, (IDENTITY,), 0), "n", 3.0, PICARD_TYPES),
+    (LEVELS[0], "pic0_dim", 1.5, LEVEL_TYPES + "p=0, ns=FgAbGroup(free_rank=1, "
+     "torsion=()), pic0_dim=1.5)"),
+    (LEVELS[0], "p", True, LEVEL_TYPES + "p=True, ns=FgAbGroup(free_rank=1, "
+     "torsion=()), pic0_dim=0)"),
+    (LEVELS[0], "ns", (1, ()), LEVEL_TYPES + "p=0, ns=(1, ()), pic0_dim=0)"),
+    (DuBoisTable({(0, 2): 1}), "entries", {(0, 2): True},
+     DUBOIS_TYPES + "DuBoisTable(entries={(0, 2): True}, isolated=True)"),
+    (DuBoisTable({(0, 2): 1}), "entries", {(0, 2): 2.5},
+     DUBOIS_TYPES + "DuBoisTable(entries={(0, 2): 2.5}, isolated=True)"),
+    (DuBoisTable({(0, 2): 1}), "entries", [((0, 2), 1)],
+     DUBOIS_TYPES + "DuBoisTable(entries=[((0, 2), 1)], isolated=True)"),
+    (DuBoisTable({(0, 2): 1}), "isolated", "no",
+     DUBOIS_TYPES + "DuBoisTable(entries={(0, 2): 1}, isolated='no')"),
+]
+
+
+def _case_id(k: int) -> str:
+    """The class name, numbered from the second case of a class on."""
+    name = type(CHECKED[k][0]).__name__
+    earlier = sum(type(case[0]).__name__ == name for case in CHECKED[:k])
+    return f"{name}-{earlier}" if earlier else name
 
 
 @pytest.mark.parametrize("good, name, bad, message", CHECKED,
-                         ids=[type(case[0]).__name__ for case in CHECKED])
+                         ids=[_case_id(k) for k in range(len(CHECKED))])
 def test_a_checked_class_checks_through_replace_and_make(good, name, bad, message):
     cls = type(good)
     fields = {**good._asdict(), name: bad}
