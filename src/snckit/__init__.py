@@ -12,7 +12,6 @@ from .abgroup import (
     Hom,
     compose,
     direct_sum,
-    group_from_presentation,
     presentation_matrix,
     subquotient,
 )
@@ -24,7 +23,7 @@ from .chaincx import (
     e2_page,
     homology,
 )
-from .intmat import IntMatrix, SmithForm, smith_diagonal, smith_normal_form
+from .intmat import IntMatrix, SmithForm, smith_normal_form
 from .khasm import (
     KhReport,
     PicardInput,
@@ -71,14 +70,12 @@ __all__ = [
     "direct_sum",
     "e2_page",
     "find_bad_intersections",
-    "group_from_presentation",
     "homology",
     "k_report",
     "kh_report",
     "ns_analysis",
     "presentation_matrix",
     "resolve_to_simplicial",
-    "smith_diagonal",
     "smith_normal_form",
     "subquotient",
     "validate_snc",

@@ -2,8 +2,8 @@
 
 A group is stored in canonical form (free rank plus a divisibility chain of
 torsion orders), so structural equality coincides with isomorphism.  Groups
-are produced from integer presentation matrices via Smith normal form, and
-homomorphisms between them are matrices on canonical generators, validated
+are read off the Smith diagonal that :func:`~snckit.intmat.eliminate` gives
+for an integer presentation matrix, and homomorphisms between them are matrices on canonical generators, validated
 against torsion at construction time.  One function,
 :func:`kernel_coordinates`, builds the lattice of a kernel, rewrites
 vectors on its basis and presents the cokernel; subquotients and the
@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
-from .intmat import IntMatrix, _Checked, eliminate, smith_diagonal
+from .intmat import IntMatrix, _Checked, eliminate
 
 
 def _divisibility_chain(factors: Iterable[int]) -> tuple[int, ...]:
@@ -107,20 +107,6 @@ def presentation_matrix(g: FgAbGroup) -> IntMatrix:
     rows = (zeros,) * g.free_rank + tuple(
         zeros[:i] + (t,) + zeros[i + 1:] for i, t in enumerate(g.torsion))
     return IntMatrix._of(rows, k)
-
-
-def group_from_presentation(relations: IntMatrix, generators: int) -> FgAbGroup:
-    """The cokernel Z^generators / (column span of relations), canonical.
-
-    >>> str(group_from_presentation(IntMatrix([[2]]), 1))
-    'Z/2'
-    >>> str(group_from_presentation(IntMatrix.zero(3, 0), 3))
-    'Z^3'
-    """
-    if relations.nrows != generators:
-        raise ValueError(
-            f"relation matrix has {relations.nrows} rows for {generators} generators")
-    return _canonical_rows(smith_diagonal(relations), generators)[0]
 
 
 def _canonical_rows(diag: tuple[int, ...], size: int) -> tuple[FgAbGroup, list[int]]:
@@ -234,7 +220,7 @@ def subquotient(outgoing: Hom, incoming: Hom) -> FgAbGroup:
     coords, size, _ = kernel_coordinates(outgoing, incoming.matrix)
     if coords is None:
         raise ValueError("incoming image does not lie in the outgoing kernel")
-    return group_from_presentation(coords, size)
+    return _canonical_rows(eliminate(coords)[0], size)[0]
 
 
 def direct_sum(gs: Iterable[FgAbGroup]) -> FgAbGroup:

@@ -164,7 +164,7 @@ class SpectralPage(_Checked, NamedTuple("SpectralPage", [
     source position.  ``support`` is the region where nonzero entries are
     allowed at all; it never grows when passing to a later page.  Left out,
     ``entries`` and ``differentials`` are fresh empty dicts.  The dicts
-    make a page unhashable.
+    make a page unhashable.  A field of the wrong type raises ``ValueError``.
     """
 
     __slots__ = ()
@@ -174,8 +174,17 @@ class SpectralPage(_Checked, NamedTuple("SpectralPage", [
                 entries: dict[tuple[int, int], FgAbGroup] | None = None,
                 differentials: dict[tuple[int, int], Hom] | None = None,
                 support: frozenset[tuple[int, int]] = frozenset()) -> SpectralPage:
-        return tuple.__new__(cls, (page_no, {} if entries is None else entries,
+        self = tuple.__new__(cls, (page_no, {} if entries is None else entries,
                                    {} if differentials is None else differentials, support))
+        if (tuple(map(type, self)) != (int, dict, dict, frozenset)
+                or {*map(type, self.entries.values())} - {FgAbGroup}
+                or {*map(type, self.differentials.values())} - {Hom}
+                or not all(type(k) is tuple and tuple(map(type, k)) == (int, int)
+                           for k in (*self.entries, *self.differentials, *self.support))):
+            raise ValueError("page_no must be an int, entries a dict from pairs of ints to "
+                             "FgAbGroup, differentials one to Hom and support a frozenset of "
+                             f"pairs of ints, got {self!r}")
+        return self
 
     def entry(self, p: int, q: int) -> FgAbGroup:
         return self.entries.get((p, q), FgAbGroup(0))

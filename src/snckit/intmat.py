@@ -17,14 +17,14 @@ Each pivot is the first +-1 of the trailing block, which ``in`` and
 carries whatever rows it is given through every row move: the identity
 ends as U, and the rows of a matrix B end as U*B, which is how a system
 is solved against the elimination without building U.
-:func:`eliminate` is the one entry point that tracks transforms: it
-returns the diagonal with each of U (or U*B), V and U^{-1} that the
-caller asks for, and None for the others.  :func:`smith_normal_form`
-asks for all three and checks them as a :class:`SmithForm`.
+:func:`eliminate` is the one entry point for a dense matrix: it returns
+the diagonal with U*B for the rows B it is handed, V and U^{-1} as the
+caller asks, and None for the others.  :func:`smith_normal_form` hands
+it the identity, asks for all three and checks them as a
+:class:`SmithForm`.
 
-Callers that need only the invariant factors use :func:`unit_sweep`, which
-builds no transforms, takes sparse rows and also names its unit pivots, or
-:func:`smith_diagonal`, which hands it the rows of a dense matrix.
+Sparse rows go through :func:`unit_sweep`, which builds no transforms
+and also names its unit pivots.
 """
 
 from __future__ import annotations
@@ -355,34 +355,33 @@ def _eliminate(m: list[list[int]], nr: int, nc: int,
         t += 1
 
 
-def eliminate(a: IntMatrix, u: bool | IntMatrix = False, v: bool = False,
+def eliminate(a: IntMatrix, u: IntMatrix | None = None, v: bool = False,
               u_inv: bool = False) -> tuple[tuple[int, ...], IntMatrix | None,
                                             IntMatrix | None, IntMatrix | None]:
-    """The Smith diagonal of A, then U, V and U^{-1}, each None unless asked for.
+    """The Smith diagonal of A, then U*B, V and U^{-1}, each None unless asked for.
 
     Every transform asked for is the one smith_normal_form returns.  The
     free columns of V, whose diagonal entry is zero or missing, span the
     integer kernel of A as a saturated sublattice.  U's slot carries the
-    rows it is given through every row move: ``u=True`` starts it from
-    the identity and returns U, and ``u=B``, a matrix with a row per row
-    of A, returns U*B without building U.
+    rows it is given through every row move: ``u=B``, a matrix with a row
+    per row of A, returns U*B without building U, and the identity gives
+    U itself.
 
-    >>> eliminate(IntMatrix([[2, 4], [6, 8]]), u=True)
+    >>> eliminate(IntMatrix([[2, 4], [6, 8]]), u=IntMatrix.identity(2))
     ((2, 4), IntMatrix([[1, 0], [3, -1]], ncols=2), None, None)
     >>> eliminate(IntMatrix([[2, 4], [6, 8]]), u=IntMatrix([[5], [7]]))[1]
     IntMatrix([[5], [8]], ncols=1)
     """
     nr, nc = a.shape
     m = a.to_lists()
-    carried = u if isinstance(u, IntMatrix) else IntMatrix.identity(nr) if u else None
-    if carried is not None and carried.nrows != nr:
-        raise ValueError(f"cannot carry {carried.nrows} rows through {nr} rows")
-    u_rows = None if carried is None else list(carried.rows())
+    if u is not None and u.nrows != nr:
+        raise ValueError(f"cannot carry {u.nrows} rows through {nr} rows")
+    u_rows = None if u is None else list(u.rows())
     v_t = list(IntMatrix.identity(nc).rows()) if v else None
     u_inv_t = list(IntMatrix.identity(nr).rows()) if u_inv else None
     _eliminate(m, nr, nc, u_rows, v_t, u_inv_t)
     return (tuple(m[t][t] for t in range(min(nr, nc))),
-            None if u_rows is None else IntMatrix._of(tuple(map(tuple, u_rows)), carried.ncols),
+            None if u_rows is None else IntMatrix._of(tuple(map(tuple, u_rows)), u.ncols),
             None if v_t is None else IntMatrix._of(tuple(zip(*v_t)), nc),
             None if u_inv_t is None else IntMatrix._of(tuple(zip(*u_inv_t)), nr))
 
@@ -395,7 +394,7 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     >>> smith_normal_form(IntMatrix([[0]])).diagonal
     (0,)
     """
-    diag, u, v, u_inv = eliminate(a, u=True, v=True, u_inv=True)
+    diag, u, v, u_inv = eliminate(a, u=IntMatrix.identity(a.nrows), v=True, u_inv=True)
     d = [[0] * a.ncols for _ in range(a.nrows)]
     for t, x in enumerate(diag):
         d[t][t] = x
@@ -510,9 +509,3 @@ def unit_sweep(rows: Sequence[dict[int, int]],
     _eliminate(m, len(m), len(sub_cols), None, None, None)
     diag = (1,) * len(pivots) + tuple(m[t][t] for t in range(min(len(m), len(sub_cols))))
     return diag + (0,) * (min(len(work), ncols) - len(diag)), pivots
-
-
-def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
-    """The diagonal of the Smith form of a dense matrix, without transforms."""
-    return unit_sweep([{j: x for j, x in enumerate(row) if x} for row in a.rows()],
-                      a.ncols)[0]

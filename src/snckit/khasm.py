@@ -152,11 +152,12 @@ def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
     solution are the relations of ker(NS).  coker(NS) comes from the same
     call.
 
-    The surjection is the rows of U at Gamma's canonical generators times
-    the columns of U^{-1} at ker(NS)'s, U and U^{-1} from eliminating each
-    lattice's relations, so each elimination tracks that one transform.  A
+    The surjection is the rows of U_Gamma * L at Gamma's canonical
+    generators, where L holds the columns of U^{-1} at ker(NS)'s, U^{-1}
+    from eliminating ker(NS)'s relations.  Gamma's elimination carries L
+    in U's slot, so it ends as U_Gamma * L and no product is taken.  A
     lattice without relations, as on a torsion-free source of NS, is free
-    on the basis and needs no elimination.
+    on the basis and needs no elimination; for ker(NS), L is the identity.
     """
     main = pi.maps[-1]
     incoming = (pi.maps[0].matrix if len(pi.maps) == 2
@@ -167,16 +168,15 @@ def ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
         raise AssertionError("relations escaped the kernel lattice")
     rels_ker = rels_gamma.take_columns(range(incoming.ncols, rels_gamma.ncols))
     gamma = ker_ns = FgAbGroup(size)
-    if rels_gamma.ncols:
-        diag, u, _, _ = eliminate(rels_gamma, u=True)
-        gamma, order = _canonical_rows(diag, size)
-        matrix = u.take_rows(order)
-    else:
-        matrix = IntMatrix.identity(size)
+    matrix = IntMatrix.identity(size)
     if rels_ker.ncols:
         diag, _, _, u_inv = eliminate(rels_ker, u_inv=True)
         ker_ns, order = _canonical_rows(diag, size)
-        matrix = matrix @ u_inv.take_columns(order)
+        matrix = u_inv.take_columns(order)
+    if rels_gamma.ncols:
+        diag, matrix, _, _ = eliminate(rels_gamma, u=matrix)
+        gamma, order = _canonical_rows(diag, size)
+        matrix = matrix.take_rows(order)
     return ker_ns, coker_ns, gamma, Hom(ker_ns, gamma, matrix)
 
 

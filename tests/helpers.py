@@ -9,7 +9,9 @@ Smith transforms from a second Smith form instead of the tracked inverse,
 the pivot history of the elimination from a copy of it as it stood before
 its moves were inlined (``reference_eliminate``),
 kernels, kernel lattices and exact solves from the U and V of the full
-Smith form instead of the eliminations that track one transform,
+Smith form instead of the eliminations that track one transform, the
+group a relation matrix presents from the full form's diagonal
+(``presented_group``),
 the Picard analysis from ``presentation``, one elimination per lattice
 that tracks both U and U^{-1} (``reference_ns_analysis``), chain
 complexes straight off the strata, the E_3 corner of the KH report from
@@ -50,7 +52,7 @@ from snckit import (
     find_bad_intersections,
     validate_snc,
 )
-from snckit.abgroup import group_from_presentation, kernel_coordinates, presentation_matrix
+from snckit.abgroup import kernel_coordinates, presentation_matrix
 from snckit.intmat import SmithForm, eliminate, smith_normal_form
 from snckit.snc import MAX_BLOWUPS, ResolutionLimitError, SncError
 
@@ -412,14 +414,29 @@ def column_lattice_basis(a: IntMatrix) -> IntMatrix:
     return from_columns(cols, a.nrows)
 
 
+def presented_group(relations: IntMatrix, generators: int) -> FgAbGroup:
+    """The cokernel Z^generators / (column span of relations), read off the
+    diagonal of the full Smith form: one free generator per zero or missing
+    entry, one cyclic factor per entry above 1."""
+    if relations.nrows != generators:
+        raise ValueError(
+            f"relation matrix has {relations.nrows} rows for {generators} generators")
+    diag = smith_normal_form(relations).diagonal
+    return FgAbGroup(generators - sum(map(bool, diag)), tuple(x for x in diag if x > 1))
+
+
+def canonical_order(diag: Sequence[int], generators: int) -> list[int]:
+    """The rows of U (columns of U^{-1}) of a cokernel's canonical
+    generators: the free ones first, then torsion in ascending order."""
+    free = [i for i in range(generators) if i >= len(diag) or diag[i] == 0]
+    return free + [i for i in range(len(diag)) if diag[i] > 1]
+
+
 def presentation_lift(relations: IntMatrix) -> IntMatrix:
     """The ``lift`` of ``presentation``: the columns of U^{-1} of the
     canonical generators, free first, with U^{-1} from a second Smith form."""
     sf = smith_normal_form(relations)
-    diag = sf.diagonal
-    free_idx = [i for i in range(relations.nrows) if i >= len(diag) or diag[i] == 0]
-    tors_idx = [i for i in range(len(diag)) if diag[i] > 1]
-    return unimodular_inverse(sf.u).take_columns(free_idx + tors_idx)
+    return unimodular_inverse(sf.u).take_columns(canonical_order(sf.diagonal, relations.nrows))
 
 
 def kernel_lattice(h: Hom) -> IntMatrix:
@@ -448,27 +465,43 @@ def presentation(relations: IntMatrix, generators: int) -> Presentation:
     if not relations.ncols:
         identity = IntMatrix.identity(generators)
         return Presentation(FgAbGroup(generators), identity, identity)
-    diag, u, _, u_inv = eliminate(relations, u=True, u_inv=True)
-    free = [i for i in range(generators) if i >= len(diag) or diag[i] == 0]
-    order = free + [i for i in range(len(diag)) if diag[i] > 1]
-    return Presentation(group_from_presentation(relations, generators),
+    diag, u, _, u_inv = eliminate(relations, u=IntMatrix.identity(generators), u_inv=True)
+    order = canonical_order(diag, generators)
+    return Presentation(presented_group(relations, generators),
                         u.take_rows(order), u_inv.take_columns(order))
+
+
+def lattice_relations(pi: PicardInput) -> tuple[IntMatrix, IntMatrix, int, FgAbGroup]:
+    """The relations of Gamma and of ker(NS) on the kernel lattice's basis,
+    its size and coker(NS), as ``ns_analysis`` reads them."""
+    main = pi.maps[-1]
+    incoming = (pi.maps[0].matrix if len(pi.maps) == 2
+                else IntMatrix.zero(main.source.ngens, 0))
+    rels_gamma, size, coker_ns = kernel_coordinates(main, incoming)
+    rels_ker = rels_gamma.take_columns(range(incoming.ncols, rels_gamma.ncols))
+    return rels_gamma, rels_ker, size, coker_ns
 
 
 def reference_ns_analysis(pi: PicardInput) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup, Hom]:
     """``ns_analysis`` with each lattice read through ``presentation``, which
     tracks U and U^{-1} on both: the surjection is Gamma's ``to_canonical``
     times ker(NS)'s ``lift``."""
-    main = pi.maps[-1]
-    incoming = (pi.maps[0].matrix if len(pi.maps) == 2
-                else IntMatrix.zero(main.source.ngens, 0))
-    rels_gamma, size, coker_ns = kernel_coordinates(main, incoming)
-    rels_ker = rels_gamma.take_columns(range(incoming.ncols, rels_gamma.ncols))
+    rels_gamma, rels_ker, size, coker_ns = lattice_relations(pi)
     pres_ker = presentation(rels_ker, size)
     pres_gamma = presentation(rels_gamma, size)
     surjection = Hom(pres_ker.group, pres_gamma.group,
                      pres_gamma.to_canonical @ pres_ker.lift)
     return pres_ker.group, coker_ns, pres_gamma.group, surjection
+
+
+def smith_surjection(pi: PicardInput) -> IntMatrix:
+    """The matrix of ker(NS) -> Gamma as U_Gamma[order] * U_ker^{-1}[:, order],
+    each transform from ``smith_normal_form`` of that lattice's relations
+    and each order its canonical generators."""
+    rels_gamma, rels_ker, size, _ = lattice_relations(pi)
+    sf_gamma, sf_ker = smith_normal_form(rels_gamma), smith_normal_form(rels_ker)
+    return (sf_gamma.u.take_rows(canonical_order(sf_gamma.diagonal, size))
+            @ sf_ker.u_inv.take_columns(canonical_order(sf_ker.diagonal, size)))
 
 
 def kernel_presentation(h: Hom) -> Presentation:
@@ -488,7 +521,7 @@ class HomAnalysis(NamedTuple):
 
 def cokernel(h: Hom) -> FgAbGroup:
     """The target of h modulo the image of h, from its own Smith diagonal."""
-    return group_from_presentation(
+    return presented_group(
         h.matrix.hstack(presentation_matrix(h.target)), h.target.ngens)
 
 
@@ -500,14 +533,14 @@ def middle_homology(outgoing: Hom, incoming: IntMatrix) -> FgAbGroup:
     rels = solve_exact(lat, incoming.hstack(presentation_matrix(outgoing.source)))
     if rels is None:
         raise AssertionError("incoming image escaped the kernel lattice")
-    return group_from_presentation(rels, lat.ncols)
+    return presented_group(rels, lat.ncols)
 
 
 def hom_analyze(h: Hom) -> HomAnalysis:
     """Kernel, image, and cokernel of a homomorphism, all canonical."""
     # The image is the source modulo the lattice, which holds its relations.
     return HomAnalysis(middle_homology(h, IntMatrix.zero(h.source.ngens, 0)),
-                       group_from_presentation(kernel_lattice(h), h.source.ngens),
+                       presented_group(kernel_lattice(h), h.source.ngens),
                        cokernel(h))
 
 

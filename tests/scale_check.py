@@ -156,7 +156,7 @@ def resolve(tmp: str) -> None:
 
 
 def declared_rank(tmp: str) -> None:
-    """kh-report at ns_rank 1000, with a torsion-free and a torsion source.
+    """kh-report at ns_rank 1000: a torsion-free source, a torsion source, zero maps.
 
     The triangle divisor with ns_rank 1000 at level 0 and 0 at level 1, a
     document of a few hundred bytes whose report prints the 1000 x 1000
@@ -164,35 +164,42 @@ def declared_rank(tmp: str) -> None:
     seconds; work cubic in the declared rank took about a minute on this
     document, and the step's limit stops anything slower.  The second
     document adds ns_torsion [2] at level 0 and must print the 1001 x 1001
-    identity.  It is the one scale case in which ``ns_analysis`` eliminates
-    the relations of ker(NS) and multiplies through the sparse-row branch
-    of ``IntMatrix.__matmul__``; with dot products alone that product is
-    cubic in the rank, about 0.4 s at rank 300 and some 14 s at 1000,
-    against about 0.3 s for the whole run on a 2-core host.  So each run
-    must finish within 4 s.
+    identity; on it ``ns_analysis`` eliminates the relations of ker(NS)
+    and carries their lift through Gamma's elimination.  The third is the
+    triangle divisor at n = 4 with three levels of ns_rank 1000 joined by
+    two 1000 x 1000 zero maps, a 6.0 MB document, and must print the
+    1000 x 1000 identity.  ``PicardInput`` checks that the two maps compose
+    to zero, and that product is the one scale case that goes through the
+    sparse-row branch of ``IntMatrix.__matmul__``: with dot products alone
+    it is cubic in the rank and took 10.6 s, against about 0.5 s for the
+    whole run on a 2-core host.  So each run must finish within 4 s.
     """
     r = 1000
-    for torsion in ([], [2]):
+    pairs = ([0, 1], [0, 2], [1, 2])
+    zero = [[0] * r for _ in range(r)]
+    level = {"ns_rank": r, "ns_torsion": [], "pic0_dim": 0}
+    cases = [("ns_torsion [], n = 3", 3, [{**level, "p": 0},
+                                          {**level, "p": 1, "ns_rank": 0}], [[]], r),
+             ("ns_torsion [2], n = 3", 3, [{**level, "p": 0, "ns_torsion": [2]},
+                                           {**level, "p": 1, "ns_rank": 0}], [[]], r + 1),
+             ("zero maps, n = 4", 4, [{**level, "p": p} for p in range(3)], [zero, zero], r)]
+    for k, (name, n, levels, maps, gens) in enumerate(cases):
         doc = {"version": "1",
-               "divisor": {"n": 3, "components": ["E1", "E2", "E3"],
-                           "strata": [{"subset": s, "components": [{"id": c, "parents": {}}]}
-                                      for s, c in (([0, 1], "c12"), ([0, 2], "c13"),
-                                                   ([1, 2], "c23"))]},
-               "picard": {"levels": [{"p": 0, "ns_rank": r, "ns_torsion": torsion,
-                                      "pic0_dim": 0},
-                                     {"p": 1, "ns_rank": 0, "ns_torsion": [], "pic0_dim": 0}],
-                          "ns_maps": [[]], "coker_pic0_dim": 0}}
-        path = os.path.join(tmp, f"declared-rank-{len(torsion)}.json")
+               "divisor": {"n": n, "components": ["E1", "E2", "E3"],
+                           "strata": [{"subset": s, "components": [
+                               {"id": "c" + "".join(str(i + 1) for i in s), "parents": {}}]}
+                                      for s in pairs]},
+               "picard": {"levels": levels, "ns_maps": maps, "coker_pic0_dim": 0}}
+        path = os.path.join(tmp, f"declared-rank-{k}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         start = time.perf_counter()
         done = _cli(path, "kh-report", "both")
         seconds = time.perf_counter() - start
-        print(f"ns_rank {r}, ns_torsion {torsion}: exit {done.returncode}, {seconds:.2f} s, "
-              f"{len(done.stdout)} bytes of output")
+        print(f"ns_rank {r}, {name}: {os.path.getsize(path)} bytes in, exit "
+              f"{done.returncode}, {seconds:.2f} s, {len(done.stdout)} bytes of output")
         assert done.returncode == 0, done.stderr.decode()
         report = oracle.machine_report(done.stdout.decode("utf-8"))
-        gens = r + len(torsion)
         identity = [[int(i == j) for j in range(gens)] for i in range(gens)]
         assert report["one_motive"]["surjection_matrix"] == identity
         assert seconds < 4, seconds

@@ -14,6 +14,7 @@ from helpers import (
     kernel_lattice,
     kernel_presentation,
     presentation_lift,
+    presented_group,
     prime_power_chain,
     random_matrix,
     solve_exact,
@@ -25,7 +26,6 @@ from snckit import (
     IntMatrix,
     compose,
     direct_sum,
-    group_from_presentation,
     presentation_matrix,
     subquotient,
 )
@@ -62,9 +62,9 @@ def random_hom(rng: random.Random, source: FgAbGroup, target: FgAbGroup) -> Hom:
 
 
 def test_canonical_form_examples():
-    assert group_from_presentation(IntMatrix([[2]]), 1) == FgAbGroup(0, (2,))
-    assert group_from_presentation(IntMatrix.zero(3, 0), 3) == FgAbGroup(3)
-    g = group_from_presentation(IntMatrix([[2, 4], [6, 8]]), 2)
+    assert presented_group(IntMatrix([[2]]), 1) == FgAbGroup(0, (2,))
+    assert presented_group(IntMatrix.zero(3, 0), 3) == FgAbGroup(3)
+    g = presented_group(IntMatrix([[2, 4], [6, 8]]), 2)
     assert g == FgAbGroup(0, (2, 4))
     assert str(g) == "Z/2 ⊕ Z/4"
     assert str(FgAbGroup(2, (3,))) == "Z^2 ⊕ Z/3"
@@ -122,18 +122,19 @@ def test_presentation_invariant_under_unimodular_change():
         a = random_matrix(rng, max_dim=4)
         sf = smith_normal_form(a)
         b = sf.u @ a @ sf.v
-        assert (group_from_presentation(a, a.nrows)
-                == group_from_presentation(b, b.nrows))
+        assert (presented_group(a, a.nrows)
+                == presented_group(b, b.nrows))
 
 
 def test_tracked_transforms_compose_to_identity():
-    # ns_analysis tracks U alone on Gamma and U^{-1} alone on ker(NS), and
-    # multiplies them: the two must be inverse, and U^{-1}'s columns of the
-    # canonical generators must be the lift that a second Smith form gives.
+    # ns_analysis tracks U^{-1} alone on ker(NS) and carries its columns
+    # through Gamma's elimination in U's slot: U and U^{-1}, each tracked
+    # alone, must be inverse, and U^{-1}'s columns of the canonical
+    # generators must be the lift that a second Smith form gives.
     rng = random.Random(14)
     for _ in range(200):
         a = random_matrix(rng, max_dim=4)
-        diag, u, _, _ = eliminate(a, u=True)
+        diag, u, _, _ = eliminate(a, u=IntMatrix.identity(a.nrows))
         _, _, _, u_inv = eliminate(a, u_inv=True)
         assert u @ u_inv == IntMatrix.identity(a.nrows)
         _, order = _canonical_rows(diag, a.nrows)
@@ -149,9 +150,9 @@ def _random_target(rng: random.Random, generators: int) -> FgAbGroup:
 
 
 def test_single_transforms_and_kernels_read_what_the_full_form_returns():
-    # ns_analysis tracks U alone or U^{-1} alone, and kernel_coordinates
-    # reads the cokernel off the elimination that gives its kernel; all
-    # must agree with the full Smith form of the same input.
+    # ns_analysis carries rows in U's slot or tracks U^{-1} alone, and
+    # kernel_coordinates reads the cokernel off the elimination that gives
+    # its kernel; all must agree with the full Smith form of the same input.
     rng = random.Random(43)
     for _ in range(250):
         a = wide_random_matrix(rng)
@@ -159,16 +160,16 @@ def test_single_transforms_and_kernels_read_what_the_full_form_returns():
         diag = sf.diagonal
         free = [i for i in range(a.nrows) if i >= len(diag) or diag[i] == 0]
         order = free + [i for i in range(len(diag)) if diag[i] > 1]
-        assert eliminate(a, u=True) == (diag, sf.u, None, None)
+        assert eliminate(a, u=IntMatrix.identity(a.nrows)) == (diag, sf.u, None, None)
         assert eliminate(a, u_inv=True) == (diag, None, None, sf.u_inv)
-        assert _canonical_rows(diag, a.nrows) == (group_from_presentation(a, a.nrows),
+        assert _canonical_rows(diag, a.nrows) == (presented_group(a, a.nrows),
                                                   order)
 
         target = _random_target(rng, a.nrows)
         h = Hom(FgAbGroup(a.ncols), target, a)
         stacked = a.hstack(presentation_matrix(target))
         coords, size, coker = kernel_coordinates(h, IntMatrix.zero(a.ncols, 0))
-        assert coker == group_from_presentation(stacked, target.ngens) == cokernel(h)
+        assert coker == presented_group(stacked, target.ngens) == cokernel(h)
         assert size == kernel_lattice(h).ncols and coords == IntMatrix.zero(size, 0)
 
 
@@ -214,7 +215,7 @@ def test_kernel_coordinates_solve_as_the_oracle_does():
 
 def test_presentation_matrix_roundtrip():
     g = FgAbGroup(2, (2, 6))
-    assert group_from_presentation(presentation_matrix(g), g.ngens) == g
+    assert presented_group(presentation_matrix(g), g.ngens) == g
 
 
 def test_hom_analyze_spec_examples():
@@ -341,7 +342,7 @@ def test_no_relations_shortcut_reads_what_the_elimination_gives():
     # takes it free on the identity, which is what the elimination returns
     for g in range(6):
         relations = IntMatrix.zero(g, 0)
-        diag, u, v, u_inv = eliminate(relations, u=True, u_inv=True)
+        diag, u, v, u_inv = eliminate(relations, u=IntMatrix.identity(g), u_inv=True)
         assert diag == () and v is None
         assert u == u_inv == IntMatrix.identity(g)
         assert _canonical_rows(diag, g) == (FgAbGroup(g), list(range(g)))

@@ -22,6 +22,7 @@ from helpers import (
     reference_ns_analysis,
     rp2_divisor,
     simplex_divisor,
+    smith_surjection,
     sphere4,
     triangle_cycle,
     triangle_picard,
@@ -192,21 +193,29 @@ def test_ns_analysis_gamma_matches_subquotient_on_random_input():
 
 
 def test_ns_analysis_equals_the_presentation_reference():
-    """Tracking U alone on Gamma and U^{-1} alone on ker(NS) gives the
-    groups and the surjection matrix of ``reference_ns_analysis``, which
-    tracks both on each lattice.  A torsion source gives ker(NS) relations,
-    so its lift is read; a lower map gives Gamma more relations."""
+    """Tracking U^{-1} alone on ker(NS) and carrying its lift through
+    Gamma's elimination gives the groups and the surjection matrix of
+    ``reference_ns_analysis``, which tracks both on each lattice, and the
+    surjection is the product U_Gamma[order] * U_ker^{-1}[:, order] of two
+    full Smith forms (``smith_surjection``).  A torsion source gives ker(NS)
+    relations, so its lift is carried; a lower map gives Gamma more
+    relations."""
     rng = random.Random(28)
     docs = [random_picard_document(rng, 3 + k % 2, rng.choice((1, 2, 30)))
             for k in range(400)]
     docs += [with_source_torsion(dense_picard_document(rng, rank), [2, 6], rng)
              for rank in (4, 8, 12)]
-    torsion_sources = 0
+    seen = {"torsion source": 0, "and a lower map": 0, "and not the identity": 0}
     for doc in docs:
         pi = parse_document(doc).picard
-        torsion_sources += bool(pi.maps[-1].source.torsion)
-        assert ns_analysis(pi) == reference_ns_analysis(pi)
-    assert torsion_sources >= 100
+        got = ns_analysis(pi)
+        assert got == reference_ns_analysis(pi)
+        assert got[3].matrix == smith_surjection(pi)
+        if pi.maps[-1].source.torsion:
+            seen["torsion source"] += 1
+            seen["and a lower map"] += len(pi.maps) == 2
+            seen["and not the identity"] += got[3].matrix != IntMatrix.identity(got[2].ngens)
+    assert seen["torsion source"] >= 200 and min(seen.values()) >= 50, seen
 
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "fixtures" / "golden" / "inputs"
@@ -214,10 +223,10 @@ GOLDEN_INPUTS = Path(__file__).resolve().parent / "fixtures" / "golden" / "input
 
 @pytest.mark.parametrize("source", ["torsion-source golden", "dense Picard"])
 def test_ns_analysis_tracks_only_the_transforms_it_reads(monkeypatch, source):
-    """Every elimination of a kh-report that tracks a transform, with the
-    transforms it tracks: V on [NS | relations], U on the kernel lattice's
-    spanning rows, U on Gamma's relations, and U^{-1} on ker(NS)'s, only
-    when there are any."""
+    """Every elimination of a kh-report that tracks a transform, in order,
+    with the transforms it tracks: V on [NS | relations], U's slot carried
+    on the kernel lattice's spanning rows, U^{-1} on ker(NS)'s relations,
+    only when there are any, then U's slot carried on Gamma's relations."""
     if source == "dense Picard":
         raw = dense_picard_document(random.Random(3), 12)
     else:
@@ -231,9 +240,10 @@ def test_ns_analysis_tracks_only_the_transforms_it_reads(monkeypatch, source):
     rels_ker = rels_gamma.take_columns(range(incoming.ncols, rels_gamma.ncols))
     assert rels_gamma.ncols and bool(rels_ker.ncols) == (source != "dense Picard")
     u, v, u_inv = (True, False, False), (False, True, False), (False, False, True)
-    expected = [(stacked, v), (kernel_rows, u), (rels_gamma, u)]
+    expected = [(stacked, v), (kernel_rows, u)]
     if rels_ker.ncols:
         expected.append((rels_ker, u_inv))
+    expected.append((rels_gamma, u))
 
     calls = []
     real_eliminate = intmat._eliminate

@@ -8,7 +8,9 @@ a ``Name``, reads it as an ``Attribute`` or imports it; a method counts as
 used only when some module reads it as an ``Attribute``, so a local
 variable of the same name does not hide it.  A helper that only tests call
 must not come back, so the unused names must be exactly the allowlist
-below, each with the reason it stays.
+below, each with the reason it stays.  ``snckit.__all__`` is pinned as
+well: it must be sorted and equal ``PUBLIC``, so a public name comes or
+goes only by a reviewed edit of that list.
 
 Uses are matched by the bare name, so a name that collides with another
 identifier (``free``, ``rank`` or ``get``, say) always looks used: the scan
@@ -97,6 +99,24 @@ def unused_public_names(trees: list[ast.Module] | None = None) -> set[str]:
 def test_only_allowlisted_public_names_go_unused_in_src():
     assert all(reason.strip() for reason in ALLOWED_UNUSED.values())
     assert unused_public_names() == set(ALLOWED_UNUSED)
+
+
+PUBLIC = [
+    "BlowupRecord", "ChainComplex", "DuBoisTable", "DualComplex", "FgAbGroup", "Hom",
+    "IntMatrix", "KReport", "KhReport", "PicardInput", "PicardLevel", "SmithForm",
+    "SncDivisor", "SpectralPage", "SupportViolationError", "TorusDescriptor",
+    "blowup_point_on_double_curve", "blowup_stratum_component", "cohomology", "compose",
+    "direct_sum", "e2_page", "find_bad_intersections", "homology", "k_report", "kh_report",
+    "ns_analysis", "presentation_matrix", "resolve_to_simplicial", "smith_normal_form",
+    "subquotient", "validate_snc",
+]
+
+
+def test_the_package_exports_exactly_the_reviewed_names():
+    # A public name is added or dropped only by an edit of PUBLIC.
+    import snckit
+    assert snckit.__all__ == sorted(snckit.__all__) == PUBLIC
+    assert all(hasattr(snckit, name) for name in snckit.__all__)
 
 
 def test_a_method_is_used_only_where_it_is_read_as_an_attribute():

@@ -62,6 +62,10 @@ PICARD_TYPES = ("n and coker_pic0_dim must be ints, levels a tuple of PicardLeve
                 "tuple of Hom and ker_beta_known an FgAbGroup or None")
 LEVEL_TYPES = "p and pic0_dim must be ints and ns an FgAbGroup, got PicardLevel("
 DUBOIS_TYPES = "entries must be a dict from pairs of ints to ints and isolated a bool, got "
+PAGE = SpectralPage(1, {(0, 0): Z}, {}, frozenset({(0, 0)}))
+PAGE_TYPES = ("page_no must be an int, entries a dict from pairs of ints to FgAbGroup, "
+              "differentials one to Hom and support a frozenset of pairs of ints, got "
+              "SpectralPage(")
 CHECKED += [
     (IDENTITY, "matrix", [[1]], HOM_TYPES + "FgAbGroup, FgAbGroup, list"),
     (IDENTITY, "matrix", ((1,),), HOM_TYPES + "FgAbGroup, FgAbGroup, tuple"),
@@ -84,6 +88,23 @@ CHECKED += [
      DUBOIS_TYPES + "DuBoisTable(entries=[((0, 2), 1)], isolated=True)"),
     (DuBoisTable({(0, 2): 1}), "isolated", "no",
      DUBOIS_TYPES + "DuBoisTable(entries={(0, 2): 1}, isolated='no')"),
+    (PAGE, "entries", {(0, 0): (1, ())}, PAGE_TYPES + "page_no=1, entries={(0, 0): (1, ())}, "
+     "differentials={}, support=frozenset({(0, 0)}))"),
+    (PAGE, "entries", [], PAGE_TYPES + "page_no=1, entries=[], differentials={}, "
+     "support=frozenset({(0, 0)}))"),
+    (PAGE, "entries", {(0,): Z}, PAGE_TYPES + "page_no=1, entries={(0,): FgAbGroup(free_rank=1, "
+     "torsion=())}, differentials={}, support=frozenset({(0, 0)}))"),
+    (PAGE, "page_no", True, PAGE_TYPES + "page_no=True, entries={(0, 0): FgAbGroup(free_rank=1, "
+     "torsion=())}, differentials={}, support=frozenset({(0, 0)}))"),
+    (PAGE, "page_no", 1.0, PAGE_TYPES + "page_no=1.0, entries={(0, 0): FgAbGroup(free_rank=1, "
+     "torsion=())}, differentials={}, support=frozenset({(0, 0)}))"),
+    (PAGE, "differentials", {(0, 0): 5}, PAGE_TYPES + "page_no=1, entries={(0, 0): "
+     "FgAbGroup(free_rank=1, torsion=())}, differentials={(0, 0): 5}, "
+     "support=frozenset({(0, 0)}))"),
+    (PAGE, "support", [(0, 0)], PAGE_TYPES + "page_no=1, entries={(0, 0): FgAbGroup(free_rank=1, "
+     "torsion=())}, differentials={}, support=[(0, 0)])"),
+    (PAGE, "support", frozenset({(0, "0")}), PAGE_TYPES + "page_no=1, entries={(0, 0): "
+     "FgAbGroup(free_rank=1, torsion=())}, differentials={}, support=frozenset({(0, '0')}))"),
 ]
 
 
