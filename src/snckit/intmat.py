@@ -13,10 +13,12 @@ on U as the inverse column move, so no caller ever inverts U with a second
 Smith form.  Its pivots depend on A alone, so each caller tracks only the
 transforms it reads, and what it reads is what the full form would give.
 Each pivot is the first +-1 of the trailing block, which ``in`` and
-``index`` find row by row, or else its smallest nonzero entry.  U's slot
-carries whatever rows it is given through every row move: the identity
-ends as U, and the rows of a matrix B end as U*B, which is how a system
-is solved against the elimination without building U.
+``index`` find row by row, or else its smallest nonzero entry.  A move
+costs the nonzeros of the row it adds rather than the width, except on
+U^{-1}, whose moves stay dense.  U's slot carries whatever rows it is
+given through every row move: the identity ends as U, and the rows of a
+matrix B end as U*B, which is how a system is solved against the
+elimination without building U.
 :func:`eliminate` is the one entry point for a dense matrix: it returns
 the diagonal with U*B for the rows B it is handed, V and U^{-1} as the
 caller asks, and None for the others.  :func:`smith_normal_form` hands
@@ -222,7 +224,10 @@ def _pick_pivot(m: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int]
     +-1 anywhere holds it in the block, and its lowest +-1, which ``in``
     and ``index`` find without a loop in Python, is the block's first.
     Nothing beats an entry of absolute value 1, so the full scan runs only
-    on a block without one.
+    on a block without one.  It is one Python pass over the block: a
+    builtin pass per row, ``min(filter(None, map(abs, row)))``, also
+    reads the zeros left of column t and pays its set-up on every row,
+    and is slower on the few-row blocks that elimination meets.
     """
     for i in range(t, nr):
         row = m[i]
@@ -243,8 +248,13 @@ def _pick_pivot(m: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int]
     return best
 
 
+def _nonzeros(row: Sequence[int]) -> list[tuple[int, int]]:
+    """The (column, entry) pairs of a row's nonzero entries."""
+    return [(k, x) for k, x in enumerate(row) if x]
+
+
 def _eliminate(m: list[list[int]], nr: int, nc: int,
-               u: list[Sequence[int]] | None, v_t: list[Sequence[int]] | None,
+               u: list[list[int]] | None, v_t: list[list[int]] | None,
                u_inv_t: list[Sequence[int]] | None) -> None:
     """Diagonalize ``m`` in place; mirror the moves into the transforms given.
 
@@ -254,8 +264,17 @@ def _eliminate(m: list[list[int]], nr: int, nc: int,
     column move on V is a move of whole rows.  ``u_inv_t`` holds the
     transpose of U^{-1}.  Each row move E on U is mirrored as
     U^{-1} <- U^{-1} E^{-1}, a column move on U^{-1}, which on the
-    transpose is again a row move.  Rows of the transforms are replaced,
-    never changed in place, so they may start as tuples.
+    transpose is again a row move.
+
+    A move costs the nonzeros of the row it adds, not the width: the
+    nonzeros of the pivot rows of ``m`` and ``u`` are listed once per
+    pass, and again after a swap or a fold, and each row move runs over
+    them alone; a column move on V runs over those of ``v_t[t]``.  These
+    moves change rows of ``m``, ``u`` and ``v_t`` in place, so each must
+    be a list that nothing else holds.  U^{-1}'s moves stay dense: each
+    adds a different row of ``u_inv_t``, so listing its nonzeros would
+    cost as much as the move.  Those rows are replaced, never changed in
+    place, so they may start as tuples.
 
     Pivots are always chosen with minimal absolute value to keep
     intermediate entries small; this is the classical guard against
@@ -293,15 +312,20 @@ def _eliminate(m: list[list[int]], nr: int, nc: int,
         while True:
             top = m[t]
             p = top[t]
+            top_nz = _nonzeros(top)
+            u_nz = None if u is None else _nonzeros(u[t])
             for i in range(t + 1, nr):
                 row = m[i]
                 x = row[t]
                 if x:
                     q = x // p
                     if q:
-                        m[i] = row = [a - q * b for a, b in zip(row, top)]
-                        if u is not None:
-                            u[i] = [a - q * b for a, b in zip(u[i], u[t])]
+                        for k, b in top_nz:
+                            row[k] -= q * b
+                        if u_nz is not None:
+                            target = u[i]
+                            for k, b in u_nz:
+                                target[k] -= q * b
                         if u_inv_t is not None:
                             u_inv_t[t] = [a + q * b for a, b in zip(u_inv_t[t], u_inv_t[i])]
                     if row[t]:
@@ -312,14 +336,17 @@ def _eliminate(m: list[list[int]], nr: int, nc: int,
                             u_inv_t[t], u_inv_t[i] = u_inv_t[i], u_inv_t[t]
                         break
             else:
+                v_nz = None if v_t is None else _nonzeros(v_t[t])
                 for j in range(t + 1, nc):
                     x = top[j]
                     if x:
                         q = x // p
                         if q:
                             top[j] = x = x - q * p
-                            if v_t is not None:
-                                v_t[j] = [a - q * b for a, b in zip(v_t[j], v_t[t])]
+                            if v_nz is not None:
+                                target = v_t[j]
+                                for k, b in v_nz:
+                                    target[k] -= q * b
                         if x:
                             for row in m:
                                 row[t], row[j] = row[j], row[t]
@@ -376,8 +403,8 @@ def eliminate(a: IntMatrix, u: IntMatrix | None = None, v: bool = False,
     m = a.to_lists()
     if u is not None and u.nrows != nr:
         raise ValueError(f"cannot carry {u.nrows} rows through {nr} rows")
-    u_rows = None if u is None else list(u.rows())
-    v_t = list(IntMatrix.identity(nc).rows()) if v else None
+    u_rows = None if u is None else u.to_lists()
+    v_t = IntMatrix.identity(nc).to_lists() if v else None
     u_inv_t = list(IntMatrix.identity(nr).rows()) if u_inv else None
     _eliminate(m, nr, nc, u_rows, v_t, u_inv_t)
     return (tuple(m[t][t] for t in range(min(nr, nc))),

@@ -1170,7 +1170,7 @@ def triangle_picard() -> PicardInput:
                        (restriction,), 0)
 
 
-def _unimodular_rows(rng: random.Random, k: int, moves: int) -> tuple[IntMatrix, IntMatrix]:
+def unimodular_rows(rng: random.Random, k: int, moves: int) -> tuple[IntMatrix, IntMatrix]:
     """A random unimodular k×k matrix and its inverse, from row moves."""
     a = IntMatrix.identity(k).to_lists()
     inv = IntMatrix.identity(k).to_lists()
@@ -1211,8 +1211,8 @@ def dense_picard_document(rng: random.Random, rank: int, moves: int = 3) -> dict
     r2 = k + 2
     r0 = max(2, (3 * kdim) // 4)
     top_torsion = rng.choice(([], [2], [3], [2, 4], [2, 6]))
-    p_mat, _ = _unimodular_rows(rng, r2, moves * r2)
-    q_mat, q_inv = _unimodular_rows(rng, rank, moves * rank)
+    p_mat, _ = unimodular_rows(rng, r2, moves * r2)
+    q_mat, q_inv = unimodular_rows(rng, rank, moves * rank)
     main = p_mat @ diagonal(_chain_factors(rng, k), r2, rank) @ q_mat
     tors_rows = []
     for t in top_torsion:
@@ -1221,8 +1221,8 @@ def dense_picard_document(rng: random.Random, rank: int, moves: int = 3) -> dict
         tors_rows.append(list((IntMatrix([w]) @ q_mat).rows()[0]))
     main = vstack(main, IntMatrix(tors_rows, ncols=rank))
 
-    p2, _ = _unimodular_rows(rng, kdim, moves * kdim)
-    q2, _ = _unimodular_rows(rng, r0, moves * r0)
+    p2, _ = unimodular_rows(rng, kdim, moves * kdim)
+    q2, _ = unimodular_rows(rng, r0, moves * r0)
     b = p2 @ diagonal(_chain_factors(rng, r0 - 1), kdim, r0) @ q2
     lower = q_inv.take_columns(range(k, rank)) @ b
 
@@ -1288,8 +1288,8 @@ def random_picard_document(rng: random.Random, n: int, digits: int, max_gens: in
     source, target = groups[-2], groups[-1]
     sf, tf = source.free_rank, target.free_rank
     kd = rng.randint(0, sf)
-    q_mat, q_inv = _unimodular_rows(rng, sf, 3 * sf)
-    p_mat, _ = _unimodular_rows(rng, tf, 3 * tf)
+    q_mat, q_inv = unimodular_rows(rng, sf, 3 * sf)
+    p_mat, _ = unimodular_rows(rng, tf, 3 * tf)
     d = IntMatrix([[entry() if i == j < sf - kd else 0 for j in range(sf)]
                    for i in range(tf)], ncols=sf)
     w = IntMatrix([[t * rng.randint(-3, 3) if j >= sf - kd else entry() for j in range(sf)]

@@ -28,6 +28,7 @@ from helpers import (
     solve_exact,
     strata_of,
     unimodular_inverse,
+    unimodular_rows,
     verify,
     vstack,
     wide_random_matrix,
@@ -307,8 +308,66 @@ def _elimination_cases(draw):
     return IntMatrix(rows, ncols=nc), IntMatrix(b, ncols=width)
 
 
+def _ns_with_relations(rng: random.Random, nr: int, ns_cols: int, rank: int,
+                       rel_cols: int) -> IntMatrix:
+    """[NS | relations] of the size a Picard report eliminates.
+
+    NS = P*D*Q has the given rank and a chain D of multiples of 4, so each
+    nonzero entry has at least 3 bits, none is +-1, and a draw is kept
+    only when every entry is below 2^13.  Each relation column holds one
+    torsion order on a row of its own, not always a multiple of 4, so
+    pivots meet remainders and rows that they do not divide.
+    """
+    chain = [4]
+    while len(chain) < rank:
+        chain.append(chain[-1] * rng.choice((1, 1, 2, 3)))
+    while True:
+        ns = (unimodular_rows(rng, nr, 2 * nr)[0] @ diagonal(chain, nr, ns_cols)
+              @ unimodular_rows(rng, ns_cols, 2 * ns_cols)[0])
+        if all(abs(x) < 2 ** 13 for row in ns.rows() for x in row):
+            break
+    rel_rows = rng.sample(range(nr), rel_cols)
+    return ns.hstack(IntMatrix(
+        [[rng.choice((5, 6, 9, 10, 12, 25)) if r == i else 0 for r in rel_rows]
+         for i in range(nr)], ncols=rel_cols))
+
+
+def _picard_sized_cases() -> list[tuple[IntMatrix, IntMatrix]]:
+    """Seeded (A, B) pairs wider than the drawn ones, where a move over the
+    nonzeros of the row it adds differs most from a move over the width:
+    [NS | relations] at 10 x 16 and 16 x 28, a 16 x 8 kernel block that
+    carries a 16 x 6 B, an 8 x 6 block that carries the identity, torsion
+    relations P*diag(2, 6, 12, 36)*Q, and unit-free blocks whose smallest
+    |entry|, 4, ties across rows and columns with both signs."""
+    rng = random.Random(38)
+    cases = []
+    for nr, ns_cols, rank, rel_cols in ((10, 12, 7, 4), (16, 22, 12, 6)):
+        cases.append((_ns_with_relations(rng, nr, ns_cols, rank, rel_cols),
+                      IntMatrix([[rng.randint(-64, 64) for _ in range(3)] for _ in range(nr)])))
+    cases.append((unimodular_rows(rng, 16, 48)[0].take_columns(range(8)),
+                   IntMatrix([[rng.randint(-2 ** 12, 2 ** 12) if rng.random() < 0.5 else 0
+                               for _ in range(6)] for _ in range(16)])))
+    cases.append((unimodular_rows(rng, 8, 16)[0] @ diagonal((1, 1, 3, 6), 8, 6)
+                  @ unimodular_rows(rng, 6, 12)[0], IntMatrix.identity(8)))
+    cases.append((unimodular_rows(rng, 6, 12)[0] @ diagonal((2, 6, 12, 36), 6, 5)
+                  @ unimodular_rows(rng, 5, 10)[0],
+                  IntMatrix([[rng.randint(-9, 9)] for _ in range(6)])))
+    for nr, nc in ((4, 4), (5, 7), (7, 5), (6, 6)):
+        cases.append((IntMatrix([[rng.choice((0, 4, -4, 4, -4, 6, -6, 10, -15, 25))
+                                  for _ in range(nc)] for _ in range(nr)]),
+                      IntMatrix([[rng.randint(-9, 9) for _ in range(2)] for _ in range(nr)])))
+    return cases
+
+
+def _with_picard_sized_examples(test):
+    for case in _picard_sized_cases():
+        test = example(case)(test)
+    return test
+
+
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(_elimination_cases())
+@_with_picard_sized_examples
 @example((IntMatrix([], ncols=0), IntMatrix([], ncols=0)))
 @example((IntMatrix([[0, 0], [0, 0]]), IntMatrix([[1], [2]])))
 @example((IntMatrix([[3], [5]]), IntMatrix([[1, 0], [0, 1]])))   # a row-pass remainder
@@ -326,6 +385,22 @@ def test_eliminate_keeps_the_reference_pivot_history(case):
     diag, u, v, u_inv = eliminate(a, u=IntMatrix.identity(a.nrows), v=True, u_inv=True)
     assert (diag, u, v, u_inv) == reference_eliminate(a)
     assert eliminate(a, u=b) == (diag, u @ b, None, None)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_elimination_cases())
+@_with_picard_sized_examples
+def test_eliminate_leaves_the_matrices_it_is_handed_alone(case):
+    # The moves change the rows they work on in place, so every row that
+    # starts as a row of A or B, or of an identity, must be a copy.
+    a, b = case
+    snapshots = [IntMatrix(x.to_lists(), ncols=x.ncols) for x in (a, b)]
+    identities = {k: IntMatrix(IntMatrix.identity(k).to_lists(), ncols=k)
+                  for k in (a.nrows, a.ncols)}
+    first = eliminate(a, u=b, v=True, u_inv=True)
+    assert [a, b] == snapshots
+    assert all(IntMatrix.identity(k) == x for k, x in identities.items())
+    assert eliminate(a, u=b, v=True, u_inv=True) == first
 
 
 def test_eliminate_carries_only_a_matrix_with_a_row_per_row():
