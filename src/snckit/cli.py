@@ -137,9 +137,10 @@ _MEMBER_KEYS = frozenset({"id", "parents"})
 def _parse_divisor(block: Any, path: str) -> SncDivisor:
     # Per value, the loops test the common case inline and build a path
     # string only in the branch that may raise.  The strata go straight
-    # into the divisor's table (see ``snc._StrataTable``), positions sorted,
-    # in range and unrepeated and parents keyed by a position of the
-    # subset, which keeps ``SncDivisor``'s invariant.
+    # into the divisor's table (see ``snc._StrataTable``), positions sorted
+    # and unrepeated and parents keyed by a position of the subset, which
+    # keeps ``SncDivisor``'s invariant.  Ids, ranges, depths and parent ids
+    # are structure, which ``validate_snc`` checks.
     obj = _as_dict(block, path)
     _require_keys(obj, {"n", "components", "strata"}, ("n", "components"), path)
     n = _as_int(obj["n"], f"{path}.n", minimum=1)
@@ -149,8 +150,6 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
             _as_str(c, f"{path}.components[{i}]")
     if not comps:
         raise SchemaError(f"{path}.components", "divisor needs at least one component")
-    if len(set(comps)) != len(comps):
-        raise SchemaError(f"{path}.components", "component ids must be unique")
     ncomps = len(comps)
     # only canonical decimal keys, as _divisor_text prints them
     key_index = {str(i): i for i in range(ncomps)}
@@ -158,7 +157,6 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
     table = _StrataTable([], [], [])
     add_id, add_positions = table.ids.append, table.positions.append
     add_parents = table.parents.append
-    named: set[str] = set()         # every parent id some stratum names
     for gi, group in enumerate(_as_list(obj.get("strata", []), f"{path}.strata")):
         if (type(group) is not dict or len(group) != 2 or "subset" not in group
                 or "components" not in group):
@@ -169,15 +167,10 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
         if type(subset_idx) is not list:
             _as_list(subset_idx, f"{path}.strata[{gi}].subset")
         for si, idx in enumerate(subset_idx):
-            if type(idx) is not int or not 0 <= idx < ncomps:
-                ipath = f"{path}.strata[{gi}].subset[{si}]"
-                if not 0 <= _as_int(idx, ipath) < ncomps:
-                    raise SchemaError(ipath, f"component index {idx} out of range")
+            if type(idx) is not int:
+                _as_int(idx, f"{path}.strata[{gi}].subset[{si}]")
         if len(set(subset_idx)) != len(subset_idx):
             raise SchemaError(f"{path}.strata[{gi}].subset", "repeated component index")
-        if len(subset_idx) > n:
-            raise SchemaError(f"{path}.strata[{gi}].subset",
-                              f"{len(subset_idx)} components exceeds n = {n}")
         positions = tuple(sorted(subset_idx))
 
         members = group["components"]
@@ -204,22 +197,9 @@ def _parse_divisor(block: Any, path: str) -> SncDivisor:
                         _as_str(val, f"{path}.strata[{gi}].components[{ci}]"
                                      f".parents[{key!r}]")
                     parents[didx] = val
-                named.update(parents.values())
             add_id(sid)
             add_positions(positions)
             add_parents(parents)
-
-    # Referenced parent ids must resolve to declared stratum ids.
-    if named:
-        stratum_ids = set(table.ids)
-        if not named <= stratum_ids:
-            for sid, parents in zip(table.ids, table.parents):
-                for dropped, pid in parents.items():
-                    if pid not in stratum_ids:
-                        raise SchemaError(f"{path}.strata", f"stratum {sid!r} names "
-                                          f"unknown parent {pid!r} for dropped "
-                                          f"component {comps[dropped]!r}")
-
     return SncDivisor(n, comps, table)
 
 
@@ -787,8 +767,9 @@ def run(command: str, document: InputDocument,
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type of ``--max-blowups``: a non-negative integer."""
-    if not text.isdecimal():
+    """argparse type of ``--max-blowups``: a non-negative integer in ASCII
+    digits."""
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 

@@ -37,6 +37,12 @@ from operator import add, index, mul
 from typing import Any, Iterable, NamedTuple, Sequence
 
 
+def _check_size(name: str, value: object) -> None:
+    """Raise unless a matrix dimension is a non-negative int (not a bool)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+
+
 class IntMatrix:
     """An immutable rectangular matrix of Python integers.
 
@@ -54,8 +60,8 @@ class IntMatrix:
     __slots__ = ("nrows", "ncols", "_rows")
 
     def __init__(self, rows: Iterable[Sequence[int]], ncols: int | None = None):
-        if ncols is not None and (type(ncols) is not int or ncols < 0):
-            raise ValueError(f"ncols must be a non-negative int, got {ncols!r}")
+        if ncols is not None:
+            _check_size("ncols", ncols)
         try:
             data = tuple(tuple(map(index, row)) for row in rows)
         except TypeError as exc:
@@ -84,11 +90,14 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        _check_size("n", n)
         zeros = (0,) * n
         return cls._of(tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(n)), n)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
+        _check_size("nrows", nrows)
+        _check_size("ncols", ncols)
         return cls._of(((0,) * ncols,) * nrows, ncols)
 
     # -- shape and access ------------------------------------------------

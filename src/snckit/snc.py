@@ -185,9 +185,10 @@ def validate_snc(d: SncDivisor) -> DualComplex:
     (none at depth 2, else one per component, each a stratum on the facet
     that drops it); last, at depth 4 and up, that dropping two components
     in either order lands on the same stratum.  Unknown or repeated subset
-    components are ``SncDivisor.build``'s errors.  The parser, ``build``
-    and the blowups leave every position in range; a divisor whose
-    ``components`` were replaced by a shorter tuple may not be.
+    components are ``SncDivisor.build``'s errors, and a repeated subset
+    index is the parser's; every rule above is checked here only, so a
+    parsed divisor may have positions out of range, as may one whose
+    ``components`` were replaced by a shorter tuple.
     """
     components = d.components
     order = {c: i for i, c in enumerate(components)}

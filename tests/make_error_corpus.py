@@ -11,9 +11,11 @@ sources:
 
 - a derandomized draw of ``mutated_documents`` from tests/test_cli.py,
   under every command but ``cohomology``;
-- one targeted fault for each type, key, range, surrogate and
-  unknown-parent check of the parser (divisor, Picard and Du Bois blocks,
-  document keys and field mode);
+- one targeted fault for each type, key, minimum, surrogate and
+  parent-key check of the parser (divisor, Picard and Du Bois blocks,
+  document keys and field mode), and among them a repeated component id,
+  subset indices out of range, a subset deeper than n and unknown parent
+  ids, which ``validate_snc`` reports;
 - divisors that break the rules of ``validate_snc``, by hand and by seeded
   random mutations of valid divisors, many with several faults at once, so
   that which error is raised first is pinned down too.
@@ -114,7 +116,9 @@ L0 = PIC + ("levels", 0)
 DUB = ("dubois",)
 E0 = DUB + ("entries", 0)
 
-# (name, fixture, command, edits): one check of the parser each
+# (name, fixture, command, edits): one check of the parser each, but for
+# the component, subset range and depth and parent id faults, which reach
+# validate_snc
 PARSER_FAULTS = [
     ("document-not-an-object", None, "validate", []),
     ("document-unknown-key", "triangle_cycle", "validate", [_set(("extra",), 1)]),
@@ -345,6 +349,9 @@ VALIDATE_FAULTS = [
     ("parent-fault-beats-grandparent-fault", "sphere4",
      [_set(S4_QUAD + ("parents", "3"), "c013"),
       _set(DIV + ("strata", 24, "components", 0, "parents", "1"), "c023")]),
+    # the quadruple points at n = 3, with Picard data laid out for n = 3
+    ("deeper-than-n", "sphere4",
+     [_set(DIV + ("n",), 3), _set(PIC, load("triangle_cycle")["picard"])]),
 ]
 
 
@@ -366,13 +373,10 @@ def _validate_fault_documents() -> list[tuple[str, dict]]:
 def _random_fault_documents() -> list[tuple[str, dict]]:
     """Valid divisors, strata shuffled, with one to three rule faults each.
 
-    Most faults keep the document acceptable to the parser (parent keys in
-    the subset, parent values declared ids), so the first error comes from
-    ``validate_snc``, but not all: a "duplicate" fault that renames an id
-    some parent names fails in the parser with a ``SchemaError``, and
+    Every fault keeps the document acceptable to the parser (parent keys
+    in the subset), so the first error comes from ``validate_snc``, but
     faults that undo each other or change nothing leave a valid divisor.
-    Of the 64 documents, 36 fail in ``validate_snc``, 11 in the parser and
-    17 are valid.
+    Of the 64 documents, 47 fail in ``validate_snc`` and 17 are valid.
     """
     sys.path.insert(0, str(HERE))
     from helpers import divisor_json, random_divisor, simplex_divisor, sphere4

@@ -49,7 +49,7 @@ from snckit.cli import (
     parse_input,
     run,
 )
-from snckit.snc import SncError
+from snckit.snc import SncError, validate_snc
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TRIANGLE = FIXTURES / "triangle_cycle.json"
@@ -134,13 +134,29 @@ def test_rejects_unknown_and_missing_keys():
                         "divisor": {"n": 3, "components": ["A"]}})
 
 
+def _parses_then_fails_validation(data: dict, message: str) -> None:
+    # a structural rule: the parser takes the document, validate_snc names
+    # the fault
+    divisor = parse_document(data).divisor
+    with pytest.raises(SncError) as err:
+        validate_snc(divisor)
+    assert str(err.value) == message
+
+
 def test_rejects_bad_divisor_blocks():
     base = load(PARALLEL)
+    base["divisor"]["components"] = ["1", "1"]
+    _parses_then_fails_validation(base, "duplicate component id")
+
+    base = load(PARALLEL)
     base["divisor"]["strata"][0]["subset"] = [0, 9]
-    with pytest.raises(SchemaError, match=r"^divisor\.strata\[0\]\.subset\[1\]: component "
-                                           r"index 9 out of range$") as err:
-        parse_document(base)
-    assert err.value.path == "divisor.strata[0].subset[1]"
+    _parses_then_fails_validation(
+        base, "stratum ca lies on component position 9, but the divisor has 2 component(s)")
+
+    base = load(PARALLEL)
+    base["divisor"]["n"] = 1
+    _parses_then_fails_validation(
+        base, "stratum ca intersects 2 components in ambient dimension 1")
 
     base = load(PARALLEL)
     base["divisor"]["strata"][0]["subset"] = [0, 0]
@@ -168,11 +184,11 @@ def test_rejects_bad_parent_references():
         parse_document(base)
     assert "not in the subset" in str(err.value)
 
-    base = load(TRIANGLE)
-    base["divisor"]["strata"][0]["components"][0]["parents"] = {"0": "ghost"}
-    with pytest.raises(SchemaError, match=r"^divisor\.strata: stratum 'c12' names unknown "
-                                           r"parent 'ghost' for dropped component 'E1'$"):
-        parse_document(base)
+    base = load(SPHERE4)
+    triple = next(g for g in base["divisor"]["strata"] if g["subset"] == [0, 1, 2])
+    triple["components"][0]["parents"]["0"] = "ghost"
+    _parses_then_fails_validation(
+        base, "stratum c012: parent 'ghost' for dropped 'E1' is not a stratum on ('E2', 'E3')")
 
 
 @pytest.mark.parametrize("key", [" 0", "+1", "0_2", "01", "-0", "1 ", "\u0660"])
@@ -589,18 +605,39 @@ def test_every_command_validates_the_divisor_once(monkeypatch, capsys, command):
     assert len(calls) == 1
 
 
-def test_a_missing_block_is_reported_before_the_divisor_is_checked(capsys, tmp_path):
+def _triple_parents(data: dict) -> dict:
+    triple = next(g for g in data["divisor"]["strata"] if len(g["subset"]) == 3)
+    return triple["components"][0]["parents"]
+
+
+def _add_stratum(data: dict, subset: list) -> None:
+    data["divisor"]["strata"].append({"subset": subset, "components": [{"id": "cx"}]})
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda data: _triple_parents(data).popitem(),
+     "stratum c012 must name one parent per dropped component"),
+    (lambda data: data["divisor"]["components"].append("E1"), "duplicate component id"),
+    (lambda data: _add_stratum(data, [0, 9]),
+     "stratum cx lies on component position 9, but the divisor has 5 component(s)"),
+    (lambda data: _add_stratum(data, [0, 1, 2, 3, 4]),
+     "stratum cx intersects 5 components in ambient dimension 4"),
+    (lambda data: _triple_parents(data).update({"0": "ghost"}),
+     "stratum c012: parent 'ghost' for dropped 'E1' is not a stratum on ('E2', 'E3')"),
+], ids=["missing-parent", "repeated-component", "index-out-of-range", "deeper-than-n",
+        "unknown-parent"])
+def test_a_missing_block_is_reported_before_the_divisor_is_checked(
+        capsys, tmp_path, fault, message):
     data = load(SPHERE4)
     del data["picard"]
-    triple = next(g for g in data["divisor"]["strata"] if len(g["subset"]) == 3)
-    triple["components"][0]["parents"].popitem()
+    fault(data)
     path = write_doc(tmp_path, data)
     for command in COMMANDS:
         code = 2 if command in ("kh-report", "k-report") else 1
         assert main(["--input", path, "--command", command]) == code
         err = capsys.readouterr().err
-        assert ("needs the 'picard' block" if code == 2
-                else "must name one parent per dropped component") in err
+        assert err == (f"error: command {command!r} needs the 'picard' block\n"
+                       if code == 2 else f"error: {message}\n")
 
 
 @pytest.mark.parametrize("error, code", [
@@ -745,6 +782,9 @@ def test_exit_one_when_the_blowup_cap_is_hit(capsys):
     (["--max-blowups", "-1"], "expected a non-negative integer, got '-1'"),
     (["--max-blowups", "x"], "expected a non-negative integer, got 'x'"),
     (["--max-blowups", "1.5"], "expected a non-negative integer, got '1.5'"),
+    # digits of other scripts, which int() reads but the flag does not take
+    (["--max-blowups", "\u0663"], "expected a non-negative integer, got '\u0663'"),
+    (["--max-blowups", "\uff13"], "expected a non-negative integer, got '\uff13'"),
     (["--emit", "yaml"], "invalid choice"),
     (["--command", "nope"], "invalid choice")])
 def test_usage_errors_exit_two_before_the_document_is_read(capsys, tmp_path, flags,

@@ -418,6 +418,19 @@ def test_constructor_takes_only_a_non_negative_int_width():
     assert IntMatrix([], ncols=0) != IntMatrix([], ncols=1)
 
 
+def test_identity_and_zero_take_only_non_negative_int_sizes():
+    for size in (-1, 2.0, "3", True, False):
+        with pytest.raises(ValueError, match=r"^n must be a non-negative int"):
+            IntMatrix.identity(size)
+        with pytest.raises(ValueError, match=r"^nrows must be a non-negative int"):
+            IntMatrix.zero(size, 2)
+        with pytest.raises(ValueError, match=r"^ncols must be a non-negative int"):
+            IntMatrix.zero(2, size)
+    assert IntMatrix.identity(0).shape == (0, 0)
+    assert IntMatrix.zero(0, 3) == IntMatrix([], ncols=3)
+    assert IntMatrix.zero(2, 0).shape == (2, 0)
+
+
 def test_constructor_takes_only_integers():
     for rows in ([[1.5, 7]], [[1, "7"]], [[2.0]], [[None]], [[1], [2j]]):
         with pytest.raises(ValueError, match="must be integers"):
