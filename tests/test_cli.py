@@ -185,8 +185,7 @@ def test_rejects_bad_parent_references():
     assert "not in the subset" in str(err.value)
 
     base = load(SPHERE4)
-    triple = next(g for g in base["divisor"]["strata"] if g["subset"] == [0, 1, 2])
-    triple["components"][0]["parents"]["0"] = "ghost"
+    _triple_parents(base)["0"] = "ghost"
     _parses_then_fails_validation(
         base, "stratum c012: parent 'ghost' for dropped 'E1' is not a stratum on ('E2', 'E3')")
 
