@@ -309,8 +309,9 @@ def _parse_dubois(block: Any, path: str) -> DuBoisTable:
 def parse_document(data: Any) -> InputDocument:
     """Check a decoded JSON document's shape and turn it into typed blocks.
 
-    Types, keys, ids and the Picard level layout are checked here; the
-    divisor's structure is checked by ``validate_snc`` where a command
+    Types, keys, the strata table's invariant and the Picard level layout
+    are checked here; the divisor's structure (unique ids, subset ranges
+    and depths, parents) is checked by ``validate_snc`` where a command
     relies on it.
     """
     obj = _as_dict(data, "document")
