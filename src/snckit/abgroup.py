@@ -16,6 +16,7 @@ generators with ascending order.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mod
 from typing import Iterable, NamedTuple
 
 from .intmat import IntMatrix, _Checked, eliminate
@@ -57,19 +58,20 @@ class FgAbGroup(_Checked, NamedTuple("FgAbGroup", [
 
     def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()) -> FgAbGroup:
         self = tuple.__new__(cls, (free_rank, torsion))
-        if type(self.torsion) is not tuple:
-            raise ValueError(f"torsion orders must be a tuple, got {self.torsion!r}")
-        if not all(type(x) is int for x in (self.free_rank, *self.torsion)):
+        # Each rule is one builtin pass; only a failing one walks the
+        # orders, to name the first that breaks it.
+        if type(torsion) is not tuple:
+            raise ValueError(f"torsion orders must be a tuple, got {torsion!r}")
+        if type(free_rank) is not int or {*map(type, torsion)} - {int}:
             raise ValueError("free rank and torsion orders must be ints, got "
-                             f"{self.free_rank!r} and {self.torsion!r}")
-        if self.free_rank < 0:
-            raise ValueError(f"negative free rank {self.free_rank}")
-        for t in self.torsion:
-            if t < 2:
-                raise ValueError(f"torsion order {t} < 2; use canonical form")
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            if b % a != 0:
-                raise ValueError(f"torsion {self.torsion} is not a divisibility chain")
+                             f"{free_rank!r} and {torsion!r}")
+        if free_rank < 0:
+            raise ValueError(f"negative free rank {free_rank}")
+        if torsion and min(torsion) < 2:
+            t = next(t for t in torsion if t < 2)
+            raise ValueError(f"torsion order {t} < 2; use canonical form")
+        if any(map(mod, torsion[1:], torsion)):
+            raise ValueError(f"torsion {torsion} is not a divisibility chain")
         return self
 
     @classmethod
@@ -194,7 +196,8 @@ def kernel_coordinates(outgoing: Hom, incoming: IntMatrix
     diag, _, v, _ = eliminate(stacked, v=True)
     coker = _canonical_rows(diag, outgoing.target.ngens)[0]
     free = [j for j in range(stacked.ncols) if j >= len(diag) or diag[j] == 0]
-    kernel = v.take_rows(range(outgoing.source.ngens)).take_columns(free)
+    kernel = IntMatrix._of(tuple(tuple(map(row.__getitem__, free))
+                                 for row in v.rows()[:outgoing.source.ngens]), len(free))
     b = incoming.hstack(presentation_matrix(outgoing.source))
     kernel_diag, ub, _, _ = eliminate(kernel, u=b)
     factors = [x for x in kernel_diag if x]

@@ -267,12 +267,14 @@ def _parse_picard(block: Any, n: int, path: str) -> PicardInput:
         for ri, row in enumerate(rows):
             if type(row) is not list:
                 _as_list(row, f"{mpath}[{ri}]")
-            for ci, x in enumerate(row):
-                if type(x) is not int:
-                    _as_int(x, f"{mpath}[{ri}][{ci}]")
+            # one builtin pass per row; the walk only names a bad entry
+            if {*map(type, row)} != {int}:
+                for ci, x in enumerate(row):
+                    if type(x) is not int:
+                        _as_int(x, f"{mpath}[{ri}][{ci}]")
         source, target = levels[mi].ns, levels[mi + 1].ns
         try:
-            matrix = IntMatrix(rows, ncols=source.ngens)
+            matrix = IntMatrix._of_ints(rows, source.ngens)
             maps.append(Hom(source, target, matrix))
         except ValueError as e:
             raise SchemaError(mpath, str(e))
@@ -535,11 +537,46 @@ def _object_text(x: dict, nl: str) -> str:
                             for k, v in x.items()], "}", nl)
 
 
+# While ``main`` runs, the text of each distinct group, keyed by the group,
+# and its JSON object at newline-and-indent ``nl``, keyed by ``(group,
+# nl)``, for the text and JSON writers to share: a report holds a few
+# distinct groups, each in many places.  ``main`` alone sets it and puts
+# None back on the way out, so no memo outlives the call that filled it;
+# an entry depends on its key alone, so a run can read no other's output.
+_texts: dict[Any, str] | None = None
+
+
+def _group_str(g: FgAbGroup) -> str:
+    """``str(g)``, formatted once per distinct group while ``main`` runs."""
+    memo = _texts
+    if memo is None:
+        return str(g)
+    text = memo.get(g)
+    if text is None:
+        text = memo[g] = str(g)
+    return text
+
+
 def _group_text(g: FgAbGroup, nl: str) -> str:
+    memo = _texts
+    text = None if memo is None else memo.get((g, nl))
+    if text is None:
+        inner = nl + "  "
+        text = (f'{{{inner}"str": {encode_basestring(_group_str(g))},{inner}"free_rank": '
+                f'{int.__repr__(g.free_rank)},{inner}"torsion": '
+                f'{_array_text(g.torsion, inner)}{nl}}}')
+        if memo is not None:
+            memo[g, nl] = text
+    return text
+
+
+def _matrix_text(m: IntMatrix, nl: str) -> str:
+    """A matrix as the array of its rows, each row joined from its ints."""
     inner = nl + "  "
-    return (f'{{{inner}"str": {encode_basestring(str(g))},{inner}"free_rank": '
-            f'{int.__repr__(g.free_rank)},{inner}"torsion": '
-            f'{_array_text(g.torsion, inner)}{nl}}}')
+    entry = inner + "  "
+    sep = "," + entry
+    return _bracketed("[", [f"[{entry}{sep.join(map(int.__repr__, row))}{inner}]" if row
+                            else "[]" for row in m.rows()], "]", nl)
 
 
 # The text of each field name of a report record, as a key.
@@ -559,7 +596,7 @@ def _record_text(x: Any, nl: str) -> str:
 # fields, a group as {"str", "free_rank", "torsion"} and a matrix as its rows.
 _WRITERS: dict[type, Callable[[Any, str], str]] = {
     list: _array_text, tuple: _array_text, dict: _object_text, FgAbGroup: _group_text,
-    IntMatrix: lambda x, nl: _array_text(x.rows(), nl), SncDivisor: _divisor_text,
+    IntMatrix: _matrix_text, SncDivisor: _divisor_text,
     BlowupRecord: _blowup_text, **dict.fromkeys(_KEYS, _record_text)}
 
 
@@ -670,38 +707,39 @@ def _cmd_resolve(doc: InputDocument, max_blowups: int) -> tuple[str, dict]:
 def _kh_text(r: KhReport) -> list[str]:
     u = r.units_cohomology
     m = r.one_motive
+    g = _group_str
     lines = [
         f"kh report: n = {r.n}, field mode {r.field_mode}",
-        f"KH_{1 - r.n - 1}(X) = H^{r.n - 1}(D(E),Z) = {r.kh_top}",
-        f"H^{r.n - 3}(D(E),Z) = {r.h_n_minus_3}",
-        f"H^{r.n - 2}(D(E),Z) = {r.h_n_minus_2}",
+        f"KH_{1 - r.n - 1}(X) = H^{r.n - 1}(D(E),Z) = {g(r.kh_top)}",
+        f"H^{r.n - 3}(D(E),Z) = {g(r.h_n_minus_3)}",
+        f"H^{r.n - 2}(D(E),Z) = {g(r.h_n_minus_2)}",
         "units cohomology:",
-        f"  torus: {u.torus}",
+        f"  torus: {u.torus._text(g)}",
         f"  coker(Pic^0) dimension: {u.coker_pic0_dim}",
-        f"  ker(beta): {u.ker_beta}",
-        f"  coker(NS): {u.coker_ns}",
-        f"  coker(Pic): {u.coker_pic}",
+        f"  ker(beta): {u.ker_beta._text(g)}",
+        f"  coker(NS): {g(u.coker_ns)}",
+        f"  coker(Pic): {u.coker_pic._text(g)}",
         "one-motive:",
-        f"  lattice L' = ker(NS): {m.lattice_lprime}",
-        f"  lattice L = Gamma: {m.lattice_l}",
+        f"  lattice L' = ker(NS): {g(m.lattice_lprime)}",
+        f"  lattice L = Gamma: {g(m.lattice_l)}",
         f"  surjection L' -> L: {m.surjection_matrix.to_lists()}",
         f"  abelian dimension: {m.abelian_dim}",
         f"  map status: {m.map_status}",
         f"KH_{1 - r.n}(X):",
-        f"  sub (units modulo d_2): {r.kh_value.sub}",
-        f"  quotient H^{r.n - 2}(D(E),Z): {r.kh_value.quotient}",
-        f"  value: {r.kh_value.total}",
+        f"  sub (units modulo d_2): {r.kh_value.sub._text(g)}",
+        f"  quotient H^{r.n - 2}(D(E),Z): {r.kh_value.quotient._text(g)}",
+        f"  value: {r.kh_value.total._text(g)}",
         f"  split: {'yes' if r.kh_value.split else 'no'}",
         f"  finitely generated: {'yes' if r.kh_is_finitely_generated else 'no'}",
         "ker(alpha):",
-        f"  ker(beta): {r.ker_alpha.ses.sub}",
-        f"  im(d_2): {r.ker_alpha.ses.quotient}",
-        f"  total: {r.ker_alpha.ses.total}",
-        f"  standing bound ker(NS): {r.ker_alpha.ker_ns_bound}",
+        f"  ker(beta): {r.ker_alpha.ses.sub._text(g)}",
+        f"  im(d_2): {r.ker_alpha.ses.quotient._text(g)}",
+        f"  total: {r.ker_alpha.ses.total._text(g)}",
+        f"  standing bound ker(NS): {g(r.ker_alpha.ker_ns_bound)}",
         "coker(alpha):",
-        f"  sub coker(NS): {r.coker_alpha.sub}",
-        f"  quotient H^{r.n - 2}(D(E),Z): {r.coker_alpha.quotient}",
-        f"  total: {r.coker_alpha.total}",
+        f"  sub coker(NS): {r.coker_alpha.sub._text(g)}",
+        f"  quotient H^{r.n - 2}(D(E),Z): {r.coker_alpha.quotient._text(g)}",
+        f"  total: {r.coker_alpha.total._text(g)}",
         f"  split: {'yes' if r.coker_alpha.split else 'no'}",
         f"n3 exact: {'yes' if r.n3_exact else 'no'}",
         f"d_2 top differential known zero: {'yes' if r.d2_top_known_zero else 'no'}",
@@ -793,6 +831,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command line and return its exit code.
 
+    Each distinct group of a report is formatted once, its text and its
+    JSON object at each indent, and the memo that holds them is dropped
+    on the way out, so a run pays only for its own document.
+
     The cyclic garbage collector is off while it runs, and left on or off
     as the caller had it: past the parser built on the first call, a run
     leaves no reference cycles, so reference counting frees what it
@@ -805,9 +847,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     cokernel, may have many more digits than any input.  The caller's
     limit is restored on the way out.
     """
+    global _texts
     enabled = gc.isenabled()
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     gc.disable()
+    _texts = {}
     try:
         args = _parser().parse_args(argv)   # a usage error raises SystemExit(2)
         document = parse_input(args.input)
@@ -828,6 +872,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     finally:
+        _texts = None
         if enabled:
             gc.enable()
         if limit is not None:

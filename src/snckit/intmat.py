@@ -43,6 +43,19 @@ def _check_size(name: str, value: object) -> None:
         raise ValueError(f"{name} must be a non-negative int, got {value!r}")
 
 
+def _width(rows: tuple[tuple[int, ...], ...], ncols: int | None) -> int:
+    """The common length of ``rows``, which must be ``ncols`` when given;
+    with no rows, ``ncols`` or 0."""
+    if not rows:
+        return 0 if ncols is None else ncols
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValueError("ragged rows in matrix")
+    if ncols is not None and ncols != width:
+        raise ValueError(f"ncols={ncols} does not match row width {width}")
+    return width
+
+
 class IntMatrix:
     """An immutable rectangular matrix of Python integers.
 
@@ -66,18 +79,9 @@ class IntMatrix:
             data = tuple(tuple(map(index, row)) for row in rows)
         except TypeError as exc:
             raise ValueError(f"matrix entries must be integers: {exc}") from None
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("ragged rows in matrix")
-            if ncols is not None and ncols != width:
-                raise ValueError(f"ncols={ncols} does not match row width {width}")
-            ncols = width
-        elif ncols is None:
-            ncols = 0
         self._rows = data
         self.nrows = len(data)
-        self.ncols = ncols
+        self.ncols = _width(data, ncols)
 
     @classmethod
     def _of(cls, rows: tuple[tuple[int, ...], ...], ncols: int) -> "IntMatrix":
@@ -87,6 +91,13 @@ class IntMatrix:
         out.nrows = len(rows)
         out.ncols = ncols
         return out
+
+    @classmethod
+    def _of_ints(cls, rows: Iterable[Sequence[int]], ncols: int) -> "IntMatrix":
+        """A matrix on rows whose entries the caller has checked are exact
+        ints; only the shape is checked, with the constructor's errors."""
+        data = tuple(map(tuple, rows))
+        return cls._of(data, _width(data, ncols))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -150,6 +161,8 @@ class IntMatrix:
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.nrows != other.nrows:
             raise ValueError(f"row mismatch {self.shape} | {other.shape}")
+        if not other.ncols:
+            return self
         return IntMatrix._of(tuple(map(add, self._rows, other._rows)),
                              self.ncols + other.ncols)
 
@@ -413,7 +426,7 @@ def eliminate(a: IntMatrix, u: IntMatrix | None = None, v: bool = False,
     if u is not None and u.nrows != nr:
         raise ValueError(f"cannot carry {u.nrows} rows through {nr} rows")
     u_rows = None if u is None else u.to_lists()
-    v_t = IntMatrix.identity(nc).to_lists() if v else None
+    v_t = [[0] * j + [1] + [0] * (nc - j - 1) for j in range(nc)] if v else None
     u_inv_t = list(IntMatrix.identity(nr).rows()) if u_inv else None
     _eliminate(m, nr, nc, u_rows, v_t, u_inv_t)
     return (tuple(m[t][t] for t in range(min(nr, nc))),

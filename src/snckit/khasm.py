@@ -14,7 +14,7 @@ generated and in canonical form.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .abgroup import (
     FgAbGroup,
@@ -56,11 +56,15 @@ class TorusDescriptor(NamedTuple):
         return self.determined and self.rank == 0 and self.mu_part.is_trivial()
 
     def __str__(self) -> str:
+        return self._text(str)
+
+    def _text(self, group_text: Callable[[FgAbGroup], str]) -> str:
+        """The descriptor's text, with ``group_text`` writing its group's."""
         if not self.determined:
             return "undetermined (general field, torsion obstructs)"
         parts = [f"torus rank {self.rank}"]
         if not self.mu_part.is_trivial():
-            parts.append(f"mu-part {self.mu_part}"
+            parts.append(f"mu-part {group_text(self.mu_part)}"
                          + (" [ambiguous]" if self.mu_ambiguous else ""))
         return ", ".join(parts)
 
@@ -210,9 +214,13 @@ class GroupValue(NamedTuple):
     note: str = ""
 
     def __str__(self) -> str:
+        return self._text(str)
+
+    def _text(self, group_text: Callable[[FgAbGroup], str]) -> str:
+        """The value's text, with ``group_text`` writing its group's."""
         tag = "exact" if self.exact else "bound"
         suffix = f"; {self.note}" if self.note else ""
-        return f"{self.group} ({tag}{suffix})"
+        return f"{group_text(self.group)} ({tag}{suffix})"
 
 
 class SesDescriptor(NamedTuple):
@@ -230,13 +238,14 @@ class SesDescriptor(NamedTuple):
 
 
 def assemble_extension(sub: GroupValue, quotient: GroupValue) -> SesDescriptor:
-    """Resolve an extension of ``quotient`` by ``sub`` where possible."""
-    bound = direct_sum([sub.group, quotient.group])
+    """Resolve an extension of ``quotient`` by ``sub`` where possible; the
+    direct sum of the ends is built only where it is returned."""
     if sub.exact and quotient.exact:
         if quotient.group.is_trivial():
             return SesDescriptor(sub, quotient, GroupValue(sub.group, True), True)
         if sub.group.is_trivial():
             return SesDescriptor(sub, quotient, GroupValue(quotient.group, True), True)
+        bound = direct_sum([sub.group, quotient.group])
         if quotient.group.is_free():
             return SesDescriptor(
                 sub, quotient,
@@ -244,8 +253,8 @@ def assemble_extension(sub: GroupValue, quotient: GroupValue) -> SesDescriptor:
         return SesDescriptor(
             sub, quotient,
             GroupValue(bound, False, "extension unresolved; rank exact"), False)
-    return SesDescriptor(
-        sub, quotient, GroupValue(bound, False, "an end is not exact"), False)
+    return SesDescriptor(sub, quotient, GroupValue(
+        direct_sum([sub.group, quotient.group]), False, "an end is not exact"), False)
 
 
 class UnitsCohomology(NamedTuple):

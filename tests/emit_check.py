@@ -6,10 +6,12 @@ Run from the repository root, under any Python the package supports:
 
 It needs neither pytest nor hypothesis.  It draws COUNT random nested
 values (20000 by default, seed 0) of the shapes reports hold and asserts
-that ``snckit.cli._json_text`` prints each exactly as
-``json.dumps(value, ensure_ascii=False, indent=2)`` does, and that it
-raises TypeError on subclasses of str, int, list, tuple and dict, which
-no report holds, alone or nested in plain values.  Then it runs
+that ``snckit.cli._json_text`` prints each, and each ``FIXED`` value,
+matrices of every shape among them, exactly as
+``json.dumps(value, ensure_ascii=False, indent=2)`` does, a matrix as the
+list of its rows.  It asserts that ``_json_text`` raises TypeError on
+subclasses of str, int, list, tuple and dict, which no report holds,
+alone or nested in plain values.  Then it runs
 every golden case and asserts that ``_json_text`` prints its machine
 report as ``json.dumps`` prints ``plain`` of it, the nested dicts of
 ``helpers.divisor_json``, ``blowup_json`` and ``report_json`` in place of
@@ -34,6 +36,7 @@ from helpers import (
     divisor_json,
     divisor_of,
     is_record,
+    no_digit_limit,
     parallel_curve_divisor,
     random_divisor,
     report_json,
@@ -41,7 +44,7 @@ from helpers import (
     strata_of,
 )
 from make_goldens import cases
-from snckit import BlowupRecord, SncDivisor, resolve_to_simplicial
+from snckit import BlowupRecord, IntMatrix, SncDivisor, resolve_to_simplicial
 from snckit.cli import MissingBlockError, _divisor_text, _json_text, parse_input, run
 
 # Characters the encoder escapes, or passes through although they are
@@ -112,10 +115,19 @@ def random_value(rng: random.Random, depth: int = 0):
     return items if kind == "list" else tuple(items)
 
 
-# Bools in every container, nested in one another.
+# Matrices of every shape: no rows, rows of no entries, negative entries
+# and an entry past Python's default limit of 4,300 digits for int-to-str.
+MATRICES = [
+    IntMatrix([], ncols=0), IntMatrix([], ncols=3), IntMatrix([[], []]),
+    IntMatrix([[-1, 0, 7], [0, -2 ** 70, 1]]), IntMatrix([[3, -(10 ** 4400) - 1]]),
+]
+
+# Bools in every container, nested in one another, and each matrix alone
+# and nested in a list and in a dict.
 FIXED = [
     [True, False, None, True], (False, True), {"t": (True, None)},
     {"a": [{"b": ((0, [False]),)}]},
+    *MATRICES, *([m] for m in MATRICES), *({"m": m} for m in MATRICES),
 ]
 
 # Subclass values, alone and nested in plain containers and in one another.
@@ -130,10 +142,12 @@ SUBCLASSED = [
 def check(count: int, seed: int) -> None:
     rng = random.Random(seed)
     values = FIXED + [random_value(rng) for _ in range(count)]
-    for i, x in enumerate(values):
-        want = json.dumps(x, ensure_ascii=False, indent=2)
-        got = _json_text(x)
-        assert got == want, f"value {i} of seed {seed}: {x!r}"
+    # the CLI prints past the digit limit too (see cli.main)
+    with no_digit_limit():
+        for i, x in enumerate(values):
+            want = json.dumps(plain(x), ensure_ascii=False, indent=2)
+            got = _json_text(x)
+            assert got == want, f"value {i} of seed {seed}: {x!r}"
     for x in SUBCLASSED:
         try:
             _json_text(x)

@@ -31,9 +31,11 @@ divisor's strata with components named by id (``strata_of``, a tuple of
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple, Sequence
 
@@ -628,6 +630,25 @@ def is_record(x: Any) -> bool:
     module of snckit defines, rather than a plain or other tuple."""
     return (isinstance(x, tuple) and hasattr(x, "_fields")
             and type(x).__module__.startswith("snckit."))
+
+
+def digit_limit() -> int | None:
+    """The interpreter's digit limit, or None where it has none (3.10.0-3.10.6)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else None
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift the digit limit inside the block, and put the caller's back."""
+    caller = digit_limit()
+    if caller is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if caller is not None:
+            sys.set_int_max_str_digits(caller)
 
 
 def report_json(x: Any) -> Any:

@@ -1,5 +1,6 @@
 """JSON document parsing, command output, exit codes, and determinism."""
 import contextlib
+import copy
 import gc
 import io
 import json
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from helpers import (
+    digit_limit,
     divisor_json,
     middle_homology,
+    no_digit_limit,
     parallel_curve_divisor,
     parallel_edges,
     random_divisor,
@@ -982,27 +985,35 @@ def test_runs_leave_no_garbage_for_the_collector(tmp_path):
             gc.enable()
 
 
+def test_a_run_formats_each_distinct_group_once_and_keeps_no_memo(monkeypatch, capsys):
+    # A k-report holds 5 distinct groups in 38 places of its text and JSON.
+    # Each is formatted once per main() call; the next call formats them
+    # again, since nothing of the first call's memo is left.
+    golden = FIXTURES / "golden"
+    argv = ["--input", str(golden / "inputs" / "dense-picard-00.json"),
+            "--command", "k-report", "--emit", "both"]
+    formatted = []
+    plain_str = FgAbGroup.__str__
+
+    def counted(g):
+        formatted.append(g)
+        return plain_str(g)
+
+    monkeypatch.setattr(FgAbGroup, "__str__", counted)
+    want = (golden / "dense-picard-00.k-report.stdout").read_text(encoding="utf-8")
+    runs = []
+    for _ in range(2):
+        formatted.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        assert len(formatted) == len(set(formatted)) == 5
+        assert cli._texts is None
+        runs.append(list(formatted))
+    assert runs[1] == runs[0]
+
+
 # ---------------------------------------------------------------------------
 # Python's limit on the digits of an int converted from or to a string
-
-
-def _digit_limit() -> int | None:
-    """The interpreter's digit limit, or None where it has none (3.10.0-3.10.6)."""
-    get = getattr(sys, "get_int_max_str_digits", None)
-    return get() if get else None
-
-
-@contextlib.contextmanager
-def _no_digit_limit():
-    """Lift the digit limit inside the block, and put the caller's back."""
-    caller = _digit_limit()
-    if caller is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if caller is not None:
-            sys.set_int_max_str_digits(caller)
 
 
 def test_an_answer_past_the_digit_limit_prints_and_the_callers_limit_comes_back(
@@ -1021,20 +1032,20 @@ def test_an_answer_past_the_digit_limit_prints_and_the_callers_limit_comes_back(
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps(load(TRIANGLE)).replace(
         "[[[1, -1, 0]", "[[[1" + "0" * 5000 + ", -1, 0]"), encoding="utf-8")
-    caller = _digit_limit()
+    caller = digit_limit()
     assert main(["--input", path, "--command", "kh-report", "--emit", "json"]) == 0
     out = capsys.readouterr().out
-    assert _digit_limit() == caller
+    assert digit_limit() == caller
     if caller:
         assert main(["--input", str(huge), "--command", "kh-report"]) == 1
         assert capsys.readouterr().err == (
             "error: picard.ns_maps[0][0][0]: integer has 5001 digits, more than "
             f"the limit of {caller} for integer string conversion\n")
-        assert _digit_limit() == caller
+        assert digit_limit() == caller
     monkeypatch.setattr(cli, "run", lambda *_: 1 / 0)
     assert main(["--input", path, "--command", "kh-report"]) == 3
-    assert _digit_limit() == caller
-    with _no_digit_limit():
+    assert digit_limit() == caller
+    with no_digit_limit():
         coker_ns = json.loads(out)["units_cohomology"]["coker_ns"]
         assert coker_ns == {"str": str(FgAbGroup.from_factors(0, (a, b))),
                             "free_rank": 0, "torsion": [a * b]}
@@ -1042,7 +1053,7 @@ def test_an_answer_past_the_digit_limit_prints_and_the_callers_limit_comes_back(
 
 def test_an_input_integer_past_the_digit_limit_is_named_at_its_path(capsys, tmp_path):
     # the first such integer in document order, its sign not counted
-    caller = _digit_limit()
+    caller = digit_limit()
     if not caller:
         pytest.skip("this Python has no digit limit")
     big = "1" + "0" * caller
@@ -1113,7 +1124,8 @@ def mutated_documents(draw, huge):
             if kind == "drop":
                 del parent[path[-1]]
             elif kind == "retype":
-                parent[path[-1]] = draw(st.sampled_from(WRONG_TYPES + huge))
+                # a copy: a later mutation of this draw may edit the value
+                parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(WRONG_TYPES + huge)))
             else:
                 parent[path[-1]] = DEEP
                 depth = draw(st.sampled_from([50, 990, 5000, 100_000]))
@@ -1242,7 +1254,7 @@ def _check_picard_document(path: Path, doc: dict) -> set[str]:
     for command in ("kh-report", "k-report"):
         code, outs[command], err = _run_json(path, command)
         assert code == 0, (command, err)
-    with _no_digit_limit():
+    with no_digit_limit():
         want = {"coker_ns": _group_json(_sympy_cokernel(main)),
                 "lattice_lprime": _group_json(ker_ns), "lattice_l": _group_json(gamma)}
         for command, out in outs.items():

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from emit_check import (
     ID_PIECES,
+    MATRICES,
     SPECIAL,
     SUBCLASSED,
     check,
@@ -33,6 +34,7 @@ from helpers import (
     dense_picard_document,
     divisor_json,
     divisor_of,
+    no_digit_limit,
     parallel_curve_divisor,
     strata_of,
     with_source_torsion,
@@ -215,6 +217,18 @@ NOT_REPORT_VALUES = SUBCLASSED + [Unlisted(1), [Unlisted(1)], PicardLevel(0, FgA
 def test_other_values_and_keys_raise_type_error(x):
     with pytest.raises(TypeError):
         _json_text(x)
+
+
+@pytest.mark.parametrize("m", MATRICES, ids=["0x0", "0x3", "2x0", "negative", "past-limit"])
+def test_matrices_of_every_shape_print_as_the_stdlib_prints_their_rows(m):
+    # the matrix writer joins each row from its ints; the goldens reach it
+    # only with the shapes reports happen to hold
+    with no_digit_limit():
+        for x, rows in ((m, m.to_lists()), ([m, m], [m.to_lists()] * 2),
+                        ({"m": m, "n": [m]}, {"m": m.to_lists(), "n": [m.to_lists()]})):
+            want = stdlib(rows)
+            for nl in ("\n", "\n    "):
+                assert _json_text(x, nl) == want.replace("\n", nl)
 
 
 def test_an_int_past_the_digit_limit_raises_value_error_as_the_stdlib_does():
