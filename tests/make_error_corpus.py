@@ -257,6 +257,8 @@ PARSER_FAULTS = [
      [_set(PIC + ("ns_maps", 0, 1), [1, 0])]),
     ("ns-map-wrong-rows", "triangle_cycle", "validate",
      [_set(PIC + ("ns_maps", 0), [[1, -1, 0], [1, 0, -1]])]),
+    ("ns-map-wrong-width", "triangle_cycle", "validate",
+     [_set(PIC + ("ns_maps", 0), [[1, -1], [1, 0], [0, 1]])]),
     ("ns-maps-do-not-compose", "sphere4", "kh-report",
      [_set(PIC + ("ns_maps", 0, 0, 0), 1), _set(PIC + ("ns_maps", 1, 0, 0), 1)]),
     ("levels-shifted", "sphere4", "kh-report",
