@@ -548,9 +548,7 @@ _texts: dict[Any, str] | None = None
 
 def _group_str(g: FgAbGroup) -> str:
     """``str(g)``, formatted once per distinct group while ``main`` runs."""
-    memo = _texts
-    if memo is None:
-        return str(g)
+    memo = {} if _texts is None else _texts
     text = memo.get(g)
     if text is None:
         text = memo[g] = str(g)
@@ -558,15 +556,14 @@ def _group_str(g: FgAbGroup) -> str:
 
 
 def _group_text(g: FgAbGroup, nl: str) -> str:
-    memo = _texts
-    text = None if memo is None else memo.get((g, nl))
+    memo = {} if _texts is None else _texts
+    text = memo.get((g, nl))
     if text is None:
         inner = nl + "  "
-        text = (f'{{{inner}"str": {encode_basestring(_group_str(g))},{inner}"free_rank": '
-                f'{int.__repr__(g.free_rank)},{inner}"torsion": '
-                f'{_array_text(g.torsion, inner)}{nl}}}')
-        if memo is not None:
-            memo[g, nl] = text
+        text = memo[g, nl] = (
+            f'{{{inner}"str": {encode_basestring(_group_str(g))},{inner}"free_rank": '
+            f'{int.__repr__(g.free_rank)},{inner}"torsion": '
+            f'{_array_text(g.torsion, inner)}{nl}}}')
     return text
 
 
@@ -832,8 +829,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run one command line and return its exit code.
 
     Each distinct group of a report is formatted once, its text and its
-    JSON object at each indent, and the memo that holds them is dropped
-    on the way out, so a run pays only for its own document.
+    JSON object at each indent; the memo is dropped on the way out.
 
     The cyclic garbage collector is off while it runs, and left on or off
     as the caller had it: past the parser built on the first call, a run

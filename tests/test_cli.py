@@ -30,6 +30,7 @@ from helpers import (
     triangle_cycle,
 )
 from make_error_corpus import CORPUS, document_text, run_text
+from make_goldens import GOLDEN, INPUTS
 from make_goldens import cases as golden_cases
 from make_goldens import run_case
 from snckit import (
@@ -989,8 +990,7 @@ def test_a_run_formats_each_distinct_group_once_and_keeps_no_memo(monkeypatch, c
     # A k-report holds 5 distinct groups in 38 places of its text and JSON.
     # Each is formatted once per main() call; the next call formats them
     # again, since nothing of the first call's memo is left.
-    golden = FIXTURES / "golden"
-    argv = ["--input", str(golden / "inputs" / "dense-picard-00.json"),
+    argv = ["--input", str(INPUTS / "dense-picard-00.json"),
             "--command", "k-report", "--emit", "both"]
     formatted = []
     plain_str = FgAbGroup.__str__
@@ -1000,7 +1000,7 @@ def test_a_run_formats_each_distinct_group_once_and_keeps_no_memo(monkeypatch, c
         return plain_str(g)
 
     monkeypatch.setattr(FgAbGroup, "__str__", counted)
-    want = (golden / "dense-picard-00.k-report.stdout").read_text(encoding="utf-8")
+    want = (GOLDEN / "dense-picard-00.k-report.stdout").read_text(encoding="utf-8")
     runs = []
     for _ in range(2):
         formatted.clear()
