@@ -426,12 +426,14 @@ def _divisor_text(d: SncDivisor, nl: str) -> str:
     ``nl``, written straight from the strata table of a divisor that
     passed ``validate_snc``; it parses back to an equal divisor.
 
-    One sort of the table's rows by (depth, positions, divisor order)
-    gives the printed order: a group opens where the positions tuple
-    changes, and its members, each under ``"id"`` and ``"parents"``, follow
-    in divisor order.  A parent is keyed by the decimal position of the
-    component it drops, as in the table; a valid stratum of depth 3 or
-    more names one per position, and they print in positions order.
+    The rows print in (depth, positions, divisor order): their numbers
+    are sorted by positions and then, stably, by depth, each sort keyed by
+    a builtin lookup rather than a tuple per row.  A group opens where the
+    positions tuple changes, and its members, each under ``"id"`` and
+    ``"parents"``, follow in divisor order.  A parent is keyed by the
+    decimal position of the component it drops, as in the table; a valid
+    stratum of depth 3 or more names one per position, and they print in
+    positions order.
     """
     enc = encode_basestring
     i1, i2, i3, i4, i5, i6 = [nl + "  " * k for k in range(1, 7)]
@@ -445,7 +447,10 @@ def _divisor_text(d: SncDivisor, nl: str) -> str:
     append = out.append
     close = f"{i3}]{i2}}}"
     last = None
-    for _, pos, row in sorted(zip(map(len, positions), positions, range(len(ids)))):
+    order = sorted(range(len(ids)), key=positions.__getitem__)
+    order.sort(key=list(map(len, positions)).__getitem__)
+    for row in order:
+        pos = positions[row]
         if pos != last:
             # a group opens; its first member takes no comma
             append(f'{"" if last is None else close + ","}{i2}{{{i3}"subset": '
@@ -460,6 +465,7 @@ def _divisor_text(d: SncDivisor, nl: str) -> str:
                    f'{{{listed}{i5}}}{i4}}}')
         else:
             append(f'{sep}{i4}{{{i5}"id": {enc(ids[row])},{i5}"parents": {{}}{i4}}}')
+    del order  # free the row numbers before the join, the writer's memory peak
     append(f"{close}{i1}]{nl}}}" if ids else f"]{nl}}}")
     return "".join(out)
 

@@ -498,13 +498,23 @@ class _StrataIndex:
         else:
             star = [center]
         # The center's proper faces K, each with its facets by dropped
-        # position and the positions of the center it leaves off.
+        # position and the positions of the center it leaves off.  Plain
+        # loops: up to Python 3.11 each comprehension is a call (3.12
+        # inlines them).
         faces = [((), (), i0)]
         for r in range(1, len(i0)):
             for k_part in combinations(i0, r):
-                faces.append((k_part,
-                              [(p, tuple([q for q in k_part if q != p])) for p in k_part],
-                              [p for p in i0 if p not in k_part]))
+                if r == 1:
+                    facets = [(k_part[0], ())]
+                else:
+                    facets = []
+                    for j in range(r):
+                        facets.append((k_part[j], k_part[:j] + k_part[j + 1:]))
+                off = []
+                for p in i0:
+                    if p not in k_part:
+                        off.append(p)
+                faces.append((k_part, facets, off))
 
         # (len(keep), keep, face id, star id) is the order of the cones;
         # (star id, keep) fixes the rest, which never decides it.  The face
@@ -513,7 +523,10 @@ class _StrataIndex:
         entries = []
         for tid in star:
             t_positions, t_parents, _ = rows[tid]
-            l_part = tuple([p for p in t_positions if p not in i0])
+            l_part = ()
+            for p in t_positions:
+                if p not in i0:
+                    l_part += (p,)
             for k_part, facets, off in faces:
                 keep = (l_part if not k_part else k_part if not l_part
                         else tuple(sorted(k_part + l_part)))

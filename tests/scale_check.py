@@ -88,21 +88,22 @@ def resolve(tmp: str) -> None:
     one per pair, run as a subprocess and checked by the benchmark oracle
     (about a second), then twice more under two string-hash seeds, whose
     output must be the same bytes: the blowups build and walk sets of ids.
-    A resolve loop linear in its stars takes a few seconds here and one
-    quadratic in the number of blowups took about 15; the step's limit
-    stops a loop that has turned quadratic again.  The JSON part, whose
-    divisor block the CLI writes straight from the divisor, must be what
-    this Python's json.dumps(indent=2) prints of it: a byte check of that
-    writer at 24 MB (about a second).  The resolved document it holds is
-    then read back: validate must count the block's members and
-    check-simplicial find no bad intersection.  Last, cohomology runs on
-    the input and on the resolved document.  Blowups keep the homotopy
-    type of the dual complex, so both must print Z, Z^50 and Z^5492.  On
-    the resolved document the original components are hubs; a sweep that
-    pays for their length per pivot took 5.3-6.4 s on a 2-core host and one
-    that pays for the entries it changes takes 1.6-2.0 s, so the limit is
-    3.5 s.
+    A resolve loop linear in its stars takes 0.90-1.43 s per run on a
+    2-core host and one quadratic in the number of blowups took about
+    15 s, so each of the three resolve runs must end within 4 s.  The JSON
+    part, whose divisor block the CLI writes straight from the divisor,
+    must be what this Python's json.dumps(indent=2) prints of it: a byte
+    check of that writer at 24 MB (about two seconds).  The resolved
+    document it holds is then read back: validate must count the block's
+    members and check-simplicial find no bad intersection.  Last,
+    cohomology runs on the input and on the resolved document.  Blowups
+    keep the homotopy type of the dual complex, so both must print Z,
+    Z^50 and Z^5492.  On the resolved document the original components
+    are hubs; a sweep that pays for their length per pivot took 5.3-6.4 s
+    on a 2-core host and one that pays for the entries it changes takes
+    1.6-2.0 s, so the limit is 3.5 s.
     """
+    resolve_limit = 4
     case = gen.resolve_case(random.Random(7), 60, 3540)
     path = os.path.join(tmp, "resolve-60.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -114,13 +115,16 @@ def resolve(tmp: str) -> None:
           f"{len(done.stdout)} bytes of output")
     assert done.returncode == 0, done.stderr.decode()
     assert oracle.check(case.command, done.stdout, case.expected) is None
+    assert seconds < resolve_limit, seconds
     for seed in ("1", "2"):
         start = time.perf_counter()
         again = _cli(path, case.command, "both", {**ENV, "PYTHONHASHSEED": seed})
+        seconds = time.perf_counter() - start
         same = again.stdout == done.stdout
         print(f"PYTHONHASHSEED={seed}: exit {again.returncode}, "
-              f"{time.perf_counter() - start:.2f} s, same output: {same}")
+              f"{seconds:.2f} s, same output: {same}")
         assert again.returncode == 0 and same, again.stderr.decode()
+        assert seconds < resolve_limit, seconds
     lines = done.stdout.decode("utf-8").split("\n")
     part = "\n".join(lines[lines.index("{"):]).removesuffix("\n")
     start = time.perf_counter()

@@ -12,6 +12,7 @@ oracle on their own.
 """
 import json
 import random
+from itertools import combinations
 from typing import NamedTuple
 
 import pytest
@@ -36,11 +37,19 @@ from helpers import (
     divisor_of,
     no_digit_limit,
     parallel_curve_divisor,
+    simplex_divisor,
     strata_of,
     with_source_torsion,
 )
 from make_goldens import BRANCH_DOCUMENTS, DENSE_RANKS, cases
-from snckit import BlowupRecord, FgAbGroup, PicardLevel, resolve_to_simplicial, validate_snc
+from snckit import (
+    BlowupRecord,
+    FgAbGroup,
+    PicardLevel,
+    SncDivisor,
+    resolve_to_simplicial,
+    validate_snc,
+)
 from snckit.cli import (
     ALGEBRAICALLY_CLOSED,
     InputDocument,
@@ -141,6 +150,36 @@ def test_divisor_writer_prints_what_the_stdlib_prints_of_divisor_json():
         assert back == divisor_of(d.n, d.components, printed)
         count += 1
     assert count >= 300
+
+
+def test_divisor_writer_prints_by_depth_then_positions_then_divisor_order():
+    # parallel strata listed against their id order and depths interleaved
+    # in the table: the printed order is neither by positions alone (depth
+    # decides first) nor by id within a group (divisor order does)
+    d = SncDivisor.build(3, ["a", "b", "c"], [
+        ("t1", ("a", "b", "c"), {"a": "zc", "b": "y13", "c": "ya"}),
+        ("zc", ("b", "c"), {}),
+        ("t0", ("a", "b", "c"), {"a": "zc", "b": "y13", "c": "xa"}),
+        ("ya", ("a", "b"), {}),
+        ("y13", ("a", "c"), {}),
+        ("xa", ("a", "b"), {}),
+    ])
+    # the 3-sphere's strata in reverse, with a later copy of the first curve
+    comps = ["E1", "E2", "E3", "E4", "E5"]
+    sphere = strata_of(simplex_divisor(4, comps, 4))[::-1]
+    e = divisor_of(4, comps, sphere + (sphere[-1]._replace(id="E1+E2~"),))
+    want = [(d, [([0, 1], ["ya", "xa"]), ([0, 2], ["y13"]), ([1, 2], ["zc"]),
+                 ([0, 1, 2], ["t1", "t0"])]),
+            (e, [([0, 1], ["E1+E2", "E1+E2~"])]
+             + [(list(s), ["+".join(comps[i] for i in s)])
+                for depth in (2, 3, 4) for s in combinations(range(5), depth)][1:])]
+    for x, groups in want:
+        validate_snc(x)
+        text = _divisor_text(x, "\n")
+        assert text == stdlib(divisor_json(x))
+        printed = [(g["subset"], [m["id"] for m in g["components"]])
+                   for g in json.loads(text)["strata"]]
+        assert printed == groups
 
 
 def record_cases():

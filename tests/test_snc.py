@@ -558,6 +558,27 @@ def test_blowup_matches_the_scan_oracle_for_every_center():
     assert blowups > 1000
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_blowup_of_a_doubled_top_cell_matches_the_scan_oracle(n):
+    # centers of depth 4 and 5, which no resolve-parallel document reaches:
+    # each of the 2^n - 2 proper faces of the center is coned, its parents
+    # the cones over its facets, each found by dropping one position
+    comps = [f"E{i}" for i in range(1, n + 2)]
+    strata = strata_of(simplex_divisor(n, comps, n))
+    top = strata[-1]
+    d = divisor_of(n, comps, strata + (top._replace(id=top.id + "~"),))
+    validate_snc(d)
+    for center in (top.id, top.id + "~"):
+        after, record = blowup_stratum_component(d, center)
+        assert (after, record) == scan_blowup(d, center)
+        assert record.removed == (center,) and len(record.added) == 2 ** n - 2
+        validate_snc(after)
+    resolved, records = resolve_to_simplicial(d)
+    assert (resolved, records) == scan_resolve(d)
+    assert [r.center for r in records] == [top.id]
+    assert cohomology_profile(resolved) == cohomology_profile(d)
+
+
 def test_blowup_reuses_the_ids_of_removed_cells():
     # the center's id is exactly the id its cone over "a" would get, and it
     # is free again once the center is removed
