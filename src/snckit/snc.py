@@ -13,15 +13,18 @@ it is printed.  The CLI parser reads a document straight into that table,
 ``SncDivisor.build`` fills one from (id, subset, parents) triples of ids,
 and the blowups leave one.  Every check raises ``SncError``; its message
 tells one failure from another.
-The check walks the table twice: the first walk finds each stratum's row
-by id and its position among the strata of its depth, and the first
-stratum breaking its own rules; the second checks parents, and keeps the
-rows of the parents it finds.  Past the parent checks, the drops of two
-components are compared only where a subset carries two strata, since
-elsewhere both orders land on its one stratum.  The check's result is the
-dual complex itself, and the dual complex reads each boundary's face rows
-straight from the parents and positions the check returns; the Smith
-sweep takes them as they are, with no second check.
+The check walks the table once, to find each stratum's row by id, its
+position among the strata of its depth, the rows of each depth, and the
+first stratum breaking its own rules.  Then one pass per depth checks the
+parents of every stratum before that one in builtin maps, and keeps the
+rows of the parents it finds, flat.  Only where a pass fails does a walk
+in divisor order run, stratum by stratum, to name the first error.  Past
+the parent checks, the drops of two components are compared only where a
+subset carries two strata, since elsewhere both orders land on its one
+stratum.  The check's result is the dual complex itself, and the dual
+complex fills each boundary's face rows one parent slot at a time, from
+the flat parents the check returns; the Smith sweep takes them as they
+are, with no second check.
 Error text is formatted only where a check fails, and the first error
 raised is the one the order of the checks names, whatever order the
 strata arrive in.
@@ -51,7 +54,8 @@ from __future__ import annotations
 
 from collections import Counter
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from operator import eq
 from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .chaincx import ChainComplex
@@ -138,16 +142,18 @@ class DualComplex(NamedTuple):
     strata table, whose ids and positions name the cells and their vertices;
     ``counts[k]``, the number of strata on k components, for every k up to
     the deepest stratum (0 for k < 2); ``slot``, each stratum's position
-    among the strata of its depth; and ``found[k]``, for each stratum on
-    k >= 3 components in divisor order, the table rows of its parents in
-    subset order.  ``rows`` makes the boundaries' face rows from these.
+    among the strata of its depth; and ``found[k]``, for k >= 3, the table
+    rows of the parents of the strata on k components, flat: stratum by
+    stratum in divisor order, each one's in reverse subset order, so
+    ``found[k][m::k]`` holds the parents dropping the (k - 1 - m)-th
+    component.  ``rows`` makes the boundaries' face rows from these.
     """
 
     components: tuple[str, ...]
     table: _StrataTable
     counts: list[int]
     slot: list[int]
-    found: list[list[list[int]]]
+    found: list[list[int]]
 
     def ranks(self) -> tuple[int, ...]:
         return (len(self.components), *self.counts[2:])
@@ -156,11 +162,16 @@ class DualComplex(NamedTuple):
         """Fresh face rows {cell: sign} of the boundary out of dimension
         k + 1; the face opposite the m-th vertex carries the sign (-1)^m."""
         rows: list[dict[int, int]] = [{} for _ in range(self.ranks()[k])]
-        # parents in subset order: an edge's are its vertices reversed
-        parents = self.found[k + 2] if k else [p[::-1] for p in self.table.positions if len(p) == 2]
-        face, signs = self.slot if k else range(len(rows)), (1, -1) * len(self.counts)
-        for cell, ps in enumerate(parents):
-            for p, x in zip(ps, signs):
+        if not k:
+            for cell, (a, b) in enumerate([p for p in self.table.positions if len(p) == 2]):
+                rows[a][cell] = -1
+                rows[b][cell] = 1
+            return rows
+        # parent slot m of each cell drops its vertex k + 1 - m
+        depth, flat, face = k + 2, self.found[k + 2], self.slot
+        for m in range(depth):
+            x = -1 if (k + 1 - m) % 2 else 1
+            for cell, p in enumerate(flat[m::depth]):
                 rows[face[p]][cell] = x
         return rows
 
@@ -208,6 +219,7 @@ def validate_snc(d: SncDivisor) -> DualComplex:
     size = len(components)
     counts = [0] * (min(n, size) + 1)    # strata so far on k components
     slot: list[int] = []    # each stratum's position among those of its depth
+    at: list[list[int]] = [[] for _ in counts]    # the rows of each depth
     first_bad = len(ids)    # position of the first stratum breaking its own rules
     for i, pos in enumerate(positions):
         # positions are sorted, so the ends bound them all
@@ -217,28 +229,13 @@ def validate_snc(d: SncDivisor) -> DualComplex:
         depth = len(pos)
         slot.append(counts[depth])
         counts[depth] += 1
+        at[depth].append(i)
     while len(counts) > 2 and not counts[-1]:
         counts.pop()
-
-    found: list[list[list[int]]] = [[] for _ in counts]
-    for i in range(first_bad):
-        pos, parents = positions[i], parents_of[i]
-        depth = len(pos)
-        if depth == 2:
-            if parents:
-                raise SncError(f"stratum {ids[i]} of depth 2 must not list parents")
-            continue
-        try:
-            ps = [by_id.get(parents[p]) for p in pos]
-        except KeyError:
-            ps = None
-        if ps is None or len(parents) != depth:
-            raise SncError(f"stratum {ids[i]} must name one parent per dropped component")
-        # the facets dropping the last, ..., the first component
-        if None in ps or [positions[p] for p in reversed(ps)] != list(
-                combinations(pos, depth - 1)):
-            _raise_parent_error(ids[i], pos, parents, positions, by_id, components)
-        found[depth].append(ps)
+        at.pop()
+    found = _parent_rows(at, positions, parents_of, by_id)
+    if found is None:
+        _raise_parent_error(d, by_id, first_bad)
     if first_bad < len(ids):
         _raise_own_error(ids[first_bad], positions[first_bad], n, size)
     # Every parent is now on its facet, so dropping two components in
@@ -273,23 +270,69 @@ def _position_error(sid: str, pos: tuple[int, ...], size: int) -> SncError:
                     f"has {size} component(s)")
 
 
-def _raise_parent_error(sid: str, pos: tuple[int, ...], parents: Mapping[int, str],
-                        positions: list[tuple[int, ...]], by_id: Mapping[str, int],
-                        components: Sequence[str]) -> NoReturn:
-    """Raise the error of the first of the stratum's parents, in its
-    order, that is wrong; ``positions`` and ``by_id`` cover every stratum."""
-    present = set(positions)
-    for drop, pid in parents.items():
-        facet = tuple([q for q in pos if q != drop])
-        names = tuple([components[q] for q in facet])
-        if facet not in present:
-            raise SncError(f"stratum {sid} needs a stratum on {names}, found none")
-        p = by_id.get(pid)
-        if p is None or positions[p] != facet:
-            raise SncError(
-                f"stratum {sid}: parent {pid!r} for dropped {components[drop]!r} is not "
-                f"a stratum on {names}")
-    raise AssertionError(f"stratum {sid} has no wrong parent")
+def _parent_rows(at: list[list[int]], positions: list[tuple[int, ...]],
+                 parents_of: list[dict[int, str]], by_id: Mapping[str, int],
+                 ) -> list[list[int]] | None:
+    """Per depth k, the rows of the parents of the strata ``at[k]``, flat,
+    each stratum's in reverse subset order; None where some stratum breaks
+    a parent rule.  One pass per depth checks them all: no parents at
+    depth 2; above it a parent keyed by each component of the subset and
+    no other key, each parent id a stratum, and each parent on its facet:
+    in reverse subset order the facets come in ``combinations`` order.
+    """
+    if len(at) > 2 and any(map(parents_of.__getitem__, at[2])):
+        return None
+    found: list[list[int]] = [[] for _ in at[:3]]    # no parents below depth 3
+    getpos = positions.__getitem__
+    for depth in range(3, len(at)):
+        rows = at[depth]
+        parents = list(map(parents_of.__getitem__, rows))
+        try:
+            pids = [named[p] for named, pos in zip(parents, map(getpos, rows)) for p in pos[::-1]]
+        except KeyError:
+            return None
+        ps = list(map(by_id.get, pids))
+        if (sum(map(len, parents)) != depth * len(rows) or None in ps
+                or not all(map(eq, map(getpos, ps), chain.from_iterable(map(
+                    combinations, map(getpos, rows), repeat(depth - 1)))))):
+            return None
+        found.append(ps)
+    return found
+
+
+def _raise_parent_error(d: SncDivisor, by_id: Mapping[str, int], stop: int) -> NoReturn:
+    """Raise the first parent error among the strata before ``stop``,
+    walking them in divisor order; some stratum there must break a parent
+    rule.  Of a stratum's parents, the first wrong one in its order names
+    the error."""
+    ids, positions, parents_of = d.table
+    components = d.components
+    for i in range(stop):
+        pos, parents = positions[i], parents_of[i]
+        depth = len(pos)
+        if depth == 2:
+            if parents:
+                raise SncError(f"stratum {ids[i]} of depth 2 must not list parents")
+            continue
+        if len(parents) != depth or not all(map(parents.__contains__, pos)):
+            raise SncError(f"stratum {ids[i]} must name one parent per dropped component")
+        # the facets dropping the last, ..., the first component
+        ps = [by_id.get(parents[p]) for p in reversed(pos)]
+        if None not in ps and list(map(positions.__getitem__, ps)) == list(
+                combinations(pos, depth - 1)):
+            continue
+        present = set(positions)
+        for drop, pid in parents.items():
+            facet = tuple([q for q in pos if q != drop])
+            names = tuple([components[q] for q in facet])
+            if facet not in present:
+                raise SncError(f"stratum {ids[i]} needs a stratum on {names}, found none")
+            p = by_id.get(pid)
+            if p is None or positions[p] != facet:
+                raise SncError(
+                    f"stratum {ids[i]}: parent {pid!r} for dropped {components[drop]!r} "
+                    f"is not a stratum on {names}")
+    raise AssertionError(f"no stratum before {stop} breaks a parent rule")
 
 
 def _raise_if_drops_differ(sid: str, pos: tuple[int, ...], grand: list[dict[int, str]],

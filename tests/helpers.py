@@ -13,7 +13,9 @@ Smith form instead of the eliminations that track one transform, the
 group a relation matrix presents from the full form's diagonal
 (``presented_group``),
 the Picard analysis from ``presentation``, one elimination per lattice
-that tracks both U and U^{-1} (``reference_ns_analysis``), chain
+that tracks both U and U^{-1} (``reference_ns_analysis``), the checks
+of ``validate_snc`` with its parents walked stratum by stratum in divisor
+order (``reference_validate``), chain
 complexes straight off the strata, the E_3 corner of the KH report from
 an assembled two-row descent page, and a document's divisor
 block, a resolve report's blowup records and the reports of kh-report and
@@ -56,7 +58,7 @@ from snckit import (
 )
 from snckit.abgroup import kernel_coordinates, presentation_matrix
 from snckit.intmat import SmithForm, eliminate, smith_normal_form
-from snckit.snc import MAX_BLOWUPS, ResolutionLimitError, SncError
+from snckit.snc import MAX_BLOWUPS, DualComplex, ResolutionLimitError, SncError
 
 Z = FgAbGroup(1)
 ZERO_GROUP = FgAbGroup(0)
@@ -984,6 +986,80 @@ def brute_force_bad(d: SncDivisor) -> tuple[dict[frozenset[str], int], bool]:
         seen[key] = seen.get(key, 0) + 1
     dup = {k: v for k, v in seen.items() if v >= 2}
     return dup, not dup
+
+
+def reference_validate(d: SncDivisor) -> DualComplex:
+    """``validate_snc`` with its parents checked stratum by stratum.
+
+    The checks go in the order ``validate_snc`` documents: component ids,
+    stratum ids, then in divisor order each stratum's parents, up to the
+    first stratum breaking its own rules, whose error comes next, and last
+    the drops of two components.  It raises the first ``SncError`` and
+    otherwise returns the dual complex, each depth's parent rows flat as
+    ``DualComplex.found`` keeps them.
+    """
+    components = d.components
+    order = {c: i for i, c in enumerate(components)}
+    if len(order) != len(components):
+        raise SncError("duplicate component id")
+    n = d.n
+    ids, positions, parents_of = d.table
+    by_id: dict[str, int] = {}
+    for i, sid in enumerate(ids):
+        if sid in by_id or sid in order:
+            raise SncError(f"id {sid!r} used more than once")
+        by_id[sid] = i
+    size = len(components)
+    counts = [0] * (min(n, size) + 1)
+    slot: list[int] = []
+    first_bad = len(ids)
+    for i, pos in enumerate(positions):
+        if not 2 <= len(pos) <= n or pos[0] < 0 or pos[-1] >= size:
+            first_bad = i
+            break
+        slot.append(counts[len(pos)])
+        counts[len(pos)] += 1
+    while len(counts) > 2 and not counts[-1]:
+        counts.pop()
+    found: list[list[int]] = [[] for _ in counts]
+    present = set(positions)
+    for i in range(first_bad):
+        sid, pos, parents = ids[i], positions[i], parents_of[i]
+        depth = len(pos)
+        if depth == 2:
+            if parents:
+                raise SncError(f"stratum {sid} of depth 2 must not list parents")
+            continue
+        if len(parents) != depth or any(p not in parents for p in pos):
+            raise SncError(f"stratum {sid} must name one parent per dropped component")
+        for drop, pid in parents.items():
+            facet = tuple(q for q in pos if q != drop)
+            names = tuple(components[q] for q in facet)
+            if facet not in present:
+                raise SncError(f"stratum {sid} needs a stratum on {names}, found none")
+            if pid not in by_id or positions[by_id[pid]] != facet:
+                raise SncError(f"stratum {sid}: parent {pid!r} for dropped "
+                               f"{components[drop]!r} is not a stratum on {names}")
+        found[depth].extend(by_id[parents[p]] for p in reversed(pos))
+    if first_bad < len(ids):
+        sid, pos = ids[first_bad], positions[first_bad]
+        if len(pos) < 2:
+            raise SncError(f"stratum {sid} intersects {len(pos)} component(s); need at least 2")
+        if len(pos) > n:
+            raise SncError(f"stratum {sid} intersects {len(pos)} components in ambient "
+                           f"dimension {n}")
+        p = pos[0] if pos[0] < 0 else pos[-1]
+        raise SncError(f"stratum {sid} lies on component position {p}, but the divisor "
+                       f"has {size} component(s)")
+    for sid, pos, parents in zip(*d.table):
+        for a, b in itertools.combinations(pos, 2) if len(pos) >= 4 else ():
+            via_a = parents_of[by_id[parents[a]]][b]
+            via_b = parents_of[by_id[parents[b]]][a]
+            if via_a != via_b:
+                ca, cb = components[a], components[b]
+                raise SncError(f"stratum {sid}: dropping {ca!r} then {cb!r} gives "
+                               f"{via_a!r} but {cb!r} then {ca!r} gives {via_b!r}")
+    return DualComplex(components, d.table, counts, slot, found)
 
 
 def complex_from_matrices(ranks, matrices) -> ChainComplex:

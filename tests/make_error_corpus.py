@@ -106,6 +106,15 @@ def _drop(path):
     return edit
 
 
+def _to_front(*groups):
+    """Move the strata groups at these indices to the front, in this order."""
+    def edit(doc):
+        strata = doc["divisor"]["strata"]
+        strata[:] = [strata[g] for g in groups] + [
+            group for g, group in enumerate(strata) if g not in groups]
+    return edit
+
+
 DIV = ("divisor",)
 G0 = DIV + ("strata", 0)
 M0 = G0 + ("components", 0)
@@ -351,6 +360,14 @@ VALIDATE_FAULTS = [
     ("parent-fault-beats-grandparent-fault", "sphere4",
      [_set(S4_QUAD + ("parents", "3"), "c013"),
       _set(DIV + ("strata", 24, "components", 0, "parents", "1"), "c023")]),
+    # one pass per depth finds the shallow fault first; the error must
+    # still name the first failing stratum in divisor order
+    ("deep-parent-fault-listed-before-shallow", "sphere4",
+     [_set(S4_QUAD + ("parents", "2"), "c012"), _set(M0 + ("parents",), {"0": "c13"}),
+      _to_front(20)]),
+    ("shallow-parent-fault-listed-before-deep", "sphere4",
+     [_drop(S4_TRIPLE + ("parents", "1")), _set(S4_QUAD + ("parents", "2"), "c012"),
+      _to_front(10, 20)]),
     # the quadruple points at n = 3, with Picard data laid out for n = 3
     ("deeper-than-n", "sphere4",
      [_set(DIV + ("n",), 3), _set(PIC, load("triangle_cycle")["picard"])]),

@@ -51,9 +51,11 @@ def read_path(tmp: str) -> None:
     snckit, so each boundary the sweep reads with clearing is checked at
     this size.  validate counts the strata and dual-complex lists the
     cells, both from the strata table; their counts are checked against
-    the generator's.  Each run takes a few seconds; the step's
-    limit stops a read path or sweep that has turned superlinear.
+    the generator's.  On a 2-core host with Python 3.11 each run took
+    1.15-2.71 s, so each must end within 6 s, which stops a read path or
+    sweep that has turned superlinear.
     """
+    read_limit = 6
     for shuffled in (False, True):
         case = gen.skeleton_case(random.Random(7), 4, 40, shuffled)
         path = os.path.join(tmp, f"skeleton-{shuffled}.json")
@@ -66,6 +68,7 @@ def read_path(tmp: str) -> None:
             print(f"{command}, shuffled={shuffled}: {case.size['cells']} cells, "
                   f"exit {done.returncode}, {seconds:.2f} s")
             assert done.returncode == 0, done.stderr.decode()
+            assert seconds < read_limit, seconds
             if command == case.command:
                 assert oracle.check(command, done.stdout, case.expected) is None
                 continue

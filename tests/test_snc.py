@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     Stratum,
@@ -16,6 +18,7 @@ from helpers import (
     parallel_curve_divisor,
     parallel_edges,
     random_divisor,
+    reference_validate,
     rp2_divisor,
     scan_blowup,
     scan_resolve,
@@ -23,6 +26,7 @@ from helpers import (
     sphere4,
     strata_of,
     triangle_cycle,
+    validate_complex,
 )
 from snckit import snc
 from snckit import (
@@ -213,6 +217,100 @@ def test_dual_equals_alternating_complex_everywhere():
                for d in corpus]
     for d in corpus:
         assert validate_snc(d).chain_complex() == alt_chain_complex(d)
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5, 6])
+def test_face_rows_alternate_in_sign_at_every_depth(depth):
+    # the full skeleton of depth ``depth`` on depth + 2 components, with
+    # parallel copies of two top cells, canonical and shuffled
+    comps = [f"E{i}" for i in range(depth + 2)]
+    strata = list(strata_of(simplex_divisor(depth, comps, depth)))
+    tops = [s for s in strata if len(s.subset) == depth][:2]
+    copies = [Stratum(f"{s.id}~", s.subset, dict(s.parents)) for s in tops]
+    strata += copies
+    for order in (strata, random.Random(depth).sample(strata, len(strata))):
+        d = divisor_of(depth, comps, order)
+        cx = validate_snc(d).chain_complex()
+        assert cx == alt_chain_complex(d)
+        validate_complex(cx)
+        # a parallel cell has the faces and signs of the cell it copies
+        top = [s.id for s in order if len(s.subset) == depth]
+        for s, copy in zip(tops, copies):
+            a, b = top.index(s.id), top.index(copy.id)
+            assert [row.get(a) for row in cx.boundaries[-1]] == [
+                row.get(b) for row in cx.boundaries[-1]]
+
+
+@st.composite
+def mutated_divisors(draw):
+    """A simplex skeleton of depth 3 to 6 with parallel copies of a few
+    strata below the top, given up to three parent faults, its strata
+    canonical or shuffled.
+
+    The faults: a parent id swapped for any stratum's or for a copy of
+    the parent, a parent key dropped, a key added for a component outside
+    the subset, two parents of one stratum traded (each then on the wrong
+    facet), a parent given to a stratum of depth 2, and a stratum
+    deleted.  A copy names the parents of the stratum it copies, so a
+    parent swapped for a copy is on its facet, but above a stratum below
+    the top that names it the drops of two components land on different
+    strata.
+    """
+    depth = draw(st.integers(3, 6))
+    comps = [f"E{i}" for i in range(draw(st.integers(depth, depth + 2)))]
+    strata = list(strata_of(simplex_divisor(depth, comps, depth)))
+    below = [s for s in strata if len(s.subset) < depth]
+    copies: dict[str, str] = {}
+    for s in draw(st.lists(st.sampled_from(below), min_size=1, max_size=3, unique_by=id)):
+        copies[s.id] = f"{s.id}~"
+        strata.append(Stratum(copies[s.id], s.subset, dict(s.parents)))
+    ids = [s.id for s in strata]
+    for kind in draw(st.lists(st.sampled_from(
+            ["swap", "copy", "drop", "extra", "trade", "depth-two", "delete"]), max_size=3)):
+        # a fault with no stratum to take it changes nothing
+        edges = [s for s in strata if len(s.subset) == 2]
+        named = [s for s in strata if s.parents and len(s.subset) >= 3]
+        on_copied = [(s, c) for s in strata for c, pid in s.parents.items()
+                     if pid in copies and len(s.subset) < depth]
+        if kind == "delete":
+            strata.remove(draw(st.sampled_from(strata)))
+        elif kind == "depth-two" and edges:
+            s = draw(st.sampled_from(edges))
+            s.parents[draw(st.sampled_from(s.subset))] = draw(st.sampled_from(ids))
+        elif kind == "copy" and on_copied:
+            s, c = draw(st.sampled_from(on_copied))
+            s.parents[c] = copies[s.parents[c]]
+        elif kind in ("swap", "drop", "extra", "trade") and named:
+            s = draw(st.sampled_from(named))
+            key = draw(st.sampled_from(sorted(s.parents)))
+            others = [c for c in comps if c not in s.subset]
+            if kind == "swap":
+                s.parents[key] = draw(st.sampled_from(ids))
+            elif kind == "drop":
+                del s.parents[key]
+            elif kind == "extra" and others:
+                s.parents[draw(st.sampled_from(others))] = s.parents[key]
+            elif kind == "trade" and len(s.parents) >= 2:
+                other = draw(st.sampled_from([c for c in sorted(s.parents) if c != key]))
+                s.parents[key], s.parents[other] = s.parents[other], s.parents[key]
+    if draw(st.booleans()):
+        strata = draw(st.permutations(strata))
+    return divisor_of(depth, comps, strata)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(d=mutated_divisors())
+def test_validate_matches_the_stratum_by_stratum_walk(d):
+    # Any other exception, an internal AssertionError among them, fails
+    # the test: the CLI would exit 3 on it.
+    try:
+        want = reference_validate(d)
+    except SncError as e:
+        with pytest.raises(SncError) as got:
+            validate_snc(d)
+        assert (type(got.value), str(got.value)) == (type(e), str(e))
+    else:
+        assert validate_snc(d) == want
 
 
 def test_sphere4_is_a_three_sphere():
