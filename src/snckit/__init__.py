@@ -21,7 +21,6 @@ from .chaincx import (
     SupportViolationError,
     cohomology,
     e2_page,
-    homology,
 )
 from .intmat import IntMatrix, SmithForm, smith_normal_form
 from .khasm import (
@@ -70,7 +69,6 @@ __all__ = [
     "direct_sum",
     "e2_page",
     "find_bad_intersections",
-    "homology",
     "k_report",
     "kh_report",
     "ns_analysis",

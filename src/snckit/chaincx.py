@@ -3,12 +3,11 @@
 A complex stores one free rank per degree from degree 0, plus the boundary
 map out of each degree above 0 as sparse signed incidence: one face row
 {cell: coefficient} per cell of the degree below.  The boundaries must
-compose to zero.  Homology and cohomology come out in canonical form.  Both
-are read off the Smith diagonals of the boundaries, which each complex
-computes once, bottom-up with clearing, and keeps; cohomology follows from
-them by universal coefficients, with no transposed complex.  The dual
-complex of a checked divisor hands its rows in through
-``ChainComplex._of``, which skips the row check.
+compose to zero.  Cohomology comes out in canonical form, read by
+universal coefficients off the Smith diagonals of the boundaries, which
+each complex computes once, bottom-up with clearing, and keeps; no
+transposed complex is built.  The dual complex of a checked divisor hands
+its rows in through ``ChainComplex._of``, which skips the row check.
 
 Spectral pages are finite: a dictionary of nonzero entries together with an
 explicit support region.  Only the E_1 → E_2 step is implemented; the one
@@ -119,29 +118,14 @@ class ChainComplex(_Checked, NamedTuple("ChainComplex", [
         return sweeps[d - 1]
 
 
-def _group(c: ChainComplex, i: int, torsion_from: int) -> FgAbGroup:
-    """Free rank rank_i - r_i - r_{i+1}; torsion from one boundary's diagonal."""
-    free = c.rank(i) - c._swept(i)[2] - c._swept(i + 1)[2]
-    return FgAbGroup(free, tuple(x for x in c.diagonal(torsion_from) if x > 1))
-
-
-def homology(c: ChainComplex, i: int) -> FgAbGroup:
-    """H_i = ker(boundary out of i) / im(boundary into i), canonical form.
-
-    For a free complex the answer reads off two Smith diagonals: the free
-    rank is rank_i minus the two boundary ranks, and the torsion is the list
-    of invariant factors of the incoming boundary that exceed 1.
-    """
-    return _group(c, i, i + 1)
-
-
 def cohomology(c: ChainComplex, i: int) -> FgAbGroup:
     """H^i with integer coefficients, in canonical form.
 
-    Read off the same cached Smith diagonals as homology, by universal
-    coefficients: the free rank is that of H_i, and the torsion is that of
-    H_{i-1}, the invariant factors above 1 of the boundary out of degree i,
-    whose transpose is the coboundary into degree i.
+    Read off the cached Smith diagonals by universal coefficients: the free
+    rank is that of H_i, rank_i minus the ranks of the boundaries out of
+    degrees i and i + 1, and the torsion is that of H_{i-1}, the invariant
+    factors above 1 of the boundary out of degree i, whose transpose is
+    the coboundary into degree i.
 
     >>> circle = ChainComplex((1, 1), (({},),))
     >>> str(cohomology(circle, 1))
@@ -150,7 +134,8 @@ def cohomology(c: ChainComplex, i: int) -> FgAbGroup:
     >>> [str(cohomology(rp2, i)) for i in range(3)]
     ['Z', '0', 'Z/2']
     """
-    return _group(c, i, i)
+    free = c.rank(i) - c._swept(i)[2] - c._swept(i + 1)[2]
+    return FgAbGroup(free, tuple(x for x in c.diagonal(i) if x > 1))
 
 
 class SpectralPage(_Checked, NamedTuple("SpectralPage", [

@@ -24,7 +24,7 @@ from .abgroup import (
     direct_sum,
     kernel_coordinates,
 )
-from .chaincx import cohomology, homology
+from .chaincx import cohomology
 from .intmat import IntMatrix, _Checked, eliminate
 from .snc import SncDivisor, validate_snc
 
@@ -42,8 +42,8 @@ class TorusDescriptor(NamedTuple):
     two readings disagree exactly when ``mu_ambiguous`` is set; both values
     are reported rather than silently choosing one.
 
-    Over a general field the computation is only valid when the relevant
-    homology is torsion-free; otherwise the descriptor is undetermined.
+    Over a general field it needs H_{n-2}(D(E), Z), and so H^{n-1}(D(E), Z),
+    torsion-free; otherwise the descriptor is undetermined.
     """
 
     rank: int
@@ -69,27 +69,26 @@ class TorusDescriptor(NamedTuple):
         return ", ".join(parts)
 
 
-def torus_descriptor(hn1: FgAbGroup, hn2_homology_torsion_free: bool,
-                     field_mode: str) -> TorusDescriptor:
+def torus_descriptor(hn1: FgAbGroup, field_mode: str) -> TorusDescriptor:
     """Read the torus H^{n-1}(D(E), units) off integral cohomology.
 
     Over an algebraically closed field the rank is the free rank of
     H^{n-1}(D(E), Z) and the torsion survives as roots of unity.  Over a
-    general field the same reading needs H_{n-2}(D(E), Z) torsion-free;
-    without that hypothesis nothing is claimed.
+    general field the same reading needs H_{n-2}(D(E), Z) torsion-free,
+    and by universal coefficients its torsion is that of H^{n-1}(D(E), Z):
+    where ``hn1`` has torsion, nothing is claimed.
     """
     if field_mode not in _FIELD_MODES:
         raise ValueError(f"unknown field mode {field_mode!r}")
-    if field_mode == GENERAL_FIELD and not hn2_homology_torsion_free:
+    if field_mode == GENERAL_FIELD and not hn1.is_free():
         return TorusDescriptor(0, FgAbGroup(0), field_mode, determined=False)
-    mu = FgAbGroup(0, hn1.torsion)
-    return TorusDescriptor(hn1.free_rank, mu, field_mode,
-                           determined=True, mu_ambiguous=not mu.is_trivial())
+    return TorusDescriptor(hn1.free_rank, FgAbGroup(0, hn1.torsion), field_mode,
+                           mu_ambiguous=bool(hn1.torsion))
 
 
 class PicardLevel(_Checked, NamedTuple("PicardLevel", [
         ("p", int), ("ns", FgAbGroup), ("pic0_dim", int)])):
-    """Neron-Severi group and abelian-variety dimension at one level."""
+    """Neron-Severi group and abelian-variety dimension at one level p >= 0."""
 
     __slots__ = ()
 
@@ -97,6 +96,8 @@ class PicardLevel(_Checked, NamedTuple("PicardLevel", [
         self = tuple.__new__(cls, (p, ns, pic0_dim))
         if tuple(map(type, self)) != (int, FgAbGroup, int):
             raise ValueError(f"p and pic0_dim must be ints and ns an FgAbGroup, got {self!r}")
+        if self.p < 0:
+            raise ValueError(f"negative level p = {self.p}")
         if self.pic0_dim < 0:
             raise ValueError(f"negative Pic^0 dimension at level {self.p}")
         return self
@@ -107,12 +108,12 @@ class PicardInput(_Checked, NamedTuple("PicardInput", [
         ("coker_pic0_dim", int), ("ker_beta_known", FgAbGroup | None)])):
     """User-supplied Picard-side data of the stratum levels.
 
-    The levels must be exactly p = n-4, n-3, n-2 in that order (the first
-    absent when n = 3); ``maps`` holds the pullback map from each level to
-    the next, and two maps must compose to zero; construction raises
-    ``ValueError`` otherwise.  The cokernel dimension of the induced map on
-    abelian-variety parts is an input, not something the combinatorics can
-    know.
+    n is at least 3 and the levels are exactly p = n-4, n-3, n-2 in that
+    order (the first absent when n = 3); ``maps`` holds the pullback map
+    from each level to the next, and two maps must compose to zero;
+    construction raises ``ValueError`` otherwise.  The cokernel dimension
+    of the induced map on abelian-variety parts is an input, not something
+    the combinatorics can know.
     """
 
     __slots__ = ()
@@ -125,6 +126,8 @@ class PicardInput(_Checked, NamedTuple("PicardInput", [
                 or type(self.ker_beta_known) not in (FgAbGroup, type(None))):
             raise ValueError("n and coker_pic0_dim must be ints, levels a tuple of PicardLevel, "
                              "maps a tuple of Hom and ker_beta_known an FgAbGroup or None")
+        if self.n < 3:
+            raise ValueError(f"Picard data needs n >= 3, got n = {self.n}")
         if self.coker_pic0_dim < 0:
             raise ValueError("negative coker(Pic^0) dimension")
         ps = [lv.p for lv in self.levels]
@@ -326,7 +329,7 @@ def kh_report(d: SncDivisor, pi: PicardInput,
     hn2 = cohomology(cx, n - 2)
 
     ker_ns, coker_ns, gamma, surjection = ns_analysis(pi)
-    td = torus_descriptor(top, homology(cx, n - 2).is_free(), field_mode)
+    td = torus_descriptor(top, field_mode)
 
     # The divisible piece inside coker(Pic) dies only when its dimension is
     # zero AND taking points is exact, i.e. over an algebraically closed

@@ -14,11 +14,12 @@ it is printed.  The CLI parser reads a document straight into that table,
 and the blowups leave one.  Every check raises ``SncError``; its message
 tells one failure from another.
 The check walks the table once, to find each stratum's row by id, its
-position among the strata of its depth, the rows of each depth, and the
-first stratum breaking its own rules.  Then one pass per depth checks the
-parents of every stratum before that one in builtin maps, and keeps the
-rows of the parents it finds, flat.  Only where a pass fails does a walk
-in divisor order run, stratum by stratum, to name the first error.  Past
+position among the strata of its depth and the rows of each depth, up to
+the first stratum breaking its own rules.  Then one pass per depth checks
+the parents of the strata it reached in builtin maps, and keeps the rows
+of the parents it finds, flat.  Only where the walk stops early or a pass
+fails does one walk in divisor order, each stratum's own rules before its
+parents, name the first error.  Past
 the parent checks, the drops of two components are compared only where a
 subset carries two strata, since elsewhere both orders land on its one
 stratum.  The check's result is the dual complex itself, and the dual
@@ -189,17 +190,18 @@ def validate_snc(d: SncDivisor) -> DualComplex:
     and return the dual complex, made of what the check found on the way
     (see the module docstring).
 
-    The order of the checks decides which error is raised: distinct
-    component ids; distinct stratum ids, none reusing a component id; then
-    stratum by stratum, its own rules (depth between 2 and n, then its
-    first and last positions within ``components``) followed by its parents
-    (none at depth 2, else one per component, each a stratum on the facet
-    that drops it); last, at depth 4 and up, that dropping two components
-    in either order lands on the same stratum.  Unknown or repeated subset
-    components are ``SncDivisor.build``'s errors, and a repeated subset
-    index is the parser's; every rule above is checked here only, so a
-    parsed divisor may have positions out of range, as may one whose
-    ``components`` were replaced by a shorter tuple.
+    The first error in this order is raised; where a pass finds one, a walk
+    in divisor order names it: distinct component ids; distinct stratum
+    ids, none reusing a component id; then stratum by stratum, its own
+    rules (depth between 2 and n, then its first and last positions within
+    ``components``) followed by its parents (none at depth 2, else one per
+    component, each a stratum on the facet that drops it); last, at depth 4
+    and up, that dropping two components in either order lands on the same
+    stratum.  Unknown or repeated subset components are
+    ``SncDivisor.build``'s errors, and a repeated subset index is the
+    parser's; every rule above is checked here only, so a parsed divisor
+    may have positions out of range, as may one whose ``components`` were
+    replaced by a shorter tuple.
     """
     components = d.components
     order = {c: i for i, c in enumerate(components)}
@@ -220,11 +222,10 @@ def validate_snc(d: SncDivisor) -> DualComplex:
     counts = [0] * (min(n, size) + 1)    # strata so far on k components
     slot: list[int] = []    # each stratum's position among those of its depth
     at: list[list[int]] = [[] for _ in counts]    # the rows of each depth
-    first_bad = len(ids)    # position of the first stratum breaking its own rules
     for i, pos in enumerate(positions):
-        # positions are sorted, so the ends bound them all
+        # positions are sorted, so the ends bound them all; the walk stops
+        # at the first stratum breaking its own rules
         if not 2 <= len(pos) <= n or pos[0] < 0 or pos[-1] >= size:
-            first_bad = i
             break
         depth = len(pos)
         slot.append(counts[depth])
@@ -234,10 +235,8 @@ def validate_snc(d: SncDivisor) -> DualComplex:
         counts.pop()
         at.pop()
     found = _parent_rows(at, positions, parents_of, by_id)
-    if found is None:
-        _raise_parent_error(d, by_id, first_bad)
-    if first_bad < len(ids):
-        _raise_own_error(ids[first_bad], positions[first_bad], n, size)
+    if found is None or len(slot) < len(ids):
+        _raise_first_error(d, by_id)
     # Every parent is now on its facet, so dropping two components in
     # either order lands on a stratum on the same subset, two below the
     # stratum's depth: the two can differ only where that subset carries
@@ -249,17 +248,6 @@ def validate_snc(d: SncDivisor) -> DualComplex:
                 grand = [parents_of[by_id[parents_of[i][p]]] for p in pos]
                 _raise_if_drops_differ(ids[i], pos, grand, components)
     return DualComplex(components, d.table, counts, slot, found)
-
-
-def _raise_own_error(sid: str, pos: tuple[int, ...], n: int, size: int) -> NoReturn:
-    """Raise the error of a stratum on positions ``pos`` whose depth is
-    outside 2..n or that has a position outside 0..size-1."""
-    depth = len(pos)
-    if depth < 2:
-        raise SncError(f"stratum {sid} intersects {depth} component(s); need at least 2")
-    if depth > n:
-        raise SncError(f"stratum {sid} intersects {depth} components in ambient dimension {n}")
-    raise _position_error(sid, pos, size)
 
 
 def _position_error(sid: str, pos: tuple[int, ...], size: int) -> SncError:
@@ -300,39 +288,39 @@ def _parent_rows(at: list[list[int]], positions: list[tuple[int, ...]],
     return found
 
 
-def _raise_parent_error(d: SncDivisor, by_id: Mapping[str, int], stop: int) -> NoReturn:
-    """Raise the first parent error among the strata before ``stop``,
-    walking them in divisor order; some stratum there must break a parent
-    rule.  Of a stratum's parents, the first wrong one in its order names
+def _raise_first_error(d: SncDivisor, by_id: Mapping[str, int]) -> NoReturn:
+    """Raise the first error of a divisor's strata, walking them in divisor
+    order, each one's own rules before its parents; some stratum must break
+    one.  Of a stratum's parents, the first wrong one in its order names
     the error."""
     ids, positions, parents_of = d.table
-    components = d.components
-    for i in range(stop):
-        pos, parents = positions[i], parents_of[i]
+    components, n = d.components, d.n
+    size = len(components)
+    for sid, pos, parents in zip(ids, positions, parents_of):
         depth = len(pos)
+        if depth < 2:
+            raise SncError(f"stratum {sid} intersects {depth} component(s); need at least 2")
+        if depth > n:
+            raise SncError(f"stratum {sid} intersects {depth} components in ambient dimension {n}")
+        if pos[0] < 0 or pos[-1] >= size:
+            raise _position_error(sid, pos, size)
         if depth == 2:
             if parents:
-                raise SncError(f"stratum {ids[i]} of depth 2 must not list parents")
+                raise SncError(f"stratum {sid} of depth 2 must not list parents")
             continue
         if len(parents) != depth or not all(map(parents.__contains__, pos)):
-            raise SncError(f"stratum {ids[i]} must name one parent per dropped component")
-        # the facets dropping the last, ..., the first component
-        ps = [by_id.get(parents[p]) for p in reversed(pos)]
-        if None not in ps and list(map(positions.__getitem__, ps)) == list(
-                combinations(pos, depth - 1)):
-            continue
-        present = set(positions)
+            raise SncError(f"stratum {sid} must name one parent per dropped component")
         for drop, pid in parents.items():
             facet = tuple([q for q in pos if q != drop])
-            names = tuple([components[q] for q in facet])
-            if facet not in present:
-                raise SncError(f"stratum {ids[i]} needs a stratum on {names}, found none")
             p = by_id.get(pid)
             if p is None or positions[p] != facet:
+                names = tuple([components[q] for q in facet])
+                if facet not in set(positions):
+                    raise SncError(f"stratum {sid} needs a stratum on {names}, found none")
                 raise SncError(
-                    f"stratum {ids[i]}: parent {pid!r} for dropped {components[drop]!r} "
+                    f"stratum {sid}: parent {pid!r} for dropped {components[drop]!r} "
                     f"is not a stratum on {names}")
-    raise AssertionError(f"no stratum before {stop} breaks a parent rule")
+    raise AssertionError("no stratum breaks a rule")
 
 
 def _raise_if_drops_differ(sid: str, pos: tuple[int, ...], grand: list[dict[int, str]],

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the code paths they check: invariant
 factors come from minors and cofactor determinants, direct sums from prime
 factorization, simpliciality from raw vertex sets of the dual complex,
-cohomology from the homology of the explicitly transposed complex,
+homology from the dense boundaries through ``middle_homology``
+(``homology``), never through the Smith sweep, and cohomology from the
+homology of the explicitly transposed complex,
 blowups and resolution from full rescans of the divisor, inverses of
 Smith transforms from a second Smith form instead of the tracked inverse,
 the pivot history of the elimination from a copy of it as it stood before
@@ -1081,6 +1083,13 @@ def boundary_matrix(c: ChainComplex, d: int) -> IntMatrix:
             for j, x in row.items():
                 m[i][j] = x
     return IntMatrix(m, ncols=c.rank(d))
+
+
+def homology(c: ChainComplex, i: int) -> FgAbGroup:
+    """H_i = ker(boundary out of i) / im(boundary out of i + 1), from the
+    dense boundaries by ``middle_homology``; zero outside the range."""
+    out = Hom(FgAbGroup(c.rank(i)), FgAbGroup(c.rank(i - 1)), boundary_matrix(c, i))
+    return middle_homology(out, boundary_matrix(c, i + 1))
 
 
 def alt_chain_complex(d: SncDivisor) -> ChainComplex:

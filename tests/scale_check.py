@@ -9,9 +9,10 @@ documents to $RUNNER_TEMP when that is set, and otherwise to a temporary
 directory that it removes afterwards.  It runs ``python -m snckit.cli`` on
 them as subprocesses, with the repository's ``src`` first on PYTHONPATH,
 prints one line per run and raises AssertionError on a wrong answer, an
-exit other than 0, or a run past its time limit.  The documents and their
-expected answers come from ``perfbench/gen.py`` and ``perfbench/oracle.py``,
-which never call snckit.  It needs only the standard library.
+exit other than the one expected, or a run past its time limit.  The
+documents and their expected answers come from ``perfbench/gen.py`` and
+``perfbench/oracle.py``, which never call snckit.  It needs only the
+standard library.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ def _cli(path: str, command: str, emit: str, env: dict | None = None
 
 
 def read_path(tmp: str) -> None:
-    """Four commands on 102,092 cells.
+    """Four commands on 102,092 cells, and validate on a copy with one fault.
 
     The full 3-skeleton of the 39-simplex from gen.skeleton_case, strata
     canonical and then shuffled, run as a subprocess.  kh-report is checked
@@ -51,9 +52,12 @@ def read_path(tmp: str) -> None:
     snckit, so each boundary the sweep reads with clearing is checked at
     this size.  validate counts the strata and dual-complex lists the
     cells, both from the strata table; their counts are checked against
-    the generator's.  On a 2-core host with Python 3.11 each run took
-    1.15-2.71 s, so each must end within 6 s, which stops a read path or
-    sweep that has turned superlinear.
+    the generator's.  Last, validate runs on a copy whose last stratum
+    with parents names itself as its first parent: it must exit 1 with
+    that stratum's error on stderr, which the check names only after
+    walking every stratum before it.  On a 2-core host with Python 3.11
+    each run took 0.93-2.71 s, so each must end within 6 s, which stops a
+    read path, sweep or error walk that has turned superlinear.
     """
     read_limit = 6
     for shuffled in (False, True):
@@ -82,6 +86,24 @@ def read_path(tmp: str) -> None:
             else:
                 got = [layer["count"] for layer in report["cells_by_dimension"]]
                 assert got == case.size["cells_by_dim"], got
+        comps = case.doc["divisor"]["components"]
+        group = next(g for g in reversed(case.doc["divisor"]["strata"]) if len(g["subset"]) > 2)
+        bad = group["components"][-1]
+        drop = next(iter(bad["parents"]))
+        bad["parents"][drop] = bad["id"]
+        facet = tuple(comps[q] for q in group["subset"] if q != int(drop))
+        want = (f"error: stratum {bad['id']}: parent {bad['id']!r} for dropped "
+                f"{comps[int(drop)]!r} is not a stratum on {facet}\n")
+        path = os.path.join(tmp, f"skeleton-{shuffled}-bad.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(case.doc, fh)
+        start = time.perf_counter()
+        done = _cli(path, "validate", "both")
+        seconds = time.perf_counter() - start
+        print(f"validate with a wrong parent, shuffled={shuffled}: {case.size['cells']} "
+              f"cells, exit {done.returncode}, {seconds:.2f} s")
+        assert (done.returncode, done.stderr.decode("utf-8")) == (1, want), done.stderr
+        assert seconds < read_limit, seconds
 
 
 def resolve(tmp: str) -> None:

@@ -11,19 +11,24 @@ from helpers import (
     alt_chain_complex,
     dense_picard_document,
     descent_page,
+    divisor_of,
     e3_top_corner,
     four_cycle,
     full_simplex,
     hom_analyze,
+    homology,
     kernel_basis,
     kh_top,
+    parallel_curve_divisor,
     random_divisor,
     random_picard_document,
     reference_ns_analysis,
     rp2_divisor,
+    scan_blowup,
     simplex_divisor,
     smith_surjection,
     sphere4,
+    strata_of,
     triangle_cycle,
     triangle_picard,
     with_source_torsion,
@@ -36,10 +41,12 @@ from snckit import (
     PicardInput,
     PicardLevel,
     SncDivisor,
+    cohomology,
     kh_report,
     ns_analysis,
     presentation_matrix,
     subquotient,
+    validate_snc,
 )
 from snckit import abgroup, intmat, khasm
 from snckit.cli import parse_document
@@ -58,7 +65,7 @@ from snckit.snc import SncError
 
 
 def test_torus_descriptor_free_part_only():
-    td = torus_descriptor(FgAbGroup(2), True, ALGEBRAICALLY_CLOSED)
+    td = torus_descriptor(FgAbGroup(2), ALGEBRAICALLY_CLOSED)
     assert td.rank == 2
     assert td.mu_part.is_trivial()
     assert not td.mu_ambiguous
@@ -68,7 +75,7 @@ def test_torus_descriptor_free_part_only():
 
 
 def test_torus_descriptor_torsion_is_flagged_ambiguous():
-    td = torus_descriptor(FgAbGroup(1, (3,)), True, ALGEBRAICALLY_CLOSED)
+    td = torus_descriptor(FgAbGroup(1, (3,)), ALGEBRAICALLY_CLOSED)
     assert td.rank == 1
     assert td.mu_part == FgAbGroup(0, (3,))
     assert td.mu_ambiguous
@@ -76,20 +83,43 @@ def test_torus_descriptor_torsion_is_flagged_ambiguous():
 
 
 def test_torus_descriptor_general_field_needs_torsion_free_homology():
-    td = torus_descriptor(FgAbGroup(1, (2,)), False, GENERAL_FIELD)
+    # torsion in H^{n-1} is torsion in H_{n-2}
+    td = torus_descriptor(FgAbGroup(1, (2,)), GENERAL_FIELD)
     assert not td.determined
     assert str(td) == "undetermined (general field, torsion obstructs)"
     assert not td.is_trivial_group()
-    ok = torus_descriptor(FgAbGroup(1), True, GENERAL_FIELD)
+    ok = torus_descriptor(FgAbGroup(1), GENERAL_FIELD)
     assert ok.determined and ok.rank == 1
 
 
 def test_torus_descriptor_trivial_group():
-    td = torus_descriptor(ZERO_GROUP, True, ALGEBRAICALLY_CLOSED)
+    td = torus_descriptor(ZERO_GROUP, ALGEBRAICALLY_CLOSED)
     assert td.is_trivial_group()
     assert str(td) == "torus rank 0"
     with pytest.raises(ValueError):
-        torus_descriptor(Z, True, "finite")
+        torus_descriptor(Z, "finite")
+
+
+def test_general_field_torus_is_determined_exactly_when_h_n_minus_2_is_free():
+    # The descriptor reads H^{n-1} only; the oracle reads H_{n-2} off the
+    # dense boundaries.  rp2_divisor and its blowups carry Z/2 in H_1; the
+    # shuffled copies sweep their cells in another order.
+    rng = random.Random(43)
+    rp2 = rp2_divisor()
+    corpus = [rp2, rp2._replace(n=4)]
+    corpus += [scan_blowup(rp2, s.id)[0] for s in rng.sample(strata_of(rp2), 6)]
+    corpus += [divisor_of(d.n, d.components, rng.sample(strata_of(d), len(strata_of(d))))
+               for d in corpus]
+    corpus += [random_divisor(rng) for _ in range(150)]
+    corpus += [parallel_curve_divisor(rng, rng.randint(3, 6), rng.randint(0, 6))
+               for _ in range(40)]
+    obstructed = 0
+    for d in corpus:
+        cx = validate_snc(d).chain_complex()
+        free = homology(cx, d.n - 2).is_free()
+        assert torus_descriptor(cohomology(cx, d.n - 1), GENERAL_FIELD).determined == free
+        obstructed += not free
+    assert obstructed >= 14
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +562,8 @@ def test_kh_value_sub_is_the_e3_corner_of_the_descent_page():
     n = 3 vanishing, and finds a trivial source at (n-3, 1) on its own.
     """
     rng = random.Random(97)
-    divisors = ([random_divisor(rng) for _ in range(120)]
+    # Picard data needs n >= 3: the report reads level n-3.
+    divisors = ([d for d in (random_divisor(rng) for _ in range(120)) if d.n >= 3]
                 + [four_cycle(), rp2_divisor()])
     tops = (ZERO_GROUP, Z, FgAbGroup(0, (2,)), FgAbGroup(1, (3,)))
     seen = set()

@@ -106,7 +106,7 @@ PUBLIC = [
     "IntMatrix", "KReport", "KhReport", "PicardInput", "PicardLevel", "SmithForm",
     "SncDivisor", "SpectralPage", "SupportViolationError", "TorusDescriptor",
     "blowup_point_on_double_curve", "blowup_stratum_component", "cohomology", "compose",
-    "direct_sum", "e2_page", "find_bad_intersections", "homology", "k_report", "kh_report",
+    "direct_sum", "e2_page", "find_bad_intersections", "k_report", "kh_report",
     "ns_analysis", "presentation_matrix", "resolve_to_simplicial", "smith_normal_form",
     "subquotient", "validate_snc",
 ]

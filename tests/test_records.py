@@ -106,6 +106,12 @@ CHECKED += [
     (PAGE, "support", frozenset({(0, "0")}), PAGE_TYPES + "page_no=1, entries={(0, 0): "
      "FgAbGroup(free_rank=1, torsion=())}, differentials={}, support=frozenset({(0, '0')}))"),
 ]
+# Picard data the CLI parser already rejects: the report reads level n-3,
+# which is negative below n = 3.
+CHECKED += [
+    (LEVELS[0], "p", -1, "negative level p = -1"),
+    (PicardInput(3, LEVELS, (IDENTITY,), 0), "n", 2, "Picard data needs n >= 3, got n = 2"),
+]
 
 
 def _case_id(k: int) -> str:

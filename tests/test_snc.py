@@ -14,6 +14,7 @@ from helpers import (
     divisor_of,
     euler_characteristic,
     full_simplex,
+    homology,
     interval_divisor,
     parallel_curve_divisor,
     parallel_edges,
@@ -35,7 +36,6 @@ from snckit import (
     blowup_stratum_component,
     cohomology,
     find_bad_intersections,
-    homology,
     resolve_to_simplicial,
     validate_snc,
 )
@@ -244,17 +244,21 @@ def test_face_rows_alternate_in_sign_at_every_depth(depth):
 @st.composite
 def mutated_divisors(draw):
     """A simplex skeleton of depth 3 to 6 with parallel copies of a few
-    strata below the top, given up to three parent faults, its strata
-    canonical or shuffled.
+    strata below the top, given up to three faults, its strata canonical
+    or shuffled.
 
-    The faults: a parent id swapped for any stratum's or for a copy of
-    the parent, a parent key dropped, a key added for a component outside
-    the subset, two parents of one stratum traded (each then on the wrong
-    facet), a parent given to a stratum of depth 2, and a stratum
-    deleted.  A copy names the parents of the stratum it copies, so a
-    parent swapped for a copy is on its facet, but above a stratum below
-    the top that names it the drops of two components land on different
-    strata.
+    The parent faults: a parent id swapped for any stratum's or for a copy
+    of the parent, a parent key dropped, a key added for a component
+    outside the subset, two parents of one stratum traded (each then on
+    the wrong facet), a parent given to a stratum of depth 2, and a
+    stratum deleted.  A copy names the parents of the stratum it copies,
+    so a parent swapped for a copy is on its facet, but above a stratum
+    below the top that names it the drops of two components land on
+    different strata.  The own-rule faults: n lowered below the top
+    depth, a stratum on one component inserted anywhere, and
+    ``components`` cut short, so that the positions of the components cut
+    off fall out of range.  Each lands on some stratum in divisor order,
+    with parent faults before or after it.
     """
     depth = draw(st.integers(3, 6))
     comps = [f"E{i}" for i in range(draw(st.integers(depth, depth + 2)))]
@@ -265,8 +269,10 @@ def mutated_divisors(draw):
         copies[s.id] = f"{s.id}~"
         strata.append(Stratum(copies[s.id], s.subset, dict(s.parents)))
     ids = [s.id for s in strata]
-    for kind in draw(st.lists(st.sampled_from(
-            ["swap", "copy", "drop", "extra", "trade", "depth-two", "delete"]), max_size=3)):
+    n, size = depth, len(comps)
+    for k, kind in enumerate(draw(st.lists(st.sampled_from(
+            ["swap", "copy", "drop", "extra", "trade", "depth-two", "delete",
+             "low-n", "one-component", "short"]), max_size=3))):
         # a fault with no stratum to take it changes nothing
         edges = [s for s in strata if len(s.subset) == 2]
         named = [s for s in strata if s.parents and len(s.subset) >= 3]
@@ -274,6 +280,13 @@ def mutated_divisors(draw):
                      if pid in copies and len(s.subset) < depth]
         if kind == "delete":
             strata.remove(draw(st.sampled_from(strata)))
+        elif kind == "low-n":
+            n = draw(st.integers(2, depth - 1))
+        elif kind == "one-component":
+            strata.insert(draw(st.integers(0, len(strata))),
+                          Stratum(f"solo{k}", (draw(st.sampled_from(comps)),), {}))
+        elif kind == "short":
+            size = draw(st.integers(1, len(comps) - 1))
         elif kind == "depth-two" and edges:
             s = draw(st.sampled_from(edges))
             s.parents[draw(st.sampled_from(s.subset))] = draw(st.sampled_from(ids))
@@ -295,7 +308,8 @@ def mutated_divisors(draw):
                 s.parents[key], s.parents[other] = s.parents[other], s.parents[key]
     if draw(st.booleans()):
         strata = draw(st.permutations(strata))
-    return divisor_of(depth, comps, strata)
+    d = divisor_of(n, comps, strata)
+    return d._replace(components=d.components[:size])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
