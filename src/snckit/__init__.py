@@ -37,7 +37,6 @@ from .snc import (
     DualComplex,
     SncDivisor,
     blowup_point_on_double_curve,
-    blowup_stratum_component,
     find_bad_intersections,
     resolve_to_simplicial,
     validate_snc,
@@ -63,7 +62,6 @@ __all__ = [
     "SupportViolationError",
     "TorusDescriptor",
     "blowup_point_on_double_curve",
-    "blowup_stratum_component",
     "cohomology",
     "compose",
     "direct_sum",

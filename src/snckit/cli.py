@@ -57,8 +57,6 @@ MAX_NESTING = 512
 # it, the groups above the dual complex's dimension, all zero, print as one
 # line and one JSON field, so the output is bounded by the divisor.
 COHOMOLOGY_LISTED_DEGREES = 64
-COMMANDS = ("validate", "dual-complex", "cohomology", "check-simplicial",
-            "resolve", "kh-report", "k-report")
 
 
 class SchemaError(ValueError):
@@ -77,7 +75,6 @@ class MissingBlockError(Exception):
 
 
 class InputDocument(NamedTuple):
-    version: str
     divisor: SncDivisor
     picard: PicardInput | None
     dubois: DuBoisTable | None
@@ -216,12 +213,6 @@ def _bad_parent_key(key: Any, ncomps: int, path: str) -> NoReturn:
     raise SchemaError(path, f"component index {didx} is not in the subset")
 
 
-def _parse_group(obj: Any, path: str) -> FgAbGroup:
-    gobj = _as_dict(obj, path)
-    _require_keys(gobj, {"free_rank", "torsion"}, ("free_rank",), path)
-    return _group_at(gobj, path, "free_rank", "torsion")
-
-
 def _group_at(obj: dict, path: str, rank_key: str, torsion_key: str) -> FgAbGroup:
     """The group whose free rank and torsion orders sit at two keys of obj,
     the torsion optional; errors name the key that holds the bad value."""
@@ -281,7 +272,10 @@ def _parse_picard(block: Any, n: int, path: str) -> PicardInput:
 
     ker_beta = None
     if "ker_beta" in obj:
-        ker_beta = _parse_group(obj["ker_beta"], f"{path}.ker_beta")
+        kpath = f"{path}.ker_beta"
+        kobj = _as_dict(obj["ker_beta"], kpath)
+        _require_keys(kobj, {"free_rank", "torsion"}, ("free_rank",), kpath)
+        ker_beta = _group_at(kobj, kpath, "free_rank", "torsion")
     coker_dim = _as_int(obj["coker_pic0_dim"], f"{path}.coker_pic0_dim", minimum=0)
     try:
         return PicardInput(n, tuple(levels), tuple(maps), coker_dim, ker_beta)
@@ -314,13 +308,12 @@ def parse_document(data: Any) -> InputDocument:
     Types, keys, the strata table's invariant and the Picard level layout
     are checked here; the divisor's structure (unique ids, subset ranges
     and depths, parents) is checked by ``validate_snc`` where a command
-    relies on it.
+    relies on it.  Only ``SUPPORTED_VERSION`` is read, so none is kept.
     """
     obj = _as_dict(data, "document")
     _require_keys(obj, {"version", "divisor", "picard", "dubois", "field_mode"},
                   ("version", "divisor"), "document")
-    version = str(obj["version"])
-    if version != SUPPORTED_VERSION:
+    if (version := str(obj["version"])) != SUPPORTED_VERSION:
         raise ValueError(f"unsupported document version {version!r}; "
                          f"this build reads version {SUPPORTED_VERSION}")
     divisor = _parse_divisor(obj["divisor"], "divisor")
@@ -337,7 +330,7 @@ def parse_document(data: Any) -> InputDocument:
     dubois = None
     if "dubois" in obj:
         dubois = _parse_dubois(obj["dubois"], "dubois")
-    return InputDocument(version, divisor, picard, dubois, field_mode)
+    return InputDocument(divisor, picard, dubois, field_mode)
 
 
 def parse_input(path: str) -> InputDocument:
@@ -606,7 +599,7 @@ _WRITERS: dict[type, Callable[[Any, str], str]] = {
 def document_json(doc: InputDocument) -> dict:
     """The document as a report value; the divisor stays an ``SncDivisor``,
     which ``_json_text`` prints as its block."""
-    out: dict[str, Any] = {"version": doc.version, "divisor": doc.divisor}
+    out: dict[str, Any] = {"version": SUPPORTED_VERSION, "divisor": doc.divisor}
     if doc.picard is not None:
         out["picard"] = _picard_json(doc.picard)
     if doc.dubois is not None:
@@ -696,13 +689,11 @@ def _cmd_resolve(doc: InputDocument, max_blowups: int) -> tuple[str, dict]:
         lines.append(f"blow up {rec.center} -> new component {rec.new_component} "
                      f"(bad count -{rec.bad_decrement})")
     lines.append("simplicial: true")
-    new_doc = InputDocument(doc.version, resolved, doc.picard, doc.dubois,
-                            doc.field_mode)
     machine = {
         "command": "resolve",
         "blowups": records,
         "is_simplicial": True,
-        "document": document_json(new_doc),
+        "document": document_json(doc._replace(divisor=resolved)),
     }
     return "\n".join(lines), machine
 
@@ -784,9 +775,11 @@ _DISPATCH = {
     "dual-complex": _cmd_dual_complex,
     "cohomology": _cmd_cohomology,
     "check-simplicial": _cmd_check_simplicial,
+    "resolve": _cmd_resolve,
     "kh-report": _cmd_kh_report,
     "k-report": _cmd_k_report,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run(command: str, document: InputDocument,
@@ -797,14 +790,15 @@ def run(command: str, document: InputDocument,
     but for the objects it holds, ``resolve``'s ``BlowupRecord`` list and
     resolved ``SncDivisor`` (``["blowups"]``, ``["document"]["divisor"]``) and
     the report fields of ``kh-report`` and ``k-report``, each its object.
-    ``max_blowups`` caps the resolution loop; only ``resolve`` runs it.
+    ``_DISPATCH`` is the one command table, in ``COMMANDS``'s order;
+    ``max_blowups`` caps the resolution loop, so only ``resolve`` takes it.
     """
-    if command == "resolve":
-        return _cmd_resolve(document, max_blowups)
     try:
         handler = _DISPATCH[command]
     except KeyError:
         raise ValueError(f"unknown command {command!r}; choose from {COMMANDS}")
+    if handler is _cmd_resolve:
+        return handler(document, max_blowups)
     return handler(document)
 
 

@@ -44,7 +44,7 @@ ordering the cones by positions; a new component takes the last
 position.  The next center is the top of the heap, deepest first, and the
 new component's name comes from a counter that only moves forward, so a
 step touches only the blowup's star and the cells it adds; the public
-single-step blowups build an index, apply one step and return the new
+point blowup builds an index, applies one step and returns the new
 divisor.  Every divisor a blowup returns carries the index's rows as its
 table, so the CLI writes the resolved block from the table too.
 ``find_bad_intersections`` stays the full count that reports a divisor's
@@ -386,13 +386,13 @@ class _StrataIndex:
     for a run of blowups.
 
     It is built by ``add``ing each row of the table ``validate_snc``
-    returns, so the blowups and the resolution loop raise ``SncError`` on
-    an invalid divisor.  It keeps each stratum's row, (positions, parents
-    keyed by position, place in divisor order), by id in divisor order;
-    the ids on each positions tuple; the children of each stratum (the
-    strata naming it as a parent); the bad positions tuples (those
-    carrying two or more ids) and the running count of stratum components
-    on them.  ``add`` and ``remove`` keep all of these current, so a
+    returns, so the point blowup and the resolution loop raise
+    ``SncError`` on an invalid divisor.  It keeps each stratum's row,
+    (positions, parents keyed by position, place in divisor order), by id
+    in divisor order; the ids on each positions tuple; the children of
+    each stratum (the strata naming it as a parent); the bad positions
+    tuples (those carrying two or more ids) and the running count of
+    stratum components on them.  ``add`` and ``remove`` keep all of these current, so a
     blowup costs time in the size of its star and of the cells it adds,
     not in the size of the divisor.
 
@@ -506,7 +506,18 @@ class _StrataIndex:
         return cid
 
     def blowup(self, center: str) -> BlowupRecord:
-        """Apply ``blowup_stratum_component`` in place and return its record."""
+        """Stellar subdivision of the dual cell of one stratum component,
+        in place; returns its record.
+
+        Every stratum component having the center as an iterated parent is
+        removed.  A new divisor component takes the center's place, and
+        every removed cell is refilled by cones: one new cell per pair
+        (removed cell t, proper face K of the center), joining the new
+        vertex to K and to the face of t opposite the center.  Enumerating
+        per removed cell rather than per face keeps parallel cells (several
+        components over one vertex set) from collapsing onto a shared
+        interior, which would change the homotopy type of the dual complex.
+        """
         rows, children, components = self.rows, self.children, self.components
         row = rows.get(center)
         if row is None:
@@ -604,24 +615,6 @@ class _StrataIndex:
             added.append(cid)
         return BlowupRecord(center, new_comp, tuple(star), tuple(added),
                             before - self.bad_total)
-
-
-def blowup_stratum_component(d: SncDivisor, center: str,
-                             ) -> tuple[SncDivisor, BlowupRecord]:
-    """Stellar subdivision of the dual cell of one stratum component.
-
-    Every stratum component having the center as an iterated parent is
-    removed.  A new divisor component takes the center's place, and every
-    removed cell is refilled by cones: one new cell per pair (removed cell
-    t, proper face K of the center), joining the new vertex to K and to
-    the face of t opposite the center.  Enumerating per removed cell
-    rather than per face keeps parallel cells (several components over one
-    vertex set) from collapsing onto a shared interior, which would change
-    the homotopy type of the dual complex.
-    """
-    index = _StrataIndex(d)
-    record = index.blowup(center)
-    return index.divisor(), record
 
 
 def blowup_point_on_double_curve(d: SncDivisor, curve: str,

@@ -25,6 +25,7 @@ k-report from nested dicts (``divisor_json``, ``blowup_json`` and
 ``report_json``, which ``json.dumps`` prints as the CLI's writers must).
 Small conveniences that
 only tests call (``hom_analyze``, ``cokernel``, ``validate_complex``,
+one blowup on a fresh strata index (``blowup``),
 ``euler_characteristic``, ``kh_top``, the groups ``Z`` and ``ZERO_GROUP``,
 and matrix arithmetic such as ``det``, ``diagonal``, or ``rank`` and
 ``verify`` for a Smith form) live here too, as do the view of a
@@ -56,11 +57,12 @@ from snckit import (
     blowup_point_on_double_curve,
     cohomology,
     find_bad_intersections,
+    resolve_to_simplicial,
     validate_snc,
 )
 from snckit.abgroup import kernel_coordinates, presentation_matrix
 from snckit.intmat import SmithForm, eliminate, smith_normal_form
-from snckit.snc import MAX_BLOWUPS, DualComplex, ResolutionLimitError, SncError
+from snckit.snc import MAX_BLOWUPS, DualComplex, ResolutionLimitError, SncError, _StrataIndex
 
 Z = FgAbGroup(1)
 ZERO_GROUP = FgAbGroup(0)
@@ -748,6 +750,36 @@ def rp2_divisor() -> SncDivisor:
     return SncDivisor.build(3, [f"E{i}" for i in range(1, 7)], strata)
 
 
+def moore_divisor(p: int, n: int = 3) -> SncDivisor:
+    """Four components whose dual complex is the Moore space with H_1 = Z/p.
+
+    ``c`` is the cone point over a 3p-gon: spoke ``s{i}`` joins ``c`` to
+    ``v{i mod 3}``, and triple point ``t{i}`` fills the triangle on spokes
+    ``s{i}``, ``s{i+1}`` and rim curve ``r{i mod 3}``, so the 3p-gon's
+    boundary wraps p times round the rim triangle ``v0 v1 v2``.  H_* is
+    Z, Z/p, 0 and H^* is Z, 0, Z/p.  For p >= 2 the p parallel spokes on
+    each ``{c, v}`` make the divisor non-simplicial, and at n = 3 the
+    general-field reading is obstructed.
+    """
+    m = 3 * p
+    strata = [(f"r{i}", (f"v{i}", f"v{(i + 1) % 3}"), {}) for i in range(3)]
+    strata += [(f"s{i}", ("c", f"v{i % 3}"), {}) for i in range(m)]
+    strata += [(f"t{i}", ("c", f"v{i % 3}", f"v{(i + 1) % 3}"),
+                {"c": f"r{i % 3}", f"v{i % 3}": f"s{(i + 1) % m}",
+                 f"v{(i + 1) % 3}": f"s{i}"}) for i in range(m)]
+    return SncDivisor.build(n, ["c", "v0", "v1", "v2"], strata)
+
+
+def moore_family(n: int = 3) -> list[SncDivisor]:
+    """``moore_divisor(p, n)`` for p = 3, 5 and 6, each followed by its
+    resolution, which keeps H_1 = Z/p."""
+    out = []
+    for p in (3, 5, 6):
+        d = moore_divisor(p, n)
+        out += [d, resolve_to_simplicial(d)[0]]
+    return out
+
+
 def sphere4() -> SncDivisor:
     """Five fourfold components whose dual complex is the 3-sphere bd(Delta^4)."""
     return simplex_divisor(4, ["E1", "E2", "E3", "E4", "E5"], 4)
@@ -858,6 +890,14 @@ def parallel_curve_divisor(rng: random.Random, m: int, extra: int,
     d = SncDivisor.build(3, comps, strata)
     validate_snc(d)
     return d
+
+
+def blowup(d: SncDivisor, center: str) -> tuple[SncDivisor, BlowupRecord]:
+    """One blowup of ``center`` (see ``_StrataIndex.blowup``) on a fresh
+    index: the new divisor and the step's record."""
+    index = _StrataIndex(d)
+    record = index.blowup(center)
+    return index.divisor(), record
 
 
 # ---------------------------------------------------------------------------

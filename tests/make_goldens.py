@@ -11,12 +11,14 @@ The cases are every fixture document under every command, plus each
 dense-Picard and branch document under ``kh-report`` and ``k-report``.  The
 branch documents reach the report branches that the other documents leave
 alone: a torus with a root-of-unity part, an undetermined torus over a
-general field, an opaque degree-2 differential, a supplied ker(beta), a
-divisible Picard part of dimension 2, a Du Bois table with
-b^{0,n-1} > 0 on a report that is only a bound, and torsion on level n-3,
-the source of the last NS map, so that ker(NS) has relations of its own.  Record goldens only from a
-commit whose output is known to be right: the test treats them as the
-truth.
+general field (on RP^2 and on the Moore space with H_1 = Z/3), an opaque
+degree-2 differential, a supplied ker(beta), a divisible Picard part of
+dimension 2, a Du Bois table with b^{0,n-1} > 0 on a report that is only a
+bound, torsion on level n-3, the source of the last NS map, so that
+ker(NS) has relations of its own, and, at n = 4 on the Moore space with
+H_1 = Z/5, a KH value and coker(alpha) whose extension of Z/5 by Z is left
+unresolved.  Record goldens only from a commit whose output is known to be
+right: the test treats them as the truth.
 """
 from __future__ import annotations
 
@@ -35,7 +37,8 @@ FIXTURE_DOCUMENTS = ("parallel_edges", "sphere4", "triangle_cycle")
 DENSE_RANKS = tuple(6 + 2 * (seed % 6) for seed in range(12))
 DENSE_COMMANDS = ("kh-report", "k-report")
 BRANCH_DOCUMENTS = ("rp2-closed", "rp2-general", "four-cycle", "ker-beta",
-                    "coker-pic0-2", "dubois-bound", "torsion-source")
+                    "coker-pic0-2", "dubois-bound", "torsion-source", "moore3-general",
+                    "moore5-n4")
 
 
 def cases() -> list[tuple[str, Path, str]]:
@@ -57,7 +60,8 @@ def cases() -> list[tuple[str, Path, str]]:
 def branch_documents() -> dict[str, dict]:
     """The branch documents by name (see the module docstring)."""
     from helpers import (boundary_matrix, dense_picard_document, divisor_json,
-                         four_cycle, rp2_divisor, triangle_cycle, with_source_torsion)
+                         four_cycle, moore_divisor, rp2_divisor, triangle_cycle,
+                         with_source_torsion)
     from snckit import validate_snc
 
     def document(d, levels, maps, coker_pic0_dim=0, dubois_b=0,
@@ -96,6 +100,10 @@ def branch_documents() -> dict[str, dict]:
         "dubois-bound": document(four_cycle(), cycle_levels, cycle_maps,
                                  coker_pic0_dim=1, dubois_b=4),
         "torsion-source": torsion_source,
+        "moore3-general": document(moore_divisor(3), [(0, 1), (1, 1)], [[[0]]],
+                                   field_mode="general"),
+        "moore5-n4": document(moore_divisor(5, 4), [(0, 1), (1, 1), (2, 1)],
+                              [[[0]], [[0]]]),
     }
 
 

@@ -370,7 +370,12 @@ def test_subquotient_is_middle_homology():
 def test_subquotient_rejects_image_outside_kernel():
     outgoing = Hom(Z, Z, IntMatrix([[1]]))
     incoming = Hom(Z, Z, IntMatrix([[1]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^incoming image does not lie in the outgoing kernel$"):
+        subquotient(outgoing, incoming)
+    # and maps that do not meet at one middle group
+    outgoing = Hom(FgAbGroup(2), Z, IntMatrix([[1, 1]]))
+    with pytest.raises(ValueError, match=r"^maps do not meet: incoming lands in Z, "
+                                         r"outgoing leaves from Z\^2$"):
         subquotient(outgoing, incoming)
 
 

@@ -23,6 +23,7 @@ from helpers import (
     homology,
     kernel_basis,
     minors_invariant_factors,
+    moore_family,
     one_row_page,
     parallel_curve_divisor,
     random_divisor,
@@ -272,7 +273,9 @@ def shuffled_divisor(d: SncDivisor, rng: random.Random) -> SncDivisor:
 
 
 def divisor_corpus() -> list[SncDivisor]:
-    """The rp2 divisor, simplex skeletons canonical and shuffled, and resolved divisors."""
+    """The rp2 divisor, simplex skeletons canonical and shuffled, resolved
+    divisors, and the Moore divisors with their resolutions, canonical and
+    shuffled."""
     rng = random.Random(31)
     out = [rp2_divisor()]
     for n, m in ((2, 6), (3, 7), (4, 9)):
@@ -283,6 +286,8 @@ def divisor_corpus() -> list[SncDivisor]:
             parallel_curve_divisor(rng, rng.randint(4, 6), rng.randint(0, 6)))[0])
     for _ in range(20):
         out.append(resolve_to_simplicial(random_divisor(rng))[0])
+    for d in moore_family():
+        out += [d, shuffled_divisor(d, rng)]
     return out
 
 
@@ -498,8 +503,13 @@ def test_page_validate_rejects_broken_differentials():
     shapewrong = SpectralPage(1, {(0, 0): g, (1, 0): FgAbGroup(2)},
                               {(0, 0): Hom(g, g, IntMatrix([[1]]))},
                               frozenset({(0, 0), (1, 0)}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^differential at \(0, 0\) has wrong target$"):
         shapewrong.validate()
+    sourcewrong = SpectralPage(1, {(0, 0): g, (1, 0): g},
+                               {(0, 0): Hom(FgAbGroup(2), g, IntMatrix([[1, 0]]))},
+                               frozenset({(0, 0), (1, 0)}))
+    with pytest.raises(ValueError, match=r"^differential at \(0, 0\) has wrong source$"):
+        sourcewrong.validate()
     notcx = SpectralPage(
         1, {(0, 0): g, (1, 0): g, (2, 0): g},
         {(0, 0): Hom(g, g, IntMatrix([[1]])),

@@ -77,7 +77,7 @@ def write_doc(tmp_path: Path, data: dict, name: str = "doc.json") -> str:
 
 def test_parse_triangle_fixture():
     doc = parse_input(str(TRIANGLE))
-    assert doc.version == "1"
+    assert document_json(doc)["version"] == "1"
     assert doc.divisor == triangle_cycle()
     assert doc.picard is not None
     assert [lv.p for lv in doc.picard.levels] == [0, 1]
@@ -117,7 +117,7 @@ def test_hyphenated_field_mode_is_accepted(tmp_path):
 def test_numeric_version_is_tolerated(tmp_path):
     data = load(PARALLEL)
     data["version"] = 1
-    assert parse_input(write_doc(tmp_path, data)).version == "1"
+    assert document_json(parse_input(write_doc(tmp_path, data)))["version"] == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +361,7 @@ def test_resolve_machine_document_reparses_to_the_resolved_divisor():
     reparsed = parse_document(machine["document"])
     assert reparsed.divisor == expected
     assert run("cohomology", reparsed) == run(
-        "cohomology", InputDocument(doc.version, expected, None, None,
-                                    doc.field_mode))
+        "cohomology", InputDocument(expected, None, None, doc.field_mode))
 
 
 def test_kh_report_text_lines():

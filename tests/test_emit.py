@@ -128,7 +128,7 @@ def test_resolve_reports_larger_than_any_golden_print_as_the_stdlib_does():
     for _ in range(40):
         m = rng.randrange(8, 12)
         d = parallel_curve_divisor(rng, m, rng.randrange(m, m * (m - 1) // 2))
-        doc = InputDocument("1", d, None, None, ALGEBRAICALLY_CLOSED)
+        doc = InputDocument(d, None, None, ALGEBRAICALLY_CLOSED)
         _, machine = run("resolve", doc)
         text = _json_text(machine)
         assert text == stdlib(plain(machine))

@@ -450,7 +450,11 @@ def test_matrix_algebra_shape_errors():
     with pytest.raises(ValueError):
         add(a, IntMatrix([[1]]))
     assert a.transpose().transpose() == a
+    assert a.__eq__(a.to_lists()) is NotImplemented and a != a.to_lists()
+    assert len({a, a.transpose().transpose(), a.transpose()}) == 2
     assert a.hstack(IntMatrix.zero(2, 1)).shape == (2, 3)
+    with pytest.raises(ValueError, match=r"^row mismatch \(2, 2\) \| \(1, 2\)$"):
+        a.hstack(IntMatrix([[1, 2]]))
     assert vstack(a, IntMatrix.zero(1, 2)).shape == (3, 2)
 
 

@@ -19,6 +19,7 @@ from helpers import (
     homology,
     kernel_basis,
     kh_top,
+    moore_family,
     parallel_curve_divisor,
     random_divisor,
     random_picard_document,
@@ -102,8 +103,9 @@ def test_torus_descriptor_trivial_group():
 
 def test_general_field_torus_is_determined_exactly_when_h_n_minus_2_is_free():
     # The descriptor reads H^{n-1} only; the oracle reads H_{n-2} off the
-    # dense boundaries.  rp2_divisor and its blowups carry Z/2 in H_1; the
-    # shuffled copies sweep their cells in another order.
+    # dense boundaries.  rp2_divisor and its blowups carry Z/2 in H_1, and
+    # the Moore divisors and their resolutions Z/p; at n = 4 they are free
+    # in H_2.  The shuffled copies sweep their cells in another order.
     rng = random.Random(43)
     rp2 = rp2_divisor()
     corpus = [rp2, rp2._replace(n=4)]
@@ -113,13 +115,16 @@ def test_general_field_torus_is_determined_exactly_when_h_n_minus_2_is_free():
     corpus += [random_divisor(rng) for _ in range(150)]
     corpus += [parallel_curve_divisor(rng, rng.randint(3, 6), rng.randint(0, 6))
                for _ in range(40)]
+    moore = moore_family(3) + moore_family(4)
+    corpus += moore + [divisor_of(d.n, d.components, rng.sample(strata_of(d), len(strata_of(d))))
+                       for d in moore]
     obstructed = 0
     for d in corpus:
         cx = validate_snc(d).chain_complex()
         free = homology(cx, d.n - 2).is_free()
         assert torus_descriptor(cohomology(cx, d.n - 1), GENERAL_FIELD).determined == free
         obstructed += not free
-    assert obstructed >= 14
+    assert obstructed >= 26
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +570,9 @@ def test_kh_value_sub_is_the_e3_corner_of_the_descent_page():
     # Picard data needs n >= 3: the report reads level n-3.
     divisors = ([d for d in (random_divisor(rng) for _ in range(120)) if d.n >= 3]
                 + [four_cycle(), rp2_divisor()])
+    moore = moore_family(3) + moore_family(4)
+    divisors += moore + [divisor_of(d.n, d.components, rng.sample(strata_of(d), len(strata_of(d))))
+                         for d in moore]
     tops = (ZERO_GROUP, Z, FgAbGroup(0, (2,)), FgAbGroup(1, (3,)))
     seen = set()
     for k, d in enumerate(divisors):

@@ -31,7 +31,6 @@ ALLOWED_UNUSED = {
     "smith_normal_form": "acceptance criterion 1 tests it as a claim about src",
     "e2_page": "acceptance criterion 3 tests it as a claim about src",
     "blowup_point_on_double_curve": "acceptance criterion 6 tests it as a claim about src",
-    "blowup_stratum_component": "the public single-step blowup",
     "IntMatrix.transpose": "perfbench/tracer.py METHODS reads it with vars(cls)[attr]",
     "SncDivisor.build": "the one public constructor that takes subsets in any order",
 }
@@ -105,10 +104,10 @@ PUBLIC = [
     "BlowupRecord", "ChainComplex", "DuBoisTable", "DualComplex", "FgAbGroup", "Hom",
     "IntMatrix", "KReport", "KhReport", "PicardInput", "PicardLevel", "SmithForm",
     "SncDivisor", "SpectralPage", "SupportViolationError", "TorusDescriptor",
-    "blowup_point_on_double_curve", "blowup_stratum_component", "cohomology", "compose",
-    "direct_sum", "e2_page", "find_bad_intersections", "k_report", "kh_report",
-    "ns_analysis", "presentation_matrix", "resolve_to_simplicial", "smith_normal_form",
-    "subquotient", "validate_snc",
+    "blowup_point_on_double_curve", "cohomology", "compose", "direct_sum", "e2_page",
+    "find_bad_intersections", "k_report", "kh_report", "ns_analysis",
+    "presentation_matrix", "resolve_to_simplicial", "smith_normal_form", "subquotient",
+    "validate_snc",
 ]
 
 

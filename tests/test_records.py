@@ -43,10 +43,17 @@ IDENTITY = Hom(Z, Z, IntMatrix([[1]]))
 # (a valid value, a field, a value for it that the class rejects, its error)
 CHECKED = [
     (FgAbGroup(1, (2,)), "free_rank", -1, "negative free rank -1"),
+    (FgAbGroup(1, (2,)), "torsion", (1,), "torsion order 1 < 2; use canonical form"),
     (IDENTITY, "matrix", IntMatrix([[1, 0]]),
      "matrix shape (1, 2) does not map 1 generators to 1"),
     (smith_normal_form(IntMatrix([[2, 4], [6, 8]])), "d", IntMatrix([[2, 1], [0, 4]]),
      "D not diagonal at (0, 1)"),
+    (smith_normal_form(IntMatrix([[2, 4], [6, 8]])), "d", IntMatrix([[-2, 0], [0, 4]]),
+     "negative diagonal entry in Smith form"),
+    (smith_normal_form(IntMatrix([[2, 4], [6, 8]])), "d", IntMatrix([[0, 0], [0, 4]]),
+     "zero diagonal entry before a nonzero one"),
+    (smith_normal_form(IntMatrix([[2, 4], [6, 8]])), "d", IntMatrix([[2, 0], [0, 3]]),
+     "divisibility chain broken: 2 does not divide 3"),
     (ChainComplex((1, 1), (({},),)), "ranks", (1, -1),
      "ranks (1, -1) are not non-negative ints"),
     (LEVELS[0], "pic0_dim", -1, "negative Pic^0 dimension at level 0"),

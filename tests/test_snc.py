@@ -10,12 +10,14 @@ from helpers import (
     Z,
     ZERO_GROUP,
     alt_chain_complex,
+    blowup,
     brute_force_bad,
     divisor_of,
     euler_characteristic,
     full_simplex,
     homology,
     interval_divisor,
+    moore_family,
     parallel_curve_divisor,
     parallel_edges,
     random_divisor,
@@ -33,7 +35,6 @@ from snckit import snc
 from snckit import (
     SncDivisor,
     blowup_point_on_double_curve,
-    blowup_stratum_component,
     cohomology,
     find_bad_intersections,
     resolve_to_simplicial,
@@ -208,7 +209,8 @@ def test_edge_boundary_orientation():
 
 def test_dual_equals_alternating_complex_everywhere():
     named = [triangle_cycle(), parallel_edges(), full_simplex(), sphere4(),
-             interval_divisor(), rp2_divisor(), simplex_divisor(5, list("abcdefg"), 5)]
+             interval_divisor(), rp2_divisor(), simplex_divisor(5, list("abcdefg"), 5),
+             *moore_family()]
     rng = random.Random(32)
     corpus = named + [random_divisor(rng) for _ in range(200)]
     # the same divisors with their strata shuffled, depths interleaved: the
@@ -378,7 +380,7 @@ def test_bad_agrees_with_brute_force_on_random_corpus():
 
 def test_blowup_parallel_edge_gives_three_cycle():
     before = cohomology_profile(parallel_edges(), 2)
-    after, record = blowup_stratum_component(parallel_edges(), "ca")
+    after, record = blowup(parallel_edges(), "ca")
     validate_snc(after)
     assert after.components == ("1", "2", "exc1")
     assert record.center == "ca"
@@ -408,7 +410,7 @@ def test_blowup_center_under_parallel_cells_keeps_their_interiors():
 
     # the doubled curve's cell sits under both 2-cells; each must be
     # refilled by its own pair of cones or a rank of H^2 disappears
-    after, record = blowup_stratum_component(d, "c12")
+    after, record = blowup(d, "c12")
     validate_snc(after)
     assert set(record.removed) == {"c12", "t", "t2"}
     assert cohomology_profile(after, 3) == sphere
@@ -421,7 +423,7 @@ def test_blowup_center_under_parallel_cells_keeps_their_interiors():
 def test_blowup_triple_point_is_stellar_subdivision():
     d = full_simplex()
     before = cohomology_profile(d, 3)
-    after, record = blowup_stratum_component(d, "t")
+    after, record = blowup(d, "t")
     dc = validate_snc(after)
     assert dc.ranks() == (4, 6, 3)
     # the new vertex is joined to all three old ones
@@ -438,7 +440,7 @@ def test_blowup_preserves_cohomology_on_random_corpus():
         if not strata_of(d):
             continue
         target = rng.choice([s.id for s in strata_of(d)])
-        after, record = blowup_stratum_component(d, target)
+        after, record = blowup(d, target)
         validate_snc(after)
         assert record.removed
         top = max(d.n, 5)
@@ -448,12 +450,12 @@ def test_blowup_preserves_cohomology_on_random_corpus():
 
 def test_blowup_unknown_center():
     with pytest.raises(SncError, match="^no stratum component with id 'nope'$"):
-        blowup_stratum_component(parallel_edges(), "nope")
+        blowup(parallel_edges(), "nope")
 
 
 def test_fresh_component_ids_avoid_collisions():
     d = SncDivisor.build(3, ["exc1", "x"], [("c", ("exc1", "x"), {})])
-    after, record = blowup_stratum_component(d, "c")
+    after, record = blowup(d, "c")
     assert record.new_component == "exc2"
     validate_snc(after)
 
@@ -473,7 +475,7 @@ def test_fresh_component_ids_avoid_collisions():
     assert record.new_component == "exc3"
     assert record.added == ("exc3|exc2", "exc3|y", "exc3|e")
     validate_snc(after)
-    _, again = blowup_stratum_component(after, "a0")
+    _, again = blowup(after, "a0")
     assert again.new_component == "exc4"
 
 
@@ -608,7 +610,7 @@ def test_resolve_handles_deepest_level_first():
         if rec.point_blowup:
             replay, again = blowup_point_on_double_curve(replay, rec.center)
         else:
-            replay, again = blowup_stratum_component(replay, rec.center)
+            replay, again = blowup(replay, rec.center)
         assert again == rec
     assert replay == resolved
 
@@ -665,7 +667,7 @@ def test_blowup_matches_the_scan_oracle_for_every_center():
     blowups = 0
     for d in oracle_corpus(37, 150):
         for s in strata_of(d):
-            assert blowup_stratum_component(d, s.id) == scan_blowup(d, s.id)
+            assert blowup(d, s.id) == scan_blowup(d, s.id)
             blowups += 1
     assert blowups > 1000
 
@@ -681,7 +683,7 @@ def test_blowup_of_a_doubled_top_cell_matches_the_scan_oracle(n):
     d = divisor_of(n, comps, strata + (top._replace(id=top.id + "~"),))
     validate_snc(d)
     for center in (top.id, top.id + "~"):
-        after, record = blowup_stratum_component(d, center)
+        after, record = blowup(d, center)
         assert (after, record) == scan_blowup(d, center)
         assert record.removed == (center,) and len(record.added) == 2 ** n - 2
         validate_snc(after)
@@ -696,7 +698,7 @@ def test_blowup_reuses_the_ids_of_removed_cells():
     # is free again once the center is removed
     d = SncDivisor.build(3, ["a", "b"], [("exc1|a", ("a", "b"), {}),
                                          ("c", ("a", "b"), {})])
-    after, record = blowup_stratum_component(d, "exc1|a")
+    after, record = blowup(d, "exc1|a")
     assert record.removed == ("exc1|a",)
     assert record.added == ("exc1|a", "exc1|b")
     assert (after, record) == scan_blowup(d, "exc1|a")
@@ -707,7 +709,7 @@ def test_blowup_reuses_the_ids_of_removed_cells():
 def test_bad_decrement_is_the_recount_before_and_after():
     for d in oracle_corpus(38, 60):
         for s in strata_of(d):
-            after, record = blowup_stratum_component(d, s.id)
+            after, record = blowup(d, s.id)
             assert record.bad_decrement == bad_count(d) - bad_count(after)
             if d.n == 3 and len(s.subset) == 2:
                 after, record = blowup_point_on_double_curve(d, s.id)
@@ -715,7 +717,7 @@ def test_bad_decrement_is_the_recount_before_and_after():
         # the resolve loop keeps one running total across all its steps
         current, records = d, resolve_to_simplicial(d)[1]
         for record in records:
-            after, _ = blowup_stratum_component(current, record.center)
+            after, _ = blowup(current, record.center)
             assert record.bad_decrement == bad_count(current) - bad_count(after)
             current = after
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import (
     Stratum,
     alt_chain_complex,
+    blowup,
     divisor_json,
     divisor_of,
     full_simplex,
@@ -29,7 +30,6 @@ from snckit import (
     ChainComplex,
     SncDivisor,
     blowup_point_on_double_curve,
-    blowup_stratum_component,
     find_bad_intersections,
     resolve_to_simplicial,
 )
@@ -240,7 +240,7 @@ def test_the_blowups_and_the_resolution_return_divisors_carrying_a_table():
         resolved, _ = resolve_to_simplicial(d)
         assert_carries_its_table(resolved)
         if strata_of(d):
-            after, _ = blowup_stratum_component(d, rng.choice(strata_of(d)).id)
+            after, _ = blowup(d, rng.choice(strata_of(d)).id)
             assert_carries_its_table(after)
 
 
@@ -300,7 +300,7 @@ def assert_relabelled_consistently(d: SncDivisor, order: list[int]) -> None:
     counts = Counter(on.values())
     assert dict(find_bad_intersections(relabelled).bad) == {
         subset: k for subset, k in counts.items() if k >= 2}
-    doc = InputDocument("1", relabelled, None, None, "algebraically_closed")
+    doc = InputDocument(relabelled, None, None, "algebraically_closed")
     cells = run("dual-complex", doc)[1]["cells_by_dimension"]
     assert {c["id"]: tuple(c["vertices"]) for dim in cells[1:] for c in dim["cells"]} == on
     block = json.loads(_divisor_text(relabelled, "\n"))
@@ -333,7 +333,7 @@ def test_components_fewer_than_the_table_positions_raise_snc_error():
         with pytest.raises(SncError, match=r"^stratum c13 lies on component position 2, "
                                            r"but the divisor has 2 component\(s\)$"):
             validate_snc(short)
-        doc = InputDocument("1", short, None, None, "algebraically_closed")
+        doc = InputDocument(short, None, None, "algebraically_closed")
         for command in ("validate", "cohomology", "resolve"):
             with pytest.raises(SncError):
                 run(command, doc)
